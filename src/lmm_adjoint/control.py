@@ -52,9 +52,6 @@ class TrackingFunctional:
         return u_terminal - self.target
 
 
-evaluate_functional = TrackingFunctional.__call__
-
-
 def gradient_from_adjoint(model: RelaxationModel, lam0: np.ndarray,
                           u0: np.ndarray | None = None) -> np.ndarray:
     """Descent direction for the macroscopic initial data from lambda(0).
@@ -180,8 +177,7 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
             break
         mismatch = functional.terminal_mismatch(u_T)
         lam_T = terminal_multipliers(model, mismatch)
-        lam0, _ = solve_adjoint(model, grid, tab, u_store, lam_T,
-                                n_steps, dt)
+        lam0 = solve_adjoint(model, grid, tab, u_store, lam_T, n_steps, dt)
         grad = gradient_from_adjoint(model, lam0, state.control)
         gnorm = float(np.max(np.abs(grad)))
         sigma = bb_step(state, grad, variant=bb_variant)

@@ -354,7 +354,7 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
         if n_steps is None:
             n_steps = int(round(T / dt))
         lam_T = rx.terminal_multipliers(model, pT_fn(grid.nodes())[None, :])
-        lam0, _ = rx.solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
+        lam0 = rx.solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
         return lam0.sum(axis=0), grid, n_steps * dt
 
     rows = []

@@ -226,29 +226,119 @@ class LagrangianGrid:
         order and is flagged by the forward/adjoint drivers.
         """
         M = values.shape[-1]
-        k = int(np.round(shift_cells))
-        if abs(shift_cells - k) < 1e-9:
-            if self.boundary == "periodic":
-                return np.roll(values, k, axis=-1)
-            idx = np.clip(np.arange(M) - k, 0, M - 1)
-            return values[..., idx]
-        lo = int(np.floor(shift_cells))
-        w = shift_cells - lo
+        lo, w = _foot(shift_cells)
         if self.boundary == "periodic":
             a = np.roll(values, lo, axis=-1)
+            if w == 0.0:
+                return a
             b = np.roll(values, lo + 1, axis=-1)
         else:
-            idx_a = np.clip(np.arange(M) - lo, 0, M - 1)
-            idx_b = np.clip(np.arange(M) - lo - 1, 0, M - 1)
-            a, b = values[..., idx_a], values[..., idx_b]
+            a = values[..., np.clip(np.arange(M) - lo, 0, M - 1)]
+            if w == 0.0:
+                return a
+            b = values[..., np.clip(np.arange(M) - lo - 1, 0, M - 1)]
         return (1.0 - w) * a + w * b
+
+
+def _foot(shift_cells: float) -> tuple[int, float]:
+    """Lower node offset and linear weight of a foot shift_cells cells upstream.
+
+    A foot within 1e-9 cells of a node is aligned: its nearest node and
+    weight 0.  Otherwise the weight lies strictly between 0 and 1.
+    """
+    k = int(np.round(shift_cells))
+    if abs(shift_cells - k) < 1e-9:
+        return k, 0.0
+    lo = int(np.floor(shift_cells))
+    return lo, shift_cells - lo
+
+
+class FootPlan:
+    """Characteristic feet of every (history level, velocity), found once.
+
+    Level ``ell`` of velocity j is sampled ``speeds[j] * (ell+1) * dt / dx``
+    cells upstream, with the feet from the helper that
+    ``LagrangianGrid.sample_shifted`` uses.  ``sample(ell, level)`` equals
+    stacking ``sample_shifted`` over the rows, bit for bit on finite data: a
+    fractional level keeps the ``(1-w) a + w b`` form and gives its aligned
+    rows ``hi = lo`` and ``w = 0``.  Periodic levels are rolled row by row
+    into preallocated buffers (slice copies beat a flat ``take`` on wide
+    grids); clamped levels use one ``take`` on precomputed clipped indices.
+    """
+
+    def __init__(self, grid: LagrangianGrid, speeds: np.ndarray, dt: float,
+                 depth: int):
+        Nv, M = speeds.size, grid.n_nodes
+        self.periodic = grid.boundary == "periodic"
+        self._a = np.empty((Nv, M))
+        self._b = np.empty((Nv, M))
+        self.levels = []
+        for ell in range(depth):
+            lo, w = np.array([_foot(vj * (ell + 1) * dt / grid.dx)
+                              for vj in speeds]).T
+            lo = lo.astype(int)
+            hi = lo + (w > 0)
+            w = w[:, None]
+            if self.periodic:
+                lo, hi = (lo % M).tolist(), (hi % M).tolist()
+            else:
+                rows, cols = M * np.arange(Nv)[:, None], np.arange(M)
+                lo = rows + np.clip(cols - lo[:, None], 0, M - 1)
+                hi = rows + np.clip(cols - hi[:, None], 0, M - 1)
+            self.levels.append((lo, hi, (1.0 - w, w) if w.any() else None))
+
+    def sample(self, ell: int, values: np.ndarray) -> np.ndarray:
+        """History level ``values`` (Nv, M) sampled at the level-``ell`` feet.
+
+        The result may be a buffer that the next call overwrites.
+        """
+        lo, hi, weights = self.levels[ell]
+        if self.periodic:
+            a = self._roll(values, lo, self._a)
+            if weights is None:
+                return a
+            b = self._roll(values, hi, self._b)
+        else:
+            a = values.take(lo)
+            if weights is None:
+                return a
+            b = values.take(hi)
+        a *= weights[0]
+        b *= weights[1]
+        a += b
+        return a
+
+    @staticmethod
+    def _roll(values, offsets, out):
+        """``np.roll`` of each row j by ``offsets[j]``, written into ``out``."""
+        M = values.shape[-1]
+        for j, k in enumerate(offsets):
+            out[j, k:] = values[j, :M - k]
+            out[j, :k] = values[j, M - k:]
+        return out
+
+
+def _check_field(model: RelaxationModel, grid: LagrangianGrid, field) -> None:
+    """A field's feet hold only for the grid and speeds it was built with."""
+    if (grid is not field.grid and grid != field.grid) or (
+            model is not field.model
+            and not np.array_equal(model.velocities, field.model.velocities)):
+        raise ValueError("step called with a grid or velocities other than "
+                         "the field's")
+
+
+def _ramped(tab: MultistepTableau, avail: int) -> MultistepTableau:
+    """BDF scheme for a history of ``avail`` levels: ``tab`` itself once
+    ``avail >= tab.s``, otherwise the lower-order BDF(avail) start-up."""
+    return tab if avail >= tab.s else tableau(f"bdf{avail}")
 
 
 class KineticField:
     """Per-velocity Eulerian arrays with an s-deep ring buffer of past levels.
 
     ``history[0]`` is the newest level (time index ``n``); pushes evict the
-    oldest entry once the buffer is warm.
+    oldest entry once the buffer is warm.  ``plan`` holds the feet of the
+    forward step, v_j (l+1) dt upstream of every node.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
@@ -263,6 +353,7 @@ class KineticField:
             raise ValueError(f"initial field must have shape "
                              f"{(model.n_velocities, grid.n_nodes)}, got {f0.shape}")
         self.history: list[np.ndarray] = [f0.copy()]
+        self.plan = FootPlan(grid, model.velocities, dt, depth)
 
     @property
     def current(self) -> np.ndarray:
@@ -294,18 +385,15 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
     if not tab.is_bdf:
         raise ModelConfigError(f"relaxation solver requires a BDF tableau, "
                                f"got {tab.name}")
-    avail = len(fld.history)
-    eff = tab if avail >= tab.s else tableau(f"bdf{avail}")
-    s, dt, eps = eff.s, fld.dt, model.eps
+    _check_field(model, grid, fld)
+    eff = _ramped(tab, len(fld.history))
+    dt, eps = fld.dt, model.eps
     w = dt * eff.b_implicit / (dt * eff.b_implicit + eps)
 
     # characteristic-foot history combination:  -sum_l a_l f^j(t_{n-l}, x - v_j (l+1) dt)
     comb = np.zeros_like(fld.current)
-    for ell in range(s):
-        lvl = fld.history[ell]
-        for j, vj in enumerate(model.velocities):
-            shift = vj * (ell + 1) * dt / grid.dx
-            comb[j] -= eff.a[ell] * grid.sample_shifted(lvl[j], shift)
+    for ell in range(eff.s):
+        comb -= eff.a[ell] * fld.plan.sample(ell, fld.history[ell])
 
     u_new = model.moments(comb)              # phase 1: macroscopic closure
     E = model.equilibrium(u_new)             # phase 2: relaxation update
@@ -362,7 +450,9 @@ class AdjointField:
     ``history[i]`` holds the level at t_{n+i}.  The buffer starts with the
     terminal data alone and ramps the BDF order up as levels accumulate,
     mirroring the forward start-up (a constant-extension seeding of all s
-    slots degrades the backward sweep to first order; see tests).
+    slots degrades the backward sweep to first order; see tests).  ``plan``
+    holds the feet of the backward step, v_j (i+1) dt downstream of every
+    node.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
@@ -375,6 +465,7 @@ class AdjointField:
         self.dt = dt
         self.depth = depth
         self.history: list[np.ndarray] = [lam_T.copy()]
+        self.plan = FootPlan(grid, -model.velocities, dt, depth)
 
     @property
     def current(self) -> np.ndarray:
@@ -402,18 +493,15 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
         raise ModelConfigError("adjoint solver requires a BDF tableau")
     if u_prev.shape != (model.n_conserved, grid.n_nodes):
         raise ValueError("frozen forward field shape mismatch")
-    avail = len(adj.history)
-    eff = tab if avail >= tab.s else tableau(f"bdf{avail}")
-    s, dt, eps = eff.s, adj.dt, model.eps
+    _check_field(model, grid, adj)
+    eff = _ramped(tab, len(adj.history))
+    dt, eps = adj.dt, model.eps
     wt = dt * eff.b_implicit / (eps + dt * eff.b_implicit)
 
     # S[j] = sum_i a_i lam^j(t_{n+i}, x + v_j (i+1) dt)
     S = np.zeros_like(adj.current)
-    for i in range(s):
-        lvl = adj.history[i]
-        for j, vj in enumerate(model.velocities):
-            shift = -vj * (i + 1) * dt / grid.dx   # sample at x + v_j (i+1) dt
-            S[j] += eff.a[i] * grid.sample_shifted(lvl[j], shift)
+    for i in range(eff.s):
+        S += eff.a[i] * adj.plan.sample(i, adj.history[i])
 
     jac = model.equilibrium_jac(u_prev)            # (Nv, n, M)
     phi = -np.einsum("jrm,jm->rm", jac, S)
@@ -441,42 +529,20 @@ def terminal_multipliers(model: RelaxationModel, p_terminal: np.ndarray) -> np.n
 
 def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
                   tab: MultistepTableau, u_store: np.ndarray | None,
-                  lam_T: np.ndarray, n_steps: int, dt: float,
-                  store_p: bool = False):
-    """March the adjoint from t = T back to t = 0.
+                  lam_T: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
+    """March the adjoint from t = T back to t = 0 and return lambda(0).
 
     ``u_store`` is the forward conserved-variable store (level k = time t_k);
     pass None only when the equilibrium Jacobian does not depend on u
-    (linear flux).  Returns (lambda(0), p_store or None) with
-    p-levels ordered forward in time.
+    (linear flux).
     """
     if u_store is None:
         u_dummy = np.zeros((model.n_conserved, grid.n_nodes))
     adj = AdjointField(model, grid, dt, depth=tab.s, lam_T=lam_T)
-    p_store = None
-    if store_p:
-        p_store = np.empty((n_steps + 1, grid.n_nodes))
-        p_store[n_steps] = lam_T.sum(axis=0)
     for k in range(n_steps, 0, -1):          # computes level k-1
         u_prev = u_store[k - 1] if u_store is not None else u_dummy
-        lam = adjoint_step(model, grid, adj, u_prev, tab)
-        if store_p:
-            p_store[k - 1] = lam.sum(axis=0)
-    return adj.current, p_store
-
-
-def checkpointed_forward_store(model, grid, tab, u0, n_steps, dt,
-                               checkpoint_every=None):
-    """Placeholder for checkpoint-recompute storage of the forward field.
-
-    Desk-scale runs keep the full conserved-variable history in memory
-    (``solve_forward``); a log-spaced checkpoint schedule with segment
-    recomputation would bound memory for long horizons but is not needed at
-    the problem sizes exercised here.
-    """
-    raise NotImplementedError(
-        "checkpoint-recompute scheduling is out of scope; use solve_forward's "
-        "full in-memory store")
+        adjoint_step(model, grid, adj, u_prev, tab)
+    return adj.current
 
 
 def transport_oracle(grid: LagrangianGrid, p_terminal: Callable,
@@ -512,7 +578,7 @@ def viscous_limit_check(model: RelaxationModel, grid: LagrangianGrid,
     x = grid.nodes()
     pT = np.asarray(p_terminal(x), dtype=float)
     lam_T = terminal_multipliers(model, pT[None, :])
-    lam0, _ = solve_adjoint(model, grid, tab, u_store, lam_T, n_steps, dt)
+    lam0 = solve_adjoint(model, grid, tab, u_store, lam_T, n_steps, dt)
     p0 = lam0.sum(axis=0)
     if model.n_conserved != 1:
         raise ModelConfigError("viscous-limit check defined for scalar models")

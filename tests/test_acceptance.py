@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, one PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Four sub-criteria are marked strict-xfail: their stated bounds encode
+lines.  Three sub-criteria are marked strict-xfail: their stated bounds encode
 published table values that an oracle-verified implementation provably cannot
 reproduce (the measured values and the blocking analysis are printed by the
 tests and recorded in the project notes).  Everything else must pass at the

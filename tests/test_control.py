@@ -131,7 +131,7 @@ class TestGradient:
         # target reached exactly: terminal data vanish, so does the gradient
         mismatch = np.zeros((1, grid.n_nodes))
         lam_T = rx.terminal_multipliers(model, mismatch)
-        lam0, _ = rx.solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
+        lam0 = rx.solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
         g = ct.gradient_from_adjoint(model, lam0, guess)
         assert np.all(g == 0.0)
 
@@ -147,7 +147,7 @@ class TestGradient:
         x = grid.nodes()
         mismatch = np.exp(-((x - 3.0) ** 2))[None, :]
         lam_T = rx.terminal_multipliers(model, mismatch)
-        lam0, _ = rx.solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
+        lam0 = rx.solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
         g = ct.gradient_from_adjoint(model, lam0)[0]
         oracle = np.roll(mismatch[0], -n_steps)  # shift by a*T = n_steps dx
         assert np.sqrt(np.mean((g - oracle) ** 2)) <= 2e-3
@@ -159,7 +159,7 @@ class TestGradient:
         _, us = rx.solve_forward(model, grid, tab, guess, n_steps, dt)
         lam_T = rx.terminal_multipliers(
             model, functional.terminal_mismatch(us[-1]))
-        lam0, _ = rx.solve_adjoint(model, grid, tab, us, lam_T, n_steps, dt)
+        lam0 = rx.solve_adjoint(model, grid, tab, us, lam_T, n_steps, dt)
         g = ct.gradient_from_adjoint(model, lam0, guess)[0]
         h = 1e-5
         fd = np.zeros(grid.n_nodes)
@@ -188,7 +188,7 @@ class TestGradient:
         _, us = rx.solve_forward(model, grid, tab, guess, n_steps, dt)
         lam_T = rx.terminal_multipliers(
             model, functional.terminal_mismatch(us[-1]))
-        lam0, _ = rx.solve_adjoint(model, grid, tab, us, lam_T, n_steps, dt)
+        lam0 = rx.solve_adjoint(model, grid, tab, us, lam_T, n_steps, dt)
         g = ct.gradient_from_adjoint(model, lam0, guess)
         h = 1e-6
         fd = np.zeros_like(g)
@@ -228,8 +228,7 @@ class TestOptimize:
             Js.append(functional(us[-1]))
             lam_T = rx.terminal_multipliers(
                 model, functional.terminal_mismatch(us[-1]))
-            lam0, _ = rx.solve_adjoint(model, grid, tab, us, lam_T,
-                                       n_steps, dt)
+            lam0 = rx.solve_adjoint(model, grid, tab, us, lam_T, n_steps, dt)
             u0 = u0 - 0.05 * ct.gradient_from_adjoint(model, lam0, u0)
         assert all(b <= a + 1e-14 for a, b in zip(Js, Js[1:]))
 

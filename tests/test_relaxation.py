@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lmm_adjoint as la
 from lmm_adjoint import relaxation as rx
@@ -279,8 +281,8 @@ class TestAdjoint:
         pT = lambda xx: np.exp(-((xx - 3.0) ** 2))
         n_steps = int(round(1.0 / dt))
         lam_T = rx.terminal_multipliers(model, pT(grid.nodes())[None, :])
-        lam0, _ = rx.solve_adjoint(model, grid, la.tableau("BDF2"), None,
-                                   lam_T, n_steps, dt)
+        lam0 = rx.solve_adjoint(model, grid, la.tableau("BDF2"), None,
+                                lam_T, n_steps, dt)
         ref = rx.transport_oracle(grid, pT, a, n_steps * dt)
         assert np.max(np.abs(lam0.sum(axis=0) - ref)) <= 2e-4
 
@@ -328,3 +330,106 @@ class TestAdjoint:
         with pytest.raises(ValueError):
             rx.adjoint_step(model, grid, adj, np.zeros((1, 3)),
                             la.tableau("BDF2"))
+
+
+def reference_forward_step(model, grid, history, dt, tab):
+    """Forward step from per-velocity ``sample_shifted`` calls."""
+    eff = tab if len(history) >= tab.s else la.tableau(f"bdf{len(history)}")
+    comb = np.zeros_like(history[0])
+    for ell in range(eff.s):
+        for j, vj in enumerate(model.velocities):
+            shift = vj * (ell + 1) * dt / grid.dx
+            comb[j] -= eff.a[ell] * grid.sample_shifted(history[ell][j], shift)
+    w = dt * eff.b_implicit / (dt * eff.b_implicit + model.eps)
+    return w * model.equilibrium(model.moments(comb)) + (1.0 - w) * comb
+
+
+def reference_adjoint_step(model, grid, history, u_prev, dt, tab):
+    """Adjoint step from per-velocity ``sample_shifted`` calls."""
+    eff = tab if len(history) >= tab.s else la.tableau(f"bdf{len(history)}")
+    S = np.zeros_like(history[0])
+    for i in range(eff.s):
+        for j, vj in enumerate(model.velocities):
+            shift = -vj * (i + 1) * dt / grid.dx
+            S[j] += eff.a[i] * grid.sample_shifted(history[i][j], shift)
+    b = eff.b_implicit
+    phi = -np.einsum("jrm,jm->rm", model.equilibrium_jac(u_prev), S)
+    return (-(model.eps / (model.eps + dt * b)) * S
+            + dt * b / (model.eps + dt * b)
+            * np.einsum("rj,rm->jm", model.q_matrix, phi))
+
+
+def assert_steps_match_reference(model, grid, dt, tab, depth, u0, n_steps):
+    """Planned forward and adjoint steps equal the references bit for bit
+    through the order ramp and beyond."""
+    fld = rx.KineticField(model, grid, dt, depth, rx.equilibrium_lift(model, u0))
+    hist = [fld.current.copy()]
+    for _ in range(n_steps):
+        expect = reference_forward_step(model, grid, hist, dt, tab)
+        rx.forward_step(model, grid, fld, tab)
+        assert np.array_equal(fld.current, expect)
+        hist = [expect] + hist[:depth - 1]
+
+    lam_T = rx.terminal_multipliers(model, u0)
+    adj = rx.AdjointField(model, grid, dt, depth, lam_T)
+    hist = [adj.current.copy()]
+    for _ in range(n_steps):
+        expect = reference_adjoint_step(model, grid, hist, u0, dt, tab)
+        assert np.array_equal(rx.adjoint_step(model, grid, adj, u0, tab),
+                              expect)
+        hist = [expect] + hist[:depth - 1]
+
+
+# dt*a/dx: whole cells (aligned feet) or any fraction of up to three cells
+foot_ratio = st.one_of(st.integers(1, 3).map(float),
+                       st.floats(0.05, 3.0, allow_nan=False))
+
+
+class TestFootPlan:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nx=st.integers(5, 90), ratio=foot_ratio, order=st.integers(1, 6),
+           depth_cut=st.integers(0, 5))
+    def test_periodic_jinxin_matches_sample_shifted(self, nx, ratio, order,
+                                                    depth_cut):
+        # speeds (a, -a): feet of both signs, forward and adjoint
+        grid = rx.LagrangianGrid(0.0, 6.0, nx)
+        a = 2.1
+        x = grid.nodes()
+        u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+        tab = la.tableau(f"BDF{order}")
+        depth = max(1, order - depth_cut)
+        assert_steps_match_reference(burgers_jinxin(a, 1e-2), grid,
+                                     ratio * grid.dx / a, tab, depth, u0,
+                                     order + 2)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(nx=st.integers(5, 90), ratio=foot_ratio, order=st.integers(1, 6),
+           depth_cut=st.integers(0, 5))
+    def test_clamped_broadwell_matches_sample_shifted(self, nx, ratio, order,
+                                                      depth_cut):
+        # speeds (c, -c, 0): the zero-speed row stays aligned while +-c
+        # may be fractional, and feet past the walls are clamped
+        grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary="clamp")
+        c = 1.0
+        x = grid.nodes()
+        u0 = np.stack([1.0 + 0.3 * np.exp(-x ** 2),
+                       0.2 * np.exp(-((x - 0.5) ** 2))])
+        tab = la.tableau(f"BDF{order}")
+        depth = max(1, order - depth_cut)
+        assert_steps_match_reference(rx.make_broadwell(c, 1e-2), grid,
+                                     ratio * grid.dx / c, tab, depth, u0,
+                                     order + 2)
+
+    def test_step_rejects_foreign_grid(self):
+        grid = rx.LagrangianGrid(0.0, 1.0, 17)
+        model = linear_jinxin(1.0, 1e-2)
+        fld = rx.KineticField(model, grid, 0.05, 2,
+                              np.zeros((2, grid.n_nodes)))
+        with pytest.raises(ValueError):
+            rx.forward_step(model, rx.LagrangianGrid(0.0, 1.0, 17, "clamp"),
+                            fld, la.tableau("BDF2"))
+        adj = rx.AdjointField(model, grid, 0.05, 2,
+                              np.zeros((2, grid.n_nodes)))
+        with pytest.raises(ValueError):
+            rx.adjoint_step(linear_jinxin(2.0, 1e-2), grid, adj,
+                            np.zeros((1, grid.n_nodes)), la.tableau("BDF2"))
