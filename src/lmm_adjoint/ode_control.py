@@ -19,7 +19,7 @@ from .tableaus import MultistepTableau, TimeGrid, bootstrap_history, step
 
 
 class SolverBlowUpError(RuntimeError):
-    """Forward integration produced a non-finite state."""
+    """A forward state or an adjoint multiplier is non-finite."""
 
     def __init__(self, message, step_index=None):
         super().__init__(message)
@@ -136,18 +136,16 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     """
     s = tab.s
     u = _controls_array(controls, grid, s)
+    t0, dt, off = grid.t0, grid.dt, s - 1
+    f, f_y = problem.f, problem.f_y
 
-    def u_at(i):
-        return u[i + s - 1]
-
+    # time-indexed control lookup: t maps back to the nearest index
     def rhs(y, t):
-        # time-indexed control lookup: t maps back to the nearest index
-        i = int(round((t - grid.t0) / grid.dt))
-        return np.atleast_1d(np.asarray(problem.f(y, u_at(i), t), dtype=float))
+        u_t = u[int(round((t - t0) / dt)) + off]
+        return np.atleast_1d(np.asarray(f(y, u_t, t), dtype=float))
 
-    def jac(y, t):
-        i = int(round((t - grid.t0) / grid.dt))
-        return problem.jac(y, u_at(i), t)
+    def jac(y, t):  # ``step`` makes the result a 2-D float array
+        return f_y(y, u[int(round((t - t0) / dt)) + off], t)
 
     hist = bootstrap_history(tab, grid, rhs, problem.y0, mode=init_mode,
                              y_exact=problem.y_exact)
@@ -157,14 +155,14 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
         states[k] = y
     with np.errstate(over="ignore", invalid="ignore"):
         for nstep in range(grid.N):
-            t_new = grid.t(nstep + 1)
-            y_new = step(tab, hist, grid.dt, rhs, t_new, jac=jac)
-            if not np.all(np.isfinite(y_new)):
+            t_new = t0 + (nstep + 1) * dt
+            y_new, f_new = step(tab, hist, dt, rhs, t_new, jac=jac)
+            if not np.isfinite(y_new).all():
                 raise SolverBlowUpError(
                     f"non-finite state at step {nstep + 1} (t={t_new:.6g})",
                     step_index=nstep + 1)
             states[nstep + s] = y_new
-            hist.push(y_new, rhs(y_new, t_new))
+            hist.push(y_new, f_new)
     return Trajectory(grid, s, states, u)
 
 
@@ -177,18 +175,25 @@ def prescribed_trajectory(grid: TimeGrid, s: int, y_of_t: Callable,
     return Trajectory(grid, s, states, u)
 
 
-def _fy_at(problem, traj, i, fy_beyond=None):
-    """State Jacobian at index i; indices beyond N use the hook or clamp to N."""
-    N = traj.grid.N
-    if i > N:
-        t = traj.grid.t(i)
-        if fy_beyond is not None:
-            return np.atleast_2d(np.asarray(fy_beyond(t), dtype=float))
-        if problem.y_exact is not None:
-            y = np.atleast_1d(np.asarray(problem.y_exact(t), dtype=float))
-            return problem.jac(y, traj.control(N), t)
-        i = N  # clamp: documented order loss near T for Adams tableaus
-    return problem.jac(traj.state(i), traj.control(i), traj.grid.t(i))
+def _fy_at(problem, traj):
+    """State Jacobian as a function of the index i, bound to one trajectory.
+
+    Indices beyond N use the exact-solution hook or clamp to N.
+    """
+    t0, dt, N, off = traj.grid.t0, traj.grid.dt, traj.grid.N, traj.s - 1
+    states, u = traj.states, traj.controls
+    jac, y_exact = problem.jac, problem.y_exact
+
+    def fy(i):
+        if i > N:
+            t = t0 + i * dt
+            if y_exact is not None:
+                y = np.atleast_1d(np.asarray(y_exact(t), dtype=float))
+                return jac(y, u[N + off], t)
+            i = N  # clamp: documented order loss near T for Adams tableaus
+        return jac(states[i + off], u[i + off], t0 + i * dt)
+
+    return fy
 
 
 def _terminal_values(problem, traj, tab, terminal):
@@ -211,23 +216,47 @@ def _terminal_values(problem, traj, tab, terminal):
     raise ValueError(f"unknown terminal mode {terminal!r}")
 
 
-def _pointwise_solve(M, rhs, i):
-    if M.shape == (1, 1):
-        if abs(M[0, 0]) < 1e-14:
+def _pointwise_solve(J, h, rhs, i):
+    """Solve (1 - h*J) p = rhs for the multiplier at step index i."""
+    if J.shape == (1, 1):
+        d = 1.0 - h * J[0, 0]
+        if abs(d) < 1e-14:
             raise SingularAdjointStepError(
                 f"(1 - dt*b_-1*f_y) vanishes at step index {i}")
-        return rhs / M[0, 0]
+        return rhs / d
     try:
-        return np.linalg.solve(M, rhs)
+        return np.linalg.solve(np.eye(len(rhs)) - h * J, rhs)
     except np.linalg.LinAlgError:
         raise SingularAdjointStepError(
             f"singular pointwise adjoint matrix at step index {i}") from None
 
 
+def _sweep_coefficients(tab, dt):
+    """(-a_k), (dt*b_k, None where b_k = 0) for k >= 0, and dt*b_{-1}."""
+    return ([-c for c in tab.a], [dt * c if c else None for c in tab.b[1:]],
+            dt * tab.b_implicit)
+
+
+def _adjoint_trajectory(grid, s, ext, route):
+    """Multipliers on indices 1-s..N from the extended sweep array.
+
+    Raises ``SolverBlowUpError`` at the first non-finite multiplier in sweep
+    order (the highest such index); one vectorised check per sweep.
+    """
+    mult = ext[: grid.N + s]
+    bad = np.flatnonzero(~np.isfinite(mult).all(axis=1))
+    if bad.size:
+        i = int(bad[-1]) - (s - 1)
+        raise SolverBlowUpError(
+            f"non-finite {route.value} multiplier at step index {i}",
+            step_index=i)
+    return AdjointTrajectory(grid, s, mult.copy(), route)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def solve_adjoint_otd(problem: OdeControlProblem, tab: MultistepTableau,
                       grid: TimeGrid, traj: Trajectory,
-                      terminal: str = "auto",
-                      fy_beyond: Callable | None = None) -> AdjointTrajectory:
+                      terminal: str = "auto") -> AdjointTrajectory:
     """Adjoint by discretizing the continuous equation (time-reversed tableau).
 
     Backward recurrence, solved for p_{n-1} from the s future multipliers:
@@ -237,42 +266,44 @@ def solve_adjoint_otd(problem: OdeControlProblem, tab: MultistepTableau,
 
     The s-deep terminal history at indices N..N+s-1 comes from ``p_exact``
     (``terminal='exact'``) or replicates j_y(y_N) (``'replicate'``); ``auto``
-    picks the former when the hook exists.  ``fy_beyond(t)`` supplies the
-    Jacobian past T for Adams tableaus on prescribed studies.
+    picks the former when the hook exists.  Past T the Jacobian is taken at
+    the exact solution when the problem has one, else clamped to index N.
+    Raises ``SolverBlowUpError`` with the step index of the first non-finite
+    multiplier.
     """
     s, N, dt, n = tab.s, grid.N, grid.dt, problem.dim
     if N < s:
         raise ValueError(f"adjoint solve needs N >= s (got N={N}, s={s})")
     term_vals, _ = _terminal_values(problem, traj, tab, terminal)
-    # extended multiplier array on indices 1-s .. N+s-1
+    # extended multiplier array on indices 1-s .. N+s-1 (slot i + off)
+    off = s - 1
     ext = np.zeros((N + 2 * s - 1, n))
-
-    def eslot(i):
-        return i + s - 1
-
     for k in range(s):
-        ext[eslot(N + k)] = term_vals[k]
+        ext[N + k + off] = term_vals[k]
+    fy_at = _fy_at(problem, traj)
     fy_cache = {}
 
-    def fy(i):
+    def fyt(i):  # f_y(i)^T, evaluated once per index
         if i not in fy_cache:
-            fy_cache[i] = _fy_at(problem, traj, i, fy_beyond)
+            fy_cache[i] = fy_at(i).T
         return fy_cache[i]
 
-    eye = np.eye(n)
+    na, dtb, h = _sweep_coefficients(tab, dt)
     for nn in range(N, -(s - 1), -1):  # computes p_{nn-1}
-        acc = np.zeros(n)
         for i in range(s):
-            p_f = ext[eslot(nn + i)]
-            acc += -tab.a[i] * p_f
-            if tab.b[i + 1] != 0.0:
-                acc += dt * tab.b[i + 1] * (fy(nn + i).T @ p_f)
-        M = eye - dt * tab.b_implicit * fy(nn - 1).T
-        ext[eslot(nn - 1)] = _pointwise_solve(M, acc, nn - 1)
-    return AdjointTrajectory(grid, s, ext[: N + s].copy(),
-                             AdjointRoute.OPTIMIZE_THEN_DISCRETIZE)
+            p_f = ext[nn + i + off]
+            if i == 0:
+                acc = na[0] * p_f
+            else:
+                acc += na[i] * p_f
+            if dtb[i] is not None:
+                acc += dtb[i] * (fyt(nn + i) @ p_f)
+        ext[nn - 1 + off] = _pointwise_solve(fyt(nn - 1), h, acc, nn - 1)
+    return _adjoint_trajectory(grid, s, ext,
+                               AdjointRoute.OPTIMIZE_THEN_DISCRETIZE)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
                       grid: TimeGrid, traj: Trajectory,
                       terminal: str = "cost") -> AdjointTrajectory:
@@ -288,6 +319,8 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     sign-normalized to the continuous convention.  ``terminal='exact'``
     instead seeds indices N..N+s-1 from ``p_exact`` and sweeps every lower
     index with the interior recurrence (prescribed-trajectory studies).
+    Raises ``SolverBlowUpError`` with the step index of the first non-finite
+    multiplier.
 
     The transposed system fixes the multiplier amplitude so that the
     b-weighted stencil combination, not the raw multiplier, approximates the
@@ -298,36 +331,36 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     s, N, dt, n = tab.s, grid.N, grid.dt, problem.dim
     if N < s:
         raise ValueError(f"adjoint solve needs N >= s (got N={N}, s={s})")
+    off = s - 1
     ext = np.zeros((N + 2 * s - 1, n))  # indices 1-s .. N+s-1, zeros above N
+    fy = _fy_at(problem, traj)
+    na, dtb, h = _sweep_coefficients(tab, dt)
 
-    def eslot(i):
-        return i + s - 1
-
-    def fy(i):
-        return _fy_at(problem, traj, i)
-
-    eye = np.eye(n)
+    def explicit_sum(i, J, k0=0):
+        # sum_{k >= k0} [-a_k + dt b_k f_y^T] p_{i+k+1}
+        for k in range(k0, s):
+            p_f = ext[i + k + 1 + off]
+            if k == k0:
+                acc = na[k] * p_f
+            else:
+                acc += na[k] * p_f
+            if dtb[k] is not None:
+                acc += dtb[k] * (J @ p_f)
+        return acc
 
     def interior_solve(i):
         # (I - dt b_-1 f_y^T) p_i = sum_k [-a_k + dt b_k f_y^T] p_{i+k+1}
         J = fy(i).T
-        acc = np.zeros(n)
-        for k in range(s):
-            p_f = ext[eslot(i + k + 1)]
-            acc += -tab.a[k] * p_f
-            if tab.b[k + 1] != 0.0:
-                acc += dt * tab.b[k + 1] * (J @ p_f)
-        M = eye - dt * tab.b_implicit * J
-        ext[eslot(i)] = _pointwise_solve(M, acc, i)
+        ext[i + off] = _pointwise_solve(J, h, explicit_sum(i, J), i)
 
+    route = AdjointRoute.DISCRETIZE_THEN_OPTIMIZE
     if terminal == "exact":
         term_vals, _ = _terminal_values(problem, traj, tab, "exact")
         for k in range(s):
-            ext[eslot(N + k)] = term_vals[k]
+            ext[N + k + off] = term_vals[k]
         for i in range(N - 1, -s, -1):
             interior_solve(i)
-        return AdjointTrajectory(grid, s, ext[: N + s].copy(),
-                                 AdjointRoute.DISCRETIZE_THEN_OPTIMIZE)
+        return _adjoint_trajectory(grid, s, ext, route)
     if terminal != "cost":
         raise ValueError(f"unknown terminal mode {terminal!r}")
     if problem.terminal_cost_grad is None:
@@ -337,11 +370,12 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
         problem.terminal_cost_grad(traj.terminal_state), dtype=float))
     # Terminal block: s coupled equations for p_{N-s+1..N} (coupled through
     # b^T p);  unknown vector stacks (p_{N-s+1}, ..., p_N).
+    eye = np.eye(n)
     M = np.zeros((s * n, s * n))
     rhs = np.zeros(s * n)
     for r, i in enumerate(range(N - s + 1, N + 1)):
         J = fy(i).T
-        M[r * n:(r + 1) * n, r * n:(r + 1) * n] += eye - dt * tab.b_implicit * J
+        M[r * n:(r + 1) * n, r * n:(r + 1) * n] += eye - h * J
         for k in range(s):
             j_idx = i + k + 1
             if j_idx > N:
@@ -357,26 +391,16 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
         raise SingularAdjointStepError(
             "singular terminal block in the transposed adjoint system") from None
     for r, i in enumerate(range(N - s + 1, N + 1)):
-        ext[eslot(i)] = sol[r * n:(r + 1) * n]
+        ext[i + off] = sol[r * n:(r + 1) * n]
     # interior sweep
     for i in range(N - s, 0, -1):
         interior_solve(i)
     # multipliers of the initial-data identities (i <= 0): explicit, and the
-    # implicit b_-1 coupling is absent because those rows carry no f-term
+    # implicit b_-1 coupling is absent because those rows carry no f-term;
+    # only the step equations j >= 1 contribute
     for i in range(0, -s, -1):
-        J = fy(i).T
-        acc = np.zeros(n)
-        for k in range(s):
-            j_idx = i + k + 1
-            if j_idx < 1:
-                continue
-            p_f = ext[eslot(j_idx)]
-            acc += -tab.a[k] * p_f
-            if tab.b[k + 1] != 0.0:
-                acc += dt * tab.b[k + 1] * (J @ p_f)
-        ext[eslot(i)] = acc
-    return AdjointTrajectory(grid, s, ext[: N + s].copy(),
-                             AdjointRoute.DISCRETIZE_THEN_OPTIMIZE)
+        ext[i + off] = explicit_sum(i, fy(i).T, k0=-i)
+    return _adjoint_trajectory(grid, s, ext, route)
 
 
 def _bt_p(adj: AdjointTrajectory, tab: MultistepTableau, i: int,

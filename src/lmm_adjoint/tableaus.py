@@ -39,8 +39,16 @@ class MultistepTableau:
     """Coefficient pair (a, b) plus metadata for one multistep scheme.
 
     ``a_exact`` has s entries (a_0, ..., a_{s-1}); ``b_exact`` has s+1
-    entries (b_{-1}, b_0, ..., b_{s-1}).  Float views are cached at
-    construction.
+    entries (b_{-1}, b_0, ..., b_{s-1}).  Float coefficients and the scheme
+    classification are derived once, at construction:
+
+    - ``a``, ``b``: the coefficients as tuples of Python floats;
+    - ``b_implicit``: the weight b_{-1} of the implicit evaluation;
+    - ``is_implicit``: b_{-1} != 0;
+    - ``is_bdf``: b_{-1} != 0 and b_i = 0 for all i >= 0;
+    - ``is_adams``: a = (-1, 0, ..., 0);
+    - ``is_adams_bashforth``: explicit Adams (b_{-1} = 0);
+    - ``is_adams_moulton``: implicit Adams that is not a BDF scheme.
     """
 
     name: str
@@ -48,45 +56,35 @@ class MultistepTableau:
     a_exact: tuple[Fraction, ...]
     b_exact: tuple[Fraction, ...]
     nominal_order: int
-    a: np.ndarray = field(init=False, repr=False, compare=False)
-    b: np.ndarray = field(init=False, repr=False, compare=False)
+    a: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    b: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    b_implicit: float = field(init=False, repr=False, compare=False)
+    is_implicit: bool = field(init=False, repr=False, compare=False)
+    is_bdf: bool = field(init=False, repr=False, compare=False)
+    is_adams: bool = field(init=False, repr=False, compare=False)
+    is_adams_bashforth: bool = field(init=False, repr=False, compare=False)
+    is_adams_moulton: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s < 1 or len(self.a_exact) != self.s or len(self.b_exact) != self.s + 1:
             raise ValueError(f"inconsistent tableau dimensions for {self.name!r}")
         if 1 + sum(self.a_exact) != 0:
             raise ValueError(f"tableau {self.name!r} violates 1 + sum(a) = 0")
-        object.__setattr__(self, "a", np.array([float(c) for c in self.a_exact]))
-        object.__setattr__(self, "b", np.array([float(c) for c in self.b_exact]))
-
-    @property
-    def b_implicit(self) -> float:
-        """Weight b_{-1} of the implicit right-hand-side evaluation."""
-        return float(self.b_exact[0])
-
-    @property
-    def is_implicit(self) -> bool:
-        return self.b_exact[0] != 0
-
-    @property
-    def is_bdf(self) -> bool:
-        """b_i = 0 for all i >= 0 and b_{-1} != 0."""
-        return self.b_exact[0] != 0 and all(c == 0 for c in self.b_exact[1:])
-
-    @property
-    def is_adams(self) -> bool:
-        """a = (-1, 0, ..., 0)."""
-        return self.a_exact[0] == -1 and all(c == 0 for c in self.a_exact[1:])
-
-    @property
-    def is_adams_bashforth(self) -> bool:
-        """Explicit Adams: b_{-1} = 0."""
-        return self.is_adams and self.b_exact[0] == 0
-
-    @property
-    def is_adams_moulton(self) -> bool:
-        """Implicit Adams that is not a BDF scheme."""
-        return self.is_adams and self.b_exact[0] != 0 and not self.is_bdf
+        implicit = self.b_exact[0] != 0
+        bdf = implicit and all(c == 0 for c in self.b_exact[1:])
+        adams = self.a_exact[0] == -1 and all(c == 0 for c in self.a_exact[1:])
+        derived = {
+            "a": tuple(float(c) for c in self.a_exact),
+            "b": tuple(float(c) for c in self.b_exact),
+            "b_implicit": float(self.b_exact[0]),
+            "is_implicit": implicit,
+            "is_bdf": bdf,
+            "is_adams": adams,
+            "is_adams_bashforth": adams and not implicit,
+            "is_adams_moulton": adams and implicit and not bdf,
+        }
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
 
 
 def derive_bdf(s: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -256,42 +254,76 @@ class History:
         return [f for _, f in self._buf]
 
 
-def _newton_step(tab, history, dt, rhs, t_new, jac, tol, maxit):
-    """Solve y = c + dt*b[-1]*f(y, t_new) by damped Newton (jac analytic)."""
-    b_imp = tab.b_implicit
-    states = history.states()
-    fvals = history.rhs()
-    c = -sum(tab.a[i] * states[i] for i in range(tab.s))
-    c = c + dt * sum(tab.b[k + 1] * fvals[k] for k in range(tab.s))
-    y = states[0].copy()  # predictor: previous state
+def _history_constant(tab, states, fvals, dt):
+    """Explicit part of the update, -sum_i a_i y_{n-i} + dt*sum_k b_k f_{n-k}.
+
+    The a-terms are summed in index order and negated, then the b-terms are
+    added; b-terms whose exact coefficient is zero are skipped.
+    """
+    a, b = tab.a, tab.b
+    c = a[0] * states[0]
+    for i in range(1, tab.s):
+        c += a[i] * states[i]
+    c = -c
+    fsum = None
+    for k in range(tab.s):
+        if b[k + 1]:
+            term = b[k + 1] * fvals[k]
+            fsum = term if fsum is None else fsum + term
+    if fsum is not None:
+        c = c + dt * fsum
+    return c
+
+
+def _newton_step(h, c, y, rhs, t_new, jac, tol, maxit):
+    """Solve y = c + h*f(y, t_new) by damped Newton (jac analytic) from the
+    predictor y, or by fixed-point iteration when jac is None.
+
+    Returns the converged pair (y, f(y, t_new)).  Every iterate's residual
+    is the one computed when the iterate was accepted, so f is evaluated
+    once per iterate and once per damped trial.
+    """
     n = y.size
+    f = rhs(y, t_new)
+    res = y - c - h * f
+    rnorm = float(abs(res).max())
     for it in range(maxit):
-        res = y - c - dt * b_imp * rhs(y, t_new)
-        rnorm = float(np.max(np.abs(res)))
         if rnorm < tol:
-            return y
+            return y, f
         if jac is not None:
-            J = np.eye(n) - dt * b_imp * np.atleast_2d(jac(y, t_new))
-            try:
-                dy = np.linalg.solve(J, res)
-            except np.linalg.LinAlgError:
-                raise ImplicitSolveError(
-                    f"singular Newton matrix at t={t_new}", rnorm, it)
+            jm = np.atleast_2d(np.asarray(jac(y, t_new), dtype=float))
+            if n == 1:
+                # the 1x1 system 1 - h*J: a division, bitwise equal to
+                # LAPACK's solve, which fails on the same exact-zero pivot
+                d = 1.0 - h * jm[0, 0]
+                if d == 0.0:
+                    raise ImplicitSolveError(
+                        f"singular Newton matrix at t={t_new}", rnorm, it)
+                dy = res / d
+            else:
+                try:
+                    dy = np.linalg.solve(np.eye(n) - h * jm, res)
+                except np.linalg.LinAlgError:
+                    raise ImplicitSolveError(
+                        f"singular Newton matrix at t={t_new}", rnorm, it)
             # damped update: halve until the residual does not grow
             lam = 1.0
             for _ in range(12):
                 y_try = y - lam * dy
-                r_try = y_try - c - dt * b_imp * rhs(y_try, t_new)
-                if float(np.max(np.abs(r_try))) <= rnorm or lam < 1e-3:
+                f_try = rhs(y_try, t_new)
+                r_try = y_try - c - h * f_try
+                r_try_norm = float(abs(r_try).max())
+                if r_try_norm <= rnorm or lam < 1e-3:
                     break
                 lam *= 0.5
-            y = y_try
+            y, f, res, rnorm = y_try, f_try, r_try, r_try_norm
         else:
-            y = c + dt * b_imp * rhs(y, t_new)
-    res = y - c - dt * b_imp * rhs(y, t_new)
-    rnorm = float(np.max(np.abs(res)))
+            y = c + h * f
+            f = rhs(y, t_new)
+            res = y - c - h * f
+            rnorm = float(abs(res).max())
     if rnorm < tol:
-        return y
+        return y, f
     raise ImplicitSolveError(
         f"implicit step at t={t_new} did not converge "
         f"(residual {rnorm:.3e} after {maxit} iterations)", rnorm, maxit)
@@ -299,22 +331,23 @@ def _newton_step(tab, history, dt, rhs, t_new, jac, tol, maxit):
 
 def step(tab: MultistepTableau, history: History, dt: float,
          rhs: Callable, t_new: float, jac: Callable | None = None,
-         tol: float = 1e-12, maxit: int = 50) -> np.ndarray:
-    """Advance one step: returns y_{n+1} from a warm history.
+         tol: float = 1e-12, maxit: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    """Advance one step from a warm history: returns (y_{n+1}, f(y_{n+1})).
 
-    ``rhs(y, t)`` evaluates f; ``jac(y, t)`` its state Jacobian (used by the
-    Newton solve for implicit tableaus; fixed-point iteration otherwise).
-    Explicit tableaus evaluate a single arithmetic expression.
+    ``rhs(y, t)`` evaluates f; ``jac(y, t)`` its (n, n) state Jacobian (used
+    by the Newton solve for implicit tableaus; fixed-point iteration
+    otherwise).  Explicit tableaus evaluate one arithmetic expression and f
+    once, at the new state.
     """
     if not history.warm:
         raise ValueError(f"history must hold {tab.s} entries before stepping")
+    states = history.states()
+    c = _history_constant(tab, states, history.rhs(), dt)
     if not tab.is_implicit:
-        states = history.states()
-        fvals = history.rhs()
-        y = -sum(tab.a[i] * states[i] for i in range(tab.s))
-        y = y + dt * sum(tab.b[k + 1] * fvals[k] for k in range(tab.s))
-        return y
-    return _newton_step(tab, history, dt, rhs, t_new, jac, tol, maxit)
+        return c, rhs(c, t_new)
+    # predictor: the previous state
+    return _newton_step(dt * tab.b_implicit, c, states[0].copy(), rhs, t_new,
+                        jac, tol, maxit)
 
 
 def _rk4(rhs, y, t, dt, substeps=4):

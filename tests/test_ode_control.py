@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lmm_adjoint as la
+from lmm_adjoint import cli, experiments
 from lmm_adjoint.experiments import backward_study_solution
 from lmm_adjoint.ode_control import (cost_gradient_dto, discrete_cost,
                                      optimality_residual, prescribed_trajectory,
@@ -202,6 +203,129 @@ class TestAdjointRoutes:
         traj = prescribed_trajectory(grid, tab.s, lambda t: 1.0 + 0 * t)
         with pytest.raises(la.SingularAdjointStepError):
             solve_adjoint_dto(prob, tab, grid, traj, terminal="cost")
+
+
+def overflowing_adjoint_problem():
+    """y' = c y + u, y(0) = 0, for ImplicitEuler with dt = 1/64.
+
+    The state stays 0, so the forward Newton solve never calls f_y.  With
+    c = 64 - 2^-27, dt*c = 1 - 2^-33 exactly, so each backward step of
+    either route multiplies the multiplier by exactly 2^33 and the sweep
+    overflows at a known index: DtO starts from p_N = -2^33 and first
+    overflows at p_{N-31} (2^(33*32)); OtD starts from p_N = j_y = -1 and
+    first overflows at p_{N-32}.
+    """
+    c = 64.0 - 2.0 ** -27
+    return la.OdeControlProblem(
+        f=lambda y, u, t: c * y + u,
+        f_y=lambda y, u, t: np.array([[c]]),
+        f_u=lambda y, u, t: np.array([1.0]),
+        terminal_cost=lambda yT: 0.5 * float((yT[0] - 1.0) ** 2),
+        terminal_cost_grad=lambda yT: np.atleast_1d(yT - 1.0),
+        alpha=1.0, y0=0.0, y_exact=lambda t: 0.0 * t)
+
+
+class TestAdjointBlowUp:
+    def test_overflow_reports_first_index_in_sweep_order(self):
+        prob = overflowing_adjoint_problem()
+        tab = la.tableau("ImplicitEuler")
+        grid = la.TimeGrid(0.0, 1.0, 64)
+        traj = solve_forward(prob, tab, grid)
+        assert np.all(traj.states == 0.0)
+        for solver, index in ((solve_adjoint_dto, 33), (solve_adjoint_otd, 32)):
+            with pytest.raises(la.SolverBlowUpError) as err:
+                solver(prob, tab, grid, traj)
+            assert err.value.step_index == index, solver.__name__
+            assert f"step index {index}" in str(err.value)
+
+    def test_cli_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the full-system table runs the DtO route first: N = 60 with
+        # T = 0.9375 keeps dt = 1/64, so exit 3 at p_29
+        monkeypatch.setattr(experiments, "terminal_tracking_problem",
+                            lambda T: overflowing_adjoint_problem())
+        conf = tmp_path / "c.conf"
+        conf.write_text("[ode-converge]\nstudy = full-system\n"
+                        "schemes = ImplicitEuler\nn_list = 60\nT = 0.9375\n")
+        assert cli.main(["ode-converge", "--config", str(conf),
+                         "--out", str(tmp_path)]) == 3
+        assert "dto multiplier at step index 29" in capsys.readouterr().err
+
+    def test_finite_sweeps_unaffected(self):
+        # same dt, N = 31: the DtO multipliers p_i = -2^(33 (N - i + 1)),
+        # i >= 1, and p_0 = p_1 stay finite, the largest being 2^1023
+        prob = overflowing_adjoint_problem()
+        tab = la.tableau("ImplicitEuler")
+        grid = la.TimeGrid(0.0, 31 / 64, 31)
+        adj = solve_adjoint_dto(prob, tab, grid, solve_forward(prob, tab, grid))
+        assert adj.p(0)[0] == adj.p(1)[0] == -(2.0 ** 1023)
+
+
+def rotation_problem(omega=2.0, alpha=0.5):
+    """y' = A y + B u with A the rotation generator [[0, -w], [w, 0]] and
+    B = (0, 1); for u = 0, y(t) = (cos wt, sin wt).  Terminal cost
+    1/2 |y(T) - (0.3, -0.2)|^2."""
+    A = np.array([[0.0, -omega], [omega, 0.0]])
+    B = np.array([0.0, 1.0])
+    target = np.array([0.3, -0.2])
+    return la.OdeControlProblem(
+        f=lambda y, u, t: A @ y + B * u,
+        f_y=lambda y, u, t: A,
+        f_u=lambda y, u, t: B,
+        terminal_cost=lambda yT: 0.5 * float(np.sum((yT - target) ** 2)),
+        terminal_cost_grad=lambda yT: yT - target,
+        alpha=alpha, y0=np.array([1.0, 0.0]),
+        y_exact=lambda t: np.array([np.cos(omega * t), np.sin(omega * t)]))
+
+
+class TestTwoStateSystem:
+    """n = 2 runs the np.linalg.solve branches of the Newton step, of the
+    pointwise adjoint solve and of the DtO terminal block."""
+
+    @pytest.mark.parametrize("name", ["BDF2", "BDF3"])
+    def test_forward_orders(self, name):
+        prob = rotation_problem()
+        tab = la.tableau(name)
+        errs = []
+        for N in (40, 80, 160):
+            grid = la.TimeGrid(0.0, 1.0, N)
+            traj = solve_forward(prob, tab, grid)
+            exact = np.array([prob.y_exact(grid.t(i))
+                              for i in range(1 - tab.s, N + 1)])
+            errs.append(float(np.max(np.abs(traj.states - exact))))
+        rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert min(rates) >= tab.nominal_order - 0.2, rates
+
+    @pytest.mark.parametrize("name", ["BDF2", "BDF3", "AM4"])
+    def test_dto_gradient_matches_finite_differences(self, name):
+        prob = rotation_problem()
+        tab = la.tableau(name)
+        N = 12
+        grid = la.TimeGrid(0.0, 1.0, N)
+        u = 0.4 * np.sin(np.linspace(-1.0, 2.5, N + tab.s)) + 0.1
+        traj = solve_forward(prob, tab, grid, controls=u)
+        adj = solve_adjoint_dto(prob, tab, grid, traj)
+        g = cost_gradient_dto(prob, traj, adj, tab)
+        h = 1e-6
+        for i in range(len(u)):
+            up, um = u.copy(), u.copy()
+            up[i] += h
+            um[i] -= h
+            jp = discrete_cost(prob, solve_forward(prob, tab, grid, up))
+            jm = discrete_cost(prob, solve_forward(prob, tab, grid, um))
+            fd = (jp - jm) / (2 * h)
+            assert abs(g[i] - fd) <= 1e-6 * max(abs(fd), 1e-3), (i, g[i], fd)
+
+    def test_bdf_routes_identical_same_terminal(self):
+        # the pointwise n = 2 solves of both routes see the same matrices
+        prob = rotation_problem()
+        prob.p_exact = lambda t: np.array([np.cos(t), np.sin(t)])
+        for name in ("BDF2", "BDF4"):
+            tab = la.tableau(name)
+            grid = la.TimeGrid(0.0, 1.0, 32)
+            traj = solve_forward(prob, tab, grid)
+            a_d = solve_adjoint_dto(prob, tab, grid, traj, terminal="exact")
+            a_o = solve_adjoint_otd(prob, tab, grid, traj, terminal="exact")
+            assert np.array_equal(a_d.multipliers, a_o.multipliers)
 
 
 class TestOptimalityAndGradient:

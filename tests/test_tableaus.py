@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmm_adjoint import tableaus as tb
+from lmm_adjoint.ode_control import OdeControlProblem, solve_forward
 
 
 ALL_NAMES = ["ImplicitEuler", "ExplicitEuler", "BDF2", "BDF3", "BDF4",
@@ -116,7 +119,7 @@ class TestStep:
         t = tb.tableau("ImplicitEuler")
         h = tb.History(1)
         h.push(np.array([1.0]), np.array([1.0]))
-        y1 = tb.step(t, h, 0.1, lambda y, tt: y, 0.1,
+        y1, _ = tb.step(t, h, 0.1, lambda y, tt: y, 0.1,
                      jac=lambda y, tt: np.array([[1.0]]))
         assert abs(y1[0] - 1.0 / 0.9) <= 1e-12
 
@@ -124,7 +127,7 @@ class TestStep:
         t = tb.tableau("ExplicitEuler")
         h = tb.History(1)
         h.push(np.array([1.7]), np.array([0.0]))
-        y1 = tb.step(t, h, 0.3, lambda y, tt: 0.0 * y, 0.3)
+        y1, _ = tb.step(t, h, 0.3, lambda y, tt: 0.0 * y, 0.3)
         assert y1[0] == 1.7
 
     def test_bdf2_local_error_third_order(self):
@@ -135,7 +138,7 @@ class TestStep:
             h = tb.History(2)
             for tt in (-dt, 0.0):
                 h.push(np.array([np.exp(-tt)]), np.array([-np.exp(-tt)]))
-            y1 = tb.step(t, h, dt, lambda y, tt: -y, dt,
+            y1, _ = tb.step(t, h, dt, lambda y, tt: -y, dt,
                          jac=lambda y, tt: np.array([[-1.0]]))
             errs.append(abs(y1[0] - np.exp(-dt)))
         order = np.log2(errs[0] / errs[1])
@@ -156,8 +159,9 @@ class TestStep:
             h = tb.History(3)
             for tt in (-0.02, -0.01, 0.0):
                 h.push(np.array([np.exp(tt)]), np.array([np.exp(tt)]))
-            vals.append(tb.step(t, h, 0.01, lambda y, tt: y, 0.01,
-                                jac=lambda y, tt: np.array([[1.0]]))[0])
+            y1, _ = tb.step(t, h, 0.01, lambda y, tt: y, 0.01,
+                            jac=lambda y, tt: np.array([[1.0]]))
+            vals.append(y1[0])
         assert vals[0] == vals[1]
 
     def test_nonconvergence_reports_residual(self):
@@ -189,7 +193,7 @@ class TestOrderVerification:
                                             y_exact=np.exp)
                 y = None
                 for n in range(N):
-                    y = tb.step(tab, hist, grid.dt, rhs, grid.t(n + 1), jac=jac)
+                    y, _ = tb.step(tab, hist, grid.dt, rhs, grid.t(n + 1), jac=jac)
                     hist.push(y, rhs(y, grid.t(n + 1)))
                 errs[N] = abs(y[0] - np.e)
             pairs = [(errs[N // 2], errs[N])
@@ -253,3 +257,148 @@ class TestBootstrap:
         for v in (1.0, 2.0, 3.0):
             h.push(np.array([v]), np.array([v]))
         assert [s[0] for s in h.states()] == [3.0, 2.0]
+
+
+# ------------------------------------------------ reference step (first form)
+
+def reference_step(tab, history, dt, rhs, t_new, jac=None, tol=1e-12,
+                   maxit=50):
+    """The step as first released: f is re-evaluated at every iterate and
+    each Newton system goes through np.linalg.solve.  Returns y alone."""
+    states = history.states()
+    fvals = history.rhs()
+    if not tab.is_implicit:
+        y = -sum(tab.a[i] * states[i] for i in range(tab.s))
+        return y + dt * sum(tab.b[k + 1] * fvals[k] for k in range(tab.s))
+    b_imp = tab.b_implicit
+    c = -sum(tab.a[i] * states[i] for i in range(tab.s))
+    c = c + dt * sum(tab.b[k + 1] * fvals[k] for k in range(tab.s))
+    y = states[0].copy()
+    n = y.size
+    for it in range(maxit):
+        res = y - c - dt * b_imp * rhs(y, t_new)
+        rnorm = float(np.max(np.abs(res)))
+        if rnorm < tol:
+            return y
+        if jac is not None:
+            J = np.eye(n) - dt * b_imp * np.atleast_2d(jac(y, t_new))
+            try:
+                dy = np.linalg.solve(J, res)
+            except np.linalg.LinAlgError:
+                raise tb.ImplicitSolveError("singular", rnorm, it)
+            lam = 1.0
+            for _ in range(12):
+                y_try = y - lam * dy
+                r_try = y_try - c - dt * b_imp * rhs(y_try, t_new)
+                if float(np.max(np.abs(r_try))) <= rnorm or lam < 1e-3:
+                    break
+                lam *= 0.5
+            y = y_try
+        else:
+            y = c + dt * b_imp * rhs(y, t_new)
+    res = y - c - dt * b_imp * rhs(y, t_new)
+    rnorm = float(np.max(np.abs(res)))
+    if rnorm < tol:
+        return y
+    raise tb.ImplicitSolveError("no convergence", rnorm, maxit)
+
+
+def reference_forward(problem, tab, grid, u):
+    """solve_forward as first released, on the reference step: the control
+    lookup through the grid's properties, and f re-evaluated at each new
+    state before it is pushed."""
+    s = tab.s
+
+    def rhs(y, t):
+        i = int(round((t - grid.t0) / grid.dt))
+        return np.atleast_1d(np.asarray(problem.f(y, u[i + s - 1], t),
+                                        dtype=float))
+
+    def jac(y, t):
+        i = int(round((t - grid.t0) / grid.dt))
+        return problem.jac(y, u[i + s - 1], t)
+
+    hist = tb.bootstrap_history(tab, grid, rhs, problem.y0,
+                                mode="rk-bootstrap")
+    states = list(reversed(hist.states()))
+    for n in range(grid.N):
+        t_new = grid.t(n + 1)
+        y = reference_step(tab, hist, grid.dt, rhs, t_new, jac=jac)
+        states.append(y)
+        hist.push(y, rhs(y, t_new))
+    return np.array(states)
+
+
+SWEEP_SCHEMES = ["ImplicitEuler", "BDF2", "BDF3", "BDF4", "BDF5", "BDF6",
+                 "AM4", "AB2", "AB3"]
+
+
+def smooth_scalar_problem(alpha, beta, gamma, omega, y0):
+    """y' = alpha y + beta y^2 + gamma sin(omega t) + u."""
+    return OdeControlProblem(
+        f=lambda y, u, t: alpha * y + beta * y * y + gamma * np.sin(omega * t) + u,
+        f_y=lambda y, u, t: np.atleast_2d(alpha + 2.0 * beta * y),
+        y0=y0)
+
+
+smooth_problems = dict(
+    name=st.sampled_from(SWEEP_SCHEMES),
+    alpha=st.floats(-2.0, 0.5), beta=st.floats(-0.5, 0.3),
+    gamma=st.floats(-1.0, 1.0), omega=st.floats(0.5, 3.0),
+    y0=st.floats(0.5, 1.5), u_amp=st.floats(-0.5, 0.5),
+    N=st.integers(8, 48), T=st.floats(0.5, 1.0))
+
+
+class TestStepEquivalence:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**smooth_problems)
+    def test_forward_sweep_matches_reference(self, name, alpha, beta, gamma,
+                                             omega, y0, u_amp, N, T):
+        tab = tb.tableau(name)
+        prob = smooth_scalar_problem(alpha, beta, gamma, omega, y0)
+        grid = tb.TimeGrid(0.0, T, N)
+        u = u_amp * np.cos(np.linspace(-1.0, 2.0, N + tab.s))
+        traj = solve_forward(prob, tab, grid, controls=u,
+                             init_mode="rk-bootstrap")
+        assert np.array_equal(traj.states, reference_forward(prob, tab, grid, u))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**smooth_problems)
+    def test_fixed_point_step_matches_reference(self, name, alpha, beta, gamma,
+                                                omega, y0, u_amp, N, T):
+        # implicit tableaus without a Jacobian iterate y = c + h f(y)
+        tab = tb.tableau(name)
+        prob = smooth_scalar_problem(alpha, beta, gamma, omega, y0)
+        grid = tb.TimeGrid(0.0, T, N)
+        rhs = lambda y, t: np.atleast_1d(prob.f(y, u_amp, t))
+        hist = tb.bootstrap_history(tab, grid, rhs, y0, mode="rk-bootstrap")
+        y, f = tb.step(tab, hist, grid.dt, rhs, grid.t(1))
+        assert np.array_equal(y, reference_step(tab, hist, grid.dt, rhs,
+                                                grid.t(1)))
+        assert np.array_equal(f, rhs(y, grid.t(1)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**smooth_problems)
+    def test_no_repeated_evaluation_in_a_step(self, name, alpha, beta, gamma,
+                                              omega, y0, u_amp, N, T):
+        # every f evaluation inside one step is at a new (y, t), and the
+        # returned f is f at the returned state, so pushing it needs none
+        tab = tb.tableau(name)
+        prob = smooth_scalar_problem(alpha, beta, gamma, omega, y0)
+        grid = tb.TimeGrid(0.0, T, N)
+        seen = []
+
+        def rhs(y, t):
+            seen.append((np.asarray(y).tobytes(), t))
+            return np.atleast_1d(prob.f(y, u_amp, t))
+
+        jac = lambda y, t: prob.f_y(y, u_amp, t)
+        hist = tb.bootstrap_history(tab, grid, rhs, y0, mode="rk-bootstrap")
+        for n in range(N):
+            seen.clear()
+            t_new = grid.t(n + 1)
+            y, f = tb.step(tab, hist, grid.dt, rhs, t_new, jac=jac)
+            assert len(seen) == len(set(seen)) >= 1
+            assert seen[-1] == (y.tobytes(), t_new)
+            assert np.array_equal(f, np.atleast_1d(prob.f(y, u_amp, t_new)))
+            hist.push(y, f)
