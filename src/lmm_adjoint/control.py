@@ -165,9 +165,9 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
     log: list[dict] = []
     u_T = None
     for k in range(iterations + 1):
-        fld, u_store = solve_forward(model, grid, tab, state.control,
-                                     n_steps, dt)
-        u_T = u_store[-1]
+        u_store = solve_forward(model, grid, tab, state.control,
+                                n_steps, dt)[1]
+        u_T = u_store[-1].copy()
         J = functional(u_T)
         state.k = k
         state.record(J)
@@ -178,6 +178,7 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
         mismatch = functional.terminal_mismatch(u_T)
         lam_T = terminal_multipliers(model, mismatch)
         lam0 = solve_adjoint(model, grid, tab, u_store, lam_T, n_steps, dt)
+        del u_store  # dead: the next forward solve allocates a fresh store
         grad = gradient_from_adjoint(model, lam0, state.control)
         gnorm = float(np.max(np.abs(grad)))
         sigma = bb_step(state, grad, variant=bb_variant)

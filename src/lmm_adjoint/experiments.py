@@ -16,6 +16,7 @@ grids.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -30,19 +31,38 @@ from .tableaus import MultistepTableau, TimeGrid, tableau
 
 # ---------------------------------------------------------------- utilities
 
-def _fmt(v) -> str:
-    if v is None or (isinstance(v, float) and np.isnan(v)):
-        return ""
-    return f"{float(v):.17g}"
+_CSV_BLOCK = 4096  # rows formatted per write; bounds the text held at once
+
+
+def _column(cells) -> list[str]:
+    """CSV fields of one column: None and NaN cells empty, str cells as they
+    are, and every other cell ``%.17g``, all in one format operation."""
+    if isinstance(cells, np.ndarray):
+        cells = cells.tolist()
+    blank = [isinstance(c, str) or c is None or c != c for c in cells]
+    nums = [c for c, b in zip(cells, blank) if not b]
+    text = iter(("%.17g\n" * len(nums) % tuple(nums)).split("\n"))
+    return [(c if isinstance(c, str) else "") if b else next(text)
+            for c, b in zip(cells, blank)]
 
 
 def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` (a sequence of rows or a 2-D array).
+
+    Numbers get 17 significant digits, None and NaN cells are left empty and
+    str cells are written as they are; a row shorter than the longest of
+    its block is padded with empty cells.  Rows are formatted a column at a
+    time, ``_CSV_BLOCK`` rows per write.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v
-                              for v in row) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK]
+            columns = (block.T if isinstance(block, np.ndarray)
+                       else itertools.zip_longest(*block))
+            fh.writelines(",".join(row) + "\n"
+                          for row in zip(*map(_column, columns)))
 
 
 def echo_table(title, header, rows, width=14):
@@ -242,6 +262,10 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str = "both",
                     f"full-system study integrates forward; scheme {scheme!r} "
                     f"must be BDF class")
             T = cfg.get_float("T", default=0.9)
+            if T >= 1.0:
+                raise ConfigError(
+                    f"full-system study needs T < 1: its exact state "
+                    f"1/(1-t) is infinite at t = 1 (got T = {T:g})")
             header = ["N", "err_y", "rate_y", "err_dto", "rate_dto",
                       "err_otd", "rate_otd", "err_y_extrap", "rate_y_extrap"]
             rows = _full_system_table(scheme, n_list, T, am_den)
@@ -311,9 +335,8 @@ def run_relax_forward(cfg: Config, out_dir: str) -> dict:
                         for tt in out_times})
     fld, u_store = rx.solve_forward(model, grid, tab, u0, n_steps, dt)
     for k in out_steps:
-        rows = [[xv, uv] for xv, uv in zip(x, u_store[k, 0])]
         write_csv(os.path.join(out_dir, f"{run_name}_t{k}.csv"),
-                  ["x", "u"], rows)
+                  ["x", "u"], np.column_stack([x, u_store[k, 0]]))
     mass = rx.mass_history(u_store, grid)[:, 0]
     rows = [[k, k * dt, m] for k, m in enumerate(mass)]
     write_csv(os.path.join(out_dir, f"{run_name}_mass.csv"),
@@ -377,9 +400,8 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
         rows.append([eps, dt_min, errs[-1], float(np.mean(rates)),
                      "transport-oracle" if use_oracle else "self-reference"])
         p0, grid, _ = p0_of(nx_list[-1], eps)
-        snap = [[xv, pv] for xv, pv in zip(grid.nodes(), p0)]
         write_csv(os.path.join(out_dir, f"adjoint_eps{eps:g}_p0.csv"),
-                  ["x", "p"], snap)
+                  ["x", "p"], np.column_stack([grid.nodes(), p0]))
     header = ["eps", "dt_min", "l2_err_p0", "mean_rate", "reference"]
     write_csv(os.path.join(out_dir, "adjoint_eps_study.csv"), header, rows)
     echo_table(f"relax-adjoint eps study ({tab.name})", header, rows)
@@ -431,9 +453,11 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
         names = ("rho", "m")
     n_steps = int(round(T / dt))
 
-    # self-consistent target: forward-evolve the reference initial data
-    _, u_target = rx.solve_forward(model, grid, tab, true_init, n_steps, dt)
-    functional = TrackingFunctional(u_target[-1], grid.dx)
+    # self-consistent target: forward-evolve the reference initial data and
+    # keep only its terminal level
+    target = rx.solve_forward(model, grid, tab, true_init, n_steps,
+                              dt)[1][-1].copy()
+    functional = TrackingFunctional(target, grid.dx)
 
     snaps = {}
 
@@ -451,16 +475,14 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
               ["k", "J", "sigma", "grad_inf_norm"], log_rows)
 
     def snapshot(tag, arrays):
-        arrays = np.atleast_2d(arrays)
-        rows = [[x[i]] + [arrays[r, i] for r in range(arrays.shape[0])]
-                for i in range(len(x))]
         write_csv(os.path.join(out_dir, f"{kind}_{tag}.csv"),
-                  ["x"] + list(names), rows)
+                  ["x"] + list(names),
+                  np.column_stack([x, *np.atleast_2d(arrays)]))
 
     snapshot("control_final", result.control)
     snapshot("control_true", true_init)
-    snapshot("state_terminal", np.atleast_2d(result.u_terminal))
-    snapshot("target_terminal", np.atleast_2d(u_target[-1]))
+    snapshot("state_terminal", result.u_terminal)
+    snapshot("target_terminal", target)
     for k, ctl in snaps.items():
         snapshot(f"control_k{k}", ctl)
 

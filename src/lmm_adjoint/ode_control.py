@@ -397,9 +397,11 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
         interior_solve(i)
     # multipliers of the initial-data identities (i <= 0): explicit, and the
     # implicit b_-1 coupling is absent because those rows carry no f-term;
-    # only the step equations j >= 1 contribute
+    # only the step equations j >= 1 contribute, and f_y is evaluated only
+    # when one of their b-terms reads it (never for BDF)
     for i in range(0, -s, -1):
-        ext[i + off] = explicit_sum(i, fy(i).T, k0=-i)
+        reads_fy = any(c is not None for c in dtb[-i:])
+        ext[i + off] = explicit_sum(i, fy(i).T if reads_fy else None, k0=-i)
     return _adjoint_trajectory(grid, s, ext, route)
 
 

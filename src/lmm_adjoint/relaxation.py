@@ -37,8 +37,11 @@ class FieldBlowUpError(RuntimeError):
 class RelaxationModel:
     """Discrete-velocity BGK model with conserved moments u = Q f.
 
-    ``equilibrium(u)`` maps conserved variables (n, M) to (Nv, M);
-    ``equilibrium_jac(u)`` returns the per-velocity Jacobians (Nv, n, M).
+    ``equilibrium(u, out=None)`` maps conserved variables (n, M) to
+    (Nv, M); ``equilibrium_jac(u, out=None)`` returns the per-velocity
+    Jacobians (Nv, n, M).  Both follow the NumPy ``out`` convention: given
+    ``out`` they write the result into it and return it, otherwise they
+    return a new array.  The steps always pass their field's work buffers.
     ``flux(u)`` and ``dflux(u)`` describe the relaxed conservation law and
     feed the subcharacteristic check and the transport oracle.
     """
@@ -68,9 +71,9 @@ class RelaxationModel:
     def max_speed(self) -> float:
         return float(np.max(np.abs(self.velocities)))
 
-    def moments(self, f: np.ndarray) -> np.ndarray:
+    def moments(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Conserved variables u = Q f for a stacked field (Nv, M)."""
-        return np.einsum("rj,jm->rm", self.q_matrix, f)
+        return np.einsum("rj,jm->rm", self.q_matrix, f, out=out)
 
     def check_moment_consistency(self, u_samples: np.ndarray, tol: float = 1e-12):
         """Verify Q E(u) = u on sampled states; raises on violation."""
@@ -93,15 +96,24 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
     if a <= 0:
         raise ModelConfigError("characteristic speed a must be positive")
 
-    def equilibrium(u):
+    def equilibrium(u, out=None):
         F = flux(u[0])
-        return np.stack([(a * u[0] + F) / (2 * a), (a * u[0] - F) / (2 * a)])
+        if out is None:
+            out = np.empty((2,) + np.shape(u[0]))
+        for row, sign in zip(out, (np.add, np.subtract)):
+            np.multiply(a, u[0], out=row)        # (a u +- F) / 2a
+            sign(row, F, out=row)
+            np.divide(row, 2 * a, out=row)
+        return out
 
-    def equilibrium_jac(u):
+    def equilibrium_jac(u, out=None):
         dF = dflux(u[0])
-        one = np.ones_like(u[0])
-        return np.stack([((a * one + dF) / (2 * a))[None, :],
-                         ((a * one - dF) / (2 * a))[None, :]])
+        if out is None:
+            out = np.empty((2, 1) + np.shape(u[0]))
+        for row, sign in zip(out[:, 0], (np.add, np.subtract)):
+            sign(a, dF, out=row)                 # (a +- F'(u)) / 2a
+            np.divide(row, 2 * a, out=row)
+        return out
 
     model = RelaxationModel(
         name="jin-xin",
@@ -138,22 +150,44 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
             raise ModelConfigError("Broadwell flux undefined for rho <= 0")
         return m * m / (c * c * rho) + rho
 
-    def equilibrium(u):
+    def equilibrium(u, out=None):
         rho, m = u[0], u[1]
         F = _flux(u)
-        return np.stack([0.5 * F + m / (2 * c),
-                         0.5 * F - m / (2 * c),
-                         0.5 * (rho - F)])
+        if out is None:
+            out = np.empty((3,) + np.shape(rho))
+        e1, e2, e3 = out
+        np.multiply(0.5, F, out=e3)              # 0.5 F, then m / 2c in e2
+        np.divide(m, 2 * c, out=e2)
+        np.add(e3, e2, out=e1)
+        np.subtract(e3, e2, out=e2)
+        np.subtract(rho, F, out=e3)
+        np.multiply(0.5, e3, out=e3)
+        return out
 
-    def equilibrium_jac(u):
+    def equilibrium_jac(u, out=None):
+        # rows (dE_j/drho, dE_j/dm) with dF/drho = 1 - m^2/(c^2 rho^2) and
+        # dF/dm = 2 m/(c^2 rho), built in place in the rows of E_3
         rho, m = u[0], u[1]
-        dF_rho = 1.0 - m * m / (c * c * rho * rho)
-        dF_m = 2.0 * m / (c * c * rho)
-        inv2c = 1.0 / (2 * c) * np.ones_like(rho)
-        j1 = np.stack([0.5 * dF_rho, 0.5 * dF_m + inv2c])
-        j2 = np.stack([0.5 * dF_rho, 0.5 * dF_m - inv2c])
-        j3 = np.stack([0.5 * (1.0 - dF_rho), -0.5 * dF_m])
-        return np.stack([j1, j2, j3])
+        if out is None:
+            out = np.empty((3, 2) + np.shape(rho))
+        (j1r, j1m), (j2r, j2m), (j3r, j3m) = out
+        den = c * c * rho
+        np.multiply(2.0, m, out=j3m)
+        np.divide(j3m, den, out=j3m)             # dF/dm
+        np.multiply(den, rho, out=den)
+        np.multiply(m, m, out=j3r)
+        np.divide(j3r, den, out=j3r)
+        np.subtract(1.0, j3r, out=j3r)           # dF/drho
+        np.multiply(0.5, j3r, out=j1r)
+        np.copyto(j2r, j1r)
+        np.subtract(1.0, j3r, out=j3r)
+        np.multiply(0.5, j3r, out=j3r)
+        np.multiply(0.5, j3m, out=j1m)
+        inv2c = 1.0 / (2 * c)
+        np.subtract(j1m, inv2c, out=j2m)
+        np.add(j1m, inv2c, out=j1m)
+        np.multiply(-0.5, j3m, out=j3m)
+        return out
 
     def fluxvec(u):
         # Q V E(u) = (m, c^2 F(rho, m)) for the relaxed system
@@ -263,7 +297,9 @@ class FootPlan:
     fractional level keeps the ``(1-w) a + w b`` form and gives its aligned
     rows ``hi = lo`` and ``w = 0``.  Periodic levels are rolled row by row
     into preallocated buffers (slice copies beat a flat ``take`` on wide
-    grids); clamped levels use one ``take`` on precomputed clipped indices.
+    grids); clamped levels use one ``take`` on precomputed clipped indices
+    into the same buffers (``mode="clip"``, which with in-range indices
+    gathers the same values without the buffering of ``mode="raise"``).
     """
 
     def __init__(self, grid: LagrangianGrid, speeds: np.ndarray, dt: float,
@@ -290,7 +326,7 @@ class FootPlan:
     def sample(self, ell: int, values: np.ndarray) -> np.ndarray:
         """History level ``values`` (Nv, M) sampled at the level-``ell`` feet.
 
-        The result may be a buffer that the next call overwrites.
+        The result is a buffer of the plan that the next call overwrites.
         """
         lo, hi, weights = self.levels[ell]
         if self.periodic:
@@ -299,10 +335,10 @@ class FootPlan:
                 return a
             b = self._roll(values, hi, self._b)
         else:
-            a = values.take(lo)
+            a = values.take(lo, out=self._a, mode="clip")
             if weights is None:
                 return a
-            b = values.take(hi)
+            b = values.take(hi, out=self._b, mode="clip")
         a *= weights[0]
         b *= weights[1]
         a += b
@@ -333,37 +369,68 @@ def _ramped(tab: MultistepTableau, avail: int) -> MultistepTableau:
     return tab if avail >= tab.s else tableau(f"bdf{avail}")
 
 
-class KineticField:
-    """Per-velocity Eulerian arrays with an s-deep ring buffer of past levels.
+class _LevelRing:
+    """History ring and step work buffers shared by both field kinds.
 
-    ``history[0]`` is the newest level (time index ``n``); pushes evict the
-    oldest entry once the buffer is warm.  ``plan`` holds the feet of the
-    forward step, v_j (l+1) dt upstream of every node.
+    ``history[0]`` is the newest level.  Once the ring holds ``depth``
+    levels, ``slot()`` hands out the array of the oldest level, which the
+    step overwrites with the new level before ``push`` moves it to the
+    front; a warm field therefore allocates no level arrays.  ``plan``
+    holds the characteristic feet of the field's step.  The work buffers
+    are ``comb`` (the history combination, S in the adjoint), ``prod`` (a
+    product temporary), ``E`` (Nv, M), ``jac`` (Nv, n, M) and ``phi``
+    (n, M).
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
-                 dt: float, depth: int, f0: np.ndarray):
+                 dt: float, depth: int, first: np.ndarray,
+                 speeds: np.ndarray):
         self.model = model
         self.grid = grid
         self.dt = dt
         self.depth = depth
         self.n = 0
-        f0 = np.asarray(f0, dtype=float)
-        if f0.shape != (model.n_velocities, grid.n_nodes):
-            raise ValueError(f"initial field must have shape "
-                             f"{(model.n_velocities, grid.n_nodes)}, got {f0.shape}")
-        self.history: list[np.ndarray] = [f0.copy()]
-        self.plan = FootPlan(grid, model.velocities, dt, depth)
+        self.history: list[np.ndarray] = [first.copy()]
+        self.plan = FootPlan(grid, speeds, dt, depth)
+        Nv, n, M = model.n_velocities, model.n_conserved, grid.n_nodes
+        self.comb = np.empty((Nv, M))
+        self.prod = np.empty((Nv, M))
+        self.E = np.empty((Nv, M))
+        self.jac = np.empty((Nv, n, M))
+        self.phi = np.empty((n, M))
 
     @property
     def current(self) -> np.ndarray:
         return self.history[0]
 
-    def push(self, f_new: np.ndarray):
-        self.history.insert(0, f_new)
-        if len(self.history) > self.depth:
+    def slot(self) -> np.ndarray:
+        """Array for the next level: the oldest level's once the ring is full."""
+        if len(self.history) >= self.depth:
+            return self.history[-1]
+        return np.empty_like(self.history[0])
+
+    def push(self, level: np.ndarray):
+        """Make ``level`` the newest, evicting the oldest once full."""
+        if len(self.history) >= self.depth:
             self.history.pop()
+        self.history.insert(0, level)
         self.n += 1
+
+
+class KineticField(_LevelRing):
+    """Per-velocity Eulerian arrays with an s-deep ring buffer of past levels.
+
+    ``history[0]`` is the newest level (time index ``n``).  ``plan`` holds
+    the feet of the forward step, v_j (l+1) dt upstream of every node.
+    """
+
+    def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
+                 dt: float, depth: int, f0: np.ndarray):
+        f0 = np.asarray(f0, dtype=float)
+        if f0.shape != (model.n_velocities, grid.n_nodes):
+            raise ValueError(f"initial field must have shape "
+                             f"{(model.n_velocities, grid.n_nodes)}, got {f0.shape}")
+        super().__init__(model, grid, dt, depth, f0, model.velocities)
 
 
 def equilibrium_lift(model: RelaxationModel, u0: np.ndarray) -> np.ndarray:
@@ -373,14 +440,19 @@ def equilibrium_lift(model: RelaxationModel, u0: np.ndarray) -> np.ndarray:
 
 
 def forward_step(model: RelaxationModel, grid: LagrangianGrid,
-                 fld: KineticField, tab: MultistepTableau) -> np.ndarray:
+                 fld: KineticField, tab: MultistepTableau,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Advance the kinetic field one BDF step; returns the new conserved u.
 
     Phase 1 computes u at the new level explicitly by moment-summing the
     implicit update at every Eulerian node (the equilibrium term cancels via
     Q E(u) = u); phase 2 is the per-point affine relaxation update.  During
     ramp-up (history shallower than s) the BDF order follows the available
-    depth.
+    depth.  u is written into ``out`` (n, M) when given.  The arithmetic
+    runs in the field's work buffers and the new level overwrites the
+    evicted one, so a warm field allocates only u (without ``out``) and the
+    model's own temporaries.  After a ``FieldBlowUpError`` the field's
+    oldest level is overwritten and the field must not be stepped again.
     """
     if not tab.is_bdf:
         raise ModelConfigError(f"relaxation solver requires a BDF tableau, "
@@ -391,13 +463,19 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
     w = dt * eff.b_implicit / (dt * eff.b_implicit + eps)
 
     # characteristic-foot history combination:  -sum_l a_l f^j(t_{n-l}, x - v_j (l+1) dt)
-    comb = np.zeros_like(fld.current)
+    comb, prod = fld.comb, fld.prod
+    comb.fill(0.0)
     for ell in range(eff.s):
-        comb -= eff.a[ell] * fld.plan.sample(ell, fld.history[ell])
+        np.multiply(eff.a[ell], fld.plan.sample(ell, fld.history[ell]),
+                    out=prod)
+        comb -= prod
 
-    u_new = model.moments(comb)              # phase 1: macroscopic closure
-    E = model.equilibrium(u_new)             # phase 2: relaxation update
-    f_new = w * E + (1.0 - w) * comb
+    u_new = model.moments(comb, out=out)     # phase 1: macroscopic closure
+    E = model.equilibrium(u_new, out=fld.E)  # phase 2: relaxation update
+    f_new = fld.slot()
+    np.multiply(w, E, out=f_new)
+    np.multiply(1.0 - w, comb, out=prod)
+    f_new += prod
     if not np.all(np.isfinite(f_new)):
         raise FieldBlowUpError(f"non-finite kinetic field at step {fld.n + 1}")
     fld.push(f_new)
@@ -431,11 +509,10 @@ def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
     u_store = None
     if store_u:
         u_store = np.empty((n_steps + 1, model.n_conserved, grid.n_nodes))
-        u_store[0] = model.moments(f0)
+        model.moments(f0, out=u_store[0])
     for k in range(n_steps):
-        u_new = forward_step(model, grid, fld, tab)
-        if store_u:
-            u_store[k + 1] = u_new
+        forward_step(model, grid, fld, tab,
+                     out=u_store[k + 1] if store_u else None)
     return fld, u_store
 
 
@@ -444,7 +521,7 @@ def mass_history(u_store: np.ndarray, grid: LagrangianGrid) -> np.ndarray:
     return u_store.sum(axis=2) * grid.dx
 
 
-class AdjointField:
+class AdjointField(_LevelRing):
     """Backward multipliers lambda^j with an s-deep future-time buffer.
 
     ``history[i]`` holds the level at t_{n+i}.  The buffer starts with the
@@ -460,21 +537,7 @@ class AdjointField:
         lam_T = np.asarray(lam_T, dtype=float)
         if lam_T.shape != (model.n_velocities, grid.n_nodes):
             raise ValueError("terminal data shape mismatch")
-        self.model = model
-        self.grid = grid
-        self.dt = dt
-        self.depth = depth
-        self.history: list[np.ndarray] = [lam_T.copy()]
-        self.plan = FootPlan(grid, -model.velocities, dt, depth)
-
-    @property
-    def current(self) -> np.ndarray:
-        return self.history[0]
-
-    def push_back(self, lam_new: np.ndarray):
-        self.history.insert(0, lam_new)
-        if len(self.history) > self.depth:
-            self.history.pop()
+        super().__init__(model, grid, dt, depth, lam_T, -model.velocities)
 
 
 def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
@@ -488,6 +551,10 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     where Phi_r(x) = -sum_k sum_i dE_k/du_r (u(t_{n-1},x)) a_i lam^k(feet)
     uses future-time values only, so no implicit solve is needed.  The BDF
     order ramps with the available history depth near the terminal time.
+
+    The arithmetic runs in the field's work buffers.  The returned array is
+    the field's newest level, a ring slot: it stays valid until the field
+    has been stepped ``depth`` more times, then holds a newer level.
     """
     if not tab.is_bdf:
         raise ModelConfigError("adjoint solver requires a BDF tableau")
@@ -499,17 +566,23 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     wt = dt * eff.b_implicit / (eps + dt * eff.b_implicit)
 
     # S[j] = sum_i a_i lam^j(t_{n+i}, x + v_j (i+1) dt)
-    S = np.zeros_like(adj.current)
+    S, prod = adj.comb, adj.prod
+    S.fill(0.0)
     for i in range(eff.s):
-        S += eff.a[i] * adj.plan.sample(i, adj.history[i])
+        np.multiply(eff.a[i], adj.plan.sample(i, adj.history[i]), out=prod)
+        S += prod
 
-    jac = model.equilibrium_jac(u_prev)            # (Nv, n, M)
-    phi = -np.einsum("jrm,jm->rm", jac, S)
-    lam_new = -(eps / (eps + dt * eff.b_implicit)) * S \
-        + wt * np.einsum("rj,rm->jm", model.q_matrix, phi)
+    jac = model.equilibrium_jac(u_prev, out=adj.jac)      # (Nv, n, M)
+    phi = np.einsum("jrm,jm->rm", jac, S, out=adj.phi)
+    np.negative(phi, out=phi)
+    lam_new = adj.slot()
+    np.multiply(-(eps / (eps + dt * eff.b_implicit)), S, out=lam_new)
+    qphi = np.einsum("rj,rm->jm", model.q_matrix, phi, out=adj.E)
+    np.multiply(wt, qphi, out=qphi)
+    lam_new += qphi
     if not np.all(np.isfinite(lam_new)):
         raise FieldBlowUpError("non-finite adjoint field during backward sweep")
-    adj.push_back(lam_new)
+    adj.push(lam_new)
     return lam_new
 
 

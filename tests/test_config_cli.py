@@ -106,6 +106,17 @@ class TestCli:
         assert cli.main(["ode-converge", "--config", conf,
                          "--out", str(tmp_path)]) == 2
 
+    def test_full_system_rejects_horizon_at_blow_up(self, tmp_path, capsys):
+        # the exact state 1/(1-t) is infinite at t = 1
+        for T in ("1.0", "1.5"):
+            conf = self._write(tmp_path, "c.conf",
+                               "[ode-converge]\nstudy = full-system\n"
+                               f"schemes = BDF2\nn_list = 10,20\nT = {T}\n")
+            assert cli.main(["ode-converge", "--config", conf,
+                             "--out", str(tmp_path)]) == 2
+            assert "needs T < 1" in capsys.readouterr().err
+            assert os.listdir(tmp_path) == ["c.conf"]
+
     def test_solver_failure_exit_code(self, tmp_path):
         # 10 steps to T = 0.9 on the blow-up problem: the implicit equation
         # loses its real root and the Newton iteration cannot converge

@@ -1,5 +1,7 @@
 """Forward/adjoint solvers for controlled ODEs, both adjoint routes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,32 @@ def overflowing_adjoint_problem():
         terminal_cost=lambda yT: 0.5 * float((yT[0] - 1.0) ** 2),
         terminal_cost_grad=lambda yT: np.atleast_1d(yT - 1.0),
         alpha=1.0, y0=0.0, y_exact=lambda t: 0.0 * t)
+
+
+class TestDtoJacobianEvaluations:
+    @pytest.mark.parametrize("name", ["ImplicitEuler", "BDF3", "BDF6", "AM4"])
+    def test_initial_rows_read_fy_only_for_b_terms(self, name):
+        # f_y once per step index 1..N; the s initial-data rows (indices
+        # 1-s..0) evaluate it only when a nonzero b-term reads it, which
+        # BDF never has
+        prob = terminal_tracking_problem(T=0.5)
+        tab = la.tableau(name)
+        grid = la.TimeGrid(0.0, 0.5, 40)
+        traj = solve_forward(prob, tab, grid, init_mode="exact")
+        seen = []
+
+        def f_y(y, u, t):
+            seen.append(t)
+            return prob.f_y(y, u, t)
+
+        adj = solve_adjoint_dto(dataclasses.replace(prob, f_y=f_y), tab,
+                                grid, traj)
+        if tab.is_bdf:
+            assert len(seen) == grid.N and min(seen) > 0
+        else:
+            assert len(seen) == grid.N + tab.s
+        plain = solve_adjoint_dto(prob, tab, grid, traj)
+        assert np.array_equal(adj.multipliers, plain.multipliers)
 
 
 class TestAdjointBlowUp:

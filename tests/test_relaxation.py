@@ -1,5 +1,7 @@
 """Semi-Lagrangian relaxation solver: models, forward, adjoint, oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,67 @@ class TestModels:
             um[r] -= h
             fd = (m.equilibrium(up) - m.equilibrium(um)) / (2 * h)
             assert np.max(np.abs(jac[:, r, 0] - fd[:, 0])) <= 1e-6
+
+
+def stacked_equilibria(name, u, a_or_c, flux=None, dflux=None):
+    """Equilibrium and Jacobian from the stacked first-release formulas."""
+    if name == "jin-xin":
+        a = a_or_c
+        F, dF, one = flux(u[0]), dflux(u[0]), np.ones_like(u[0])
+        E = np.stack([(a * u[0] + F) / (2 * a), (a * u[0] - F) / (2 * a)])
+        jac = np.stack([((a * one + dF) / (2 * a))[None, :],
+                        ((a * one - dF) / (2 * a))[None, :]])
+        return E, jac
+    c = a_or_c
+    rho, m = u[0], u[1]
+    F = m * m / (c * c * rho) + rho
+    E = np.stack([0.5 * F + m / (2 * c), 0.5 * F - m / (2 * c),
+                  0.5 * (rho - F)])
+    dF_rho = 1.0 - m * m / (c * c * rho * rho)
+    dF_m = 2.0 * m / (c * c * rho)
+    inv2c = 1.0 / (2 * c) * np.ones_like(rho)
+    jac = np.stack([np.stack([0.5 * dF_rho, 0.5 * dF_m + inv2c]),
+                    np.stack([0.5 * dF_rho, 0.5 * dF_m - inv2c]),
+                    np.stack([0.5 * (1.0 - dF_rho), -0.5 * dF_m])])
+    return E, jac
+
+
+class TestOutBuffers:
+    """The out-buffer equilibria equal the stacked formulas bit for bit,
+    with and without ``out``, and return ``out`` when given one."""
+
+    @pytest.mark.parametrize("flux", ["linear", "burgers"])
+    def test_jinxin(self, flux):
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((1, 257)) * 3.0
+        u[0, :3] = (0.0, -0.0, 1e-310)
+        fl, dfl = ((lambda v: v, lambda v: np.ones_like(v)) if flux == "linear"
+                   else (lambda v: 0.5 * v * v, lambda v: v))
+        m = rx.make_jin_xin(fl, dfl, 2.1, 1e-2)
+        self.check(m, u, *stacked_equilibria("jin-xin", u, 2.1, fl, dfl))
+
+    def test_broadwell(self):
+        rng = np.random.default_rng(8)
+        u = np.stack([0.2 + rng.random(257) * 3.0,
+                      rng.standard_normal(257)])
+        u[1, :2] = (0.0, -0.0)
+        m = rx.make_broadwell(1.3, 1e-2)
+        self.check(m, u, *stacked_equilibria("broadwell", u, 1.3))
+
+    @staticmethod
+    def check(model, u, E_ref, jac_ref):
+        E_out, jac_out = np.empty_like(E_ref), np.empty_like(jac_ref)
+        assert model.equilibrium(u, out=E_out) is E_out
+        assert model.equilibrium_jac(u, out=jac_out) is jac_out
+        # np.array_equal ignores the sign of zero; compare the bits
+        for got, ref in ((model.equilibrium(u), E_ref), (E_out, E_ref),
+                         (model.equilibrium_jac(u), jac_ref),
+                         (jac_out, jac_ref)):
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        f = np.abs(E_ref) + 1.0
+        assert np.array_equal(model.moments(f, out=np.empty_like(u)),
+                              model.moments(f))
 
 
 class TestGrid:
@@ -433,3 +496,76 @@ class TestFootPlan:
         with pytest.raises(ValueError):
             rx.adjoint_step(linear_jinxin(2.0, 1e-2), grid, adj,
                             np.zeros((1, grid.n_nodes)), la.tableau("BDF2"))
+
+
+def traced_peak_rows(step, M):
+    """Peak bytes traced while ``step()`` runs, in grid rows of 8 M bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8 * M)
+
+
+def warm_step_rows(model, grid, dt, u0):
+    """Peak rows of one warm BDF3 forward step (with ``out``, as
+    ``solve_forward`` calls it) and one warm adjoint step."""
+    tab = la.tableau("BDF3")
+    fld = rx.KineticField(model, grid, dt, tab.s, rx.equilibrium_lift(model, u0))
+    adj = rx.AdjointField(model, grid, dt, tab.s,
+                          rx.terminal_multipliers(model, u0))
+    u_out = np.empty_like(u0)
+    for _ in range(tab.s + 1):  # fill both rings
+        rx.forward_step(model, grid, fld, tab, out=u_out)
+        rx.adjoint_step(model, grid, adj, u0, tab)
+    M = grid.n_nodes
+    return (traced_peak_rows(
+                lambda: rx.forward_step(model, grid, fld, tab, out=u_out), M),
+            traced_peak_rows(
+                lambda: rx.adjoint_step(model, grid, adj, u0, tab), M))
+
+
+class TestStepAllocations:
+    """Warm steps run in their field's buffers: NumPy reports its buffers to
+    tracemalloc, and what a step still allocates is the isfinite mask and
+    the model's own temporaries (Burgers' 0.5*u*u takes two rows)."""
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.7])
+    def test_jinxin_burgers(self, ratio):
+        grid = rx.LagrangianGrid(0.0, 6.0, 4098)
+        a = 2.1
+        x = grid.nodes()
+        u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+        fwd, bwd = warm_step_rows(burgers_jinxin(a, 1e-2), grid,
+                                  ratio * grid.dx / a, u0)
+        assert fwd <= 3 and bwd <= 1, (fwd, bwd)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.7])
+    def test_clamped_broadwell(self, ratio):
+        grid = rx.LagrangianGrid(-2.5, 2.5, 4097, boundary="clamp")
+        x = grid.nodes()
+        u0 = np.stack([1.0 + 0.3 * np.exp(-x ** 2),
+                       0.2 * np.exp(-((x - 0.5) ** 2))])
+        fwd, bwd = warm_step_rows(rx.make_broadwell(1.0, 1e-2), grid,
+                                  ratio * grid.dx, u0)
+        assert fwd <= 8 and bwd <= 10, (fwd, bwd)
+
+    def test_ring_recycles_evicted_levels(self):
+        # once warm, a new level lands in the array of the level it evicts
+        grid = rx.LagrangianGrid(0.0, 6.0, 65)
+        model = burgers_jinxin(2.1, 1e-2)
+        x = grid.nodes()
+        u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+        tab = la.tableau("BDF2")
+        fld = rx.KineticField(model, grid, grid.dx / 2.1, tab.s,
+                              rx.equilibrium_lift(model, u0))
+        rx.forward_step(model, grid, fld, tab)
+        for _ in range(3):
+            oldest = fld.history[-1]
+            rx.forward_step(model, grid, fld, tab)
+            assert fld.current is oldest and len(fld.history) == tab.s
+        assert fld.n == 4

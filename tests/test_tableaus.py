@@ -176,6 +176,22 @@ class TestStep:
         assert err.value.iterations is not None
 
 
+class TestNewtonDivision:
+    def test_scalar_update_is_a_division(self):
+        # y = c + h f(y) with f(y) = -4 y, h = 0.5 and c = -5: from y = 0
+        # the residual is 5 and 1 - h J = 3, and one update lands on -5/3,
+        # whose residual is below tol.  5/3 and 5 * (1/3) differ in the last
+        # bit; the update must be the division that LAPACK's solve gives.
+        res, d = 5.0, 3.0
+        assert res / d != res * (1.0 / d)
+        y, f = tb._newton_step(0.5, np.array([-5.0]), np.array([0.0]),
+                               lambda y, t: -4.0 * y, 0.0,
+                               lambda y, t: np.array([[-4.0]]), 1e-12, 50)
+        assert y[0] == 0.0 - np.linalg.solve([[d]], [res])[0]
+        assert y[0] != 0.0 - res * (1.0 / d)
+        assert f[0] == -4.0 * y[0]
+
+
 class TestOrderVerification:
     def test_observed_orders(self):
         # integrate y' = y on [0, 1] with exact-history bootstrap; every
