@@ -13,10 +13,19 @@ term), then an explicit per-point relaxation update.
 The adjoint solver marches the multipliers lambda^j backward in time with the
 matching BDF recurrence; the coupling term is assembled from future-time
 multipliers only, so every backward step is explicit as well.
+
+Shapes: a forward level is (Nv, M) and its conserved variables are (n, M).
+An adjoint level may carry leading batch axes, (..., Nv, M): every member
+is swept backward against the same frozen forward state, whose Jacobian
+stays (Nv, n, M), and ``RelaxationModel.eps`` may then be an array that
+broadcasts against the batch, for example one eps per member with shape
+(B, 1, 1).  A batched sweep equals stacking the members' own sweeps bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,6 +53,11 @@ class RelaxationModel:
     return a new array.  The steps always pass their field's work buffers.
     ``flux(u)`` and ``dflux(u)`` describe the relaxed conservation law and
     feed the subcharacteristic check and the transport oracle.
+
+    ``eps`` is a float, or for a batched adjoint sweep an array that
+    broadcasts against the (..., Nv, M) multipliers, such as shape (B, 1, 1)
+    for one relaxation parameter per member; the forward step needs a
+    float.  Every entry must be positive.
     """
 
     name: str
@@ -53,10 +67,10 @@ class RelaxationModel:
     equilibrium_jac: Callable
     flux: Callable
     dflux: Callable
-    eps: float
+    eps: float | np.ndarray
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if np.any(np.asarray(self.eps) <= 0):
             raise ModelConfigError("relaxation parameter eps must be positive")
 
     @property
@@ -300,14 +314,16 @@ class FootPlan:
     grids); clamped levels use one ``take`` on precomputed clipped indices
     into the same buffers (``mode="clip"``, which with in-range indices
     gathers the same values without the buffering of ``mode="raise"``).
+    Levels have shape ``batch + (Nv, M)``; the batch members share the
+    feet.
     """
 
     def __init__(self, grid: LagrangianGrid, speeds: np.ndarray, dt: float,
-                 depth: int):
+                 depth: int, batch: tuple[int, ...] = ()):
         Nv, M = speeds.size, grid.n_nodes
         self.periodic = grid.boundary == "periodic"
-        self._a = np.empty((Nv, M))
-        self._b = np.empty((Nv, M))
+        self._a = np.empty(batch + (Nv, M))
+        self._b = np.empty(batch + (Nv, M))
         self.levels = []
         for ell in range(depth):
             lo, w = np.array([_foot(vj * (ell + 1) * dt / grid.dx)
@@ -318,13 +334,17 @@ class FootPlan:
             if self.periodic:
                 lo, hi = (lo % M).tolist(), (hi % M).tolist()
             else:
-                rows, cols = M * np.arange(Nv)[:, None], np.arange(M)
+                # flat indices into the whole level: member, row, column
+                members = np.arange(math.prod(batch)).reshape(batch + (1, 1))
+                rows = M * (Nv * members + np.arange(Nv)[:, None])
+                cols = np.arange(M)
                 lo = rows + np.clip(cols - lo[:, None], 0, M - 1)
                 hi = rows + np.clip(cols - hi[:, None], 0, M - 1)
             self.levels.append((lo, hi, (1.0 - w, w) if w.any() else None))
 
     def sample(self, ell: int, values: np.ndarray) -> np.ndarray:
-        """History level ``values`` (Nv, M) sampled at the level-``ell`` feet.
+        """History level ``values`` (..., Nv, M) sampled at the level-``ell``
+        feet.
 
         The result is a buffer of the plan that the next call overwrites.
         """
@@ -349,8 +369,8 @@ class FootPlan:
         """``np.roll`` of each row j by ``offsets[j]``, written into ``out``."""
         M = values.shape[-1]
         for j, k in enumerate(offsets):
-            out[j, k:] = values[j, :M - k]
-            out[j, :k] = values[j, M - k:]
+            out[..., j, k:] = values[..., j, :M - k]
+            out[..., j, :k] = values[..., j, M - k:]
         return out
 
 
@@ -376,10 +396,12 @@ class _LevelRing:
     levels, ``slot()`` hands out the array of the oldest level, which the
     step overwrites with the new level before ``push`` moves it to the
     front; a warm field therefore allocates no level arrays.  ``plan``
-    holds the characteristic feet of the field's step.  The work buffers
-    are ``comb`` (the history combination, S in the adjoint), ``prod`` (a
-    product temporary), ``E`` (Nv, M), ``jac`` (Nv, n, M) and ``phi``
-    (n, M).
+    holds the characteristic feet of the field's step.  Levels have the
+    shape of ``first``, (..., Nv, M), and so have the work buffers ``comb``
+    (the history combination, S in the adjoint), ``prod`` (a product
+    temporary) and ``E``; ``phi`` is (..., n, M).  ``jac`` (Nv, n, M)
+    holds the equilibrium Jacobian the adjoint step evaluated last, shared
+    by the batch members; ``jac_ready`` is False until one is evaluated.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
@@ -391,13 +413,15 @@ class _LevelRing:
         self.depth = depth
         self.n = 0
         self.history: list[np.ndarray] = [first.copy()]
-        self.plan = FootPlan(grid, speeds, dt, depth)
-        Nv, n, M = model.n_velocities, model.n_conserved, grid.n_nodes
-        self.comb = np.empty((Nv, M))
-        self.prod = np.empty((Nv, M))
-        self.E = np.empty((Nv, M))
-        self.jac = np.empty((Nv, n, M))
-        self.phi = np.empty((n, M))
+        batch = first.shape[:-2]
+        self.plan = FootPlan(grid, speeds, dt, depth, batch)
+        self.comb = np.empty(first.shape)
+        self.prod = np.empty(first.shape)
+        self.E = np.empty(first.shape)
+        self.jac = np.empty((model.n_velocities, model.n_conserved,
+                             grid.n_nodes))
+        self.jac_ready = False
+        self.phi = np.empty(batch + (model.n_conserved, grid.n_nodes))
 
     @property
     def current(self) -> np.ndarray:
@@ -529,19 +553,22 @@ class AdjointField(_LevelRing):
     mirroring the forward start-up (a constant-extension seeding of all s
     slots degrades the backward sweep to first order; see tests).  ``plan``
     holds the feet of the backward step, v_j (i+1) dt downstream of every
-    node.
+    node.  ``lam_T`` is (..., Nv, M): leading axes batch independent
+    multiplier fields over one frozen forward state.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
                  dt: float, depth: int, lam_T: np.ndarray):
         lam_T = np.asarray(lam_T, dtype=float)
-        if lam_T.shape != (model.n_velocities, grid.n_nodes):
-            raise ValueError("terminal data shape mismatch")
+        if lam_T.shape[-2:] != (model.n_velocities, grid.n_nodes):
+            raise ValueError(f"terminal data must have trailing shape "
+                             f"{(model.n_velocities, grid.n_nodes)}, "
+                             f"got {lam_T.shape}")
         super().__init__(model, grid, dt, depth, lam_T, -model.velocities)
 
 
 def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
-                 adj: AdjointField, u_prev: np.ndarray,
+                 adj: AdjointField, u_prev: np.ndarray | None,
                  tab: MultistepTableau) -> np.ndarray:
     """One explicit backward step: multipliers at t_{n-1} from s future levels.
 
@@ -551,6 +578,14 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     where Phi_r(x) = -sum_k sum_i dE_k/du_r (u(t_{n-1},x)) a_i lam^k(feet)
     uses future-time values only, so no implicit solve is needed.  The BDF
     order ramps with the available history depth near the terminal time.
+    Every batch member of the field (leading axes of its levels) uses the
+    same u(t_{n-1}); ``model.eps`` may broadcast against the batch.
+
+    ``u_prev`` is the frozen forward state (n, M), whose Jacobian the step
+    evaluates into ``adj.jac``.  ``u_prev=None`` reuses the Jacobian
+    already in ``adj.jac`` instead, which is right only when it does not
+    depend on u (``solve_adjoint`` evaluates it once per sweep for a
+    linear flux); a field with no Jacobian yet raises ValueError.
 
     The arithmetic runs in the field's work buffers.  The returned array is
     the field's newest level, a ring slot: it stays valid until the field
@@ -558,7 +593,11 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     """
     if not tab.is_bdf:
         raise ModelConfigError("adjoint solver requires a BDF tableau")
-    if u_prev.shape != (model.n_conserved, grid.n_nodes):
+    if u_prev is None:
+        if not adj.jac_ready:
+            raise ValueError("u_prev=None reuses the field's Jacobian, but "
+                             "none has been evaluated")
+    elif u_prev.shape != (model.n_conserved, grid.n_nodes):
         raise ValueError("frozen forward field shape mismatch")
     _check_field(model, grid, adj)
     eff = _ramped(tab, len(adj.history))
@@ -572,12 +611,14 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
         np.multiply(eff.a[i], adj.plan.sample(i, adj.history[i]), out=prod)
         S += prod
 
-    jac = model.equilibrium_jac(u_prev, out=adj.jac)      # (Nv, n, M)
-    phi = np.einsum("jrm,jm->rm", jac, S, out=adj.phi)
+    if u_prev is not None:
+        model.equilibrium_jac(u_prev, out=adj.jac)      # (Nv, n, M)
+        adj.jac_ready = True
+    phi = np.einsum("jrm,...jm->...rm", adj.jac, S, out=adj.phi)
     np.negative(phi, out=phi)
     lam_new = adj.slot()
     np.multiply(-(eps / (eps + dt * eff.b_implicit)), S, out=lam_new)
-    qphi = np.einsum("rj,rm->jm", model.q_matrix, phi, out=adj.E)
+    qphi = np.einsum("rj,...rm->...jm", model.q_matrix, phi, out=adj.E)
     np.multiply(wt, qphi, out=qphi)
     lam_new += qphi
     if not np.all(np.isfinite(lam_new)):
@@ -593,11 +634,12 @@ def terminal_multipliers(model: RelaxationModel, p_terminal: np.ndarray) -> np.n
     is used (so p = sum_j lambda^j matches the macroscopic multiplier).  For
     multi-moment models the data (one row per conserved component) is
     contracted with the moment-map columns: lambda^j(T) = sum_r Q_rj d_r.
+    Data of shape (..., n, M) gives multipliers of shape (..., Nv, M).
     """
     p_terminal = np.atleast_2d(np.asarray(p_terminal, dtype=float))
     if model.n_conserved == 1:
-        return np.repeat(p_terminal, model.n_velocities, axis=0) / model.n_velocities
-    return np.einsum("rj,rm->jm", model.q_matrix, p_terminal)
+        return np.repeat(p_terminal, model.n_velocities, axis=-2) / model.n_velocities
+    return np.einsum("rj,...rm->...jm", model.q_matrix, p_terminal)
 
 
 def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
@@ -607,14 +649,18 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
 
     ``u_store`` is the forward conserved-variable store (level k = time t_k);
     pass None only when the equilibrium Jacobian does not depend on u
-    (linear flux).
+    (linear flux): it is then evaluated once, at u = 0, and every step
+    reuses it.  ``lam_T`` (..., Nv, M) may carry batch axes, which the
+    returned lambda(0) keeps.
     """
-    if u_store is None:
-        u_dummy = np.zeros((model.n_conserved, grid.n_nodes))
     adj = AdjointField(model, grid, dt, depth=tab.s, lam_T=lam_T)
+    if u_store is None:
+        model.equilibrium_jac(np.zeros((model.n_conserved, grid.n_nodes)),
+                              out=adj.jac)
+        adj.jac_ready = True
     for k in range(n_steps, 0, -1):          # computes level k-1
-        u_prev = u_store[k - 1] if u_store is not None else u_dummy
-        adjoint_step(model, grid, adj, u_prev, tab)
+        adjoint_step(model, grid, adj,
+                     None if u_store is None else u_store[k - 1], tab)
     return adj.current
 
 
@@ -646,6 +692,8 @@ def viscous_limit_check(model: RelaxationModel, grid: LagrangianGrid,
     forward store for state-dependent Jacobians of the relaxation term).
     Expected magnitude O(eps) + O(dt^order).
     """
+    if model.n_conserved != 1:
+        raise ModelConfigError("viscous-limit check defined for scalar models")
     n_steps = int(round(T / dt))
     t_actual = n_steps * dt
     x = grid.nodes()
@@ -653,8 +701,6 @@ def viscous_limit_check(model: RelaxationModel, grid: LagrangianGrid,
     lam_T = terminal_multipliers(model, pT[None, :])
     lam0 = solve_adjoint(model, grid, tab, u_store, lam_T, n_steps, dt)
     p0 = lam0.sum(axis=0)
-    if model.n_conserved != 1:
-        raise ModelConfigError("viscous-limit check defined for scalar models")
     speed = float(model.dflux(np.zeros(1))[0])
     p_ref = transport_oracle(grid, p_terminal, speed, t_actual)
     return float(np.sqrt(grid.dx * np.sum((p0 - p_ref) ** 2)))

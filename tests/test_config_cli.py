@@ -2,9 +2,12 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from lmm_adjoint import cli
+from lmm_adjoint import relaxation as rx
+from lmm_adjoint.experiments import run_relax_adjoint
 from lmm_adjoint.config import (CONFIG_REFERENCE, Config, ConfigError,
                                 config_reference_text, parse_config,
                                 serialize_config)
@@ -201,3 +204,47 @@ class TestCli:
         rows = (tmp_path / "adjoint_eps_study.csv").read_text().splitlines()
         assert rows[0] == "eps,dt_min,l2_err_p0,mean_rate,reference"
         assert "self-reference" in rows[1] and "transport-oracle" in rows[2]
+
+    def test_relax_adjoint_rejects_nonpositive_eps(self, tmp_path, capsys):
+        # the whole eps list is checked before any sweep or CSV
+        for eps in ("1.0, 0.1, 0", "1.0, -1e-3, 1e-4"):
+            conf = self._write(tmp_path, "c.conf",
+                               "[relax-adjoint]\nnx_list = 20,40\n"
+                               f"eps_list = {eps}\n")
+            assert cli.main(["relax-adjoint", "--config", conf,
+                             "--out", str(tmp_path)]) == 2
+            assert "eps must be positive" in capsys.readouterr().err
+            assert os.listdir(tmp_path) == ["c.conf"]
+
+
+class TestRelaxAdjointSweeps:
+    """The eps study runs one sweep per grid batched over the eps values,
+    plus one nested fine sweep batched over the self-reference values."""
+
+    def sweeps(self, monkeypatch, tmp_path, text):
+        solved = []
+        solve = rx.solve_adjoint
+
+        def counting(model, grid, tab, u_store, lam_T, n_steps, dt):
+            solved.append((grid.n_points, tuple(np.ravel(model.eps))))
+            return solve(model, grid, tab, u_store, lam_T, n_steps, dt)
+
+        monkeypatch.setattr(rx, "solve_adjoint", counting)
+        run_relax_adjoint(parse_config(text), str(tmp_path))
+        members = [(nx, eps) for nx, batch in solved for eps in batch]
+        assert len(members) == len(set(members))  # nothing solved twice
+        return solved
+
+    def test_default_study(self, monkeypatch, tmp_path, capsys):
+        solved = self.sweeps(monkeypatch, tmp_path, "[relax-adjoint]\n")
+        eps = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
+        coarse = [(nx, eps) for nx in (40, 80, 160, 320, 640)]
+        fine = [(2 * nx - 1, eps[:3]) for nx in (40, 80, 160, 320, 640)]
+        assert len(solved) == 10
+        assert sorted(solved) == sorted(coarse + fine)
+
+    def test_oracle_only_study(self, monkeypatch, tmp_path, capsys):
+        solved = self.sweeps(monkeypatch, tmp_path,
+                             "[relax-adjoint]\noracle_eps_max = 2.0\n")
+        assert len(solved) == 5
+        assert {nx for nx, _ in solved} == {40, 80, 160, 320, 640}

@@ -1,5 +1,6 @@
 """Semi-Lagrangian relaxation solver: models, forward, adjoint, oracles."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -385,6 +386,18 @@ class TestAdjoint:
             rx.adjoint_step(model, grid, adj, np.zeros((1, grid.n_nodes)),
                             la.tableau("AM4"))
 
+    def test_viscous_limit_rejects_systems_before_sweeping(self, monkeypatch):
+        # a Broadwell model must fail the scalar-model check before any step
+        # runs (a sweep at the u = 0 dummy state would divide by rho = 0)
+        calls = []
+        monkeypatch.setattr(rx, "adjoint_step", lambda *args: calls.append(args))
+        grid = rx.LagrangianGrid(-2.5, 2.5, 41, boundary="clamp")
+        with pytest.raises(rx.ModelConfigError, match="scalar"):
+            rx.viscous_limit_check(rx.make_broadwell(1.0, 1e-2), grid,
+                                   la.tableau("BDF2"),
+                                   lambda x: np.exp(-x ** 2), 0.5, grid.dx)
+        assert calls == []
+
     def test_missing_forward_field_shape(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
@@ -496,6 +509,164 @@ class TestFootPlan:
         with pytest.raises(ValueError):
             rx.adjoint_step(linear_jinxin(2.0, 1e-2), grid, adj,
                             np.zeros((1, grid.n_nodes)), la.tableau("BDF2"))
+
+
+def terminal_batch(x, n, B):
+    """Terminal data (B, n, M): a box (exact zeros), its negative (negative
+    zeros) and smooth bumps, cycled over members and components."""
+    mid, half = 0.5 * (x[0] + x[-1]), 0.2 * (x[-1] - x[0])
+    box = np.where(np.abs(x - mid) <= half, 1.0, 0.0)
+    bump = np.exp(-((x - x[len(x) // 3]) ** 2))
+    shapes = [box, -box, bump, box - 0.5 * bump]
+    return np.stack([np.stack([shapes[(b + r) % 4] for r in range(n)])
+                     for b in range(B)])
+
+
+def assert_batch_matches_members(make_model, eps, grid, tab, u_store, d,
+                                 n_steps, dt):
+    """One sweep batched over the members of ``eps`` and ``d`` equals the
+    members' own unbatched sweeps, sign of zero included."""
+    eps = np.asarray(eps, dtype=float)
+    model = make_model(eps.reshape(eps.shape + (1, 1)))
+    batched = rx.solve_adjoint(model, grid, tab, u_store,
+                               rx.terminal_multipliers(model, d), n_steps, dt)
+    members = []
+    for e, d_b in zip(eps.ravel(), d.reshape((-1,) + d.shape[-2:])):
+        member = make_model(float(e))
+        members.append(rx.solve_adjoint(
+            member, grid, tab, u_store, rx.terminal_multipliers(member, d_b),
+            n_steps, dt))
+    expect = np.reshape(members, batched.shape)
+    assert batched.shape == eps.shape + (model.n_velocities, grid.n_nodes)
+    assert np.array_equal(batched, expect)
+    assert np.array_equal(np.signbit(batched), np.signbit(expect))
+
+
+member_eps = st.lists(st.sampled_from([1e-4, 1e-2, 0.3, 1.0, 4.0]),
+                      min_size=1, max_size=4)
+
+
+class TestBatchedAdjoint:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nx=st.integers(5, 60), ratio=foot_ratio, order=st.integers(1, 6),
+           flux=st.sampled_from(["linear", "burgers"]), eps=member_eps)
+    def test_periodic_jinxin(self, nx, ratio, order, flux, eps):
+        # speeds (a, -a): feet of both signs; the linear flux sweeps without
+        # a store (one Jacobian per sweep), Burgers with one
+        grid = rx.LagrangianGrid(0.0, 6.0, nx)
+        a = 2.1
+        dt = ratio * grid.dx / a
+        tab = la.tableau(f"BDF{order}")
+        n_steps = order + 3
+        x = grid.nodes()
+        make = linear_jinxin if flux == "linear" else burgers_jinxin
+        u_store = None
+        if flux == "burgers":
+            u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+            u_store = rx.solve_forward(make(a, 1e-2), grid, tab, u0,
+                                       n_steps, dt)[1]
+        assert_batch_matches_members(lambda e: make(a, e), eps, grid, tab,
+                                     u_store, terminal_batch(x, 1, len(eps)),
+                                     n_steps, dt)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(nx=st.integers(5, 60), ratio=foot_ratio, order=st.integers(1, 6),
+           eps=member_eps)
+    def test_clamped_broadwell(self, nx, ratio, order, eps):
+        # speeds (c, -c, 0) on a clamped grid, against a forward store
+        grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary="clamp")
+        c = 1.0
+        dt = ratio * grid.dx / c
+        tab = la.tableau(f"BDF{order}")
+        n_steps = order + 2
+        x = grid.nodes()
+        u0 = np.stack([1.0 + 0.3 * np.exp(-x ** 2),
+                       0.2 * np.exp(-((x - 0.5) ** 2))])
+        u_store = rx.solve_forward(rx.make_broadwell(c, 1e-2), grid, tab, u0,
+                                   n_steps, dt)[1]
+        assert_batch_matches_members(lambda e: rx.make_broadwell(c, e), eps,
+                                     grid, tab, u_store,
+                                     terminal_batch(x, 2, len(eps)),
+                                     n_steps, dt)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "clamp"])
+    def test_two_batch_axes(self, boundary):
+        grid = rx.LagrangianGrid(-2.5, 2.5, 33, boundary=boundary)
+        x = grid.nodes()
+        tab = la.tableau("BDF3")
+        dt = 0.6 * grid.dx
+        u0 = np.stack([1.0 + 0.3 * np.exp(-x ** 2), 0.2 * np.exp(-x ** 2)])
+        u_store = rx.solve_forward(rx.make_broadwell(1.0, 1e-2), grid, tab,
+                                   u0, 7, dt)[1]
+        eps = np.array([[1e-3, 0.1, 2.0], [1.0, 1e-2, 0.5]])
+        d = terminal_batch(x, 2, 6).reshape(2, 3, 2, -1)
+        assert_batch_matches_members(lambda e: rx.make_broadwell(1.0, e),
+                                     eps, grid, tab, u_store, d, 7, dt)
+
+    def test_terminal_trailing_shape_rejected(self):
+        grid = rx.LagrangianGrid(0.0, 1.0, 17)
+        model = linear_jinxin(1.0, 1e-2)
+        M = grid.n_nodes
+        rx.AdjointField(model, grid, 0.05, 2, np.zeros((3, 2, M)))
+        for shape in [(3, 2, M + 1), (2, 3, M), (3, M), (M,)]:
+            with pytest.raises(ValueError):
+                rx.AdjointField(model, grid, 0.05, 2, np.zeros(shape))
+            with pytest.raises(ValueError):
+                rx.solve_adjoint(model, grid, la.tableau("BDF2"), None,
+                                 np.zeros(shape), 3, 0.05)
+
+    def test_array_eps_must_be_positive(self):
+        for eps in ([0.1, 0.0], [[1.0], [-1e-3]]):
+            with pytest.raises(rx.ModelConfigError):
+                linear_jinxin(1.0, np.array(eps))
+
+
+class TestFrozenJacobian:
+    """Without a forward store the u-independent Jacobian is evaluated once
+    per sweep and reused by every step."""
+
+    def test_one_evaluation_per_sweep(self):
+        grid = rx.LagrangianGrid(0.0, 6.0, 41)
+        a = 2.1
+        dt = 0.7 * grid.dx / a
+        base = linear_jinxin(a, 1e-2)
+        calls = []
+
+        def counting_jac(u, out=None):
+            calls.append(u.shape)
+            return base.equilibrium_jac(u, out=out)
+
+        x = grid.nodes()
+        tab = la.tableau("BDF3")
+        for batch in ((), (3,)):
+            model = dataclasses.replace(
+                base, equilibrium_jac=counting_jac,
+                eps=np.full(batch + (1, 1), 1e-2) if batch else 1e-2)
+            d = np.broadcast_to(np.exp(-((x - 3.0) ** 2)), batch + (1, x.size))
+            lam_T = rx.terminal_multipliers(model, d)
+            calls.clear()
+            lam0 = rx.solve_adjoint(model, grid, tab, None, lam_T, 12, dt)
+            assert calls == [(1, grid.n_nodes)]
+
+            # the per-step path: the Jacobian evaluated at u = 0 every step
+            adj = rx.AdjointField(model, grid, dt, tab.s, lam_T)
+            u_zero = np.zeros((1, grid.n_nodes))
+            for _ in range(12):
+                rx.adjoint_step(model, grid, adj, u_zero, tab)
+            assert len(calls) == 13
+            assert np.array_equal(lam0, adj.current)
+            assert np.array_equal(np.signbit(lam0), np.signbit(adj.current))
+
+    def test_reuse_needs_an_evaluated_jacobian(self):
+        grid = rx.LagrangianGrid(0.0, 1.0, 17)
+        model = linear_jinxin(1.0, 1e-2)
+        adj = rx.AdjointField(model, grid, 0.05, 2, np.ones((2, grid.n_nodes)))
+        with pytest.raises(ValueError, match="Jacobian"):
+            rx.adjoint_step(model, grid, adj, None, la.tableau("BDF2"))
+        rx.adjoint_step(model, grid, adj, np.zeros((1, grid.n_nodes)),
+                        la.tableau("BDF2"))
+        rx.adjoint_step(model, grid, adj, None, la.tableau("BDF2"))
+        assert adj.n == 2
 
 
 def traced_peak_rows(step, M):
