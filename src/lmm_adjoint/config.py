@@ -59,17 +59,6 @@ class Config:
         except ValueError:
             raise ConfigError(f"key {key!r}: {raw!r} is not an integer") from None
 
-    def get_bool(self, key, default=False):
-        raw = self.values.get(key)
-        if raw is None:
-            return bool(default)
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"key {key!r}: {raw!r} is not a boolean")
-
     def get_int_list(self, key, default=None, increasing=False):
         raw = self.values.get(key)
         if raw is None:
@@ -180,7 +169,7 @@ CONFIG_REFERENCE = {
         "scheme": "BDF tableau (default BDF2)",
         "T": "backward horizon (default 1.0)",
         "terminal_center/terminal_width": "Gaussian terminal data (default 3, 1)",
-        "oracle_eps_max": "use the transport oracle for eps < this (default 0.1); "
+        "oracle_eps_max": "use the transport oracle for eps < this (default 5e-3); "
                           "larger eps rows use a nested fine-grid self-reference",
     },
     "control-jinxin": {

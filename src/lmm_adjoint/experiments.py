@@ -9,9 +9,9 @@ Convergence-table errors are reported under two conventions side by side:
 the exact solution; ``err_*_extrap`` is the deviation of the
 observed-order Richardson extrapolant of consecutive-grid solutions, the
 recorded reproduction attempt for published tables whose rate convention
-exceeds the schemes' nominal orders.  The prescribed studies run in
-extended precision so both columns stay clear of roundoff on the finest
-grids.
+exceeds the schemes' nominal orders.  The prescribed studies run the
+generic adjoint solvers on a long-double grid so both columns stay clear of
+roundoff on the finest grids.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ import numpy as np
 from . import relaxation as rx
 from .config import Config, ConfigError
 from .control import TrackingFunctional, optimize
-from .ode_control import solve_adjoint_dto, solve_adjoint_otd, solve_forward
-from .problems import terminal_tracking_problem
+from .ode_control import (prescribed_trajectory, solve_adjoint_dto,
+                          solve_adjoint_otd, solve_forward)
+from .problems import (constant_coefficient_study, quadratic_coefficient_study,
+                       terminal_tracking_problem)
 from .tableaus import MultistepTableau, TimeGrid, tableau
 
 
@@ -93,59 +95,28 @@ def _rates(errs):
 
 # ------------------------------------------------ prescribed adjoint studies
 
-def _coeffs(tab: MultistepTableau, dtype):
-    conv = lambda fr: dtype(fr.numerator) / dtype(fr.denominator)
-    a = np.array([conv(c) for c in tab.a_exact], dtype=dtype)
-    b = np.array([conv(c) for c in tab.b_exact], dtype=dtype)
-    return a, b
+_STUDY_PROBLEMS = {"const-fy": constant_coefficient_study,
+                   "quadratic-fy": quadratic_coefficient_study}
 
 
-def backward_study_solution(tab: MultistepTableau, N: int, T, fy, p_exact,
+def backward_study_solution(tab: MultistepTableau, N: int, T, study,
                             route: str, dtype=np.longdouble) -> np.ndarray:
     """Multipliers p_0..p_N for a prescribed-coefficient adjoint study.
 
-    The terminal history (indices N..N+s-1) is sampled from the exact
-    multiplier.  ``route='otd'`` applies the tableau to the time-reversed
-    continuous equation (coefficient sampled at the matching node);
-    ``route='dto'`` is the transposed recurrence with the coefficient frozen
-    at the anchor index.  Cross-checked against the general adjoint solvers
-    in the test suite.
+    ``study`` is a problem factory of :mod:`lmm_adjoint.problems` taking T.
+    Its exact state is prescribed on a grid whose step has the given dtype,
+    and the route's generic solver sweeps it with the terminal history
+    (indices N..N+s-1) sampled from the exact multiplier: ``route='otd'``
+    applies the tableau to the time-reversed continuous equation,
+    ``route='dto'`` is the transposed recurrence.
     """
-    a, b = _coeffs(tab, dtype)
-    s = tab.s
-    dt = dtype(T) / dtype(N)
-    t = lambda i: dtype(i) * dt
-    p = np.zeros(N + 2 * s, dtype=dtype)
-    for k in range(s):
-        p[N + k] = p_exact(t(N + k))
-    for i in range(N - 1, -1, -1):
-        acc = dtype(0)
-        if route == "otd":
-            for k in range(s):
-                acc += (-a[k] + dt * b[k + 1] * fy(t(i + 1 + k))) * p[i + 1 + k]
-            p[i] = acc / (dtype(1) - dt * b[0] * fy(t(i)))
-        elif route == "dto":
-            g = fy(t(i))
-            for k in range(s):
-                acc += (-a[k] + dt * b[k + 1] * g) * p[i + 1 + k]
-            p[i] = acc / (dtype(1) - dt * b[0] * g)
-        else:
-            raise ValueError(f"unknown route {route!r}")
-    return p[: N + 1]
-
-
-_STUDIES = {
-    "const-fy": {
-        "fy": lambda T: (lambda t: t * 0 + 1),
-        "p_exact": lambda T: (lambda t: np.exp(T - t)),
-        "default_T": 1.0,
-    },
-    "quadratic-fy": {
-        "fy": lambda T: (lambda t: t * t),
-        "p_exact": lambda T: (lambda t: np.exp((T * T * T - t * t * t) / 3)),
-        "default_T": 1.0,
-    },
-}
+    if route not in ("dto", "otd"):
+        raise ValueError(f"unknown route {route!r}")
+    problem = study(dtype(T))
+    grid = TimeGrid(0.0, dtype(T), N)
+    traj = prescribed_trajectory(grid, tab.s, problem.y_exact)
+    solve = solve_adjoint_dto if route == "dto" else solve_adjoint_otd
+    return solve(problem, tab, grid, traj, terminal="exact").on_grid()[:, 0]
 
 
 def _extrap_error(p_coarse, p_fine, exact_vals, err_coarse, err_fine):
@@ -158,16 +129,14 @@ def _extrap_error(p_coarse, p_fine, exact_vals, err_coarse, err_fine):
 
 
 def _prescribed_table(study, scheme, n_list, T, routes, am_den, dtype):
-    spec = _STUDIES[study]
-    fy = spec["fy"](dtype(T))
-    pex = spec["p_exact"](dtype(T))
+    factory = _STUDY_PROBLEMS[study]
+    pex = factory(dtype(T)).p_exact
     tab = tableau(scheme, am_denominator=am_den)
     sols, errs = {}, {}
-    for route in routes:
-        for N in n_list:
-            p = backward_study_solution(tab, N, T, fy, pex, route, dtype)
-            exact = np.array([pex(dtype(i) * dtype(T) / dtype(N))
-                              for i in range(N + 1)], dtype=dtype)
+    for N in n_list:
+        exact = pex(np.arange(N + 1, dtype=dtype) * dtype(T) / dtype(N))
+        for route in routes:
+            p = backward_study_solution(tab, N, T, factory, route, dtype)
             sols[route, N] = (p, exact)
             errs[route, N] = float(np.max(np.abs(p - exact)))
     rows = []
@@ -270,7 +239,7 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str = "both",
                       "err_otd", "rate_otd", "err_y_extrap", "rate_y_extrap"]
             rows = _full_system_table(scheme, n_list, T, am_den)
         else:
-            T = cfg.get_float("T", default=_STUDIES[study]["default_T"])
+            T = cfg.get_float("T", default=1.0)
             header = ["N"]
             for r in routes:
                 header += [f"err_{r}", f"rate_{r}"]
@@ -365,6 +334,8 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
                                   default=(1.0, 1e-1, 1e-2, 1e-3, 1e-4))
     nx_list = cfg.get_int_list("nx_list", default=(40, 80, 160, 320, 640),
                                increasing=True)
+    if not nx_list:
+        raise ConfigError("key 'nx_list' needs at least one grid size")
     oracle_max = cfg.get_float("oracle_eps_max", default=5e-3)
     pT_fn = _gaussian(cfg.get_float("terminal_center", default=3.0),
                       cfg.get_float("terminal_width", default=1.0))

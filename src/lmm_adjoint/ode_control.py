@@ -10,6 +10,7 @@ approximate p with  -p' = f_y(y,u)^T p,  p(T) = j'(y(T)).
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,7 +66,7 @@ class OdeControlProblem:
         return self.y0.size
 
     def jac(self, y, u, t) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self.f_y(y, u, t), dtype=float))
+        return np.atleast_2d(self.f_y(y, u, t))
 
 
 @dataclass
@@ -168,32 +169,36 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
 
 def prescribed_trajectory(grid: TimeGrid, s: int, y_of_t: Callable,
                           controls=0.0) -> Trajectory:
-    """Trajectory with states sampled from an analytic y(t) (study helper)."""
-    states = np.array([np.atleast_1d(np.asarray(y_of_t(grid.t(i)), dtype=float))
+    """Trajectory with states sampled from an analytic y(t) (study helper).
+
+    The states keep the dtype that y(t) returns on the grid's times.
+    """
+    t0, dt = grid.t0, grid.dt
+    states = np.array([np.atleast_1d(y_of_t(t0 + i * dt))
                        for i in range(1 - s, grid.N + 1)])
     u = _controls_array(controls, grid, s)
     return Trajectory(grid, s, states, u)
 
 
-def _fy_at(problem, traj):
-    """State Jacobian as a function of the index i, bound to one trajectory.
+def _jacobians(problem, traj, lo, hi, dtype):
+    """f_y^T at the indices lo..hi, one evaluation each, in one array over
+    the sweep's indices 1-s..N+s-1 (index i at slot i+s-1, zeros elsewhere).
 
     Indices beyond N use the exact-solution hook or clamp to N.
     """
     t0, dt, N, off = traj.grid.t0, traj.grid.dt, traj.grid.N, traj.s - 1
     states, u = traj.states, traj.controls
     jac, y_exact = problem.jac, problem.y_exact
-
-    def fy(i):
-        if i > N:
+    J = np.zeros((N + 2 * traj.s - 1, problem.dim, problem.dim), dtype)
+    for i in range(lo, hi + 1):
+        if i <= N:
+            J[i + off] = jac(states[i + off], u[i + off], t0 + i * dt)
+        elif y_exact is not None:
             t = t0 + i * dt
-            if y_exact is not None:
-                y = np.atleast_1d(np.asarray(y_exact(t), dtype=float))
-                return jac(y, u[N + off], t)
-            i = N  # clamp: documented order loss near T for Adams tableaus
-        return jac(states[i + off], u[i + off], t0 + i * dt)
-
-    return fy
+            J[i + off] = jac(np.atleast_1d(y_exact(t)), u[N + off], t)
+        else:  # clamp: documented order loss near T for Adams tableaus
+            J[i + off] = jac(states[N + off], u[N + off], t0 + N * dt)
+    return J.transpose(0, 2, 1)
 
 
 def _terminal_values(problem, traj, tab, terminal):
@@ -204,37 +209,107 @@ def _terminal_values(problem, traj, tab, terminal):
     if terminal == "exact":
         if problem.p_exact is None:
             raise ValueError("terminal='exact' requires the p_exact hook")
-        return [np.atleast_1d(np.asarray(problem.p_exact(grid.t(grid.N + k)),
-                                         dtype=float))
-                for k in range(s)], terminal
+        return [np.atleast_1d(problem.p_exact(grid.t(grid.N + k)))
+                for k in range(s)]
     if terminal == "replicate":
         if problem.terminal_cost_grad is None:
             raise ValueError("terminal='replicate' requires terminal_cost_grad")
-        jy = np.atleast_1d(np.asarray(
-            problem.terminal_cost_grad(traj.terminal_state), dtype=float))
-        return [jy.copy() for _ in range(s)], terminal
+        jy = np.atleast_1d(problem.terminal_cost_grad(traj.terminal_state))
+        return [jy] * s
     raise ValueError(f"unknown terminal mode {terminal!r}")
 
 
-def _pointwise_solve(J, h, rhs, i):
-    """Solve (1 - h*J) p = rhs for the multiplier at step index i."""
-    if J.shape == (1, 1):
-        d = 1.0 - h * J[0, 0]
-        if abs(d) < 1e-14:
+def _last_b_term(tab):
+    """Largest k >= 0 with b_k != 0, or -1 (BDF)."""
+    return max((k for k in range(tab.s) if tab.b_exact[k + 1]), default=-1)
+
+
+def _sweep_array(problem, grid, traj, s):
+    """Zero multipliers on indices 1-s..N+s-1 in the dtype of the grid's
+    step and the states."""
+    if grid.N < s:
+        raise ValueError(f"adjoint solve needs N >= s (got N={grid.N}, s={s})")
+    return np.zeros((grid.N + 2 * s - 1, problem.dim),
+                    np.result_type(grid.dt, traj.states))
+
+
+def _sweep_matrices(tab, dt, Jt, rows, shifted):
+    """Blocks of the backward recurrence for the first ``rows`` slots of Jt.
+
+    C_jk = -a_k I + dt b_k J (the J-term skipped where b_k = 0), with J the
+    row's own f_y^T, or f_y^T at j+1+k when ``shifted``, and
+    D_j = I - dt b_{-1} f_y^T(j).  The exact rationals are converted to the
+    dtype of ``dt`` as numerator over denominator, which for float64 gives
+    the values of ``tab.a`` and ``tab.b``.
+    """
+    real = np.asarray(dt).dtype.type
+    a, b = ([real(c.numerator) / real(c.denominator) for c in coeffs]
+            for coeffs in (tab.a_exact, tab.b_exact))
+    n = Jt.shape[1]
+    eye = np.eye(n, dtype=Jt.dtype)
+    coef = np.empty((rows, tab.s, n, n), Jt.dtype)
+    for k in range(tab.s):
+        coef[:, k] = -a[k] * eye
+        if b[k + 1]:
+            J = Jt[k + 1:k + 1 + rows] if shifted else Jt[:rows]
+            coef[:, k] += dt * b[k + 1] * J
+    return coef, eye - dt * b[0] * Jt[:rows]
+
+
+def _backward_sweep(ext, s, top, coef, diag, floor):
+    """The backward multistep recurrence of both adjoint routes.
+
+    Row r of ``coef`` (the s blocks C_jk) and of ``diag`` (D_j) belongs to
+    index j = top - r; in that order the rows fill ``ext`` with
+
+        p_j = D_j^{-1} sum_{k >= k0} C_jk p_{j+1+k},   k0 = max(0, floor-j-1),
+
+    so the sums read multipliers at indices >= floor only, each k-sum taken
+    in order from k0.  A scalar system (n = 1) runs on the scalars of the
+    array's dtype and rejects a vanishing D_j before the sweep.
+    """
+    off, n = s - 1, ext.shape[1]
+    if n == 1:
+        small = np.abs(diag.reshape(-1)) < 1e-14
+        if small.any():
             raise SingularAdjointStepError(
-                f"(1 - dt*b_-1*f_y) vanishes at step index {i}")
-        return rhs / d
+                f"(1 - dt*b_-1*f_y) vanishes at step index "
+                f"{top - int(np.argmax(small))}")
+        vals, mul, div = ext[:, 0], operator.mul, operator.truediv
+        p = vals.tolist()
+        coef, diag = coef.reshape(-1, s).tolist(), diag.reshape(-1).tolist()
+    else:
+        vals, mul = ext, operator.matmul
+        div = lambda r, d: np.linalg.solve(d, r)
+        p = list(ext)
+    j = top
     try:
-        return np.linalg.solve(np.eye(len(rhs)) - h * J, rhs)
+        for c, d in zip(coef, diag):
+            k0 = max(0, floor - j - 1)
+            acc = mul(c[k0], p[j + k0 + 1 + off])
+            for k in range(k0 + 1, s):
+                acc += mul(c[k], p[j + k + 1 + off])
+            p[j + off] = div(acc, d)
+            j -= 1
     except np.linalg.LinAlgError:
         raise SingularAdjointStepError(
-            f"singular pointwise adjoint matrix at step index {i}") from None
+            f"singular pointwise adjoint matrix at step index {j}") from None
+    vals[:] = p
 
 
-def _sweep_coefficients(tab, dt):
-    """(-a_k), (dt*b_k, None where b_k = 0) for k >= 0, and dt*b_{-1}."""
-    return ([-c for c in tab.a], [dt * c if c else None for c in tab.b[1:]],
-            dt * tab.b_implicit)
+def _seeded_sweep(problem, tab, grid, traj, terminal, shifted):
+    """Multipliers below N from s terminal values seeded at N..N+s-1.
+
+    ``shifted`` takes the b-terms' f_y^T at j+1+k (OtD), else at j (DtO).
+    """
+    s, N = tab.s, grid.N
+    ext = _sweep_array(problem, grid, traj, s)
+    hi = N + _last_b_term(tab) if shifted else N - 1
+    Jt = _jacobians(problem, traj, 1 - s, hi, ext.dtype)
+    ext[N + s - 1:] = _terminal_values(problem, traj, tab, terminal)
+    coef, diag = _sweep_matrices(tab, grid.dt, Jt, N + s - 1, shifted)
+    _backward_sweep(ext, s, N - 1, coef[::-1], diag[::-1], floor=1 - s)
+    return ext
 
 
 def _adjoint_trajectory(grid, s, ext, route):
@@ -268,38 +343,12 @@ def solve_adjoint_otd(problem: OdeControlProblem, tab: MultistepTableau,
     (``terminal='exact'``) or replicates j_y(y_N) (``'replicate'``); ``auto``
     picks the former when the hook exists.  Past T the Jacobian is taken at
     the exact solution when the problem has one, else clamped to index N.
-    Raises ``SolverBlowUpError`` with the step index of the first non-finite
+    The sweep runs in the dtype of ``grid.dt`` and the states.  Raises
+    ``SolverBlowUpError`` with the step index of the first non-finite
     multiplier.
     """
-    s, N, dt, n = tab.s, grid.N, grid.dt, problem.dim
-    if N < s:
-        raise ValueError(f"adjoint solve needs N >= s (got N={N}, s={s})")
-    term_vals, _ = _terminal_values(problem, traj, tab, terminal)
-    # extended multiplier array on indices 1-s .. N+s-1 (slot i + off)
-    off = s - 1
-    ext = np.zeros((N + 2 * s - 1, n))
-    for k in range(s):
-        ext[N + k + off] = term_vals[k]
-    fy_at = _fy_at(problem, traj)
-    fy_cache = {}
-
-    def fyt(i):  # f_y(i)^T, evaluated once per index
-        if i not in fy_cache:
-            fy_cache[i] = fy_at(i).T
-        return fy_cache[i]
-
-    na, dtb, h = _sweep_coefficients(tab, dt)
-    for nn in range(N, -(s - 1), -1):  # computes p_{nn-1}
-        for i in range(s):
-            p_f = ext[nn + i + off]
-            if i == 0:
-                acc = na[0] * p_f
-            else:
-                acc += na[i] * p_f
-            if dtb[i] is not None:
-                acc += dtb[i] * (fyt(nn + i) @ p_f)
-        ext[nn - 1 + off] = _pointwise_solve(fyt(nn - 1), h, acc, nn - 1)
-    return _adjoint_trajectory(grid, s, ext,
+    ext = _seeded_sweep(problem, tab, grid, traj, terminal, shifted=True)
+    return _adjoint_trajectory(grid, tab.s, ext,
                                AdjointRoute.OPTIMIZE_THEN_DISCRETIZE)
 
 
@@ -319,7 +368,8 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     sign-normalized to the continuous convention.  ``terminal='exact'``
     instead seeds indices N..N+s-1 from ``p_exact`` and sweeps every lower
     index with the interior recurrence (prescribed-trajectory studies).
-    Raises ``SolverBlowUpError`` with the step index of the first non-finite
+    The sweep runs in the dtype of ``grid.dt`` and the states.  Raises
+    ``SolverBlowUpError`` with the step index of the first non-finite
     multiplier.
 
     The transposed system fixes the multiplier amplitude so that the
@@ -328,80 +378,42 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     Stationarity residuals and cost gradients therefore always contract the
     multipliers through (B^T p); see ``optimality_residual``.
     """
-    s, N, dt, n = tab.s, grid.N, grid.dt, problem.dim
-    if N < s:
-        raise ValueError(f"adjoint solve needs N >= s (got N={N}, s={s})")
-    off = s - 1
-    ext = np.zeros((N + 2 * s - 1, n))  # indices 1-s .. N+s-1, zeros above N
-    fy = _fy_at(problem, traj)
-    na, dtb, h = _sweep_coefficients(tab, dt)
-
-    def explicit_sum(i, J, k0=0):
-        # sum_{k >= k0} [-a_k + dt b_k f_y^T] p_{i+k+1}
-        for k in range(k0, s):
-            p_f = ext[i + k + 1 + off]
-            if k == k0:
-                acc = na[k] * p_f
-            else:
-                acc += na[k] * p_f
-            if dtb[k] is not None:
-                acc += dtb[k] * (J @ p_f)
-        return acc
-
-    def interior_solve(i):
-        # (I - dt b_-1 f_y^T) p_i = sum_k [-a_k + dt b_k f_y^T] p_{i+k+1}
-        J = fy(i).T
-        ext[i + off] = _pointwise_solve(J, h, explicit_sum(i, J), i)
-
+    s, N, n = tab.s, grid.N, problem.dim
     route = AdjointRoute.DISCRETIZE_THEN_OPTIMIZE
     if terminal == "exact":
-        term_vals, _ = _terminal_values(problem, traj, tab, "exact")
-        for k in range(s):
-            ext[N + k + off] = term_vals[k]
-        for i in range(N - 1, -s, -1):
-            interior_solve(i)
+        ext = _seeded_sweep(problem, tab, grid, traj, "exact", shifted=False)
         return _adjoint_trajectory(grid, s, ext, route)
     if terminal != "cost":
         raise ValueError(f"unknown terminal mode {terminal!r}")
     if problem.terminal_cost_grad is None:
         raise ValueError("DtO route requires terminal_cost_grad")
 
-    jy = np.atleast_1d(np.asarray(
-        problem.terminal_cost_grad(traj.terminal_state), dtype=float))
+    ext = _sweep_array(problem, grid, traj, s)
+    jy = np.atleast_1d(problem.terminal_cost_grad(traj.terminal_state))
+    # f_y is read on the step equations 1..N and on the initial-data rows
+    # i <= 0 that one of their b-terms reaches (never for BDF)
+    Jt = _jacobians(problem, traj, -_last_b_term(tab), N, ext.dtype)
+    coef, diag = _sweep_matrices(tab, grid.dt, Jt, N + s, shifted=False)
     # Terminal block: s coupled equations for p_{N-s+1..N} (coupled through
-    # b^T p);  unknown vector stacks (p_{N-s+1}, ..., p_N).
-    eye = np.eye(n)
-    M = np.zeros((s * n, s * n))
-    rhs = np.zeros(s * n)
-    for r, i in enumerate(range(N - s + 1, N + 1)):
-        J = fy(i).T
-        M[r * n:(r + 1) * n, r * n:(r + 1) * n] += eye - h * J
-        for k in range(s):
-            j_idx = i + k + 1
-            if j_idx > N:
-                continue
-            c = j_idx - (N - s + 1)
-            M[r * n:(r + 1) * n, c * n:(c + 1) * n] += (
-                tab.a[k] * eye - dt * tab.b[k + 1] * J)
-        if i == N:
-            rhs[r * n:(r + 1) * n] = jy  # continuous-sign flip applied here
+    # b^T p); row r and column c hold indices N-s+1+r and N-s+1+c, which
+    # sit at slots N+r and N+c.
+    M = np.zeros((s, n, s, n), ext.dtype)
+    for r in range(s):
+        M[r, :, r] = diag[N + r]
+        for c in range(r + 1, s):
+            M[r, :, c] = -coef[N + r, c - r - 1]
+    rhs = np.zeros((s, n), ext.dtype)
+    rhs[-1] = jy  # continuous-sign flip applied here
     try:
-        sol = np.linalg.solve(M, rhs)
+        sol = np.linalg.solve(M.reshape(s * n, s * n), rhs.reshape(-1))
     except np.linalg.LinAlgError:
         raise SingularAdjointStepError(
             "singular terminal block in the transposed adjoint system") from None
-    for r, i in enumerate(range(N - s + 1, N + 1)):
-        ext[i + off] = sol[r * n:(r + 1) * n]
-    # interior sweep
-    for i in range(N - s, 0, -1):
-        interior_solve(i)
-    # multipliers of the initial-data identities (i <= 0): explicit, and the
-    # implicit b_-1 coupling is absent because those rows carry no f-term;
-    # only the step equations j >= 1 contribute, and f_y is evaluated only
-    # when one of their b-terms reads it (never for BDF)
-    for i in range(0, -s, -1):
-        reads_fy = any(c is not None for c in dtb[-i:])
-        ext[i + off] = explicit_sum(i, fy(i).T if reads_fy else None, k0=-i)
+    ext[N:N + s] = sol.reshape(s, n)
+    # the initial-data identities (i <= 0) carry no f-term: explicit rows
+    # whose sums read the step equations j >= 1 only
+    diag[:s] = np.eye(n)
+    _backward_sweep(ext, s, N - s, coef[N - 1::-1], diag[N - 1::-1], floor=1)
     return _adjoint_trajectory(grid, s, ext, route)
 
 

@@ -31,6 +31,8 @@ def quadratic_coefficient_study(T: float = 1.0) -> OdeControlProblem:
 
     The state is prescribed analytically as y(t) = t^2 (f(y) = y^2/2 so that
     f_y = y), exposing the order reduction of Adams-type discrete adjoints.
+    Products rather than powers round alike in every dtype, so a long-double
+    T gives the long-double study values.
     """
     return OdeControlProblem(
         f=lambda y, u, t: 0.5 * y ** 2,
@@ -39,8 +41,8 @@ def quadratic_coefficient_study(T: float = 1.0) -> OdeControlProblem:
         terminal_cost=lambda yT: float(yT[0]),
         terminal_cost_grad=lambda yT: np.array([1.0]),
         y0=0.0,
-        y_exact=lambda t: t ** 2,
-        p_exact=lambda t: np.exp((T ** 3 - t ** 3) / 3.0),
+        y_exact=lambda t: t * t,
+        p_exact=lambda t: np.exp((T * T * T - t * t * t) / 3.0),
     )
 
 

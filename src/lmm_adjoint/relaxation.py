@@ -70,7 +70,7 @@ class RelaxationModel:
     eps: float | np.ndarray
 
     def __post_init__(self):
-        if np.any(np.asarray(self.eps) <= 0):
+        if not np.all(np.asarray(self.eps) > 0):  # NaN fails too
             raise ModelConfigError("relaxation parameter eps must be positive")
 
     @property

@@ -42,11 +42,9 @@ class TestConfigFormat:
             parse_config("just words\n")
 
     def test_typed_getters_name_keys(self):
-        cfg = parse_config("n = x\nflag = maybe\nlist = 1,2,oops\n")
+        cfg = parse_config("n = x\nlist = 1,2,oops\n")
         with pytest.raises(ConfigError, match="'n'"):
             cfg.get_int("n")
-        with pytest.raises(ConfigError, match="'flag'"):
-            cfg.get_bool("flag")
         with pytest.raises(ConfigError, match="'list'"):
             cfg.get_int_list("list")
         with pytest.raises(ConfigError, match="'missing'"):
@@ -215,6 +213,26 @@ class TestCli:
                              "--out", str(tmp_path)]) == 2
             assert "eps must be positive" in capsys.readouterr().err
             assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_nan_eps_config_error(self, tmp_path, capsys):
+        # NaN <= 0 is False: eps is rejected unless eps > 0
+        for kind, body in (("relax-adjoint",
+                            "nx_list = 20,40\neps_list = 1.0 nan\n"),
+                           ("relax-forward",
+                            "flux = linear\nnx = 40\neps = nan\n")):
+            conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
+            assert cli.main([kind, "--config", conf,
+                             "--out", str(tmp_path)]) == 2
+            assert "eps must be positive" in capsys.readouterr().err
+            assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_relax_adjoint_empty_nx_list_config_error(self, tmp_path, capsys):
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-adjoint]\nnx_list = \n")
+        assert cli.main(["relax-adjoint", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        assert "'nx_list'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.conf"]
 
 
 class TestRelaxAdjointSweeps:

@@ -1,6 +1,10 @@
 """Forward/adjoint solvers for controlled ODEs, both adjoint routes."""
 
 import dataclasses
+import hashlib
+import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -161,13 +165,13 @@ class TestAdjointRoutes:
         # is exercised via the experiment driver tests
         tab = la.tableau("AM4")
         T = 1.0
-        fy = lambda t: t * t
         pex = lambda t: np.exp((T ** 3 - t ** 3) / 3.0)
         errs = {"dto": [], "otd": []}
         for route in ("dto", "otd"):
             for N in (160, 320, 640):
-                p = backward_study_solution(tab, N, T, fy, pex, route,
-                                            dtype=np.longdouble)
+                p = backward_study_solution(tab, N, T,
+                                            quadratic_coefficient_study,
+                                            route, dtype=np.longdouble)
                 t = np.arange(N + 1) * (np.longdouble(T) / N)
                 errs[route].append(float(np.max(np.abs(p - pex(t)))))
         r_dto = np.log2(errs["dto"][-2] / errs["dto"][-1])
@@ -176,12 +180,10 @@ class TestAdjointRoutes:
         assert 4.7 <= r_otd <= 5.3
 
     def test_study_engine_matches_general_solver(self):
-        # the extended-precision study recurrence agrees with the general
-        # adjoint solvers at double precision
+        # the study adapter agrees with the general adjoint solvers at
+        # double precision
         prob = quadratic_coefficient_study()
         T = 1.0
-        fy = lambda t: t * t
-        pex = prob.p_exact
         for name in ("AM4", "BDF4", "ExplicitEuler"):
             tab = la.tableau(name)
             grid = la.TimeGrid(0.0, T, 48)
@@ -189,8 +191,9 @@ class TestAdjointRoutes:
             for route, solver in (("dto", solve_adjoint_dto),
                                   ("otd", solve_adjoint_otd)):
                 ref = solver(prob, tab, grid, traj, terminal="exact")
-                p = backward_study_solution(tab, 48, T, fy, pex, route,
-                                            dtype=np.float64)
+                p = backward_study_solution(tab, 48, T,
+                                            quadratic_coefficient_study,
+                                            route, dtype=np.float64)
                 dev = np.max(np.abs(ref.on_grid()[:, 0] - p))
                 assert dev <= 5e-14, (name, route, dev)
 
@@ -205,6 +208,92 @@ class TestAdjointRoutes:
         traj = prescribed_trajectory(grid, tab.s, lambda t: 1.0 + 0 * t)
         with pytest.raises(la.SingularAdjointStepError):
             solve_adjoint_dto(prob, tab, grid, traj, terminal="cost")
+
+
+def reference_study_solution(tab, N, T, fy, p_exact, route,
+                             dtype=np.longdouble):
+    """The prescribed-study recurrence as first released: a scalar loop on
+    coefficients converted from the exact rationals, the coefficient
+    sampled per term (OtD) or frozen at the anchor index (DtO)."""
+    conv = lambda fr: dtype(fr.numerator) / dtype(fr.denominator)
+    a = [conv(c) for c in tab.a_exact]
+    b = [conv(c) for c in tab.b_exact]
+    s = tab.s
+    dt = dtype(T) / dtype(N)
+    t = lambda i: dtype(i) * dt
+    p = np.zeros(N + 2 * s, dtype=dtype)
+    for k in range(s):
+        p[N + k] = p_exact(t(N + k))
+    for i in range(N - 1, -1, -1):
+        acc = dtype(0)
+        if route == "otd":
+            for k in range(s):
+                acc += (-a[k] + dt * b[k + 1] * fy(t(i + 1 + k))) * p[i + 1 + k]
+            p[i] = acc / (dtype(1) - dt * b[0] * fy(t(i)))
+        else:
+            g = fy(t(i))
+            for k in range(s):
+                acc += (-a[k] + dt * b[k + 1] * g) * p[i + 1 + k]
+            p[i] = acc / (dtype(1) - dt * b[0] * g)
+    return p[: N + 1]
+
+
+# study -> (problem factory, f_y(t), T -> p_exact), as the first release
+# spelled them out
+REFERENCE_STUDIES = {
+    "const-fy": (constant_coefficient_study, lambda t: t * 0 + 1,
+                 lambda T: (lambda t: np.exp(T - t))),
+    "quadratic-fy": (quadratic_coefficient_study, lambda t: t * t,
+                     lambda T: (lambda t: np.exp((T * T * T - t * t * t) / 3))),
+}
+
+
+class TestStudyReference:
+    """The long-double studies on the generic sweeps reproduce the scalar
+    study recurrence bit for bit."""
+
+    @pytest.mark.parametrize("name", ["ExplicitEuler", "AB2", "AB3", "AM4",
+                                      "AM4-270", "BDF1", "BDF2", "BDF3",
+                                      "BDF4", "BDF5", "BDF6"])
+    def test_generic_sweeps_match_scalar_recurrence(self, name):
+        tab = la.tableau(name)
+        for study, (factory, fy, p_exact) in REFERENCE_STUDIES.items():
+            for T, N, route in itertools.product((1.0, 0.7), (tab.s, 48),
+                                                 ("dto", "otd")):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ref = reference_study_solution(
+                        tab, N, T, fy, p_exact(np.longdouble(T)), route)
+                if not np.isfinite(ref).all():
+                    # ImplicitEuler, f_y = 1, dt = 1: 1 - dt*b_-1*f_y = 0
+                    with pytest.raises(la.SingularAdjointStepError):
+                        backward_study_solution(tab, N, T, factory, route)
+                    continue
+                p = backward_study_solution(tab, N, T, factory, route)
+                assert p.dtype == np.longdouble
+                assert np.array_equal(p, ref), (study, T, N, route)
+
+    def test_unknown_route(self):
+        with pytest.raises(ValueError, match="unknown route"):
+            backward_study_solution(la.tableau("BDF2"), 8, 1.0,
+                                    constant_coefficient_study, "both")
+
+
+class TestStudyTableBytes:
+    def test_ode_tables_match_reference_digests(self, tmp_path):
+        # every CSV of the ode-tables benchmark configs, byte for byte
+        bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+        digests = json.loads(
+            (bench / "reference" / "ode-tables.json").read_text())
+        for conf, entry in digests.items():
+            out = tmp_path / conf
+            assert cli.main(["ode-converge", "--config",
+                             str(bench / "workloads" / "ode-tables" / conf),
+                             "--out", str(out)]) == 0
+            written = sorted(f.name for f in out.glob("*.csv"))
+            assert written == sorted(entry["files"]), conf
+            for fname, meta in entry["files"].items():
+                digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
+                assert digest == meta["sha256"], (conf, fname)
 
 
 def overflowing_adjoint_problem():
