@@ -10,13 +10,15 @@ approximate p with  -p' = f_y(y,u)^T p,  p(T) = j'(y(T)).
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .tableaus import MultistepTableau, TimeGrid, bootstrap_history, step
+from .tableaus import (History, MultistepTableau, TimeGrid, bootstrap_history,
+                       step)
 
 
 class SolverBlowUpError(RuntimeError):
@@ -132,38 +134,55 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
 
     Controls may be a scalar, an (N+s,) array aligned to indices 1-s..N, or
     a callable of t.  History initialization follows ``init_mode`` (``exact``
-    needs the problem's exact-solution hook).  Raises ``SolverBlowUpError``
-    with the offending step index on NaN/overflow.
+    needs the problem's exact-solution hook).  A scalar state (n = 1) steps
+    on Python floats: the history ring, the Newton iteration and the
+    finiteness check run on floats, while ``f`` and ``f_y`` still receive a
+    1-element state array, and the sweep reads their scalar back.  Raises
+    ``SolverBlowUpError`` with the offending step index on NaN/overflow.
     """
     s = tab.s
     u = _controls_array(controls, grid, s)
     t0, dt, off = grid.t0, grid.dt, s - 1
     f, f_y = problem.f, problem.f_y
+    u_at = lambda t: u[int(round((t - t0) / dt)) + off]  # nearest index
 
-    # time-indexed control lookup: t maps back to the nearest index
-    def rhs(y, t):
-        u_t = u[int(round((t - t0) / dt)) + off]
-        return np.atleast_1d(np.asarray(f(y, u_t, t), dtype=float))
+    def rhs_array(y, t):
+        return np.atleast_1d(np.asarray(f(y, u_at(t), t), dtype=float))
 
-    def jac(y, t):  # ``step`` makes the result a 2-D float array
-        return f_y(y, u[int(round((t - t0) / dt)) + off], t)
+    hist = bootstrap_history(tab, grid, rhs_array, problem.y0,
+                             mode=init_mode, y_exact=problem.y_exact)
+    states = np.empty((grid.N + s, problem.dim))
+    states[:s] = hist.states()[::-1]  # oldest -> newest
+    if problem.dim == 1:  # step on Python floats from here on
+        def rhs(y, t):
+            return np.asarray(f(np.array([y]), u_at(t), t), dtype=float).item()
 
-    hist = bootstrap_history(tab, grid, rhs, problem.y0, mode=init_mode,
-                             y_exact=problem.y_exact)
-    n = problem.dim
-    states = np.empty((grid.N + s, n))
-    for k, y in enumerate(reversed(hist.states())):  # oldest -> newest
-        states[k] = y
+        def jac(y, t):
+            return np.asarray(f_y(np.array([y]), u_at(t), t), dtype=float).item()
+
+        scalar = History(s)
+        for y, fy in zip(hist.states()[::-1], hist.rhs()[::-1]):
+            scalar.push(y.item(), fy.item())
+        hist, finite, as_state = scalar, math.isfinite, float
+    else:
+        rhs = rhs_array
+
+        def jac(y, t):  # ``step`` makes the result a 2-D float array
+            return f_y(y, u_at(t), t)
+
+        finite = lambda y: np.isfinite(y).all()
+        as_state = lambda y: np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for nstep in range(grid.N):
             t_new = t0 + (nstep + 1) * dt
             y_new, f_new = step(tab, hist, dt, rhs, t_new, jac=jac)
-            if not np.isfinite(y_new).all():
+            if not finite(y_new):
                 raise SolverBlowUpError(
                     f"non-finite state at step {nstep + 1} (t={t_new:.6g})",
                     step_index=nstep + 1)
             states[nstep + s] = y_new
-            hist.push(y_new, f_new)
+            # float64 history, also where a long-double dt makes y_new wider
+            hist.push(as_state(y_new), f_new)
     return Trajectory(grid, s, states, u)
 
 
@@ -171,11 +190,18 @@ def prescribed_trajectory(grid: TimeGrid, s: int, y_of_t: Callable,
                           controls=0.0) -> Trajectory:
     """Trajectory with states sampled from an analytic y(t) (study helper).
 
-    The states keep the dtype that y(t) returns on the grid's times.
+    y(t) is evaluated once, on the array of the N+s grid times t0 + i*dt,
+    i = 1-s..N, built in the dtype of the grid's step, so it must broadcast
+    over an array of times.  The time axis is the last one: y(t) returns
+    (N+s,) values for a scalar state or (n, N+s) for n states, as
+    ``np.array([y1(t), y2(t)])`` does.  The states keep the dtype that y(t)
+    returns.
     """
-    t0, dt = grid.t0, grid.dt
-    states = np.array([np.atleast_1d(y_of_t(t0 + i * dt))
-                       for i in range(1 - s, grid.N + 1)])
+    dt = grid.dt
+    times = grid.t0 + np.arange(1 - s, grid.N + 1,
+                                dtype=np.asarray(dt).dtype) * dt
+    states = np.ascontiguousarray(
+        np.asarray(y_of_t(times)).reshape(-1, times.size).T)
     u = _controls_array(controls, grid, s)
     return Trajectory(grid, s, states, u)
 

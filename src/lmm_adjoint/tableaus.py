@@ -13,7 +13,6 @@ once, so consistency identities hold to the last ulp.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -225,40 +224,52 @@ class TimeGrid:
 
 
 class History:
-    """Ring buffer of the s most recent states and their RHS evaluations.
+    """Ring of the s most recent states and their RHS evaluations.
 
     Entry 0 is the newest pair (y_n, f_n); entry s-1 the oldest.  Pushing
-    onto a warm buffer evicts the oldest entry.
+    onto a warm ring evicts the oldest entry.  Scalars (a scalar state on
+    Python floats) are kept as they are.  Arrays are copied in their
+    floating dtype (integers become float64), so a later change to a pushed
+    array leaves the ring unchanged.
     """
 
     def __init__(self, s: int):
         self.s = s
-        self._buf: deque = deque(maxlen=s)
+        self._y: list = []  # newest first
+        self._f: list = []
 
     def push(self, y, f):
-        self._buf.appendleft((np.asarray(y, dtype=float).copy(),
-                              np.asarray(f, dtype=float).copy()))
+        if not isinstance(y, (float, int, complex, np.generic)):
+            y, f = (np.array(v, np.result_type(np.asarray(v), 1.0))
+                    for v in (y, f))
+        ys, fs = self._y, self._f
+        if len(ys) == self.s:
+            ys.pop()
+            fs.pop()
+        ys.insert(0, y)
+        fs.insert(0, f)
 
     @property
     def warm(self) -> bool:
-        return len(self._buf) == self.s
+        return len(self._y) == self.s
 
     def __len__(self):
-        return len(self._buf)
+        return len(self._y)
 
-    def states(self) -> list[np.ndarray]:
+    def states(self) -> list:
         """(y_n, y_{n-1}, ..., y_{n-s+1})."""
-        return [y for y, _ in self._buf]
+        return self._y[:]
 
-    def rhs(self) -> list[np.ndarray]:
-        return [f for _, f in self._buf]
+    def rhs(self) -> list:
+        return self._f[:]
 
 
 def _history_constant(tab, states, fvals, dt):
     """Explicit part of the update, -sum_i a_i y_{n-i} + dt*sum_k b_k f_{n-k}.
 
     The a-terms are summed in index order and negated, then the b-terms are
-    added; b-terms whose exact coefficient is zero are skipped.
+    added; b-terms whose exact coefficient is zero are skipped.  The same
+    operations serve scalars and arrays.
     """
     a, b = tab.a, tab.b
     c = a[0] * states[0]
@@ -275,44 +286,57 @@ def _history_constant(tab, states, fvals, dt):
     return c
 
 
+def _newton_update(h, jm, res, rnorm, it, t_new):
+    """The Newton update (I - h J)^{-1} res.
+
+    On the scalar path ``jm`` and ``res`` are scalars; otherwise ``jm`` is
+    read as an (n, n) float array.  A 1x1 system is a division, bitwise
+    equal to LAPACK's solve, which fails on the same exact-zero pivot.
+    """
+    if isinstance(res, np.ndarray):
+        jm = np.atleast_2d(np.asarray(jm, dtype=float))
+        if res.size > 1:
+            try:
+                return np.linalg.solve(np.eye(res.size) - h * jm, res)
+            except np.linalg.LinAlgError:
+                raise ImplicitSolveError(
+                    f"singular Newton matrix at t={t_new}", rnorm, it) from None
+        jm = jm[0, 0]
+    d = 1.0 - h * jm
+    if d == 0.0:
+        raise ImplicitSolveError(f"singular Newton matrix at t={t_new}",
+                                 rnorm, it)
+    return res / d
+
+
 def _newton_step(h, c, y, rhs, t_new, jac, tol, maxit):
     """Solve y = c + h*f(y, t_new) by damped Newton (jac analytic) from the
     predictor y, or by fixed-point iteration when jac is None.
 
     Returns the converged pair (y, f(y, t_new)).  Every iterate's residual
     is the one computed when the iterate was accepted, so f is evaluated
-    once per iterate and once per damped trial.
+    once per iterate and once per damped trial.  The iteration runs on
+    whatever y, c and f are: Python floats for a scalar state, arrays
+    otherwise.  The residual norm is a Python float either way: ``abs`` on
+    floats, else the max-norm rounded to float (as where a long-double dt
+    makes the residual a long double).
     """
-    n = y.size
     f = rhs(y, t_new)
     res = y - c - h * f
-    rnorm = float(abs(res).max())
+    norm = abs if type(res) is float else (lambda r: float(abs(r).max()))
+    rnorm = norm(res)
     for it in range(maxit):
         if rnorm < tol:
             return y, f
         if jac is not None:
-            jm = np.atleast_2d(np.asarray(jac(y, t_new), dtype=float))
-            if n == 1:
-                # the 1x1 system 1 - h*J: a division, bitwise equal to
-                # LAPACK's solve, which fails on the same exact-zero pivot
-                d = 1.0 - h * jm[0, 0]
-                if d == 0.0:
-                    raise ImplicitSolveError(
-                        f"singular Newton matrix at t={t_new}", rnorm, it)
-                dy = res / d
-            else:
-                try:
-                    dy = np.linalg.solve(np.eye(n) - h * jm, res)
-                except np.linalg.LinAlgError:
-                    raise ImplicitSolveError(
-                        f"singular Newton matrix at t={t_new}", rnorm, it)
+            dy = _newton_update(h, jac(y, t_new), res, rnorm, it, t_new)
             # damped update: halve until the residual does not grow
             lam = 1.0
             for _ in range(12):
                 y_try = y - lam * dy
                 f_try = rhs(y_try, t_new)
                 r_try = y_try - c - h * f_try
-                r_try_norm = float(abs(r_try).max())
+                r_try_norm = norm(r_try)
                 if r_try_norm <= rnorm or lam < 1e-3:
                     break
                 lam *= 0.5
@@ -321,7 +345,7 @@ def _newton_step(h, c, y, rhs, t_new, jac, tol, maxit):
             y = c + h * f
             f = rhs(y, t_new)
             res = y - c - h * f
-            rnorm = float(abs(res).max())
+            rnorm = norm(res)
     if rnorm < tol:
         return y, f
     raise ImplicitSolveError(
@@ -331,13 +355,16 @@ def _newton_step(h, c, y, rhs, t_new, jac, tol, maxit):
 
 def step(tab: MultistepTableau, history: History, dt: float,
          rhs: Callable, t_new: float, jac: Callable | None = None,
-         tol: float = 1e-12, maxit: int = 50) -> tuple[np.ndarray, np.ndarray]:
+         tol: float = 1e-12, maxit: int = 50):
     """Advance one step from a warm history: returns (y_{n+1}, f(y_{n+1})).
 
     ``rhs(y, t)`` evaluates f; ``jac(y, t)`` its (n, n) state Jacobian (used
     by the Newton solve for implicit tableaus; fixed-point iteration
     otherwise).  Explicit tableaus evaluate one arithmetic expression and f
-    once, at the new state.
+    once, at the new state.  The step computes in the kind of the history:
+    on a history of arrays it returns new arrays; on a history of Python
+    floats (a scalar state) ``rhs`` and ``jac`` take and return floats, and
+    so does the step.
     """
     if not history.warm:
         raise ValueError(f"history must hold {tab.s} entries before stepping")
@@ -345,9 +372,11 @@ def step(tab: MultistepTableau, history: History, dt: float,
     c = _history_constant(tab, states, history.rhs(), dt)
     if not tab.is_implicit:
         return c, rhs(c, t_new)
-    # predictor: the previous state
-    return _newton_step(dt * tab.b_implicit, c, states[0].copy(), rhs, t_new,
-                        jac, tol, maxit)
+    # predictor: the previous state, copied out of the ring
+    y = states[0]
+    return _newton_step(dt * tab.b_implicit, c,
+                        y.copy() if isinstance(y, np.ndarray) else y,
+                        rhs, t_new, jac, tol, maxit)
 
 
 def _rk4(rhs, y, t, dt, substeps=4):
@@ -369,7 +398,9 @@ def bootstrap_history(tab: MultistepTableau, grid: TimeGrid, rhs: Callable,
 
     ``exact`` samples the supplied exact solution at t = (1-s+i)*dt;
     ``rk-bootstrap`` integrates backward from y0 with substepped RK4
-    (fourth-order start, adequate through BDF4; see tests).
+    (fourth-order start, adequate through BDF4; see tests).  The entries
+    are pushed as float64 arrays; on a long-double grid the RK4 start runs
+    in long double and is rounded when pushed.
     """
     s = tab.s
     hist = History(s)
@@ -389,5 +420,6 @@ def bootstrap_history(tab: MultistepTableau, grid: TimeGrid, rhs: Callable,
     else:
         raise ValueError(f"unknown bootstrap mode {mode!r}")
     for i, y in enumerate(entries):  # oldest first so entry 0 ends newest
-        hist.push(y, rhs(y, grid.t(1 - s + i)))
+        hist.push(np.asarray(y, dtype=float),
+                  np.asarray(rhs(y, grid.t(1 - s + i)), dtype=float))
     return hist

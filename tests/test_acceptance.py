@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Three sub-criteria are marked strict-xfail: their stated bounds encode
 published table values that an oracle-verified implementation provably cannot
-reproduce (the measured values and the blocking analysis are printed by the
-tests and recorded in the project notes).  Everything else must pass at the
+reproduce (the tests print the measured values, and each xfail reason states
+the blocking analysis).  Everything else must pass at the
 stated tolerances within the stated runtime budgets.
 
 Where a criterion's order windows depend on the error-measurement convention
@@ -136,7 +136,7 @@ def test_criterion_4_table3_orders(tmp_path):
     "spec defect: the stated bound inherits the published table value "
     "2.40865e-11, which is not the max-norm error of the BDF6 solution (the "
     "true recurrence error, confirmed by a 50-digit exact-rational oracle, "
-    "is 1.87e-10 at N=1280; see decisions ledger)"))
+    "is 1.87e-10 at N=1280)"))
 def test_criterion_4_bdf6_error_bound():
     prob = terminal_tracking_problem()
     tab = la.tableau("BDF6")
@@ -215,7 +215,7 @@ def test_criterion_6_linear_exactness_and_mass():
     "grid, structure verified against a brute-force implicit solve), and the "
     "mean observed rate saturates at ~1.5 against that reference; the "
     "self-referenced convergence column reproduces the table's structure "
-    "instead (see decisions ledger)"))
+    "instead"))
 def test_criterion_7_table4_eps_study():
     budget = Budget(60.0)
     a = 2.1
@@ -291,7 +291,7 @@ def test_criterion_9_jinxin_functional_decrease():
     "~0.7 feed the shock within the horizon and are unobservable in u(T) "
     "(the functional is flat there), leaving an irreducible residual; the "
     "30-iteration recovery reaches ~0.59 of the initial distance and "
-    "saturates near 0.55 at 100 iterations (see decisions ledger)"))
+    "saturates near 0.55 at 100 iterations"))
 def test_criterion_9_jinxin_control_recovery():
     grid, ramp, guess, result = _jinxin_control(30)
     d0 = float(np.sqrt(grid.dx * np.sum((guess - ramp) ** 2)))

@@ -39,8 +39,7 @@ class TestForward:
     def test_blowup_quadratic_oracle(self):
         # BDF3 on y' = y^2, N = 40: frozen value from a 50-digit mpmath run
         # of the same recurrence (the published table prints 0.0720175 for
-        # this cell, which is not the max-norm error of the scheme; see the
-        # decisions ledger)
+        # this cell, which is not the max-norm error of the scheme)
         prob = terminal_tracking_problem()
         tab = la.tableau("BDF3")
         traj = solve_forward(prob, tab, la.TimeGrid(0.0, 0.9, 40))
@@ -67,7 +66,20 @@ class TestForward:
         with pytest.raises(la.SolverBlowUpError) as err:
             solve_forward(prob, la.tableau("ExplicitEuler"),
                           la.TimeGrid(0.0, 2.0, 60))
-        assert err.value.step_index is not None
+        assert err.value.step_index == 43
+
+    @pytest.mark.parametrize("dtype, residual", [
+        (float, 0.4431458287467027), (np.longdouble, 0.44315519019065697)])
+    def test_newton_nonconvergence_on_full_system(self, dtype, residual):
+        # BDF1 on y' = y^2 cannot follow the blow-up at t = 1 on this grid;
+        # a long-double dt steps in long double and reports a float norm
+        with pytest.raises(la.ImplicitSolveError) as err:
+            solve_forward(terminal_tracking_problem(), la.tableau("BDF1"),
+                          la.TimeGrid(0.0, dtype(0.9), 40))
+        assert "t=0.8775" in str(err.value)
+        assert type(err.value.residual) is float
+        assert err.value.residual == residual
+        assert err.value.iterations == 50
 
     def test_controls_callable_and_array(self):
         prob = terminal_tracking_problem(T=0.5)
@@ -77,6 +89,41 @@ class TestForward:
         t2 = solve_forward(prob, tab, grid,
                            controls=np.full(grid.N + tab.s, 0.1))
         assert np.array_equal(t1.states, t2.states)
+
+
+class TestPrescribedTrajectory:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("y", [lambda t: t * t, np.exp])
+    def test_one_evaluation_on_the_grid_times(self, dtype, y):
+        # bitwise the states of one y(t) call per index t0 + i*dt
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return y(t)
+
+        grid = la.TimeGrid(0.0, dtype(0.7), 48)
+        traj = prescribed_trajectory(grid, 3, counted)
+        per_index = np.array([np.atleast_1d(y(grid.t0 + i * grid.dt))
+                              for i in range(-2, 49)])
+        assert len(calls) == 1
+        assert traj.states.dtype == per_index.dtype == dtype
+        assert np.array_equal(traj.states, per_index)
+
+    def test_vector_state_time_axis_last(self):
+        # y(t) = np.array([y1(t), y2(t)]) gives (2, N+s) on the times
+        y = rotation_problem().y_exact
+        grid = la.TimeGrid(0.0, 0.7, 12)
+        traj = prescribed_trajectory(grid, 2, y)
+        per_index = np.array([np.atleast_1d(y(grid.t0 + i * grid.dt))
+                              for i in range(-1, 13)])
+        assert traj.states.shape == (14, 2)
+        assert traj.states.flags["C_CONTIGUOUS"]
+        assert np.array_equal(traj.states, per_index)
+
+    def test_y_must_broadcast_over_times(self):
+        with pytest.raises(ValueError):
+            prescribed_trajectory(la.TimeGrid(0.0, 1.0, 8), 2, lambda t: 2.5)
 
 
 class TestAdjointRoutes:

@@ -269,10 +269,62 @@ class TestBootstrap:
         assert order >= 3.5
 
     def test_history_ring_buffer_eviction(self):
+        # newest first, for a ring of arrays and a ring of floats
+        for wrap in (lambda v: np.array([v, -v]), float):
+            h = tb.History(2)
+            for v in (1.0, 2.0, 3.0):
+                h.push(wrap(v), wrap(10 * v))
+            assert h.warm and len(h) == 2
+            assert [np.atleast_1d(y)[0] for y in h.states()] == [3.0, 2.0]
+            assert [np.atleast_1d(f)[0] for f in h.rhs()] == [30.0, 20.0]
+
+
+class TestHistory:
+    def test_push_copies_arrays(self):
         h = tb.History(2)
-        for v in (1.0, 2.0, 3.0):
-            h.push(np.array([v]), np.array([v]))
-        assert [s[0] for s in h.states()] == [3.0, 2.0]
+        y, f = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        h.push(y, f)
+        y[0], f[0] = 9.0, 9.0
+        assert h.states()[0].tolist() == [1.0, 2.0]
+        assert h.rhs()[0].tolist() == [3.0, 4.0]
+
+    def test_keeps_the_pushed_dtype(self):
+        ld = np.longdouble
+        h = tb.History(2)
+        h.push(np.array([ld(1) / 3]), np.array([1.0], dtype=np.float32))
+        assert h.states()[0].dtype == ld and h.states()[0][0] == ld(1) / 3
+        assert h.rhs()[0].dtype == np.float32
+        ints = tb.History(1)  # a float pushed later must not be truncated
+        ints.push(np.array([1]), np.array([2]))
+        assert ints.states()[0].dtype == np.float64
+        ints.push(np.array([0.5]), np.array([2.5]))
+        assert ints.states()[0][0] == 0.5 and ints.rhs()[0][0] == 2.5
+        wider = tb.History(1)  # nor a wider one pushed onto a warm ring
+        wider.push(np.array([1.0]), np.array([2.0]))
+        wider.push(np.array([ld(1) / 3]), np.array([ld(1) / 7]))
+        assert wider.states()[0][0] == ld(1) / 3
+        assert wider.rhs()[0][0] == ld(1) / 7
+        scalar = tb.History(2)
+        scalar.push(ld(1) / 3, 0.5)
+        assert type(scalar.states()[0]) is ld and type(scalar.rhs()[0]) is float
+
+    @pytest.mark.parametrize("name", ["BDF3", "AB3", "AM4"])
+    def test_step_keeps_the_kind_of_the_history(self, name):
+        # arrays in, arrays out; floats in, floats out, bitwise alike
+        tab = tb.tableau(name)
+        rhs_a, jac_a = (lambda y, t: -y * y + t), (lambda y, t: np.atleast_2d(-2 * y))
+        rhs_f, jac_f = (lambda y, t: -y * y + t), (lambda y, t: -2 * y)
+        ha, hf = tb.History(tab.s), tb.History(tab.s)
+        for k in range(tab.s):
+            y = 1.0 + 0.1 * k
+            ha.push(np.array([y]), rhs_a(np.array([y]), 0.0))
+            hf.push(y, rhs_f(y, 0.0))
+        ya, fa = tb.step(tab, ha, 0.05, rhs_a, 0.05, jac=jac_a)
+        yf, ff = tb.step(tab, hf, 0.05, rhs_f, 0.05, jac=jac_f)
+        assert isinstance(ya, np.ndarray) and isinstance(fa, np.ndarray)
+        assert type(yf) is float and type(ff) is float
+        assert ya.tolist() == [yf] and fa.tolist() == [ff]
+        assert ya is not ha.states()[0]
 
 
 # ------------------------------------------------ reference step (first form)
@@ -319,10 +371,12 @@ def reference_step(tab, history, dt, rhs, t_new, jac=None, tol=1e-12,
     raise tb.ImplicitSolveError("no convergence", rnorm, maxit)
 
 
-def reference_forward(problem, tab, grid, u):
+def reference_forward(problem, tab, grid, u, init_mode="rk-bootstrap",
+                      step=reference_step):
     """solve_forward as first released, on the reference step: the control
     lookup through the grid's properties, and f re-evaluated at each new
-    state before it is pushed."""
+    state before it is pushed.  The history holds float64 arrays
+    throughout, also on a long-double grid."""
     s = tab.s
 
     def rhs(y, t):
@@ -334,14 +388,14 @@ def reference_forward(problem, tab, grid, u):
         i = int(round((t - grid.t0) / grid.dt))
         return problem.jac(y, u[i + s - 1], t)
 
-    hist = tb.bootstrap_history(tab, grid, rhs, problem.y0,
-                                mode="rk-bootstrap")
+    hist = tb.bootstrap_history(tab, grid, rhs, problem.y0, mode=init_mode,
+                                y_exact=problem.y_exact)
     states = list(reversed(hist.states()))
     for n in range(grid.N):
         t_new = grid.t(n + 1)
-        y = reference_step(tab, hist, grid.dt, rhs, t_new, jac=jac)
-        states.append(y)
-        hist.push(y, rhs(y, t_new))
+        y = step(tab, hist, grid.dt, rhs, t_new, jac=jac)
+        states.append(np.asarray(y, dtype=float))
+        hist.push(np.asarray(y, dtype=float), rhs(y, t_new))
     return np.array(states)
 
 
@@ -350,11 +404,27 @@ SWEEP_SCHEMES = ["ImplicitEuler", "BDF2", "BDF3", "BDF4", "BDF5", "BDF6",
 
 
 def smooth_scalar_problem(alpha, beta, gamma, omega, y0):
-    """y' = alpha y + beta y^2 + gamma sin(omega t) + u."""
+    """y' = alpha y + beta y^2 + gamma sin(omega t) + u.
+
+    ``y_exact`` is a smooth curve through y0 for the exact bootstrap, not
+    the solution."""
     return OdeControlProblem(
         f=lambda y, u, t: alpha * y + beta * y * y + gamma * np.sin(omega * t) + u,
         f_y=lambda y, u, t: np.atleast_2d(alpha + 2.0 * beta * y),
-        y0=y0)
+        y0=y0, y_exact=lambda t: y0 * np.exp(alpha * t) + gamma * t)
+
+
+def smooth_two_state_problem(alpha, beta, gamma, omega, y0):
+    """The 2-state system y0' = alpha y0 + beta y1^2 + gamma sin(omega t) + u,
+    y1' = -y0 + alpha y1 + beta y0 y1 (the array path of the step)."""
+    return OdeControlProblem(
+        f=lambda y, u, t: np.array([
+            alpha * y[0] + beta * y[1] * y[1] + gamma * np.sin(omega * t) + u,
+            -y[0] + alpha * y[1] + beta * y[0] * y[1]]),
+        f_y=lambda y, u, t: np.array([[alpha, 2.0 * beta * y[1]],
+                                      [-1.0 + beta * y[1], alpha + beta * y[0]]]),
+        y0=[y0, 0.5],
+        y_exact=lambda t: np.array([y0 * np.cos(t), 0.5 + gamma * np.sin(t)]))
 
 
 smooth_problems = dict(
@@ -367,16 +437,53 @@ smooth_problems = dict(
 
 class TestStepEquivalence:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(**smooth_problems)
-    def test_forward_sweep_matches_reference(self, name, alpha, beta, gamma,
-                                             omega, y0, u_amp, N, T):
+    @given(init_mode=st.sampled_from(["rk-bootstrap", "exact"]),
+           **smooth_problems)
+    def test_forward_sweep_matches_reference(self, init_mode, name, alpha,
+                                             beta, gamma, omega, y0, u_amp,
+                                             N, T):
+        # the scalar sweep on Python floats against the array reference
         tab = tb.tableau(name)
         prob = smooth_scalar_problem(alpha, beta, gamma, omega, y0)
         grid = tb.TimeGrid(0.0, T, N)
         u = u_amp * np.cos(np.linspace(-1.0, 2.0, N + tab.s))
-        traj = solve_forward(prob, tab, grid, controls=u,
-                             init_mode="rk-bootstrap")
-        assert np.array_equal(traj.states, reference_forward(prob, tab, grid, u))
+        traj = solve_forward(prob, tab, grid, controls=u, init_mode=init_mode)
+        assert np.array_equal(traj.states, reference_forward(
+            prob, tab, grid, u, init_mode=init_mode))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(init_mode=st.sampled_from(["exact", "rk-bootstrap"]),
+           **smooth_problems)
+    def test_two_state_sweep_matches_reference(self, init_mode, name, alpha,
+                                               beta, gamma, omega, y0, u_amp,
+                                               N, T):
+        tab = tb.tableau(name)
+        prob = smooth_two_state_problem(alpha, beta, gamma, omega, y0)
+        grid = tb.TimeGrid(0.0, T, N)
+        u = u_amp * np.cos(np.linspace(-1.0, 2.0, N + tab.s))
+        traj = solve_forward(prob, tab, grid, controls=u, init_mode=init_mode)
+        assert traj.states.shape == (N + tab.s, 2)
+        assert np.array_equal(traj.states, reference_forward(
+            prob, tab, grid, u, init_mode=init_mode))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(init_mode=st.sampled_from(["rk-bootstrap", "exact"]),
+           **smooth_problems)
+    def test_long_double_grid_matches_array_history(self, init_mode, name,
+                                                    alpha, beta, gamma, omega,
+                                                    y0, u_amp, N, T):
+        # a long-double dt: each step computes in long double, and the
+        # history stays float64 on the float path as on an array history
+        # (the reference step's LAPACK solve takes no long double, so the
+        # oracle steps an array history with ``step``)
+        tab = tb.tableau(name)
+        prob = smooth_scalar_problem(alpha, beta, gamma, omega, y0)
+        grid = tb.TimeGrid(0.0, np.longdouble(T), N)
+        u = u_amp * np.cos(np.linspace(-1.0, 2.0, N + tab.s))
+        traj = solve_forward(prob, tab, grid, controls=u, init_mode=init_mode)
+        assert np.array_equal(traj.states, reference_forward(
+            prob, tab, grid, u, init_mode=init_mode,
+            step=lambda *args, **kw: tb.step(*args, **kw)[0]))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(**smooth_problems)
