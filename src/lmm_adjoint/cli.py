@@ -8,8 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import (EXPERIMENT_KINDS, Config, ConfigError,
-                     config_reference_text, load_config)
+from .config import (CONFIG_REFERENCE, EXPERIMENT_KINDS, Config,
+                     ConfigError, config_reference_text, load_config)
 from .experiments import (run_control, run_ode_convergence, run_relax_adjoint,
                           run_relax_forward)
 from .ode_control import SingularAdjointStepError, SolverBlowUpError
@@ -43,10 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--route", choices=("dto", "otd", "both"),
                         default="both",
                         help="adjoint route(s) for convergence tables")
-    parser.add_argument("--am-denominator", type=int, choices=(270, 720),
-                        default=720,
-                        help="Adams-Moulton(4) coefficient denominator "
-                             "(720 = consistent, 270 = printed variant)")
     return parser
 
 
@@ -56,24 +52,23 @@ def main(argv=None) -> int:
         print(config_reference_text())
         return EXIT_OK
     try:
-        if args.config:
-            cfg = load_config(args.config)
-        else:
-            cfg = Config()
+        cfg = load_config(args.config) if args.config else Config()
         if cfg.kind is not None and cfg.kind != args.experiment:
             raise ConfigError(
                 f"config file is for {cfg.kind!r}, not {args.experiment!r}")
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _CONFIG_ERRORS as exc:
+        known = {k for key in CONFIG_REFERENCE[args.experiment]
+                 for k in key.split("/")}
+        unknown = sorted(set(cfg.values) - known)
+        if unknown:
+            raise ConfigError(
+                f"unknown keys for {args.experiment!r}: {unknown}")
+    except (OSError, *_CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         if args.experiment == "ode-converge":
-            run_ode_convergence(cfg, args.out, route=args.route,
-                                am_denominator=args.am_denominator)
+            run_ode_convergence(cfg, args.out, route=args.route)
         elif args.experiment == "relax-forward":
             run_relax_forward(cfg, args.out)
         elif args.experiment == "relax-adjoint":

@@ -141,11 +141,11 @@ def load_config(path) -> Config:
 CONFIG_REFERENCE = {
     "ode-converge": {
         "study": "const-fy | quadratic-fy | full-system (built-in problem)",
-        "schemes": "comma list of tableau names (e.g. ExplicitEuler,AB3,AM4)",
+        "schemes": "comma list of tableau names, e.g. ExplicitEuler,AB3,AM4 "
+                   "(AM4-270: the printed AM4 variant)",
         "n_list": "strictly increasing step counts, e.g. 40,80,160,320,640",
         "T": "final time (defaults: 1.0 for the prescribed studies, 0.9 full-system)",
         "route": "dto | otd | both (default both)",
-        "am_denominator": "720 (consistent AM4, default) | 270 (printed variant)",
         "precision": "extended (long double, default for prescribed studies) | double",
     },
     "relax-forward": {
@@ -166,6 +166,7 @@ CONFIG_REFERENCE = {
         "eps_list": "relaxation parameters (default 1,1e-1,1e-2,1e-3,1e-4)",
         "nx_list": "grid ladder (default 40,80,160,320,640)",
         "a": "characteristic speed (default 2.1)",
+        "x_left/x_right": "periodic domain (default 0, 6)",
         "scheme": "BDF tableau (default BDF2)",
         "T": "backward horizon (default 1.0)",
         "terminal_center/terminal_width": "Gaussian terminal data (default 3, 1)",

@@ -37,11 +37,7 @@ class TrackingFunctional:
                            np.atleast_2d(np.asarray(self.target, dtype=float)))
 
     def __call__(self, u_terminal: np.ndarray) -> float:
-        u_terminal = np.atleast_2d(u_terminal)
-        if u_terminal.shape != self.target.shape:
-            raise GridMismatchError(
-                f"state shape {u_terminal.shape} != target {self.target.shape}")
-        return 0.5 * self.dx * float(np.sum((u_terminal - self.target) ** 2))
+        return 0.5 * self.dx * float(np.sum(self.terminal_mismatch(u_terminal) ** 2))
 
     def terminal_mismatch(self, u_terminal: np.ndarray) -> np.ndarray:
         """Pointwise deviation driving the adjoint terminal data."""
@@ -110,12 +106,11 @@ class DescentState:
 
 
 def bb_step(state: DescentState, gradient: np.ndarray,
-            variant: str = "bb2", sigma_min: float = 1e-6,
-            sigma_max: float = 1e2) -> float:
+            variant: str = "bb2") -> float:
     """Barzilai-Borwein step from the last (control, gradient) increment.
 
     bb2: <du, dg>/<dg, dg> (default, the more conservative step);
-    bb1: <du, du>/<du, dg>.  Steps are safeguarded to [sigma_min, sigma_max];
+    bb1: <du, du>/<du, dg>.  Steps are safeguarded to [1e-6, 1e2];
     degenerate curvature (zero or negative denominators) keeps the previous
     step size.
     """
@@ -134,7 +129,7 @@ def bb_step(state: DescentState, gradient: np.ndarray,
     sigma = num / den
     if not np.isfinite(sigma) or sigma <= 0.0:
         return state.sigma
-    return float(np.clip(sigma, sigma_min, sigma_max))
+    return float(np.clip(sigma, 1e-6, 1e2))
 
 
 @dataclass
@@ -150,14 +145,13 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
              initial_guess: np.ndarray, n_steps: int, dt: float,
              iterations: int, sigma0: float = 0.1,
              bb_variant: str = "bb2", filter_every: int = 1,
-             grad_tol: float = 1e-8,
              callback: Callable | None = None) -> OptimizeResult:
     """Adjoint-gradient descent on the macroscopic initial data.
 
     Each iteration: forward solve -> evaluate J -> adjoint solve -> gradient
     -> BB step -> update -> optional TV filter (every ``filter_every``
     iterations; 0 disables).  Stops at the iteration cap, on a vanishing
-    functional, or when the gradient sup-norm drops below ``grad_tol``.
+    functional, or when the gradient sup-norm drops below 1e-8.
     The loop is deterministic for a fixed configuration.
     """
     u0 = np.atleast_2d(np.asarray(initial_guess, dtype=float)).copy()
@@ -185,7 +179,7 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
         log.append({"k": k, "J": J, "sigma": sigma, "grad_inf_norm": gnorm})
         if callback is not None:
             callback(k, J, sigma, gnorm, state.control)
-        if gnorm < grad_tol:
+        if gnorm < 1e-8:
             break
         new_control = state.control - sigma * grad
         if filter_every and (k + 1) % filter_every == 0:

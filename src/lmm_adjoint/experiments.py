@@ -67,8 +67,8 @@ def write_csv(path, header, rows):
                           for row in zip(*map(_column, columns)))
 
 
-def echo_table(title, header, rows, width=14):
-    width = max(width, max(len(h) for h in header) + 2)
+def echo_table(title, header, rows):
+    width = max(14, max(len(h) for h in header) + 2)
     print(title)
     print("  " + "".join(f"{h:>{width}}" for h in header))
     for row in rows:
@@ -84,13 +84,6 @@ def echo_table(title, header, rows, width=14):
                 cells.append(f"{float(v):>{width}.6e}")
         print("  " + "".join(cells))
     print()
-
-
-def _rates(errs):
-    out = [np.nan]
-    for prev, cur in zip(errs, errs[1:]):
-        out.append(np.log2(prev / cur) if prev > 0 and cur > 0 else np.nan)
-    return out
 
 
 # ------------------------------------------------ prescribed adjoint studies
@@ -128,82 +121,70 @@ def _extrap_error(p_coarse, p_fine, exact_vals, err_coarse, err_fine):
     return float(np.max(np.abs(R - exact_vals)))
 
 
-def _prescribed_table(study, scheme, n_list, T, routes, am_den, dtype):
+def _table_rows(n_list, errs, sols):
+    """Convergence-table rows from per-N results on ``n_list``.
+
+    ``errs`` maps each error column to its errors, one per N; ``sols`` maps
+    the columns that are extrapolated to their (solution, exact values)
+    pairs, one per N.  A row holds N, the error and observed rate of each
+    ``errs`` column, then the Richardson-extrapolant error and its rate of
+    each ``sols`` column; extrapolants need N to double the previous N.
+    """
+    rows = []
+    xp_prev = dict.fromkeys(sols)
+    for idx, N in enumerate(n_list):
+        row = [N]
+        for e in errs.values():
+            row += [e[idx], np.log2(e[idx - 1] / e[idx]) if idx else np.nan]
+        for col, pairs in sols.items():
+            xp = xr = np.nan
+            if idx and N == 2 * n_list[idx - 1]:
+                (pc, exact), (pf, _) = pairs[idx - 1], pairs[idx]
+                xp = _extrap_error(pc, pf, exact, errs[col][idx - 1],
+                                   errs[col][idx])
+                if xp_prev[col] and xp:
+                    xr = np.log2(xp_prev[col] / xp)
+            row += [xp, xr]
+            xp_prev[col] = xp
+        rows.append(row)
+    return rows
+
+
+def _prescribed_table(study, tab, n_list, T, routes, dtype):
     factory = _STUDY_PROBLEMS[study]
     pex = factory(dtype(T)).p_exact
-    tab = tableau(scheme, am_denominator=am_den)
-    sols, errs = {}, {}
+    errs = {route: [] for route in routes}
+    sols = {route: [] for route in routes}
     for N in n_list:
         exact = pex(np.arange(N + 1, dtype=dtype) * dtype(T) / dtype(N))
         for route in routes:
             p = backward_study_solution(tab, N, T, factory, route, dtype)
-            sols[route, N] = (p, exact)
-            errs[route, N] = float(np.max(np.abs(p - exact)))
-    rows = []
-    xp_prev = {route: None for route in routes}
-    for idx, N in enumerate(n_list):
-        row = [N]
-        for route in routes:
-            e = errs[route, N]
-            rate = (np.log2(errs[route, n_list[idx - 1]] / e)
-                    if idx > 0 else np.nan)
-            row += [e, rate]
-        for route in routes:
-            if idx == 0 or n_list[idx] != 2 * n_list[idx - 1]:
-                row += [np.nan, np.nan]
-                xp_prev[route] = None
-                continue
-            pc, exc = sols[route, n_list[idx - 1]]
-            pf, _ = sols[route, N]
-            xp = _extrap_error(pc.astype(np.longdouble), pf.astype(np.longdouble),
-                               exc, errs[route, n_list[idx - 1]], errs[route, N])
-            xr = (np.log2(xp_prev[route] / xp)
-                  if xp_prev[route] and xp and xp > 0 else np.nan)
-            row += [xp, xr]
-            xp_prev[route] = xp
-        rows.append(row)
-    return rows
+            errs[route].append(float(np.max(np.abs(p - exact))))
+            sols[route].append((p.astype(np.longdouble), exact))
+    return _table_rows(n_list, errs, sols)
 
 
-def _full_system_table(scheme, n_list, T, am_den):
+def _full_system_table(tab, n_list, T):
     prob = terminal_tracking_problem(T=T)
-    tab = tableau(scheme, am_denominator=am_den)
-    y_err, p_dto, p_otd, y_sol = {}, {}, {}, {}
+    errs = {"y": [], "dto": [], "otd": []}
+    sols = {"y": []}
     for N in n_list:
         grid = TimeGrid(0.0, T, N)
-        traj = solve_forward(prob, tab, grid, controls=0.0, init_mode="exact")
+        traj = solve_forward(prob, tab, grid, init_mode="exact")
         t = np.array([grid.t(i) for i in range(N + 1)])
         y = traj.states[tab.s - 1:, 0]
-        y_sol[N] = y
-        y_err[N] = float(np.max(np.abs(y - 1.0 / (1.0 - t))))
+        errs["y"].append(float(np.max(np.abs(y - 1.0 / (1.0 - t)))))
+        sols["y"].append((y, 1.0 / (1.0 - np.linspace(0.0, T, N + 1))))
         # exact multiplier vanishes at the u = 0 optimum, so the reported
         # p-columns are the magnitudes produced by each route
         adj_d = solve_adjoint_dto(prob, tab, grid, traj)
         adj_o = solve_adjoint_otd(prob, tab, grid, traj, terminal="replicate")
-        p_dto[N] = float(np.max(np.abs(adj_d.on_grid()[:, 0])))
-        p_otd[N] = float(np.max(np.abs(adj_o.on_grid()[:, 0])))
-    rows = []
-    xp_prev = None
-    for idx, N in enumerate(n_list):
-        prevN = n_list[idx - 1] if idx > 0 else None
-        rate = lambda d: (np.log2(d[prevN] / d[N]) if prevN else np.nan)
-        row = [N, y_err[N], rate(y_err), p_dto[N], rate(p_dto),
-               p_otd[N], rate(p_otd)]
-        if prevN and N == 2 * prevN:
-            t = np.linspace(0.0, T, prevN + 1)
-            xp = _extrap_error(y_sol[prevN], y_sol[N], 1.0 / (1.0 - t),
-                               y_err[prevN], y_err[N])
-            row += [xp, (np.log2(xp_prev / xp) if xp_prev and xp else np.nan)]
-            xp_prev = xp
-        else:
-            row += [np.nan, np.nan]
-            xp_prev = None
-        rows.append(row)
-    return rows
+        errs["dto"].append(float(np.max(np.abs(adj_d.on_grid()[:, 0]))))
+        errs["otd"].append(float(np.max(np.abs(adj_o.on_grid()[:, 0]))))
+    return _table_rows(n_list, errs, sols)
 
 
-def run_ode_convergence(cfg: Config, out_dir: str, route: str = "both",
-                        am_denominator: int = 720) -> dict:
+def run_ode_convergence(cfg: Config, out_dir: str, route: str = "both") -> dict:
     """Convergence tables for the built-in adjoint studies.
 
     Emits one CSV per scheme named ``table_<study>_<scheme>.csv`` and mirrors
@@ -215,7 +196,6 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str = "both",
     n_list = cfg.get_int_list("n_list", default=(40, 80, 160, 320, 640),
                               increasing=True)
     route = cfg.get_str("route", default=route, choices=("dto", "otd", "both"))
-    am_den = cfg.get_int("am_denominator", default=am_denominator)
     routes = ("dto", "otd") if route == "both" else (route,)
     precision = cfg.get_str("precision",
                             default="double" if study == "full-system"
@@ -224,7 +204,7 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str = "both",
     dtype = np.longdouble if precision == "extended" else np.float64
     results = {}
     for scheme in schemes:
-        tab = tableau(scheme, am_denominator=am_den)
+        tab = tableau(scheme)
         if study == "full-system":
             if not tab.is_bdf:
                 raise ConfigError(
@@ -237,7 +217,7 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str = "both",
                     f"1/(1-t) is infinite at t = 1 (got T = {T:g})")
             header = ["N", "err_y", "rate_y", "err_dto", "rate_dto",
                       "err_otd", "rate_otd", "err_y_extrap", "rate_y_extrap"]
-            rows = _full_system_table(scheme, n_list, T, am_den)
+            rows = _full_system_table(tab, n_list, T)
         else:
             T = cfg.get_float("T", default=1.0)
             header = ["N"]
@@ -245,8 +225,7 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str = "both",
                 header += [f"err_{r}", f"rate_{r}"]
             for r in routes:
                 header += [f"err_{r}_extrap", f"rate_{r}_extrap"]
-            rows = _prescribed_table(study, scheme, n_list, T, routes,
-                                     am_den, dtype)
+            rows = _prescribed_table(study, tab, n_list, T, routes, dtype)
         path = os.path.join(out_dir, f"table_{study}_{tab.name}.csv")
         write_csv(path, header, rows)
         echo_table(f"{study} / {tab.name}", header, rows)

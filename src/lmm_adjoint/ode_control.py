@@ -186,9 +186,10 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     return Trajectory(grid, s, states, u)
 
 
-def prescribed_trajectory(grid: TimeGrid, s: int, y_of_t: Callable,
-                          controls=0.0) -> Trajectory:
-    """Trajectory with states sampled from an analytic y(t) (study helper).
+def prescribed_trajectory(grid: TimeGrid, s: int,
+                          y_of_t: Callable) -> Trajectory:
+    """Trajectory with zero controls and states sampled from an analytic
+    y(t) (study helper).
 
     y(t) is evaluated once, on the array of the N+s grid times t0 + i*dt,
     i = 1-s..N, built in the dtype of the grid's step, so it must broadcast
@@ -202,8 +203,7 @@ def prescribed_trajectory(grid: TimeGrid, s: int, y_of_t: Callable,
                                 dtype=np.asarray(dt).dtype) * dt
     states = np.ascontiguousarray(
         np.asarray(y_of_t(times)).reshape(-1, times.size).T)
-    u = _controls_array(controls, grid, s)
-    return Trajectory(grid, s, states, u)
+    return Trajectory(grid, s, states, np.zeros(times.size))
 
 
 def _jacobians(problem, traj, lo, hi, dtype):
@@ -230,8 +230,6 @@ def _jacobians(problem, traj, lo, hi, dtype):
 def _terminal_values(problem, traj, tab, terminal):
     """Values seeded at indices N..N+s-1 ('exact' or 'replicate' convention)."""
     grid, s = traj.grid, tab.s
-    if terminal == "auto":
-        terminal = "exact" if problem.p_exact is not None else "replicate"
     if terminal == "exact":
         if problem.p_exact is None:
             raise ValueError("terminal='exact' requires the p_exact hook")
@@ -357,7 +355,7 @@ def _adjoint_trajectory(grid, s, ext, route):
 @np.errstate(over="ignore", invalid="ignore")
 def solve_adjoint_otd(problem: OdeControlProblem, tab: MultistepTableau,
                       grid: TimeGrid, traj: Trajectory,
-                      terminal: str = "auto") -> AdjointTrajectory:
+                      terminal: str) -> AdjointTrajectory:
     """Adjoint by discretizing the continuous equation (time-reversed tableau).
 
     Backward recurrence, solved for p_{n-1} from the s future multipliers:
@@ -366,10 +364,10 @@ def solve_adjoint_otd(problem: OdeControlProblem, tab: MultistepTableau,
                   + dt * sum_{i=-1}^{s-1} b_i f_y(y_{n+i},u_{n+i})^T p_{n+i}
 
     The s-deep terminal history at indices N..N+s-1 comes from ``p_exact``
-    (``terminal='exact'``) or replicates j_y(y_N) (``'replicate'``); ``auto``
-    picks the former when the hook exists.  Past T the Jacobian is taken at
-    the exact solution when the problem has one, else clamped to index N.
-    The sweep runs in the dtype of ``grid.dt`` and the states.  Raises
+    (``terminal='exact'``) or replicates j_y(y_N) (``'replicate'``).  Past T
+    the Jacobian is taken at the exact solution when the problem has one,
+    else clamped to index N.  The sweep runs in the dtype of ``grid.dt`` and
+    the states.  Raises
     ``SolverBlowUpError`` with the step index of the first non-finite
     multiplier.
     """
@@ -443,17 +441,13 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     return _adjoint_trajectory(grid, s, ext, route)
 
 
-def _bt_p(adj: AdjointTrajectory, tab: MultistepTableau, i: int,
-          J=None, step_equations_only: bool = True) -> np.ndarray:
-    """b^T (p_i, ..., p_{i+s}) with p_j = 0 outside the step-equation range."""
-    s, N, n = tab.s, adj.grid.N, adj.multipliers.shape[1]
-    acc = np.zeros(n)
-    for k in range(-1, s):
+def _bt_p(adj: AdjointTrajectory, tab: MultistepTableau, i: int) -> np.ndarray:
+    """b^T (p_i, ..., p_{i+s}) with p_j = 0 outside the step equations 1..N."""
+    acc = np.zeros(adj.multipliers.shape[1])
+    for k in range(-1, tab.s):
         j_idx = i + k + 1
-        lo = 1 if step_equations_only else 1 - s
-        if j_idx < lo or j_idx > N:
-            continue
-        acc += tab.b[k + 1] * adj.p(j_idx)
+        if 1 <= j_idx <= adj.grid.N:
+            acc += tab.b[k + 1] * adj.p(j_idx)
     return acc
 
 

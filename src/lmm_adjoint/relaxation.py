@@ -258,9 +258,6 @@ class LagrangianGrid:
     def nodes(self) -> np.ndarray:
         return self.x_left + self.dx * np.arange(self.n_nodes)
 
-    def alignment_ratio(self, speed: float, dt: float) -> float:
-        return speed * dt / self.dx
-
     def is_aligned(self, speeds: np.ndarray, dt: float, tol: float = 1e-9) -> bool:
         """True when every characteristic foot lands on a grid node."""
         m = np.asarray(speeds) * dt / self.dx
@@ -521,7 +518,7 @@ def reconstruct_macroscopic(model: RelaxationModel, fld: KineticField,
 
 def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
                   tab: MultistepTableau, u0: np.ndarray, n_steps: int,
-                  dt: float, store_u: bool = True):
+                  dt: float):
     """Run the forward solver from equilibrium-lifted macroscopic data.
 
     Returns (field, u_store) where u_store has shape (n_steps+1, n, M); the
@@ -530,13 +527,10 @@ def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
     u0 = np.atleast_2d(np.asarray(u0, dtype=float))
     f0 = equilibrium_lift(model, u0)
     fld = KineticField(model, grid, dt, depth=tab.s, f0=f0)
-    u_store = None
-    if store_u:
-        u_store = np.empty((n_steps + 1, model.n_conserved, grid.n_nodes))
-        model.moments(f0, out=u_store[0])
+    u_store = np.empty((n_steps + 1, model.n_conserved, grid.n_nodes))
+    model.moments(f0, out=u_store[0])
     for k in range(n_steps):
-        forward_step(model, grid, fld, tab,
-                     out=u_store[k + 1] if store_u else None)
+        forward_step(model, grid, fld, tab, out=u_store[k + 1])
     return fld, u_store
 
 

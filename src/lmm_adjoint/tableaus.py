@@ -129,7 +129,7 @@ def _F(*vals) -> tuple[Fraction, ...]:
 
 _AM4_B_720 = _F("251/720", "646/720", "-264/720", "106/720", "-19/720")
 # Printed-table variant with denominator 270; inconsistent as an integrator,
-# kept only for source-fidelity experiments (selectable via am_denominator=270).
+# kept only for source-fidelity experiments (registered as "AM4-270").
 _AM4_B_270 = _F("251/270", "646/270", "-264/270", "106/270", "-19/270")
 
 _REGISTRY: dict[str, MultistepTableau] = {}
@@ -172,20 +172,15 @@ _register(
 )
 
 
-def tableau(name: str, am_denominator: int = 720) -> MultistepTableau:
+def tableau(name: str) -> MultistepTableau:
     """Look up a scheme by name (case-insensitive, 'BDF2'/'bdf(2)' both work).
 
-    ``am_denominator`` selects between the consistent Adams-Moulton(4)
-    coefficients (720, default) and the 270-denominator variant printed in
-    some sources.
+    "AM4" is the consistent Adams-Moulton(4) scheme (denominator 720);
+    "AM4-270" (aliases "am4_270", "am(4)-270") is the 270-denominator
+    variant printed in some sources.
     """
-    if am_denominator not in (270, 720):
-        raise ValueError("am_denominator must be 270 or 720")
-    key = _norm_key(name)
-    if key == "am4" and am_denominator == 270:
-        key = "am4-270"
     try:
-        return _REGISTRY[key]
+        return _REGISTRY[_norm_key(name)]
     except KeyError:
         known = sorted({t.name for t in _REGISTRY.values()})
         raise UnknownTableauError(f"unknown tableau {name!r}; known: {known}") from None
@@ -309,17 +304,18 @@ def _newton_update(h, jm, res, rnorm, it, t_new):
     return res / d
 
 
-def _newton_step(h, c, y, rhs, t_new, jac, tol, maxit):
+def _newton_step(h, c, y, rhs, t_new, jac, tol=1e-12, maxit=50):
     """Solve y = c + h*f(y, t_new) by damped Newton (jac analytic) from the
     predictor y, or by fixed-point iteration when jac is None.
 
-    Returns the converged pair (y, f(y, t_new)).  Every iterate's residual
-    is the one computed when the iterate was accepted, so f is evaluated
-    once per iterate and once per damped trial.  The iteration runs on
-    whatever y, c and f are: Python floats for a scalar state, arrays
-    otherwise.  The residual norm is a Python float either way: ``abs`` on
-    floats, else the max-norm rounded to float (as where a long-double dt
-    makes the residual a long double).
+    Returns (y, f(y, t_new)) once the residual norm is below tol, within
+    maxit iterations.  Every iterate's residual is the one computed when
+    the iterate was accepted, so f is evaluated once per iterate and once
+    per damped trial.  The iteration runs on whatever y, c and f are:
+    Python floats for a scalar state, arrays otherwise.  The residual norm
+    is a Python float either way: ``abs`` on floats, else the max-norm
+    rounded to float (as where a long-double dt makes the residual a long
+    double).
     """
     f = rhs(y, t_new)
     res = y - c - h * f
@@ -354,8 +350,7 @@ def _newton_step(h, c, y, rhs, t_new, jac, tol, maxit):
 
 
 def step(tab: MultistepTableau, history: History, dt: float,
-         rhs: Callable, t_new: float, jac: Callable | None = None,
-         tol: float = 1e-12, maxit: int = 50):
+         rhs: Callable, t_new: float, jac: Callable | None = None):
     """Advance one step from a warm history: returns (y_{n+1}, f(y_{n+1})).
 
     ``rhs(y, t)`` evaluates f; ``jac(y, t)`` its (n, n) state Jacobian (used
@@ -376,12 +371,12 @@ def step(tab: MultistepTableau, history: History, dt: float,
     y = states[0]
     return _newton_step(dt * tab.b_implicit, c,
                         y.copy() if isinstance(y, np.ndarray) else y,
-                        rhs, t_new, jac, tol, maxit)
+                        rhs, t_new, jac)
 
 
-def _rk4(rhs, y, t, dt, substeps=4):
-    h = dt / substeps
-    for i in range(substeps):
+def _rk4(rhs, y, t, dt):
+    h = dt / 4
+    for i in range(4):
         ti = t + i * h
         k1 = rhs(y, ti)
         k2 = rhs(y + 0.5 * h * k1, ti + 0.5 * h)

@@ -93,6 +93,24 @@ class TestCli:
         conf = self._write(tmp_path, "c.conf", "[relax-forward]\nflux = linear\n")
         assert cli.main(["ode-converge", "--config", conf]) == 2
 
+    def test_unknown_key_config_error(self, tmp_path, capsys):
+        # an undocumented key is rejected before any run, naming the key
+        conf = self._write(tmp_path, "c.conf",
+                           "[ode-converge]\nstudy = const-fy\nschemes = AM4\n"
+                           "n_list = 20,40\nam_denominator = 270\nrate = 2\n")
+        assert cli.main(["ode-converge", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        assert "['am_denominator', 'rate']" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_split_keys_accepted(self, tmp_path):
+        # each half of a documented 'a/b' entry is a known key
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-adjoint]\nnx_list = 20,40\neps_list = 1e-4\n"
+                           "x_left = 0\nx_right = 6\n")
+        assert cli.main(["relax-adjoint", "--config", conf,
+                         "--out", str(tmp_path)]) == 0
+
     def test_invalid_scheme_config_error(self, tmp_path):
         conf = self._write(tmp_path, "c.conf",
                            "[ode-converge]\nstudy = const-fy\n"
@@ -146,9 +164,9 @@ class TestCli:
         # it is not a consistent integrator and the errors stay O(1)
         conf = self._write(tmp_path, "c.conf",
                            "[ode-converge]\nstudy = const-fy\n"
-                           "schemes = AM4\nn_list = 20,40\nroute = otd\n")
+                           "schemes = AM4-270\nn_list = 20,40\nroute = otd\n")
         rc = cli.main(["ode-converge", "--config", conf, "--out",
-                       str(tmp_path), "--am-denominator", "270"])
+                       str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "table_const-fy_AM4-270.csv").read_text().splitlines()
         err = float(rows[1].split(",")[1])

@@ -1,13 +1,16 @@
 """The public namespace of ``lmm_adjoint``, pinned to a checked-in list.
 
-A change that adds or removes a public name, or a module of the package,
-must edit the lists below, so the namespace cannot grow unnoticed.
+A change that adds or removes a public name, a module of the package, a
+command-line option or a documented config key must edit the lists below,
+so neither the namespace nor the option surface can grow unnoticed.
 """
 
 import inspect
 import pkgutil
 
 import lmm_adjoint as la
+from lmm_adjoint.cli import build_parser
+from lmm_adjoint.config import CONFIG_REFERENCE
 
 PUBLIC_NAMES = (
     "AdjointField", "AdjointRoute", "AdjointTrajectory", "DescentState",
@@ -29,6 +32,23 @@ PUBLIC_NAMES = (
 MODULES = ("cli", "config", "control", "experiments", "ode_control",
            "problems", "relaxation", "tableaus")
 
+CLI_OPTIONS = ("-h", "--help", "--config", "--out", "--route")
+
+CONFIG_KEYS = {
+    "ode-converge": ("study", "schemes", "n_list", "T", "route", "precision"),
+    "relax-forward": ("flux", "a", "eps", "x_left/x_right", "nx", "dt", "T",
+                      "scheme", "boundary", "u0_center/u0_width",
+                      "output_times", "run_name"),
+    "relax-adjoint": ("eps_list", "nx_list", "a", "x_left/x_right", "scheme",
+                      "T", "terminal_center/terminal_width",
+                      "oracle_eps_max"),
+    "control-jinxin": ("nx", "dt", "T", "eps", "scheme", "iterations",
+                       "sigma0", "bb_variant", "filter_every", "save_every"),
+    "control-broadwell": ("nx", "dt", "T", "eps", "c", "scheme", "iterations",
+                          "sigma0", "bb_variant", "filter_every",
+                          "save_every"),
+}
+
 
 def test_public_names_match_the_pinned_list():
     names = [n for n in dir(la)
@@ -39,3 +59,14 @@ def test_public_names_match_the_pinned_list():
 def test_modules_match_the_pinned_list():
     found = [m.name for m in pkgutil.iter_modules(la.__path__)]
     assert sorted(found) == sorted(MODULES)
+
+
+def test_cli_options_match_the_pinned_list():
+    options = [opt for action in build_parser()._actions
+               for opt in action.option_strings]
+    assert sorted(options) == sorted(CLI_OPTIONS)
+
+
+def test_config_keys_match_the_pinned_lists():
+    documented = {kind: tuple(keys) for kind, keys in CONFIG_REFERENCE.items()}
+    assert documented == CONFIG_KEYS

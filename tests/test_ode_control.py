@@ -396,9 +396,10 @@ class TestAdjointBlowUp:
         grid = la.TimeGrid(0.0, 1.0, 64)
         traj = solve_forward(prob, tab, grid)
         assert np.all(traj.states == 0.0)
-        for solver, index in ((solve_adjoint_dto, 33), (solve_adjoint_otd, 32)):
+        for solver, terminal, index in ((solve_adjoint_dto, "cost", 33),
+                                        (solve_adjoint_otd, "replicate", 32)):
             with pytest.raises(la.SolverBlowUpError) as err:
-                solver(prob, tab, grid, traj)
+                solver(prob, tab, grid, traj, terminal=terminal)
             assert err.value.step_index == index, solver.__name__
             assert f"step index {index}" in str(err.value)
 

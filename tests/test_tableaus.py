@@ -102,11 +102,11 @@ class TestRegistry:
 
     def test_am_denominator_variants(self):
         t720 = tb.tableau("AM4")
-        t270 = tb.tableau("AM4", am_denominator=270)
+        t270 = tb.tableau("AM4-270")
         assert sum(t720.b_exact) == 1
         assert sum(t270.b_exact) == Fraction(720, 270)
-        with pytest.raises(ValueError):
-            tb.tableau("AM4", am_denominator=360)
+        for alias in ("am4_270", "am(4)-270"):
+            assert tb.tableau(alias) is t270
 
     def test_name_normalization(self):
         for alias in ("bdf(2)", "bdf_2", "BDF 2", "Bdf2"):
