@@ -22,8 +22,8 @@ from .relaxation import (AdjointField, FieldBlowUpError, KineticField,
                          LagrangianGrid, ModelConfigError, RelaxationModel,
                          adjoint_step, equilibrium_lift, forward_step,
                          make_broadwell, make_jin_xin, mass_history,
-                         reconstruct_macroscopic, terminal_multipliers,
-                         transport_oracle, viscous_limit_check)
+                         terminal_multipliers, transport_oracle,
+                         viscous_limit_check)
 from .control import (DescentState, OptimizeResult, TrackingFunctional,
                       bb_step, gradient_from_adjoint, optimize, total_variation,
                       tv_filter)

@@ -116,8 +116,6 @@ class AdjointTrajectory:
 
 def _controls_array(controls, grid: TimeGrid, s: int) -> np.ndarray:
     n_tot = grid.N + s
-    if callable(controls):
-        return np.array([float(controls(grid.t(i))) for i in range(1 - s, grid.N + 1)])
     arr = np.atleast_1d(np.asarray(controls, dtype=float))
     if arr.size == 1:
         return np.full(n_tot, arr[0])
@@ -132,12 +130,12 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
                   init_mode: str = "exact") -> Trajectory:
     """Integrate y' = f(y,u,t) over the grid with the given tableau.
 
-    Controls may be a scalar, an (N+s,) array aligned to indices 1-s..N, or
-    a callable of t.  History initialization follows ``init_mode`` (``exact``
-    needs the problem's exact-solution hook).  A scalar state (n = 1) steps
-    on Python floats: the history ring, the Newton iteration and the
-    finiteness check run on floats, while ``f`` and ``f_y`` still receive a
-    1-element state array, and the sweep reads their scalar back.  Raises
+    Controls may be a scalar or an (N+s,) array aligned to indices 1-s..N.
+    History initialization follows ``init_mode`` (``exact`` needs the
+    problem's exact-solution hook).  A scalar state (n = 1) steps on Python
+    floats: the history ring, the Newton iteration and the finiteness check
+    run on floats, while ``f`` and ``f_y`` still receive a 1-element state
+    array, and the sweep reads their scalar back.  Raises
     ``SolverBlowUpError`` with the offending step index on NaN/overflow.
     """
     s = tab.s

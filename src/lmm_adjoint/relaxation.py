@@ -11,8 +11,14 @@ time level (the moment constraint Q E(u) = u cancels the implicit equilibrium
 term), then an explicit per-point relaxation update.
 
 The adjoint solver marches the multipliers lambda^j backward in time with the
-matching BDF recurrence; the coupling term is assembled from future-time
-multipliers only, so every backward step is explicit as well.
+transpose of that local update.  Both directions start from the same
+characteristic-foot history combination C and commit through the same ring:
+
+    forward:  f   = (1 - w) C + w E(Q C)
+    adjoint:  lam = (1 - w) C + w Q^T (J^T C),   w = dt b_-1 / (dt b_-1 + eps)
+
+C holds past levels forward and future levels backward, so every step is
+explicit.
 
 Shapes: a forward level is (Nv, M) and its conserved variables are (n, M).
 An adjoint level may carry leading batch axes, (..., Nv, M): every member
@@ -51,8 +57,9 @@ class RelaxationModel:
     Jacobians (Nv, n, M).  Both follow the NumPy ``out`` convention: given
     ``out`` they write the result into it and return it, otherwise they
     return a new array.  The steps always pass their field's work buffers.
-    ``flux(u)`` and ``dflux(u)`` describe the relaxed conservation law and
-    feed the subcharacteristic check and the transport oracle.
+    ``dflux(u)`` is the flux derivative F'(u) of a scalar (Jin-Xin) model,
+    which feeds the subcharacteristic check and the transport oracle;
+    systems have none and pass None.
 
     ``eps`` is a float, or for a batched adjoint sweep an array that
     broadcasts against the (..., Nv, M) multipliers, such as shape (B, 1, 1)
@@ -65,8 +72,7 @@ class RelaxationModel:
     q_matrix: np.ndarray            # (n, Nv)
     equilibrium: Callable
     equilibrium_jac: Callable
-    flux: Callable
-    dflux: Callable
+    dflux: Callable | None
     eps: float | np.ndarray
 
     def __post_init__(self):
@@ -80,10 +86,6 @@ class RelaxationModel:
     @property
     def n_conserved(self) -> int:
         return self.q_matrix.shape[0]
-
-    @property
-    def max_speed(self) -> float:
-        return float(np.max(np.abs(self.velocities)))
 
     def moments(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Conserved variables u = Q f for a stacked field (Nv, M)."""
@@ -135,7 +137,6 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
         q_matrix=np.array([[1.0, 1.0]]),
         equilibrium=equilibrium,
         equilibrium_jac=equilibrium_jac,
-        flux=lambda u: flux(u[0])[None, :],
         dflux=dflux,
         eps=eps,
     )
@@ -203,21 +204,13 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
         np.multiply(-0.5, j3m, out=j3m)
         return out
 
-    def fluxvec(u):
-        # Q V E(u) = (m, c^2 F(rho, m)) for the relaxed system
-        return np.stack([u[1], c * c * _flux(u)])
-
-    def dflux(u):
-        raise NotImplementedError("scalar flux derivative undefined for systems")
-
     return RelaxationModel(
         name="broadwell",
         velocities=np.array([c, -c, 0.0]),
         q_matrix=np.array([[1.0, 1.0, 2.0], [c, -c, 0.0]]),
         equilibrium=equilibrium,
         equilibrium_jac=equilibrium_jac,
-        flux=fluxvec,
-        dflux=dflux,
+        dflux=None,
         eps=eps,
     )
 
@@ -258,17 +251,12 @@ class LagrangianGrid:
     def nodes(self) -> np.ndarray:
         return self.x_left + self.dx * np.arange(self.n_nodes)
 
-    def is_aligned(self, speeds: np.ndarray, dt: float, tol: float = 1e-9) -> bool:
-        """True when every characteristic foot lands on a grid node."""
-        m = np.asarray(speeds) * dt / self.dx
-        return bool(np.all(np.abs(m - np.round(m)) < tol))
-
     def sample_shifted(self, values: np.ndarray, shift_cells: float) -> np.ndarray:
         """Values of a nodal field at x_i - shift_cells*dx.
 
         Integral shifts are exact (roll/clamped gather); fractional shifts use
         linear interpolation, which limits the spatial accuracy to first
-        order and is flagged by the forward/adjoint drivers.
+        order.
         """
         M = values.shape[-1]
         lo, w = _foot(shift_cells)
@@ -380,10 +368,30 @@ def _check_field(model: RelaxationModel, grid: LagrangianGrid, field) -> None:
                          "the field's")
 
 
-def _ramped(tab: MultistepTableau, avail: int) -> MultistepTableau:
-    """BDF scheme for a history of ``avail`` levels: ``tab`` itself once
-    ``avail >= tab.s``, otherwise the lower-order BDF(avail) start-up."""
-    return tab if avail >= tab.s else tableau(f"bdf{avail}")
+def _combine(model: RelaxationModel, grid: LagrangianGrid, fld: _LevelRing,
+             tab: MultistepTableau) -> float:
+    """Start of both steps: the history combination C into ``fld.comb``,
+
+        C^j = -sum_l a_l H_l^j(foot_l^j),
+
+    with H_l the history level l (past f forward, future lambda backward)
+    at the level-l feet of the field's plan.  A history shallower than
+    ``tab.s`` levels ramps up through the lower-order BDF start-up.
+    Returns h = dt b_-1 of the scheme used.
+    """
+    if not tab.is_bdf:
+        raise ModelConfigError(f"relaxation solver requires a BDF tableau, "
+                               f"got {tab.name}")
+    _check_field(model, grid, fld)
+    avail = len(fld.history)
+    eff = tab if avail >= tab.s else tableau(f"bdf{avail}")
+    comb, prod = fld.comb, fld.prod
+    comb.fill(0.0)
+    for ell in range(eff.s):
+        np.multiply(eff.a[ell], fld.plan.sample(ell, fld.history[ell]),
+                    out=prod)
+        comb -= prod
+    return fld.dt * eff.b_implicit
 
 
 class _LevelRing:
@@ -395,10 +403,8 @@ class _LevelRing:
     front; a warm field therefore allocates no level arrays.  ``plan``
     holds the characteristic feet of the field's step.  Levels have the
     shape of ``first``, (..., Nv, M), and so have the work buffers ``comb``
-    (the history combination, S in the adjoint), ``prod`` (a product
-    temporary) and ``E``; ``phi`` is (..., n, M).  ``jac`` (Nv, n, M)
-    holds the equilibrium Jacobian the adjoint step evaluated last, shared
-    by the batch members; ``jac_ready`` is False until one is evaluated.
+    (the history combination C), ``prod`` (a product temporary) and ``E``.
+    Each field kind words its blow-up message in ``blowup``.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
@@ -410,15 +416,10 @@ class _LevelRing:
         self.depth = depth
         self.n = 0
         self.history: list[np.ndarray] = [first.copy()]
-        batch = first.shape[:-2]
-        self.plan = FootPlan(grid, speeds, dt, depth, batch)
+        self.plan = FootPlan(grid, speeds, dt, depth, first.shape[:-2])
         self.comb = np.empty(first.shape)
         self.prod = np.empty(first.shape)
         self.E = np.empty(first.shape)
-        self.jac = np.empty((model.n_velocities, model.n_conserved,
-                             grid.n_nodes))
-        self.jac_ready = False
-        self.phi = np.empty(batch + (model.n_conserved, grid.n_nodes))
 
     @property
     def current(self) -> np.ndarray:
@@ -431,7 +432,14 @@ class _LevelRing:
         return np.empty_like(self.history[0])
 
     def push(self, level: np.ndarray):
-        """Make ``level`` the newest, evicting the oldest once full."""
+        """Make ``level`` the newest, evicting the oldest once full.
+
+        A non-finite level raises ``FieldBlowUpError`` naming the step
+        instead; the field's oldest level may then already be overwritten,
+        and the field must not be stepped again.
+        """
+        if not np.all(np.isfinite(level)):
+            raise FieldBlowUpError(self.blowup.format(self.n + 1))
         if len(self.history) >= self.depth:
             self.history.pop()
         self.history.insert(0, level)
@@ -444,6 +452,8 @@ class KineticField(_LevelRing):
     ``history[0]`` is the newest level (time index ``n``).  ``plan`` holds
     the feet of the forward step, v_j (l+1) dt upstream of every node.
     """
+
+    blowup = "non-finite kinetic field at step {}"
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
                  dt: float, depth: int, f0: np.ndarray):
@@ -462,58 +472,29 @@ def equilibrium_lift(model: RelaxationModel, u0: np.ndarray) -> np.ndarray:
 
 def forward_step(model: RelaxationModel, grid: LagrangianGrid,
                  fld: KineticField, tab: MultistepTableau,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Advance the kinetic field one BDF step; returns the new conserved u.
+                 out: np.ndarray) -> np.ndarray:
+    """Advance the kinetic field one BDF step; returns u at the new level.
 
-    Phase 1 computes u at the new level explicitly by moment-summing the
-    implicit update at every Eulerian node (the equilibrium term cancels via
-    Q E(u) = u); phase 2 is the per-point affine relaxation update.  During
-    ramp-up (history shallower than s) the BDF order follows the available
-    depth.  u is written into ``out`` (n, M) when given.  The arithmetic
-    runs in the field's work buffers and the new level overwrites the
-    evicted one, so a warm field allocates only u (without ``out``) and the
-    model's own temporaries.  After a ``FieldBlowUpError`` the field's
-    oldest level is overwritten and the field must not be stepped again.
+        f = (1 - w) C + w E(Q C),    w = h / (h + eps),  h = dt b_-1
+
+    with C the history combination of ``_combine``.  Phase 1 computes
+    u = Q C, the moment sum of the implicit update (the equilibrium term
+    cancels via Q E(u) = u), into ``out`` (n, M); phase 2 is the per-point
+    affine relaxation update.  The arithmetic runs in the field's work
+    buffers and the new level overwrites the evicted one, so a warm field
+    allocates only the model's own temporaries.
     """
-    if not tab.is_bdf:
-        raise ModelConfigError(f"relaxation solver requires a BDF tableau, "
-                               f"got {tab.name}")
-    _check_field(model, grid, fld)
-    eff = _ramped(tab, len(fld.history))
-    dt, eps = fld.dt, model.eps
-    w = dt * eff.b_implicit / (dt * eff.b_implicit + eps)
-
-    # characteristic-foot history combination:  -sum_l a_l f^j(t_{n-l}, x - v_j (l+1) dt)
+    h = _combine(model, grid, fld, tab)
+    w = h / (h + model.eps)
     comb, prod = fld.comb, fld.prod
-    comb.fill(0.0)
-    for ell in range(eff.s):
-        np.multiply(eff.a[ell], fld.plan.sample(ell, fld.history[ell]),
-                    out=prod)
-        comb -= prod
-
     u_new = model.moments(comb, out=out)     # phase 1: macroscopic closure
     E = model.equilibrium(u_new, out=fld.E)  # phase 2: relaxation update
     f_new = fld.slot()
     np.multiply(w, E, out=f_new)
     np.multiply(1.0 - w, comb, out=prod)
     f_new += prod
-    if not np.all(np.isfinite(f_new)):
-        raise FieldBlowUpError(f"non-finite kinetic field at step {fld.n + 1}")
     fld.push(f_new)
     return u_new
-
-
-def reconstruct_macroscopic(model: RelaxationModel, fld: KineticField,
-                            level: int = 0) -> np.ndarray:
-    """Conserved variables at a stored history level (0 = newest).
-
-    Fields are kept in the Eulerian frame, so the Lagrangian shifted-index
-    summation reduces to the plain moment map.
-    """
-    if not 0 <= level < len(fld.history):
-        raise IndexError(f"history level {level} outside stored depth "
-                         f"{len(fld.history)}")
-    return model.moments(fld.history[level])
 
 
 def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
@@ -548,8 +529,11 @@ class AdjointField(_LevelRing):
     slots degrades the backward sweep to first order; see tests).  ``plan``
     holds the feet of the backward step, v_j (i+1) dt downstream of every
     node.  ``lam_T`` is (..., Nv, M): leading axes batch independent
-    multiplier fields over one frozen forward state.
+    multiplier fields over one frozen forward state.  ``phi`` (..., n, M)
+    holds the step's J^T C.
     """
+
+    blowup = "non-finite adjoint field at backward step {}"
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
                  dt: float, depth: int, lam_T: np.ndarray):
@@ -559,64 +543,42 @@ class AdjointField(_LevelRing):
                              f"{(model.n_velocities, grid.n_nodes)}, "
                              f"got {lam_T.shape}")
         super().__init__(model, grid, dt, depth, lam_T, -model.velocities)
+        self.phi = np.empty(lam_T.shape[:-2]
+                            + (model.n_conserved, grid.n_nodes))
 
 
 def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
-                 adj: AdjointField, u_prev: np.ndarray | None,
+                 adj: AdjointField, jac: np.ndarray,
                  tab: MultistepTableau) -> np.ndarray:
     """One explicit backward step: multipliers at t_{n-1} from s future levels.
 
-        lam^j(t_{n-1}, x) = -eps/(eps + dt b_-1) * sum_i a_i lam^j(t_{n+i}, x + v_j (i+1) dt)
-                            + dt b_-1/(eps + dt b_-1) * (Q^T Phi)_j
+    The transpose of the forward step's local relaxation update:
 
-    where Phi_r(x) = -sum_k sum_i dE_k/du_r (u(t_{n-1},x)) a_i lam^k(feet)
-    uses future-time values only, so no implicit solve is needed.  The BDF
-    order ramps with the available history depth near the terminal time.
-    Every batch member of the field (leading axes of its levels) uses the
-    same u(t_{n-1}); ``model.eps`` may broadcast against the batch.
+        lam = eps/(eps + h) C + h/(eps + h) Q^T (J^T C),    h = dt b_-1
 
-    ``u_prev`` is the frozen forward state (n, M), whose Jacobian the step
-    evaluates into ``adj.jac``.  ``u_prev=None`` reuses the Jacobian
-    already in ``adj.jac`` instead, which is right only when it does not
-    depend on u (``solve_adjoint`` evaluates it once per sweep for a
-    linear flux); a field with no Jacobian yet raises ValueError.
+    with C the history combination of ``_combine`` over the future levels,
+    sampled at the mirrored feet x + v_j (i+1) dt, and ``jac`` (Nv, n, M)
+    the equilibrium Jacobian dE_j/du_r at the frozen forward state
+    u(t_{n-1}).  C holds future-time values only, so no implicit solve is
+    needed.  Every batch member of the field (leading axes of its levels)
+    uses the same ``jac``; ``model.eps`` may broadcast against the batch.
 
     The arithmetic runs in the field's work buffers.  The returned array is
     the field's newest level, a ring slot: it stays valid until the field
     has been stepped ``depth`` more times, then holds a newer level.
     """
-    if not tab.is_bdf:
-        raise ModelConfigError("adjoint solver requires a BDF tableau")
-    if u_prev is None:
-        if not adj.jac_ready:
-            raise ValueError("u_prev=None reuses the field's Jacobian, but "
-                             "none has been evaluated")
-    elif u_prev.shape != (model.n_conserved, grid.n_nodes):
-        raise ValueError("frozen forward field shape mismatch")
-    _check_field(model, grid, adj)
-    eff = _ramped(tab, len(adj.history))
-    dt, eps = adj.dt, model.eps
-    wt = dt * eff.b_implicit / (eps + dt * eff.b_implicit)
-
-    # S[j] = sum_i a_i lam^j(t_{n+i}, x + v_j (i+1) dt)
-    S, prod = adj.comb, adj.prod
-    S.fill(0.0)
-    for i in range(eff.s):
-        np.multiply(eff.a[i], adj.plan.sample(i, adj.history[i]), out=prod)
-        S += prod
-
-    if u_prev is not None:
-        model.equilibrium_jac(u_prev, out=adj.jac)      # (Nv, n, M)
-        adj.jac_ready = True
-    phi = np.einsum("jrm,...jm->...rm", adj.jac, S, out=adj.phi)
-    np.negative(phi, out=phi)
+    shape = (model.n_velocities, model.n_conserved, grid.n_nodes)
+    if jac.shape != shape:
+        raise ValueError(f"equilibrium Jacobian must have shape {shape}, "
+                         f"got {jac.shape}")
+    h = _combine(model, grid, adj, tab)
+    eps, comb = model.eps, adj.comb
+    phi = np.einsum("jrm,...jm->...rm", jac, comb, out=adj.phi)
     lam_new = adj.slot()
-    np.multiply(-(eps / (eps + dt * eff.b_implicit)), S, out=lam_new)
+    np.multiply(eps / (eps + h), comb, out=lam_new)
     qphi = np.einsum("rj,...rm->...jm", model.q_matrix, phi, out=adj.E)
-    np.multiply(wt, qphi, out=qphi)
+    np.multiply(h / (eps + h), qphi, out=qphi)
     lam_new += qphi
-    if not np.all(np.isfinite(lam_new)):
-        raise FieldBlowUpError("non-finite adjoint field during backward sweep")
     adj.push(lam_new)
     return lam_new
 
@@ -642,19 +604,21 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
     """March the adjoint from t = T back to t = 0 and return lambda(0).
 
     ``u_store`` is the forward conserved-variable store (level k = time t_k);
-    pass None only when the equilibrium Jacobian does not depend on u
+    the step computing level k-1 takes the equilibrium Jacobian at
+    u_store[k-1].  Pass None only when the Jacobian does not depend on u
     (linear flux): it is then evaluated once, at u = 0, and every step
     reuses it.  ``lam_T`` (..., Nv, M) may carry batch axes, which the
     returned lambda(0) keeps.
     """
     adj = AdjointField(model, grid, dt, depth=tab.s, lam_T=lam_T)
+    shape = (model.n_conserved, grid.n_nodes)
+    jac = np.empty((model.n_velocities,) + shape)
     if u_store is None:
-        model.equilibrium_jac(np.zeros((model.n_conserved, grid.n_nodes)),
-                              out=adj.jac)
-        adj.jac_ready = True
+        model.equilibrium_jac(np.zeros(shape), out=jac)
     for k in range(n_steps, 0, -1):          # computes level k-1
-        adjoint_step(model, grid, adj,
-                     None if u_store is None else u_store[k - 1], tab)
+        if u_store is not None:
+            model.equilibrium_jac(u_store[k - 1], out=jac)
+        adjoint_step(model, grid, adj, jac, tab)
     return adj.current
 
 

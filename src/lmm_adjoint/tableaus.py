@@ -25,7 +25,7 @@ class UnknownTableauError(KeyError):
 
 
 class ImplicitSolveError(RuntimeError):
-    """Newton/fixed-point iteration for an implicit step did not converge."""
+    """Newton iteration for an implicit step did not converge."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
@@ -306,7 +306,7 @@ def _newton_update(h, jm, res, rnorm, it, t_new):
 
 def _newton_step(h, c, y, rhs, t_new, jac, tol=1e-12, maxit=50):
     """Solve y = c + h*f(y, t_new) by damped Newton (jac analytic) from the
-    predictor y, or by fixed-point iteration when jac is None.
+    predictor y.
 
     Returns (y, f(y, t_new)) once the residual norm is below tol, within
     maxit iterations.  Every iterate's residual is the one computed when
@@ -324,24 +324,18 @@ def _newton_step(h, c, y, rhs, t_new, jac, tol=1e-12, maxit=50):
     for it in range(maxit):
         if rnorm < tol:
             return y, f
-        if jac is not None:
-            dy = _newton_update(h, jac(y, t_new), res, rnorm, it, t_new)
-            # damped update: halve until the residual does not grow
-            lam = 1.0
-            for _ in range(12):
-                y_try = y - lam * dy
-                f_try = rhs(y_try, t_new)
-                r_try = y_try - c - h * f_try
-                r_try_norm = norm(r_try)
-                if r_try_norm <= rnorm or lam < 1e-3:
-                    break
-                lam *= 0.5
-            y, f, res, rnorm = y_try, f_try, r_try, r_try_norm
-        else:
-            y = c + h * f
-            f = rhs(y, t_new)
-            res = y - c - h * f
-            rnorm = norm(res)
+        dy = _newton_update(h, jac(y, t_new), res, rnorm, it, t_new)
+        # damped update: halve until the residual does not grow
+        lam = 1.0
+        for _ in range(12):
+            y_try = y - lam * dy
+            f_try = rhs(y_try, t_new)
+            r_try = y_try - c - h * f_try
+            r_try_norm = norm(r_try)
+            if r_try_norm <= rnorm or lam < 1e-3:
+                break
+            lam *= 0.5
+        y, f, res, rnorm = y_try, f_try, r_try, r_try_norm
     if rnorm < tol:
         return y, f
     raise ImplicitSolveError(
@@ -353,13 +347,13 @@ def step(tab: MultistepTableau, history: History, dt: float,
          rhs: Callable, t_new: float, jac: Callable | None = None):
     """Advance one step from a warm history: returns (y_{n+1}, f(y_{n+1})).
 
-    ``rhs(y, t)`` evaluates f; ``jac(y, t)`` its (n, n) state Jacobian (used
-    by the Newton solve for implicit tableaus; fixed-point iteration
-    otherwise).  Explicit tableaus evaluate one arithmetic expression and f
-    once, at the new state.  The step computes in the kind of the history:
-    on a history of arrays it returns new arrays; on a history of Python
-    floats (a scalar state) ``rhs`` and ``jac`` take and return floats, and
-    so does the step.
+    ``rhs(y, t)`` evaluates f; ``jac(y, t)`` its (n, n) state Jacobian, which
+    the Newton solve of an implicit tableau needs (ValueError without it).
+    Explicit tableaus need no ``jac``: they evaluate one arithmetic
+    expression and f once, at the new state.  The step computes in the kind
+    of the history: on a history of arrays it returns new arrays; on a
+    history of Python floats (a scalar state) ``rhs`` and ``jac`` take and
+    return floats, and so does the step.
     """
     if not history.warm:
         raise ValueError(f"history must hold {tab.s} entries before stepping")
@@ -367,6 +361,8 @@ def step(tab: MultistepTableau, history: History, dt: float,
     c = _history_constant(tab, states, history.rhs(), dt)
     if not tab.is_implicit:
         return c, rhs(c, t_new)
+    if jac is None:
+        raise ValueError(f"implicit tableau {tab.name} needs the Jacobian jac")
     # predictor: the previous state, copied out of the ring
     y = states[0]
     return _newton_step(dt * tab.b_implicit, c,

@@ -248,8 +248,8 @@ def test_criterion_8_adjoint_equalization():
     x = grid.nodes()
     lam_T = rx.terminal_multipliers(model, np.exp(-((x - 3.0) ** 2))[None, :])
     adj = rx.AdjointField(model, grid, dt, depth=2, lam_T=lam_T)
-    lam = rx.adjoint_step(model, grid, adj, np.zeros((1, grid.n_nodes)),
-                          la.tableau("BDF2"))
+    jac = model.equilibrium_jac(np.zeros((1, grid.n_nodes)))
+    lam = rx.adjoint_step(model, grid, adj, jac, la.tableau("BDF2"))
     spread = float(np.max(np.abs(lam[0] - lam[1])))
     bound = 1e-6 * float(np.max(np.abs(lam)))
     assert spread <= bound

@@ -23,7 +23,7 @@ PUBLIC_NAMES = (
     "discrete_cost", "equilibrium_lift", "forward_step",
     "gradient_from_adjoint", "make_broadwell", "make_jin_xin", "mass_history",
     "optimality_residual", "optimize", "prescribed_trajectory",
-    "reconstruct_macroscopic", "registry_names", "solve_adjoint_dto",
+    "registry_names", "solve_adjoint_dto",
     "solve_adjoint_otd", "solve_forward", "step", "tableau",
     "terminal_multipliers", "total_variation", "transport_oracle",
     "tv_filter", "viscous_limit_check",

@@ -11,6 +11,7 @@ import pytest
 
 import lmm_adjoint as la
 from lmm_adjoint import cli, experiments
+from lmm_adjoint.config import load_config
 from lmm_adjoint.experiments import backward_study_solution
 from lmm_adjoint.ode_control import (cost_gradient_dto, discrete_cost,
                                      optimality_residual, prescribed_trajectory,
@@ -82,10 +83,11 @@ class TestForward:
         assert err.value.iterations == 50
 
     def test_controls_callable_and_array(self):
+        # a scalar control is the constant array over indices 1-s..N
         prob = terminal_tracking_problem(T=0.5)
         tab = la.tableau("BDF2")
         grid = la.TimeGrid(0.0, 0.5, 20)
-        t1 = solve_forward(prob, tab, grid, controls=lambda t: 0.1)
+        t1 = solve_forward(prob, tab, grid, controls=0.1)
         t2 = solve_forward(prob, tab, grid,
                            controls=np.full(grid.N + tab.s, 0.1))
         assert np.array_equal(t1.states, t2.states)
@@ -325,22 +327,40 @@ class TestStudyReference:
                                     constant_coefficient_study, "both")
 
 
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def reference_digests(workload):
+    return json.loads((BENCH / "reference" / f"{workload}.json").read_text())
+
+
+def assert_config_matches_reference(workload, conf, out):
+    """Every CSV of one benchmark config equals its seed-0 reference, byte
+    for byte."""
+    path = BENCH / "workloads" / workload / conf
+    assert cli.main([load_config(path).kind, "--config", str(path),
+                     "--out", str(out)]) == 0
+    files = reference_digests(workload)[conf]["files"]
+    written = sorted(f.name for f in out.glob("*.csv"))
+    assert written == sorted(files), conf
+    for fname, meta in files.items():
+        digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
+        assert digest == meta["sha256"], (conf, fname)
+
+
 class TestStudyTableBytes:
     def test_ode_tables_match_reference_digests(self, tmp_path):
-        # every CSV of the ode-tables benchmark configs, byte for byte
-        bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-        digests = json.loads(
-            (bench / "reference" / "ode-tables.json").read_text())
-        for conf, entry in digests.items():
-            out = tmp_path / conf
-            assert cli.main(["ode-converge", "--config",
-                             str(bench / "workloads" / "ode-tables" / conf),
-                             "--out", str(out)]) == 0
-            written = sorted(f.name for f in out.glob("*.csv"))
-            assert written == sorted(entry["files"]), conf
-            for fname, meta in entry["files"].items():
-                digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
-                assert digest == meta["sha256"], (conf, fname)
+        for conf in reference_digests("ode-tables"):
+            assert_config_matches_reference("ode-tables", conf, tmp_path / conf)
+
+    # every relax-paper config, and the fractional-foot wide run (relax-wide's
+    # control-jinxin takes seconds and is left to the benchmark)
+    @pytest.mark.parametrize("workload, conf", [
+        *(("relax-paper", conf) for conf in reference_digests("relax-paper")),
+        ("relax-wide", "relax-forward.conf")])
+    def test_relaxation_tables_match_reference_digests(self, workload, conf,
+                                                       tmp_path):
+        assert_config_matches_reference(workload, conf, tmp_path)
 
 
 def overflowing_adjoint_problem():

@@ -21,6 +21,17 @@ def burgers_jinxin(a, eps, u0=None):
     return rx.make_jin_xin(lambda u: 0.5 * u * u, lambda u: u, a, eps, u0=u0)
 
 
+def zero_state_jac(model, grid):
+    """Equilibrium Jacobian (Nv, n, M) at the state u = 0."""
+    return model.equilibrium_jac(np.zeros((model.n_conserved, grid.n_nodes)))
+
+
+def step_forward(model, grid, fld, tab):
+    """One forward step into a fresh (n, M) array, which it returns."""
+    out = np.empty((model.n_conserved, grid.n_nodes))
+    return rx.forward_step(model, grid, fld, tab, out)
+
+
 class TestModels:
     def test_jinxin_linear_unit_speed(self):
         # F(u) = u, a = 1: E_1 = u, E_2 = 0
@@ -167,8 +178,11 @@ class TestGrid:
         g = rx.LagrangianGrid(0.0, 6.0, 640)
         assert abs(g.dx - 6.0 / 639) <= 1e-18
         assert g.n_nodes == 639
-        assert g.is_aligned(np.array([2.1, -2.1]), g.dx / 2.1)
-        assert not g.is_aligned(np.array([1.0]), g.dx / 2.1)
+        # aligned feet carry no interpolation weights
+        assert rx.FootPlan(g, np.array([2.1, -2.1]), g.dx / 2.1,
+                           1).levels[0][2] is None
+        assert rx.FootPlan(g, np.array([1.0]), g.dx / 2.1,
+                           1).levels[0][2] is not None
 
     def test_sample_shifted_integral(self):
         g = rx.LagrangianGrid(0.0, 1.0, 11)
@@ -224,7 +238,7 @@ class TestForward:
         x = grid.nodes()
         f0 = np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)])
         fld = rx.KineticField(model, grid, dt, depth=1, f0=f0)
-        rx.forward_step(model, grid, fld, la.tableau("BDF2"))
+        step_forward(model, grid, fld, la.tableau("BDF2"))
         expect = np.stack([np.roll(f0[0], 1), np.roll(f0[1], -1)])
         assert np.max(np.abs(fld.current - expect)) <= 1e-15
 
@@ -234,7 +248,7 @@ class TestForward:
         fld = rx.KineticField(model, grid, 0.05, 2,
                               np.zeros((2, grid.n_nodes)))
         with pytest.raises(rx.ModelConfigError):
-            rx.forward_step(model, grid, fld, la.tableau("AB2"))
+            step_forward(model, grid, fld, la.tableau("AB2"))
 
     def test_broadwell_equilibrium_fixed_point(self):
         # rho = 1, m = 0 equilibrium data stays put (clamped boundaries)
@@ -244,16 +258,14 @@ class TestForward:
         _, us = rx.solve_forward(model, grid, la.tableau("BDF2"), u0, 20, 0.01)
         assert np.max(np.abs(us[-1] - u0)) <= 1e-10
 
-    def test_reconstruct_macroscopic(self):
+    def test_blow_up_names_the_step(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
-        x = grid.nodes()
-        f0 = np.stack([np.sin(2 * np.pi * x), np.zeros_like(x)])
-        fld = rx.KineticField(model, grid, 0.05, 2, f0)
-        u = rx.reconstruct_macroscopic(model, fld)
-        assert np.allclose(u[0], f0[0])  # g = 0: u equals the f-component
-        with pytest.raises(IndexError):
-            rx.reconstruct_macroscopic(model, fld, level=3)
+        u0 = np.ones((1, grid.n_nodes))
+        u0[0, 4] = np.nan
+        with pytest.raises(rx.FieldBlowUpError,
+                           match=r"kinetic field at step 1\b"):
+            rx.solve_forward(model, grid, la.tableau("BDF2"), u0, 3, 0.05)
 
     def test_linear_flux_translates_profile(self):
         # pure-transport figure configuration: the Gaussian arrives shifted
@@ -313,8 +325,8 @@ class TestAdjoint:
         lam_T = rx.terminal_multipliers(model,
                                         np.exp(-((x - 3.0) ** 2))[None, :])
         adj = rx.AdjointField(model, grid, dt, depth=2, lam_T=lam_T)
-        lam = rx.adjoint_step(model, grid, adj,
-                              np.zeros((1, grid.n_nodes)), la.tableau("BDF2"))
+        lam = rx.adjoint_step(model, grid, adj, zero_state_jac(model, grid),
+                              la.tableau("BDF2"))
         spread = np.max(np.abs(lam[0] - lam[1]))
         assert spread <= 1e-6 * np.max(np.abs(lam))
 
@@ -330,7 +342,7 @@ class TestAdjoint:
         for dt in (1e-5, 1e-7):
             adj = rx.AdjointField(model, grid, dt, 1, lam_T)
             lam = rx.adjoint_step(model, grid, adj,
-                                  np.zeros((1, grid.n_nodes)),
+                                  zero_state_jac(model, grid),
                                   la.tableau("BDF2"))
             devs.append(np.max(np.abs(lam - lam_T)))
         assert devs[0] <= 1e-3
@@ -383,7 +395,7 @@ class TestAdjoint:
         adj = rx.AdjointField(model, grid, 0.05, 2,
                               np.zeros((2, grid.n_nodes)))
         with pytest.raises(rx.ModelConfigError):
-            rx.adjoint_step(model, grid, adj, np.zeros((1, grid.n_nodes)),
+            rx.adjoint_step(model, grid, adj, zero_state_jac(model, grid),
                             la.tableau("AM4"))
 
     def test_viscous_limit_rejects_systems_before_sweeping(self, monkeypatch):
@@ -403,9 +415,30 @@ class TestAdjoint:
         model = linear_jinxin(1.0, 1e-2)
         adj = rx.AdjointField(model, grid, 0.05, 2,
                               np.zeros((2, grid.n_nodes)))
-        with pytest.raises(ValueError):
-            rx.adjoint_step(model, grid, adj, np.zeros((1, 3)),
-                            la.tableau("BDF2"))
+        for shape in [(2, 1, 3), (1, grid.n_nodes), (2, 2, grid.n_nodes)]:
+            with pytest.raises(ValueError, match="Jacobian"):
+                rx.adjoint_step(model, grid, adj, np.zeros(shape),
+                                la.tableau("BDF2"))
+
+    def test_blow_up_names_the_step(self):
+        # NaN terminal data: the first backward step cannot commit, and the
+        # error says which step failed, as the forward sweep's does
+        grid = rx.LagrangianGrid(0.0, 1.0, 17)
+        model = linear_jinxin(1.0, 1e-2)
+        lam_T = np.ones((2, grid.n_nodes))
+        lam_T[0, 5] = np.nan
+        with pytest.raises(rx.FieldBlowUpError, match=r"backward step 1\b"):
+            rx.solve_adjoint(model, grid, la.tableau("BDF2"), None, lam_T,
+                             4, 0.05)
+        # a non-finite Jacobian shows up at the step that reads it
+        x = grid.nodes()
+        u_store = rx.solve_forward(model, grid, la.tableau("BDF2"),
+                                   np.sin(2 * np.pi * x), 4, 0.05)[1]
+        u_store[1, 0, 3] = np.inf
+        burgers = burgers_jinxin(1.0, 1e-2)
+        with pytest.raises(rx.FieldBlowUpError, match=r"backward step 3\b"):
+            rx.solve_adjoint(burgers, grid, la.tableau("BDF2"), u_store,
+                             np.ones((2, grid.n_nodes)), 4, 0.05)
 
 
 def reference_forward_step(model, grid, history, dt, tab):
@@ -442,16 +475,17 @@ def assert_steps_match_reference(model, grid, dt, tab, depth, u0, n_steps):
     hist = [fld.current.copy()]
     for _ in range(n_steps):
         expect = reference_forward_step(model, grid, hist, dt, tab)
-        rx.forward_step(model, grid, fld, tab)
+        step_forward(model, grid, fld, tab)
         assert np.array_equal(fld.current, expect)
         hist = [expect] + hist[:depth - 1]
 
     lam_T = rx.terminal_multipliers(model, u0)
     adj = rx.AdjointField(model, grid, dt, depth, lam_T)
     hist = [adj.current.copy()]
+    jac = model.equilibrium_jac(u0)
     for _ in range(n_steps):
         expect = reference_adjoint_step(model, grid, hist, u0, dt, tab)
-        assert np.array_equal(rx.adjoint_step(model, grid, adj, u0, tab),
+        assert np.array_equal(rx.adjoint_step(model, grid, adj, jac, tab),
                               expect)
         hist = [expect] + hist[:depth - 1]
 
@@ -502,13 +536,13 @@ class TestFootPlan:
         fld = rx.KineticField(model, grid, 0.05, 2,
                               np.zeros((2, grid.n_nodes)))
         with pytest.raises(ValueError):
-            rx.forward_step(model, rx.LagrangianGrid(0.0, 1.0, 17, "clamp"),
-                            fld, la.tableau("BDF2"))
+            step_forward(model, rx.LagrangianGrid(0.0, 1.0, 17, "clamp"),
+                         fld, la.tableau("BDF2"))
         adj = rx.AdjointField(model, grid, 0.05, 2,
                               np.zeros((2, grid.n_nodes)))
         with pytest.raises(ValueError):
             rx.adjoint_step(linear_jinxin(2.0, 1e-2), grid, adj,
-                            np.zeros((1, grid.n_nodes)), la.tableau("BDF2"))
+                            zero_state_jac(model, grid), la.tableau("BDF2"))
 
 
 def terminal_batch(x, n, B):
@@ -648,25 +682,14 @@ class TestFrozenJacobian:
             lam0 = rx.solve_adjoint(model, grid, tab, None, lam_T, 12, dt)
             assert calls == [(1, grid.n_nodes)]
 
-            # the per-step path: the Jacobian evaluated at u = 0 every step
+            # the Jacobian evaluated at u = 0 anew for every step
             adj = rx.AdjointField(model, grid, dt, tab.s, lam_T)
-            u_zero = np.zeros((1, grid.n_nodes))
             for _ in range(12):
-                rx.adjoint_step(model, grid, adj, u_zero, tab)
+                rx.adjoint_step(model, grid, adj, zero_state_jac(model, grid),
+                                tab)
             assert len(calls) == 13
             assert np.array_equal(lam0, adj.current)
             assert np.array_equal(np.signbit(lam0), np.signbit(adj.current))
-
-    def test_reuse_needs_an_evaluated_jacobian(self):
-        grid = rx.LagrangianGrid(0.0, 1.0, 17)
-        model = linear_jinxin(1.0, 1e-2)
-        adj = rx.AdjointField(model, grid, 0.05, 2, np.ones((2, grid.n_nodes)))
-        with pytest.raises(ValueError, match="Jacobian"):
-            rx.adjoint_step(model, grid, adj, None, la.tableau("BDF2"))
-        rx.adjoint_step(model, grid, adj, np.zeros((1, grid.n_nodes)),
-                        la.tableau("BDF2"))
-        rx.adjoint_step(model, grid, adj, None, la.tableau("BDF2"))
-        assert adj.n == 2
 
 
 def traced_peak_rows(step, M):
@@ -683,27 +706,29 @@ def traced_peak_rows(step, M):
 
 
 def warm_step_rows(model, grid, dt, u0):
-    """Peak rows of one warm BDF3 forward step (with ``out``, as
-    ``solve_forward`` calls it) and one warm adjoint step."""
+    """Peak rows of one warm BDF3 forward step and one warm adjoint step
+    (with ``out`` and the Jacobian, as the sweeps call them)."""
     tab = la.tableau("BDF3")
     fld = rx.KineticField(model, grid, dt, tab.s, rx.equilibrium_lift(model, u0))
     adj = rx.AdjointField(model, grid, dt, tab.s,
                           rx.terminal_multipliers(model, u0))
     u_out = np.empty_like(u0)
+    jac = model.equilibrium_jac(u0)
     for _ in range(tab.s + 1):  # fill both rings
         rx.forward_step(model, grid, fld, tab, out=u_out)
-        rx.adjoint_step(model, grid, adj, u0, tab)
+        rx.adjoint_step(model, grid, adj, jac, tab)
     M = grid.n_nodes
     return (traced_peak_rows(
                 lambda: rx.forward_step(model, grid, fld, tab, out=u_out), M),
             traced_peak_rows(
-                lambda: rx.adjoint_step(model, grid, adj, u0, tab), M))
+                lambda: rx.adjoint_step(model, grid, adj, jac, tab), M))
 
 
 class TestStepAllocations:
     """Warm steps run in their field's buffers: NumPy reports its buffers to
-    tracemalloc, and what a step still allocates is the isfinite mask and
-    the model's own temporaries (Burgers' 0.5*u*u takes two rows)."""
+    tracemalloc, and what a step still allocates is the isfinite mask and,
+    forward, the model's own temporaries (Burgers' 0.5*u*u takes two rows);
+    the adjoint step takes its Jacobian evaluated."""
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
     def test_jinxin_burgers(self, ratio):
@@ -723,7 +748,7 @@ class TestStepAllocations:
                        0.2 * np.exp(-((x - 0.5) ** 2))])
         fwd, bwd = warm_step_rows(rx.make_broadwell(1.0, 1e-2), grid,
                                   ratio * grid.dx, u0)
-        assert fwd <= 8 and bwd <= 10, (fwd, bwd)
+        assert fwd <= 8 and bwd <= 1, (fwd, bwd)
 
     def test_ring_recycles_evicted_levels(self):
         # once warm, a new level lands in the array of the level it evicts
@@ -734,9 +759,9 @@ class TestStepAllocations:
         tab = la.tableau("BDF2")
         fld = rx.KineticField(model, grid, grid.dx / 2.1, tab.s,
                               rx.equilibrium_lift(model, u0))
-        rx.forward_step(model, grid, fld, tab)
+        step_forward(model, grid, fld, tab)
         for _ in range(3):
             oldest = fld.history[-1]
-            rx.forward_step(model, grid, fld, tab)
+            step_forward(model, grid, fld, tab)
             assert fld.current is oldest and len(fld.history) == tab.s
         assert fld.n == 4
