@@ -2,12 +2,15 @@
 
 The format is deliberately structure-free: one ``key = value`` pair per line,
 ``#`` comments, an optional ``[experiment-kind]`` header naming the intended
-experiment.  Parsing and serialization round-trip exactly.
+experiment.  Parsing and serialization round-trip exactly.  Each
+experiment's keys are declared once, in ``CONFIG_REFERENCE``, with their
+parser, default and documentation; ``settings`` reads a config through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 EXPERIMENT_KINDS = ("ode-converge", "relax-forward", "relax-adjoint",
@@ -24,75 +27,6 @@ class Config:
 
     kind: str | None = None
     values: dict[str, str] = field(default_factory=dict)
-
-    # typed getters -------------------------------------------------------
-
-    def get_str(self, key, default=None, choices=None):
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None and choices is not None:
-                raise ConfigError(f"missing required key {key!r}")
-            raw = default
-        if choices is not None and raw not in choices:
-            raise ConfigError(f"key {key!r}: {raw!r} not in {sorted(choices)}")
-        return raw
-
-    def get_float(self, key, default=None):
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return float(default)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: {raw!r} is not a number") from None
-
-    def get_int(self, key, default=None):
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return int(default)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: {raw!r} is not an integer") from None
-
-    def get_int_list(self, key, default=None, increasing=False):
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            vals = list(default)
-        else:
-            try:
-                vals = [int(tok) for tok in raw.replace(",", " ").split()]
-            except ValueError:
-                raise ConfigError(
-                    f"key {key!r}: {raw!r} is not an integer list") from None
-        if increasing and any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError(f"key {key!r} must be strictly increasing")
-        return vals
-
-    def get_float_list(self, key, default=None):
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return list(default)
-        try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"key {key!r}: {raw!r} is not a number list") from None
-
-    def get_str_list(self, key, default=None):
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return list(default)
-        return [tok for tok in raw.replace(",", " ").split() if tok]
 
 
 def parse_config(text: str) -> Config:
@@ -136,76 +70,157 @@ def load_config(path) -> Config:
         return parse_config(fh.read())
 
 
-# reference documentation for every key, grouped by experiment -------------
+
+
+# one declaration per key, grouped by experiment ---------------------------
+
+@dataclass(frozen=True)
+class Key:
+    """A config key: the parser of its value, its default written as a config
+    value (None: the key is required) and its documentation."""
+
+    parse: Callable[[str], object]
+    default: str | None
+    doc: str
+
+
+def _choice(*options):
+    def parse(raw):
+        if raw not in options:
+            raise ValueError(f"{raw!r} not in {list(options)}")
+        return raw
+    return parse
+
+
+def _list(item, increasing=False):
+    """Comma or blank separated items, at least one."""
+    def parse(raw):
+        vals = [item(tok) for tok in raw.replace(",", " ").split()]
+        if not vals:
+            raise ValueError("needs at least one value")
+        if increasing and any(b <= a for a, b in zip(vals, vals[1:])):
+            raise ValueError(f"{raw!r} is not strictly increasing")
+        return vals
+    return parse
+
+
+def _float_or(word):
+    """A number, or ``word`` for a value the experiment works out."""
+    return lambda raw: raw if raw == word else float(raw)
+
+
+# the horizon of each ode-converge study when T = study; full-system's exact
+# state 1/(1-t) is infinite at t = 1
+_STUDY_HORIZONS = {"const-fy": 1.0, "quadratic-fy": 1.0, "full-system": 0.9}
+
+_DESCENT = {
+    "eps": Key(float, "1e-2", "relaxation parameter"),
+    "scheme": Key(str, "BDF2", "BDF tableau"),
+    "sigma0": Key(float, "0.1", "initial step size"),
+    "bb_variant": Key(_choice("bb2", "bb1"), "bb2", "bb2 | bb1"),
+    "filter_every": Key(int, "0", "TV-filter cadence, 0 = off"),
+    "save_every": Key(int, "0", "control snapshot cadence, 0 = final only"),
+}
 
 CONFIG_REFERENCE = {
     "ode-converge": {
-        "study": "const-fy | quadratic-fy | full-system (built-in problem)",
-        "schemes": "comma list of tableau names, e.g. ExplicitEuler,AB3,AM4 "
-                   "(AM4-270: the printed AM4 variant)",
-        "n_list": "strictly increasing step counts, e.g. 40,80,160,320,640",
-        "T": "final time (defaults: 1.0 for the prescribed studies, 0.9 full-system)",
-        "route": "dto | otd | both (default both)",
-        "precision": "extended (long double, default for prescribed studies) | double",
+        "study": Key(_choice(*_STUDY_HORIZONS), None,
+                     " | ".join(_STUDY_HORIZONS) + " (built-in problem)"),
+        "schemes": Key(_list(str), None,
+                       "comma list of tableau names, e.g. ExplicitEuler,AB3,"
+                       "AM4 (AM4-270: the printed AM4 variant)"),
+        "n_list": Key(_list(int, increasing=True), "40,80,160,320,640",
+                      "strictly increasing step counts"),
+        "T": Key(_float_or("study"), "study",
+                 "final time; 'study' is " + ", ".join(
+                     f"{t:g} for {s}" for s, t in _STUDY_HORIZONS.items())),
     },
     "relax-forward": {
-        "flux": "linear | burgers",
-        "a": "characteristic speed (default 2.1)",
-        "eps": "relaxation parameter (default 1e-2)",
-        "x_left/x_right": "domain (default 0, 6)",
-        "nx": "grid points, inclusive endpoints (default 640)",
-        "dt": "time step; 'aligned' (default) sets dt = dx/a",
-        "T": "final time (default 1.0)",
-        "scheme": "BDF tableau name (default BDF3)",
-        "boundary": "periodic | clamp (default periodic)",
-        "u0_center/u0_width": "Gaussian initial data parameters (default 3, 1)",
-        "output_times": "comma list of snapshot times (default T only)",
-        "run_name": "snapshot filename prefix (default 'forward')",
+        "flux": Key(_choice("linear", "burgers"), None, "linear | burgers"),
+        "a": Key(float, "2.1", "characteristic speed"),
+        "eps": Key(float, "1e-2", "relaxation parameter"),
+        "x_left": Key(float, "0", "left end of the domain"),
+        "x_right": Key(float, "6", "right end of the domain"),
+        "nx": Key(int, "640", "grid points, inclusive endpoints"),
+        "dt": Key(_float_or("aligned"), "aligned",
+                  "time step; 'aligned' sets dt = dx/a"),
+        "T": Key(float, "1.0", "final time"),
+        "scheme": Key(str, "BDF3", "BDF tableau name"),
+        "boundary": Key(_choice("periodic", "clamp"), "periodic",
+                        "periodic | clamp"),
+        "u0_center": Key(float, "3", "Gaussian initial data centre"),
+        "u0_width": Key(float, "1", "Gaussian initial data width"),
+        "output_times": Key(_list(_float_or("T")), "T",
+                            "comma list of snapshot times; 'T' is the final "
+                            "time"),
+        "run_name": Key(str, "forward", "snapshot filename prefix"),
     },
     "relax-adjoint": {
-        "eps_list": "relaxation parameters (default 1,1e-1,1e-2,1e-3,1e-4)",
-        "nx_list": "grid ladder (default 40,80,160,320,640)",
-        "a": "characteristic speed (default 2.1)",
-        "x_left/x_right": "periodic domain (default 0, 6)",
-        "scheme": "BDF tableau (default BDF2)",
-        "T": "backward horizon (default 1.0)",
-        "terminal_center/terminal_width": "Gaussian terminal data (default 3, 1)",
-        "oracle_eps_max": "use the transport oracle for eps < this (default 5e-3); "
-                          "larger eps rows use a nested fine-grid self-reference",
+        "eps_list": Key(_list(float), "1,1e-1,1e-2,1e-3,1e-4",
+                        "relaxation parameters"),
+        "nx_list": Key(_list(int, increasing=True), "40,80,160,320,640",
+                       "strictly increasing grid ladder"),
+        "a": Key(float, "2.1", "characteristic speed"),
+        "x_left": Key(float, "0", "left end of the periodic domain"),
+        "x_right": Key(float, "6", "right end of the periodic domain"),
+        "scheme": Key(str, "BDF2", "BDF tableau"),
+        "T": Key(float, "1.0", "backward horizon"),
+        "terminal_center": Key(float, "3", "Gaussian terminal data centre"),
+        "terminal_width": Key(float, "1", "Gaussian terminal data width"),
+        "oracle_eps_max": Key(float, "5e-3",
+                              "use the transport oracle for eps < this; "
+                              "larger eps rows use a nested fine-grid "
+                              "self-reference"),
     },
     "control-jinxin": {
-        "nx": "grid points (default 120)",
-        "dt": "time step (default 0.05; speed a = dx/dt keeps feet nodal)",
-        "T": "horizon (default 3.0)",
-        "eps": "relaxation parameter (default 1e-2)",
-        "scheme": "BDF tableau (default BDF2)",
-        "iterations": "descent iterations (default 30)",
-        "sigma0": "initial step size (default 0.1)",
-        "bb_variant": "bb2 (default) | bb1",
-        "filter_every": "TV-filter cadence, 0 = off (default 0)",
-        "save_every": "control snapshot cadence, 0 = final only (default 0)",
+        "nx": Key(int, "120", "grid points"),
+        "dt": Key(float, "0.05",
+                  "time step; the speed a = dx/dt keeps feet nodal"),
+        "T": Key(float, "3.0", "horizon"),
+        "iterations": Key(int, "30", "descent iterations"),
+        **_DESCENT,
     },
     "control-broadwell": {
-        "nx": "grid points (default 320)",
-        "dt": "time step (default 0.01)",
-        "T": "horizon (default 0.15)",
-        "eps": "relaxation parameter (default 1e-2)",
-        "c": "kinetic speed (default 1.0)",
-        "scheme": "BDF tableau (default BDF2)",
-        "iterations": "descent iterations (default 70)",
-        "sigma0": "initial step size (default 0.1)",
-        "bb_variant": "bb2 (default) | bb1",
-        "filter_every": "TV-filter cadence, 0 = off (default 0)",
-        "save_every": "control snapshot cadence, 0 = final only (default 0)",
+        "nx": Key(int, "320", "grid points"),
+        "dt": Key(float, "0.01", "time step"),
+        "T": Key(float, "0.15", "horizon"),
+        "c": Key(float, "1.0", "kinetic speed"),
+        "iterations": Key(int, "70", "descent iterations"),
+        **_DESCENT,
     },
 }
 
 
+def settings(cfg: Config, kind: str) -> dict:
+    """The parsed value of every key of ``kind``, from ``cfg`` or its default.
+
+    Raises ``ConfigError`` for a key ``kind`` does not declare, and, naming
+    the key, for a missing required key or a value its parser rejects.
+    """
+    table = CONFIG_REFERENCE[kind]
+    unknown = sorted(set(cfg.values) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown keys for {kind!r}: {unknown}")
+    values = {}
+    for name, key in table.items():
+        raw = cfg.values.get(name, key.default)
+        if raw is None:
+            raise ConfigError(f"missing required key {name!r}")
+        try:
+            values[name] = key.parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"key {name!r}: {exc}") from None
+    return values
+
+
 def config_reference_text() -> str:
-    lines = ["Configuration keys per experiment (flat 'key = value' format).", ""]
-    for kind in EXPERIMENT_KINDS:
+    lines = ["Configuration keys per experiment (flat 'key = value' format).",
+             ""]
+    for kind, table in CONFIG_REFERENCE.items():
         lines.append(f"[{kind}]")
-        for key, doc in CONFIG_REFERENCE[kind].items():
-            lines.append(f"  {key:24s} {doc}")
+        for name, key in table.items():
+            default = ("required" if key.default is None
+                       else f"default {key.default}")
+            lines.append(f"  {name:16s} {key.doc} ({default})")
         lines.append("")
     return "\n".join(lines)

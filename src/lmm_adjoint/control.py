@@ -7,7 +7,7 @@ TV-reducing smoothing filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -99,10 +99,6 @@ class DescentState:
     k: int = 0
     prev_control: np.ndarray | None = None
     prev_gradient: np.ndarray | None = None
-    functional_history: list[float] = field(default_factory=list)
-
-    def record(self, J: float):
-        self.functional_history.append(J)
 
 
 def bb_step(state: DescentState, gradient: np.ndarray,
@@ -164,7 +160,6 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
         u_T = u_store[-1].copy()
         J = functional(u_T)
         state.k = k
-        state.record(J)
         if k == iterations or J == 0.0:
             log.append({"k": k, "J": J, "sigma": state.sigma,
                         "grad_inf_norm": 0.0})

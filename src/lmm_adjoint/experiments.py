@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from . import relaxation as rx
-from .config import Config, ConfigError
+from .config import _STUDY_HORIZONS, Config, ConfigError, settings
 from .control import TrackingFunctional, optimize
 from .ode_control import (prescribed_trajectory, solve_adjoint_dto,
                           solve_adjoint_otd, solve_forward)
@@ -150,7 +150,8 @@ def _table_rows(n_list, errs, sols):
     return rows
 
 
-def _prescribed_table(study, tab, n_list, T, routes, dtype):
+def _prescribed_table(study, tab, n_list, T, routes):
+    dtype = np.longdouble
     factory = _STUDY_PROBLEMS[study]
     pex = factory(dtype(T)).p_exact
     errs = {route: [] for route in routes}
@@ -184,48 +185,44 @@ def _full_system_table(tab, n_list, T):
     return _table_rows(n_list, errs, sols)
 
 
-def run_ode_convergence(cfg: Config, out_dir: str, route: str = "both") -> dict:
+def run_ode_convergence(cfg: Config, out_dir: str, route: str | None = None
+                        ) -> dict:
     """Convergence tables for the built-in adjoint studies.
 
     Emits one CSV per scheme named ``table_<study>_<scheme>.csv`` and mirrors
-    each table on stdout.  Returns {scheme: rows}.
+    each table on stdout.  Returns {scheme: rows}.  ``route`` (dto, otd or
+    both, the default) picks the columns of the prescribed studies; the
+    full-system table always reports both routes and rejects one.
     """
-    study = cfg.get_str("study", choices=("const-fy", "quadratic-fy",
-                                          "full-system"))
-    schemes = cfg.get_str_list("schemes")
-    n_list = cfg.get_int_list("n_list", default=(40, 80, 160, 320, 640),
-                              increasing=True)
-    route = cfg.get_str("route", default=route, choices=("dto", "otd", "both"))
-    routes = ("dto", "otd") if route == "both" else (route,)
-    precision = cfg.get_str("precision",
-                            default="double" if study == "full-system"
-                            else "extended",
-                            choices=("double", "extended"))
-    dtype = np.longdouble if precision == "extended" else np.float64
+    s = settings(cfg, "ode-converge")
+    study, n_list = s["study"], s["n_list"]
+    T = _STUDY_HORIZONS[study] if s["T"] == "study" else s["T"]
+    if study == "full-system" and route is not None:
+        raise ConfigError("--route applies to the prescribed studies; "
+                          "the full-system table reports both routes")
+    routes = ("dto", "otd") if route in (None, "both") else (route,)
+    if study == "full-system" and T >= 1.0:
+        raise ConfigError(
+            f"full-system study needs T < 1: its exact state "
+            f"1/(1-t) is infinite at t = 1 (got T = {T:g})")
     results = {}
-    for scheme in schemes:
+    for scheme in s["schemes"]:
         tab = tableau(scheme)
         if study == "full-system":
             if not tab.is_bdf:
                 raise ConfigError(
                     f"full-system study integrates forward; scheme {scheme!r} "
                     f"must be BDF class")
-            T = cfg.get_float("T", default=0.9)
-            if T >= 1.0:
-                raise ConfigError(
-                    f"full-system study needs T < 1: its exact state "
-                    f"1/(1-t) is infinite at t = 1 (got T = {T:g})")
             header = ["N", "err_y", "rate_y", "err_dto", "rate_dto",
                       "err_otd", "rate_otd", "err_y_extrap", "rate_y_extrap"]
             rows = _full_system_table(tab, n_list, T)
         else:
-            T = cfg.get_float("T", default=1.0)
             header = ["N"]
             for r in routes:
                 header += [f"err_{r}", f"rate_{r}"]
             for r in routes:
                 header += [f"err_{r}_extrap", f"rate_{r}_extrap"]
-            rows = _prescribed_table(study, tab, n_list, T, routes, dtype)
+            rows = _prescribed_table(study, tab, n_list, T, routes)
         path = os.path.join(out_dir, f"table_{study}_{tab.name}.csv")
         write_csv(path, header, rows)
         echo_table(f"{study} / {tab.name}", header, rows)
@@ -239,36 +236,18 @@ def _gaussian(center, width):
     return lambda x: np.exp(-((x - center) / width) ** 2)
 
 
-def _relax_setup(cfg: Config):
-    a = cfg.get_float("a", default=2.1)
-    nx = cfg.get_int("nx", default=640)
-    xl = cfg.get_float("x_left", default=0.0)
-    xr = cfg.get_float("x_right", default=6.0)
-    boundary = cfg.get_str("boundary", default="periodic",
-                           choices=("periodic", "clamp"))
-    grid = rx.LagrangianGrid(xl, xr, nx, boundary=boundary)
-    dt_raw = cfg.get_str("dt", default="aligned")
-    if dt_raw == "aligned":
-        dt = grid.dx / a
-    else:
-        dt = cfg.get_float("dt")
-        if dt > grid.dx / a + 1e-12:
-            raise ConfigError(f"dt = {dt} violates the CFL bound dx/a = "
-                              f"{grid.dx / a:.6g}")
-    return a, grid, dt
-
-
 def run_relax_forward(cfg: Config, out_dir: str) -> dict:
     """Forward relaxation run: snapshot CSVs plus a conservation log."""
-    a, grid, dt = _relax_setup(cfg)
-    eps = cfg.get_float("eps", default=1e-2)
-    T = cfg.get_float("T", default=1.0)
-    scheme = cfg.get_str("scheme", default="BDF3")
-    flux = cfg.get_str("flux", choices=("linear", "burgers"))
-    run_name = cfg.get_str("run_name", default="forward")
-    u0_fn = _gaussian(cfg.get_float("u0_center", default=3.0),
-                      cfg.get_float("u0_width", default=1.0))
-    tab = tableau(scheme)
+    s = settings(cfg, "relax-forward")
+    a, eps, T, flux = s["a"], s["eps"], s["T"], s["flux"]
+    grid = rx.LagrangianGrid(s["x_left"], s["x_right"], s["nx"],
+                             boundary=s["boundary"])
+    dt = grid.dx / a if s["dt"] == "aligned" else s["dt"]
+    if dt > grid.dx / a + 1e-12:
+        raise ConfigError(f"dt = {dt} violates the CFL bound dx/a = "
+                          f"{grid.dx / a:.6g}")
+    u0_fn = _gaussian(s["u0_center"], s["u0_width"])
+    tab = tableau(s["scheme"])
     x = grid.nodes()
     u0 = u0_fn(x)[None, :]
     if flux == "linear":
@@ -278,16 +257,16 @@ def run_relax_forward(cfg: Config, out_dir: str) -> dict:
         model = rx.make_jin_xin(lambda u: 0.5 * u * u, lambda u: u,
                                 a, eps, u0=u0[0])
     n_steps = int(round(T / dt))
-    out_times = cfg.get_float_list("output_times", default=(T,))
+    out_times = [T if tt == "T" else tt for tt in s["output_times"]]
     out_steps = sorted({min(n_steps, max(0, int(round(tt / dt))))
                         for tt in out_times})
     fld, u_store = rx.solve_forward(model, grid, tab, u0, n_steps, dt)
     for k in out_steps:
-        write_csv(os.path.join(out_dir, f"{run_name}_t{k}.csv"),
+        write_csv(os.path.join(out_dir, f"{s['run_name']}_t{k}.csv"),
                   ["x", "u"], np.column_stack([x, u_store[k, 0]]))
     mass = rx.mass_history(u_store, grid)[:, 0]
     rows = [[k, k * dt, m] for k, m in enumerate(mass)]
-    write_csv(os.path.join(out_dir, f"{run_name}_mass.csv"),
+    write_csv(os.path.join(out_dir, f"{s['run_name']}_mass.csv"),
               ["step", "t", "mass"], rows)
     drift = float(np.max(np.abs(mass - mass[0])) / max(abs(mass[0]), 1e-300))
     print(f"relax-forward: {flux} flux, {tab.name}, nx={grid.n_points}, "
@@ -306,21 +285,12 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     batched over all eps values, plus one nested fine sweep batched over the
     self-reference eps values, so every (grid, eps) is solved once.
     """
-    a = cfg.get_float("a", default=2.1)
-    scheme = cfg.get_str("scheme", default="BDF2")
-    T = cfg.get_float("T", default=1.0)
-    eps_list = cfg.get_float_list("eps_list",
-                                  default=(1.0, 1e-1, 1e-2, 1e-3, 1e-4))
-    nx_list = cfg.get_int_list("nx_list", default=(40, 80, 160, 320, 640),
-                               increasing=True)
-    if not nx_list:
-        raise ConfigError("key 'nx_list' needs at least one grid size")
-    oracle_max = cfg.get_float("oracle_eps_max", default=5e-3)
-    pT_fn = _gaussian(cfg.get_float("terminal_center", default=3.0),
-                      cfg.get_float("terminal_width", default=1.0))
-    xl = cfg.get_float("x_left", default=0.0)
-    xr = cfg.get_float("x_right", default=6.0)
-    tab = tableau(scheme)
+    s = settings(cfg, "relax-adjoint")
+    a, T, eps_list = s["a"], s["T"], s["eps_list"]
+    oracle_max = s["oracle_eps_max"]
+    xl, xr = s["x_left"], s["x_right"]
+    pT_fn = _gaussian(s["terminal_center"], s["terminal_width"])
+    tab = tableau(s["scheme"])
     self_ref = [b for b, eps in enumerate(eps_list) if eps >= oracle_max]
 
     def model_of(eps):
@@ -342,7 +312,7 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     model = model_of(eps_list)
     fine_model = model_of([eps_list[b] for b in self_ref])
     errs = [[] for _ in eps_list]
-    for nx in nx_list:
+    for nx in s["nx_list"]:
         p0, grid, t_act = p0_of(model, nx)
         refs = [rx.transport_oracle(grid, pT_fn, 1.0, t_act)] * len(eps_list)
         if self_ref:
@@ -377,23 +347,13 @@ def _box(x, lo, hi, value):
 
 def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
     """Initial-data control experiments (Jin-Xin Burgers or Broadwell)."""
-    scheme = cfg.get_str("scheme", default="BDF2")
-    tab = tableau(scheme)
-    eps = cfg.get_float("eps", default=1e-2)
-    iterations = cfg.get_int("iterations",
-                             default=30 if kind == "control-jinxin" else 70)
-    sigma0 = cfg.get_float("sigma0", default=0.1)
-    bb_variant = cfg.get_str("bb_variant", default="bb2",
-                             choices=("bb1", "bb2"))
-    filter_every = cfg.get_int("filter_every", default=0)
-    save_every = cfg.get_int("save_every", default=0)
+    s = settings(cfg, kind)
+    tab = tableau(s["scheme"])
+    nx, dt, eps, save_every = s["nx"], s["dt"], s["eps"], s["save_every"]
 
     if kind == "control-jinxin":
-        nx = cfg.get_int("nx", default=120)
         grid = rx.LagrangianGrid(-3.0, 3.0, nx, boundary="periodic")
-        dt = cfg.get_float("dt", default=0.05)
         a = grid.dx / dt  # keeps characteristic feet nodal
-        T = cfg.get_float("T", default=3.0)
         x = grid.nodes()
         true_init = np.where((x >= -1.5) & (x <= -0.5), 1.5 + x, 0.0)[None, :]
         guess = _box(x, -1.5, -0.5, 0.5)[None, :]
@@ -401,18 +361,14 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
                                 u0=true_init[0])
         names = ("u",)
     else:
-        nx = cfg.get_int("nx", default=320)
         grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary="clamp")
-        dt = cfg.get_float("dt", default=0.01)
-        c = cfg.get_float("c", default=1.0)
-        T = cfg.get_float("T", default=0.15)
         x = grid.nodes()
         m0 = np.where(np.abs(x) <= 1.0, np.sin(np.pi * x), 0.0)
         true_init = np.stack([np.ones_like(x), m0])
         guess = np.stack([np.ones_like(x), np.zeros_like(x)])
-        model = rx.make_broadwell(c, eps)
+        model = rx.make_broadwell(s["c"], eps)
         names = ("rho", "m")
-    n_steps = int(round(T / dt))
+    n_steps = int(round(s["T"] / dt))
 
     # self-consistent target: forward-evolve the reference initial data and
     # keep only its terminal level
@@ -427,9 +383,9 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
             snaps[k] = control.copy()
 
     result = optimize(model, grid, tab, functional, guess, n_steps, dt,
-                      iterations=iterations, sigma0=sigma0,
-                      bb_variant=bb_variant, filter_every=filter_every,
-                      callback=cb)
+                      iterations=s["iterations"], sigma0=s["sigma0"],
+                      bb_variant=s["bb_variant"],
+                      filter_every=s["filter_every"], callback=cb)
     log_rows = [[r["k"], r["J"], r["sigma"], r["grad_inf_norm"]]
                 for r in result.iterations]
     write_csv(os.path.join(out_dir, f"{kind}_iterations.csv"),
@@ -449,7 +405,7 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
 
     Js = [r["J"] for r in result.iterations]
     print(f"{kind}: {tab.name}, nx={nx}, dt={dt:.6g}, eps={eps:g}, "
-          f"{iterations} iterations")
+          f"{s['iterations']} iterations")
     print(f"  J(0) = {Js[0]:.6e}   J(end) = {Js[-1]:.6e}   "
           f"ratio = {Js[-1] / Js[0]:.6f}")
     return {"result": result, "J": Js, "grid": grid,

@@ -45,7 +45,8 @@ class ModelConfigError(ValueError):
 
 
 class FieldBlowUpError(RuntimeError):
-    """Kinetic field left the finite range during time stepping."""
+    """Kinetic field left the finite range, or the model's domain, during
+    time stepping."""
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,8 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
 
     Equilibria: E_1 = F/2 + m/2c, E_2 = F/2 - m/2c, E_3 = (rho - F)/2 with
     F(rho, m) = m^2/(c^2 rho) + rho, the unique choice satisfying both
-    moment constraints.  Evaluation raises when rho <= 0 (flux singular).
+    moment constraints.  Evaluation raises ``FieldBlowUpError`` when
+    rho <= 0 (flux singular).
     """
     if c <= 0:
         raise ModelConfigError("characteristic speed c must be positive")
@@ -162,7 +164,7 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
     def _flux(u):
         rho, m = u[0], u[1]
         if np.any(rho <= 0):
-            raise ModelConfigError("Broadwell flux undefined for rho <= 0")
+            raise FieldBlowUpError("Broadwell flux undefined for rho <= 0")
         return m * m / (c * c * rho) + rho
 
     def equilibrium(u, out=None):

@@ -8,9 +8,9 @@ import pytest
 from lmm_adjoint import cli
 from lmm_adjoint import relaxation as rx
 from lmm_adjoint.experiments import run_relax_adjoint
-from lmm_adjoint.config import (CONFIG_REFERENCE, Config, ConfigError,
+from lmm_adjoint.config import (CONFIG_REFERENCE, ConfigError,
                                 config_reference_text, parse_config,
-                                serialize_config)
+                                serialize_config, settings)
 
 
 class TestConfigFormat:
@@ -41,26 +41,26 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             parse_config("just words\n")
 
-    def test_typed_getters_name_keys(self):
-        cfg = parse_config("n = x\nlist = 1,2,oops\n")
-        with pytest.raises(ConfigError, match="'n'"):
-            cfg.get_int("n")
-        with pytest.raises(ConfigError, match="'list'"):
-            cfg.get_int_list("list")
-        with pytest.raises(ConfigError, match="'missing'"):
-            cfg.get_float("missing")
-
-    def test_increasing_list_validation(self):
-        cfg = parse_config("n_list = 40, 40, 80\n")
-        with pytest.raises(ConfigError):
-            cfg.get_int_list("n_list", increasing=True)
+    @pytest.mark.parametrize("kind, text, key", [
+        ("relax-forward", "flux = linear\nnx = x\n", "nx"),
+        ("relax-adjoint", "nx_list = 1,2,oops\n", "nx_list"),
+        ("relax-adjoint", "nx_list = 40, 40, 80\n", "nx_list"),
+        ("relax-forward", "flux = cubic\n", "flux"),
+        ("relax-forward", "nx = 40\n", "flux"),
+    ], ids=["bad-int", "bad-list-item", "not-increasing", "bad-choice",
+            "missing-required"])
+    def test_settings_names_key(self, kind, text, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            settings(parse_config(text), kind)
 
     def test_reference_covers_all_kinds(self):
         text = config_reference_text()
         for kind, keys in CONFIG_REFERENCE.items():
             assert kind in text
-            for key in keys:
-                assert key.split("/")[0] in text
+            for name, key in keys.items():
+                assert name in text and key.doc in text
+                if key.default is not None:
+                    assert f"(default {key.default})" in text
 
 
 class TestCli:
@@ -104,7 +104,7 @@ class TestCli:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_split_keys_accepted(self, tmp_path):
-        # each half of a documented 'a/b' entry is a known key
+        # the domain ends are keys of their own
         conf = self._write(tmp_path, "c.conf",
                            "[relax-adjoint]\nnx_list = 20,40\neps_list = 1e-4\n"
                            "x_left = 0\nx_right = 6\n")
@@ -164,9 +164,9 @@ class TestCli:
         # it is not a consistent integrator and the errors stay O(1)
         conf = self._write(tmp_path, "c.conf",
                            "[ode-converge]\nstudy = const-fy\n"
-                           "schemes = AM4-270\nn_list = 20,40\nroute = otd\n")
+                           "schemes = AM4-270\nn_list = 20,40\n")
         rc = cli.main(["ode-converge", "--config", conf, "--out",
-                       str(tmp_path)])
+                       str(tmp_path), "--route", "otd"])
         assert rc == 0
         rows = (tmp_path / "table_const-fy_AM4-270.csv").read_text().splitlines()
         err = float(rows[1].split(",")[1])
@@ -251,6 +251,46 @@ class TestCli:
                          "--out", str(tmp_path)]) == 2
         assert "'nx_list'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("kind, body, key", [
+        ("ode-converge", "study = const-fy\nschemes = \n", "schemes"),
+        ("ode-converge", "study = const-fy\nschemes = AM4\nn_list = \n",
+         "n_list"),
+        ("relax-adjoint", "eps_list = \n", "eps_list"),
+        ("relax-forward", "flux = linear\nnx = 40\noutput_times = \n",
+         "output_times"),
+    ], ids=["schemes", "n_list", "eps_list", "output_times"])
+    def test_empty_list_config_error(self, tmp_path, capsys, kind, body, key):
+        conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
+        assert cli.main([kind, "--config", conf, "--out", str(tmp_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("kind, body", [
+        ("relax-forward", "flux = linear\nnx = 40\n"),
+        ("relax-adjoint", "nx_list = 20,40\n"),
+        ("control-jinxin", "nx = 40\niterations = 1\n"),
+        ("control-broadwell", "nx = 41\niterations = 1\n"),
+        ("ode-converge", "study = full-system\nschemes = BDF2\n"
+                         "n_list = 40,80\n"),
+    ], ids=["relax-forward", "relax-adjoint", "control-jinxin",
+            "control-broadwell", "full-system"])
+    def test_route_rejected_where_ignored(self, tmp_path, capsys, kind, body):
+        # only the prescribed ode-converge studies have route columns
+        conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
+        assert cli.main([kind, "--config", conf, "--out", str(tmp_path),
+                         "--route", "dto"]) == 2
+        assert "--route" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_broadwell_negative_density_solver_failure(self, tmp_path, capsys):
+        # a large first step drives rho below 0 inside the descent loop
+        conf = self._write(tmp_path, "c.conf",
+                           "[control-broadwell]\nnx = 81\niterations = 3\n"
+                           "sigma0 = 10\n")
+        assert cli.main(["control-broadwell", "--config", conf,
+                         "--out", str(tmp_path)]) == 3
+        assert "rho <= 0" in capsys.readouterr().err
 
 
 class TestRelaxAdjointSweeps:

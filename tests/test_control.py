@@ -255,5 +255,6 @@ class TestOptimize:
             coarse_jinxin_setup()
         res = ct.optimize(model, grid, tab, functional, guess, n_steps, dt,
                           iterations=5)
-        assert len(res.state.functional_history) == 6
-        assert res.state.functional_history[0] == res.iterations[0]["J"]
+        assert [r["k"] for r in res.iterations] == list(range(6))
+        u_T = rx.solve_forward(model, grid, tab, guess, n_steps, dt)[1][-1]
+        assert res.iterations[0]["J"] == functional(u_T)

@@ -35,17 +35,17 @@ MODULES = ("cli", "config", "control", "experiments", "ode_control",
 CLI_OPTIONS = ("-h", "--help", "--config", "--out", "--route")
 
 CONFIG_KEYS = {
-    "ode-converge": ("study", "schemes", "n_list", "T", "route", "precision"),
-    "relax-forward": ("flux", "a", "eps", "x_left/x_right", "nx", "dt", "T",
-                      "scheme", "boundary", "u0_center/u0_width",
+    "ode-converge": ("study", "schemes", "n_list", "T"),
+    "relax-forward": ("flux", "a", "eps", "x_left", "x_right", "nx", "dt",
+                      "T", "scheme", "boundary", "u0_center", "u0_width",
                       "output_times", "run_name"),
-    "relax-adjoint": ("eps_list", "nx_list", "a", "x_left/x_right", "scheme",
-                      "T", "terminal_center/terminal_width",
+    "relax-adjoint": ("eps_list", "nx_list", "a", "x_left", "x_right",
+                      "scheme", "T", "terminal_center", "terminal_width",
                       "oracle_eps_max"),
-    "control-jinxin": ("nx", "dt", "T", "eps", "scheme", "iterations",
+    "control-jinxin": ("nx", "dt", "T", "iterations", "eps", "scheme",
                        "sigma0", "bb_variant", "filter_every", "save_every"),
-    "control-broadwell": ("nx", "dt", "T", "eps", "c", "scheme", "iterations",
-                          "sigma0", "bb_variant", "filter_every",
+    "control-broadwell": ("nx", "dt", "T", "c", "iterations", "eps",
+                          "scheme", "sigma0", "bb_variant", "filter_every",
                           "save_every"),
 }
 

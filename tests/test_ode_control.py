@@ -353,11 +353,9 @@ class TestStudyTableBytes:
         for conf in reference_digests("ode-tables"):
             assert_config_matches_reference("ode-tables", conf, tmp_path / conf)
 
-    # every relax-paper config, and the fractional-foot wide run (relax-wide's
-    # control-jinxin takes seconds and is left to the benchmark)
     @pytest.mark.parametrize("workload, conf", [
         *(("relax-paper", conf) for conf in reference_digests("relax-paper")),
-        ("relax-wide", "relax-forward.conf")])
+        *(("relax-wide", conf) for conf in reference_digests("relax-wide"))])
     def test_relaxation_tables_match_reference_digests(self, workload, conf,
                                                        tmp_path):
         assert_config_matches_reference(workload, conf, tmp_path)

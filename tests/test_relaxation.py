@@ -87,7 +87,7 @@ class TestModels:
         with pytest.raises(rx.ModelConfigError):
             rx.make_broadwell(0.0, 1e-2)
         m = rx.make_broadwell(1.0, 1e-2)
-        with pytest.raises(rx.ModelConfigError):
+        with pytest.raises(rx.FieldBlowUpError):
             m.equilibrium(np.array([[-1.0], [0.0]]))
 
     def test_moment_consistency_sampled(self):
