@@ -12,20 +12,18 @@ semi-Lagrangian BDF solver for discrete-velocity relaxation systems
 from . import control, ode_control, problems, relaxation, tableaus
 from .tableaus import (History, ImplicitSolveError, MultistepTableau, TimeGrid,
                        UnknownTableauError, bootstrap_history, derive_bdf,
-                       registry_names, step, tableau)
-from .ode_control import (AdjointRoute, AdjointTrajectory, OdeControlProblem,
+                       step, tableau)
+from .ode_control import (AdjointTrajectory, OdeControlProblem,
                           SingularAdjointStepError, SolverBlowUpError,
                           Trajectory, cost_gradient_dto, discrete_cost,
                           optimality_residual, prescribed_trajectory,
                           solve_adjoint_dto, solve_adjoint_otd, solve_forward)
 from .relaxation import (AdjointField, FieldBlowUpError, KineticField,
                          LagrangianGrid, ModelConfigError, RelaxationModel,
-                         adjoint_step, equilibrium_lift, forward_step,
-                         make_broadwell, make_jin_xin, mass_history,
-                         terminal_multipliers, transport_oracle,
+                         adjoint_step, forward_step, make_broadwell,
+                         make_jin_xin, terminal_multipliers, transport_oracle,
                          viscous_limit_check)
 from .control import (DescentState, OptimizeResult, TrackingFunctional,
-                      bb_step, gradient_from_adjoint, optimize, total_variation,
-                      tv_filter)
+                      bb_step, gradient_from_adjoint, optimize, tv_filter)
 
 __version__ = "0.1.0"

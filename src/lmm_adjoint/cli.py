@@ -14,14 +14,13 @@ from .experiments import (run_control, run_ode_convergence, run_relax_adjoint,
                           run_relax_forward)
 from .ode_control import SingularAdjointStepError, SolverBlowUpError
 from .relaxation import FieldBlowUpError, ModelConfigError
-from .tableaus import ImplicitSolveError, UnknownTableauError
+from .tableaus import ImplicitSolveError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-_CONFIG_ERRORS = (ConfigError, UnknownTableauError, ModelConfigError,
-                  ValueError)
+_CONFIG_ERRORS = (ConfigError, ModelConfigError, ValueError)
 _SOLVER_ERRORS = (ImplicitSolveError, SolverBlowUpError, FieldBlowUpError,
                   SingularAdjointStepError, FloatingPointError,
                   ArithmeticError)

@@ -9,8 +9,11 @@ parser, default and documentation; ``settings`` reads a config through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+from .tableaus import tableau
 
 
 EXPERIMENT_KINDS = ("ode-converge", "relax-forward", "relax-adjoint",
@@ -104,9 +107,17 @@ def _list(item, increasing=False):
     return parse
 
 
+def _finite(raw):
+    """A float other than inf, -inf and nan."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _float_or(word):
-    """A number, or ``word`` for a value the experiment works out."""
-    return lambda raw: raw if raw == word else float(raw)
+    """A finite number, or ``word`` for a value the experiment works out."""
+    return lambda raw: raw if raw == word else _finite(raw)
 
 
 # the horizon of each ode-converge study when T = study; full-system's exact
@@ -114,9 +125,9 @@ def _float_or(word):
 _STUDY_HORIZONS = {"const-fy": 1.0, "quadratic-fy": 1.0, "full-system": 0.9}
 
 _DESCENT = {
-    "eps": Key(float, "1e-2", "relaxation parameter"),
-    "scheme": Key(str, "BDF2", "BDF tableau"),
-    "sigma0": Key(float, "0.1", "initial step size"),
+    "eps": Key(_finite, "1e-2", "relaxation parameter"),
+    "scheme": Key(tableau, "BDF2", "BDF tableau"),
+    "sigma0": Key(_finite, "0.1", "initial step size"),
     "bb_variant": Key(_choice("bb2", "bb1"), "bb2", "bb2 | bb1"),
     "filter_every": Key(int, "0", "TV-filter cadence, 0 = off"),
     "save_every": Key(int, "0", "control snapshot cadence, 0 = final only"),
@@ -126,7 +137,7 @@ CONFIG_REFERENCE = {
     "ode-converge": {
         "study": Key(_choice(*_STUDY_HORIZONS), None,
                      " | ".join(_STUDY_HORIZONS) + " (built-in problem)"),
-        "schemes": Key(_list(str), None,
+        "schemes": Key(_list(tableau), None,
                        "comma list of tableau names, e.g. ExplicitEuler,AB3,"
                        "AM4 (AM4-270: the printed AM4 variant)"),
         "n_list": Key(_list(int, increasing=True), "40,80,160,320,640",
@@ -137,54 +148,54 @@ CONFIG_REFERENCE = {
     },
     "relax-forward": {
         "flux": Key(_choice("linear", "burgers"), None, "linear | burgers"),
-        "a": Key(float, "2.1", "characteristic speed"),
-        "eps": Key(float, "1e-2", "relaxation parameter"),
-        "x_left": Key(float, "0", "left end of the domain"),
-        "x_right": Key(float, "6", "right end of the domain"),
+        "a": Key(_finite, "2.1", "characteristic speed"),
+        "eps": Key(_finite, "1e-2", "relaxation parameter"),
+        "x_left": Key(_finite, "0", "left end of the domain"),
+        "x_right": Key(_finite, "6", "right end of the domain"),
         "nx": Key(int, "640", "grid points, inclusive endpoints"),
         "dt": Key(_float_or("aligned"), "aligned",
                   "time step; 'aligned' sets dt = dx/a"),
-        "T": Key(float, "1.0", "final time"),
-        "scheme": Key(str, "BDF3", "BDF tableau name"),
+        "T": Key(_finite, "1.0", "final time"),
+        "scheme": Key(tableau, "BDF3", "BDF tableau name"),
         "boundary": Key(_choice("periodic", "clamp"), "periodic",
                         "periodic | clamp"),
-        "u0_center": Key(float, "3", "Gaussian initial data centre"),
-        "u0_width": Key(float, "1", "Gaussian initial data width"),
+        "u0_center": Key(_finite, "3", "Gaussian initial data centre"),
+        "u0_width": Key(_finite, "1", "Gaussian initial data width"),
         "output_times": Key(_list(_float_or("T")), "T",
                             "comma list of snapshot times; 'T' is the final "
                             "time"),
         "run_name": Key(str, "forward", "snapshot filename prefix"),
     },
     "relax-adjoint": {
-        "eps_list": Key(_list(float), "1,1e-1,1e-2,1e-3,1e-4",
+        "eps_list": Key(_list(_finite), "1,1e-1,1e-2,1e-3,1e-4",
                         "relaxation parameters"),
         "nx_list": Key(_list(int, increasing=True), "40,80,160,320,640",
                        "strictly increasing grid ladder"),
-        "a": Key(float, "2.1", "characteristic speed"),
-        "x_left": Key(float, "0", "left end of the periodic domain"),
-        "x_right": Key(float, "6", "right end of the periodic domain"),
-        "scheme": Key(str, "BDF2", "BDF tableau"),
-        "T": Key(float, "1.0", "backward horizon"),
-        "terminal_center": Key(float, "3", "Gaussian terminal data centre"),
-        "terminal_width": Key(float, "1", "Gaussian terminal data width"),
-        "oracle_eps_max": Key(float, "5e-3",
+        "a": Key(_finite, "2.1", "characteristic speed"),
+        "x_left": Key(_finite, "0", "left end of the periodic domain"),
+        "x_right": Key(_finite, "6", "right end of the periodic domain"),
+        "scheme": Key(tableau, "BDF2", "BDF tableau"),
+        "T": Key(_finite, "1.0", "backward horizon"),
+        "terminal_center": Key(_finite, "3", "Gaussian terminal data centre"),
+        "terminal_width": Key(_finite, "1", "Gaussian terminal data width"),
+        "oracle_eps_max": Key(_finite, "5e-3",
                               "use the transport oracle for eps < this; "
                               "larger eps rows use a nested fine-grid "
                               "self-reference"),
     },
     "control-jinxin": {
         "nx": Key(int, "120", "grid points"),
-        "dt": Key(float, "0.05",
+        "dt": Key(_finite, "0.05",
                   "time step; the speed a = dx/dt keeps feet nodal"),
-        "T": Key(float, "3.0", "horizon"),
+        "T": Key(_finite, "3.0", "horizon"),
         "iterations": Key(int, "30", "descent iterations"),
         **_DESCENT,
     },
     "control-broadwell": {
         "nx": Key(int, "320", "grid points"),
-        "dt": Key(float, "0.01", "time step"),
-        "T": Key(float, "0.15", "horizon"),
-        "c": Key(float, "1.0", "kinetic speed"),
+        "dt": Key(_finite, "0.01", "time step"),
+        "T": Key(_finite, "0.15", "horizon"),
+        "c": Key(_finite, "1.0", "kinetic speed"),
         "iterations": Key(int, "70", "descent iterations"),
         **_DESCENT,
     },

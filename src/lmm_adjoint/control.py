@@ -81,15 +81,6 @@ def tv_filter(u: np.ndarray, grid: LagrangianGrid) -> np.ndarray:
     return 0.25 * (left + 2.0 * u + right)
 
 
-def total_variation(u: np.ndarray, boundary: str = "open") -> float:
-    """Discrete total variation; periodic boundaries include the seam jump."""
-    u = np.atleast_2d(u)
-    tv = float(np.sum(np.abs(np.diff(u, axis=-1))))
-    if boundary == "periodic":
-        tv += float(np.sum(np.abs(u[..., 0] - u[..., -1])))
-    return tv
-
-
 @dataclass
 class DescentState:
     """Barzilai-Borwein bookkeeping across iterations."""

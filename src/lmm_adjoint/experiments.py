@@ -28,7 +28,7 @@ from .ode_control import (prescribed_trajectory, solve_adjoint_dto,
                           solve_adjoint_otd, solve_forward)
 from .problems import (constant_coefficient_study, quadratic_coefficient_study,
                        terminal_tracking_problem)
-from .tableaus import MultistepTableau, TimeGrid, tableau
+from .tableaus import MultistepTableau, TimeGrid
 
 
 # ---------------------------------------------------------------- utilities
@@ -201,18 +201,19 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str | None = None
         raise ConfigError("--route applies to the prescribed studies; "
                           "the full-system table reports both routes")
     routes = ("dto", "otd") if route in (None, "both") else (route,)
-    if study == "full-system" and T >= 1.0:
-        raise ConfigError(
-            f"full-system study needs T < 1: its exact state "
-            f"1/(1-t) is infinite at t = 1 (got T = {T:g})")
-    results = {}
-    for scheme in s["schemes"]:
-        tab = tableau(scheme)
-        if study == "full-system":
+    if study == "full-system":
+        if T >= 1.0:
+            raise ConfigError(
+                f"full-system study needs T < 1: its exact state "
+                f"1/(1-t) is infinite at t = 1 (got T = {T:g})")
+        for tab in s["schemes"]:
             if not tab.is_bdf:
                 raise ConfigError(
-                    f"full-system study integrates forward; scheme {scheme!r} "
-                    f"must be BDF class")
+                    f"full-system study integrates forward; scheme "
+                    f"{tab.name!r} must be BDF class")
+    results = {}
+    for tab in s["schemes"]:
+        if study == "full-system":
             header = ["N", "err_y", "rate_y", "err_dto", "rate_dto",
                       "err_otd", "rate_otd", "err_y_extrap", "rate_y_extrap"]
             rows = _full_system_table(tab, n_list, T)
@@ -247,7 +248,7 @@ def run_relax_forward(cfg: Config, out_dir: str) -> dict:
         raise ConfigError(f"dt = {dt} violates the CFL bound dx/a = "
                           f"{grid.dx / a:.6g}")
     u0_fn = _gaussian(s["u0_center"], s["u0_width"])
-    tab = tableau(s["scheme"])
+    tab = s["scheme"]
     x = grid.nodes()
     u0 = u0_fn(x)[None, :]
     if flux == "linear":
@@ -264,7 +265,7 @@ def run_relax_forward(cfg: Config, out_dir: str) -> dict:
     for k in out_steps:
         write_csv(os.path.join(out_dir, f"{s['run_name']}_t{k}.csv"),
                   ["x", "u"], np.column_stack([x, u_store[k, 0]]))
-    mass = rx.mass_history(u_store, grid)[:, 0]
+    mass = u_store[:, 0].sum(axis=-1) * grid.dx
     rows = [[k, k * dt, m] for k, m in enumerate(mass)]
     write_csv(os.path.join(out_dir, f"{s['run_name']}_mass.csv"),
               ["step", "t", "mass"], rows)
@@ -290,7 +291,7 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     oracle_max = s["oracle_eps_max"]
     xl, xr = s["x_left"], s["x_right"]
     pT_fn = _gaussian(s["terminal_center"], s["terminal_width"])
-    tab = tableau(s["scheme"])
+    tab = s["scheme"]
     self_ref = [b for b, eps in enumerate(eps_list) if eps >= oracle_max]
 
     def model_of(eps):
@@ -298,32 +299,24 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
         return rx.make_jin_xin(lambda u: u, lambda u: np.ones_like(u), a,
                                np.reshape(eps, (-1, 1, 1)))
 
-    def p0_of(model, nx, n_steps=None):
-        grid = rx.LagrangianGrid(xl, xr, nx, boundary="periodic")
-        dt = grid.dx / a
-        if n_steps is None:
-            n_steps = int(round(T / dt))
-        pT = np.broadcast_to(pT_fn(grid.nodes()),
-                             (np.size(model.eps), 1, grid.n_nodes))
-        lam_T = rx.terminal_multipliers(model, pT)
-        lam0 = rx.solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
-        return lam0.sum(axis=-2), grid, n_steps * dt
-
     model = model_of(eps_list)
     fine_model = model_of([eps_list[b] for b in self_ref])
-    errs = [[] for _ in eps_list]
+    devs = []
     for nx in s["nx_list"]:
-        p0, grid, t_act = p0_of(model, nx)
-        refs = [rx.transport_oracle(grid, pT_fn, 1.0, t_act)] * len(eps_list)
+        grid = rx.LagrangianGrid(xl, xr, nx, boundary="periodic")
+        n_steps = int(round(T / (grid.dx / a)))
+        references = {}
         if self_ref:
             # nested fine grid (dx and dt halve exactly) run for twice the
             # coarse step count, so both runs share the same actual horizon
-            n_c = int(round(T / (grid.dx / a)))
-            p_fine = p0_of(fine_model, 2 * nx - 1, n_steps=2 * n_c)[0]
-            for b, p in zip(self_ref, p_fine):
-                refs[b] = p[::2]
-        for err, p, ref in zip(errs, p0, refs):
-            err.append(float(np.sqrt(grid.dx * np.sum((p - ref) ** 2))))
+            fine = rx.LagrangianGrid(xl, xr, 2 * nx - 1, boundary="periodic")
+            p_fine = rx.viscous_limit_check(fine_model, fine, tab, pT_fn,
+                                            2 * n_steps, fine.dx / a)[0]
+            references = dict(zip(self_ref, p_fine[:, ::2]))
+        p0, dev = rx.viscous_limit_check(model, grid, tab, pT_fn, n_steps,
+                                         grid.dx / a, references)
+        devs.append(dev)
+    errs = np.transpose(devs).tolist()  # one list per eps, over the grids
 
     rows = []
     dt_min = grid.dx / a
@@ -348,7 +341,7 @@ def _box(x, lo, hi, value):
 def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
     """Initial-data control experiments (Jin-Xin Burgers or Broadwell)."""
     s = settings(cfg, kind)
-    tab = tableau(s["scheme"])
+    tab = s["scheme"]
     nx, dt, eps, save_every = s["nx"], s["dt"], s["eps"], s["save_every"]
 
     if kind == "control-jinxin":

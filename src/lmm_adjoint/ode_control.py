@@ -9,7 +9,6 @@ approximate p with  -p' = f_y(y,u)^T p,  p(T) = j'(y(T)).
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from dataclasses import dataclass
@@ -31,11 +30,6 @@ class SolverBlowUpError(RuntimeError):
 
 class SingularAdjointStepError(RuntimeError):
     """Pointwise adjoint solve matrix (1 - dt*b_{-1}*f_y) is numerically singular."""
-
-
-class AdjointRoute(enum.Enum):
-    DISCRETIZE_THEN_OPTIMIZE = "dto"
-    OPTIMIZE_THEN_DISCRETIZE = "otd"
 
 
 @dataclass
@@ -96,12 +90,13 @@ class Trajectory:
 
 @dataclass
 class AdjointTrajectory:
-    """Multipliers on indices 1-s..N in the continuous sign convention."""
+    """Multipliers on indices 1-s..N in the continuous sign convention,
+    computed by ``route`` "dto" or "otd"."""
 
     grid: TimeGrid
     s: int
     multipliers: np.ndarray  # (N+s, n)
-    route: AdjointRoute
+    route: str
 
     def slot(self, i: int) -> int:
         return i + self.s - 1
@@ -345,7 +340,7 @@ def _adjoint_trajectory(grid, s, ext, route):
     if bad.size:
         i = int(bad[-1]) - (s - 1)
         raise SolverBlowUpError(
-            f"non-finite {route.value} multiplier at step index {i}",
+            f"non-finite {route} multiplier at step index {i}",
             step_index=i)
     return AdjointTrajectory(grid, s, mult.copy(), route)
 
@@ -370,8 +365,7 @@ def solve_adjoint_otd(problem: OdeControlProblem, tab: MultistepTableau,
     multiplier.
     """
     ext = _seeded_sweep(problem, tab, grid, traj, terminal, shifted=True)
-    return _adjoint_trajectory(grid, tab.s, ext,
-                               AdjointRoute.OPTIMIZE_THEN_DISCRETIZE)
+    return _adjoint_trajectory(grid, tab.s, ext, "otd")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -401,10 +395,9 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     multipliers through (B^T p); see ``optimality_residual``.
     """
     s, N, n = tab.s, grid.N, problem.dim
-    route = AdjointRoute.DISCRETIZE_THEN_OPTIMIZE
     if terminal == "exact":
         ext = _seeded_sweep(problem, tab, grid, traj, "exact", shifted=False)
-        return _adjoint_trajectory(grid, s, ext, route)
+        return _adjoint_trajectory(grid, s, ext, "dto")
     if terminal != "cost":
         raise ValueError(f"unknown terminal mode {terminal!r}")
     if problem.terminal_cost_grad is None:
@@ -436,7 +429,7 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     # whose sums read the step equations j >= 1 only
     diag[:s] = np.eye(n)
     _backward_sweep(ext, s, N - s, coef[N - 1::-1], diag[N - 1::-1], floor=1)
-    return _adjoint_trajectory(grid, s, ext, route)
+    return _adjoint_trajectory(grid, s, ext, "dto")
 
 
 def _bt_p(adj: AdjointTrajectory, tab: MultistepTableau, i: int) -> np.ndarray:
@@ -464,7 +457,7 @@ def optimality_residual(problem: OdeControlProblem, traj: Trajectory,
     for i in range(1 - s, grid.N + 1):
         fu = np.atleast_1d(np.asarray(
             problem.f_u(traj.state(i), traj.control(i), grid.t(i)), dtype=float))
-        if adj.route is AdjointRoute.DISCRETIZE_THEN_OPTIMIZE:
+        if adj.route == "dto":
             pw = _bt_p(adj, tab, i)
         else:
             pw = adj.p(i)
@@ -493,6 +486,6 @@ def cost_gradient_dto(problem: OdeControlProblem, traj: Trajectory,
     Equals dt times the DtO optimality residual; matches brute-force finite
     differences of ``discrete_cost`` to solver tolerance.
     """
-    if adj.route is not AdjointRoute.DISCRETIZE_THEN_OPTIMIZE:
+    if adj.route != "dto":
         raise ValueError("exact discrete gradient requires the DtO adjoint")
     return traj.grid.dt * optimality_residual(problem, traj, adj, tab)

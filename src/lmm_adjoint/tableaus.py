@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 
-class UnknownTableauError(KeyError):
+class UnknownTableauError(ValueError):
     """Requested scheme name is not in the registry."""
 
 
@@ -184,15 +184,6 @@ def tableau(name: str) -> MultistepTableau:
     except KeyError:
         known = sorted({t.name for t in _REGISTRY.values()})
         raise UnknownTableauError(f"unknown tableau {name!r}; known: {known}") from None
-
-
-def registry_names() -> list[str]:
-    """Canonical names of all shipped tableaus."""
-    seen = []
-    for tab in _REGISTRY.values():
-        if tab.name not in seen:
-            seen.append(tab.name)
-    return seen
 
 
 @dataclass(frozen=True)

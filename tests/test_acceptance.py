@@ -33,6 +33,11 @@ def report(num, ok, detail):
     print(f"\nACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def moment_deviation(model, u):
+    """Largest deviation of the moments Q E(u) from the states u."""
+    return float(np.max(np.abs(model.moments(model.equilibrium(u)) - u)))
+
+
 class Budget:
     def __init__(self, seconds):
         self.limit = seconds
@@ -188,7 +193,7 @@ def test_criterion_6_linear_exactness_and_mass():
     shift = int(round(a * n_steps * dt / grid.dx))
     exactness = float(np.max(np.abs(us[-1][0] - np.roll(u0[0], shift))))
     assert exactness <= 1e-10
-    mass_lin = rx.mass_history(us, grid)[:, 0]
+    mass_lin = us[:, 0].sum(axis=-1) * grid.dx
     drift_lin = float(np.max(np.abs(mass_lin - mass_lin[0])) / abs(mass_lin[0]))
     assert drift_lin <= 1e-10
 
@@ -199,7 +204,7 @@ def test_criterion_6_linear_exactness_and_mass():
                              u0=u0[0])
     _, us2 = rx.solve_forward(model2, grid2, la.tableau("BDF3"), u0,
                               int(round(1.0 / dt2)), dt2)
-    mass_b = rx.mass_history(us2, grid2)[:, 0]
+    mass_b = us2[:, 0].sum(axis=-1) * grid2.dx
     drift_b = float(np.max(np.abs(mass_b - mass_b[0])) / abs(mass_b[0]))
     assert drift_b <= 1e-10
     elapsed = budget.check()
@@ -227,7 +232,8 @@ def test_criterion_7_table4_eps_study():
         dt = grid.dx / a
         model = rx.make_jin_xin(lambda u: u, lambda u: np.ones_like(u),
                                 a, 1e-4)
-        errs.append(rx.viscous_limit_check(model, grid, tab, pT, 1.0, dt))
+        errs.append(rx.viscous_limit_check(model, grid, tab, pT,
+                                           int(round(1.0 / dt)), dt)[1][0])
     rates = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
     mean_rate = float(np.mean(rates))
     err = errs[-1]
@@ -314,10 +320,10 @@ def test_criterion_10_broadwell_control():
     functional = ct.TrackingFunctional(us_t[-1], grid.dx)
     guess = np.stack([np.ones_like(x), np.zeros_like(x)])
 
-    moment_dev = [model.check_moment_consistency(us_t[-1])]
+    moment_dev = [moment_deviation(model, us_t[-1])]
 
     def cb(k, J, sigma, gnorm, control):
-        moment_dev.append(model.check_moment_consistency(control))
+        moment_dev.append(moment_deviation(model, control))
 
     result = ct.optimize(model, grid, tab, functional, guess, n_steps, dt,
                          iterations=70, sigma0=0.1, filter_every=0,

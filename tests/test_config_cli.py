@@ -118,6 +118,35 @@ class TestCli:
         assert cli.main(["ode-converge", "--config", conf,
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("study, schemes, key", [
+        ("const-fy", "BDF2,BDF9", "schemes"),
+        ("full-system", "BDF2,AB2", "AB2"),
+    ], ids=["unknown-scheme", "full-system-adams"])
+    def test_late_bad_scheme_writes_no_csv(self, tmp_path, capsys, study,
+                                           schemes, key):
+        # every scheme is checked before the first table is written
+        conf = self._write(tmp_path, "c.conf",
+                           f"[ode-converge]\nstudy = {study}\n"
+                           f"schemes = {schemes}\nn_list = 10,20\n")
+        assert cli.main(["ode-converge", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["T", "a", "dt"])
+    def test_non_finite_value_config_error(self, tmp_path, capsys, key,
+                                           value):
+        # a time, a speed and a step key: rejected before any run
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-forward]\nflux = linear\nnx = 40\n"
+                           f"{key} = {value}\n")
+        assert cli.main(["relax-forward", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err and "not a finite number" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
     def test_adams_rejected_for_full_system(self, tmp_path):
         conf = self._write(tmp_path, "c.conf",
                            "[ode-converge]\nstudy = full-system\n"
@@ -233,15 +262,16 @@ class TestCli:
             assert os.listdir(tmp_path) == ["c.conf"]
 
     def test_nan_eps_config_error(self, tmp_path, capsys):
-        # NaN <= 0 is False: eps is rejected unless eps > 0
-        for kind, body in (("relax-adjoint",
-                            "nx_list = 20,40\neps_list = 1.0 nan\n"),
-                           ("relax-forward",
-                            "flux = linear\nnx = 40\neps = nan\n")):
+        # NaN <= 0 is False: the config parser rejects it, naming the key
+        for kind, key, body in (("relax-adjoint", "eps_list",
+                                 "nx_list = 20,40\neps_list = 1.0 nan\n"),
+                                ("relax-forward", "eps",
+                                 "flux = linear\nnx = 40\neps = nan\n")):
             conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
             assert cli.main([kind, "--config", conf,
                              "--out", str(tmp_path)]) == 2
-            assert "eps must be positive" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"key {key!r}" in err and "not a finite number" in err
             assert os.listdir(tmp_path) == ["c.conf"]
 
     def test_relax_adjoint_empty_nx_list_config_error(self, tmp_path, capsys):

@@ -5,7 +5,9 @@ command-line option or a documented config key must edit the lists below,
 so neither the namespace nor the option surface can grow unnoticed.
 """
 
+import ast
 import inspect
+import pathlib
 import pkgutil
 
 import lmm_adjoint as la
@@ -13,21 +15,23 @@ from lmm_adjoint.cli import build_parser
 from lmm_adjoint.config import CONFIG_REFERENCE
 
 PUBLIC_NAMES = (
-    "AdjointField", "AdjointRoute", "AdjointTrajectory", "DescentState",
+    "AdjointField", "AdjointTrajectory", "DescentState",
     "FieldBlowUpError", "History", "ImplicitSolveError", "KineticField",
     "LagrangianGrid", "ModelConfigError", "MultistepTableau",
     "OdeControlProblem", "OptimizeResult", "RelaxationModel",
     "SingularAdjointStepError", "SolverBlowUpError", "TimeGrid",
     "TrackingFunctional", "Trajectory", "UnknownTableauError", "adjoint_step",
     "bb_step", "bootstrap_history", "cost_gradient_dto", "derive_bdf",
-    "discrete_cost", "equilibrium_lift", "forward_step",
-    "gradient_from_adjoint", "make_broadwell", "make_jin_xin", "mass_history",
-    "optimality_residual", "optimize", "prescribed_trajectory",
-    "registry_names", "solve_adjoint_dto",
-    "solve_adjoint_otd", "solve_forward", "step", "tableau",
-    "terminal_multipliers", "total_variation", "transport_oracle",
-    "tv_filter", "viscous_limit_check",
+    "discrete_cost", "forward_step", "gradient_from_adjoint",
+    "make_broadwell", "make_jin_xin", "optimality_residual", "optimize",
+    "prescribed_trajectory", "solve_adjoint_dto", "solve_adjoint_otd",
+    "solve_forward", "step", "tableau", "terminal_multipliers",
+    "transport_oracle", "tv_filter", "viscous_limit_check",
 )
+
+# Public names that no module of the package uses yet.  ROADMAP item 3
+# decides whether they stay.
+UNUSED_ALLOWED = ("cost_gradient_dto", "discrete_cost")
 
 MODULES = ("cli", "config", "control", "experiments", "ode_control",
            "problems", "relaxation", "tableaus")
@@ -54,6 +58,22 @@ def test_public_names_match_the_pinned_list():
     names = [n for n in dir(la)
              if not n.startswith("_") and not inspect.ismodule(getattr(la, n))]
     assert sorted(names) == sorted(PUBLIC_NAMES)
+
+
+def test_public_names_are_used_by_the_package():
+    # a name counts as used where it appears as a Name or an Attribute in a
+    # module other than __init__.py, which only re-exports
+    used = set()
+    for path in pathlib.Path(la.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(set(PUBLIC_NAMES) - used)
+    assert unused == sorted(UNUSED_ALLOWED)
 
 
 def test_modules_match_the_pinned_list():

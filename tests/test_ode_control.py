@@ -520,7 +520,7 @@ class TestOptimalityAndGradient:
         grid = la.TimeGrid(0.0, 0.5, 40)
         traj = solve_forward(prob, tab, grid, controls=0.0)
         zero = la.AdjointTrajectory(grid, tab.s, np.zeros((grid.N + tab.s, 1)),
-                                    la.AdjointRoute.DISCRETIZE_THEN_OPTIMIZE)
+                                    "dto")
         res = optimality_residual(prob, traj, zero, tab)
         assert np.all(res == 0.0)
         # with the computed multiplier the residual is the discrete
@@ -542,7 +542,7 @@ class TestOptimalityAndGradient:
         traj = solve_forward(prob, tab, grid, controls=1.0)
         adj = la.AdjointTrajectory(grid, tab.s,
                                    np.zeros((grid.N + tab.s, 1)),
-                                   la.AdjointRoute.OPTIMIZE_THEN_DISCRETIZE)
+                                   "otd")
         res = optimality_residual(prob, traj, adj, tab)
         on_grid = res[tab.s - 1:]
         assert np.allclose(on_grid, 1.0)

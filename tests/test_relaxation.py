@@ -26,6 +26,11 @@ def zero_state_jac(model, grid):
     return model.equilibrium_jac(np.zeros((model.n_conserved, grid.n_nodes)))
 
 
+def moment_deviation(model, u):
+    """Largest deviation of the moments Q E(u) from the sampled states u."""
+    return float(np.max(np.abs(model.moments(model.equilibrium(u)) - u)))
+
+
 def step_forward(model, grid, fld, tab):
     """One forward step into a fresh (n, M) array, which it returns."""
     out = np.empty((model.n_conserved, grid.n_nodes))
@@ -57,6 +62,12 @@ class TestModels:
             linear_jinxin(-1.0, 1e-2)
         with pytest.raises(rx.ModelConfigError):
             linear_jinxin(1.0, 0.0)
+
+    def test_nan_eps_rejected(self):
+        # NaN <= 0 is False: the model accepts eps only where eps > 0
+        for eps in (np.nan, np.array([1e-2, np.nan])):
+            with pytest.raises(rx.ModelConfigError, match="eps must be positive"):
+                linear_jinxin(1.0, eps)
 
     def test_subcharacteristic_check(self):
         u0 = np.linspace(-1.5, 1.5, 11)
@@ -94,10 +105,10 @@ class TestModels:
         rng = np.random.default_rng(42)
         jx = burgers_jinxin(2.1, 1e-2)
         u = rng.uniform(-2, 2, size=(1, 200))
-        assert jx.check_moment_consistency(u) <= 1e-12
+        assert moment_deviation(jx, u) <= 1e-12
         bw = rx.make_broadwell(1.0, 1e-2)
         u2 = np.stack([rng.uniform(0.5, 2.0, 200), rng.uniform(-1, 1, 200)])
-        assert bw.check_moment_consistency(u2) <= 1e-12
+        assert moment_deviation(bw, u2) <= 1e-12
 
     def test_broadwell_jacobian_vs_fd(self):
         m = rx.make_broadwell(1.0, 1e-2)
@@ -225,7 +236,7 @@ class TestForward:
         model = burgers_jinxin(a, 1e-2, u0=u0[0])
         _, us = rx.solve_forward(model, grid, la.tableau("BDF3"), u0,
                                  int(round(1.0 / dt)), dt)
-        mass = rx.mass_history(us, grid)[:, 0]
+        mass = us[:, 0].sum(axis=-1) * grid.dx
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * abs(mass[0])
 
     def test_large_eps_pure_extrapolation(self):
@@ -309,7 +320,7 @@ class TestForward:
         u0 = np.exp(-((x - 3.0) ** 2))[None, :]
         model = burgers_jinxin(a, 1e-2, u0=u0[0])
         _, us = rx.solve_forward(model, grid, la.tableau("BDF2"), u0, 50, dt)
-        mass = rx.mass_history(us, grid)[:, 0]
+        mass = us[:, 0].sum(axis=-1) * grid.dx
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * abs(mass[0])
 
 
@@ -371,8 +382,9 @@ class TestAdjoint:
         for nx in (160, 320, 640):
             grid = rx.LagrangianGrid(0.0, 6.0, nx)
             dt = grid.dx / a
+            n_steps = int(round(1.0 / dt))
             errs.append(rx.viscous_limit_check(model, grid, la.tableau("BDF2"),
-                                               pT, 1.0, dt))
+                                               pT, n_steps, dt)[1][0])
         rates = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
         assert errs[-1] <= 3e-4
         assert min(rates) >= 1.8
@@ -386,8 +398,41 @@ class TestAdjoint:
         model = linear_jinxin(a, 1.0)
         pT = lambda xx: np.exp(-((xx - 3.0) ** 2))
         dev = rx.viscous_limit_check(model, grid, la.tableau("BDF2"), pT,
-                                     1.0, dt)
+                                     int(round(1.0 / dt)), dt)[1][0]
         assert dev >= 0.05
+
+    @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "BDF3"])
+    def test_viscous_limit_batch_equals_members(self, scheme):
+        # one sweep batched over eps gives every member the p(0) and the
+        # deviation of a sweep of that member alone, bit for bit
+        a, eps = 2.1, (1e-4, 1e-2, 1.0)
+        grid = rx.LagrangianGrid(0.0, 6.0, 80)
+        dt = grid.dx / a
+        n_steps = int(round(1.0 / dt))
+        tab = la.tableau(scheme)
+        pT = lambda xx: np.exp(-((xx - 3.0) ** 2))
+        batch = linear_jinxin(a, np.reshape(eps, (-1, 1, 1)))
+        p0, dev = rx.viscous_limit_check(batch, grid, tab, pT, n_steps, dt)
+        assert p0.shape == (len(eps), grid.n_nodes) and dev.shape == (len(eps),)
+        for b, e in enumerate(eps):
+            p_b, dev_b = rx.viscous_limit_check(linear_jinxin(a, e), grid, tab,
+                                                pT, n_steps, dt)
+            assert np.array_equal(p_b, p0[b:b + 1])
+            assert np.array_equal(dev_b, dev[b:b + 1])
+
+    def test_viscous_limit_references_replace_the_oracle(self):
+        # a member with a reference of its own is measured against it
+        a = 2.1
+        grid = rx.LagrangianGrid(0.0, 6.0, 80)
+        dt = grid.dx / a
+        tab = la.tableau("BDF2")
+        pT = lambda xx: np.exp(-((xx - 3.0) ** 2))
+        model = linear_jinxin(a, np.reshape([1e-4, 1.0], (-1, 1, 1)))
+        p0, dev = rx.viscous_limit_check(model, grid, tab, pT, 10, dt)
+        p1, dev1 = rx.viscous_limit_check(model, grid, tab, pT, 10, dt,
+                                          {1: p0[1]})
+        assert np.array_equal(p1, p0)
+        assert dev1[0] == dev[0] and dev1[1] == 0.0 < dev[1]
 
     def test_adjoint_requires_bdf(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
@@ -407,7 +452,8 @@ class TestAdjoint:
         with pytest.raises(rx.ModelConfigError, match="scalar"):
             rx.viscous_limit_check(rx.make_broadwell(1.0, 1e-2), grid,
                                    la.tableau("BDF2"),
-                                   lambda x: np.exp(-x ** 2), 0.5, grid.dx)
+                                   lambda x: np.exp(-x ** 2),
+                                   int(round(0.5 / grid.dx)), grid.dx)
         assert calls == []
 
     def test_missing_forward_field_shape(self):
@@ -471,7 +517,7 @@ def reference_adjoint_step(model, grid, history, u_prev, dt, tab):
 def assert_steps_match_reference(model, grid, dt, tab, depth, u0, n_steps):
     """Planned forward and adjoint steps equal the references bit for bit
     through the order ramp and beyond."""
-    fld = rx.KineticField(model, grid, dt, depth, rx.equilibrium_lift(model, u0))
+    fld = rx.KineticField(model, grid, dt, depth, model.equilibrium(u0))
     hist = [fld.current.copy()]
     for _ in range(n_steps):
         expect = reference_forward_step(model, grid, hist, dt, tab)
@@ -709,7 +755,7 @@ def warm_step_rows(model, grid, dt, u0):
     """Peak rows of one warm BDF3 forward step and one warm adjoint step
     (with ``out`` and the Jacobian, as the sweeps call them)."""
     tab = la.tableau("BDF3")
-    fld = rx.KineticField(model, grid, dt, tab.s, rx.equilibrium_lift(model, u0))
+    fld = rx.KineticField(model, grid, dt, tab.s, model.equilibrium(u0))
     adj = rx.AdjointField(model, grid, dt, tab.s,
                           rx.terminal_multipliers(model, u0))
     u_out = np.empty_like(u0)
@@ -758,7 +804,7 @@ class TestStepAllocations:
         u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
         tab = la.tableau("BDF2")
         fld = rx.KineticField(model, grid, grid.dx / 2.1, tab.s,
-                              rx.equilibrium_lift(model, u0))
+                              model.equilibrium(u0))
         step_forward(model, grid, fld, tab)
         for _ in range(3):
             oldest = fld.history[-1]
