@@ -11,8 +11,7 @@ semi-Lagrangian BDF solver for discrete-velocity relaxation systems
 
 from . import control, ode_control, problems, relaxation, tableaus
 from .tableaus import (History, ImplicitSolveError, MultistepTableau, TimeGrid,
-                       UnknownTableauError, bootstrap_history, derive_bdf,
-                       step, tableau)
+                       UnknownTableauError, bootstrap_history, step, tableau)
 from .ode_control import (AdjointTrajectory, OdeControlProblem,
                           SingularAdjointStepError, SolverBlowUpError,
                           Trajectory, cost_gradient_dto, discrete_cost,
@@ -23,7 +22,7 @@ from .relaxation import (AdjointField, FieldBlowUpError, KineticField,
                          adjoint_step, forward_step, make_broadwell,
                          make_jin_xin, terminal_multipliers, transport_oracle,
                          viscous_limit_check)
-from .control import (DescentState, OptimizeResult, TrackingFunctional,
-                      bb_step, gradient_from_adjoint, optimize, tv_filter)
+from .control import (OptimizeResult, TrackingFunctional, bb_step,
+                      gradient_from_adjoint, optimize, tv_filter)
 
 __version__ = "0.1.0"

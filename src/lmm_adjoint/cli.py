@@ -13,17 +13,16 @@ from .config import (EXPERIMENT_KINDS, Config, ConfigError,
 from .experiments import (run_control, run_ode_convergence, run_relax_adjoint,
                           run_relax_forward)
 from .ode_control import SingularAdjointStepError, SolverBlowUpError
-from .relaxation import FieldBlowUpError, ModelConfigError
+from .relaxation import FieldBlowUpError
 from .tableaus import ImplicitSolveError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-_CONFIG_ERRORS = (ConfigError, ModelConfigError, ValueError)
+_CONFIG_ERRORS = (ValueError,)  # ConfigError, ModelConfigError among them
 _SOLVER_ERRORS = (ImplicitSolveError, SolverBlowUpError, FieldBlowUpError,
-                  SingularAdjointStepError, FloatingPointError,
-                  ArithmeticError)
+                  SingularAdjointStepError, ArithmeticError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -115,9 +115,26 @@ def _finite(raw):
     return value
 
 
-def _float_or(word):
-    """A finite number, or ``word`` for a value the experiment works out."""
-    return lambda raw: raw if raw == word else _finite(raw)
+def _bounded(item, low=None, what="value"):
+    """``item`` that is at least ``low``, or positive without one."""
+    def parse(raw):
+        value = item(raw)
+        if value <= 0 if low is None else value < low:
+            bound = "positive" if low is None else f"at least {low}"
+            raise ValueError(f"{what} must be {bound}, got {raw!r}")
+        return value
+    return parse
+
+
+def _float_or(word, number):
+    """``number``, or ``word`` for a value the experiment works out."""
+    return lambda raw: raw if raw == word else number(raw)
+
+
+_positive = _bounded(_finite)
+_eps = _bounded(_finite, what="eps")
+_nx = _bounded(int, 3)  # the grid's own minimum
+_count = _bounded(int, 0)
 
 
 # the horizon of each ode-converge study when T = study; full-system's exact
@@ -125,12 +142,12 @@ def _float_or(word):
 _STUDY_HORIZONS = {"const-fy": 1.0, "quadratic-fy": 1.0, "full-system": 0.9}
 
 _DESCENT = {
-    "eps": Key(_finite, "1e-2", "relaxation parameter"),
+    "eps": Key(_eps, "1e-2", "relaxation parameter"),
     "scheme": Key(tableau, "BDF2", "BDF tableau"),
-    "sigma0": Key(_finite, "0.1", "initial step size"),
+    "sigma0": Key(_positive, "0.1", "initial step size"),
     "bb_variant": Key(_choice("bb2", "bb1"), "bb2", "bb2 | bb1"),
-    "filter_every": Key(int, "0", "TV-filter cadence, 0 = off"),
-    "save_every": Key(int, "0", "control snapshot cadence, 0 = final only"),
+    "filter_every": Key(_count, "0", "TV-filter cadence, 0 = off"),
+    "save_every": Key(_count, "0", "control snapshot cadence, 0 = final only"),
 }
 
 CONFIG_REFERENCE = {
@@ -140,42 +157,43 @@ CONFIG_REFERENCE = {
         "schemes": Key(_list(tableau), None,
                        "comma list of tableau names, e.g. ExplicitEuler,AB3,"
                        "AM4 (AM4-270: the printed AM4 variant)"),
-        "n_list": Key(_list(int, increasing=True), "40,80,160,320,640",
+        "n_list": Key(_list(_bounded(int, 1), increasing=True),
+                      "40,80,160,320,640",
                       "strictly increasing step counts"),
-        "T": Key(_float_or("study"), "study",
+        "T": Key(_float_or("study", _positive), "study",
                  "final time; 'study' is " + ", ".join(
                      f"{t:g} for {s}" for s, t in _STUDY_HORIZONS.items())),
     },
     "relax-forward": {
         "flux": Key(_choice("linear", "burgers"), None, "linear | burgers"),
-        "a": Key(_finite, "2.1", "characteristic speed"),
-        "eps": Key(_finite, "1e-2", "relaxation parameter"),
+        "a": Key(_positive, "2.1", "characteristic speed"),
+        "eps": Key(_eps, "1e-2", "relaxation parameter"),
         "x_left": Key(_finite, "0", "left end of the domain"),
         "x_right": Key(_finite, "6", "right end of the domain"),
-        "nx": Key(int, "640", "grid points, inclusive endpoints"),
-        "dt": Key(_float_or("aligned"), "aligned",
+        "nx": Key(_nx, "640", "grid points, inclusive endpoints"),
+        "dt": Key(_float_or("aligned", _positive), "aligned",
                   "time step; 'aligned' sets dt = dx/a"),
-        "T": Key(_finite, "1.0", "final time"),
+        "T": Key(_positive, "1.0", "final time"),
         "scheme": Key(tableau, "BDF3", "BDF tableau name"),
         "boundary": Key(_choice("periodic", "clamp"), "periodic",
                         "periodic | clamp"),
         "u0_center": Key(_finite, "3", "Gaussian initial data centre"),
         "u0_width": Key(_finite, "1", "Gaussian initial data width"),
-        "output_times": Key(_list(_float_or("T")), "T",
+        "output_times": Key(_list(_float_or("T", _finite)), "T",
                             "comma list of snapshot times; 'T' is the final "
                             "time"),
         "run_name": Key(str, "forward", "snapshot filename prefix"),
     },
     "relax-adjoint": {
-        "eps_list": Key(_list(_finite), "1,1e-1,1e-2,1e-3,1e-4",
+        "eps_list": Key(_list(_eps), "1,1e-1,1e-2,1e-3,1e-4",
                         "relaxation parameters"),
-        "nx_list": Key(_list(int, increasing=True), "40,80,160,320,640",
+        "nx_list": Key(_list(_nx, increasing=True), "40,80,160,320,640",
                        "strictly increasing grid ladder"),
-        "a": Key(_finite, "2.1", "characteristic speed"),
+        "a": Key(_positive, "2.1", "characteristic speed"),
         "x_left": Key(_finite, "0", "left end of the periodic domain"),
         "x_right": Key(_finite, "6", "right end of the periodic domain"),
         "scheme": Key(tableau, "BDF2", "BDF tableau"),
-        "T": Key(_finite, "1.0", "backward horizon"),
+        "T": Key(_positive, "1.0", "backward horizon"),
         "terminal_center": Key(_finite, "3", "Gaussian terminal data centre"),
         "terminal_width": Key(_finite, "1", "Gaussian terminal data width"),
         "oracle_eps_max": Key(_finite, "5e-3",
@@ -184,19 +202,19 @@ CONFIG_REFERENCE = {
                               "self-reference"),
     },
     "control-jinxin": {
-        "nx": Key(int, "120", "grid points"),
-        "dt": Key(_finite, "0.05",
+        "nx": Key(_nx, "120", "grid points"),
+        "dt": Key(_positive, "0.05",
                   "time step; the speed a = dx/dt keeps feet nodal"),
-        "T": Key(_finite, "3.0", "horizon"),
-        "iterations": Key(int, "30", "descent iterations"),
+        "T": Key(_positive, "3.0", "horizon"),
+        "iterations": Key(_count, "30", "descent iterations"),
         **_DESCENT,
     },
     "control-broadwell": {
-        "nx": Key(int, "320", "grid points"),
-        "dt": Key(_finite, "0.01", "time step"),
-        "T": Key(_finite, "0.15", "horizon"),
-        "c": Key(_finite, "1.0", "kinetic speed"),
-        "iterations": Key(int, "70", "descent iterations"),
+        "nx": Key(_nx, "320", "grid points"),
+        "dt": Key(_positive, "0.01", "time step"),
+        "T": Key(_positive, "0.15", "horizon"),
+        "c": Key(_positive, "1.0", "kinetic speed"),
+        "iterations": Key(_count, "70", "descent iterations"),
         **_DESCENT,
     },
 }

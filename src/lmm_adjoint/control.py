@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .relaxation import (LagrangianGrid, RelaxationModel, solve_adjoint,
-                         solve_forward, terminal_multipliers)
+from .relaxation import (FieldBlowUpError, LagrangianGrid, RelaxationModel,
+                         solve_adjoint, solve_forward, terminal_multipliers)
 from .tableaus import MultistepTableau
 
 
@@ -81,30 +81,17 @@ def tv_filter(u: np.ndarray, grid: LagrangianGrid) -> np.ndarray:
     return 0.25 * (left + 2.0 * u + right)
 
 
-@dataclass
-class DescentState:
-    """Barzilai-Borwein bookkeeping across iterations."""
+def bb_step(du: np.ndarray, dg: np.ndarray, sigma: float,
+            variant: str) -> float:
+    """Barzilai-Borwein step from the increments ``du`` of the control and
+    ``dg`` of the gradient over the last iteration.
 
-    control: np.ndarray
-    sigma: float
-    k: int = 0
-    prev_control: np.ndarray | None = None
-    prev_gradient: np.ndarray | None = None
-
-
-def bb_step(state: DescentState, gradient: np.ndarray,
-            variant: str = "bb2") -> float:
-    """Barzilai-Borwein step from the last (control, gradient) increment.
-
-    bb2: <du, dg>/<dg, dg> (default, the more conservative step);
+    bb2: <du, dg>/<dg, dg> (the more conservative step);
     bb1: <du, du>/<du, dg>.  Steps are safeguarded to [1e-6, 1e2];
-    degenerate curvature (zero or negative denominators) keeps the previous
-    step size.
+    degenerate curvature (zero or negative denominators) keeps ``sigma``,
+    the previous step size.
     """
-    if state.prev_control is None or state.prev_gradient is None:
-        return state.sigma
-    du = (state.control - state.prev_control).ravel()
-    dg = (gradient - state.prev_gradient).ravel()
+    du, dg = du.ravel(), dg.ravel()
     if variant == "bb2":
         num, den = float(du @ dg), float(dg @ dg)
     elif variant == "bb1":
@@ -112,16 +99,15 @@ def bb_step(state: DescentState, gradient: np.ndarray,
     else:
         raise ValueError(f"unknown BB variant {variant!r}")
     if den == 0.0:
-        return state.sigma
-    sigma = num / den
-    if not np.isfinite(sigma) or sigma <= 0.0:
-        return state.sigma
-    return float(np.clip(sigma, 1e-6, 1e2))
+        return sigma
+    step = num / den
+    if not np.isfinite(step) or step <= 0.0:
+        return sigma
+    return float(np.clip(step, 1e-6, 1e2))
 
 
 @dataclass
 class OptimizeResult:
-    state: DescentState
     control: np.ndarray          # optimized initial data (n, M)
     u_terminal: np.ndarray       # terminal state of the last forward solve
     iterations: list[dict]       # per-iteration log rows
@@ -130,49 +116,52 @@ class OptimizeResult:
 def optimize(model: RelaxationModel, grid: LagrangianGrid,
              tab: MultistepTableau, functional: TrackingFunctional,
              initial_guess: np.ndarray, n_steps: int, dt: float,
-             iterations: int, sigma0: float = 0.1,
-             bb_variant: str = "bb2", filter_every: int = 1,
+             iterations: int, sigma0: float, bb_variant: str,
+             filter_every: int,
              callback: Callable | None = None) -> OptimizeResult:
     """Adjoint-gradient descent on the macroscopic initial data.
 
     Each iteration: forward solve -> evaluate J -> adjoint solve -> gradient
-    -> BB step -> update -> optional TV filter (every ``filter_every``
+    -> BB step (``bb_step`` with ``bb_variant``; the first iteration steps
+    ``sigma0``) -> update -> optional TV filter (every ``filter_every``
     iterations; 0 disables).  Stops at the iteration cap, on a vanishing
-    functional, or when the gradient sup-norm drops below 1e-8.
+    functional, or when the gradient sup-norm drops below 1e-8.  A
+    ``FieldBlowUpError`` of either solve gains the descent iteration k.
     The loop is deterministic for a fixed configuration.
     """
-    u0 = np.atleast_2d(np.asarray(initial_guess, dtype=float)).copy()
-    state = DescentState(control=u0, sigma=sigma0)
+    control = np.atleast_2d(np.asarray(initial_guess, dtype=float)).copy()
+    sigma = sigma0
+    prev = None  # control and gradient of the previous iteration
     log: list[dict] = []
-    u_T = None
-    for k in range(iterations + 1):
-        u_store = solve_forward(model, grid, tab, state.control,
-                                n_steps, dt)[1]
-        u_T = u_store[-1].copy()
-        J = functional(u_T)
-        state.k = k
-        if k == iterations or J == 0.0:
-            log.append({"k": k, "J": J, "sigma": state.sigma,
-                        "grad_inf_norm": 0.0})
-            break
-        mismatch = functional.terminal_mismatch(u_T)
-        lam_T = terminal_multipliers(model, mismatch)
-        lam0 = solve_adjoint(model, grid, tab, u_store, lam_T, n_steps, dt)
-        del u_store  # dead: the next forward solve allocates a fresh store
-        grad = gradient_from_adjoint(model, lam0, state.control)
-        gnorm = float(np.max(np.abs(grad)))
-        sigma = bb_step(state, grad, variant=bb_variant)
-        log.append({"k": k, "J": J, "sigma": sigma, "grad_inf_norm": gnorm})
-        if callback is not None:
-            callback(k, J, sigma, gnorm, state.control)
-        if gnorm < 1e-8:
-            break
-        new_control = state.control - sigma * grad
-        if filter_every and (k + 1) % filter_every == 0:
-            new_control = tv_filter(new_control, grid)
-        state.prev_control = state.control
-        state.prev_gradient = grad
-        state.control = new_control
-        state.sigma = sigma
-    return OptimizeResult(state=state, control=state.control,
-                          u_terminal=u_T, iterations=log)
+    try:
+        for k in range(iterations + 1):
+            u_store = solve_forward(model, grid, tab, control, n_steps, dt)[1]
+            u_T = u_store[-1].copy()
+            J = functional(u_T)
+            if k == iterations or J == 0.0:
+                log.append({"k": k, "J": J, "sigma": sigma,
+                            "grad_inf_norm": 0.0})
+                break
+            lam_T = terminal_multipliers(model,
+                                         functional.terminal_mismatch(u_T))
+            lam0 = solve_adjoint(model, grid, tab, u_store, lam_T, n_steps,
+                                 dt)
+            del u_store  # dead: the next forward solve allocates a fresh one
+            grad = gradient_from_adjoint(model, lam0, control)
+            gnorm = float(np.max(np.abs(grad)))
+            if prev is not None:
+                sigma = bb_step(control - prev[0], grad - prev[1], sigma,
+                                bb_variant)
+            log.append({"k": k, "J": J, "sigma": sigma,
+                        "grad_inf_norm": gnorm})
+            if callback is not None:
+                callback(k, J, sigma, gnorm, control)
+            if gnorm < 1e-8:
+                break
+            prev = control, grad
+            control = control - sigma * grad
+            if filter_every and (k + 1) % filter_every == 0:
+                control = tv_filter(control, grid)
+    except FieldBlowUpError as exc:
+        raise FieldBlowUpError(f"{exc} in descent iteration {k}") from None
+    return OptimizeResult(control=control, u_terminal=u_T, iterations=log)

@@ -106,7 +106,7 @@ def backward_study_solution(tab: MultistepTableau, N: int, T, study,
     if route not in ("dto", "otd"):
         raise ValueError(f"unknown route {route!r}")
     problem = study(dtype(T))
-    grid = TimeGrid(0.0, dtype(T), N)
+    grid = TimeGrid(dtype(T), N)
     traj = prescribed_trajectory(grid, tab.s, problem.y_exact)
     solve = solve_adjoint_dto if route == "dto" else solve_adjoint_otd
     return solve(problem, tab, grid, traj, terminal="exact").on_grid()[:, 0]
@@ -170,7 +170,7 @@ def _full_system_table(tab, n_list, T):
     errs = {"y": [], "dto": [], "otd": []}
     sols = {"y": []}
     for N in n_list:
-        grid = TimeGrid(0.0, T, N)
+        grid = TimeGrid(T, N)
         traj = solve_forward(prob, tab, grid, init_mode="exact")
         t = np.array([grid.t(i) for i in range(N + 1)])
         y = traj.states[tab.s - 1:, 0]

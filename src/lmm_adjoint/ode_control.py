@@ -135,9 +135,9 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     """
     s = tab.s
     u = _controls_array(controls, grid, s)
-    t0, dt, off = grid.t0, grid.dt, s - 1
+    dt, off = grid.dt, s - 1
     f, f_y = problem.f, problem.f_y
-    u_at = lambda t: u[int(round((t - t0) / dt)) + off]  # nearest index
+    u_at = lambda t: u[int(round(t / dt)) + off]  # nearest index
 
     def rhs_array(y, t):
         return np.atleast_1d(np.asarray(f(y, u_at(t), t), dtype=float))
@@ -167,7 +167,7 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
         as_state = lambda y: np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for nstep in range(grid.N):
-            t_new = t0 + (nstep + 1) * dt
+            t_new = (nstep + 1) * dt
             y_new, f_new = step(tab, hist, dt, rhs, t_new, jac=jac)
             if not finite(y_new):
                 raise SolverBlowUpError(
@@ -184,7 +184,7 @@ def prescribed_trajectory(grid: TimeGrid, s: int,
     """Trajectory with zero controls and states sampled from an analytic
     y(t) (study helper).
 
-    y(t) is evaluated once, on the array of the N+s grid times t0 + i*dt,
+    y(t) is evaluated once, on the array of the N+s grid times i*dt,
     i = 1-s..N, built in the dtype of the grid's step, so it must broadcast
     over an array of times.  The time axis is the last one: y(t) returns
     (N+s,) values for a scalar state or (n, N+s) for n states, as
@@ -192,8 +192,7 @@ def prescribed_trajectory(grid: TimeGrid, s: int,
     returns.
     """
     dt = grid.dt
-    times = grid.t0 + np.arange(1 - s, grid.N + 1,
-                                dtype=np.asarray(dt).dtype) * dt
+    times = np.arange(1 - s, grid.N + 1, dtype=np.asarray(dt).dtype) * dt
     states = np.ascontiguousarray(
         np.asarray(y_of_t(times)).reshape(-1, times.size).T)
     return Trajectory(grid, s, states, np.zeros(times.size))
@@ -205,18 +204,18 @@ def _jacobians(problem, traj, lo, hi, dtype):
 
     Indices beyond N use the exact-solution hook or clamp to N.
     """
-    t0, dt, N, off = traj.grid.t0, traj.grid.dt, traj.grid.N, traj.s - 1
+    dt, N, off = traj.grid.dt, traj.grid.N, traj.s - 1
     states, u = traj.states, traj.controls
     jac, y_exact = problem.jac, problem.y_exact
     J = np.zeros((N + 2 * traj.s - 1, problem.dim, problem.dim), dtype)
     for i in range(lo, hi + 1):
         if i <= N:
-            J[i + off] = jac(states[i + off], u[i + off], t0 + i * dt)
+            J[i + off] = jac(states[i + off], u[i + off], i * dt)
         elif y_exact is not None:
-            t = t0 + i * dt
+            t = i * dt
             J[i + off] = jac(np.atleast_1d(y_exact(t)), u[N + off], t)
         else:  # clamp: documented order loss near T for Adams tableaus
-            J[i + off] = jac(states[N + off], u[N + off], t0 + N * dt)
+            J[i + off] = jac(states[N + off], u[N + off], N * dt)
     return J.transpose(0, 2, 1)
 
 

@@ -68,7 +68,6 @@ class RelaxationModel:
     float.  Every entry must be positive.
     """
 
-    name: str
     velocities: np.ndarray          # (Nv,)
     q_matrix: np.ndarray            # (n, Nv)
     equilibrium: Callable
@@ -124,7 +123,6 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
         return out
 
     model = RelaxationModel(
-        name="jin-xin",
         velocities=np.array([a, -a]),
         q_matrix=np.array([[1.0, 1.0]]),
         equilibrium=equilibrium,
@@ -198,7 +196,6 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
         return out
 
     return RelaxationModel(
-        name="broadwell",
         velocities=np.array([c, -c, 0.0]),
         q_matrix=np.array([[1.0, 1.0, 2.0], [c, -c, 0.0]]),
         equilibrium=equilibrium,
@@ -361,23 +358,18 @@ def _check_field(model: RelaxationModel, grid: LagrangianGrid, field) -> None:
                          "the field's")
 
 
-def _combine(model: RelaxationModel, grid: LagrangianGrid, fld: _LevelRing,
-             tab: MultistepTableau) -> float:
+def _combine(model: RelaxationModel, grid: LagrangianGrid,
+             fld: _LevelRing) -> float:
     """Start of both steps: the history combination C into ``fld.comb``,
 
         C^j = -sum_l a_l H_l^j(foot_l^j),
 
     with H_l the history level l (past f forward, future lambda backward)
-    at the level-l feet of the field's plan.  A history shallower than
-    ``tab.s`` levels ramps up through the lower-order BDF start-up.
-    Returns h = dt b_-1 of the scheme used.
+    at the level-l feet of the field's plan, and a the coefficients of the
+    ramp entry for the history's length.  Returns h = dt b_-1 of that entry.
     """
-    if not tab.is_bdf:
-        raise ModelConfigError(f"relaxation solver requires a BDF tableau, "
-                               f"got {tab.name}")
     _check_field(model, grid, fld)
-    avail = len(fld.history)
-    eff = tab if avail >= tab.s else tableau(f"bdf{avail}")
+    eff = fld.ramp[len(fld.history) - 1]
     comb, prod = fld.comb, fld.prod
     comb.fill(0.0)
     for ell in range(eff.s):
@@ -390,8 +382,11 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid, fld: _LevelRing,
 class _LevelRing:
     """History ring and step work buffers shared by both field kinds.
 
-    ``history[0]`` is the newest level.  Once the ring holds ``depth``
-    levels, ``slot()`` hands out the array of the oldest level, which the
+    A field steps the BDF scheme ``tab`` of s stages (any other tableau is
+    a ``ModelConfigError``).  ``ramp`` lists BDF1, ..., BDF(s-1), ``tab``:
+    a history of l levels steps ``ramp[l-1]``, so the order ramps up while
+    the ring fills.  ``history[0]`` is the newest level.  Once the ring is
+    full, ``slot()`` hands out the array of the oldest level, which the
     step overwrites with the new level before ``push`` moves it to the
     front; a warm field therefore allocates no level arrays.  ``plan``
     holds the characteristic feet of the field's step.  Levels have the
@@ -401,15 +396,18 @@ class _LevelRing:
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
-                 dt: float, depth: int, first: np.ndarray,
+                 dt: float, tab: MultistepTableau, first: np.ndarray,
                  speeds: np.ndarray):
+        if not tab.is_bdf:
+            raise ModelConfigError(f"relaxation solver requires a BDF "
+                                   f"tableau, got {tab.name}")
         self.model = model
         self.grid = grid
         self.dt = dt
-        self.depth = depth
+        self.ramp = [tableau(f"bdf{k}") for k in range(1, tab.s)] + [tab]
         self.n = 0
         self.history: list[np.ndarray] = [first.copy()]
-        self.plan = FootPlan(grid, speeds, dt, depth, first.shape[:-2])
+        self.plan = FootPlan(grid, speeds, dt, tab.s, first.shape[:-2])
         self.comb = np.empty(first.shape)
         self.prod = np.empty(first.shape)
         self.E = np.empty(first.shape)
@@ -420,7 +418,7 @@ class _LevelRing:
 
     def slot(self) -> np.ndarray:
         """Array for the next level: the oldest level's once the ring is full."""
-        if len(self.history) >= self.depth:
+        if len(self.history) == len(self.ramp):
             return self.history[-1]
         return np.empty_like(self.history[0])
 
@@ -433,14 +431,15 @@ class _LevelRing:
         """
         if not np.all(np.isfinite(level)):
             raise FieldBlowUpError(self.blowup.format(self.n + 1))
-        if len(self.history) >= self.depth:
+        if len(self.history) == len(self.ramp):
             self.history.pop()
         self.history.insert(0, level)
         self.n += 1
 
 
 class KineticField(_LevelRing):
-    """Per-velocity Eulerian arrays with an s-deep ring buffer of past levels.
+    """Per-velocity Eulerian arrays with an s-deep ring buffer of past
+    levels, for the BDF scheme ``tab`` of s stages.
 
     ``history[0]`` is the newest level (time index ``n``).  ``plan`` holds
     the feet of the forward step, v_j (l+1) dt upstream of every node.
@@ -449,18 +448,18 @@ class KineticField(_LevelRing):
     blowup = "non-finite kinetic field at step {}"
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
-                 dt: float, depth: int, f0: np.ndarray):
+                 dt: float, tab: MultistepTableau, f0: np.ndarray):
         f0 = np.asarray(f0, dtype=float)
         if f0.shape != (model.n_velocities, grid.n_nodes):
             raise ValueError(f"initial field must have shape "
                              f"{(model.n_velocities, grid.n_nodes)}, got {f0.shape}")
-        super().__init__(model, grid, dt, depth, f0, model.velocities)
+        super().__init__(model, grid, dt, tab, f0, model.velocities)
 
 
 def forward_step(model: RelaxationModel, grid: LagrangianGrid,
-                 fld: KineticField, tab: MultistepTableau,
-                 out: np.ndarray) -> np.ndarray:
-    """Advance the kinetic field one BDF step; returns u at the new level.
+                 fld: KineticField, out: np.ndarray) -> np.ndarray:
+    """Advance the kinetic field one step of its scheme (or of its start-up
+    ramp); returns u at the new level.
 
         f = (1 - w) C + w E(Q C),    w = h / (h + eps),  h = dt b_-1
 
@@ -469,13 +468,17 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
     cancels via Q E(u) = u), into ``out`` (n, M); phase 2 is the per-point
     affine relaxation update.  The arithmetic runs in the field's work
     buffers and the new level overwrites the evicted one, so a warm field
-    allocates only the model's own temporaries.
+    allocates only the model's own temporaries.  A ``FieldBlowUpError``
+    of the equilibrium (Broadwell's rho <= 0) gains the step's number.
     """
-    h = _combine(model, grid, fld, tab)
+    h = _combine(model, grid, fld)
     w = h / (h + model.eps)
     comb, prod = fld.comb, fld.prod
     u_new = model.moments(comb, out=out)     # phase 1: macroscopic closure
-    E = model.equilibrium(u_new, out=fld.E)  # phase 2: relaxation update
+    try:                                     # phase 2: relaxation update
+        E = model.equilibrium(u_new, out=fld.E)
+    except FieldBlowUpError as exc:
+        raise FieldBlowUpError(f"{exc} at step {fld.n + 1}") from None
     f_new = fld.slot()
     np.multiply(w, E, out=f_new)
     np.multiply(1.0 - w, comb, out=prod)
@@ -494,16 +497,17 @@ def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
     """
     u0 = np.atleast_2d(np.asarray(u0, dtype=float))
     f0 = model.equilibrium(u0)
-    fld = KineticField(model, grid, dt, depth=tab.s, f0=f0)
+    fld = KineticField(model, grid, dt, tab, f0)
     u_store = np.empty((n_steps + 1, model.n_conserved, grid.n_nodes))
     model.moments(f0, out=u_store[0])
     for k in range(n_steps):
-        forward_step(model, grid, fld, tab, out=u_store[k + 1])
+        forward_step(model, grid, fld, out=u_store[k + 1])
     return fld, u_store
 
 
 class AdjointField(_LevelRing):
-    """Backward multipliers lambda^j with an s-deep future-time buffer.
+    """Backward multipliers lambda^j with an s-deep future-time buffer, for
+    the BDF scheme ``tab`` of s stages.
 
     ``history[i]`` holds the level at t_{n+i}.  The buffer starts with the
     terminal data alone and ramps the BDF order up as levels accumulate,
@@ -518,21 +522,21 @@ class AdjointField(_LevelRing):
     blowup = "non-finite adjoint field at backward step {}"
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
-                 dt: float, depth: int, lam_T: np.ndarray):
+                 dt: float, tab: MultistepTableau, lam_T: np.ndarray):
         lam_T = np.asarray(lam_T, dtype=float)
         if lam_T.shape[-2:] != (model.n_velocities, grid.n_nodes):
             raise ValueError(f"terminal data must have trailing shape "
                              f"{(model.n_velocities, grid.n_nodes)}, "
                              f"got {lam_T.shape}")
-        super().__init__(model, grid, dt, depth, lam_T, -model.velocities)
+        super().__init__(model, grid, dt, tab, lam_T, -model.velocities)
         self.phi = np.empty(lam_T.shape[:-2]
                             + (model.n_conserved, grid.n_nodes))
 
 
 def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
-                 adj: AdjointField, jac: np.ndarray,
-                 tab: MultistepTableau) -> np.ndarray:
-    """One explicit backward step: multipliers at t_{n-1} from s future levels.
+                 adj: AdjointField, jac: np.ndarray) -> np.ndarray:
+    """One explicit backward step of the field's scheme (or of its start-up
+    ramp): multipliers at t_{n-1} from up to s future levels.
 
     The transpose of the forward step's local relaxation update:
 
@@ -547,13 +551,13 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
 
     The arithmetic runs in the field's work buffers.  The returned array is
     the field's newest level, a ring slot: it stays valid until the field
-    has been stepped ``depth`` more times, then holds a newer level.
+    has been stepped s more times, then holds a newer level.
     """
     shape = (model.n_velocities, model.n_conserved, grid.n_nodes)
     if jac.shape != shape:
         raise ValueError(f"equilibrium Jacobian must have shape {shape}, "
                          f"got {jac.shape}")
-    h = _combine(model, grid, adj, tab)
+    h = _combine(model, grid, adj)
     eps, comb = model.eps, adj.comb
     phi = np.einsum("jrm,...jm->...rm", jac, comb, out=adj.phi)
     lam_new = adj.slot()
@@ -592,7 +596,7 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
     reuses it.  ``lam_T`` (..., Nv, M) may carry batch axes, which the
     returned lambda(0) keeps.
     """
-    adj = AdjointField(model, grid, dt, depth=tab.s, lam_T=lam_T)
+    adj = AdjointField(model, grid, dt, tab, lam_T)
     shape = (model.n_conserved, grid.n_nodes)
     jac = np.empty((model.n_velocities,) + shape)
     if u_store is None:
@@ -600,7 +604,7 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
     for k in range(n_steps, 0, -1):          # computes level k-1
         if u_store is not None:
             model.equilibrium_jac(u_store[k - 1], out=jac)
-        adjoint_step(model, grid, adj, jac, tab)
+        adjoint_step(model, grid, adj, jac)
     return adj.current
 
 

@@ -86,43 +86,6 @@ class MultistepTableau:
             object.__setattr__(self, key, value)
 
 
-def derive_bdf(s: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact-rational BDF(s) coefficients from the s+1 order conditions.
-
-    Solves the moment equations sum_j alpha_j * j^m = m * beta * s^(m-1),
-    m = 0..s, for the stencil nodes j = 0..s (node s is y_{n+1}), by
-    Gaussian elimination over Fraction.  Normalized so alpha_s = 1.
-    """
-    n = s + 2  # unknowns: alpha_0..alpha_s, beta
-    rows = []
-    for m in range(s + 1):
-        row = [Fraction(j) ** m for j in range(s + 1)]
-        rhs = -(Fraction(m) * Fraction(s) ** (m - 1)) if m >= 1 else Fraction(0)
-        row.append(rhs)  # -beta column coefficient moved to lhs
-        row.append(Fraction(0))
-        rows.append(row)
-    # normalization alpha_s = 1
-    rows.append([Fraction(0)] * s + [Fraction(1), Fraction(0), Fraction(1)])
-
-    # Gaussian elimination with exact arithmetic
-    m = len(rows)
-    for col in range(n):
-        piv = next(r for r in range(col, m) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pval = rows[col][col]
-        rows[col] = [x / pval for x in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col] != 0:
-                fac = rows[r][col]
-                rows[r] = [x - fac * y for x, y in zip(rows[r], rows[col])]
-    sol = [rows[i][n] for i in range(n)]
-    alphas, beta = sol[: s + 1], sol[s + 1]
-    # recurrence form: y_{n+1} = -sum a_i y_{n-i} + dt*beta*f_{n+1}
-    a = tuple(alphas[s - 1 - i] for i in range(s))
-    b = (beta,) + (Fraction(0),) * s
-    return a, b
-
-
 def _F(*vals) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in vals)
 
@@ -149,19 +112,17 @@ def _register(tab: MultistepTableau, *aliases: str):
 
 _register(MultistepTableau("ImplicitEuler", 1, _F(-1), _F(1, 0), 1), "bdf1", "bdf(1)")
 _register(MultistepTableau("ExplicitEuler", 1, _F(-1), _F(0, 1), 1), "ab1", "euler")
-_register(MultistepTableau("BDF2", 2, _F("-4/3", "1/3"), _F("2/3", 0, 0), 2), "bdf(2)")
-_register(
-    MultistepTableau("BDF3", 3, _F("-18/11", "9/11", "-2/11"), _F("6/11", 0, 0, 0), 3),
-    "bdf(3)",
-)
-_register(
-    MultistepTableau(
-        "BDF4", 4, _F("-48/25", "36/25", "-16/25", "3/25"), _F("12/25", 0, 0, 0, 0), 4
-    ),
-    "bdf(4)",
-)
-_register(MultistepTableau("BDF5", 5, *derive_bdf(5), 5), "bdf(5)")
-_register(MultistepTableau("BDF6", 6, *derive_bdf(6), 6), "bdf(6)")
+# BDF2..BDF6 over a common denominator d: numerators of a_0..a_{s-1}, and
+# of b_-1 (every other b_i is 0)
+for _s, _d, _a, _b in ((2, 3, (-4, 1), 2),
+                       (3, 11, (-18, 9, -2), 6),
+                       (4, 25, (-48, 36, -16, 3), 12),
+                       (5, 137, (-300, 300, -200, 75, -12), 60),
+                       (6, 147, (-360, 450, -400, 225, -72, 10), 60)):
+    _register(MultistepTableau(f"BDF{_s}", _s,
+                               tuple(Fraction(c, _d) for c in _a),
+                               (Fraction(_b, _d),) + (Fraction(0),) * _s, _s),
+              f"bdf({_s})")
 _register(MultistepTableau("AB2", 2, _F(-1, 0), _F(0, "3/2", "-1/2"), 2), "ab(2)")
 _register(
     MultistepTableau("AB3", 3, _F(-1, 0, 0), _F(0, "23/12", "-4/3", "5/12"), 3), "ab(3)"
@@ -188,25 +149,24 @@ def tableau(name: str) -> MultistepTableau:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_n = t0 + n*dt with N steps up to T."""
+    """Uniform grid t_n = n*dt with N steps from 0 up to T."""
 
-    t0: float
     T: float
     N: int
 
     def __post_init__(self):
-        if not self.T > self.t0:
-            raise ValueError("TimeGrid requires T > t0")
+        if not self.T > 0:
+            raise ValueError("TimeGrid requires T > 0")
         if self.N < 1:
             raise ValueError("TimeGrid requires N >= 1")
 
     @property
     def dt(self) -> float:
-        return (self.T - self.t0) / self.N
+        return self.T / self.N
 
     def t(self, n) -> float:
         """Time at (possibly negative or fractional) step index n."""
-        return self.t0 + n * self.dt
+        return n * self.dt
 
 
 class History:

@@ -320,7 +320,52 @@ class TestCli:
                            "sigma0 = 10\n")
         assert cli.main(["control-broadwell", "--config", conf,
                          "--out", str(tmp_path)]) == 3
-        assert "rho <= 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "rho <= 0" in err
+        # the forward step names itself, the descent loop its iteration
+        assert "at step 1 in descent iteration 1" in err
+
+    @pytest.mark.parametrize("kind, body, key", [
+        ("relax-forward", "flux = linear\nnx = 40\ndt = 0\n", "dt"),
+        ("relax-forward", "flux = linear\nnx = 40\na = 0\n", "a"),
+        ("relax-forward", "flux = linear\nnx = 40\nT = -1\n", "T"),
+        ("relax-forward", "flux = linear\nnx = 40\neps = 0\n", "eps"),
+        ("relax-forward", "flux = linear\nnx = 2\n", "nx"),
+        ("ode-converge", "study = const-fy\nschemes = BDF2\nT = 0\n", "T"),
+        ("ode-converge", "study = const-fy\nschemes = BDF2\nn_list = 0,10\n",
+         "n_list"),
+        ("relax-adjoint", "nx_list = 2,40\n", "nx_list"),
+        ("relax-adjoint", "nx_list = 20,40\neps_list = 1e-2 -1\n",
+         "eps_list"),
+        ("control-jinxin", "nx = 40\niterations = -1\n", "iterations"),
+        ("control-jinxin", "nx = 40\nsigma0 = 0\n", "sigma0"),
+        ("control-jinxin", "nx = 40\nsave_every = -2\n", "save_every"),
+        ("control-broadwell", "nx = 41\nc = -1\n", "c"),
+        ("control-broadwell", "nx = 41\nfilter_every = -1\n",
+         "filter_every"),
+    ], ids=["dt", "a", "T", "eps", "nx", "study-T", "n_list", "nx_list",
+            "eps_list", "iterations", "sigma0", "save_every", "c",
+            "filter_every"])
+    def test_out_of_range_value_config_error(self, tmp_path, capsys, kind,
+                                             body, key):
+        # a zero, negative or too small size is rejected before any run
+        conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
+        assert cli.main([kind, "--config", conf, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err and "must be" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("kind, body", [
+        ("relax-forward", "flux = linear\nnx = 40\nscheme = AB2\n"),
+        ("relax-adjoint", "nx_list = 20,40\nscheme = AM4\n"),
+        ("control-jinxin", "nx = 40\niterations = 1\nscheme = AB3\n"),
+    ], ids=["relax-forward", "relax-adjoint", "control-jinxin"])
+    def test_non_bdf_relaxation_scheme_config_error(self, tmp_path, capsys,
+                                                    kind, body):
+        conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
+        assert cli.main([kind, "--config", conf, "--out", str(tmp_path)]) == 2
+        assert "requires a BDF tableau" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.conf"]
 
 
 class TestRelaxAdjointSweeps:

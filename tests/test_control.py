@@ -56,42 +56,49 @@ class TestFunctional:
 
 
 class TestBarzilaiBorwein:
-    def _state(self, u_prev, g_prev, u, sigma=0.7):
-        s = ct.DescentState(control=np.asarray(u, float), sigma=sigma)
-        s.prev_control = np.asarray(u_prev, float)
-        s.prev_gradient = np.asarray(g_prev, float)
-        return s
+    @staticmethod
+    def _step(u_prev, g_prev, u, g, sigma=0.7, variant="bb2"):
+        """``bb_step`` on the increments from (u_prev, g_prev) to (u, g)."""
+        return ct.bb_step(np.asarray(u, float) - np.asarray(u_prev, float),
+                          np.asarray(g, float) - np.asarray(g_prev, float),
+                          sigma, variant)
 
     def test_identity_hessian(self):
         # quadratic J = |u|^2/2: g = u, dg = du -> sigma = 1 (both variants)
         u_prev, u = np.array([1.0, 2.0]), np.array([0.4, 1.1])
-        st = self._state(u_prev, u_prev, u)
         for v in ("bb1", "bb2"):
-            assert ct.bb_step(st, u, variant=v) == pytest.approx(1.0)
+            assert self._step(u_prev, u_prev, u, u,
+                              variant=v) == pytest.approx(1.0)
 
     def test_double_curvature(self):
         u_prev, u = np.array([1.0, -1.0]), np.array([0.2, 0.5])
         g_prev, g = 2 * u_prev, 2 * u
-        st = self._state(u_prev, g_prev, u)
-        assert ct.bb_step(st, g, variant="bb2") == pytest.approx(0.5)
+        assert self._step(u_prev, g_prev, u, g,
+                          variant="bb2") == pytest.approx(0.5)
 
     def test_zero_increment_keeps_sigma(self):
         u = np.array([1.0, 2.0])
-        st = self._state(u, np.array([3.0, 4.0]), u, sigma=0.37)
-        assert ct.bb_step(st, np.array([3.0, 4.0])) == 0.37
+        assert self._step(u, np.array([3.0, 4.0]), u, np.array([3.0, 4.0]),
+                          sigma=0.37) == 0.37
 
     def test_safeguards(self):
         u_prev, u = np.array([0.0]), np.array([1.0])
-        st = self._state(u_prev, np.array([0.0]), u, sigma=0.2)
         # dg tiny -> raw sigma huge -> clipped at sigma_max
-        assert ct.bb_step(st, np.array([1e-9])) == pytest.approx(1e2)
+        assert self._step(u_prev, np.array([0.0]), u, np.array([1e-9]),
+                          sigma=0.2) == pytest.approx(1e2)
         # negative curvature -> previous sigma
-        st2 = self._state(u_prev, np.array([0.0]), u, sigma=0.2)
-        assert ct.bb_step(st2, np.array([-1.0])) == 0.2
+        assert self._step(u_prev, np.array([0.0]), u, np.array([-1.0]),
+                          sigma=0.2) == 0.2
 
     def test_first_iteration_uses_sigma0(self):
-        st = ct.DescentState(control=np.zeros(3), sigma=0.1)
-        assert ct.bb_step(st, np.ones(3)) == 0.1
+        # no increment exists at k = 0: the loop steps and logs sigma0
+        grid, model, tab, functional, guess, n_steps, dt = \
+            coarse_jinxin_setup()
+        res = ct.optimize(model, grid, tab, functional, guess, n_steps, dt,
+                          iterations=1, sigma0=0.37, bb_variant="bb2",
+                          filter_every=0)
+        assert res.iterations[0]["k"] == 0
+        assert res.iterations[0]["sigma"] == 0.37
 
 
 class TestTvFilter:
@@ -222,8 +229,9 @@ class TestOptimize:
         _, us = rx.solve_forward(model, grid, tab, u0, n_steps, dt)
         functional = ct.TrackingFunctional(us[-1], grid.dx)
         res = ct.optimize(model, grid, tab, functional, u0, n_steps, dt,
-                          iterations=10)
-        assert res.state.k == 0
+                          iterations=10, sigma0=0.1, bb_variant="bb2",
+                          filter_every=1)
+        assert res.iterations[-1]["k"] == 0
         assert res.iterations[0]["J"] == 0.0
 
     def test_monotone_decrease_fixed_small_sigma(self):
@@ -247,7 +255,8 @@ class TestOptimize:
         runs = []
         for _ in range(2):
             res = ct.optimize(model, grid, tab, functional, guess, n_steps,
-                              dt, iterations=8, filter_every=2)
+                              dt, iterations=8, sigma0=0.1, bb_variant="bb2",
+                              filter_every=2)
             runs.append([r["J"] for r in res.iterations])
         assert runs[0] == runs[1]
 
@@ -255,7 +264,8 @@ class TestOptimize:
         grid, model, tab, functional, guess, n_steps, dt = \
             coarse_jinxin_setup()
         res = ct.optimize(model, grid, tab, functional, guess, n_steps, dt,
-                          iterations=100)
+                          iterations=100, sigma0=0.1, bb_variant="bb2",
+                          filter_every=1)
         sigmas = [r["sigma"] for r in res.iterations]
         assert all(1e-6 <= s <= 1e2 for s in sigmas)
 
@@ -263,7 +273,8 @@ class TestOptimize:
         grid, model, tab, functional, guess, n_steps, dt = \
             coarse_jinxin_setup()
         res = ct.optimize(model, grid, tab, functional, guess, n_steps, dt,
-                          iterations=5)
+                          iterations=5, sigma0=0.1, bb_variant="bb2",
+                          filter_every=1)
         assert [r["k"] for r in res.iterations] == list(range(6))
         u_T = rx.solve_forward(model, grid, tab, guess, n_steps, dt)[1][-1]
         assert res.iterations[0]["J"] == functional(u_T)

@@ -15,13 +15,13 @@ from lmm_adjoint.cli import build_parser
 from lmm_adjoint.config import CONFIG_REFERENCE
 
 PUBLIC_NAMES = (
-    "AdjointField", "AdjointTrajectory", "DescentState",
+    "AdjointField", "AdjointTrajectory",
     "FieldBlowUpError", "History", "ImplicitSolveError", "KineticField",
     "LagrangianGrid", "ModelConfigError", "MultistepTableau",
     "OdeControlProblem", "OptimizeResult", "RelaxationModel",
     "SingularAdjointStepError", "SolverBlowUpError", "TimeGrid",
     "TrackingFunctional", "Trajectory", "UnknownTableauError", "adjoint_step",
-    "bb_step", "bootstrap_history", "cost_gradient_dto", "derive_bdf",
+    "bb_step", "bootstrap_history", "cost_gradient_dto",
     "discrete_cost", "forward_step", "gradient_from_adjoint",
     "make_broadwell", "make_jin_xin", "optimality_residual", "optimize",
     "prescribed_trajectory", "solve_adjoint_dto", "solve_adjoint_otd",

@@ -31,10 +31,10 @@ def moment_deviation(model, u):
     return float(np.max(np.abs(model.moments(model.equilibrium(u)) - u)))
 
 
-def step_forward(model, grid, fld, tab):
+def step_forward(model, grid, fld):
     """One forward step into a fresh (n, M) array, which it returns."""
     out = np.empty((model.n_conserved, grid.n_nodes))
-    return rx.forward_step(model, grid, fld, tab, out)
+    return rx.forward_step(model, grid, fld, out)
 
 
 class TestModels:
@@ -248,18 +248,36 @@ class TestForward:
         model = linear_jinxin(a, 1e30)
         x = grid.nodes()
         f0 = np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)])
-        fld = rx.KineticField(model, grid, dt, depth=1, f0=f0)
-        step_forward(model, grid, fld, la.tableau("BDF2"))
+        fld = rx.KineticField(model, grid, dt, la.tableau("BDF2"), f0=f0)
+        step_forward(model, grid, fld)
         expect = np.stack([np.roll(f0[0], 1), np.roll(f0[1], -1)])
         assert np.max(np.abs(fld.current - expect)) <= 1e-15
 
     def test_non_bdf_rejected(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
-        fld = rx.KineticField(model, grid, 0.05, 2,
-                              np.zeros((2, grid.n_nodes)))
         with pytest.raises(rx.ModelConfigError):
-            step_forward(model, grid, fld, la.tableau("AB2"))
+            rx.KineticField(model, grid, 0.05, la.tableau("AB2"),
+                            np.zeros((2, grid.n_nodes)))
+
+    def test_warm_field_steps_its_scheme(self):
+        # a field built for BDF3 keeps three levels and, once warm, steps
+        # BDF3 itself rather than a shallower start-up scheme
+        grid = rx.LagrangianGrid(0.0, 6.0, 41)
+        a = 2.1
+        dt = grid.dx / a
+        model = burgers_jinxin(a, 1e-2)
+        tab = la.tableau("BDF3")
+        x = grid.nodes()
+        u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+        fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
+        hist = [fld.current.copy()]  # the levels, kept apart from the ring
+        for _ in range(6):
+            step_forward(model, grid, fld)
+            hist = [fld.current.copy()] + hist[:2]
+        expect = reference_forward_step(model, grid, hist, dt, tab)
+        step_forward(model, grid, fld)
+        assert np.array_equal(fld.current, expect)
 
     def test_broadwell_equilibrium_fixed_point(self):
         # rho = 1, m = 0 equilibrium data stays put (clamped boundaries)
@@ -335,9 +353,8 @@ class TestAdjoint:
         x = grid.nodes()
         lam_T = rx.terminal_multipliers(model,
                                         np.exp(-((x - 3.0) ** 2))[None, :])
-        adj = rx.AdjointField(model, grid, dt, depth=2, lam_T=lam_T)
-        lam = rx.adjoint_step(model, grid, adj, zero_state_jac(model, grid),
-                              la.tableau("BDF2"))
+        adj = rx.AdjointField(model, grid, dt, la.tableau("BDF2"), lam_T=lam_T)
+        lam = rx.adjoint_step(model, grid, adj, zero_state_jac(model, grid))
         spread = np.max(np.abs(lam[0] - lam[1]))
         assert spread <= 1e-6 * np.max(np.abs(lam))
 
@@ -351,10 +368,9 @@ class TestAdjoint:
         lam_T = np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)])
         devs = []
         for dt in (1e-5, 1e-7):
-            adj = rx.AdjointField(model, grid, dt, 1, lam_T)
+            adj = rx.AdjointField(model, grid, dt, la.tableau("BDF2"), lam_T)
             lam = rx.adjoint_step(model, grid, adj,
-                                  zero_state_jac(model, grid),
-                                  la.tableau("BDF2"))
+                                  zero_state_jac(model, grid))
             devs.append(np.max(np.abs(lam - lam_T)))
         assert devs[0] <= 1e-3
         assert devs[1] <= 1e-2 * devs[0] * 1.1  # deviation scales with dt
@@ -437,11 +453,10 @@ class TestAdjoint:
     def test_adjoint_requires_bdf(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
-        adj = rx.AdjointField(model, grid, 0.05, 2,
-                              np.zeros((2, grid.n_nodes)))
-        with pytest.raises(rx.ModelConfigError):
-            rx.adjoint_step(model, grid, adj, zero_state_jac(model, grid),
-                            la.tableau("AM4"))
+        for name in ("AM4", "AB2"):
+            with pytest.raises(rx.ModelConfigError):
+                rx.AdjointField(model, grid, 0.05, la.tableau(name),
+                                np.zeros((2, grid.n_nodes)))
 
     def test_viscous_limit_rejects_systems_before_sweeping(self, monkeypatch):
         # a Broadwell model must fail the scalar-model check before any step
@@ -459,12 +474,11 @@ class TestAdjoint:
     def test_missing_forward_field_shape(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
-        adj = rx.AdjointField(model, grid, 0.05, 2,
+        adj = rx.AdjointField(model, grid, 0.05, la.tableau("BDF2"),
                               np.zeros((2, grid.n_nodes)))
         for shape in [(2, 1, 3), (1, grid.n_nodes), (2, 2, grid.n_nodes)]:
             with pytest.raises(ValueError, match="Jacobian"):
-                rx.adjoint_step(model, grid, adj, np.zeros(shape),
-                                la.tableau("BDF2"))
+                rx.adjoint_step(model, grid, adj, np.zeros(shape))
 
     def test_blow_up_names_the_step(self):
         # NaN terminal data: the first backward step cannot commit, and the
@@ -514,26 +528,25 @@ def reference_adjoint_step(model, grid, history, u_prev, dt, tab):
             * np.einsum("rj,rm->jm", model.q_matrix, phi))
 
 
-def assert_steps_match_reference(model, grid, dt, tab, depth, u0, n_steps):
+def assert_steps_match_reference(model, grid, dt, tab, u0, n_steps):
     """Planned forward and adjoint steps equal the references bit for bit
     through the order ramp and beyond."""
-    fld = rx.KineticField(model, grid, dt, depth, model.equilibrium(u0))
+    fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
     hist = [fld.current.copy()]
     for _ in range(n_steps):
         expect = reference_forward_step(model, grid, hist, dt, tab)
-        step_forward(model, grid, fld, tab)
+        step_forward(model, grid, fld)
         assert np.array_equal(fld.current, expect)
-        hist = [expect] + hist[:depth - 1]
+        hist = [expect] + hist[:tab.s - 1]
 
     lam_T = rx.terminal_multipliers(model, u0)
-    adj = rx.AdjointField(model, grid, dt, depth, lam_T)
+    adj = rx.AdjointField(model, grid, dt, tab, lam_T)
     hist = [adj.current.copy()]
     jac = model.equilibrium_jac(u0)
     for _ in range(n_steps):
         expect = reference_adjoint_step(model, grid, hist, u0, dt, tab)
-        assert np.array_equal(rx.adjoint_step(model, grid, adj, jac, tab),
-                              expect)
-        hist = [expect] + hist[:depth - 1]
+        assert np.array_equal(rx.adjoint_step(model, grid, adj, jac), expect)
+        hist = [expect] + hist[:tab.s - 1]
 
 
 # dt*a/dx: whole cells (aligned feet) or any fraction of up to three cells
@@ -543,26 +556,20 @@ foot_ratio = st.one_of(st.integers(1, 3).map(float),
 
 class TestFootPlan:
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(nx=st.integers(5, 90), ratio=foot_ratio, order=st.integers(1, 6),
-           depth_cut=st.integers(0, 5))
-    def test_periodic_jinxin_matches_sample_shifted(self, nx, ratio, order,
-                                                    depth_cut):
+    @given(nx=st.integers(5, 90), ratio=foot_ratio, order=st.integers(1, 6))
+    def test_periodic_jinxin_matches_sample_shifted(self, nx, ratio, order):
         # speeds (a, -a): feet of both signs, forward and adjoint
         grid = rx.LagrangianGrid(0.0, 6.0, nx)
         a = 2.1
         x = grid.nodes()
         u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
         tab = la.tableau(f"BDF{order}")
-        depth = max(1, order - depth_cut)
         assert_steps_match_reference(burgers_jinxin(a, 1e-2), grid,
-                                     ratio * grid.dx / a, tab, depth, u0,
-                                     order + 2)
+                                     ratio * grid.dx / a, tab, u0, order + 2)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(nx=st.integers(5, 90), ratio=foot_ratio, order=st.integers(1, 6),
-           depth_cut=st.integers(0, 5))
-    def test_clamped_broadwell_matches_sample_shifted(self, nx, ratio, order,
-                                                      depth_cut):
+    @given(nx=st.integers(5, 90), ratio=foot_ratio, order=st.integers(1, 6))
+    def test_clamped_broadwell_matches_sample_shifted(self, nx, ratio, order):
         # speeds (c, -c, 0): the zero-speed row stays aligned while +-c
         # may be fractional, and feet past the walls are clamped
         grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary="clamp")
@@ -571,24 +578,22 @@ class TestFootPlan:
         u0 = np.stack([1.0 + 0.3 * np.exp(-x ** 2),
                        0.2 * np.exp(-((x - 0.5) ** 2))])
         tab = la.tableau(f"BDF{order}")
-        depth = max(1, order - depth_cut)
         assert_steps_match_reference(rx.make_broadwell(c, 1e-2), grid,
-                                     ratio * grid.dx / c, tab, depth, u0,
-                                     order + 2)
+                                     ratio * grid.dx / c, tab, u0, order + 2)
 
     def test_step_rejects_foreign_grid(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
-        fld = rx.KineticField(model, grid, 0.05, 2,
+        fld = rx.KineticField(model, grid, 0.05, la.tableau("BDF2"),
                               np.zeros((2, grid.n_nodes)))
         with pytest.raises(ValueError):
             step_forward(model, rx.LagrangianGrid(0.0, 1.0, 17, "clamp"),
-                         fld, la.tableau("BDF2"))
-        adj = rx.AdjointField(model, grid, 0.05, 2,
+                         fld)
+        adj = rx.AdjointField(model, grid, 0.05, la.tableau("BDF2"),
                               np.zeros((2, grid.n_nodes)))
         with pytest.raises(ValueError):
             rx.adjoint_step(linear_jinxin(2.0, 1e-2), grid, adj,
-                            zero_state_jac(model, grid), la.tableau("BDF2"))
+                            zero_state_jac(model, grid))
 
 
 def terminal_batch(x, n, B):
@@ -687,10 +692,11 @@ class TestBatchedAdjoint:
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
         M = grid.n_nodes
-        rx.AdjointField(model, grid, 0.05, 2, np.zeros((3, 2, M)))
+        tab = la.tableau("BDF2")
+        rx.AdjointField(model, grid, 0.05, tab, np.zeros((3, 2, M)))
         for shape in [(3, 2, M + 1), (2, 3, M), (3, M), (M,)]:
             with pytest.raises(ValueError):
-                rx.AdjointField(model, grid, 0.05, 2, np.zeros(shape))
+                rx.AdjointField(model, grid, 0.05, tab, np.zeros(shape))
             with pytest.raises(ValueError):
                 rx.solve_adjoint(model, grid, la.tableau("BDF2"), None,
                                  np.zeros(shape), 3, 0.05)
@@ -729,10 +735,9 @@ class TestFrozenJacobian:
             assert calls == [(1, grid.n_nodes)]
 
             # the Jacobian evaluated at u = 0 anew for every step
-            adj = rx.AdjointField(model, grid, dt, tab.s, lam_T)
+            adj = rx.AdjointField(model, grid, dt, tab, lam_T)
             for _ in range(12):
-                rx.adjoint_step(model, grid, adj, zero_state_jac(model, grid),
-                                tab)
+                rx.adjoint_step(model, grid, adj, zero_state_jac(model, grid))
             assert len(calls) == 13
             assert np.array_equal(lam0, adj.current)
             assert np.array_equal(np.signbit(lam0), np.signbit(adj.current))
@@ -755,19 +760,19 @@ def warm_step_rows(model, grid, dt, u0):
     """Peak rows of one warm BDF3 forward step and one warm adjoint step
     (with ``out`` and the Jacobian, as the sweeps call them)."""
     tab = la.tableau("BDF3")
-    fld = rx.KineticField(model, grid, dt, tab.s, model.equilibrium(u0))
-    adj = rx.AdjointField(model, grid, dt, tab.s,
+    fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
+    adj = rx.AdjointField(model, grid, dt, tab,
                           rx.terminal_multipliers(model, u0))
     u_out = np.empty_like(u0)
     jac = model.equilibrium_jac(u0)
     for _ in range(tab.s + 1):  # fill both rings
-        rx.forward_step(model, grid, fld, tab, out=u_out)
-        rx.adjoint_step(model, grid, adj, jac, tab)
+        rx.forward_step(model, grid, fld, out=u_out)
+        rx.adjoint_step(model, grid, adj, jac)
     M = grid.n_nodes
     return (traced_peak_rows(
-                lambda: rx.forward_step(model, grid, fld, tab, out=u_out), M),
+                lambda: rx.forward_step(model, grid, fld, out=u_out), M),
             traced_peak_rows(
-                lambda: rx.adjoint_step(model, grid, adj, jac, tab), M))
+                lambda: rx.adjoint_step(model, grid, adj, jac), M))
 
 
 class TestStepAllocations:
@@ -803,11 +808,11 @@ class TestStepAllocations:
         x = grid.nodes()
         u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
         tab = la.tableau("BDF2")
-        fld = rx.KineticField(model, grid, grid.dx / 2.1, tab.s,
+        fld = rx.KineticField(model, grid, grid.dx / 2.1, tab,
                               model.equilibrium(u0))
-        step_forward(model, grid, fld, tab)
+        step_forward(model, grid, fld)
         for _ in range(3):
             oldest = fld.history[-1]
-            step_forward(model, grid, fld, tab)
+            step_forward(model, grid, fld)
             assert fld.current is oldest and len(fld.history) == tab.s
         assert fld.n == 4
