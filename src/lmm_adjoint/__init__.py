@@ -10,18 +10,17 @@ semi-Lagrangian BDF solver for discrete-velocity relaxation systems
 """
 
 from . import control, ode_control, problems, relaxation, tableaus
-from .tableaus import (History, ImplicitSolveError, MultistepTableau, TimeGrid,
-                       UnknownTableauError, bootstrap_history, step, tableau)
-from .ode_control import (AdjointTrajectory, OdeControlProblem,
-                          SingularAdjointStepError, SolverBlowUpError,
-                          Trajectory, cost_gradient_dto, discrete_cost,
+from .tableaus import (ConfigError, History, ImplicitSolveError,
+                       MultistepTableau, SolverError, TimeGrid,
+                       bootstrap_history, step, tableau)
+from .ode_control import (AdjointTrajectory, OdeControlProblem, Trajectory,
+                          cost_gradient_dto, discrete_cost,
                           optimality_residual, prescribed_trajectory,
                           solve_adjoint_dto, solve_adjoint_otd, solve_forward)
-from .relaxation import (AdjointField, FieldBlowUpError, KineticField,
-                         LagrangianGrid, ModelConfigError, RelaxationModel,
-                         adjoint_step, forward_step, make_broadwell,
-                         make_jin_xin, terminal_multipliers, transport_oracle,
-                         viscous_limit_check)
+from .relaxation import (AdjointField, KineticField, LagrangianGrid,
+                         RelaxationModel, adjoint_step, forward_step,
+                         make_broadwell, make_jin_xin, terminal_multipliers,
+                         transport_oracle, viscous_limit_check)
 from .control import (OptimizeResult, TrackingFunctional, bb_step,
                       gradient_from_adjoint, optimize, tv_filter)
 

@@ -1,6 +1,9 @@
 """Experiment command line: ``lmm-adjoint <experiment> --config <path>``.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success; 2 a ``ConfigError``, an invalid config file, key or
+value (or a config file that cannot be read); 3 a ``SolverError`` or an
+arithmetic failure, where the numerics failed on valid input.  Any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -8,21 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import (EXPERIMENT_KINDS, Config, ConfigError,
-                     config_reference_text, load_config)
+from .config import (EXPERIMENT_KINDS, Config, config_reference_text,
+                     load_config)
 from .experiments import (run_control, run_ode_convergence, run_relax_adjoint,
                           run_relax_forward)
-from .ode_control import SingularAdjointStepError, SolverBlowUpError
-from .relaxation import FieldBlowUpError
-from .tableaus import ImplicitSolveError
+from .tableaus import ConfigError, SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-_CONFIG_ERRORS = (ValueError,)  # ConfigError, ModelConfigError among them
-_SOLVER_ERRORS = (ImplicitSolveError, SolverBlowUpError, FieldBlowUpError,
-                  SingularAdjointStepError, ArithmeticError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,18 +47,16 @@ def main(argv=None) -> int:
         print(config_reference_text())
         return EXIT_OK
     try:
-        cfg = load_config(args.config) if args.config else Config()
+        try:
+            cfg = load_config(args.config) if args.config else Config()
+        except (OSError, UnicodeDecodeError) as exc:  # an unreadable file
+            raise ConfigError(exc) from None
         if cfg.kind is not None and cfg.kind != args.experiment:
             raise ConfigError(
                 f"config file is for {cfg.kind!r}, not {args.experiment!r}")
         if args.route is not None and args.experiment != "ode-converge":
             raise ConfigError(f"--route applies to ode-converge, not "
                               f"{args.experiment!r}")
-    except (OSError, *_CONFIG_ERRORS) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.experiment == "ode-converge":
             run_ode_convergence(cfg, args.out, route=args.route)
         elif args.experiment == "relax-forward":
@@ -70,10 +65,10 @@ def main(argv=None) -> int:
             run_relax_adjoint(cfg, args.out)
         else:
             run_control(cfg, args.out, args.experiment)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _SOLVER_ERRORS as exc:
+    except (SolverError, ArithmeticError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK

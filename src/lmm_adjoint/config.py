@@ -13,15 +13,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .tableaus import tableau
+from .tableaus import ConfigError, tableau
 
 
 EXPERIMENT_KINDS = ("ode-converge", "relax-forward", "relax-adjoint",
                     "control-jinxin", "control-broadwell")
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending key."""
 
 
 @dataclass
@@ -178,7 +174,7 @@ CONFIG_REFERENCE = {
         "boundary": Key(_choice("periodic", "clamp"), "periodic",
                         "periodic | clamp"),
         "u0_center": Key(_finite, "3", "Gaussian initial data centre"),
-        "u0_width": Key(_finite, "1", "Gaussian initial data width"),
+        "u0_width": Key(_positive, "1", "Gaussian initial data width"),
         "output_times": Key(_list(_float_or("T", _finite)), "T",
                             "comma list of snapshot times; 'T' is the final "
                             "time"),
@@ -195,7 +191,7 @@ CONFIG_REFERENCE = {
         "scheme": Key(tableau, "BDF2", "BDF tableau"),
         "T": Key(_positive, "1.0", "backward horizon"),
         "terminal_center": Key(_finite, "3", "Gaussian terminal data centre"),
-        "terminal_width": Key(_finite, "1", "Gaussian terminal data width"),
+        "terminal_width": Key(_positive, "1", "Gaussian terminal data width"),
         "oracle_eps_max": Key(_finite, "5e-3",
                               "use the transport oracle for eps < this; "
                               "larger eps rows use a nested fine-grid "

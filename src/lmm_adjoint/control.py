@@ -12,13 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .relaxation import (FieldBlowUpError, LagrangianGrid, RelaxationModel,
-                         solve_adjoint, solve_forward, terminal_multipliers)
-from .tableaus import MultistepTableau
-
-
-class GridMismatchError(ValueError):
-    """State and target live on different grids."""
+from .relaxation import (LagrangianGrid, RelaxationModel, solve_adjoint,
+                         solve_forward, terminal_multipliers)
+from .tableaus import MultistepTableau, SolverError
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class TrackingFunctional:
         """Pointwise deviation driving the adjoint terminal data."""
         u_terminal = np.atleast_2d(u_terminal)
         if u_terminal.shape != self.target.shape:
-            raise GridMismatchError(
+            raise ValueError(
                 f"state shape {u_terminal.shape} != target {self.target.shape}")
         return u_terminal - self.target
 
@@ -126,7 +122,8 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
     ``sigma0``) -> update -> optional TV filter (every ``filter_every``
     iterations; 0 disables).  Stops at the iteration cap, on a vanishing
     functional, or when the gradient sup-norm drops below 1e-8.  A
-    ``FieldBlowUpError`` of either solve gains the descent iteration k.
+    ``SolverError`` of either solve gains the descent iteration k in its
+    message and keeps its step index.
     The loop is deterministic for a fixed configuration.
     """
     control = np.atleast_2d(np.asarray(initial_guess, dtype=float)).copy()
@@ -162,6 +159,7 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
             control = control - sigma * grad
             if filter_every and (k + 1) % filter_every == 0:
                 control = tv_filter(control, grid)
-    except FieldBlowUpError as exc:
-        raise FieldBlowUpError(f"{exc} in descent iteration {k}") from None
+    except SolverError as exc:
+        raise SolverError(f"{exc} in descent iteration {k}",
+                          exc.step_index) from None
     return OptimizeResult(control=control, u_terminal=u_T, iterations=log)

@@ -201,16 +201,18 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str | None = None
         raise ConfigError("--route applies to the prescribed studies; "
                           "the full-system table reports both routes")
     routes = ("dto", "otd") if route in (None, "both") else (route,)
-    if study == "full-system":
-        if T >= 1.0:
+    if study == "full-system" and T >= 1.0:
+        raise ConfigError(
+            f"full-system study needs T < 1: its exact state "
+            f"1/(1-t) is infinite at t = 1 (got T = {T:g})")
+    for tab in s["schemes"]:
+        if study == "full-system" and not tab.is_bdf:
             raise ConfigError(
-                f"full-system study needs T < 1: its exact state "
-                f"1/(1-t) is infinite at t = 1 (got T = {T:g})")
-        for tab in s["schemes"]:
-            if not tab.is_bdf:
-                raise ConfigError(
-                    f"full-system study integrates forward; scheme "
-                    f"{tab.name!r} must be BDF class")
+                f"full-system study integrates forward; scheme "
+                f"{tab.name!r} must be BDF class")
+        if n_list[0] < tab.s:  # the adjoint sweeps need N >= s
+            raise ConfigError(f"key 'n_list': must be at least {tab.s} for "
+                              f"{tab.name}, got {n_list[0]}")
     results = {}
     for tab in s["schemes"]:
         if study == "full-system":
@@ -237,12 +239,20 @@ def _gaussian(center, width):
     return lambda x: np.exp(-((x - center) / width) ** 2)
 
 
+def _domain(s):
+    """The ends (x_left, x_right) of a relaxation run's domain."""
+    xl, xr = s["x_left"], s["x_right"]
+    if xr <= xl:
+        raise ConfigError(f"key 'x_right': must be greater than x_left = "
+                          f"{xl:g}, got {xr:g}")
+    return xl, xr
+
+
 def run_relax_forward(cfg: Config, out_dir: str) -> dict:
     """Forward relaxation run: snapshot CSVs plus a conservation log."""
     s = settings(cfg, "relax-forward")
     a, eps, T, flux = s["a"], s["eps"], s["T"], s["flux"]
-    grid = rx.LagrangianGrid(s["x_left"], s["x_right"], s["nx"],
-                             boundary=s["boundary"])
+    grid = rx.LagrangianGrid(*_domain(s), s["nx"], boundary=s["boundary"])
     dt = grid.dx / a if s["dt"] == "aligned" else s["dt"]
     if dt > grid.dx / a + 1e-12:
         raise ConfigError(f"dt = {dt} violates the CFL bound dx/a = "
@@ -289,7 +299,7 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     s = settings(cfg, "relax-adjoint")
     a, T, eps_list = s["a"], s["T"], s["eps_list"]
     oracle_max = s["oracle_eps_max"]
-    xl, xr = s["x_left"], s["x_right"]
+    xl, xr = _domain(s)
     pT_fn = _gaussian(s["terminal_center"], s["terminal_width"])
     tab = s["scheme"]
     self_ref = [b for b, eps in enumerate(eps_list) if eps >= oracle_max]

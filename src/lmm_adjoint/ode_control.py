@@ -16,20 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .tableaus import (History, MultistepTableau, TimeGrid, bootstrap_history,
-                       step)
-
-
-class SolverBlowUpError(RuntimeError):
-    """A forward state or an adjoint multiplier is non-finite."""
-
-    def __init__(self, message, step_index=None):
-        super().__init__(message)
-        self.step_index = step_index
-
-
-class SingularAdjointStepError(RuntimeError):
-    """Pointwise adjoint solve matrix (1 - dt*b_{-1}*f_y) is numerically singular."""
+from .tableaus import (History, ImplicitSolveError, MultistepTableau,
+                       SolverError, TimeGrid, bootstrap_history, step)
 
 
 @dataclass
@@ -130,8 +118,9 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     problem's exact-solution hook).  A scalar state (n = 1) steps on Python
     floats: the history ring, the Newton iteration and the finiteness check
     run on floats, while ``f`` and ``f_y`` still receive a 1-element state
-    array, and the sweep reads their scalar back.  Raises
-    ``SolverBlowUpError`` with the offending step index on NaN/overflow.
+    array, and the sweep reads their scalar back.  Raises ``SolverError``
+    with the offending step index on NaN/overflow, and sets the step index
+    of an ``ImplicitSolveError``.
     """
     s = tab.s
     u = _controls_array(controls, grid, s)
@@ -168,9 +157,13 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     with np.errstate(over="ignore", invalid="ignore"):
         for nstep in range(grid.N):
             t_new = (nstep + 1) * dt
-            y_new, f_new = step(tab, hist, dt, rhs, t_new, jac=jac)
+            try:
+                y_new, f_new = step(tab, hist, dt, rhs, t_new, jac=jac)
+            except ImplicitSolveError as exc:
+                exc.step_index = nstep + 1
+                raise
             if not finite(y_new):
-                raise SolverBlowUpError(
+                raise SolverError(
                     f"non-finite state at step {nstep + 1} (t={t_new:.6g})",
                     step_index=nstep + 1)
             states[nstep + s] = y_new
@@ -288,9 +281,9 @@ def _backward_sweep(ext, s, top, coef, diag, floor):
     if n == 1:
         small = np.abs(diag.reshape(-1)) < 1e-14
         if small.any():
-            raise SingularAdjointStepError(
-                f"(1 - dt*b_-1*f_y) vanishes at step index "
-                f"{top - int(np.argmax(small))}")
+            j = top - int(np.argmax(small))
+            raise SolverError(f"(1 - dt*b_-1*f_y) vanishes at step index {j}",
+                              step_index=j)
         vals, mul, div = ext[:, 0], operator.mul, operator.truediv
         p = vals.tolist()
         coef, diag = coef.reshape(-1, s).tolist(), diag.reshape(-1).tolist()
@@ -308,8 +301,9 @@ def _backward_sweep(ext, s, top, coef, diag, floor):
             p[j + off] = div(acc, d)
             j -= 1
     except np.linalg.LinAlgError:
-        raise SingularAdjointStepError(
-            f"singular pointwise adjoint matrix at step index {j}") from None
+        raise SolverError(
+            f"singular pointwise adjoint matrix at step index {j}",
+            step_index=j) from None
     vals[:] = p
 
 
@@ -331,14 +325,14 @@ def _seeded_sweep(problem, tab, grid, traj, terminal, shifted):
 def _adjoint_trajectory(grid, s, ext, route):
     """Multipliers on indices 1-s..N from the extended sweep array.
 
-    Raises ``SolverBlowUpError`` at the first non-finite multiplier in sweep
+    Raises ``SolverError`` at the first non-finite multiplier in sweep
     order (the highest such index); one vectorised check per sweep.
     """
     mult = ext[: grid.N + s]
     bad = np.flatnonzero(~np.isfinite(mult).all(axis=1))
     if bad.size:
         i = int(bad[-1]) - (s - 1)
-        raise SolverBlowUpError(
+        raise SolverError(
             f"non-finite {route} multiplier at step index {i}",
             step_index=i)
     return AdjointTrajectory(grid, s, mult.copy(), route)
@@ -360,7 +354,7 @@ def solve_adjoint_otd(problem: OdeControlProblem, tab: MultistepTableau,
     the Jacobian is taken at the exact solution when the problem has one,
     else clamped to index N.  The sweep runs in the dtype of ``grid.dt`` and
     the states.  Raises
-    ``SolverBlowUpError`` with the step index of the first non-finite
+    ``SolverError`` with the step index of the first non-finite
     multiplier.
     """
     ext = _seeded_sweep(problem, tab, grid, traj, terminal, shifted=True)
@@ -384,7 +378,7 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     instead seeds indices N..N+s-1 from ``p_exact`` and sweeps every lower
     index with the interior recurrence (prescribed-trajectory studies).
     The sweep runs in the dtype of ``grid.dt`` and the states.  Raises
-    ``SolverBlowUpError`` with the step index of the first non-finite
+    ``SolverError`` with the step index of the first non-finite
     multiplier.
 
     The transposed system fixes the multiplier amplitude so that the
@@ -421,7 +415,7 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     try:
         sol = np.linalg.solve(M.reshape(s * n, s * n), rhs.reshape(-1))
     except np.linalg.LinAlgError:
-        raise SingularAdjointStepError(
+        raise SolverError(
             "singular terminal block in the transposed adjoint system") from None
     ext[N:N + s] = sol.reshape(s, n)
     # the initial-data identities (i <= 0) carry no f-term: explicit rows

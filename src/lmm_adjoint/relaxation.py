@@ -37,16 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tableaus import MultistepTableau, tableau
-
-
-class ModelConfigError(ValueError):
-    """Relaxation model fails a structural requirement (speeds, moments)."""
-
-
-class FieldBlowUpError(RuntimeError):
-    """Kinetic field left the finite range, or the model's domain, during
-    time stepping."""
+from .tableaus import ConfigError, MultistepTableau, SolverError, tableau
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,7 @@ class RelaxationModel:
 
     def __post_init__(self):
         if not np.all(np.asarray(self.eps) > 0):  # NaN fails too
-            raise ModelConfigError("relaxation parameter eps must be positive")
+            raise ConfigError("relaxation parameter eps must be positive")
 
     @property
     def n_velocities(self) -> int:
@@ -101,7 +92,7 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
     a >= max |F'(u0)| is enforced as a configuration error.
     """
     if a <= 0:
-        raise ModelConfigError("characteristic speed a must be positive")
+        raise ConfigError("characteristic speed a must be positive")
 
     def equilibrium(u, out=None):
         F = flux(u[0])
@@ -133,7 +124,7 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
     if u0 is not None:
         mx = float(np.max(np.abs(dflux(np.atleast_2d(u0)[0]))))
         if a < mx - 1e-12:
-            raise ModelConfigError(
+            raise ConfigError(
                 f"subcharacteristic condition violated: a={a} < max|F'(u0)|={mx:.6g}")
     return model
 
@@ -144,16 +135,16 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
 
     Equilibria: E_1 = F/2 + m/2c, E_2 = F/2 - m/2c, E_3 = (rho - F)/2 with
     F(rho, m) = m^2/(c^2 rho) + rho, the unique choice satisfying both
-    moment constraints.  Evaluation raises ``FieldBlowUpError`` when
+    moment constraints.  Evaluation raises ``SolverError`` when
     rho <= 0 (flux singular).
     """
     if c <= 0:
-        raise ModelConfigError("characteristic speed c must be positive")
+        raise ConfigError("characteristic speed c must be positive")
 
     def _flux(u):
         rho, m = u[0], u[1]
         if np.any(rho <= 0):
-            raise FieldBlowUpError("Broadwell flux undefined for rho <= 0")
+            raise SolverError("Broadwell flux undefined for rho <= 0")
         return m * m / (c * c * rho) + rho
 
     def equilibrium(u, out=None):
@@ -383,7 +374,7 @@ class _LevelRing:
     """History ring and step work buffers shared by both field kinds.
 
     A field steps the BDF scheme ``tab`` of s stages (any other tableau is
-    a ``ModelConfigError``).  ``ramp`` lists BDF1, ..., BDF(s-1), ``tab``:
+    a ``ConfigError``).  ``ramp`` lists BDF1, ..., BDF(s-1), ``tab``:
     a history of l levels steps ``ramp[l-1]``, so the order ramps up while
     the ring fills.  ``history[0]`` is the newest level.  Once the ring is
     full, ``slot()`` hands out the array of the oldest level, which the
@@ -399,7 +390,7 @@ class _LevelRing:
                  dt: float, tab: MultistepTableau, first: np.ndarray,
                  speeds: np.ndarray):
         if not tab.is_bdf:
-            raise ModelConfigError(f"relaxation solver requires a BDF "
+            raise ConfigError(f"relaxation solver requires a BDF "
                                    f"tableau, got {tab.name}")
         self.model = model
         self.grid = grid
@@ -425,12 +416,12 @@ class _LevelRing:
     def push(self, level: np.ndarray):
         """Make ``level`` the newest, evicting the oldest once full.
 
-        A non-finite level raises ``FieldBlowUpError`` naming the step
+        A non-finite level raises ``SolverError`` naming the step
         instead; the field's oldest level may then already be overwritten,
         and the field must not be stepped again.
         """
         if not np.all(np.isfinite(level)):
-            raise FieldBlowUpError(self.blowup.format(self.n + 1))
+            raise SolverError(self.blowup.format(self.n + 1), self.n + 1)
         if len(self.history) == len(self.ramp):
             self.history.pop()
         self.history.insert(0, level)
@@ -468,7 +459,7 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
     cancels via Q E(u) = u), into ``out`` (n, M); phase 2 is the per-point
     affine relaxation update.  The arithmetic runs in the field's work
     buffers and the new level overwrites the evicted one, so a warm field
-    allocates only the model's own temporaries.  A ``FieldBlowUpError``
+    allocates only the model's own temporaries.  A ``SolverError``
     of the equilibrium (Broadwell's rho <= 0) gains the step's number.
     """
     h = _combine(model, grid, fld)
@@ -477,8 +468,8 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
     u_new = model.moments(comb, out=out)     # phase 1: macroscopic closure
     try:                                     # phase 2: relaxation update
         E = model.equilibrium(u_new, out=fld.E)
-    except FieldBlowUpError as exc:
-        raise FieldBlowUpError(f"{exc} at step {fld.n + 1}") from None
+    except SolverError as exc:
+        raise SolverError(f"{exc} at step {fld.n + 1}", fld.n + 1) from None
     f_new = fld.slot()
     np.multiply(w, E, out=f_new)
     np.multiply(1.0 - w, comb, out=prod)
@@ -642,7 +633,7 @@ def viscous_limit_check(model: RelaxationModel, grid: LagrangianGrid,
     Expected magnitude O(eps) + O(dt^order).
     """
     if model.n_conserved != 1:
-        raise ModelConfigError("viscous-limit check defined for scalar models")
+        raise ConfigError("viscous-limit check defined for scalar models")
     pT = np.broadcast_to(p_terminal(grid.nodes()),
                          (np.size(model.eps), 1, grid.n_nodes))
     lam_T = terminal_multipliers(model, pT)

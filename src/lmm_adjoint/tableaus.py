@@ -20,11 +20,21 @@ from typing import Callable
 import numpy as np
 
 
-class UnknownTableauError(ValueError):
-    """Requested scheme name is not in the registry."""
+class ConfigError(ValueError):
+    """An input value is invalid; the message names the offending key or
+    value."""
 
 
-class ImplicitSolveError(RuntimeError):
+class SolverError(RuntimeError):
+    """The numerics failed on valid input; ``step_index`` is the step of the
+    sweep that failed, where there is one."""
+
+    def __init__(self, message, step_index=None):
+        super().__init__(message)
+        self.step_index = step_index
+
+
+class ImplicitSolveError(SolverError):
     """Newton iteration for an implicit step did not converge."""
 
     def __init__(self, message, residual=None, iterations=None):
@@ -110,7 +120,7 @@ def _register(tab: MultistepTableau, *aliases: str):
         _REGISTRY[_norm_key(key)] = tab
 
 
-_register(MultistepTableau("ImplicitEuler", 1, _F(-1), _F(1, 0), 1), "bdf1", "bdf(1)")
+_register(MultistepTableau("ImplicitEuler", 1, _F(-1), _F(1, 0), 1), "bdf1")
 _register(MultistepTableau("ExplicitEuler", 1, _F(-1), _F(0, 1), 1), "ab1", "euler")
 # BDF2..BDF6 over a common denominator d: numerators of a_0..a_{s-1}, and
 # of b_-1 (every other b_i is 0)
@@ -121,30 +131,26 @@ for _s, _d, _a, _b in ((2, 3, (-4, 1), 2),
                        (6, 147, (-360, 450, -400, 225, -72, 10), 60)):
     _register(MultistepTableau(f"BDF{_s}", _s,
                                tuple(Fraction(c, _d) for c in _a),
-                               (Fraction(_b, _d),) + (Fraction(0),) * _s, _s),
-              f"bdf({_s})")
-_register(MultistepTableau("AB2", 2, _F(-1, 0), _F(0, "3/2", "-1/2"), 2), "ab(2)")
-_register(
-    MultistepTableau("AB3", 3, _F(-1, 0, 0), _F(0, "23/12", "-4/3", "5/12"), 3), "ab(3)"
-)
-_register(MultistepTableau("AM4", 4, _F(-1, 0, 0, 0), _AM4_B_720, 5), "am(4)")
-_register(
-    MultistepTableau("AM4-270", 4, _F(-1, 0, 0, 0), _AM4_B_270, 5), "am4_270", "am(4)-270"
-)
+                               (Fraction(_b, _d),) + (Fraction(0),) * _s, _s))
+_register(MultistepTableau("AB2", 2, _F(-1, 0), _F(0, "3/2", "-1/2"), 2))
+_register(MultistepTableau("AB3", 3, _F(-1, 0, 0), _F(0, "23/12", "-4/3", "5/12"), 3))
+_register(MultistepTableau("AM4", 4, _F(-1, 0, 0, 0), _AM4_B_720, 5))
+_register(MultistepTableau("AM4-270", 4, _F(-1, 0, 0, 0), _AM4_B_270, 5), "am4_270")
 
 
 def tableau(name: str) -> MultistepTableau:
-    """Look up a scheme by name (case-insensitive, 'BDF2'/'bdf(2)' both work).
+    """Look up a scheme by name, ignoring case, blanks, underscores and
+    parentheses ('BDF2', 'bdf(2)' and 'bdf_2' all work).
 
     "AM4" is the consistent Adams-Moulton(4) scheme (denominator 720);
-    "AM4-270" (aliases "am4_270", "am(4)-270") is the 270-denominator
-    variant printed in some sources.
+    "AM4-270" (alias "am4_270") is the 270-denominator variant printed in
+    some sources.
     """
     try:
         return _REGISTRY[_norm_key(name)]
     except KeyError:
         known = sorted({t.name for t in _REGISTRY.values()})
-        raise UnknownTableauError(f"unknown tableau {name!r}; known: {known}") from None
+        raise ConfigError(f"unknown tableau {name!r}; known: {known}") from None
 
 
 @dataclass(frozen=True)

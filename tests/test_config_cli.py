@@ -89,6 +89,23 @@ class TestCli:
         assert cli.main(["ode-converge", "--config",
                          str(tmp_path / "nope.conf")]) == 2
 
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        path = tmp_path / "c.conf"
+        path.write_bytes(b"[ode-converge]\nstudy = \xff\n")
+        assert cli.main(["ode-converge", "--config", str(path)]) == 2
+        assert "can't decode" in capsys.readouterr().err
+
+    def test_plain_value_error_is_a_bug(self, tmp_path, monkeypatch):
+        # only a ConfigError exits 2; any other ValueError propagates
+        def broken(cfg, out_dir):
+            raise ValueError("not a config error")
+
+        monkeypatch.setattr(cli, "run_relax_forward", broken)
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-forward]\nflux = linear\n")
+        with pytest.raises(ValueError, match="not a config error"):
+            cli.main(["relax-forward", "--config", conf])
+
     def test_kind_mismatch(self, tmp_path):
         conf = self._write(tmp_path, "c.conf", "[relax-forward]\nflux = linear\n")
         assert cli.main(["ode-converge", "--config", conf]) == 2
@@ -343,9 +360,22 @@ class TestCli:
         ("control-broadwell", "nx = 41\nc = -1\n", "c"),
         ("control-broadwell", "nx = 41\nfilter_every = -1\n",
          "filter_every"),
+        ("relax-forward", "flux = linear\nnx = 40\nx_right = -6\n",
+         "x_right"),
+        ("relax-forward", "flux = linear\nnx = 40\nx_right = 0\n",
+         "x_right"),
+        ("relax-adjoint", "nx_list = 20,40\nx_right = -6\n", "x_right"),
+        ("ode-converge", "study = const-fy\nschemes = BDF2,BDF6\n"
+                         "n_list = 4,8\n", "n_list"),
+        ("relax-forward", "flux = linear\nnx = 40\nu0_width = 0\n",
+         "u0_width"),
+        ("relax-adjoint", "nx_list = 20,40\nterminal_width = 0\n",
+         "terminal_width"),
     ], ids=["dt", "a", "T", "eps", "nx", "study-T", "n_list", "nx_list",
             "eps_list", "iterations", "sigma0", "save_every", "c",
-            "filter_every"])
+            "filter_every", "x_right-below", "x_right-equal",
+            "adjoint-x_right", "n_list-below-s", "u0_width",
+            "terminal_width"])
     def test_out_of_range_value_config_error(self, tmp_path, capsys, kind,
                                              body, key):
         # a zero, negative or too small size is rejected before any run

@@ -6,6 +6,8 @@ import pytest
 import lmm_adjoint as la
 from lmm_adjoint import control as ct
 from lmm_adjoint import relaxation as rx
+from lmm_adjoint.config import parse_config
+from lmm_adjoint.experiments import run_control
 
 
 def coarse_jinxin_setup(nx=40, n_steps=10, eps=1e-2):
@@ -45,7 +47,7 @@ class TestFunctional:
 
     def test_grid_mismatch(self):
         f = ct.TrackingFunctional(np.ones((1, 10)), 0.1)
-        with pytest.raises(ct.GridMismatchError):
+        with pytest.raises(ValueError, match="state shape"):
             f(np.ones((1, 11)))
 
     def test_nonnegative_random(self):
@@ -278,3 +280,12 @@ class TestOptimize:
         assert [r["k"] for r in res.iterations] == list(range(6))
         u_T = rx.solve_forward(model, grid, tab, guess, n_steps, dt)[1][-1]
         assert res.iterations[0]["J"] == functional(u_T)
+
+    def test_blow_up_keeps_the_step_and_names_the_iteration(self, tmp_path):
+        # a large first step drives Broadwell's rho below 0
+        cfg = parse_config("[control-broadwell]\nnx = 81\niterations = 3\n"
+                           "sigma0 = 10\n")
+        with pytest.raises(la.SolverError,
+                           match=r"at step 1 in descent iteration 1$") as err:
+            run_control(cfg, str(tmp_path), "control-broadwell")
+        assert err.value.step_index == 1

@@ -6,6 +6,7 @@ so neither the namespace nor the option surface can grow unnoticed.
 """
 
 import ast
+import importlib
 import inspect
 import pathlib
 import pkgutil
@@ -15,15 +16,14 @@ from lmm_adjoint.cli import build_parser
 from lmm_adjoint.config import CONFIG_REFERENCE
 
 PUBLIC_NAMES = (
-    "AdjointField", "AdjointTrajectory",
-    "FieldBlowUpError", "History", "ImplicitSolveError", "KineticField",
-    "LagrangianGrid", "ModelConfigError", "MultistepTableau",
-    "OdeControlProblem", "OptimizeResult", "RelaxationModel",
-    "SingularAdjointStepError", "SolverBlowUpError", "TimeGrid",
-    "TrackingFunctional", "Trajectory", "UnknownTableauError", "adjoint_step",
-    "bb_step", "bootstrap_history", "cost_gradient_dto",
-    "discrete_cost", "forward_step", "gradient_from_adjoint",
-    "make_broadwell", "make_jin_xin", "optimality_residual", "optimize",
+    "AdjointField", "AdjointTrajectory", "ConfigError", "History",
+    "ImplicitSolveError", "KineticField", "LagrangianGrid",
+    "MultistepTableau", "OdeControlProblem", "OptimizeResult",
+    "RelaxationModel", "SolverError", "TimeGrid", "TrackingFunctional",
+    "Trajectory", "adjoint_step", "bb_step", "bootstrap_history",
+    "cost_gradient_dto", "discrete_cost", "forward_step",
+    "gradient_from_adjoint", "make_broadwell", "make_jin_xin",
+    "optimality_residual", "optimize",
     "prescribed_trajectory", "solve_adjoint_dto", "solve_adjoint_otd",
     "solve_forward", "step", "tableau", "terminal_multipliers",
     "transport_oracle", "tv_filter", "viscous_limit_check",
@@ -74,6 +74,20 @@ def test_public_names_are_used_by_the_package():
                 used.add(node.attr)
     unused = sorted(set(PUBLIC_NAMES) - used)
     assert unused == sorted(UNUSED_ALLOWED)
+
+
+def test_exception_classes_are_config_or_solver_errors():
+    # the CLI maps these two types to exits 2 and 3; a third kind of
+    # failure would be a bug's traceback
+    found = []
+    for info in pkgutil.iter_modules(la.__path__):
+        module = importlib.import_module(f"{la.__name__}.{info.name}")
+        found += [cls for cls in vars(module).values()
+                  if inspect.isclass(cls) and issubclass(cls, BaseException)
+                  and cls.__module__ == module.__name__]
+    assert found
+    for cls in found:
+        assert issubclass(cls, (la.ConfigError, la.SolverError)), cls
 
 
 def test_modules_match_the_pinned_list():

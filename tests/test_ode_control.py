@@ -64,7 +64,7 @@ class TestForward:
             f=lambda y, u, t: y * y,
             f_y=lambda y, u, t: np.atleast_2d(2 * y),
             y0=1.0, y_exact=lambda t: 1.0 / (1.0 - t))
-        with pytest.raises(la.SolverBlowUpError) as err:
+        with pytest.raises(la.SolverError) as err:
             solve_forward(prob, la.tableau("ExplicitEuler"),
                           la.TimeGrid(2.0, 60))
         assert err.value.step_index == 43
@@ -78,6 +78,7 @@ class TestForward:
             solve_forward(terminal_tracking_problem(), la.tableau("BDF1"),
                           la.TimeGrid(dtype(0.9), 40))
         assert "t=0.8775" in str(err.value)
+        assert err.value.step_index == 39  # t = 39 * 0.9/40
         assert type(err.value.residual) is float
         assert err.value.residual == residual
         assert err.value.iterations == 50
@@ -255,7 +256,7 @@ class TestAdjointRoutes:
             f_y=lambda y, u, t: np.array([[1.0 / grid.dt]]),
             terminal_cost_grad=lambda yT: np.array([1.0]), y0=1.0)
         traj = prescribed_trajectory(grid, tab.s, lambda t: 1.0 + 0 * t)
-        with pytest.raises(la.SingularAdjointStepError):
+        with pytest.raises(la.SolverError):
             solve_adjoint_dto(prob, tab, grid, traj, terminal="cost")
 
 
@@ -314,8 +315,10 @@ class TestStudyReference:
                         tab, N, T, fy, p_exact(np.longdouble(T)), route)
                 if not np.isfinite(ref).all():
                     # ImplicitEuler, f_y = 1, dt = 1: 1 - dt*b_-1*f_y = 0
-                    with pytest.raises(la.SingularAdjointStepError):
+                    with pytest.raises(la.SolverError) as err:
                         backward_study_solution(tab, N, T, factory, route)
+                    assert (f"step index {err.value.step_index}"
+                            in str(err.value))
                     continue
                 p = backward_study_solution(tab, N, T, factory, route)
                 assert p.dtype == np.longdouble
@@ -416,7 +419,7 @@ class TestAdjointBlowUp:
         assert np.all(traj.states == 0.0)
         for solver, terminal, index in ((solve_adjoint_dto, "cost", 33),
                                         (solve_adjoint_otd, "replicate", 32)):
-            with pytest.raises(la.SolverBlowUpError) as err:
+            with pytest.raises(la.SolverError) as err:
                 solver(prob, tab, grid, traj, terminal=terminal)
             assert err.value.step_index == index, solver.__name__
             assert f"step index {index}" in str(err.value)

@@ -58,20 +58,20 @@ class TestModels:
         assert abs(E[1, 0] - 1.6 / 4.2) <= 1e-15
 
     def test_jinxin_invalid_speed(self):
-        with pytest.raises(rx.ModelConfigError):
+        with pytest.raises(la.ConfigError):
             linear_jinxin(-1.0, 1e-2)
-        with pytest.raises(rx.ModelConfigError):
+        with pytest.raises(la.ConfigError):
             linear_jinxin(1.0, 0.0)
 
     def test_nan_eps_rejected(self):
         # NaN <= 0 is False: the model accepts eps only where eps > 0
         for eps in (np.nan, np.array([1e-2, np.nan])):
-            with pytest.raises(rx.ModelConfigError, match="eps must be positive"):
+            with pytest.raises(la.ConfigError, match="eps must be positive"):
                 linear_jinxin(1.0, eps)
 
     def test_subcharacteristic_check(self):
         u0 = np.linspace(-1.5, 1.5, 11)
-        with pytest.raises(rx.ModelConfigError):
+        with pytest.raises(la.ConfigError):
             burgers_jinxin(1.0, 1e-2, u0=u0)  # max|F'| = 1.5 > a
         burgers_jinxin(1.5, 1e-2, u0=u0)      # equality allowed
 
@@ -95,11 +95,22 @@ class TestModels:
         assert E[0, 0] == E[1, 0]
 
     def test_broadwell_errors(self):
-        with pytest.raises(rx.ModelConfigError):
+        with pytest.raises(la.ConfigError):
             rx.make_broadwell(0.0, 1e-2)
         m = rx.make_broadwell(1.0, 1e-2)
-        with pytest.raises(rx.FieldBlowUpError):
+        with pytest.raises(la.SolverError) as err:
             m.equilibrium(np.array([[-1.0], [0.0]]))
+        assert err.value.step_index is None  # no step: the model alone
+        # rho = 1 at t = 0; the f1 bump at node 6 moves on and leaves
+        # rho = -1 there, so the first forward step names itself
+        grid = rx.LagrangianGrid(0.0, 1.0, 17)
+        f0 = np.zeros((3, grid.n_nodes))
+        f0[2] = 0.5
+        f0[0, 6], f0[2, 6] = 2.0, -0.5
+        fld = rx.KineticField(m, grid, grid.dx, la.tableau("BDF1"), f0)
+        with pytest.raises(la.SolverError, match=r"rho <= 0 at step 1$") as err:
+            rx.forward_step(m, grid, fld, out=np.empty((2, grid.n_nodes)))
+        assert err.value.step_index == 1
 
     def test_moment_consistency_sampled(self):
         rng = np.random.default_rng(42)
@@ -256,7 +267,7 @@ class TestForward:
     def test_non_bdf_rejected(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
-        with pytest.raises(rx.ModelConfigError):
+        with pytest.raises(la.ConfigError):
             rx.KineticField(model, grid, 0.05, la.tableau("AB2"),
                             np.zeros((2, grid.n_nodes)))
 
@@ -292,9 +303,10 @@ class TestForward:
         model = linear_jinxin(1.0, 1e-2)
         u0 = np.ones((1, grid.n_nodes))
         u0[0, 4] = np.nan
-        with pytest.raises(rx.FieldBlowUpError,
-                           match=r"kinetic field at step 1\b"):
+        with pytest.raises(la.SolverError,
+                           match=r"kinetic field at step 1\b") as err:
             rx.solve_forward(model, grid, la.tableau("BDF2"), u0, 3, 0.05)
+        assert err.value.step_index == 1
 
     def test_linear_flux_translates_profile(self):
         # pure-transport figure configuration: the Gaussian arrives shifted
@@ -454,7 +466,7 @@ class TestAdjoint:
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
         for name in ("AM4", "AB2"):
-            with pytest.raises(rx.ModelConfigError):
+            with pytest.raises(la.ConfigError):
                 rx.AdjointField(model, grid, 0.05, la.tableau(name),
                                 np.zeros((2, grid.n_nodes)))
 
@@ -464,7 +476,7 @@ class TestAdjoint:
         calls = []
         monkeypatch.setattr(rx, "adjoint_step", lambda *args: calls.append(args))
         grid = rx.LagrangianGrid(-2.5, 2.5, 41, boundary="clamp")
-        with pytest.raises(rx.ModelConfigError, match="scalar"):
+        with pytest.raises(la.ConfigError, match="scalar"):
             rx.viscous_limit_check(rx.make_broadwell(1.0, 1e-2), grid,
                                    la.tableau("BDF2"),
                                    lambda x: np.exp(-x ** 2),
@@ -487,18 +499,20 @@ class TestAdjoint:
         model = linear_jinxin(1.0, 1e-2)
         lam_T = np.ones((2, grid.n_nodes))
         lam_T[0, 5] = np.nan
-        with pytest.raises(rx.FieldBlowUpError, match=r"backward step 1\b"):
+        with pytest.raises(la.SolverError, match=r"backward step 1\b") as err:
             rx.solve_adjoint(model, grid, la.tableau("BDF2"), None, lam_T,
                              4, 0.05)
+        assert err.value.step_index == 1
         # a non-finite Jacobian shows up at the step that reads it
         x = grid.nodes()
         u_store = rx.solve_forward(model, grid, la.tableau("BDF2"),
                                    np.sin(2 * np.pi * x), 4, 0.05)[1]
         u_store[1, 0, 3] = np.inf
         burgers = burgers_jinxin(1.0, 1e-2)
-        with pytest.raises(rx.FieldBlowUpError, match=r"backward step 3\b"):
+        with pytest.raises(la.SolverError, match=r"backward step 3\b") as err:
             rx.solve_adjoint(burgers, grid, la.tableau("BDF2"), u_store,
                              np.ones((2, grid.n_nodes)), 4, 0.05)
+        assert err.value.step_index == 3
 
 
 def reference_forward_step(model, grid, history, dt, tab):
@@ -703,7 +717,7 @@ class TestBatchedAdjoint:
 
     def test_array_eps_must_be_positive(self):
         for eps in ([0.1, 0.0], [[1.0], [-1e-3]]):
-            with pytest.raises(rx.ModelConfigError):
+            with pytest.raises(la.ConfigError):
                 linear_jinxin(1.0, np.array(eps))
 
 

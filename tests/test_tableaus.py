@@ -99,7 +99,7 @@ class TestRegistry:
             assert t.b_exact == (beta,) + (Fraction(0),) * s
 
     def test_unknown_name(self):
-        with pytest.raises(tb.UnknownTableauError):
+        with pytest.raises(tb.ConfigError):
             tb.tableau("BDF9")
 
     def test_am_denominator_variants(self):
@@ -113,6 +113,12 @@ class TestRegistry:
     def test_name_normalization(self):
         for alias in ("bdf(2)", "bdf_2", "BDF 2", "Bdf2"):
             assert tb.tableau(alias).name == "BDF2"
+        # parenthesised spellings fold onto a registered name
+        spellings = {"bdf(1)": "ImplicitEuler", "ab(2)": "AB2", "ab(3)": "AB3",
+                     "am(4)": "AM4", "am(4)-270": "AM4-270",
+                     **{f"bdf({s})": f"BDF{s}" for s in range(2, 7)}}
+        for alias, name in spellings.items():
+            assert tb.tableau(alias) is tb.tableau(name)
 
 
 class TestStep:
