@@ -93,20 +93,20 @@ _STUDY_PROBLEMS = {"const-fy": constant_coefficient_study,
 
 
 def backward_study_solution(tab: MultistepTableau, N: int, T, study,
-                            route: str, dtype=np.longdouble) -> np.ndarray:
+                            route: str) -> np.ndarray:
     """Multipliers p_0..p_N for a prescribed-coefficient adjoint study.
 
     ``study`` is a problem factory of :mod:`lmm_adjoint.problems` taking T.
-    Its exact state is prescribed on a grid whose step has the given dtype,
-    and the route's generic solver sweeps it with the terminal history
-    (indices N..N+s-1) sampled from the exact multiplier: ``route='otd'``
-    applies the tableau to the time-reversed continuous equation,
-    ``route='dto'`` is the transposed recurrence.
+    Its exact state is prescribed on a long-double grid, and the route's
+    generic solver sweeps it with the terminal history (indices N..N+s-1)
+    sampled from the exact multiplier: ``route='otd'`` applies the tableau
+    to the time-reversed continuous equation, ``route='dto'`` is the
+    transposed recurrence.
     """
     if route not in ("dto", "otd"):
         raise ValueError(f"unknown route {route!r}")
-    problem = study(dtype(T))
-    grid = TimeGrid(dtype(T), N)
+    grid = TimeGrid(np.longdouble(T), N)
+    problem = study(grid.T)
     traj = prescribed_trajectory(grid, tab.s, problem.y_exact)
     solve = solve_adjoint_dto if route == "dto" else solve_adjoint_otd
     return solve(problem, tab, grid, traj, terminal="exact").on_grid()[:, 0]
@@ -122,7 +122,7 @@ def _extrap_error(p_coarse, p_fine, exact_vals, err_coarse, err_fine):
 
 
 def _table_rows(n_list, errs, sols):
-    """Convergence-table rows from per-N results on ``n_list``.
+    """Convergence table (header, rows) from per-N results on ``n_list``.
 
     ``errs`` maps each error column to its errors, one per N; ``sols`` maps
     the columns that are extrapolated to their (solution, exact values)
@@ -130,6 +130,11 @@ def _table_rows(n_list, errs, sols):
     ``errs`` column, then the Richardson-extrapolant error and its rate of
     each ``sols`` column; extrapolants need N to double the previous N.
     """
+    header = ["N"]
+    for col in errs:
+        header += [f"err_{col}", f"rate_{col}"]
+    for col in sols:
+        header += [f"err_{col}_extrap", f"rate_{col}_extrap"]
     rows = []
     xp_prev = dict.fromkeys(sols)
     for idx, N in enumerate(n_list):
@@ -147,7 +152,7 @@ def _table_rows(n_list, errs, sols):
             row += [xp, xr]
             xp_prev[col] = xp
         rows.append(row)
-    return rows
+    return header, rows
 
 
 def _prescribed_table(study, tab, n_list, T, routes):
@@ -159,9 +164,9 @@ def _prescribed_table(study, tab, n_list, T, routes):
     for N in n_list:
         exact = pex(np.arange(N + 1, dtype=dtype) * dtype(T) / dtype(N))
         for route in routes:
-            p = backward_study_solution(tab, N, T, factory, route, dtype)
+            p = backward_study_solution(tab, N, T, factory, route)
             errs[route].append(float(np.max(np.abs(p - exact))))
-            sols[route].append((p.astype(np.longdouble), exact))
+            sols[route].append((p, exact))
     return _table_rows(n_list, errs, sols)
 
 
@@ -203,29 +208,22 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str | None = None
     routes = ("dto", "otd") if route in (None, "both") else (route,)
     if study == "full-system" and T >= 1.0:
         raise ConfigError(
-            f"full-system study needs T < 1: its exact state "
+            f"key 'T': full-system study needs T < 1: its exact state "
             f"1/(1-t) is infinite at t = 1 (got T = {T:g})")
     for tab in s["schemes"]:
         if study == "full-system" and not tab.is_bdf:
             raise ConfigError(
-                f"full-system study integrates forward; scheme "
-                f"{tab.name!r} must be BDF class")
+                f"key 'schemes': full-system study integrates forward; "
+                f"scheme {tab.name!r} must be BDF class")
         if n_list[0] < tab.s:  # the adjoint sweeps need N >= s
             raise ConfigError(f"key 'n_list': must be at least {tab.s} for "
                               f"{tab.name}, got {n_list[0]}")
     results = {}
     for tab in s["schemes"]:
         if study == "full-system":
-            header = ["N", "err_y", "rate_y", "err_dto", "rate_dto",
-                      "err_otd", "rate_otd", "err_y_extrap", "rate_y_extrap"]
-            rows = _full_system_table(tab, n_list, T)
+            header, rows = _full_system_table(tab, n_list, T)
         else:
-            header = ["N"]
-            for r in routes:
-                header += [f"err_{r}", f"rate_{r}"]
-            for r in routes:
-                header += [f"err_{r}_extrap", f"rate_{r}_extrap"]
-            rows = _prescribed_table(study, tab, n_list, T, routes)
+            header, rows = _prescribed_table(study, tab, n_list, T, routes)
         path = os.path.join(out_dir, f"table_{study}_{tab.name}.csv")
         write_csv(path, header, rows)
         echo_table(f"{study} / {tab.name}", header, rows)
@@ -240,23 +238,35 @@ def _gaussian(center, width):
 
 
 def _domain(s):
-    """The ends (x_left, x_right) of a relaxation run's domain."""
+    """The ends (x_left, x_right) of a relaxation run's domain, whose length
+    must be positive and finite."""
     xl, xr = s["x_left"], s["x_right"]
-    if xr <= xl:
+    if not 0 < xr - xl < np.inf:
         raise ConfigError(f"key 'x_right': must be greater than x_left = "
-                          f"{xl:g}, got {xr:g}")
+                          f"{xl:g} by a finite length, got {xr:g}")
     return xl, xr
 
 
-def run_relax_forward(cfg: Config, out_dir: str) -> dict:
-    """Forward relaxation run: snapshot CSVs plus a conservation log."""
+def _steps(T, dt):
+    """The number of steps of size dt to the horizon T, T/dt rounded; a
+    horizon that rounds to no step is a config error."""
+    n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise ConfigError(f"key 'T': must be at least one step of dt = "
+                          f"{dt:g}, got {T:g}")
+    return n_steps
+
+
+def run_relax_forward(cfg: Config, out_dir: str) -> list:
+    """Forward relaxation run: snapshot CSVs plus a conservation log, whose
+    rows (step, t, mass) it returns."""
     s = settings(cfg, "relax-forward")
     a, eps, T, flux = s["a"], s["eps"], s["T"], s["flux"]
     grid = rx.LagrangianGrid(*_domain(s), s["nx"], boundary=s["boundary"])
     dt = grid.dx / a if s["dt"] == "aligned" else s["dt"]
     if dt > grid.dx / a + 1e-12:
-        raise ConfigError(f"dt = {dt} violates the CFL bound dx/a = "
-                          f"{grid.dx / a:.6g}")
+        raise ConfigError(f"key 'dt': dt = {dt} violates the CFL bound "
+                          f"dx/a = {grid.dx / a:.6g}")
     u0_fn = _gaussian(s["u0_center"], s["u0_width"])
     tab = s["scheme"]
     x = grid.nodes()
@@ -267,7 +277,7 @@ def run_relax_forward(cfg: Config, out_dir: str) -> dict:
     else:
         model = rx.make_jin_xin(lambda u: 0.5 * u * u, lambda u: u,
                                 a, eps, u0=u0[0])
-    n_steps = int(round(T / dt))
+    n_steps = _steps(T, dt)
     out_times = [T if tt == "T" else tt for tt in s["output_times"]]
     out_steps = sorted({min(n_steps, max(0, int(round(tt / dt))))
                         for tt in out_times})
@@ -283,7 +293,7 @@ def run_relax_forward(cfg: Config, out_dir: str) -> dict:
     print(f"relax-forward: {flux} flux, {tab.name}, nx={grid.n_points}, "
           f"dt={dt:.6g}, steps={n_steps}")
     print(f"  mass drift (relative): {drift:.3e}")
-    return {"mass_drift": drift, "u_store": u_store, "grid": grid, "dt": dt}
+    return rows
 
 
 def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
@@ -314,7 +324,7 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     devs = []
     for nx in s["nx_list"]:
         grid = rx.LagrangianGrid(xl, xr, nx, boundary="periodic")
-        n_steps = int(round(T / (grid.dx / a)))
+        n_steps = _steps(T, grid.dx / a)
         references = {}
         if self_ref:
             # nested fine grid (dx and dt halve exactly) run for twice the
@@ -348,8 +358,9 @@ def _box(x, lo, hi, value):
     return np.where((x >= lo) & (x <= hi), value, 0.0)
 
 
-def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
-    """Initial-data control experiments (Jin-Xin Burgers or Broadwell)."""
+def run_control(cfg: Config, out_dir: str, kind: str) -> list:
+    """Initial-data control experiments (Jin-Xin Burgers or Broadwell):
+    snapshot CSVs plus the descent log, whose rows it returns."""
     s = settings(cfg, kind)
     tab = s["scheme"]
     nx, dt, eps, save_every = s["nx"], s["dt"], s["eps"], s["save_every"]
@@ -371,7 +382,7 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
         guess = np.stack([np.ones_like(x), np.zeros_like(x)])
         model = rx.make_broadwell(s["c"], eps)
         names = ("rho", "m")
-    n_steps = int(round(s["T"] / dt))
+    n_steps = _steps(s["T"], dt)
 
     # self-consistent target: forward-evolve the reference initial data and
     # keep only its terminal level
@@ -411,5 +422,4 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> dict:
           f"{s['iterations']} iterations")
     print(f"  J(0) = {Js[0]:.6e}   J(end) = {Js[-1]:.6e}   "
           f"ratio = {Js[-1] / Js[0]:.6f}")
-    return {"result": result, "J": Js, "grid": grid,
-            "true_init": true_init, "guess": guess}
+    return log_rows

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .tableaus import (History, ImplicitSolveError, MultistepTableau,
-                       SolverError, TimeGrid, bootstrap_history, step)
+from .tableaus import (ImplicitSolveError, MultistepTableau, SolverError,
+                       TimeGrid, bootstrap_history, step)
 
 
 @dataclass
@@ -114,13 +114,15 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     """Integrate y' = f(y,u,t) over the grid with the given tableau.
 
     Controls may be a scalar or an (N+s,) array aligned to indices 1-s..N.
-    History initialization follows ``init_mode`` (``exact`` needs the
-    problem's exact-solution hook).  A scalar state (n = 1) steps on Python
-    floats: the history ring, the Newton iteration and the finiteness check
-    run on floats, while ``f`` and ``f_y`` still receive a 1-element state
-    array, and the sweep reads their scalar back.  Raises ``SolverError``
-    with the offending step index on NaN/overflow, and sets the step index
-    of an ``ImplicitSolveError``.
+    The starting states follow ``init_mode`` (``exact`` needs the problem's
+    exact-solution hook).  The sweep appends each step's state and
+    right-hand side to two lists, whose s newest entries ``step`` reads;
+    the states list becomes the trajectory.  A scalar state (n = 1) steps
+    on Python floats: both lists, the Newton iteration and the finiteness
+    check hold floats, while ``f`` and ``f_y`` still receive a 1-element
+    state array, and the sweep reads their scalar back.  Raises
+    ``SolverError`` with the offending step index on NaN/overflow, and sets
+    the step index of an ``ImplicitSolveError``.
     """
     s = tab.s
     u = _controls_array(controls, grid, s)
@@ -131,10 +133,8 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     def rhs_array(y, t):
         return np.atleast_1d(np.asarray(f(y, u_at(t), t), dtype=float))
 
-    hist = bootstrap_history(tab, grid, rhs_array, problem.y0,
-                             mode=init_mode, y_exact=problem.y_exact)
-    states = np.empty((grid.N + s, problem.dim))
-    states[:s] = hist.states()[::-1]  # oldest -> newest
+    states, fvals = bootstrap_history(tab, grid, rhs_array, problem.y0,
+                                      mode=init_mode, y_exact=problem.y_exact)
     if problem.dim == 1:  # step on Python floats from here on
         def rhs(y, t):
             return np.asarray(f(np.array([y]), u_at(t), t), dtype=float).item()
@@ -142,10 +142,9 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
         def jac(y, t):
             return np.asarray(f_y(np.array([y]), u_at(t), t), dtype=float).item()
 
-        scalar = History(s)
-        for y, fy in zip(hist.states()[::-1], hist.rhs()[::-1]):
-            scalar.push(y.item(), fy.item())
-        hist, finite, as_state = scalar, math.isfinite, float
+        states = [y.item() for y in states]
+        fvals = [fy.item() for fy in fvals]
+        finite, as_state = math.isfinite, float
     else:
         rhs = rhs_array
 
@@ -158,7 +157,7 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
         for nstep in range(grid.N):
             t_new = (nstep + 1) * dt
             try:
-                y_new, f_new = step(tab, hist, dt, rhs, t_new, jac=jac)
+                y_new, f_new = step(tab, states, fvals, dt, rhs, t_new, jac)
             except ImplicitSolveError as exc:
                 exc.step_index = nstep + 1
                 raise
@@ -166,10 +165,10 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
                 raise SolverError(
                     f"non-finite state at step {nstep + 1} (t={t_new:.6g})",
                     step_index=nstep + 1)
-            states[nstep + s] = y_new
-            # float64 history, also where a long-double dt makes y_new wider
-            hist.push(as_state(y_new), f_new)
-    return Trajectory(grid, s, states, u)
+            # float64 states, also where a long-double dt makes y_new wider
+            states.append(as_state(y_new))
+            fvals.append(f_new)
+    return Trajectory(grid, s, np.reshape(states, (grid.N + s, -1)), u)
 
 
 def prescribed_trajectory(grid: TimeGrid, s: int,

@@ -175,63 +175,23 @@ class TimeGrid:
         return n * self.dt
 
 
-class History:
-    """Ring of the s most recent states and their RHS evaluations.
-
-    Entry 0 is the newest pair (y_n, f_n); entry s-1 the oldest.  Pushing
-    onto a warm ring evicts the oldest entry.  Scalars (a scalar state on
-    Python floats) are kept as they are.  Arrays are copied in their
-    floating dtype (integers become float64), so a later change to a pushed
-    array leaves the ring unchanged.
-    """
-
-    def __init__(self, s: int):
-        self.s = s
-        self._y: list = []  # newest first
-        self._f: list = []
-
-    def push(self, y, f):
-        if not isinstance(y, (float, int, complex, np.generic)):
-            y, f = (np.array(v, np.result_type(np.asarray(v), 1.0))
-                    for v in (y, f))
-        ys, fs = self._y, self._f
-        if len(ys) == self.s:
-            ys.pop()
-            fs.pop()
-        ys.insert(0, y)
-        fs.insert(0, f)
-
-    @property
-    def warm(self) -> bool:
-        return len(self._y) == self.s
-
-    def __len__(self):
-        return len(self._y)
-
-    def states(self) -> list:
-        """(y_n, y_{n-1}, ..., y_{n-s+1})."""
-        return self._y[:]
-
-    def rhs(self) -> list:
-        return self._f[:]
-
-
 def _history_constant(tab, states, fvals, dt):
-    """Explicit part of the update, -sum_i a_i y_{n-i} + dt*sum_k b_k f_{n-k}.
+    """Explicit part of the update, -sum_i a_i y_{n-i} + dt*sum_k b_k f_{n-k},
+    with y_n and f_n the last entries of ``states`` and ``fvals``.
 
     The a-terms are summed in index order and negated, then the b-terms are
     added; b-terms whose exact coefficient is zero are skipped.  The same
     operations serve scalars and arrays.
     """
     a, b = tab.a, tab.b
-    c = a[0] * states[0]
+    c = a[0] * states[-1]
     for i in range(1, tab.s):
-        c += a[i] * states[i]
+        c += a[i] * states[-1 - i]
     c = -c
     fsum = None
     for k in range(tab.s):
         if b[k + 1]:
-            term = b[k + 1] * fvals[k]
+            term = b[k + 1] * fvals[-1 - k]
             fsum = term if fsum is None else fsum + term
     if fsum is not None:
         c = c + dt * fsum
@@ -300,28 +260,29 @@ def _newton_step(h, c, y, rhs, t_new, jac, tol=1e-12, maxit=50):
         f"(residual {rnorm:.3e} after {maxit} iterations)", rnorm, maxit)
 
 
-def step(tab: MultistepTableau, history: History, dt: float,
-         rhs: Callable, t_new: float, jac: Callable | None = None):
-    """Advance one step from a warm history: returns (y_{n+1}, f(y_{n+1})).
+def step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
+         t_new: float, jac: Callable | None = None):
+    """Advance one step: returns (y_{n+1}, f(y_{n+1})).
 
-    ``rhs(y, t)`` evaluates f; ``jac(y, t)`` its (n, n) state Jacobian, which
-    the Newton solve of an implicit tableau needs (ValueError without it).
-    Explicit tableaus need no ``jac``: they evaluate one arithmetic
-    expression and f once, at the new state.  The step computes in the kind
-    of the history: on a history of arrays it returns new arrays; on a
-    history of Python floats (a scalar state) ``rhs`` and ``jac`` take and
+    ``states`` and ``fvals`` are the states and right-hand sides in index
+    order, oldest first; the step reads their s newest entries (ValueError
+    with fewer) and changes neither.  ``rhs(y, t)`` evaluates f; ``jac(y, t)``
+    its (n, n) state Jacobian, which the Newton solve of an implicit tableau
+    needs (ValueError without it).  Explicit tableaus need no ``jac``: they
+    evaluate one arithmetic expression and f once, at the new state.  The
+    step computes in the kind of the states: on arrays it returns new
+    arrays; on Python floats (a scalar state) ``rhs`` and ``jac`` take and
     return floats, and so does the step.
     """
-    if not history.warm:
+    if min(len(states), len(fvals)) < tab.s:
         raise ValueError(f"history must hold {tab.s} entries before stepping")
-    states = history.states()
-    c = _history_constant(tab, states, history.rhs(), dt)
+    c = _history_constant(tab, states, fvals, dt)
     if not tab.is_implicit:
         return c, rhs(c, t_new)
     if jac is None:
         raise ValueError(f"implicit tableau {tab.name} needs the Jacobian jac")
-    # predictor: the previous state, copied out of the ring
-    y = states[0]
+    # predictor: a copy of the newest state
+    y = states[-1]
     return _newton_step(dt * tab.b_implicit, c,
                         y.copy() if isinstance(y, np.ndarray) else y,
                         rhs, t_new, jac)
@@ -341,17 +302,17 @@ def _rk4(rhs, y, t, dt):
 
 def bootstrap_history(tab: MultistepTableau, grid: TimeGrid, rhs: Callable,
                       y0, mode: str = "exact",
-                      y_exact: Callable | None = None) -> History:
-    """Build the s-deep starting history at indices 1-s, ..., 0.
+                      y_exact: Callable | None = None) -> tuple[list, list]:
+    """The starting states and right-hand sides at indices 1-s, ..., 0.
 
     ``exact`` samples the supplied exact solution at t = (1-s+i)*dt;
     ``rk-bootstrap`` integrates backward from y0 with substepped RK4
-    (fourth-order start, adequate through BDF4; see tests).  The entries
-    are pushed as float64 arrays; on a long-double grid the RK4 start runs
-    in long double and is rounded when pushed.
+    (fourth-order start, adequate through BDF4; see tests).  Returns the
+    lists (states, fvals) of float64 arrays in index order, oldest first,
+    as ``step`` reads them; on a long-double grid the RK4 start runs in
+    long double and is rounded at the end.
     """
     s = tab.s
-    hist = History(s)
     if mode == "exact":
         if y_exact is None:
             raise ValueError("exact bootstrap requires a y_exact hook")
@@ -367,7 +328,6 @@ def bootstrap_history(tab: MultistepTableau, grid: TimeGrid, rhs: Callable,
             entries[s - 2 - k] = y
     else:
         raise ValueError(f"unknown bootstrap mode {mode!r}")
-    for i, y in enumerate(entries):  # oldest first so entry 0 ends newest
-        hist.push(np.asarray(y, dtype=float),
-                  np.asarray(rhs(y, grid.t(1 - s + i)), dtype=float))
-    return hist
+    fvals = [np.array(rhs(y, grid.t(1 - s + i)), dtype=float)
+             for i, y in enumerate(entries)]
+    return [np.array(y, dtype=float) for y in entries], fvals

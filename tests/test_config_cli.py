@@ -371,11 +371,19 @@ class TestCli:
          "u0_width"),
         ("relax-adjoint", "nx_list = 20,40\nterminal_width = 0\n",
          "terminal_width"),
+        ("relax-forward", "flux = linear\nnx = 40\nT = 0.001\n", "T"),
+        ("relax-adjoint", "nx_list = 20,40\nT = 0.001\n", "T"),
+        ("control-jinxin", "nx = 40\nT = 0.001\niterations = 2\n", "T"),
+        ("control-broadwell", "nx = 41\nT = 0.001\niterations = 2\n", "T"),
+        ("relax-forward", "flux = linear\nnx = 40\nx_left = -1e308\n"
+                          "x_right = 1e308\n", "x_right"),
     ], ids=["dt", "a", "T", "eps", "nx", "study-T", "n_list", "nx_list",
             "eps_list", "iterations", "sigma0", "save_every", "c",
             "filter_every", "x_right-below", "x_right-equal",
             "adjoint-x_right", "n_list-below-s", "u0_width",
-            "terminal_width"])
+            "terminal_width", "T-below-one-step", "adjoint-T-below-one-step",
+            "jinxin-T-below-one-step", "broadwell-T-below-one-step",
+            "x_right-overflow"])
     def test_out_of_range_value_config_error(self, tmp_path, capsys, kind,
                                              body, key):
         # a zero, negative or too small size is rejected before any run

@@ -16,7 +16,7 @@ from lmm_adjoint.cli import build_parser
 from lmm_adjoint.config import CONFIG_REFERENCE
 
 PUBLIC_NAMES = (
-    "AdjointField", "AdjointTrajectory", "ConfigError", "History",
+    "AdjointField", "AdjointTrajectory", "ConfigError",
     "ImplicitSolveError", "KineticField", "LagrangianGrid",
     "MultistepTableau", "OdeControlProblem", "OptimizeResult",
     "RelaxationModel", "SolverError", "TimeGrid", "TrackingFunctional",

@@ -221,7 +221,7 @@ class TestAdjointRoutes:
             for N in (160, 320, 640):
                 p = backward_study_solution(tab, N, T,
                                             quadratic_coefficient_study,
-                                            route, dtype=np.longdouble)
+                                            route)
                 t = np.arange(N + 1) * (np.longdouble(T) / N)
                 errs[route].append(float(np.max(np.abs(p - pex(t)))))
         r_dto = np.log2(errs["dto"][-2] / errs["dto"][-1])
@@ -230,8 +230,8 @@ class TestAdjointRoutes:
         assert 4.7 <= r_otd <= 5.3
 
     def test_study_engine_matches_general_solver(self):
-        # the study adapter agrees with the general adjoint solvers at
-        # double precision
+        # the long-double study adapter agrees with the general adjoint
+        # solvers on a double grid to double precision
         prob = quadratic_coefficient_study()
         T = 1.0
         for name in ("AM4", "BDF4", "ExplicitEuler"):
@@ -243,7 +243,7 @@ class TestAdjointRoutes:
                 ref = solver(prob, tab, grid, traj, terminal="exact")
                 p = backward_study_solution(tab, 48, T,
                                             quadratic_coefficient_study,
-                                            route, dtype=np.float64)
+                                            route)
                 dev = np.max(np.abs(ref.on_grid()[:, 0] - p))
                 assert dev <= 5e-14, (name, route, dev)
 

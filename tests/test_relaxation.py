@@ -596,18 +596,25 @@ class TestFootPlan:
                                      ratio * grid.dx / c, tab, u0, order + 2)
 
     def test_step_rejects_foreign_grid(self):
+        # both steps refuse another grid and other velocities, and take a
+        # model that differs from the field's in eps alone
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
-        fld = rx.KineticField(model, grid, 0.05, la.tableau("BDF2"),
-                              np.zeros((2, grid.n_nodes)))
-        with pytest.raises(ValueError):
-            step_forward(model, rx.LagrangianGrid(0.0, 1.0, 17, "clamp"),
-                         fld)
-        adj = rx.AdjointField(model, grid, 0.05, la.tableau("BDF2"),
-                              np.zeros((2, grid.n_nodes)))
-        with pytest.raises(ValueError):
-            rx.adjoint_step(linear_jinxin(2.0, 1e-2), grid, adj,
-                            zero_state_jac(model, grid))
+        tab, zeros = la.tableau("BDF2"), np.zeros((2, grid.n_nodes))
+        fields_and_steps = (
+            (rx.KineticField, step_forward),
+            (rx.AdjointField, lambda m, g, adj: rx.adjoint_step(
+                m, g, adj, zero_state_jac(m, g))),
+        )
+        for field, step in fields_and_steps:
+            for m, g in ((model, rx.LagrangianGrid(0.0, 1.0, 17, "clamp")),
+                         (model, rx.LagrangianGrid(0.0, 2.0, 17)),
+                         (linear_jinxin(2.0, 1e-2), grid)):
+                with pytest.raises(ValueError, match="grid or velocities"):
+                    step(m, g, field(model, grid, 0.05, tab, zeros))
+            out = step(linear_jinxin(1.0, 1.0), grid,
+                       field(model, grid, 0.05, tab, zeros))
+            assert out.shape[-1] == grid.n_nodes
 
 
 def terminal_batch(x, n, B):

@@ -57,4 +57,4 @@ def test_ode_spans_carry_the_step_count(tmp_path):
     for name in ("ode_control.solve_forward", "ode_control.solve_adjoint_dto",
                  "ode_control.solve_adjoint_otd"):
         assert details[name] == [10, 20], name
-    assert details["tableaus.step"]
+    assert len(details["tableaus.step"]) == 10 + 20  # one per forward step

@@ -125,17 +125,15 @@ class TestStep:
     def test_implicit_euler_fixed_point(self):
         # y' = y, y0 = 1, dt = 0.1: y1 = 1/(1 - 0.1)
         t = tb.tableau("ImplicitEuler")
-        h = tb.History(1)
-        h.push(np.array([1.0]), np.array([1.0]))
-        y1, _ = tb.step(t, h, 0.1, lambda y, tt: y, 0.1,
-                     jac=lambda y, tt: np.array([[1.0]]))
+        y1, _ = tb.step(t, [np.array([1.0])], [np.array([1.0])], 0.1,
+                        lambda y, tt: y, 0.1,
+                        jac=lambda y, tt: np.array([[1.0]]))
         assert abs(y1[0] - 1.0 / 0.9) <= 1e-12
 
     def test_explicit_euler_zero_rhs(self):
         t = tb.tableau("ExplicitEuler")
-        h = tb.History(1)
-        h.push(np.array([1.7]), np.array([0.0]))
-        y1, _ = tb.step(t, h, 0.3, lambda y, tt: 0.0 * y, 0.3)
+        y1, _ = tb.step(t, [np.array([1.7])], [np.array([0.0])], 0.3,
+                        lambda y, tt: 0.0 * y, 0.3)
         assert y1[0] == 1.7
 
     def test_bdf2_local_error_third_order(self):
@@ -143,11 +141,10 @@ class TestStep:
         t = tb.tableau("BDF2")
         errs = []
         for dt in (0.01, 0.005):
-            h = tb.History(2)
-            for tt in (-dt, 0.0):
-                h.push(np.array([np.exp(-tt)]), np.array([-np.exp(-tt)]))
-            y1, _ = tb.step(t, h, dt, lambda y, tt: -y, dt,
-                         jac=lambda y, tt: np.array([[-1.0]]))
+            states = [np.array([np.exp(-tt)]) for tt in (-dt, 0.0)]
+            fvals = [-y for y in states]
+            y1, _ = tb.step(t, states, fvals, dt, lambda y, tt: -y, dt,
+                            jac=lambda y, tt: np.array([[-1.0]]))
             errs.append(abs(y1[0] - np.exp(-dt)))
         order = np.log2(errs[0] / errs[1])
         assert 2.7 <= order <= 3.3
@@ -155,28 +152,23 @@ class TestStep:
 
     def test_step_requires_warm_history(self):
         t = tb.tableau("BDF2")
-        h = tb.History(2)
-        h.push(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
-            tb.step(t, h, 0.1, lambda y, tt: y, 0.1)
+            tb.step(t, [np.array([1.0])], [np.array([1.0])], 0.1,
+                    lambda y, tt: y, 0.1)
 
     @pytest.mark.parametrize("name", ["ImplicitEuler", "BDF3", "AM4"])
     def test_implicit_step_requires_jacobian(self, name):
         t = tb.tableau(name)
-        h = tb.History(t.s)
-        for _ in range(t.s):
-            h.push(np.array([1.0]), np.array([1.0]))
+        ones = [np.array([1.0])] * t.s
         with pytest.raises(ValueError, match="Jacobian"):
-            tb.step(t, h, 0.1, lambda y, tt: y, 0.1)
+            tb.step(t, ones, ones, 0.1, lambda y, tt: y, 0.1)
 
     def test_step_deterministic(self):
         t = tb.tableau("BDF3")
         vals = []
         for _ in range(2):
-            h = tb.History(3)
-            for tt in (-0.02, -0.01, 0.0):
-                h.push(np.array([np.exp(tt)]), np.array([np.exp(tt)]))
-            y1, _ = tb.step(t, h, 0.01, lambda y, tt: y, 0.01,
+            states = [np.array([np.exp(tt)]) for tt in (-0.02, -0.01, 0.0)]
+            y1, _ = tb.step(t, states, states, 0.01, lambda y, tt: y, 0.01,
                             jac=lambda y, tt: np.array([[1.0]]))
             vals.append(y1[0])
         assert vals[0] == vals[1]
@@ -184,13 +176,50 @@ class TestStep:
     def test_nonconvergence_reports_residual(self):
         # absurd step size on a stiff quadratic forces Newton failure
         t = tb.tableau("ImplicitEuler")
-        h = tb.History(1)
-        h.push(np.array([10.0]), np.array([100.0]))
         with pytest.raises(tb.ImplicitSolveError) as err:
             with np.errstate(over="ignore", invalid="ignore"):
-                tb.step(t, h, 10.0, lambda y, tt: y * y, 10.0,
+                tb.step(t, [np.array([10.0])], [np.array([100.0])], 10.0,
+                        lambda y, tt: y * y, 10.0,
                         jac=lambda y, tt: np.atleast_2d(2 * y))
         assert err.value.iterations is not None
+
+    @pytest.mark.parametrize("name", ["BDF3", "AB3", "AM4"])
+    def test_step_keeps_the_kind_of_the_history(self, name):
+        # arrays in, arrays out; floats in, floats out, bitwise alike
+        tab = tb.tableau(name)
+        rhs_a, jac_a = (lambda y, t: -y * y + t), (lambda y, t: np.atleast_2d(-2 * y))
+        rhs_f, jac_f = (lambda y, t: -y * y + t), (lambda y, t: -2 * y)
+        ys = [1.0 + 0.1 * k for k in range(tab.s)]
+        sa = [np.array([y]) for y in ys]
+        ya, fa = tb.step(tab, sa, [rhs_a(y, 0.0) for y in sa], 0.05, rhs_a,
+                         0.05, jac=jac_a)
+        yf, ff = tb.step(tab, ys, [rhs_f(y, 0.0) for y in ys], 0.05, rhs_f,
+                         0.05, jac=jac_f)
+        assert isinstance(ya, np.ndarray) and isinstance(fa, np.ndarray)
+        assert type(yf) is float and type(ff) is float
+        assert ya.tolist() == [yf] and fa.tolist() == [ff]
+        assert ya is not sa[-1]
+
+    @pytest.mark.parametrize("name", ["BDF3", "AB3", "AM4"])
+    def test_step_reads_the_s_newest_entries(self, name):
+        # a step on a longer trajectory is bitwise the step on its s newest
+        # entries, on floats and on arrays, and leaves both lists unchanged
+        tab = tb.tableau(name)
+        rhs = lambda y, t: -y * y + t
+        jacs = (lambda y, t: -2 * y, lambda y, t: np.diag(-2 * y))
+        for wrap, jac in zip((float, lambda v: np.array([v, 0.5 - v])), jacs):
+            states = [wrap(1.0 + 0.1 * k) for k in range(tab.s + 3)]
+            fvals = [rhs(y, 0.0) for y in states]
+            kept = [(y, np.copy(y)) for y in states + fvals]
+            whole = tb.step(tab, states, fvals, 0.05, rhs, 0.05, jac=jac)
+            newest = tb.step(tab, states[-tab.s:], fvals[-tab.s:], 0.05, rhs,
+                             0.05, jac=jac)
+            for a, b in zip(whole, newest):
+                assert type(a) is type(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            assert len(states) == len(fvals) == tab.s + 3
+            assert all(y is ref and np.array_equal(y, copy) for (ref, copy), y
+                       in zip(kept, states + fvals))
 
 
 class TestNewtonDivision:
@@ -222,12 +251,15 @@ class TestOrderVerification:
                 grid = tb.TimeGrid(1.0, N)
                 rhs = lambda y, tt: y
                 jac = lambda y, tt: np.array([[1.0]])
-                hist = tb.bootstrap_history(tab, grid, rhs, 1.0, mode="exact",
-                                            y_exact=np.exp)
+                states, fvals = tb.bootstrap_history(tab, grid, rhs, 1.0,
+                                                     mode="exact",
+                                                     y_exact=np.exp)
                 y = None
                 for n in range(N):
-                    y, _ = tb.step(tab, hist, grid.dt, rhs, grid.t(n + 1), jac=jac)
-                    hist.push(y, rhs(y, grid.t(n + 1)))
+                    y, _ = tb.step(tab, states, fvals, grid.dt, rhs,
+                                   grid.t(n + 1), jac=jac)
+                    states.append(y)
+                    fvals.append(rhs(y, grid.t(n + 1)))
                 errs[N] = abs(y[0] - np.e)
             pairs = [(errs[N // 2], errs[N])
                      for N in (20, 40, 80, 160, 320, 640)]
@@ -248,19 +280,18 @@ class TestBootstrap:
         grid = tb.TimeGrid(1.0, 10)
         rhs = lambda y, tt: y
         for mode, hook in (("exact", np.exp), ("rk-bootstrap", None)):
-            h = tb.bootstrap_history(tab, grid, rhs, 1.0, mode=mode,
-                                     y_exact=hook)
-            assert len(h) == 1 and h.states()[0][0] == 1.0
+            states, _ = tb.bootstrap_history(tab, grid, rhs, 1.0, mode=mode,
+                                             y_exact=hook)
+            assert len(states) == 1 and states[0][0] == 1.0
 
     def test_exact_mode_samples_solution(self):
         # y' = y^2, y(t) = 1/(1 - t): history entries at t = (1-s+i) dt
         tab = tb.tableau("BDF3")
         grid = tb.TimeGrid(1.0, 100)
         rhs = lambda y, tt: y * y
-        h = tb.bootstrap_history(tab, grid, rhs, 1.0, mode="exact",
-                                 y_exact=lambda t: 1.0 / (1.0 - t))
-        states = h.states()  # newest first
-        for i, y in enumerate(states):
+        states, _ = tb.bootstrap_history(tab, grid, rhs, 1.0, mode="exact",
+                                         y_exact=lambda t: 1.0 / (1.0 - t))
+        for i, y in enumerate(reversed(states)):  # newest first
             t = -i * grid.dt
             assert abs(y[0] - 1.0 / (1.0 - t)) <= 1e-14
 
@@ -276,82 +307,24 @@ class TestBootstrap:
         devs = []
         for N in (100, 200):
             grid = tb.TimeGrid(1.0, N)
-            he = tb.bootstrap_history(tab, grid, rhs, 1.0, mode="exact",
-                                      y_exact=lambda t: 1.0 / (1.0 - t))
-            hr = tb.bootstrap_history(tab, grid, rhs, 1.0, mode="rk-bootstrap")
-            dev = max(abs(a[0] - b[0]) for a, b in zip(he.states(), hr.states()))
+            he, _ = tb.bootstrap_history(tab, grid, rhs, 1.0, mode="exact",
+                                         y_exact=lambda t: 1.0 / (1.0 - t))
+            hr, _ = tb.bootstrap_history(tab, grid, rhs, 1.0,
+                                         mode="rk-bootstrap")
+            dev = max(abs(a[0] - b[0]) for a, b in zip(he, hr))
             devs.append(dev)
         order = np.log2(devs[0] / devs[1])
         assert devs[0] < 1e-9
         assert order >= 3.5
 
-    def test_history_ring_buffer_eviction(self):
-        # newest first, for a ring of arrays and a ring of floats
-        for wrap in (lambda v: np.array([v, -v]), float):
-            h = tb.History(2)
-            for v in (1.0, 2.0, 3.0):
-                h.push(wrap(v), wrap(10 * v))
-            assert h.warm and len(h) == 2
-            assert [np.atleast_1d(y)[0] for y in h.states()] == [3.0, 2.0]
-            assert [np.atleast_1d(f)[0] for f in h.rhs()] == [30.0, 20.0]
-
-
-class TestHistory:
-    def test_push_copies_arrays(self):
-        h = tb.History(2)
-        y, f = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        h.push(y, f)
-        y[0], f[0] = 9.0, 9.0
-        assert h.states()[0].tolist() == [1.0, 2.0]
-        assert h.rhs()[0].tolist() == [3.0, 4.0]
-
-    def test_keeps_the_pushed_dtype(self):
-        ld = np.longdouble
-        h = tb.History(2)
-        h.push(np.array([ld(1) / 3]), np.array([1.0], dtype=np.float32))
-        assert h.states()[0].dtype == ld and h.states()[0][0] == ld(1) / 3
-        assert h.rhs()[0].dtype == np.float32
-        ints = tb.History(1)  # a float pushed later must not be truncated
-        ints.push(np.array([1]), np.array([2]))
-        assert ints.states()[0].dtype == np.float64
-        ints.push(np.array([0.5]), np.array([2.5]))
-        assert ints.states()[0][0] == 0.5 and ints.rhs()[0][0] == 2.5
-        wider = tb.History(1)  # nor a wider one pushed onto a warm ring
-        wider.push(np.array([1.0]), np.array([2.0]))
-        wider.push(np.array([ld(1) / 3]), np.array([ld(1) / 7]))
-        assert wider.states()[0][0] == ld(1) / 3
-        assert wider.rhs()[0][0] == ld(1) / 7
-        scalar = tb.History(2)
-        scalar.push(ld(1) / 3, 0.5)
-        assert type(scalar.states()[0]) is ld and type(scalar.rhs()[0]) is float
-
-    @pytest.mark.parametrize("name", ["BDF3", "AB3", "AM4"])
-    def test_step_keeps_the_kind_of_the_history(self, name):
-        # arrays in, arrays out; floats in, floats out, bitwise alike
-        tab = tb.tableau(name)
-        rhs_a, jac_a = (lambda y, t: -y * y + t), (lambda y, t: np.atleast_2d(-2 * y))
-        rhs_f, jac_f = (lambda y, t: -y * y + t), (lambda y, t: -2 * y)
-        ha, hf = tb.History(tab.s), tb.History(tab.s)
-        for k in range(tab.s):
-            y = 1.0 + 0.1 * k
-            ha.push(np.array([y]), rhs_a(np.array([y]), 0.0))
-            hf.push(y, rhs_f(y, 0.0))
-        ya, fa = tb.step(tab, ha, 0.05, rhs_a, 0.05, jac=jac_a)
-        yf, ff = tb.step(tab, hf, 0.05, rhs_f, 0.05, jac=jac_f)
-        assert isinstance(ya, np.ndarray) and isinstance(fa, np.ndarray)
-        assert type(yf) is float and type(ff) is float
-        assert ya.tolist() == [yf] and fa.tolist() == [ff]
-        assert ya is not ha.states()[0]
-
 
 # ------------------------------------------------ reference step (first form)
 
-def reference_step(tab, history, dt, rhs, t_new, jac=None, tol=1e-12,
+def reference_step(tab, states, fvals, dt, rhs, t_new, jac=None, tol=1e-12,
                    maxit=50):
     """The step as first released: f is re-evaluated at every iterate and
     each Newton system goes through np.linalg.solve.  Returns y alone."""
-    states = history.states()
-    fvals = history.rhs()
+    states, fvals = states[::-1], fvals[::-1]  # newest first
     if not tab.is_implicit:
         y = -sum(tab.a[i] * states[i] for i in range(tab.s))
         return y + dt * sum(tab.b[k + 1] * fvals[k] for k in range(tab.s))
@@ -389,7 +362,7 @@ def reference_forward(problem, tab, grid, u, init_mode="rk-bootstrap",
                       step=reference_step):
     """solve_forward as first released, on the reference step: the control
     lookup through the grid's properties, and f re-evaluated at each new
-    state before it is pushed.  The history holds float64 arrays
+    state before it is appended.  The history holds float64 arrays
     throughout, also on a long-double grid."""
     s = tab.s
 
@@ -402,14 +375,14 @@ def reference_forward(problem, tab, grid, u, init_mode="rk-bootstrap",
         i = int(round(t / grid.dt))
         return problem.jac(y, u[i + s - 1], t)
 
-    hist = tb.bootstrap_history(tab, grid, rhs, problem.y0, mode=init_mode,
-                                y_exact=problem.y_exact)
-    states = list(reversed(hist.states()))
+    states, fvals = tb.bootstrap_history(tab, grid, rhs, problem.y0,
+                                         mode=init_mode,
+                                         y_exact=problem.y_exact)
     for n in range(grid.N):
         t_new = grid.t(n + 1)
-        y = step(tab, hist, grid.dt, rhs, t_new, jac=jac)
+        y = step(tab, states, fvals, grid.dt, rhs, t_new, jac=jac)
         states.append(np.asarray(y, dtype=float))
-        hist.push(np.asarray(y, dtype=float), rhs(y, t_new))
+        fvals.append(rhs(y, t_new))
     return np.array(states)
 
 
@@ -504,7 +477,7 @@ class TestStepEquivalence:
     def test_no_repeated_evaluation_in_a_step(self, name, alpha, beta, gamma,
                                               omega, y0, u_amp, N, T):
         # every f evaluation inside one step is at a new (y, t), and the
-        # returned f is f at the returned state, so pushing it needs none
+        # returned f is f at the returned state, so appending it needs none
         tab = tb.tableau(name)
         prob = smooth_scalar_problem(alpha, beta, gamma, omega, y0)
         grid = tb.TimeGrid(T, N)
@@ -515,12 +488,14 @@ class TestStepEquivalence:
             return np.atleast_1d(prob.f(y, u_amp, t))
 
         jac = lambda y, t: prob.f_y(y, u_amp, t)
-        hist = tb.bootstrap_history(tab, grid, rhs, y0, mode="rk-bootstrap")
+        states, fvals = tb.bootstrap_history(tab, grid, rhs, y0,
+                                             mode="rk-bootstrap")
         for n in range(N):
             seen.clear()
             t_new = grid.t(n + 1)
-            y, f = tb.step(tab, hist, grid.dt, rhs, t_new, jac=jac)
+            y, f = tb.step(tab, states, fvals, grid.dt, rhs, t_new, jac=jac)
             assert len(seen) == len(set(seen)) >= 1
             assert seen[-1] == (y.tobytes(), t_new)
             assert np.array_equal(f, np.atleast_1d(prob.f(y, u_amp, t_new)))
-            hist.push(y, f)
+            states.append(y)
+            fvals.append(f)
