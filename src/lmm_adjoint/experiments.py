@@ -247,13 +247,17 @@ def _domain(s):
     return xl, xr
 
 
-def _steps(T, dt):
-    """The number of steps of size dt to the horizon T, T/dt rounded; a
-    horizon that rounds to no step is a config error."""
+def _steps(T, dt, level=0):
+    """The number of steps of size dt to the horizon T, T/dt rounded.  A
+    count below one, or one whose float64 forward store (n_steps + 1 levels
+    of ``level`` entries) exceeds the largest array size, is a config error."""
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise ConfigError(f"key 'T': must be at least one step of dt = "
                           f"{dt:g}, got {T:g}")
+    if (n_steps + 1) * level * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"key 'dt': must be large enough for a forward "
+                          f"store of T/dt = {n_steps:.3g} steps, got {dt:g}")
     return n_steps
 
 
@@ -277,7 +281,7 @@ def run_relax_forward(cfg: Config, out_dir: str) -> list:
     else:
         model = rx.make_jin_xin(lambda u: 0.5 * u * u, lambda u: u,
                                 a, eps, u0=u0[0])
-    n_steps = _steps(T, dt)
+    n_steps = _steps(T, dt, model.n_conserved * grid.n_nodes)
     out_times = [T if tt == "T" else tt for tt in s["output_times"]]
     out_steps = sorted({min(n_steps, max(0, int(round(tt / dt))))
                         for tt in out_times})
@@ -382,7 +386,7 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> list:
         guess = np.stack([np.ones_like(x), np.zeros_like(x)])
         model = rx.make_broadwell(s["c"], eps)
         names = ("rho", "m")
-    n_steps = _steps(s["T"], dt)
+    n_steps = _steps(s["T"], dt, model.n_conserved * grid.n_nodes)
 
     # self-consistent target: forward-evolve the reference initial data and
     # keep only its terminal level

@@ -24,10 +24,11 @@ from .tableaus import (ImplicitSolveError, MultistepTableau, SolverError,
 class OdeControlProblem:
     """Controlled ODE y' = f(y,u,t) with terminal cost j(y(T)) + (alpha/2) int u^2.
 
-    All callables take (y, u, t) with y a 1-D state array; ``f_y`` returns the
-    (n, n) state Jacobian and ``f_u`` the (n,) control derivative.  Exact
-    solution hooks, when supplied, drive exact-history bootstrapping and the
-    convergence studies.
+    ``f`` maps one state y (n,), with scalar u and t, to (n,).  ``f_y`` and
+    ``f_u`` broadcast: y (..., n), u and t (...) give (..., n, n) and
+    (..., n), and a result without the leading axes is a constant.  Exact
+    solution hooks (``y_exact`` broadcasts over times) drive exact-history
+    bootstrapping and the convergence studies.
     """
 
     f: Callable
@@ -48,9 +49,6 @@ class OdeControlProblem:
     @property
     def dim(self) -> int:
         return self.y0.size
-
-    def jac(self, y, u, t) -> np.ndarray:
-        return np.atleast_2d(self.f_y(y, u, t))
 
 
 @dataclass
@@ -117,10 +115,11 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     The starting states follow ``init_mode`` (``exact`` needs the problem's
     exact-solution hook).  The sweep appends each step's state and
     right-hand side to two lists, whose s newest entries ``step`` reads;
-    the states list becomes the trajectory.  A scalar state (n = 1) steps
-    on Python floats: both lists, the Newton iteration and the finiteness
-    check hold floats, while ``f`` and ``f_y`` still receive a 1-element
-    state array, and the sweep reads their scalar back.  Raises
+    the states list becomes the trajectory.  ``f`` and ``f_y`` get one
+    state (n,) with scalar u and t.  A scalar state (n = 1) steps on Python
+    floats: both lists, the Newton iteration and the finiteness check hold
+    floats, while ``f`` and ``f_y`` still receive a 1-element state array,
+    and the sweep reads their scalar back.  Raises
     ``SolverError`` with the offending step index on NaN/overflow, and sets
     the step index of an ``ImplicitSolveError``.
     """
@@ -190,24 +189,32 @@ def prescribed_trajectory(grid: TimeGrid, s: int,
     return Trajectory(grid, s, states, np.zeros(times.size))
 
 
-def _jacobians(problem, traj, lo, hi, dtype):
-    """f_y^T at the indices lo..hi, one evaluation each, in one array over
-    the sweep's indices 1-s..N+s-1 (index i at slot i+s-1, zeros elsewhere).
+def _broadcast(name, value, shape):
+    """``value``, returned by the problem's ``name``, broadcast to ``shape``."""
+    try:
+        return np.broadcast_to(value, shape)
+    except ValueError:
+        raise ValueError(f"{name} returned shape {np.shape(value)}, which "
+                         f"does not broadcast to {shape}") from None
 
-    Indices beyond N use the exact-solution hook or clamp to N.
+
+def _jacobians(problem, traj, lo, hi, dtype):
+    """f_y^T at the indices lo..hi from one f_y call on their stack, in an
+    array over indices 1-s..N+s-1 (index i at slot i+s-1, zeros elsewhere).
+
+    Past N the control is u_N and the state y_exact(i*dt), or else state and
+    time clamp to N (documented order loss near T for Adams tableaus).
     """
-    dt, N, off = traj.grid.dt, traj.grid.N, traj.s - 1
-    states, u = traj.states, traj.controls
-    jac, y_exact = problem.jac, problem.y_exact
-    J = np.zeros((N + 2 * traj.s - 1, problem.dim, problem.dim), dtype)
-    for i in range(lo, hi + 1):
-        if i <= N:
-            J[i + off] = jac(states[i + off], u[i + off], i * dt)
-        elif y_exact is not None:
-            t = i * dt
-            J[i + off] = jac(np.atleast_1d(y_exact(t)), u[N + off], t)
-        else:  # clamp: documented order loss near T for Adams tableaus
-            J[i + off] = jac(states[N + off], u[N + off], N * dt)
+    dt, N, off, n = traj.grid.dt, traj.grid.N, traj.s - 1, problem.dim
+    at = np.minimum(np.arange(lo, hi + 1), N)
+    y, u, t = traj.states[at + off], traj.controls[at + off], at * dt
+    if hi > N and problem.y_exact is not None:
+        t = np.arange(lo, hi + 1) * dt
+        y_past = np.asarray(problem.y_exact(t[N - hi:])).reshape(-1, hi - N)
+        y = np.concatenate([y[:N - hi], y_past.T])
+    J = np.zeros((N + 2 * traj.s - 1, n, n), dtype)
+    J[lo + off:hi + 1 + off] = _broadcast("f_y", problem.f_y(y, u, t),
+                                          (at.size, n, n))
     return J.transpose(0, 2, 1)
 
 
@@ -424,39 +431,28 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     return _adjoint_trajectory(grid, s, ext, "dto")
 
 
-def _bt_p(adj: AdjointTrajectory, tab: MultistepTableau, i: int) -> np.ndarray:
-    """b^T (p_i, ..., p_{i+s}) with p_j = 0 outside the step equations 1..N."""
-    acc = np.zeros(adj.multipliers.shape[1])
-    for k in range(-1, tab.s):
-        j_idx = i + k + 1
-        if 1 <= j_idx <= adj.grid.N:
-            acc += tab.b[k + 1] * adj.p(j_idx)
-    return acc
-
-
 def optimality_residual(problem: OdeControlProblem, traj: Trajectory,
                         adj: AdjointTrajectory, tab: MultistepTableau) -> np.ndarray:
-    """Stationarity residual at every index 1-s..N.
+    """Stationarity residual at every index 1-s..N, one f_u call on the stack.
 
     OtD route: r_i = f_u(y_i,u_i)^T p_i + alpha*u_i.  DtO route uses the
-    b-weighted multiplier combination (B^T p)_i in place of p_i.  The alpha
-    term applies on the cost-quadrature indices 0..N only.
+    b-weighted multiplier combination (B^T p)_i in place of p_i, with p_j = 0
+    outside the step equations 1..N.  The alpha term applies on the
+    cost-quadrature indices 0..N only.
     """
     if problem.f_u is None:
         raise ValueError("optimality residual requires f_u")
-    grid, s = traj.grid, traj.s
-    out = np.zeros(grid.N + s)
-    for i in range(1 - s, grid.N + 1):
-        fu = np.atleast_1d(np.asarray(
-            problem.f_u(traj.state(i), traj.control(i), grid.t(i)), dtype=float))
-        if adj.route == "dto":
-            pw = _bt_p(adj, tab, i)
-        else:
-            pw = adj.p(i)
-        r = float(fu @ pw)
-        if i >= 0:
-            r += problem.alpha * traj.control(i)
-        out[traj.slot(i)] = r
+    grid, s, (rows, n) = traj.grid, traj.s, traj.states.shape
+    fu = _broadcast("f_u", problem.f_u(traj.states, traj.controls,
+                                       grid.t(np.arange(1 - s, grid.N + 1))),
+                    (rows, n))
+    p = adj.multipliers
+    if adj.route == "dto":
+        pz = np.zeros((rows + s, n), p.dtype)  # indices 1-s..N+s
+        pz[s:rows] = p[s:]
+        p = sum(tab.b[k] * pz[k:k + rows] for k in range(s + 1))
+    out = (fu[:, None] @ p[..., None])[:, 0, 0].astype(float)  # rowwise dot
+    out[s - 1:] += problem.alpha * traj.controls[s - 1:]
     return out
 
 

@@ -16,7 +16,7 @@ def constant_coefficient_study(T: float = 1.0) -> OdeControlProblem:
     """
     return OdeControlProblem(
         f=lambda y, u, t: y,
-        f_y=lambda y, u, t: np.array([[1.0]]),
+        f_y=lambda y, u, t: np.ones(np.shape(y) + (1,)),
         f_u=lambda y, u, t: np.array([0.0]),
         terminal_cost=lambda yT: float(yT[0]),
         terminal_cost_grad=lambda yT: np.array([1.0]),
@@ -36,7 +36,7 @@ def quadratic_coefficient_study(T: float = 1.0) -> OdeControlProblem:
     """
     return OdeControlProblem(
         f=lambda y, u, t: 0.5 * y ** 2,
-        f_y=lambda y, u, t: np.atleast_2d(y),
+        f_y=lambda y, u, t: y[..., None],
         f_u=lambda y, u, t: np.array([0.0]),
         terminal_cost=lambda yT: float(yT[0]),
         terminal_cost_grad=lambda yT: np.array([1.0]),
@@ -56,7 +56,7 @@ def terminal_tracking_problem(T: float = 0.9, alpha: float = 1.0) -> OdeControlP
     target = 1.0 / (1.0 - T)
     return OdeControlProblem(
         f=lambda y, u, t: y ** 2 + u,
-        f_y=lambda y, u, t: np.atleast_2d(2.0 * y),
+        f_y=lambda y, u, t: (2.0 * y)[..., None],
         f_u=lambda y, u, t: np.array([1.0]),
         terminal_cost=lambda yT: 0.5 * float((yT[0] - target) ** 2),
         terminal_cost_grad=lambda yT: np.atleast_1d(yT - target),

@@ -377,13 +377,18 @@ class TestCli:
         ("control-broadwell", "nx = 41\nT = 0.001\niterations = 2\n", "T"),
         ("relax-forward", "flux = linear\nnx = 40\nx_left = -1e308\n"
                           "x_right = 1e308\n", "x_right"),
+        ("relax-forward", "flux = linear\nnx = 40\ndt = 1e-300\n", "dt"),
+        ("control-jinxin", "nx = 40\ndt = 1e-300\niterations = 2\n", "dt"),
+        ("control-broadwell", "nx = 41\ndt = 1e-300\niterations = 2\n",
+         "dt"),
     ], ids=["dt", "a", "T", "eps", "nx", "study-T", "n_list", "nx_list",
             "eps_list", "iterations", "sigma0", "save_every", "c",
             "filter_every", "x_right-below", "x_right-equal",
             "adjoint-x_right", "n_list-below-s", "u0_width",
             "terminal_width", "T-below-one-step", "adjoint-T-below-one-step",
             "jinxin-T-below-one-step", "broadwell-T-below-one-step",
-            "x_right-overflow"])
+            "x_right-overflow", "dt-store-overflow",
+            "jinxin-dt-store-overflow", "broadwell-dt-store-overflow"])
     def test_out_of_range_value_config_error(self, tmp_path, capsys, kind,
                                              body, key):
         # a zero, negative or too small size is rejected before any run

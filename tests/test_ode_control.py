@@ -8,12 +8,15 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lmm_adjoint as la
 from lmm_adjoint import cli, experiments
 from lmm_adjoint.config import load_config
 from lmm_adjoint.experiments import backward_study_solution
-from lmm_adjoint.ode_control import (cost_gradient_dto, discrete_cost,
+from lmm_adjoint.ode_control import (Trajectory, _jacobians, _last_b_term,
+                                     cost_gradient_dto, discrete_cost,
                                      optimality_residual, prescribed_trajectory,
                                      solve_adjoint_dto, solve_adjoint_otd,
                                      solve_forward)
@@ -62,7 +65,7 @@ class TestForward:
     def test_nan_detection(self):
         prob = la.OdeControlProblem(
             f=lambda y, u, t: y * y,
-            f_y=lambda y, u, t: np.atleast_2d(2 * y),
+            f_y=lambda y, u, t: (2 * y)[..., None],
             y0=1.0, y_exact=lambda t: 1.0 / (1.0 - t))
         with pytest.raises(la.SolverError) as err:
             solve_forward(prob, la.tableau("ExplicitEuler"),
@@ -387,9 +390,9 @@ def overflowing_adjoint_problem():
 class TestDtoJacobianEvaluations:
     @pytest.mark.parametrize("name", ["ImplicitEuler", "BDF3", "BDF6", "AM4"])
     def test_initial_rows_read_fy_only_for_b_terms(self, name):
-        # f_y once per step index 1..N; the s initial-data rows (indices
-        # 1-s..0) evaluate it only when a nonzero b-term reads it, which
-        # BDF never has
+        # f_y once per sweep, on the stack of the indices it reads: the step
+        # equations 1..N, and the s initial-data rows (indices 1-s..0) only
+        # when a nonzero b-term reads them, which BDF never has
         prob = terminal_tracking_problem(T=0.5)
         tab = la.tableau(name)
         grid = la.TimeGrid(0.5, 40)
@@ -402,12 +405,104 @@ class TestDtoJacobianEvaluations:
 
         adj = solve_adjoint_dto(dataclasses.replace(prob, f_y=f_y), tab,
                                 grid, traj)
-        if tab.is_bdf:
-            assert len(seen) == grid.N and min(seen) > 0
-        else:
-            assert len(seen) == grid.N + tab.s
+        first = 1 if tab.is_bdf else 1 - tab.s
+        assert len(seen) == 1
+        assert seen[0].tolist() == [i * grid.dt
+                                    for i in range(first, grid.N + 1)]
         plain = solve_adjoint_dto(prob, tab, grid, traj)
         assert np.array_equal(adj.multipliers, plain.multipliers)
+
+    def test_per_point_fy_is_rejected(self):
+        # an f_y written for one state, (1,) -> (1, 1), returns (K, 1) on
+        # the stack of K states
+        prob = dataclasses.replace(terminal_tracking_problem(T=0.5),
+                                   f_y=lambda y, u, t: np.atleast_2d(2 * y))
+        tab, grid = la.tableau("BDF2"), la.TimeGrid(0.5, 40)
+        traj = solve_forward(prob, tab, grid)
+        with pytest.raises(ValueError, match=r"f_y returned shape \(40, 1\)"):
+            solve_adjoint_dto(prob, tab, grid, traj)
+
+    def test_per_point_fu_is_rejected(self):
+        prob = dataclasses.replace(terminal_tracking_problem(T=0.5),
+                                   f_u=lambda y, u, t: 2.0 * u)
+        tab, grid = la.tableau("BDF2"), la.TimeGrid(0.5, 40)
+        traj = solve_forward(prob, tab, grid)
+        adj = solve_adjoint_dto(prob, tab, grid, traj)
+        with pytest.raises(ValueError, match=r"f_u returned shape \(42,\)"):
+            optimality_residual(prob, traj, adj, tab)
+
+
+def reference_jacobians(problem, traj, lo, hi, dtype):
+    """``_jacobians`` as first released: one per-point f_y call per index,
+    with the exact state past N, else state, control and time clamped to
+    N."""
+    dt, N, off = traj.grid.dt, traj.grid.N, traj.s - 1
+    states, u = traj.states, traj.controls
+    J = np.zeros((N + 2 * traj.s - 1, problem.dim, problem.dim), dtype)
+    for i in range(lo, hi + 1):
+        if i <= N:
+            args = states[i + off], u[i + off], i * dt
+        elif problem.y_exact is not None:
+            args = np.atleast_1d(problem.y_exact(i * dt)), u[N + off], i * dt
+        else:
+            args = states[N + off], u[N + off], N * dt
+        J[i + off] = np.atleast_2d(problem.f_y(*args))
+    return J.transpose(0, 2, 1)
+
+
+def coupled_fy(alpha, beta, n):
+    """A state-, control- and time-dependent f_y that broadcasts: y of shape
+    (..., n), u and t of shape (...)."""
+    def f_y(y, u, t):
+        ut = np.multiply(u, t)
+        if n == 1:
+            return (alpha * y + beta * ut[..., None])[..., None]
+        y0, y1 = y[..., 0], y[..., 1]
+        return np.stack([np.stack([alpha * y0 + ut, beta * y1], -1),
+                         np.stack([y0 * y1 - ut, alpha - beta * ut * y1], -1)],
+                        -2)
+    return f_y
+
+
+class TestBatchedJacobians:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["ImplicitEuler", "BDF2", "BDF3", "BDF4",
+                                 "BDF5", "BDF6", "AB2", "AB3", "AM4"]),
+           dtype=st.sampled_from([np.float64, np.longdouble]),
+           n=st.sampled_from([1, 2]), route=st.sampled_from(["dto", "otd"]),
+           exact=st.booleans(), N=st.integers(6, 24),
+           T=st.floats(0.25, 2.0), alpha=st.floats(-2.0, 2.0),
+           beta=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_call_matches_per_index_reference(self, name, dtype, n, route,
+                                                  exact, N, T, alpha, beta,
+                                                  seed):
+        tab = la.tableau(name)
+        s, last_b = tab.s, _last_b_term(tab)
+        grid = la.TimeGrid(dtype(T), N)
+        rng = np.random.default_rng(seed)
+        traj = Trajectory(grid, s, rng.uniform(-1, 1, (N + s, n)).astype(dtype),
+                          rng.uniform(-1, 1, N + s))
+        if n == 1:
+            y_exact = lambda t: 1.0 + t * t
+        else:
+            y_exact = lambda t: np.array([np.cos(t), 1.0 + t * t])
+        calls = []
+        f_y = coupled_fy(alpha, beta, n)
+        prob = la.OdeControlProblem(
+            f=lambda y, u, t: y, y0=np.zeros(n),
+            f_y=lambda *args: calls.append(args) or f_y(*args),
+            y_exact=y_exact if exact else None)
+        # the DtO and the OtD index ranges; OtD reaches past N where an
+        # Adams b-term reads the Jacobian at j+1+k
+        lo, hi = (-last_b, N) if route == "dto" else (1 - s, N + last_b)
+        J = _jacobians(prob, traj, lo, hi, dtype)
+        assert len(calls) == 1
+        ref = reference_jacobians(dataclasses.replace(prob, f_y=f_y), traj,
+                                  lo, hi, dtype)
+        # bit for bit: equal values and signs (a long double's bytes carry
+        # padding)
+        assert J.dtype == ref.dtype and np.array_equal(J, ref)
+        assert np.array_equal(np.signbit(J), np.signbit(ref))
 
 
 class TestAdjointBlowUp:
@@ -550,6 +645,38 @@ class TestOptimalityAndGradient:
         on_grid = res[tab.s - 1:]
         assert np.allclose(on_grid, 1.0)
         assert np.allclose(res[: tab.s - 1], 0.0)  # pre-initial: no cost term
+
+    @pytest.mark.parametrize("scheme", ["BDF2", "BDF4", "AM4", "AB3"])
+    @pytest.mark.parametrize("route", ["dto", "otd"])
+    def test_residual_matches_per_index_reference(self, scheme, route):
+        # one f_u call on the stacked trajectory against the per-index loop
+        # as first released, with a state-dependent f_u (n = 2)
+        prob = rotation_problem()
+        B = prob.f_u(None, 0.0, 0.0)
+        calls = []
+        prob.f_u = lambda y, u, t: calls.append(t) or B + 0.1 * y * u[..., None]
+        tab = la.tableau(scheme)
+        grid = la.TimeGrid(1.0, 16)
+        u = 0.4 * np.sin(np.linspace(-1.0, 2.5, grid.N + tab.s))
+        traj = solve_forward(prob, tab, grid, controls=u)
+        adj = (solve_adjoint_dto(prob, tab, grid, traj) if route == "dto"
+               else solve_adjoint_otd(prob, tab, grid, traj, "replicate"))
+        res = optimality_residual(prob, traj, adj, tab)
+        assert len(calls) == 1
+        ref = np.zeros(grid.N + tab.s)
+        for i in range(1 - tab.s, grid.N + 1):
+            fu = prob.f_u(traj.state(i), np.float64(traj.control(i)),
+                          grid.t(i))
+            pw = np.zeros(2)
+            if route == "otd":
+                pw = adj.p(i)
+            else:
+                for k in range(-1, tab.s):
+                    if 1 <= i + k + 1 <= grid.N:
+                        pw += tab.b[k + 1] * adj.p(i + k + 1)
+            ref[traj.slot(i)] = float(fu @ pw) + (
+                prob.alpha * traj.control(i) if i >= 0 else 0.0)
+        assert np.array_equal(res, ref)
 
     @pytest.mark.parametrize("scheme", ["ImplicitEuler", "BDF2", "BDF3",
                                         "AM4", "AB3", "ExplicitEuler"])

@@ -373,7 +373,7 @@ def reference_forward(problem, tab, grid, u, init_mode="rk-bootstrap",
 
     def jac(y, t):
         i = int(round(t / grid.dt))
-        return problem.jac(y, u[i + s - 1], t)
+        return problem.f_y(y, u[i + s - 1], t)
 
     states, fvals = tb.bootstrap_history(tab, grid, rhs, problem.y0,
                                          mode=init_mode,
@@ -397,7 +397,7 @@ def smooth_scalar_problem(alpha, beta, gamma, omega, y0):
     the solution."""
     return OdeControlProblem(
         f=lambda y, u, t: alpha * y + beta * y * y + gamma * np.sin(omega * t) + u,
-        f_y=lambda y, u, t: np.atleast_2d(alpha + 2.0 * beta * y),
+        f_y=lambda y, u, t: (alpha + 2.0 * beta * y)[..., None],
         y0=y0, y_exact=lambda t: y0 * np.exp(alpha * t) + gamma * t)
 
 
@@ -408,8 +408,10 @@ def smooth_two_state_problem(alpha, beta, gamma, omega, y0):
         f=lambda y, u, t: np.array([
             alpha * y[0] + beta * y[1] * y[1] + gamma * np.sin(omega * t) + u,
             -y[0] + alpha * y[1] + beta * y[0] * y[1]]),
-        f_y=lambda y, u, t: np.array([[alpha, 2.0 * beta * y[1]],
-                                      [-1.0 + beta * y[1], alpha + beta * y[0]]]),
+        f_y=lambda y, u, t: np.stack([
+            np.stack([np.full_like(y[..., 0], alpha), 2.0 * beta * y[..., 1]], -1),
+            np.stack([-1.0 + beta * y[..., 1], alpha + beta * y[..., 0]], -1)],
+            -2),
         y0=[y0, 0.5],
         y_exact=lambda t: np.array([y0 * np.cos(t), 0.5 + gamma * np.sin(t)]))
 
