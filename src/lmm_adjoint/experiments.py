@@ -177,7 +177,7 @@ def _full_system_table(tab, n_list, T):
     for N in n_list:
         grid = TimeGrid(T, N)
         traj = solve_forward(prob, tab, grid, init_mode="exact")
-        t = np.array([grid.t(i) for i in range(N + 1)])
+        t = np.arange(N + 1) * grid.dt
         y = traj.states[tab.s - 1:, 0]
         errs["y"].append(float(np.max(np.abs(y - 1.0 / (1.0 - t)))))
         sols["y"].append((y, 1.0 / (1.0 - np.linspace(0.0, T, N + 1))))
@@ -249,15 +249,22 @@ def _domain(s):
 
 def _steps(T, dt, level=0):
     """The number of steps of size dt to the horizon T, T/dt rounded.  A
-    count below one, or one whose float64 forward store (n_steps + 1 levels
-    of ``level`` entries) exceeds the largest array size, is a config error."""
-    n_steps = int(round(T / dt))
+    count below one, one whose float64 forward store (n_steps + 1 levels of
+    ``level`` entries) exceeds the largest array size, or one whose double
+    (a nested fine grid's count) exceeds the largest index, is a config
+    error."""
+    n_steps = T / dt
+    n_steps = round(n_steps) if n_steps < np.inf else n_steps  # T/dt = inf
+    imax = np.iinfo(np.intp).max
     if n_steps < 1:
         raise ConfigError(f"key 'T': must be at least one step of dt = "
                           f"{dt:g}, got {T:g}")
-    if (n_steps + 1) * level * 8 > np.iinfo(np.intp).max:
+    if (n_steps + 1) * level * 8 > imax:
         raise ConfigError(f"key 'dt': must be large enough for a forward "
                           f"store of T/dt = {n_steps:.3g} steps, got {dt:g}")
+    if 2 * n_steps > imax:
+        raise ConfigError(f"key 'T': must be at most {imax // 2:.3g} steps "
+                          f"of dt = {dt:g}, got {T:g}")
     return n_steps
 
 

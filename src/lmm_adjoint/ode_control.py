@@ -26,9 +26,12 @@ class OdeControlProblem:
 
     ``f`` maps one state y (n,), with scalar u and t, to (n,).  ``f_y`` and
     ``f_u`` broadcast: y (..., n), u and t (...) give (..., n, n) and
-    (..., n), and a result without the leading axes is a constant.  Exact
-    solution hooks (``y_exact`` broadcasts over times) drive exact-history
-    bootstrapping and the convergence studies.
+    (..., n), and a result without the leading axes is a constant.  On a
+    scalar state the forward Newton sweep passes ``f`` and ``f_y`` a 0-d
+    NumPy scalar in the iterate's dtype (the bootstrap and adjoint sweeps
+    pass arrays) and rounds any size-1 result to float64: a scalar ``f``
+    must be elementwise.  Exact solution hooks (``y_exact`` broadcasts over
+    times) drive exact-history bootstrapping and the convergence studies.
     """
 
     f: Callable
@@ -118,8 +121,8 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     the states list becomes the trajectory.  ``f`` and ``f_y`` get one
     state (n,) with scalar u and t.  A scalar state (n = 1) steps on Python
     floats: both lists, the Newton iteration and the finiteness check hold
-    floats, while ``f`` and ``f_y`` still receive a 1-element state array,
-    and the sweep reads their scalar back.  Raises
+    floats, ``f`` and ``f_y`` get each iterate as a 0-d NumPy scalar in its
+    dtype, and any size-1 result is read back as a float64.  Raises
     ``SolverError`` with the offending step index on NaN/overflow, and sets
     the step index of an ``ImplicitSolveError``.
     """
@@ -136,10 +139,10 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
                                       mode=init_mode, y_exact=problem.y_exact)
     if problem.dim == 1:  # step on Python floats from here on
         def rhs(y, t):
-            return np.asarray(f(np.array([y]), u_at(t), t), dtype=float).item()
+            return float(np.asarray(f(np.asarray(y)[()], u_at(t), t)).item())
 
         def jac(y, t):
-            return np.asarray(f_y(np.array([y]), u_at(t), t), dtype=float).item()
+            return float(np.asarray(f_y(np.asarray(y)[()], u_at(t), t)).item())
 
         states = [y.item() for y in states]
         fvals = [fy.item() for fy in fvals]

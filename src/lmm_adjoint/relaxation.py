@@ -484,12 +484,20 @@ def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
     """Run the forward solver from equilibrium-lifted macroscopic data.
 
     Returns (field, u_store) where u_store has shape (n_steps+1, n, M); the
-    full in-memory store backs the adjoint solver.
+    full in-memory store backs the adjoint solver.  A store that cannot be
+    allocated is a ``ConfigError`` naming dt.
     """
     u0 = np.atleast_2d(np.asarray(u0, dtype=float))
     f0 = model.equilibrium(u0)
     fld = KineticField(model, grid, dt, tab, f0)
-    u_store = np.empty((n_steps + 1, model.n_conserved, grid.n_nodes))
+    shape = (n_steps + 1, model.n_conserved, grid.n_nodes)
+    try:
+        u_store = np.empty(shape)
+    except MemoryError:
+        raise ConfigError(
+            f"key 'dt': must be large enough for the forward store of "
+            f"{n_steps} steps ({8 * math.prod(shape):.3g} bytes) to be "
+            f"allocated, got {dt:g}") from None
     model.moments(f0, out=u_store[0])
     for k in range(n_steps):
         forward_step(model, grid, fld, out=u_store[k + 1])

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lmm_adjoint import cli
+from lmm_adjoint import cli, experiments
 from lmm_adjoint import relaxation as rx
 from lmm_adjoint.experiments import run_relax_adjoint
 from lmm_adjoint.config import (CONFIG_REFERENCE, ConfigError,
@@ -397,6 +397,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"key {key!r}" in err and "must be" in err
         assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_unallocatable_forward_store_config_error(self, tmp_path, capsys):
+        # 1e15 steps pass the array-size bound, but their 277 PiB store
+        # exceeds any address space, so the allocation fails at once
+        conf = self._write(tmp_path, "c.conf", "[relax-forward]\n"
+                           "flux = linear\nnx = 40\ndt = 1e-15\n")
+        assert cli.main(["relax-forward", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'dt'" in err and "(3.12e+17 bytes)" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("body", ["T = 1e300\n",
+                                      "T = 1e305\nx_right = 1e-6\n"],
+                             ids=["finite", "infinite"])
+    def test_relax_adjoint_step_count_config_error(self, tmp_path, capsys,
+                                                   body):
+        # no forward store bounds relax-adjoint's step count, T/dt; it is
+        # rejected before any sweep, also where T/dt overflows to inf
+        conf = self._write(tmp_path, "c.conf",
+                           f"[relax-adjoint]\nnx_list = 20,40\n{body}")
+        assert cli.main(["relax-adjoint", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        assert "key 'T': must be at most" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_step_count_bound_covers_the_fine_grid(self):
+        # 2**62 steps index, but a nested fine grid's 2**63 do not
+        assert experiments._steps(2.0 ** 61, 1.0) == 2 ** 61
+        with pytest.raises(ConfigError, match="key 'T'"):
+            experiments._steps(2.0 ** 62, 1.0)
 
     @pytest.mark.parametrize("kind, body", [
         ("relax-forward", "flux = linear\nnx = 40\nscheme = AB2\n"),

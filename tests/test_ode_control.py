@@ -96,6 +96,44 @@ class TestForward:
                            controls=np.full(grid.N + tab.s, 0.1))
         assert np.array_equal(t1.states, t2.states)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_newton_iterates_are_numpy_scalars(self, dtype):
+        # the exact bootstrap passes f a (1,) array; in the Newton loop f and
+        # f_y get 0-d NumPy scalars in the iterate's dtype: the predictor is
+        # a stored float64 state, and on a long-double grid every later
+        # iterate is a long double
+        prob = terminal_tracking_problem()
+        args = {"f": [], "f_y": []}
+
+        def recorded(name):
+            fn = getattr(prob, name)
+            return lambda y, u, t: args[name].append(y) or fn(y, u, t)
+
+        tab, grid = la.tableau("BDF3"), la.TimeGrid(dtype(0.9), 40)
+        traj = solve_forward(dataclasses.replace(
+            prob, f=recorded("f"), f_y=recorded("f_y")), tab, grid)
+        boot, newton = args["f"][:tab.s], args["f"][tab.s:] + args["f_y"]
+        assert all(type(y) is np.ndarray and y.shape == (1,) for y in boot)
+        assert all(isinstance(y, np.generic) and y.ndim == 0 for y in newton)
+        dtypes = [y.dtype for y in newton]
+        assert set(dtypes) == {np.dtype(np.float64), np.dtype(dtype)}
+        if dtype is np.longdouble:  # one float64 predictor per step
+            assert dtypes[:len(args["f"]) - tab.s].count(np.float64) == 40
+        assert np.array_equal(traj.states, solve_forward(prob, tab,
+                                                         grid).states)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_array_valued_scalar_f_sweeps_alike(self, dtype):
+        # any size-1 result of f is read back as the same float64
+        prob = terminal_tracking_problem()
+        boxed = dataclasses.replace(
+            prob, f=lambda y, u, t: np.atleast_1d(y ** 2 + u))
+        tab, grid = la.tableau("BDF4"), la.TimeGrid(dtype(0.9), 80)
+        controls = np.linspace(-0.2, 0.3, grid.N + tab.s)
+        assert np.array_equal(
+            solve_forward(boxed, tab, grid, controls).states,
+            solve_forward(prob, tab, grid, controls).states)
+
 
 class TestPrescribedTrajectory:
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
