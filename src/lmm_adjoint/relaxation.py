@@ -31,6 +31,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,6 +50,11 @@ class RelaxationModel:
     Jacobians (Nv, n, M).  Both follow the NumPy ``out`` convention: given
     ``out`` they write the result into it and return it, otherwise they
     return a new array.  The steps always pass their field's work buffers.
+    ``equilibrium_jac`` must also broadcast over a levels axis, elementwise
+    in the trailing axes: u of shape (n, K, M) gives (Nv, n, K, M), and
+    ``out`` may then be a strided view.  ``solve_adjoint`` evaluates a
+    block of stored levels in one such call, so a model whose
+    ``equilibrium_jac`` raises does so before the steps of its block.
     ``dflux(u)`` is the flux derivative F'(u) of a scalar (Jin-Xin) model,
     which feeds the subcharacteristic check and the transport oracle;
     systems have none and pass None.
@@ -260,11 +266,51 @@ def _foot(shift_cells: float) -> tuple[int, float]:
     A foot within 1e-9 cells of a node is aligned: its nearest node and
     weight 0.  Otherwise the weight lies strictly between 0 and 1.
     """
-    k = int(np.round(shift_cells))
+    k = int(round(shift_cells))
     if abs(shift_cells - k) < 1e-9:
         return k, 0.0
-    lo = int(np.floor(shift_cells))
+    lo = math.floor(shift_cells)
     return lo, shift_cells - lo
+
+
+@functools.lru_cache(maxsize=8)
+def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
+          depth: int, batch: tuple[int, ...]) -> tuple:
+    """The per-level ``(lo, hi, weights)`` of a ``FootPlan``, read-only.
+
+    Built once per key and shared by every plan with that key, so the
+    solves of a descent, which all run on one grid and step, reuse them.
+    The cache is small: it holds the plans of one descent, not of a study.
+    """
+    Nv, M = len(speeds), grid.n_nodes
+    levels = []
+    for ell in range(depth):
+        lo, w = np.array([_foot(vj * (ell + 1) * dt / grid.dx)
+                          for vj in speeds]).T
+        lo = lo.astype(int)
+        hi = lo + (w > 0)
+        w = w[:, None]
+        if grid.boundary == "periodic":
+            lo, hi = tuple((lo % M).tolist()), tuple((hi % M).tolist())
+        else:
+            # flat indices into the whole level: member, row, column
+            members = np.arange(math.prod(batch)).reshape(batch + (1, 1))
+            rows = M * (Nv * members + np.arange(Nv)[:, None])
+            cols = np.arange(M)
+            lo = _view(rows + np.clip(cols - lo[:, None], 0, M - 1), False)
+            hi = _view(rows + np.clip(cols - hi[:, None], 0, M - 1), False)
+        weights = (_view(1.0 - w, False), _view(w, False)) if w.any() else None
+        levels.append((lo, hi, weights))
+    return tuple(levels)
+
+
+def _view(arr: np.ndarray, writeable: bool) -> np.ndarray:
+    """A view of ``arr`` with its own writeable flag.  The feet are read-only
+    views of writeable arrays, and a plan gathers through writeable views
+    of them, because ``np.take`` copies an index array that is read-only."""
+    view = arr.view()
+    view.flags.writeable = writeable
+    return view
 
 
 class FootPlan:
@@ -275,13 +321,20 @@ class FootPlan:
     ``LagrangianGrid.sample_shifted`` uses.  ``sample(ell, level)`` equals
     stacking ``sample_shifted`` over the rows, bit for bit on finite data: a
     fractional level keeps the ``(1-w) a + w b`` form and gives its aligned
-    rows ``hi = lo`` and ``w = 0``.  Periodic levels are rolled row by row
-    into preallocated buffers (slice copies beat a flat ``take`` on wide
-    grids); clamped levels use one ``take`` on precomputed clipped indices
-    into the same buffers (``mode="clip"``, which with in-range indices
-    gathers the same values without the buffering of ``mode="raise"``).
-    Levels have shape ``batch + (Nv, M)``; the batch members share the
-    feet.
+    rows ``hi = lo`` and ``w = 0``.  ``levels`` holds the feet, per level
+    ``(lo, hi, weights)``: row offsets on periodic grids and clipped flat
+    indices on clamped ones.  They are shared read-only between plans of
+    equal grid, speeds, dt, depth and batch; the ``_a``/``_b`` work buffers
+    are the plan's own.
+
+    Periodic levels are rolled row by row into the buffers.  A flat
+    ``take`` would be faster up to M = 640 (1.6 vs 5.8 us for one level of
+    2 rows at M = 119) but is slower on wide grids (279 vs 91 us for 3
+    levels at M = 40960; crossover near M = 1300, 2-vCPU x86 VM).
+    Clamped levels use one ``take`` on the clipped indices into the same
+    buffers (``mode="clip"``, which with in-range indices gathers the same
+    values without the buffering of ``mode="raise"``).  Levels have shape
+    ``batch + (Nv, M)``; the batch members share the feet.
     """
 
     def __init__(self, grid: LagrangianGrid, speeds: np.ndarray, dt: float,
@@ -290,23 +343,11 @@ class FootPlan:
         self.periodic = grid.boundary == "periodic"
         self._a = np.empty(batch + (Nv, M))
         self._b = np.empty(batch + (Nv, M))
-        self.levels = []
-        for ell in range(depth):
-            lo, w = np.array([_foot(vj * (ell + 1) * dt / grid.dx)
-                              for vj in speeds]).T
-            lo = lo.astype(int)
-            hi = lo + (w > 0)
-            w = w[:, None]
-            if self.periodic:
-                lo, hi = (lo % M).tolist(), (hi % M).tolist()
-            else:
-                # flat indices into the whole level: member, row, column
-                members = np.arange(math.prod(batch)).reshape(batch + (1, 1))
-                rows = M * (Nv * members + np.arange(Nv)[:, None])
-                cols = np.arange(M)
-                lo = rows + np.clip(cols - lo[:, None], 0, M - 1)
-                hi = rows + np.clip(cols - hi[:, None], 0, M - 1)
-            self.levels.append((lo, hi, (1.0 - w, w) if w.any() else None))
+        self.levels = _feet(grid, tuple(speeds.tolist()), dt, depth,
+                            tuple(batch))
+        if not self.periodic:
+            self._index = [(_view(lo, True), _view(hi, True))
+                           for lo, hi, _ in self.levels]
 
     def sample(self, ell: int, values: np.ndarray) -> np.ndarray:
         """History level ``values`` (..., Nv, M) sampled at the level-``ell``
@@ -321,6 +362,7 @@ class FootPlan:
                 return a
             b = self._roll(values, hi, self._b)
         else:
+            lo, hi = self._index[ell]
             a = values.take(lo, out=self._a, mode="clip")
             if weights is None:
                 return a
@@ -420,7 +462,7 @@ class _LevelRing:
         instead; the field's oldest level may then already be overwritten,
         and the field must not be stepped again.
         """
-        if not np.all(np.isfinite(level)):
+        if not np.isfinite(level).all():
             raise SolverError(self.blowup.format(self.n + 1), self.n + 1)
         if len(self.history) == len(self.ramp):
             self.history.pop()
@@ -583,27 +625,46 @@ def terminal_multipliers(model: RelaxationModel, p_terminal: np.ndarray) -> np.n
     return np.einsum("rj,...rm->...jm", model.q_matrix, p_terminal)
 
 
+# Largest Jacobian block of solve_adjoint, in grid nodes: one
+# equilibrium_jac call covers max(1, _JAC_BLOCK_NODES // M) stored levels.
+_JAC_BLOCK_NODES = 65536
+
+
 def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
                   tab: MultistepTableau, u_store: np.ndarray | None,
                   lam_T: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
     """March the adjoint from t = T back to t = 0 and return lambda(0).
 
-    ``u_store`` is the forward conserved-variable store (level k = time t_k);
-    the step computing level k-1 takes the equilibrium Jacobian at
-    u_store[k-1].  Pass None only when the Jacobian does not depend on u
-    (linear flux): it is then evaluated once, at u = 0, and every step
-    reuses it.  ``lam_T`` (..., Nv, M) may carry batch axes, which the
-    returned lambda(0) keeps.
+    ``u_store`` is the forward conserved-variable store (level k = time t_k),
+    with at least ``n_steps`` levels of shape (n, M); the step computing
+    level k-1 takes the equilibrium Jacobian at u_store[k-1].  The Jacobians
+    are evaluated a block of levels at a time, newest block first, in one
+    ``equilibrium_jac`` call of shape (n, K, M) per block, K levels of at
+    most ``_JAC_BLOCK_NODES`` nodes in all (one level on wider grids).
+    Pass None only when the Jacobian does not depend on u (linear flux): it
+    is then evaluated once, at u = 0, and every step reuses it.  ``lam_T``
+    (..., Nv, M) may carry batch axes, which the returned lambda(0) keeps.
     """
     adj = AdjointField(model, grid, dt, tab, lam_T)
     shape = (model.n_conserved, grid.n_nodes)
-    jac = np.empty((model.n_velocities,) + shape)
     if u_store is None:
+        jac = np.empty((model.n_velocities,) + shape)
         model.equilibrium_jac(np.zeros(shape), out=jac)
-    for k in range(n_steps, 0, -1):          # computes level k-1
-        if u_store is not None:
-            model.equilibrium_jac(u_store[k - 1], out=jac)
-        adjoint_step(model, grid, adj, jac)
+        for _ in range(n_steps):
+            adjoint_step(model, grid, adj, jac)
+        return adj.current
+    if u_store.shape[1:] != shape or u_store.shape[0] < n_steps:
+        raise ValueError(f"u_store must hold at least {n_steps} levels of "
+                         f"shape {shape}, got {u_store.shape}")
+    K = max(1, _JAC_BLOCK_NODES // grid.n_nodes)
+    jacs = np.empty((min(K, n_steps), model.n_velocities) + shape)
+    for k in range(n_steps, 0, -K):          # levels lo, ..., k-1
+        lo = max(k - K, 0)
+        block = jacs[:k - lo]                # block[i]: level lo + i
+        model.equilibrium_jac(u_store[lo:k].transpose(1, 0, 2),
+                              out=block.transpose(1, 2, 0, 3))
+        for jac in block[::-1]:
+            adjoint_step(model, grid, adj, jac)
     return adj.current
 
 

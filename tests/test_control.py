@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lmm_adjoint as la
 from lmm_adjoint import control as ct
@@ -134,6 +136,22 @@ class TestTvFilter:
                     u[idx[k]:idx[k + 1]] = vals[k]
                 assert (total_variation(ct.tv_filter(u, grid), tv_kind)
                         <= total_variation(u, tv_kind) + 1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(u=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2,
+                      max_size=80),
+           boundary=st.sampled_from(["periodic", "clamp"]))
+    def test_tv_never_increases_random_data(self, u, boundary):
+        # any data, either boundary rule: the convex stencil cannot raise
+        # the total variation beyond roundoff of the data's magnitude
+        u = np.array(u)
+        n_points = u.size + (boundary == "periodic")
+        grid = rx.LagrangianGrid(0.0, 1.0, max(n_points, 3), boundary)
+        u = np.resize(u, grid.n_nodes)
+        tv_kind = "periodic" if boundary == "periodic" else "open"
+        tol = 1e-14 * u.size * max(np.abs(u).max(), 1.0)
+        assert (total_variation(ct.tv_filter(u, grid), tv_kind)
+                <= total_variation(u, tv_kind) + tol)
 
     def test_mass_preserving_periodic(self):
         rng = np.random.default_rng(5)

@@ -206,6 +206,24 @@ class TestGrid:
         assert rx.FootPlan(g, np.array([1.0]), g.dx / 2.1,
                            1).levels[0][2] is not None
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shift=st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.integers(-40, 40).map(lambda k: k / 2),         # halfway
+        st.integers(-40, 40).flatmap(lambda k: st.sampled_from(
+            [k + 1e-9, k - 1e-9, k + 0.99e-9, k - 0.99e-9]))))
+    def test_foot_matches_numpy_rounding(self, shift):
+        # the feet once came from np.round / np.floor; Python's round and
+        # math.floor give the same node, weight and types
+        k = int(np.round(shift))
+        if abs(shift - k) < 1e-9:
+            expect = (k, 0.0)
+        else:
+            expect = (int(np.floor(shift)), shift - int(np.floor(shift)))
+        got = rx._foot(shift)
+        assert got == expect and type(got[0]) is int
+        assert type(got[1]) is type(expect[1])
+
     def test_sample_shifted_integral(self):
         g = rx.LagrangianGrid(0.0, 1.0, 11)
         v = np.arange(10.0)
@@ -352,6 +370,28 @@ class TestForward:
         _, us = rx.solve_forward(model, grid, la.tableau("BDF2"), u0, 50, dt)
         mass = us[:, 0].sum(axis=-1) * grid.dx
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * abs(mass[0])
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nx=st.integers(5, 160), ratio=st.one_of(
+               st.integers(1, 3).map(float),
+               st.floats(0.05, 3.0, allow_nan=False)),
+           order=st.integers(1, 6), eps=st.sampled_from([1e-6, 1e-2, 1.0]),
+           flux=st.sampled_from(["linear", "burgers"]))
+    def test_periodic_mass_conserved_to_roundoff(self, nx, ratio, order, eps,
+                                                 flux):
+        # aligned or fractional feet, any BDF order: every periodic level
+        # keeps the initial mass up to a few ulps of the levels' magnitude
+        grid = rx.LagrangianGrid(0.0, 6.0, nx)
+        a = 2.1
+        x = grid.nodes()
+        u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+        make = linear_jinxin if flux == "linear" else burgers_jinxin
+        _, us = rx.solve_forward(make(a, eps), grid, la.tableau(f"BDF{order}"),
+                                 u0, 12, ratio * grid.dx / a)
+        mass = us[:, 0].sum(axis=-1)
+        scale = np.abs(us).sum(axis=-1).max()
+        assert np.max(np.abs(mass - mass[0])) <= 1e-14 * 12 * scale
 
 
 class TestAdjoint:
@@ -728,6 +768,14 @@ class TestBatchedAdjoint:
                 linear_jinxin(1.0, np.array(eps))
 
 
+def counting_jacobian(model, calls):
+    """``model`` whose ``equilibrium_jac`` appends each u's shape to calls."""
+    def equilibrium_jac(u, out=None):
+        calls.append(u.shape)
+        return model.equilibrium_jac(u, out=out)
+    return dataclasses.replace(model, equilibrium_jac=equilibrium_jac)
+
+
 class TestFrozenJacobian:
     """Without a forward store the u-independent Jacobian is evaluated once
     per sweep and reused by every step."""
@@ -736,19 +784,13 @@ class TestFrozenJacobian:
         grid = rx.LagrangianGrid(0.0, 6.0, 41)
         a = 2.1
         dt = 0.7 * grid.dx / a
-        base = linear_jinxin(a, 1e-2)
         calls = []
-
-        def counting_jac(u, out=None):
-            calls.append(u.shape)
-            return base.equilibrium_jac(u, out=out)
-
+        base = counting_jacobian(linear_jinxin(a, 1e-2), calls)
         x = grid.nodes()
         tab = la.tableau("BDF3")
         for batch in ((), (3,)):
             model = dataclasses.replace(
-                base, equilibrium_jac=counting_jac,
-                eps=np.full(batch + (1, 1), 1e-2) if batch else 1e-2)
+                base, eps=np.full(batch + (1, 1), 1e-2) if batch else 1e-2)
             d = np.broadcast_to(np.exp(-((x - 3.0) ** 2)), batch + (1, x.size))
             lam_T = rx.terminal_multipliers(model, d)
             calls.clear()
@@ -762,6 +804,164 @@ class TestFrozenJacobian:
             assert len(calls) == 13
             assert np.array_equal(lam0, adj.current)
             assert np.array_equal(np.signbit(lam0), np.signbit(adj.current))
+
+
+def per_level_sweep(model, grid, tab, u_store, lam_T, n_steps, dt):
+    """The adjoint sweep with one ``equilibrium_jac`` call per step, as
+    ``solve_adjoint`` ran before it evaluated blocks of levels."""
+    adj = rx.AdjointField(model, grid, dt, tab, lam_T)
+    jac = np.empty((model.n_velocities, model.n_conserved, grid.n_nodes))
+    for k in range(n_steps, 0, -1):          # computes level k-1
+        model.equilibrium_jac(u_store[k - 1], out=jac)
+        rx.adjoint_step(model, grid, adj, jac)
+    return adj.current
+
+
+def blocked_jacobian_case(kind, order, n_steps=11, eps=(1e-2, 0.3, 4.0)):
+    """Model batched over ``eps``, grid, tableau, forward store and terminal
+    multipliers (exact and negative zeros included) of a fractional-foot
+    Jin-Xin Burgers (periodic) or Broadwell (clamped) sweep."""
+    tab = la.tableau(f"BDF{order}")
+    eps = np.reshape(eps, (-1, 1, 1))
+    if kind == "jin-xin":
+        grid = rx.LagrangianGrid(0.0, 6.0, 41)
+        x = grid.nodes()
+        u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+        make, dt = (lambda e: burgers_jinxin(2.1, e)), 0.7 * grid.dx / 2.1
+    else:
+        grid = rx.LagrangianGrid(-2.5, 2.5, 33, boundary="clamp")
+        x = grid.nodes()
+        u0 = np.stack([1.0 + 0.3 * np.exp(-x ** 2),
+                       0.2 * np.exp(-((x - 0.5) ** 2))])
+        make, dt = (lambda e: rx.make_broadwell(1.0, e)), 0.6 * grid.dx
+    u_store = rx.solve_forward(make(1e-2), grid, tab, u0, n_steps, dt)[1]
+    model = make(eps)
+    lam_T = rx.terminal_multipliers(
+        model, terminal_batch(x, model.n_conserved, eps.shape[0]))
+    return model, grid, tab, u_store, lam_T, dt
+
+
+class TestBlockedJacobians:
+    """``solve_adjoint`` evaluates the Jacobians of a block of stored levels
+    in one call and steps on them: the sweep equals the per-level sweep bit
+    for bit, and the block stays within ``_JAC_BLOCK_NODES``."""
+
+    @pytest.mark.parametrize("kind", ["jin-xin", "broadwell"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_blocked_sweep_equals_per_level_sweep(self, kind, order,
+                                                  monkeypatch):
+        n_steps = 11
+        model, grid, tab, u_store, lam_T, dt = blocked_jacobian_case(
+            kind, order, n_steps)
+        M = grid.n_nodes
+        expect = per_level_sweep(model, grid, tab, u_store, lam_T, n_steps,
+                                 dt)
+        # blocks of 1, 2, 3, 4 and 10 levels straddle the 11 steps; 11 and
+        # 12 levels make one block, M // 2 spare nodes round down, and a
+        # grid wider than the block still takes one level per call
+        for nodes, sizes in ((M - 1, [1] * 11), (M, [1] * 11),
+                             (2 * M, [2] * 5 + [1]),
+                             (3 * M + M // 2, [3, 3, 3, 2]),
+                             (4 * M, [4, 4, 3]), (10 * M, [10, 1]),
+                             (11 * M, [11]), (12 * M, [11])):
+            monkeypatch.setattr(rx, "_JAC_BLOCK_NODES", nodes)
+            calls = []
+            got = rx.solve_adjoint(counting_jacobian(model, calls), grid, tab,
+                                   u_store, lam_T, n_steps, dt)
+            assert np.array_equal(got, expect)
+            assert np.array_equal(np.signbit(got), np.signbit(expect))
+            assert calls == [(model.n_conserved, K, M) for K in sizes]
+
+    def test_jacobian_buffer_bounded_by_the_block(self, monkeypatch):
+        # peak traced memory of a 200-step Broadwell sweep, in rows of M
+        # doubles: the field's arrays (26 rows) and the step's temporaries
+        # take under 48; a block of K levels adds its K * Nv * n Jacobian
+        # rows and the model's temporaries, 2 rows per level
+        grid = rx.LagrangianGrid(-2.5, 2.5, 1001, boundary="clamp")
+        x = grid.nodes()
+        M, n_steps = grid.n_nodes, 200
+        model = rx.make_broadwell(1.0, 1e-2)
+        u_store = np.empty((n_steps + 1, 2, M))
+        u_store[:, 0], u_store[:, 1] = 1.0 + 0.3 * np.exp(-x ** 2), 0.1
+        lam_T = rx.terminal_multipliers(model, np.ones((2, M)))
+        tab, dt = la.tableau("BDF3"), 0.6 * grid.dx
+        sweep = lambda: rx.solve_adjoint(model, grid, tab, u_store, lam_T,
+                                         n_steps, dt)
+        sweep()                               # the feet, cached untraced
+        peaks = {}
+        for K in (4, 16):
+            monkeypatch.setattr(rx, "_JAC_BLOCK_NODES", K * M)
+            peaks[K] = traced_peak_rows(sweep, M)
+            assert peaks[K] <= 48 + K * (3 * 2 + 2), peaks
+        # one block for the whole sweep would take 1200 Jacobian rows
+        assert peaks[4] < peaks[16] < 200, peaks
+
+    def test_short_or_misshapen_store_rejected(self, monkeypatch):
+        # a store must hold n_steps levels of (n, M): a block slice would
+        # silently truncate a short one, and a 1-level remainder would
+        # broadcast; the sweep refuses both before it steps
+        model, grid, tab, u_store, lam_T, dt = blocked_jacobian_case(
+            "broadwell", 2, 6)
+        steps = []
+        monkeypatch.setattr(rx, "adjoint_step", lambda *a: steps.append(a))
+        M = grid.n_nodes
+        for store in (u_store[:5], u_store[:, :, :M - 1], u_store[:, :1],
+                      u_store[:, 0], np.ones((7, 1, 2, M))):
+            with pytest.raises(ValueError, match="u_store"):
+                rx.solve_adjoint(model, grid, tab, store, lam_T, 6, dt)
+        assert steps == []
+        rx.solve_adjoint(model, grid, tab, u_store[:6], lam_T, 6, dt)
+        assert len(steps) == 6
+
+
+class TestFeetCache:
+    """Plans of equal grid, speeds, dt, depth and batch share their feet."""
+
+    @staticmethod
+    def field(grid=None, dt=0.07, tab="BDF3", speeds=1.0, batch=(),
+              kind=rx.KineticField):
+        grid = grid or rx.LagrangianGrid(-2.5, 2.5, 33, boundary="clamp")
+        model = rx.make_broadwell(speeds, 1e-2)
+        return kind(model, grid, dt, la.tableau(tab),
+                    np.zeros(batch + (3, grid.n_nodes)))
+
+    def test_equal_keys_share_read_only_feet(self):
+        for boundary in ("clamp", "periodic"):
+            # equal, not identical, grids
+            a, b = (self.field(rx.LagrangianGrid(-2.5, 2.5, 33, boundary))
+                    for _ in range(2))
+            assert a.plan.levels is b.plan.levels
+            assert not np.shares_memory(a.plan._a, b.plan._a)
+            assert not np.shares_memory(a.plan._b, b.plan._b)
+            for lo, hi, weights in a.plan.levels:
+                assert weights is not None    # 0.07 / dx is fractional
+                arrays = list(weights)
+                if boundary == "clamp":
+                    arrays += [lo, hi]
+                else:                         # row offsets: int tuples
+                    assert isinstance(lo, tuple) and isinstance(hi, tuple)
+                for arr in arrays:
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[(0,) * arr.ndim] = 1
+
+    def test_any_key_change_gives_other_feet(self):
+        feet = self.field().plan.levels
+        grid = rx.LagrangianGrid(-2.5, 2.5, 33, boundary="clamp")
+        assert self.field(grid).plan.levels is feet
+        others = [
+            self.field(dt=0.08),
+            self.field(rx.LagrangianGrid(-2.5, 2.5, 33, "periodic")),
+            self.field(rx.LagrangianGrid(-2.5, 2.5, 35, "clamp")),
+            self.field(kind=rx.AdjointField),           # speeds of -v
+            self.field(batch=(2,), kind=rx.AdjointField),
+            self.field(tab="BDF2"),                     # depth
+            self.field(speeds=1.5),
+        ]
+        assert all(o.plan.levels is not feet for o in others)
+        assert len({id(o.plan.levels) for o in others}) == len(others)
+
+    def test_cache_is_small(self):
+        assert rx._feet.cache_info().maxsize <= 16
 
 
 def traced_peak_rows(step, M):
