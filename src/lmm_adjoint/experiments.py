@@ -268,6 +268,22 @@ def _steps(T, dt, level=0):
     return n_steps
 
 
+# Most node-steps one relaxation run may ask for: grid nodes times steps,
+# summed over its sweeps and batch members.  A step costs 10 ns to 1 us per
+# node, so the bound is hours to days of work; every shipped config is at
+# least 1000x under it.
+_MAX_NODE_STEPS = 10 ** 12
+
+
+def _admit(node_steps):
+    """Refuse a run whose work, counted from its settings before any
+    allocation or sweep, exceeds ``_MAX_NODE_STEPS`` (a config error)."""
+    if node_steps > _MAX_NODE_STEPS:
+        raise ConfigError(f"key 'T': must keep the run within "
+                          f"{_MAX_NODE_STEPS:.3g} node-steps (grid nodes x "
+                          f"steps over its sweeps), got {node_steps:.3g}")
+
+
 def run_relax_forward(cfg: Config, out_dir: str) -> list:
     """Forward relaxation run: snapshot CSVs plus a conservation log, whose
     rows (step, t, mass) it returns."""
@@ -289,6 +305,7 @@ def run_relax_forward(cfg: Config, out_dir: str) -> list:
         model = rx.make_jin_xin(lambda u: 0.5 * u * u, lambda u: u,
                                 a, eps, u0=u0[0])
     n_steps = _steps(T, dt, model.n_conserved * grid.n_nodes)
+    _admit(n_steps * grid.n_nodes)
     out_times = [T if tt == "T" else tt for tt in s["output_times"]]
     out_steps = sorted({min(n_steps, max(0, int(round(tt / dt))))
                         for tt in out_times})
@@ -332,15 +349,21 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
 
     model = model_of(eps_list)
     fine_model = model_of([eps_list[b] for b in self_ref])
+    grids = [rx.LagrangianGrid(xl, xr, nx, boundary="periodic")
+             for nx in s["nx_list"]]
+    steps = [_steps(T, grid.dx / a) for grid in grids]
+    # per grid, a coarse sweep over every eps and a fine one (2M nodes,
+    # twice the steps) over the self-reference eps
+    _admit(sum(n * g.n_nodes * (len(eps_list) + 4 * len(self_ref))
+               for g, n in zip(grids, steps)))
     devs = []
-    for nx in s["nx_list"]:
-        grid = rx.LagrangianGrid(xl, xr, nx, boundary="periodic")
-        n_steps = _steps(T, grid.dx / a)
+    for grid, n_steps in zip(grids, steps):
         references = {}
         if self_ref:
             # nested fine grid (dx and dt halve exactly) run for twice the
             # coarse step count, so both runs share the same actual horizon
-            fine = rx.LagrangianGrid(xl, xr, 2 * nx - 1, boundary="periodic")
+            fine = rx.LagrangianGrid(xl, xr, 2 * grid.n_points - 1,
+                                     boundary="periodic")
             p_fine = rx.viscous_limit_check(fine_model, fine, tab, pT_fn,
                                             2 * n_steps, fine.dx / a)[0]
             references = dict(zip(self_ref, p_fine[:, ::2]))
@@ -394,6 +417,9 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> list:
         model = rx.make_broadwell(s["c"], eps)
         names = ("rho", "m")
     n_steps = _steps(s["T"], dt, model.n_conserved * grid.n_nodes)
+    # the target's forward sweep, then a forward and an adjoint sweep per
+    # iteration and the last iteration's forward sweep
+    _admit(n_steps * grid.n_nodes * (2 * s["iterations"] + 2))
 
     # self-consistent target: forward-evolve the reference initial data and
     # keep only its terminal level

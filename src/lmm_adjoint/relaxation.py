@@ -104,10 +104,10 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
         F = flux(u[0])
         if out is None:
             out = np.empty((2,) + np.shape(u[0]))
-        for row, sign in zip(out, (np.add, np.subtract)):
-            np.multiply(a, u[0], out=row)        # (a u +- F) / 2a
-            sign(row, F, out=row)
-            np.divide(row, 2 * a, out=row)
+        np.multiply(a, u[0], out=out[0])         # (a u +- F) / 2a
+        np.subtract(out[0], F, out=out[1])
+        np.add(out[0], F, out=out[0])
+        np.divide(out, 2 * a, out=out)
         return out
 
     def equilibrium_jac(u, out=None):
@@ -273,6 +273,11 @@ def _foot(shift_cells: float) -> tuple[int, float]:
     return lo, shift_cells - lo
 
 
+# Largest level, in elements (batch x Nv x M), that a FootPlan gathers with
+# one flat take; wider levels are multiplied out of their row slices.
+_TAKE_MAX_ELEMENTS = 8192
+
+
 @functools.lru_cache(maxsize=8)
 def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
           depth: int, batch: tuple[int, ...]) -> tuple:
@@ -283,25 +288,50 @@ def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
     The cache is small: it holds the plans of one descent, not of a study.
     """
     Nv, M = len(speeds), grid.n_nodes
+    periodic = grid.boundary == "periodic"
+    shape = batch + (Nv, M)
+    flat = math.prod(shape) <= _TAKE_MAX_ELEMENTS
+    if flat:
+        # flat indices into the whole level: member, row, column
+        members = np.arange(math.prod(batch)).reshape(batch + (1, 1))
+        rows = M * (Nv * members + np.arange(Nv)[:, None])
+        cols = np.arange(M)
     levels = []
     for ell in range(depth):
         lo, w = np.array([_foot(vj * (ell + 1) * dt / grid.dx)
                           for vj in speeds]).T
         lo = lo.astype(int)
-        hi = lo + (w > 0)
-        w = w[:, None]
-        if grid.boundary == "periodic":
-            lo, hi = tuple((lo % M).tolist()), tuple((hi % M).tolist())
+        feet = lo, lo + (w > 0)
+        weights = (1.0 - w, w) if w.any() else None
+        if flat:
+            feet = [_view(rows + (c % M if periodic else np.clip(c, 0, M - 1)),
+                          False) for c in (cols - k[:, None] for k in feet)]
+            # level-shaped, as a broadcast (Nv, 1) factor makes the ufunc
+            # allocate a buffer of the level's size
+            if weights:
+                weights = tuple(_view(np.broadcast_to(x[:, None], shape).copy(),
+                                      False) for x in weights)
         else:
-            # flat indices into the whole level: member, row, column
-            members = np.arange(math.prod(batch)).reshape(batch + (1, 1))
-            rows = M * (Nv * members + np.arange(Nv)[:, None])
-            cols = np.arange(M)
-            lo = _view(rows + np.clip(cols - lo[:, None], 0, M - 1), False)
-            hi = _view(rows + np.clip(cols - hi[:, None], 0, M - 1), False)
-        weights = (_view(1.0 - w, False), _view(w, False)) if w.any() else None
-        levels.append((lo, hi, weights))
+            feet = [tuple(_row_pieces(kj, M, periodic) for kj in k.tolist())
+                    for k in feet]
+            if weights:
+                weights = tuple(tuple(x.tolist()) for x in weights)
+        levels.append((*feet, weights))
     return tuple(levels)
+
+
+def _row_pieces(k: int, M: int, periodic: bool) -> tuple:
+    """``(out, values)`` slice pairs that shift a row k nodes downstream,
+    out[i] = values[i - k] with the index wrapped or clamped; a clamped
+    piece reads the wall node, (..., 1), and broadcasts it."""
+    k = k % M if periodic else min(max(k, -M), M)
+    if k >= 0:
+        pairs = ((slice(k, M), slice(0, M - k)),
+                 (slice(0, k), slice(M - k, M) if periodic else slice(0, 1)))
+    else:
+        pairs = ((slice(0, M + k), slice(-k, M)),
+                 (slice(M + k, M), slice(M - 1, M)))
+    return tuple((dst, src) for dst, src in pairs if dst.start < dst.stop)
 
 
 def _view(arr: np.ndarray, writeable: bool) -> np.ndarray:
@@ -313,72 +343,83 @@ def _view(arr: np.ndarray, writeable: bool) -> np.ndarray:
     return view
 
 
+def _gather(values: np.ndarray, feet, scale, out: np.ndarray) -> np.ndarray:
+    """``scale`` times ``values`` (..., Nv, M) at ``feet``, into ``out``.
+
+    Flat index feet gather the level with one ``take`` (``mode="clip"``,
+    which with in-range indices gathers the same values without the
+    buffering of ``mode="raise"``) and scale it in place; row-slice feet
+    multiply each row's pieces straight into ``out``.  ``scale`` is a
+    float, or the weights of the feet: level-shaped arrays with flat
+    indices, one float per row with slices.
+    """
+    if isinstance(feet, np.ndarray):
+        values.take(feet, out=out, mode="clip")
+        out *= scale
+        return out
+    scales = (scale,) * len(feet) if isinstance(scale, float) else scale
+    for j, (pieces, s) in enumerate(zip(feet, scales)):
+        for dst, src in pieces:
+            np.multiply(s, values[..., j, src], out=out[..., j, dst])
+    return out
+
+
 class FootPlan:
     """Characteristic feet of every (history level, velocity), found once.
 
     Level ``ell`` of velocity j is sampled ``speeds[j] * (ell+1) * dt / dx``
     cells upstream, with the feet from the helper that
-    ``LagrangianGrid.sample_shifted`` uses.  ``sample(ell, level)`` equals
-    stacking ``sample_shifted`` over the rows, bit for bit on finite data: a
-    fractional level keeps the ``(1-w) a + w b`` form and gives its aligned
-    rows ``hi = lo`` and ``w = 0``.  ``levels`` holds the feet, per level
-    ``(lo, hi, weights)``: row offsets on periodic grids and clipped flat
-    indices on clamped ones.  They are shared read-only between plans of
-    equal grid, speeds, dt, depth and batch; the ``_a``/``_b`` work buffers
-    are the plan's own.
+    ``LagrangianGrid.sample_shifted`` uses.  ``scaled(ell, coef, level,
+    out)`` writes ``coef`` times the sampled level into ``out``, which
+    equals ``coef`` times stacking ``sample_shifted`` over the rows bit for
+    bit, signs of zero included: a fractional level keeps the
+    ``(1-w) a + w b`` form and gives its aligned rows ``hi = lo`` and
+    ``w = 0``.  ``levels`` holds the feet, per level ``(lo, hi, weights)``.
+    They are shared read-only between plans of equal grid, speeds, dt,
+    depth and batch; the ``_work`` buffer is the plan's own.  Levels have
+    shape ``batch + (Nv, M)``; the batch members share the feet.
 
-    Periodic levels are rolled row by row into the buffers.  A flat
-    ``take`` would be faster up to M = 640 (1.6 vs 5.8 us for one level of
-    2 rows at M = 119) but is slower on wide grids (279 vs 91 us for 3
-    levels at M = 40960; crossover near M = 1300, 2-vCPU x86 VM).
-    Clamped levels use one ``take`` on the clipped indices into the same
-    buffers (``mode="clip"``, which with in-range indices gathers the same
-    values without the buffering of ``mode="raise"``).  Levels have shape
-    ``batch + (Nv, M)``; the batch members share the feet.
+    The kernel follows the level's size, batch x Nv x M elements, on
+    periodic and clamped grids alike.  Up to ``_TAKE_MAX_ELEMENTS`` the feet
+    are flat indices over member, row and column (wrapped with ``% M`` or
+    clipped at the walls) with level-shaped weights, and one ``take``
+    gathers the level.  Wider levels keep two slice pairs and one weight
+    per row, no array per node, and multiply the coefficient or weight
+    straight out of the level's slices.  Per level, take / slices / the
+    row-by-row roll copy and multiply they replaced, aligned feet then
+    fractional (2-vCPU x86 VM, numpy 2.4):
+
+    - batch (), 238 elements: 1.7 / 6.2 / 3.6 us, 6.7 / 18 / 12 us;
+    - batch (), 2556 elements: 7.2 / 11 / 8.4 us, 17 / 21 / 24 us;
+    - batch (), 81920 elements: 145 / 39 / 91 us, 438 / 169 / 245 us;
+    - batch 5, 12780 elements: 20 / 26 / 14 us, 54 / 54 / 52 us.
+
+    Take and slices cross near 6000 elements at batch () and above 12000 at
+    batch 3 and 5, whose strided row slices multiply slowly.  The roll
+    copy still wins on aligned batched levels of 6000 to 8000 elements (the
+    eps study's largest grids), by about 1 us per level: some 2 ms per
+    relax-paper pass, too little for a third kernel.
     """
 
     def __init__(self, grid: LagrangianGrid, speeds: np.ndarray, dt: float,
                  depth: int, batch: tuple[int, ...] = ()):
-        Nv, M = speeds.size, grid.n_nodes
-        self.periodic = grid.boundary == "periodic"
-        self._a = np.empty(batch + (Nv, M))
-        self._b = np.empty(batch + (Nv, M))
+        self._work = np.empty(batch + (speeds.size, grid.n_nodes))
         self.levels = _feet(grid, tuple(speeds.tolist()), dt, depth,
                             tuple(batch))
-        if not self.periodic:
-            self._index = [(_view(lo, True), _view(hi, True))
-                           for lo, hi, _ in self.levels]
+        self._feet = [tuple(_view(f, True) if isinstance(f, np.ndarray)
+                            else f for f in feet)
+                      for feet in self.levels]
 
-    def sample(self, ell: int, values: np.ndarray) -> np.ndarray:
-        """History level ``values`` (..., Nv, M) sampled at the level-``ell``
-        feet.
-
-        The result is a buffer of the plan that the next call overwrites.
-        """
-        lo, hi, weights = self.levels[ell]
-        if self.periodic:
-            a = self._roll(values, lo, self._a)
-            if weights is None:
-                return a
-            b = self._roll(values, hi, self._b)
-        else:
-            lo, hi = self._index[ell]
-            a = values.take(lo, out=self._a, mode="clip")
-            if weights is None:
-                return a
-            b = values.take(hi, out=self._b, mode="clip")
-        a *= weights[0]
-        b *= weights[1]
-        a += b
-        return a
-
-    @staticmethod
-    def _roll(values, offsets, out):
-        """``np.roll`` of each row j by ``offsets[j]``, written into ``out``."""
-        M = values.shape[-1]
-        for j, k in enumerate(offsets):
-            out[..., j, k:] = values[..., j, :M - k]
-            out[..., j, :k] = values[..., j, M - k:]
+    def scaled(self, ell: int, coef: float, values: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+        """``coef`` times the history level ``values`` (..., Nv, M) sampled
+        at the level-``ell`` feet, written into ``out``, which it returns."""
+        lo, hi, weights = self._feet[ell]
+        if weights is None:
+            return _gather(values, lo, coef, out)
+        _gather(values, lo, weights[0], out)
+        out += _gather(values, hi, weights[1], self._work)
+        out *= coef
         return out
 
 
@@ -399,16 +440,19 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
 
     with H_l the history level l (past f forward, future lambda backward)
     at the level-l feet of the field's plan, and a the coefficients of the
-    ramp entry for the history's length.  Returns h = dt b_-1 of that entry.
+    ramp entry for the history's length.  The plan writes a_0 H_0(foot_0)
+    into ``comb`` and each later product into ``prod``; the sum starts as
+    0 - a_0 H_0, the IEEE operation of subtracting it from a zeroed sum,
+    so exact zeros keep their sign.  Returns h = dt b_-1 of that
+    entry.
     """
     _check_field(model, grid, fld)
     eff = fld.ramp[len(fld.history) - 1]
-    comb, prod = fld.comb, fld.prod
-    comb.fill(0.0)
-    for ell in range(eff.s):
-        np.multiply(eff.a[ell], fld.plan.sample(ell, fld.history[ell]),
-                    out=prod)
-        comb -= prod
+    comb, plan, history = fld.comb, fld.plan, fld.history
+    plan.scaled(0, eff.a[0], history[0], comb)
+    np.subtract(0.0, comb, out=comb)         # 0 - x, as from a zeroed sum
+    for ell in range(1, eff.s):
+        comb -= plan.scaled(ell, eff.a[ell], history[ell], fld.prod)
     return fld.dt * eff.b_implicit
 
 

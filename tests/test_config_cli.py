@@ -1,6 +1,7 @@
 """Config parsing, CLI contract, CSV artifacts and determinism."""
 
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -398,9 +399,12 @@ class TestCli:
         assert f"key {key!r}" in err and "must be" in err
         assert os.listdir(tmp_path) == ["c.conf"]
 
-    def test_unallocatable_forward_store_config_error(self, tmp_path, capsys):
+    def test_unallocatable_forward_store_config_error(self, tmp_path, capsys,
+                                                      monkeypatch):
         # 1e15 steps pass the array-size bound, but their 277 PiB store
-        # exceeds any address space, so the allocation fails at once
+        # exceeds any address space, so the allocation fails at once; the
+        # work bound, which rejects these settings first, is lifted here
+        monkeypatch.setattr(experiments, "_MAX_NODE_STEPS", float("inf"))
         conf = self._write(tmp_path, "c.conf", "[relax-forward]\n"
                            "flux = linear\nnx = 40\ndt = 1e-15\n")
         assert cli.main(["relax-forward", "--config", conf,
@@ -422,6 +426,51 @@ class TestCli:
                          "--out", str(tmp_path)]) == 2
         assert "key 'T': must be at most" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("kind, body", [
+        ("relax-adjoint", "nx_list = 20,40\nT = 1e15\n"),
+        ("relax-forward", "flux = linear\nnx = 40\ndt = 1e-15\n"),
+        ("control-jinxin", "nx = 40\nT = 3e9\n"),
+        ("control-broadwell", "nx = 41\niterations = 1000000000\n"),
+    ], ids=["relax-adjoint", "relax-forward", "control-jinxin",
+            "control-broadwell"])
+    def test_work_bound_config_error(self, tmp_path, capsys, monkeypatch,
+                                     kind, body):
+        # settings that pass the index and store bounds but ask for years
+        # of node-steps are rejected before any allocation or sweep
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept past the work bound")
+
+        monkeypatch.setattr(rx, "solve_forward", no_sweep)
+        monkeypatch.setattr(rx, "viscous_limit_check", no_sweep)
+        conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
+        assert cli.main([kind, "--config", conf, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'T'" in err and "node-steps" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_shipped_configs_far_under_the_work_bound(self, tmp_path,
+                                                      monkeypatch):
+        # every bench workload and every relaxation kind's defaults stay
+        # 1000x under the bound; each run stops at its admission check
+        counted = []
+
+        def admit(node_steps):
+            counted.append(node_steps)
+            raise ConfigError("counted")
+
+        monkeypatch.setattr(experiments, "_admit", admit)
+        workloads = pathlib.Path(__file__).parent.parent / "bench" / "workloads"
+        texts = [path.read_text() for path in workloads.glob("relax-*/*.conf")]
+        texts += ["[relax-forward]\nflux = burgers\n", "[relax-adjoint]\n",
+                  "[control-jinxin]\n", "[control-broadwell]\n"]
+        for text in texts:
+            conf = self._write(tmp_path, "c.conf", text)
+            kind = parse_config(text).kind
+            assert cli.main([kind, "--config", conf,
+                             "--out", str(tmp_path)]) == 2
+        assert len(counted) == len(texts) == 10
+        assert max(counted) * 1000 <= experiments._MAX_NODE_STEPS, counted
 
     def test_step_count_bound_covers_the_fine_grid(self):
         # 2**62 steps index, but a nested fine grid's 2**63 do not

@@ -1,6 +1,7 @@
 """Semi-Lagrangian relaxation solver: models, forward, adjoint, oracles."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,17 @@ def zero_state_jac(model, grid):
 def moment_deviation(model, u):
     """Largest deviation of the moments Q E(u) from the sampled states u."""
     return float(np.max(np.abs(model.moments(model.equilibrium(u)) - u)))
+
+
+def assert_bitwise(actual, expected):
+    """Equal shapes and equal float64 bit patterns: unlike
+    ``np.array_equal`` this tells -0.0 from +0.0, which a CSV cell written
+    with %.17g does too."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, (actual.shape, expected.shape)
+    assert actual.dtype == expected.dtype == np.float64
+    same = actual.view(np.int64) == expected.view(np.int64)
+    assert same.all(), f"{np.count_nonzero(~same)} entries differ in bits"
 
 
 def step_forward(model, grid, fld):
@@ -304,7 +316,7 @@ class TestForward:
         for _ in range(6):
             step_forward(model, grid, fld)
             hist = [fld.current.copy()] + hist[:2]
-        expect = reference_forward_step(model, grid, hist, dt, tab)
+        expect = reference_forward_step(model, grid, hist, dt, tab)[0]
         step_forward(model, grid, fld)
         assert np.array_equal(fld.current, expect)
 
@@ -555,51 +567,59 @@ class TestAdjoint:
         assert err.value.step_index == 3
 
 
-def reference_forward_step(model, grid, history, dt, tab):
-    """Forward step from per-velocity ``sample_shifted`` calls."""
+def reference_combination(grid, speeds, history, dt, tab):
+    """The history combination C = -sum_l a_l H_l(foot_l) from
+    per-velocity ``sample_shifted`` calls, and h = dt b_-1, for the ramp
+    entry of the history's length."""
     eff = tab if len(history) >= tab.s else la.tableau(f"bdf{len(history)}")
-    comb = np.zeros_like(history[0])
+    C = np.zeros_like(history[0])
     for ell in range(eff.s):
-        for j, vj in enumerate(model.velocities):
+        for j, vj in enumerate(speeds):
             shift = vj * (ell + 1) * dt / grid.dx
-            comb[j] -= eff.a[ell] * grid.sample_shifted(history[ell][j], shift)
-    w = dt * eff.b_implicit / (dt * eff.b_implicit + model.eps)
-    return w * model.equilibrium(model.moments(comb)) + (1.0 - w) * comb
+            C[j] -= eff.a[ell] * grid.sample_shifted(history[ell][j], shift)
+    return C, dt * eff.b_implicit
+
+
+def reference_forward_step(model, grid, history, dt, tab):
+    """Forward step f = (1 - w) C + w E(Q C) and its C."""
+    C, h = reference_combination(grid, model.velocities, history, dt, tab)
+    w = h / (h + model.eps)
+    return w * model.equilibrium(model.moments(C)) + (1.0 - w) * C, C
 
 
 def reference_adjoint_step(model, grid, history, u_prev, dt, tab):
-    """Adjoint step from per-velocity ``sample_shifted`` calls."""
-    eff = tab if len(history) >= tab.s else la.tableau(f"bdf{len(history)}")
-    S = np.zeros_like(history[0])
-    for i in range(eff.s):
-        for j, vj in enumerate(model.velocities):
-            shift = -vj * (i + 1) * dt / grid.dx
-            S[j] += eff.a[i] * grid.sample_shifted(history[i][j], shift)
-    b = eff.b_implicit
-    phi = -np.einsum("jrm,jm->rm", model.equilibrium_jac(u_prev), S)
-    return (-(model.eps / (model.eps + dt * b)) * S
-            + dt * b / (model.eps + dt * b)
-            * np.einsum("rj,rm->jm", model.q_matrix, phi))
+    """Adjoint step lam = eps/(eps + h) C + h/(eps + h) Q^T (J^T C), at the
+    mirrored feet, and its C."""
+    C, h = reference_combination(grid, -model.velocities, history, dt, tab)
+    phi = np.einsum("jrm,jm->rm", model.equilibrium_jac(u_prev), C)
+    return (model.eps / (model.eps + h) * C
+            + h / (model.eps + h) * np.einsum("rj,rm->jm", model.q_matrix,
+                                              phi)), C
 
 
-def assert_steps_match_reference(model, grid, dt, tab, u0, n_steps):
-    """Planned forward and adjoint steps equal the references bit for bit
-    through the order ramp and beyond."""
+def assert_steps_match_reference(model, grid, dt, tab, u0, n_steps, d=None):
+    """Planned forward and adjoint steps, and their history combinations
+    C, equal the references bit for bit, sign of zero included, through the
+    order ramp and beyond.  The adjoint
+    starts from the multipliers of ``d`` (default ``u0``), with the
+    Jacobian at ``u0``."""
     fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
     hist = [fld.current.copy()]
     for _ in range(n_steps):
-        expect = reference_forward_step(model, grid, hist, dt, tab)
+        expect, C = reference_forward_step(model, grid, hist, dt, tab)
         step_forward(model, grid, fld)
-        assert np.array_equal(fld.current, expect)
+        assert_bitwise(fld.comb, C)
+        assert_bitwise(fld.current, expect)
         hist = [expect] + hist[:tab.s - 1]
 
-    lam_T = rx.terminal_multipliers(model, u0)
+    lam_T = rx.terminal_multipliers(model, u0 if d is None else d)
     adj = rx.AdjointField(model, grid, dt, tab, lam_T)
     hist = [adj.current.copy()]
     jac = model.equilibrium_jac(u0)
     for _ in range(n_steps):
-        expect = reference_adjoint_step(model, grid, hist, u0, dt, tab)
-        assert np.array_equal(rx.adjoint_step(model, grid, adj, jac), expect)
+        expect, C = reference_adjoint_step(model, grid, hist, u0, dt, tab)
+        assert_bitwise(rx.adjoint_step(model, grid, adj, jac), expect)
+        assert_bitwise(adj.comb, C)
         hist = [expect] + hist[:tab.s - 1]
 
 
@@ -657,6 +677,101 @@ class TestFootPlan:
             assert out.shape[-1] == grid.n_nodes
 
 
+@pytest.fixture(params=["take", "slices"])
+def kernel(request, monkeypatch):
+    """Force one ``FootPlan`` kernel on every level size: the feet are built
+    afresh under a patched threshold and dropped again afterwards."""
+    rx._feet.cache_clear()
+    monkeypatch.setattr(rx, "_TAKE_MAX_ELEMENTS",
+                        math.inf if request.param == "take" else 0)
+    yield request.param
+    rx._feet.cache_clear()
+
+
+def level_data(shape, seed=0):
+    """A random level whose rows hold a stretch of +0.0 and one of -0.0."""
+    values = np.random.default_rng(seed).standard_normal(shape)
+    M = shape[-1]
+    values[..., M // 4:M // 2] = 0.0
+    values[..., M // 2:3 * M // 4] = -0.0
+    return values
+
+
+def zero_region_case(kind, nx):
+    """(model, grid, speed, u0, d): Jin-Xin Burgers (periodic) or Broadwell
+    (clamped) data that is exactly zero off a box, u0 for the forward run
+    and the Jacobian, d for the terminal multipliers (negative zeros)."""
+    if kind == "jinxin":
+        grid = rx.LagrangianGrid(0.0, 6.0, nx)
+        x = grid.nodes()
+        box = np.abs(x - 3.0) <= 1.0
+        u0 = np.where(box, 1.0 + np.exp(-(x - 3.0) ** 2), 0.0)[None, :]
+        return burgers_jinxin(2.1, 1e-2), grid, 2.1, u0, -u0
+    grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary="clamp")
+    x = grid.nodes()
+    box = np.abs(x) <= 1.0
+    m = np.where(box, np.sin(np.pi * x), 0.0)
+    u0 = np.stack([1.0 + 0.3 * box, m])
+    return rx.make_broadwell(1.0, 1e-2), grid, 1.0, u0, np.stack([-m, m])
+
+
+class TestFootPlanKernels:
+    """``FootPlan.scaled`` picks a flat ``take`` or row slices by level
+    size; each kernel, forced on the same data, gives coef x
+    ``sample_shifted`` bit for bit, sign of zero included."""
+
+    @pytest.mark.parametrize("batch", [(), (2, 3)])
+    @pytest.mark.parametrize("ratio", [1.0, 2.0, 0.7, 2.3])
+    @pytest.mark.parametrize("boundary, nx", [
+        ("periodic", 5), ("periodic", 41), ("clamp", 5), ("clamp", 41)])
+    def test_scaled_matches_sample_shifted(self, kernel, boundary, nx, ratio,
+                                           batch):
+        # on nx = 5 the deepest feet (up to 6.9 cells) pass a whole period
+        # or wall; Broadwell's zero speed stays aligned in fractional levels
+        grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary)
+        speeds = np.array([2.1, -2.1] if boundary == "periodic"
+                          else [1.0, -1.0, 0.0])
+        dt = ratio * grid.dx / speeds[0]
+        tab = la.tableau("BDF3")
+        plan = rx.FootPlan(grid, speeds, dt, tab.s, batch)
+        assert isinstance(plan.levels[0][0], np.ndarray) == (kernel == "take")
+        values = level_data(batch + (speeds.size, grid.n_nodes))
+        out = np.empty_like(values)
+        for ell, coef in enumerate(tab.a):
+            expect = np.stack([
+                coef * grid.sample_shifted(values[..., j, :],
+                                           vj * (ell + 1) * dt / grid.dx)
+                for j, vj in enumerate(speeds)], axis=-2)
+            assert plan.scaled(ell, coef, values, out) is out
+            assert_bitwise(out, expect)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.7])
+    @pytest.mark.parametrize("kind", ["jinxin", "broadwell"])
+    def test_steps_match_reference_on_zero_regions(self, kernel, kind, ratio):
+        model, grid, speed, u0, d = zero_region_case(kind, 33)
+        assert_steps_match_reference(model, grid, ratio * grid.dx / speed,
+                                     la.tableau("BDF3"), u0, 5, d)
+
+    @pytest.mark.parametrize("above", [False, True], ids=["take", "slices"])
+    @pytest.mark.parametrize("kind", ["jinxin", "broadwell"])
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(offset=st.integers(0, 64), ratio=foot_ratio,
+           order=st.integers(1, 6))
+    def test_steps_match_reference_across_the_threshold(self, kind, above,
+                                                        offset, ratio, order):
+        # levels of a few elements more or fewer than _TAKE_MAX_ELEMENTS
+        Nv = 2 if kind == "jinxin" else 3
+        M = rx._TAKE_MAX_ELEMENTS // Nv + (1 + offset if above else -offset)
+        model, grid, speed, u0, d = zero_region_case(
+            kind, M + 1 if kind == "jinxin" else M)
+        assert grid.n_nodes == M
+        dt = ratio * grid.dx / speed
+        tab = la.tableau(f"BDF{order}")
+        plan = rx.FootPlan(grid, model.velocities, dt, tab.s)
+        assert isinstance(plan.levels[0][0], np.ndarray) != above
+        assert_steps_match_reference(model, grid, dt, tab, u0, order + 2, d)
+
+
 def terminal_batch(x, n, B):
     """Terminal data (B, n, M): a box (exact zeros), its negative (negative
     zeros) and smooth bumps, cycled over members and components."""
@@ -682,10 +797,8 @@ def assert_batch_matches_members(make_model, eps, grid, tab, u_store, d,
         members.append(rx.solve_adjoint(
             member, grid, tab, u_store, rx.terminal_multipliers(member, d_b),
             n_steps, dt))
-    expect = np.reshape(members, batched.shape)
     assert batched.shape == eps.shape + (model.n_velocities, grid.n_nodes)
-    assert np.array_equal(batched, expect)
-    assert np.array_equal(np.signbit(batched), np.signbit(expect))
+    assert_bitwise(batched, np.reshape(members, batched.shape))
 
 
 member_eps = st.lists(st.sampled_from([1e-4, 1e-2, 0.3, 1.0, 4.0]),
@@ -931,18 +1044,31 @@ class TestFeetCache:
             a, b = (self.field(rx.LagrangianGrid(-2.5, 2.5, 33, boundary))
                     for _ in range(2))
             assert a.plan.levels is b.plan.levels
-            assert not np.shares_memory(a.plan._a, b.plan._a)
-            assert not np.shares_memory(a.plan._b, b.plan._b)
-            for lo, hi, weights in a.plan.levels:
+            assert not np.shares_memory(a.plan._work, b.plan._work)
+            for level, own in zip(a.plan.levels, a.plan._feet):
+                lo, hi, weights = level
                 assert weights is not None    # 0.07 / dx is fractional
-                arrays = list(weights)
-                if boundary == "clamp":
-                    arrays += [lo, hi]
-                else:                         # row offsets: int tuples
-                    assert isinstance(lo, tuple) and isinstance(hi, tuple)
-                for arr in arrays:
+                # 3 x 32 nodes: flat indices on either boundary, which the
+                # plan gathers through writeable views of its own
+                for arr, view in zip((lo, hi), own):
+                    assert isinstance(arr, np.ndarray)
+                    assert view.flags.writeable and view.base is arr.base
+                for arr in (lo, hi, *weights):
                     with pytest.raises(ValueError, match="read-only"):
                         arr[(0,) * arr.ndim] = 1
+
+    @pytest.mark.parametrize("dt", [1e-4, 4e-5], ids=["aligned", "fractional"])
+    def test_wide_periodic_plan_keeps_no_index_per_node(self, dt):
+        # a relax-wide level (nx = 40961) keeps slice pairs per row: the
+        # cached feet hold no array that grows with the grid
+        grid = rx.LagrangianGrid(-3.0, 3.0, 40961, "periodic")
+        a = grid.dx / 1e-4
+        fld = rx.KineticField(burgers_jinxin(a, 1e-2), grid, dt,
+                              la.tableau("BDF3"), np.zeros((2, grid.n_nodes)))
+        for lo, hi, weights in fld.plan.levels:
+            assert isinstance(lo, tuple) and isinstance(hi, tuple)
+            assert all(isinstance(w, float)
+                       for row in weights or () for w in row)
 
     def test_any_key_change_gives_other_feet(self):
         feet = self.field().plan.levels
@@ -964,8 +1090,9 @@ class TestFeetCache:
         assert rx._feet.cache_info().maxsize <= 16
 
 
-def traced_peak_rows(step, M):
-    """Peak bytes traced while ``step()`` runs, in grid rows of 8 M bytes."""
+def traced_peak_rows(step, M, slack=0):
+    """Peak bytes traced while ``step()`` runs, less ``slack`` bytes, in
+    grid rows of 8 M bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -974,12 +1101,13 @@ def traced_peak_rows(step, M):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - base) / (8 * M)
+    return (peak - base - slack) / (8 * M)
 
 
-def warm_step_rows(model, grid, dt, u0):
+def warm_step_rows(model, grid, dt, u0, slack=0):
     """Peak rows of one warm BDF3 forward step and one warm adjoint step
-    (with ``out`` and the Jacobian, as the sweeps call them)."""
+    (with ``out`` and the Jacobian, as the sweeps call them), less
+    ``slack`` bytes."""
     tab = la.tableau("BDF3")
     fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
     adj = rx.AdjointField(model, grid, dt, tab,
@@ -991,9 +1119,17 @@ def warm_step_rows(model, grid, dt, u0):
         rx.adjoint_step(model, grid, adj, jac)
     M = grid.n_nodes
     return (traced_peak_rows(
-                lambda: rx.forward_step(model, grid, fld, out=u_out), M),
+                lambda: rx.forward_step(model, grid, fld, out=u_out), M,
+                slack),
             traced_peak_rows(
-                lambda: rx.adjoint_step(model, grid, adj, jac), M))
+                lambda: rx.adjoint_step(model, grid, adj, jac), M, slack))
+
+
+# Bytes a warm step allocates whatever the grid size (array headers, ufunc
+# iterators, scalars): about 1.4 KB.  On small grids that is more than a
+# row, so the small-grid bounds leave 1 KB of it out; an index array that
+# take copied would still show.
+STEP_OVERHEAD_BYTES = 1024
 
 
 class TestStepAllocations:
@@ -1020,6 +1156,32 @@ class TestStepAllocations:
                        0.2 * np.exp(-((x - 0.5) ** 2))])
         fwd, bwd = warm_step_rows(rx.make_broadwell(1.0, 1e-2), grid,
                                   ratio * grid.dx, u0)
+        assert fwd <= 8 and bwd <= 1, (fwd, bwd)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.7])
+    def test_jinxin_burgers_below_take_threshold(self, ratio):
+        # nx = 121 and 321 gather each level with one take, through the
+        # plan's writeable views of the cached indices; a copied index
+        # would add Nv rows at the moment of the take
+        grid = rx.LagrangianGrid(0.0, 6.0, 121)
+        assert 2 * grid.n_nodes <= rx._TAKE_MAX_ELEMENTS
+        a = 2.1
+        x = grid.nodes()
+        u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+        fwd, bwd = warm_step_rows(burgers_jinxin(a, 1e-2), grid,
+                                  ratio * grid.dx / a, u0,
+                                  STEP_OVERHEAD_BYTES)
+        assert fwd <= 3 and bwd <= 1, (fwd, bwd)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.7])
+    def test_clamped_broadwell_below_take_threshold(self, ratio):
+        grid = rx.LagrangianGrid(-2.5, 2.5, 321, boundary="clamp")
+        assert 3 * grid.n_nodes <= rx._TAKE_MAX_ELEMENTS
+        x = grid.nodes()
+        u0 = np.stack([1.0 + 0.3 * np.exp(-x ** 2),
+                       0.2 * np.exp(-((x - 0.5) ** 2))])
+        fwd, bwd = warm_step_rows(rx.make_broadwell(1.0, 1e-2), grid,
+                                  ratio * grid.dx, u0, STEP_OVERHEAD_BYTES)
         assert fwd <= 8 and bwd <= 1, (fwd, bwd)
 
     def test_ring_recycles_evicted_levels(self):
