@@ -121,7 +121,9 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
     -> BB step (``bb_step`` with ``bb_variant``; the first iteration steps
     ``sigma0``) -> update -> optional TV filter (every ``filter_every``
     iterations; 0 disables).  Stops at the iteration cap, on a vanishing
-    functional, or when the gradient sup-norm drops below 1e-8.  A
+    functional, or when the gradient sup-norm drops below 1e-8.  Every
+    forward solve after the first writes into the first one's store
+    (``solve_forward``'s ``out``), so a descent holds one store.  A
     ``SolverError`` of either solve gains the descent iteration k in its
     message and keeps its step index.
     The loop is deterministic for a fixed configuration.
@@ -130,9 +132,11 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
     sigma = sigma0
     prev = None  # control and gradient of the previous iteration
     log: list[dict] = []
+    u_store = None  # the first forward solve's store, rewritten by the rest
     try:
         for k in range(iterations + 1):
-            u_store = solve_forward(model, grid, tab, control, n_steps, dt)[1]
+            u_store = solve_forward(model, grid, tab, control, n_steps, dt,
+                                    out=u_store)[1]
             u_T = u_store[-1].copy()
             J = functional(u_T)
             if k == iterations or J == 0.0:
@@ -143,7 +147,6 @@ def optimize(model: RelaxationModel, grid: LagrangianGrid,
                                          functional.terminal_mismatch(u_T))
             lam0 = solve_adjoint(model, grid, tab, u_store, lam_T, n_steps,
                                  dt)
-            del u_store  # dead: the next forward solve allocates a fresh one
             grad = gradient_from_adjoint(model, lam0, control)
             gnorm = float(np.max(np.abs(grad)))
             if prev is not None:

@@ -53,14 +53,24 @@ def write_csv(path, header, rows):
 
     Numbers get 17 significant digits, None and NaN cells are left empty and
     str cells are written as they are; a row shorter than the longest of
-    its block is padded with empty cells.  Rows are formatted a column at a
-    time, ``_CSV_BLOCK`` rows per write.
+    its block is padded with empty cells.  ``_CSV_BLOCK`` rows go out per
+    write.  A block of a numeric array without NaN is formatted in one
+    ``%`` operation over all its cells; every other block (row lists,
+    blank cells) a column at a time by ``_column``.  Both run the same
+    ``%.17g`` conversion on the same Python numbers, so the bytes agree.
     """
+    numeric = (isinstance(rows, np.ndarray) and rows.ndim == 2
+               and rows.shape[1] > 0 and rows.dtype.kind in "fiu")
+    if numeric:
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK):
             block = rows[start:start + _CSV_BLOCK]
+            if numeric and not np.isnan(block).any():
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+                continue
             columns = (block.T if isinstance(block, np.ndarray)
                        else itertools.zip_longest(*block))
             fh.writelines(",".join(row) + "\n"

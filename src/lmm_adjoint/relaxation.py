@@ -566,19 +566,26 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
 
 def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
                   tab: MultistepTableau, u0: np.ndarray, n_steps: int,
-                  dt: float):
+                  dt: float, out: np.ndarray | None = None):
     """Run the forward solver from equilibrium-lifted macroscopic data.
 
     Returns (field, u_store) where u_store has shape (n_steps+1, n, M); the
-    full in-memory store backs the adjoint solver.  A store that cannot be
-    allocated is a ``ConfigError`` naming dt.
+    full in-memory store backs the adjoint solver.  ``out`` follows the
+    NumPy convention: given a float64 array of that shape, the store is
+    written into it and returned, so a caller that solves repeatedly can
+    reuse one store; any other ``out`` is a ValueError raised before the
+    first step.  A store that cannot be allocated is a ``ConfigError``
+    naming dt.
     """
+    shape = (n_steps + 1, model.n_conserved, grid.n_nodes)
+    if out is not None and (out.shape != shape or out.dtype != np.float64):
+        raise ValueError(f"out must be a float64 store of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
     u0 = np.atleast_2d(np.asarray(u0, dtype=float))
     f0 = model.equilibrium(u0)
     fld = KineticField(model, grid, dt, tab, f0)
-    shape = (n_steps + 1, model.n_conserved, grid.n_nodes)
     try:
-        u_store = np.empty(shape)
+        u_store = np.empty(shape) if out is None else out
     except MemoryError:
         raise ConfigError(
             f"key 'dt': must be large enough for the forward store of "
@@ -601,7 +608,11 @@ class AdjointField(_LevelRing):
     holds the feet of the backward step, v_j (i+1) dt downstream of every
     node.  ``lam_T`` is (..., Nv, M): leading axes batch independent
     multiplier fields over one frozen forward state.  ``phi`` (..., n, M)
-    holds the step's J^T C.
+    holds the step's J^T C.  ``weights[l-1]`` holds the step's factors
+    (eps/(eps+h), h/(eps+h)) of ramp entry l, h = dt b_-1: floats for a
+    float eps, level-shaped arrays for an array eps, which multiply a
+    level without the buffer NumPy allocates to broadcast a (B, 1, 1)
+    factor.
     """
 
     blowup = "non-finite adjoint field at backward step {}"
@@ -616,6 +627,15 @@ class AdjointField(_LevelRing):
         super().__init__(model, grid, dt, tab, lam_T, -model.velocities)
         self.phi = np.empty(lam_T.shape[:-2]
                             + (model.n_conserved, grid.n_nodes))
+        eps = model.eps
+        self.weights = []
+        for eff in self.ramp:
+            h = dt * eff.b_implicit                  # as _combine forms it
+            pair = eps / (eps + h), h / (eps + h)
+            if isinstance(eps, np.ndarray):
+                pair = tuple(np.broadcast_to(c, lam_T.shape).copy()
+                             for c in pair)
+            self.weights.append(pair)
 
 
 def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
@@ -642,13 +662,14 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     if jac.shape != shape:
         raise ValueError(f"equilibrium Jacobian must have shape {shape}, "
                          f"got {jac.shape}")
-    h = _combine(model, grid, adj)
-    eps, comb = model.eps, adj.comb
+    _combine(model, grid, adj)
+    keep, relax = adj.weights[len(adj.history) - 1]  # _combine's ramp entry
+    comb = adj.comb
     phi = np.einsum("jrm,...jm->...rm", jac, comb, out=adj.phi)
     lam_new = adj.slot()
-    np.multiply(eps / (eps + h), comb, out=lam_new)
+    np.multiply(keep, comb, out=lam_new)
     qphi = np.einsum("rj,...rm->...jm", model.q_matrix, phi, out=adj.E)
-    np.multiply(h / (eps + h), qphi, out=qphi)
+    np.multiply(relax, qphi, out=qphi)
     lam_new += qphi
     adj.push(lam_new)
     return lam_new

@@ -1,10 +1,13 @@
 """Config parsing, CLI contract, CSV artifacts and determinism."""
 
+import itertools
 import os
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from lmm_adjoint import cli, experiments
 from lmm_adjoint import relaxation as rx
@@ -489,6 +492,125 @@ class TestCli:
         assert cli.main([kind, "--config", conf, "--out", str(tmp_path)]) == 2
         assert "requires a BDF tableau" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["c.conf"]
+
+
+def reference_column(cells) -> list[str]:
+    """``experiments._column`` as it was before numeric blocks got their
+    one-operation path, kept verbatim as the reference writer."""
+    if isinstance(cells, np.ndarray):
+        cells = cells.tolist()
+    blank = [isinstance(c, str) or c is None or c != c for c in cells]
+    nums = [c for c, b in zip(cells, blank) if not b]
+    text = iter(("%.17g\n" * len(nums) % tuple(nums)).split("\n"))
+    return [(c if isinstance(c, str) else "") if b else next(text)
+            for c, b in zip(cells, blank)]
+
+
+def reference_write_csv(path, header, rows):
+    """``experiments.write_csv`` as it was, every block through the
+    column-at-a-time path."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), experiments._CSV_BLOCK):
+            block = rows[start:start + experiments._CSV_BLOCK]
+            columns = (block.T if isinstance(block, np.ndarray)
+                       else itertools.zip_longest(*block))
+            fh.writelines(",".join(row) + "\n"
+                          for row in zip(*map(reference_column, columns)))
+
+
+def assert_writes_like_reference(tmp_path, rows):
+    ncols = (rows.shape[1] if isinstance(rows, np.ndarray)
+             else max(map(len, rows)))
+    header = [f"c{j}" for j in range(ncols)]
+    experiments.write_csv(tmp_path / "new.csv", header, rows)
+    reference_write_csv(tmp_path / "ref.csv", header, rows)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    return new
+
+
+EXTREME_FLOATS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                  2.225073858507201e-308, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308,
+                  1e-5, 9.9999999999999e-5, 1e16, 1e17, 0.1, -1.0,
+                  123456789012345680.0]
+
+
+def scattered_array(rows, cols, seed, specials):
+    """Random float64 bit patterns (NaN patterns replaced by -0.0) with
+    ``specials`` and the extreme floats scattered over the cells."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2 ** 63, 2 ** 63, size=(rows, cols),
+                     dtype=np.int64).view(np.float64)
+    a[np.isnan(a)] = -0.0
+    pool = np.array(EXTREME_FLOATS + specials)
+    if a.size:
+        picks = rng.random(a.shape) < 0.5
+        a[picks] = rng.choice(pool, size=int(picks.sum()))
+    return a
+
+
+class TestCsvWriter:
+    """``write_csv`` formats a block of a numeric array without NaN in one
+    operation and every other block a column at a time; both give the
+    bytes of the column-at-a-time reference writer."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+    @hyp_settings(max_examples=8, deadline=None, derandomize=True)
+    @given(cols=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           specials=st.lists(st.floats(allow_nan=False), max_size=8))
+    def test_float_arrays_match_reference(self, tmp_path_factory, rows, cols,
+                                          seed, specials):
+        tmp_path = tmp_path_factory.mktemp("csv")
+        a = scattered_array(rows, cols, seed, specials)
+        text = assert_writes_like_reference(tmp_path, a)
+        assert text.count(b"\n") == rows + 1
+
+    def test_nan_cells_stay_empty(self, tmp_path):
+        # the NaN sits in the second block only: the first block takes the
+        # one-operation path, the second the column path
+        a = scattered_array(4097, 3, 7, [])
+        a[4096, 1] = np.nan
+        text = assert_writes_like_reference(tmp_path, a).decode()
+        last = text.splitlines()[-1].split(",")
+        assert last[1] == "" and "" not in last[::2]
+        a[:, 0] = np.nan
+        text = assert_writes_like_reference(tmp_path, a).decode()
+        assert all(line.startswith(",") for line in text.splitlines()[1:])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8,
+                                       np.uint64])
+    def test_int_arrays_match_reference(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        a = np.array([[info.min, info.max, 0], [1, 7, 255]], dtype=dtype)
+        assert_writes_like_reference(tmp_path, np.repeat(a, 2049, axis=0))
+
+    def test_rows_and_other_arrays_match_reference(self, tmp_path):
+        rows = [[1, 0.5, "tag"], [2, None, float("nan")], [3, -0.0]]
+        assert_writes_like_reference(tmp_path, rows)
+        assert_writes_like_reference(tmp_path, np.array([[True, False]]))
+        assert_writes_like_reference(tmp_path, np.empty((3, 0)))
+        assert_writes_like_reference(
+            tmp_path, np.array([[1.5, -0.0]], dtype=np.float32))
+
+    def test_snapshot_arrays_skip_the_column_path(self, tmp_path,
+                                                  monkeypatch):
+        x = np.linspace(-3.0, 3.0, 9000)
+        snapshot = np.column_stack([x, np.sin(x), -np.cos(x)])
+        expected = tmp_path / "ref.csv"
+        reference_write_csv(expected, ["x", "rho", "m"], snapshot)
+
+        def refuse(cells):
+            raise AssertionError("numeric block went through _column")
+
+        monkeypatch.setattr(experiments, "_column", refuse)
+        experiments.write_csv(tmp_path / "new.csv", ["x", "rho", "m"],
+                              snapshot)
+        assert (tmp_path / "new.csv").read_bytes() == expected.read_bytes()
+        with pytest.raises(AssertionError, match="_column"):
+            experiments.write_csv(tmp_path / "log.csv", ["k", "J"],
+                                  [[0, 1.5]])
 
 
 class TestRelaxAdjointSweeps:

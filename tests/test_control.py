@@ -1,5 +1,7 @@
 """Tracking functional, BB steps, TV filter, and the descent loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,3 +309,83 @@ class TestOptimize:
                            match=r"at step 1 in descent iteration 1$") as err:
             run_control(cfg, str(tmp_path), "control-broadwell")
         assert err.value.step_index == 1
+
+
+def coarse_broadwell_setup(nx=40, n_steps=8):
+    grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary="clamp")
+    model = rx.make_broadwell(1.0, 1e-2)
+    tab = la.tableau("BDF2")
+    dt = 0.02
+    x = grid.nodes()
+    target0 = np.stack([1.0 + 0.1 * np.exp(-x ** 2),
+                        0.2 * np.exp(-((x - 0.5) ** 2))])
+    _, us = rx.solve_forward(model, grid, tab, target0, n_steps, dt)
+    functional = ct.TrackingFunctional(us[-1], grid.dx)
+    guess = np.stack([np.ones_like(x), np.zeros_like(x)])
+    return grid, model, tab, functional, guess, n_steps, dt
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert (actual.view(np.int64) == expected.view(np.int64)).all()
+
+
+class TestForwardStoreReuse:
+    """A descent writes every forward solve after the first into the first
+    one's store (``solve_forward``'s ``out``)."""
+
+    @pytest.mark.parametrize("setup", [coarse_jinxin_setup,
+                                       coarse_broadwell_setup])
+    def test_reused_store_equals_fresh_stores(self, monkeypatch, setup):
+        grid, model, tab, functional, guess, n_steps, dt = setup()
+        solve = ct.solve_forward
+        outs, stores = [], []
+
+        def passing(*args, **kwargs):
+            outs.append(kwargs.get("out"))
+            fld, store = solve(*args, **kwargs)
+            stores.append(store)
+            return fld, store
+
+        def fresh(*args, out=None):
+            return solve(*args)
+
+        runs = []
+        for wrapper in (passing, fresh):
+            monkeypatch.setattr(ct, "solve_forward", wrapper)
+            runs.append(ct.optimize(model, grid, tab, functional, guess,
+                                    n_steps, dt, iterations=6, sigma0=0.1,
+                                    bb_variant="bb2", filter_every=2))
+        reused, baseline = runs
+        assert len(stores) == 7
+        assert outs[0] is None
+        assert all(out is stores[0] for out in outs[1:])
+        assert all(store is stores[0] for store in stores)
+        assert_bitwise(reused.control, baseline.control)
+        assert_bitwise(reused.u_terminal, baseline.u_terminal)
+        assert len(reused.iterations) == len(baseline.iterations)
+        for r, b in zip(reused.iterations, baseline.iterations):
+            assert r.keys() == b.keys() and r["k"] == b["k"]
+            assert_bitwise([r["J"], r["sigma"], r["grad_inf_norm"]],
+                           [b["J"], b["sigma"], b["grad_inf_norm"]])
+
+    def test_descent_holds_one_store(self, monkeypatch):
+        # 400 steps on 40 nodes: a store is 125 KB, far above the sweeps'
+        # rings and work buffers once the adjoint evaluates its Jacobians
+        # one level per block (a full block would be twice the store)
+        grid, model, tab, functional, guess, n_steps, dt = \
+            coarse_jinxin_setup(n_steps=400)
+        monkeypatch.setattr(rx, "_JAC_BLOCK_NODES", grid.n_nodes)
+        store_bytes = 8 * (n_steps + 1) * grid.n_nodes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ct.optimize(model, grid, tab, functional, guess, n_steps, dt,
+                        iterations=5, sigma0=0.1, bb_variant="bb2",
+                        filter_every=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * store_bytes, peak / store_bytes

@@ -406,6 +406,46 @@ class TestForward:
         assert np.max(np.abs(mass - mass[0])) <= 1e-14 * 12 * scale
 
 
+class TestForwardStore:
+    """``solve_forward(..., out=store)`` writes the conserved store into a
+    caller's array, which a descent reuses across its forward solves."""
+
+    @pytest.mark.parametrize("kind", ["jinxin", "broadwell"])
+    def test_out_equals_a_fresh_store(self, kind):
+        if kind == "jinxin":
+            grid = rx.LagrangianGrid(0.0, 6.0, 41)
+            model, dt = burgers_jinxin(2.1, 1e-2), 0.7 * grid.dx / 2.1
+            x = grid.nodes()
+            u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+        else:
+            grid = rx.LagrangianGrid(-2.5, 2.5, 41, boundary="clamp")
+            model, dt = rx.make_broadwell(1.0, 1e-2), 0.7 * grid.dx
+            x = grid.nodes()
+            u0 = np.stack([1.0 + 0.3 * np.exp(-x ** 2),
+                           0.2 * np.exp(-((x - 0.5) ** 2))])
+        tab = la.tableau("BDF3")
+        _, fresh = rx.solve_forward(model, grid, tab, u0, 9, dt)
+        buf = np.full(fresh.shape, np.nan)  # stale contents are overwritten
+        fld, store = rx.solve_forward(model, grid, tab, u0, 9, dt, out=buf)
+        assert store is buf and fld.n == 9
+        assert_bitwise(buf, fresh)
+
+    @pytest.mark.parametrize("bad", ["levels", "dtype", "components"])
+    def test_bad_out_rejected_before_any_step(self, monkeypatch, bad):
+        grid = rx.LagrangianGrid(0.0, 6.0, 41)
+        model = burgers_jinxin(2.1, 1e-2)
+        u0 = np.ones((1, grid.n_nodes))
+        shape = {"levels": (6, 1, 40), "dtype": (7, 1, 40),
+                 "components": (7, 2, 40)}[bad]
+        out = np.zeros(shape, np.float32 if bad == "dtype" else float)
+        steps = []
+        monkeypatch.setattr(rx, "forward_step", lambda *a, **k: steps.append(a))
+        with pytest.raises(ValueError, match="out"):
+            rx.solve_forward(model, grid, la.tableau("BDF2"), u0, 6,
+                             grid.dx / 2.1, out=out)
+        assert steps == []
+
+
 class TestAdjoint:
     def test_equalization_one_step(self):
         # eps = 1e-8: after one backward step the per-velocity multipliers
@@ -1183,6 +1223,30 @@ class TestStepAllocations:
         fwd, bwd = warm_step_rows(rx.make_broadwell(1.0, 1e-2), grid,
                                   ratio * grid.dx, u0, STEP_OVERHEAD_BYTES)
         assert fwd <= 8 and bwd <= 1, (fwd, bwd)
+
+    def test_batched_adjoint_with_array_eps(self):
+        # an eps of shape (B, 1, 1) multiplies through the field's
+        # level-shaped weights, so a warm batched step allocates no
+        # level-sized broadcast buffer: only what its isfinite check
+        # allocates (the mask and the reduction over it) plus overhead
+        B = 5
+        grid = rx.LagrangianGrid(0.0, 6.0, 642)
+        a = 2.0
+        eps = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0]).reshape(B, 1, 1)
+        model = linear_jinxin(a, eps)
+        x = grid.nodes()
+        lam_T = rx.terminal_multipliers(
+            model, np.exp(-((x - 3.0) ** 2)) * np.ones((B, 1, 1)))
+        tab = la.tableau("BDF3")
+        adj = rx.AdjointField(model, grid, grid.dx / a, tab, lam_T)
+        jac = zero_state_jac(model, grid)
+        for _ in range(tab.s + 1):
+            rx.adjoint_step(model, grid, adj, jac)
+        M = grid.n_nodes
+        check = traced_peak_rows(lambda: np.isfinite(lam_T).all(), M)
+        step = traced_peak_rows(lambda: rx.adjoint_step(model, grid, adj, jac),
+                                M, STEP_OVERHEAD_BYTES)
+        assert step <= check < 2, (step, check)
 
     def test_ring_recycles_evicted_levels(self):
         # once warm, a new level lands in the array of the level it evicts

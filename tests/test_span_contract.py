@@ -2,8 +2,8 @@
 
 ``bench/spans.py`` wraps the solvers and reads their arguments by position:
 the grid of both relaxation steps, the forward store that
-``relaxation.solve_forward`` returns, and the ``TimeGrid`` of the ODE
-sweeps.  One tiny run of each kind through ``cli.main`` inside
+``relaxation.solve_forward`` returns (also when a descent passes it
+back as ``out``), and the ``TimeGrid`` of the ODE sweeps.  One tiny run of each kind through ``cli.main`` inside
 ``Tracer().patched()`` notices when those positions move.
 """
 
@@ -48,6 +48,17 @@ def test_relaxation_spans_read_the_grid_and_the_store(tmp_path):
     assert steps and set(steps) == {40}  # n_nodes of the periodic grid
     (store,) = details["relaxation.solve_forward"]
     assert store > 0
+
+
+def test_descent_spans_read_one_store_per_forward_solve(tmp_path):
+    # the target solve, then one forward solve per iteration and the last
+    # one; the descent passes its store back as ``out`` by keyword, so the
+    # wrapper still finds the store in the result
+    details = traced_run(tmp_path, "control-jinxin",
+                         "nx = 41\ndt = 0.05\nT = 0.3\niterations = 3\n")
+    stores = details["relaxation.solve_forward"]
+    assert len(stores) == 3 + 2
+    assert len(set(stores)) == 1 and stores[0] == 8 * 7 * 40
 
 
 def test_ode_spans_carry_the_step_count(tmp_path):
