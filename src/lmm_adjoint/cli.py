@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import (EXPERIMENT_KINDS, Config, config_reference_text,
+from .config import (CONFIG_REFERENCE, Config, config_reference_text,
                      load_config)
 from .experiments import (run_control, run_ode_convergence, run_relax_adjoint,
                           run_relax_forward)
@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "relaxation runs, and initial-data control loops.",
         epilog="Run 'lmm-adjoint config-reference' for all config keys.")
     parser.add_argument("experiment",
-                        choices=list(EXPERIMENT_KINDS) + ["config-reference"],
+                        choices=list(CONFIG_REFERENCE) + ["config-reference"],
                         help="experiment kind (or config-reference to print "
                              "the key documentation)")
     parser.add_argument("--config", help="path to a flat key = value file")

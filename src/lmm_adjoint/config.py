@@ -13,11 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .relaxation import JIN_XIN_FLUXES
 from .tableaus import ConfigError, tableau
-
-
-EXPERIMENT_KINDS = ("ode-converge", "relax-forward", "relax-adjoint",
-                    "control-jinxin", "control-broadwell")
 
 
 @dataclass
@@ -37,7 +34,7 @@ def parse_config(text: str) -> Config:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             kind = stripped[1:-1].strip()
-            if kind not in EXPERIMENT_KINDS:
+            if kind not in CONFIG_REFERENCE:
                 raise ConfigError(
                     f"line {lineno}: unknown experiment kind {kind!r}")
             cfg.kind = kind
@@ -161,7 +158,8 @@ CONFIG_REFERENCE = {
                      f"{t:g} for {s}" for s, t in _STUDY_HORIZONS.items())),
     },
     "relax-forward": {
-        "flux": Key(_choice("linear", "burgers"), None, "linear | burgers"),
+        "flux": Key(_choice(*JIN_XIN_FLUXES), None,
+                    " | ".join(JIN_XIN_FLUXES)),
         "a": Key(_positive, "2.1", "characteristic speed"),
         "eps": Key(_eps, "1e-2", "relaxation parameter"),
         "x_left": Key(_finite, "0", "left end of the domain"),

@@ -386,7 +386,8 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     sign-normalized to the continuous convention.  ``terminal='exact'``
     instead seeds indices N..N+s-1 from ``p_exact`` and sweeps every lower
     index with the interior recurrence (prescribed-trajectory studies).
-    The sweep runs in the dtype of ``grid.dt`` and the states.  Raises
+    The sweep runs in the dtype of ``grid.dt`` and the states, which with
+    ``terminal='cost'`` must be float64 or float32 (a ValueError).  Raises
     ``SolverError`` with the step index of the first non-finite
     multiplier.
 
@@ -404,6 +405,10 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
         raise ValueError(f"unknown terminal mode {terminal!r}")
     if problem.terminal_cost_grad is None:
         raise ValueError("DtO route requires terminal_cost_grad")
+    dtype = np.result_type(grid.dt, traj.states)
+    if dtype not in (np.float32, np.float64):  # the real dtypes of np.linalg
+        raise ValueError(f"terminal='cost' solves the terminal block with "
+                         f"np.linalg, which does not support {dtype}")
 
     ext = _sweep_array(problem, grid, traj, s)
     jy = np.atleast_1d(problem.terminal_cost_grad(traj.terminal_state))

@@ -12,7 +12,8 @@ term), then an explicit per-point relaxation update.
 
 The adjoint solver marches the multipliers lambda^j backward in time with the
 transpose of that local update.  Both directions start from the same
-characteristic-foot history combination C and commit through the same ring:
+characteristic-foot history combination C and end in the same update,
+keep C + relax x, written into the same ring:
 
     forward:  f   = (1 - w) C + w E(Q C)
     adjoint:  lam = (1 - w) C + w Q^T (J^T C),   w = dt b_-1 / (dt b_-1 + eps)
@@ -87,6 +88,13 @@ class RelaxationModel:
     def moments(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Conserved variables u = Q f for a stacked field (Nv, M)."""
         return np.einsum("rj,jm->rm", self.q_matrix, f, out=out)
+
+
+# Scalar fluxes of the Jin-Xin model by name: (F, F') for ``make_jin_xin``
+JIN_XIN_FLUXES = {
+    "linear": (lambda u: u, lambda u: np.ones_like(u)),
+    "burgers": (lambda u: 0.5 * u * u, lambda u: u),
+}
 
 
 def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
@@ -385,20 +393,16 @@ class FootPlan:
     clipped at the walls) with level-shaped weights, and one ``take``
     gathers the level.  Wider levels keep two slice pairs and one weight
     per row, no array per node, and multiply the coefficient or weight
-    straight out of the level's slices.  Per level, take / slices / the
-    row-by-row roll copy and multiply they replaced, aligned feet then
-    fractional (2-vCPU x86 VM, numpy 2.4):
+    straight out of the level's slices.  Per level, take / slices, aligned
+    feet then fractional (2-vCPU x86 VM, numpy 2.4):
 
-    - batch (), 238 elements: 1.7 / 6.2 / 3.6 us, 6.7 / 18 / 12 us;
-    - batch (), 2556 elements: 7.2 / 11 / 8.4 us, 17 / 21 / 24 us;
-    - batch (), 81920 elements: 145 / 39 / 91 us, 438 / 169 / 245 us;
-    - batch 5, 12780 elements: 20 / 26 / 14 us, 54 / 54 / 52 us.
+    - batch (), 238 elements: 1.7 / 6.2 us, 6.7 / 18 us;
+    - batch (), 2556 elements: 7.2 / 11 us, 17 / 21 us;
+    - batch (), 81920 elements: 145 / 39 us, 438 / 169 us;
+    - batch 5, 12780 elements: 20 / 26 us, 54 / 54 us.
 
     Take and slices cross near 6000 elements at batch () and above 12000 at
-    batch 3 and 5, whose strided row slices multiply slowly.  The roll
-    copy still wins on aligned batched levels of 6000 to 8000 elements (the
-    eps study's largest grids), by about 1 us per level: some 2 ms per
-    relax-paper pass, too little for a third kernel.
+    batch 3 and 5, whose strided row slices multiply slowly.
     """
 
     def __init__(self, grid: LagrangianGrid, speeds: np.ndarray, dt: float,
@@ -423,17 +427,8 @@ class FootPlan:
         return out
 
 
-def _check_field(model: RelaxationModel, grid: LagrangianGrid, field) -> None:
-    """A field's feet hold only for the grid and speeds it was built with."""
-    if (grid is not field.grid and grid != field.grid) or (
-            model is not field.model
-            and not np.array_equal(model.velocities, field.model.velocities)):
-        raise ValueError("step called with a grid or velocities other than "
-                         "the field's")
-
-
 def _combine(model: RelaxationModel, grid: LagrangianGrid,
-             fld: _LevelRing) -> float:
+             fld: _LevelRing) -> tuple:
     """Start of both steps: the history combination C into ``fld.comb``,
 
         C^j = -sum_l a_l H_l^j(foot_l^j),
@@ -443,17 +438,45 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
     ramp entry for the history's length.  The plan writes a_0 H_0(foot_0)
     into ``comb`` and each later product into ``prod``; the sum starts as
     0 - a_0 H_0, the IEEE operation of subtracting it from a zeroed sum,
-    so exact zeros keep their sign.  Returns h = dt b_-1 of that
-    entry.
+    so exact zeros keep their sign.  Returns the (keep, relax) weights of
+    that entry.
     """
-    _check_field(model, grid, fld)
-    eff = fld.ramp[len(fld.history) - 1]
+    # a field's feet hold only for the grid and speeds it was built with
+    if (grid is not fld.grid and grid != fld.grid) or (
+            model is not fld.model
+            and not np.array_equal(model.velocities, fld.model.velocities)):
+        raise ValueError("step called with a grid or velocities other than "
+                         "the field's")
     comb, plan, history = fld.comb, fld.plan, fld.history
+    eff = fld.ramp[len(history) - 1]
     plan.scaled(0, eff.a[0], history[0], comb)
     np.subtract(0.0, comb, out=comb)         # 0 - x, as from a zeroed sum
     for ell in range(1, eff.s):
         comb -= plan.scaled(ell, eff.a[ell], history[ell], fld.prod)
-    return fld.dt * eff.b_implicit
+    return fld.weights[len(history) - 1]
+
+
+def _update(fld: _LevelRing, keep, relax, x: np.ndarray) -> np.ndarray:
+    """End of both steps: the new level keep C + relax x, with C in
+    ``fld.comb`` and ``x`` a work buffer, scaled in place.  Once the ring
+    is full the level overwrites the oldest one's array, so a warm field
+    allocates no level arrays; it then becomes the newest level, which this
+    returns.  A non-finite level raises ``SolverError`` naming the step
+    instead; the oldest level may then already be overwritten, and the
+    field must not be stepped again.
+    """
+    full = len(fld.history) == len(fld.ramp)
+    new = fld.history[-1] if full else np.empty_like(fld.comb)
+    np.multiply(keep, fld.comb, out=new)
+    np.multiply(relax, x, out=x)
+    new += x
+    if not np.isfinite(new).all():
+        raise SolverError(fld.blowup.format(fld.n + 1), fld.n + 1)
+    if full:
+        fld.history.pop()
+    fld.history.insert(0, new)
+    fld.n += 1
+    return new
 
 
 class _LevelRing:
@@ -462,25 +485,31 @@ class _LevelRing:
     A field steps the BDF scheme ``tab`` of s stages (any other tableau is
     a ``ConfigError``).  ``ramp`` lists BDF1, ..., BDF(s-1), ``tab``:
     a history of l levels steps ``ramp[l-1]``, so the order ramps up while
-    the ring fills.  ``history[0]`` is the newest level.  Once the ring is
-    full, ``slot()`` hands out the array of the oldest level, which the
-    step overwrites with the new level before ``push`` moves it to the
-    front; a warm field therefore allocates no level arrays.  ``plan``
-    holds the characteristic feet of the field's step.  Levels have the
-    shape of ``first``, (..., Nv, M), and so have the work buffers ``comb``
-    (the history combination C), ``prod`` (a product temporary) and ``E``.
-    Each field kind words its blow-up message in ``blowup``.
+    the ring fills.  ``history[0]`` is the newest level, and ``_update``
+    writes each step's level into the ring.  ``plan`` holds the
+    characteristic feet of the field's step.  Levels have the shape of
+    ``first``, (..., Nv, M), and so have the work buffers ``comb`` (the
+    history combination C), ``prod`` (a product temporary) and ``E``.
+    ``weights[l-1]`` holds the update's (keep, relax) of ramp entry l:
+    relax = h/(h + eps) and the field kind's ``_keep(h, eps)``, h = dt b_-1,
+    as floats for a float eps, or as level-shaped arrays, which multiply a
+    level without the buffer NumPy allocates to broadcast a (B, 1, 1)
+    factor.  Each field kind words its blow-up message in ``blowup``.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
                  dt: float, tab: MultistepTableau, first: np.ndarray,
                  speeds: np.ndarray):
+        first = np.asarray(first, dtype=float)
+        shape = (model.n_velocities, grid.n_nodes)
+        if first.shape[-2:] != shape:
+            raise ValueError(f"{type(self).__name__} levels must have "
+                             f"trailing shape {shape}, got {first.shape}")
         if not tab.is_bdf:
             raise ConfigError(f"relaxation solver requires a BDF "
                                    f"tableau, got {tab.name}")
         self.model = model
         self.grid = grid
-        self.dt = dt
         self.ramp = [tableau(f"bdf{k}") for k in range(1, tab.s)] + [tab]
         self.n = 0
         self.history: list[np.ndarray] = [first.copy()]
@@ -488,30 +517,20 @@ class _LevelRing:
         self.comb = np.empty(first.shape)
         self.prod = np.empty(first.shape)
         self.E = np.empty(first.shape)
+        # formed after the buffers: formed before them, the weights of an
+        # eps study raised its peak RSS by 0.2 MB (heap order)
+        self.weights = []
+        for eff in self.ramp:
+            h = dt * eff.b_implicit
+            pair = self._keep(h, model.eps), h / (h + model.eps)
+            if isinstance(model.eps, np.ndarray):
+                pair = tuple(np.broadcast_to(c, first.shape).copy()
+                             for c in pair)
+            self.weights.append(pair)
 
     @property
     def current(self) -> np.ndarray:
         return self.history[0]
-
-    def slot(self) -> np.ndarray:
-        """Array for the next level: the oldest level's once the ring is full."""
-        if len(self.history) == len(self.ramp):
-            return self.history[-1]
-        return np.empty_like(self.history[0])
-
-    def push(self, level: np.ndarray):
-        """Make ``level`` the newest, evicting the oldest once full.
-
-        A non-finite level raises ``SolverError`` naming the step
-        instead; the field's oldest level may then already be overwritten,
-        and the field must not be stepped again.
-        """
-        if not np.isfinite(level).all():
-            raise SolverError(self.blowup.format(self.n + 1), self.n + 1)
-        if len(self.history) == len(self.ramp):
-            self.history.pop()
-        self.history.insert(0, level)
-        self.n += 1
 
 
 class KineticField(_LevelRing):
@@ -520,16 +539,17 @@ class KineticField(_LevelRing):
 
     ``history[0]`` is the newest level (time index ``n``).  ``plan`` holds
     the feet of the forward step, v_j (l+1) dt upstream of every node.
+    ``f0`` is one level, (Nv, M), without batch axes.
     """
 
     blowup = "non-finite kinetic field at step {}"
+    _keep = staticmethod(lambda h, eps: 1.0 - h / (h + eps))
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
                  dt: float, tab: MultistepTableau, f0: np.ndarray):
-        f0 = np.asarray(f0, dtype=float)
-        if f0.shape != (model.n_velocities, grid.n_nodes):
-            raise ValueError(f"initial field must have shape "
-                             f"{(model.n_velocities, grid.n_nodes)}, got {f0.shape}")
+        if np.ndim(f0) != 2:
+            raise ValueError(f"initial field must have no batch axes, got "
+                             f"shape {np.shape(f0)}")
         super().__init__(model, grid, dt, tab, f0, model.velocities)
 
 
@@ -543,24 +563,18 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
     with C the history combination of ``_combine``.  Phase 1 computes
     u = Q C, the moment sum of the implicit update (the equilibrium term
     cancels via Q E(u) = u), into ``out`` (n, M); phase 2 is the per-point
-    affine relaxation update.  The arithmetic runs in the field's work
+    relaxation update ``_update``.  The arithmetic runs in the field's work
     buffers and the new level overwrites the evicted one, so a warm field
-    allocates only the model's own temporaries.  A ``SolverError``
-    of the equilibrium (Broadwell's rho <= 0) gains the step's number.
+    allocates only the model's own temporaries.  A ``SolverError`` of the
+    equilibrium (Broadwell's rho <= 0) gains the step's number.
     """
-    h = _combine(model, grid, fld)
-    w = h / (h + model.eps)
-    comb, prod = fld.comb, fld.prod
-    u_new = model.moments(comb, out=out)     # phase 1: macroscopic closure
+    keep, relax = _combine(model, grid, fld)
+    u_new = model.moments(fld.comb, out=out)  # phase 1: macroscopic closure
     try:                                     # phase 2: relaxation update
         E = model.equilibrium(u_new, out=fld.E)
     except SolverError as exc:
         raise SolverError(f"{exc} at step {fld.n + 1}", fld.n + 1) from None
-    f_new = fld.slot()
-    np.multiply(w, E, out=f_new)
-    np.multiply(1.0 - w, comb, out=prod)
-    f_new += prod
-    fld.push(f_new)
+    _update(fld, keep, relax, E)
     return u_new
 
 
@@ -608,34 +622,17 @@ class AdjointField(_LevelRing):
     holds the feet of the backward step, v_j (i+1) dt downstream of every
     node.  ``lam_T`` is (..., Nv, M): leading axes batch independent
     multiplier fields over one frozen forward state.  ``phi`` (..., n, M)
-    holds the step's J^T C.  ``weights[l-1]`` holds the step's factors
-    (eps/(eps+h), h/(eps+h)) of ramp entry l, h = dt b_-1: floats for a
-    float eps, level-shaped arrays for an array eps, which multiply a
-    level without the buffer NumPy allocates to broadcast a (B, 1, 1)
-    factor.
+    holds the step's J^T C.
     """
 
     blowup = "non-finite adjoint field at backward step {}"
+    _keep = staticmethod(lambda h, eps: eps / (eps + h))
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
                  dt: float, tab: MultistepTableau, lam_T: np.ndarray):
-        lam_T = np.asarray(lam_T, dtype=float)
-        if lam_T.shape[-2:] != (model.n_velocities, grid.n_nodes):
-            raise ValueError(f"terminal data must have trailing shape "
-                             f"{(model.n_velocities, grid.n_nodes)}, "
-                             f"got {lam_T.shape}")
         super().__init__(model, grid, dt, tab, lam_T, -model.velocities)
-        self.phi = np.empty(lam_T.shape[:-2]
+        self.phi = np.empty(self.current.shape[:-2]
                             + (model.n_conserved, grid.n_nodes))
-        eps = model.eps
-        self.weights = []
-        for eff in self.ramp:
-            h = dt * eff.b_implicit                  # as _combine forms it
-            pair = eps / (eps + h), h / (eps + h)
-            if isinstance(eps, np.ndarray):
-                pair = tuple(np.broadcast_to(c, lam_T.shape).copy()
-                             for c in pair)
-            self.weights.append(pair)
 
 
 def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
@@ -662,17 +659,10 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     if jac.shape != shape:
         raise ValueError(f"equilibrium Jacobian must have shape {shape}, "
                          f"got {jac.shape}")
-    _combine(model, grid, adj)
-    keep, relax = adj.weights[len(adj.history) - 1]  # _combine's ramp entry
-    comb = adj.comb
-    phi = np.einsum("jrm,...jm->...rm", jac, comb, out=adj.phi)
-    lam_new = adj.slot()
-    np.multiply(keep, comb, out=lam_new)
+    keep, relax = _combine(model, grid, adj)
+    phi = np.einsum("jrm,...jm->...rm", jac, adj.comb, out=adj.phi)
     qphi = np.einsum("rj,...rm->...jm", model.q_matrix, phi, out=adj.E)
-    np.multiply(relax, qphi, out=qphi)
-    lam_new += qphi
-    adj.push(lam_new)
-    return lam_new
+    return _update(adj, keep, relax, qphi)
 
 
 def terminal_multipliers(model: RelaxationModel, p_terminal: np.ndarray) -> np.ndarray:

@@ -187,7 +187,7 @@ def test_criterion_6_linear_exactness_and_mass():
     dt = grid.dx / a
     x = grid.nodes()
     u0 = np.exp(-((x - 3.0) ** 2))[None, :]
-    model = rx.make_jin_xin(lambda u: u, lambda u: np.ones_like(u), a, 1e-12)
+    model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["linear"], a, 1e-12)
     n_steps = int(round(1.0 / dt))
     _, us = rx.solve_forward(model, grid, la.tableau("BDF2"), u0, n_steps, dt)
     shift = int(round(a * n_steps * dt / grid.dx))
@@ -200,7 +200,7 @@ def test_criterion_6_linear_exactness_and_mass():
     a2 = 2.1
     grid2 = rx.LagrangianGrid(0.0, 6.0, 640)
     dt2 = grid2.dx / a2
-    model2 = rx.make_jin_xin(lambda u: 0.5 * u * u, lambda u: u, a2, 1e-2,
+    model2 = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], a2, 1e-2,
                              u0=u0[0])
     _, us2 = rx.solve_forward(model2, grid2, la.tableau("BDF3"), u0,
                               int(round(1.0 / dt2)), dt2)
@@ -230,8 +230,7 @@ def test_criterion_7_table4_eps_study():
     for nx in (40, 80, 160, 320, 640):
         grid = rx.LagrangianGrid(0.0, 6.0, nx)
         dt = grid.dx / a
-        model = rx.make_jin_xin(lambda u: u, lambda u: np.ones_like(u),
-                                a, 1e-4)
+        model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["linear"], a, 1e-4)
         errs.append(rx.viscous_limit_check(model, grid, tab, pT,
                                            int(round(1.0 / dt)), dt)[1][0])
     rates = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
@@ -250,7 +249,7 @@ def test_criterion_8_adjoint_equalization():
     grid = rx.LagrangianGrid(0.0, 6.0, 640)
     a = 1.0
     dt = grid.dx / a
-    model = rx.make_jin_xin(lambda u: u, lambda u: np.ones_like(u), a, 1e-8)
+    model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["linear"], a, 1e-8)
     x = grid.nodes()
     lam_T = rx.terminal_multipliers(model, np.exp(-((x - 3.0) ** 2))[None, :])
     adj = rx.AdjointField(model, grid, dt, la.tableau("BDF2"), lam_T=lam_T)
@@ -268,7 +267,7 @@ def _jinxin_control(iterations):
     grid = rx.LagrangianGrid(-3.0, 3.0, 120, boundary="periodic")
     dt = 0.05
     a = grid.dx / dt
-    model = rx.make_jin_xin(lambda u: 0.5 * u * u, lambda u: u, a, 1e-2)
+    model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], a, 1e-2)
     tab = la.tableau("BDF2")
     n_steps = 60  # T = 3.0
     x = grid.nodes()

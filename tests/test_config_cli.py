@@ -3,6 +3,7 @@
 import itertools
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ class TestConfigFormat:
                 assert name in text and key.doc in text
                 if key.default is not None:
                     assert f"(default {key.default})" in text
+
+    def test_flux_choices_are_the_flux_table(self):
+        key = CONFIG_REFERENCE["relax-forward"]["flux"]
+        assert key.doc == " | ".join(rx.JIN_XIN_FLUXES)
+        for name in rx.JIN_XIN_FLUXES:
+            assert key.parse(name) == name
+        with pytest.raises(ValueError) as err:
+            key.parse("cubic")
+        assert str(err.value) == f"'cubic' not in {list(rx.JIN_XIN_FLUXES)}"
 
 
 class TestCli:
@@ -270,6 +280,19 @@ class TestCli:
         rows = (tmp_path / "adjoint_eps_study.csv").read_text().splitlines()
         assert rows[0] == "eps,dt_min,l2_err_p0,mean_rate,reference"
         assert "self-reference" in rows[1] and "transport-oracle" in rows[2]
+
+    def test_relax_adjoint_one_grid_leaves_rate_blank(self, tmp_path):
+        # one grid gives no rate: the mean_rate cells are blank, and no
+        # mean of an empty list warns on the way
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-adjoint]\nnx_list = 40\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["relax-adjoint", "--config", conf,
+                             "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "adjoint_eps_study.csv").read_text().splitlines()
+        assert len(rows) == 6
+        assert all(row.split(",")[3] == "" for row in rows[1:])
 
     def test_relax_adjoint_rejects_nonpositive_eps(self, tmp_path, capsys):
         # the whole eps list is checked before any sweep or CSV

@@ -18,7 +18,7 @@ def coarse_jinxin_setup(nx=40, n_steps=10, eps=1e-2):
     grid = rx.LagrangianGrid(-3.0, 3.0, nx, boundary="periodic")
     a = 1.0
     dt = grid.dx / a
-    model = rx.make_jin_xin(lambda u: 0.5 * u * u, lambda u: u, a, eps)
+    model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], a, eps)
     tab = la.tableau("BDF2")
     x = grid.nodes()
     ramp = np.where((x >= -1.5) & (x <= -0.5), 1.5 + x, 0.0)[None, :]
@@ -178,8 +178,7 @@ class TestGradient:
         grid = rx.LagrangianGrid(0.0, 6.0, 320, boundary="periodic")
         a = 1.0
         dt = grid.dx / a
-        model = rx.make_jin_xin(lambda u: u, lambda u: np.ones_like(u),
-                                a, 1e-10)
+        model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["linear"], a, 1e-10)
         tab = la.tableau("BDF2")
         n_steps = 40
         x = grid.nodes()

@@ -450,6 +450,21 @@ class TestDtoJacobianEvaluations:
         plain = solve_adjoint_dto(prob, tab, grid, traj)
         assert np.array_equal(adj.multipliers, plain.multipliers)
 
+    def test_cost_terminal_on_long_double_grid_is_rejected(self):
+        # np.linalg solves no long double block; the error names the dtype
+        # before the sweep reads f_y, which the OtD route sweeps with
+        plain = terminal_tracking_problem(T=0.5)
+        tab, grid = la.tableau("BDF2"), la.TimeGrid(np.longdouble(0.5), 20)
+        traj = solve_forward(plain, tab, grid)
+        calls = []
+        prob = dataclasses.replace(
+            plain, f_y=lambda y, u, t: calls.append(t) or plain.f_y(y, u, t))
+        with pytest.raises(ValueError, match=np.dtype(np.longdouble).name):
+            solve_adjoint_dto(prob, tab, grid, traj, terminal="cost")
+        assert calls == []
+        adj = solve_adjoint_otd(prob, tab, grid, traj, terminal="replicate")
+        assert calls and adj.multipliers.dtype == np.longdouble
+
     def test_per_point_fy_is_rejected(self):
         # an f_y written for one state, (1,) -> (1, 1), returns (K, 1) on
         # the stack of K states

@@ -14,12 +14,11 @@ from lmm_adjoint import relaxation as rx
 
 
 def linear_jinxin(a, eps, u0=None):
-    return rx.make_jin_xin(lambda u: u, lambda u: np.ones_like(u), a, eps,
-                           u0=u0)
+    return rx.make_jin_xin(*rx.JIN_XIN_FLUXES["linear"], a, eps, u0=u0)
 
 
 def burgers_jinxin(a, eps, u0=None):
-    return rx.make_jin_xin(lambda u: 0.5 * u * u, lambda u: u, a, eps, u0=u0)
+    return rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], a, eps, u0=u0)
 
 
 def zero_state_jac(model, grid):
@@ -86,6 +85,16 @@ class TestModels:
         with pytest.raises(la.ConfigError):
             burgers_jinxin(1.0, 1e-2, u0=u0)  # max|F'| = 1.5 > a
         burgers_jinxin(1.5, 1e-2, u0=u0)      # equality allowed
+
+    @pytest.mark.parametrize("name", list(rx.JIN_XIN_FLUXES))
+    def test_flux_derivative_is_complex_step_derivative(self, name):
+        # F'(u) = Im F(u + ih) / h, exact to rounding for a polynomial F
+        F, dF = rx.JIN_XIN_FLUXES[name]
+        u = np.random.default_rng(3).standard_normal(64) * 3.0
+        u[:2] = (0.0, -0.0)
+        h = 1e-20
+        np.testing.assert_allclose(dF(u), F(u + 1j * h).imag / h,
+                                   rtol=1e-14, atol=0.0)
 
     def test_broadwell_rest_state(self):
         m = rx.make_broadwell(1.0, 1e-2)
@@ -178,8 +187,7 @@ class TestOutBuffers:
         rng = np.random.default_rng(7)
         u = rng.standard_normal((1, 257)) * 3.0
         u[0, :3] = (0.0, -0.0, 1e-310)
-        fl, dfl = ((lambda v: v, lambda v: np.ones_like(v)) if flux == "linear"
-                   else (lambda v: 0.5 * v * v, lambda v: v))
+        fl, dfl = rx.JIN_XIN_FLUXES[flux]
         m = rx.make_jin_xin(fl, dfl, 2.1, 1e-2)
         self.check(m, u, *stacked_equilibria("jin-xin", u, 2.1, fl, dfl))
 
@@ -293,6 +301,20 @@ class TestForward:
         step_forward(model, grid, fld)
         expect = np.stack([np.roll(f0[0], 1), np.roll(f0[1], -1)])
         assert np.max(np.abs(fld.current - expect)) <= 1e-15
+
+    def test_batched_or_misshapen_initial_field_rejected(self):
+        grid = rx.LagrangianGrid(0.0, 1.0, 17)
+        model, tab = linear_jinxin(1.0, 1e-2), la.tableau("BDF2")
+        M = grid.n_nodes
+        for f0, match in [(np.zeros((1, 2, M)), "batch axes"),
+                          (np.zeros((3, 2, M)), "batch axes"),
+                          (np.zeros(M), "batch axes"),
+                          (np.zeros((3, M)), "trailing shape"),
+                          (np.zeros((2, M + 1)), "trailing shape")]:
+            with pytest.raises(ValueError, match=match):
+                rx.KineticField(model, grid, 0.05, tab, f0)
+        fld = rx.KineticField(model, grid, 0.05, tab, [[0] * M, [1] * M])
+        assert fld.current.dtype == np.float64
 
     def test_non_bdf_rejected(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
