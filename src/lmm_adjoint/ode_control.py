@@ -10,7 +10,6 @@ approximate p with  -p' = f_y(y,u)^T p,  p(T) = j'(y(T)).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,7 +121,8 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     state (n,) with scalar u and t.  A scalar state (n = 1) steps on Python
     floats: both lists, the Newton iteration and the finiteness check hold
     floats, ``f`` and ``f_y`` get each iterate as a 0-d NumPy scalar in its
-    dtype, and any size-1 result is read back as a float64.  Raises
+    dtype and the step's control, read once per step, and any size-1
+    result is read back as a float64.  Raises
     ``SolverError`` with the offending step index on NaN/overflow, and sets
     the step index of an ``ImplicitSolveError``.
     """
@@ -138,12 +138,16 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     states, fvals = bootstrap_history(tab, grid, rhs_array, problem.y0,
                                       mode=init_mode, y_exact=problem.y_exact)
     if problem.dim == 1:  # step on Python floats from here on
-        def rhs(y, t):
-            return float(np.asarray(f(np.asarray(y)[()], u_at(t), t)).item())
+        # every Newton call of a step is at t_new, so the loop reads its
+        # control u_new (the one at the nearest index) once per step
+        def scalar(fn):
+            def call(y, t):
+                r = fn(np.float64(y) if type(y) is float else y, u_new, t)
+                return float(r if isinstance(r, (float, np.generic))
+                             else np.asarray(r).item())
+            return call
 
-        def jac(y, t):
-            return float(np.asarray(f_y(np.asarray(y)[()], u_at(t), t)).item())
-
+        rhs, jac = scalar(f), scalar(f_y)
         states = [y.item() for y in states]
         fvals = [fy.item() for fy in fvals]
         finite, as_state = math.isfinite, float
@@ -157,7 +161,7 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
         as_state = lambda y: np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for nstep in range(grid.N):
-            t_new = (nstep + 1) * dt
+            t_new, u_new = (nstep + 1) * dt, u[nstep + s]
             try:
                 y_new, f_new = step(tab, states, fvals, dt, rhs, t_new, jac)
             except ImplicitSolveError as exc:
@@ -283,8 +287,9 @@ def _backward_sweep(ext, s, top, coef, diag, floor):
         p_j = D_j^{-1} sum_{k >= k0} C_jk p_{j+1+k},   k0 = max(0, floor-j-1),
 
     so the sums read multipliers at indices >= floor only, each k-sum taken
-    in order from k0.  A scalar system (n = 1) runs on the scalars of the
-    array's dtype and rejects a vanishing D_j before the sweep.
+    in order from k0.  A scalar system (n = 1) runs in plain arithmetic on
+    the scalars of the array's dtype and rejects a vanishing D_j before the
+    sweep; a larger one multiplies with ``@`` and solves with LAPACK.
     """
     off, n = s - 1, ext.shape[1]
     if n == 1:
@@ -293,27 +298,36 @@ def _backward_sweep(ext, s, top, coef, diag, floor):
             j = top - int(np.argmax(small))
             raise SolverError(f"(1 - dt*b_-1*f_y) vanishes at step index {j}",
                               step_index=j)
-        vals, mul, div = ext[:, 0], operator.mul, operator.truediv
-        p = vals.tolist()
-        coef, diag = coef.reshape(-1, s).tolist(), diag.reshape(-1).tolist()
-    else:
-        vals, mul = ext, operator.matmul
-        div = lambda r, d: np.linalg.solve(d, r)
-        p = list(ext)
+        # plain * and / on the array's scalars; j is the row's slot (its
+        # index plus s - 1), and term k reads slot j + 1 + k
+        p, j = ext[:, 0].tolist(), top + off
+        for c, d in zip(coef.reshape(-1, s).tolist(),
+                        diag.reshape(-1).tolist()):
+            k0 = floor - 1 + off - j
+            if k0 < 0:
+                k0 = 0
+            acc = c[k0] * p[j + k0 + 1]
+            for k in range(k0 + 1, s):
+                acc += c[k] * p[j + k + 1]
+            p[j] = acc / d
+            j -= 1
+        ext[:, 0] = p
+        return
+    p = list(ext)
     j = top
     try:
         for c, d in zip(coef, diag):
             k0 = max(0, floor - j - 1)
-            acc = mul(c[k0], p[j + k0 + 1 + off])
+            acc = c[k0] @ p[j + k0 + 1 + off]
             for k in range(k0 + 1, s):
-                acc += mul(c[k], p[j + k + 1 + off])
-            p[j + off] = div(acc, d)
+                acc += c[k] @ p[j + k + 1 + off]
+            p[j + off] = np.linalg.solve(d, acc)
             j -= 1
     except np.linalg.LinAlgError:
         raise SolverError(
             f"singular pointwise adjoint matrix at step index {j}",
             step_index=j) from None
-    vals[:] = p
+    ext[:] = p
 
 
 def _seeded_sweep(problem, tab, grid, traj, terminal, shifted):

@@ -90,10 +90,17 @@ class RelaxationModel:
         return np.einsum("rj,jm->rm", self.q_matrix, f, out=out)
 
 
+def _burgers_flux(u):
+    """0.5*u*u, multiplied in that order into one new level row."""
+    t = 0.5 * u
+    t *= u
+    return t
+
+
 # Scalar fluxes of the Jin-Xin model by name: (F, F') for ``make_jin_xin``
 JIN_XIN_FLUXES = {
     "linear": (lambda u: u, lambda u: np.ones_like(u)),
-    "burgers": (lambda u: 0.5 * u * u, lambda u: u),
+    "burgers": (_burgers_flux, lambda u: u),
 }
 
 

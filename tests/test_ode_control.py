@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
+import operator
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmm_adjoint as la
-from lmm_adjoint import cli, experiments
+from lmm_adjoint import cli, experiments, ode_control
 from lmm_adjoint.config import load_config
 from lmm_adjoint.experiments import backward_study_solution
 from lmm_adjoint.ode_control import (Trajectory, _jacobians, _last_b_term,
@@ -23,6 +26,7 @@ from lmm_adjoint.ode_control import (Trajectory, _jacobians, _last_b_term,
 from lmm_adjoint.problems import (constant_coefficient_study,
                                   quadratic_coefficient_study,
                                   terminal_tracking_problem)
+from lmm_adjoint.tableaus import SolverError, bootstrap_history, step
 
 
 def linf_state_error(traj, tab, exact):
@@ -101,33 +105,46 @@ class TestForward:
         # the exact bootstrap passes f a (1,) array; in the Newton loop f and
         # f_y get 0-d NumPy scalars in the iterate's dtype: the predictor is
         # a stored float64 state, and on a long-double grid every later
-        # iterate is a long double
+        # iterate is a long double.  Every Newton call of step n gets the
+        # control at index n, a NumPy float64 read from the controls array.
         prob = terminal_tracking_problem()
         args = {"f": [], "f_y": []}
 
         def recorded(name):
             fn = getattr(prob, name)
-            return lambda y, u, t: args[name].append(y) or fn(y, u, t)
+            return lambda y, u, t: args[name].append((y, u, t)) or fn(y, u, t)
 
         tab, grid = la.tableau("BDF3"), la.TimeGrid(dtype(0.9), 40)
+        controls = np.linspace(-0.2, 0.3, grid.N + tab.s)
         traj = solve_forward(dataclasses.replace(
-            prob, f=recorded("f"), f_y=recorded("f_y")), tab, grid)
+            prob, f=recorded("f"), f_y=recorded("f_y")), tab, grid, controls)
         boot, newton = args["f"][:tab.s], args["f"][tab.s:] + args["f_y"]
-        assert all(type(y) is np.ndarray and y.shape == (1,) for y in boot)
-        assert all(isinstance(y, np.generic) and y.ndim == 0 for y in newton)
-        dtypes = [y.dtype for y in newton]
+        assert all(type(y) is np.ndarray and y.shape == (1,)
+                   for y, _, _ in boot)
+        assert all(isinstance(y, np.generic) and y.ndim == 0
+                   for y, _, _ in newton)
+        dtypes = [y.dtype for y, _, _ in newton]
         assert set(dtypes) == {np.dtype(np.float64), np.dtype(dtype)}
         if dtype is np.longdouble:  # one float64 predictor per step
             assert dtypes[:len(args["f"]) - tab.s].count(np.float64) == 40
-        assert np.array_equal(traj.states, solve_forward(prob, tab,
-                                                         grid).states)
+        steps = [int(round(t / grid.dt)) for _, _, t in newton]
+        assert set(steps) == set(range(1, grid.N + 1))
+        assert all(type(u) is np.float64 and u == controls[n + tab.s - 1]
+                   for (_, u, _), n in zip(newton, steps))
+        assert np.array_equal(traj.states, solve_forward(
+            prob, tab, grid, controls).states)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    def test_array_valued_scalar_f_sweeps_alike(self, dtype):
-        # any size-1 result of f is read back as the same float64
+    @pytest.mark.parametrize("name, fn", [
+        ("f", lambda y, u, t: np.atleast_1d(y ** 2 + u)),
+        ("f", lambda y, u, t: float((y ** 2 + u).item())),
+        ("f_y", lambda y, u, t: np.reshape(2.0 * y, (1, 1)))],
+        ids=["f-array", "f-python-float", "f_y-1x1"])
+    def test_array_valued_scalar_f_sweeps_alike(self, dtype, name, fn):
+        # any size-1 result of f or f_y, a NumPy or a Python scalar or an
+        # array, is read back as the same float64
         prob = terminal_tracking_problem()
-        boxed = dataclasses.replace(
-            prob, f=lambda y, u, t: np.atleast_1d(y ** 2 + u))
+        boxed = dataclasses.replace(prob, **{name: fn})
         tab, grid = la.tableau("BDF4"), la.TimeGrid(dtype(0.9), 80)
         controls = np.linspace(-0.2, 0.3, grid.N + tab.s)
         assert np.array_equal(
@@ -556,6 +573,155 @@ class TestBatchedJacobians:
         # padding)
         assert J.dtype == ref.dtype and np.array_equal(J, ref)
         assert np.array_equal(np.signbit(J), np.signbit(ref))
+
+
+def reference_scalar_forward(problem, tab, grid, u, init_mode):
+    """States of ``solve_forward``'s scalar path (n = 1) with the closures
+    it shipped with: each call looks up the control at the nearest index
+    of its t, boxes the iterate through ``np.asarray(y)[()]`` and reads the
+    result back through ``np.asarray(r).item()``.  ``u`` covers indices
+    1-s..N."""
+    s = tab.s
+    dt, off = grid.dt, s - 1
+    f, f_y = problem.f, problem.f_y
+    u_at = lambda t: u[int(round(t / dt)) + off]  # nearest index
+
+    def rhs_array(y, t):
+        return np.atleast_1d(np.asarray(f(y, u_at(t), t), dtype=float))
+
+    states, fvals = bootstrap_history(tab, grid, rhs_array, problem.y0,
+                                      mode=init_mode, y_exact=problem.y_exact)
+
+    def rhs(y, t):
+        return float(np.asarray(f(np.asarray(y)[()], u_at(t), t)).item())
+
+    def jac(y, t):
+        return float(np.asarray(f_y(np.asarray(y)[()], u_at(t), t)).item())
+
+    states = [y.item() for y in states]
+    fvals = [fy.item() for fy in fvals]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nstep in range(grid.N):
+            t_new = (nstep + 1) * dt
+            y_new, f_new = step(tab, states, fvals, dt, rhs, t_new, jac)
+            if not math.isfinite(y_new):
+                raise SolverError(f"non-finite state at step {nstep + 1}")
+            states.append(float(y_new))
+            fvals.append(f_new)
+    return np.reshape(states, (grid.N + s, -1))
+
+
+def reference_backward_sweep(ext, s, top, coef, diag, floor):
+    """``_backward_sweep`` with the operator-based loop it shipped with:
+    one loop for both kinds, ``operator.mul``/``truediv`` on scalars."""
+    off, n = s - 1, ext.shape[1]
+    if n == 1:
+        small = np.abs(diag.reshape(-1)) < 1e-14
+        if small.any():
+            j = top - int(np.argmax(small))
+            raise SolverError(f"(1 - dt*b_-1*f_y) vanishes at step index {j}",
+                              step_index=j)
+        vals, mul, div = ext[:, 0], operator.mul, operator.truediv
+        p = vals.tolist()
+        coef, diag = coef.reshape(-1, s).tolist(), diag.reshape(-1).tolist()
+    else:
+        vals, mul = ext, operator.matmul
+        div = lambda r, d: np.linalg.solve(d, r)
+        p = list(ext)
+    j = top
+    try:
+        for c, d in zip(coef, diag):
+            k0 = max(0, floor - j - 1)
+            acc = mul(c[k0], p[j + k0 + 1 + off])
+            for k in range(k0 + 1, s):
+                acc += mul(c[k], p[j + k + 1 + off])
+            p[j + off] = div(acc, d)
+            j -= 1
+    except np.linalg.LinAlgError:
+        raise SolverError(
+            f"singular pointwise adjoint matrix at step index {j}",
+            step_index=j) from None
+    vals[:] = p
+
+
+def value_bits(a):
+    """The values of a real array as int64 words: a float64 array's own
+    bits, a long double's as its float64 head and its (exact) float64
+    tail, which leaves out the long double's padding bytes."""
+    a = np.ascontiguousarray(a)
+    if a.dtype == np.float64:
+        return a.view(np.int64)
+    head = a.astype(np.float64)
+    return np.stack([head, (a - head).astype(np.float64)]).view(np.int64)
+
+
+class TestScalarSweepBits:
+    """The scalar sweeps give the bits of the closures and the sweep loop
+    they shipped with (kept above as reference copies)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["BDF1", "BDF2", "BDF3", "BDF4", "BDF5",
+                                 "BDF6"]),
+           dtype=st.sampled_from([np.float64, np.longdouble]),
+           init_mode=st.sampled_from(["exact", "rk-bootstrap"]),
+           N=st.integers(8, 48), T=st.floats(0.2, 0.9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_forward_matches_reference(self, name, dtype, init_mode, N, T,
+                                       seed):
+        tab, grid = la.tableau(name), la.TimeGrid(dtype(T), N)
+        prob = terminal_tracking_problem(T)
+        u = np.random.default_rng(seed).uniform(-0.5, 0.5, N + tab.s)
+        try:
+            ref = reference_scalar_forward(prob, tab, grid, u, init_mode)
+        except SolverError as exc:  # both fail alike
+            with pytest.raises(type(exc)) as err:
+                solve_forward(prob, tab, grid, u, init_mode)
+            assert str(err.value).startswith(str(exc))
+            return
+        states = solve_forward(prob, tab, grid, u, init_mode).states
+        assert states.dtype == np.float64
+        assert np.array_equal(value_bits(states), value_bits(ref))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["ExplicitEuler", "AB2", "AB3", "AM4", "BDF2",
+                                 "BDF3", "BDF4", "BDF5", "BDF6"]),
+           dtype=st.sampled_from([np.float64, np.longdouble]),
+           route=st.sampled_from(["dto", "otd"]),
+           terminal=st.sampled_from(["exact", "replicate"]),
+           N=st.integers(6, 40), T=st.floats(0.25, 2.0),
+           alpha=st.floats(-2.0, 2.0), beta=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_adjoint_matches_reference(self, name, dtype, route, terminal, N,
+                                       T, alpha, beta, seed):
+        # the DtO route's own terminal is its transposed block ("cost")
+        tab, grid = la.tableau(name), la.TimeGrid(dtype(T), N)
+        if route == "dto" and terminal == "replicate":
+            terminal = "cost" if dtype is np.float64 else "exact"
+        rng = np.random.default_rng(seed)
+        traj = Trajectory(grid, tab.s,
+                          rng.uniform(-1, 1, (N + tab.s, 1)).astype(dtype),
+                          rng.uniform(-1, 1, N + tab.s))
+        prob = la.OdeControlProblem(
+            f=lambda y, u, t: y, f_y=coupled_fy(alpha, beta, 1), y0=0.0,
+            terminal_cost_grad=lambda yT: yT - 0.5,
+            p_exact=lambda t: np.exp(np.multiply(alpha, T - t)))
+        solver = solve_adjoint_dto if route == "dto" else solve_adjoint_otd
+
+        def multipliers():
+            try:
+                return solver(prob, tab, grid, traj, terminal).multipliers
+            except SolverError as exc:
+                return type(exc), str(exc), exc.step_index
+
+        got = multipliers()
+        with mock.patch.object(ode_control, "_backward_sweep",
+                               reference_backward_sweep):
+            ref = multipliers()
+        if isinstance(ref, tuple):
+            assert got == ref
+        else:
+            assert got.dtype == ref.dtype
+            assert np.array_equal(value_bits(got), value_bits(ref))
 
 
 class TestAdjointBlowUp:
