@@ -83,6 +83,13 @@ class TestCli:
         path.write_text(text)
         return str(path)
 
+    def _run_quietly(self, tmp_path, kind, body):
+        """Run ``kind`` on ``body`` with every warning an error; the exit."""
+        conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cli.main([kind, "--config", conf, "--out", str(tmp_path)])
+
     def test_config_reference_exit_zero(self, capsys):
         assert cli.main(["config-reference"]) == 0
         assert "ode-converge" in capsys.readouterr().out
@@ -284,15 +291,46 @@ class TestCli:
     def test_relax_adjoint_one_grid_leaves_rate_blank(self, tmp_path):
         # one grid gives no rate: the mean_rate cells are blank, and no
         # mean of an empty list warns on the way
-        conf = self._write(tmp_path, "c.conf",
-                           "[relax-adjoint]\nnx_list = 40\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["relax-adjoint", "--config", conf,
-                             "--out", str(tmp_path)]) == 0
+        assert self._run_quietly(tmp_path, "relax-adjoint",
+                                 "nx_list = 40\n") == 0
         rows = (tmp_path / "adjoint_eps_study.csv").read_text().splitlines()
         assert len(rows) == 6
         assert all(row.split(",")[3] == "" for row in rows[1:])
+
+    @pytest.mark.parametrize("center", ["1e3", "1e308"])
+    def test_relax_adjoint_vanishing_errors_leave_rate_blank(self, tmp_path,
+                                                             center):
+        # terminal data centred far off the domain vanish on every grid
+        # (at 1e308 the Gaussian's square overflows to its limit), so each
+        # deviation is 0 and no rate exists: the cells are blank
+        assert self._run_quietly(tmp_path, "relax-adjoint",
+                                 f"nx_list = 20,40\nterminal_center = "
+                                 f"{center}\n") == 0
+        rows = (tmp_path / "adjoint_eps_study.csv").read_text().splitlines()
+        assert len(rows) == 6
+        assert all(row.split(",")[2:4] == ["0", ""] for row in rows[1:])
+
+    def test_relax_forward_far_gaussian_is_zero(self, tmp_path):
+        # a centre whose distance squares past the float range gives the
+        # Gaussian's limit, 0, without an overflow warning
+        assert self._run_quietly(tmp_path, "relax-forward",
+                                 "flux = linear\nnx = 41\n"
+                                 "u0_center = 1e308\n") == 0
+        u = np.loadtxt(tmp_path / "forward_t14.csv", delimiter=",",
+                       skiprows=1)[:, 1]
+        assert u.shape == (40,) and not u.any()
+
+    @pytest.mark.parametrize("kind", ["control-jinxin", "control-broadwell"])
+    def test_descent_on_its_target_prints_no_ratio(self, tmp_path, capsys,
+                                                   kind):
+        # on three points the guess equals the true data at every node, so
+        # J(0) = 0: the descent stops at once and reports no J ratio
+        assert self._run_quietly(tmp_path, kind, "nx = 3\n") == 0
+        out = capsys.readouterr().out
+        assert "J(0) = 0.000000e+00   J(end) = 0.000000e+00\n" in out
+        assert "ratio =" not in out
+        log = (tmp_path / f"{kind}_iterations.csv").read_text().splitlines()
+        assert len(log) == 2 and log[1].startswith("0,0,")
 
     def test_relax_adjoint_rejects_nonpositive_eps(self, tmp_path, capsys):
         # the whole eps list is checked before any sweep or CSV
@@ -404,18 +442,13 @@ class TestCli:
         ("control-broadwell", "nx = 41\nT = 0.001\niterations = 2\n", "T"),
         ("relax-forward", "flux = linear\nnx = 40\nx_left = -1e308\n"
                           "x_right = 1e308\n", "x_right"),
-        ("relax-forward", "flux = linear\nnx = 40\ndt = 1e-300\n", "dt"),
-        ("control-jinxin", "nx = 40\ndt = 1e-300\niterations = 2\n", "dt"),
-        ("control-broadwell", "nx = 41\ndt = 1e-300\niterations = 2\n",
-         "dt"),
     ], ids=["dt", "a", "T", "eps", "nx", "study-T", "n_list", "nx_list",
             "eps_list", "iterations", "sigma0", "save_every", "c",
             "filter_every", "x_right-below", "x_right-equal",
             "adjoint-x_right", "n_list-below-s", "u0_width",
             "terminal_width", "T-below-one-step", "adjoint-T-below-one-step",
             "jinxin-T-below-one-step", "broadwell-T-below-one-step",
-            "x_right-overflow", "dt-store-overflow",
-            "jinxin-dt-store-overflow", "broadwell-dt-store-overflow"])
+            "x_right-overflow"])
     def test_out_of_range_value_config_error(self, tmp_path, capsys, kind,
                                              body, key):
         # a zero, negative or too small size is rejected before any run
@@ -427,9 +460,9 @@ class TestCli:
 
     def test_unallocatable_forward_store_config_error(self, tmp_path, capsys,
                                                       monkeypatch):
-        # 1e15 steps pass the array-size bound, but their 277 PiB store
-        # exceeds any address space, so the allocation fails at once; the
-        # work bound, which rejects these settings first, is lifted here
+        # the work bound rejects these settings first and is lifted here;
+        # 1e15 steps then size a 277 PiB store, which exceeds any address
+        # space, so its allocation fails at once
         monkeypatch.setattr(experiments, "_MAX_NODE_STEPS", float("inf"))
         conf = self._write(tmp_path, "c.conf", "[relax-forward]\n"
                            "flux = linear\nnx = 40\ndt = 1e-15\n")
@@ -439,38 +472,62 @@ class TestCli:
         assert "key 'dt'" in err and "(3.12e+17 bytes)" in err
         assert os.listdir(tmp_path) == ["c.conf"]
 
-    @pytest.mark.parametrize("body", ["T = 1e300\n",
-                                      "T = 1e305\nx_right = 1e-6\n"],
-                             ids=["finite", "infinite"])
-    def test_relax_adjoint_step_count_config_error(self, tmp_path, capsys,
-                                                   body):
-        # no forward store bounds relax-adjoint's step count, T/dt; it is
-        # rejected before any sweep, also where T/dt overflows to inf
-        conf = self._write(tmp_path, "c.conf",
-                           f"[relax-adjoint]\nnx_list = 20,40\n{body}")
-        assert cli.main(["relax-adjoint", "--config", conf,
-                         "--out", str(tmp_path)]) == 2
-        assert "key 'T': must be at most" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["c.conf"]
-
     @pytest.mark.parametrize("kind, body", [
         ("relax-adjoint", "nx_list = 20,40\nT = 1e15\n"),
         ("relax-forward", "flux = linear\nnx = 40\ndt = 1e-15\n"),
         ("control-jinxin", "nx = 40\nT = 3e9\n"),
         ("control-broadwell", "nx = 41\niterations = 1000000000\n"),
+        ("relax-forward", "flux = linear\nnx = 40\ndt = 1e-300\n"),
+        ("control-jinxin", "nx = 40\ndt = 1e-300\niterations = 2\n"),
+        ("control-broadwell", "nx = 41\ndt = 1e-300\niterations = 2\n"),
+        ("relax-adjoint", "nx_list = 20,40\nT = 1e300\n"),
+        ("relax-adjoint", "nx_list = 20,40\nT = 1e305\nx_right = 1e-6\n"),
+        ("relax-adjoint", "nx_list = 20,40\nT = 1e307\n"),
+        ("relax-forward", "flux = linear\nnx = 1000000000000000\n"),
+        ("control-jinxin", "nx = 1000000000000000\n"),
+        ("control-broadwell", "nx = 1000000000000000\n"),
     ], ids=["relax-adjoint", "relax-forward", "control-jinxin",
-            "control-broadwell"])
+            "control-broadwell", "dt-store-overflow",
+            "jinxin-dt-store-overflow", "broadwell-dt-store-overflow",
+            "adjoint-steps-finite", "adjoint-steps-infinite",
+            "adjoint-past-float-range", "huge-nx", "jinxin-huge-nx",
+            "broadwell-huge-nx"])
     def test_work_bound_config_error(self, tmp_path, capsys, monkeypatch,
                                      kind, body):
-        # settings that pass the index and store bounds but ask for years
-        # of node-steps are rejected before any allocation or sweep
+        # settings that ask for years of node-steps, as many as the float
+        # range holds (T/dt = inf) or more, or more nodes than memory holds,
+        # are rejected after the grid is laid out but before any node array,
+        # allocation or sweep
         def no_sweep(*args, **kwargs):
             raise AssertionError("swept past the work bound")
 
+        monkeypatch.setattr(rx.LagrangianGrid, "nodes", no_sweep)
         monkeypatch.setattr(rx, "solve_forward", no_sweep)
         monkeypatch.setattr(rx, "viscous_limit_check", no_sweep)
         conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
         assert cli.main([kind, "--config", conf, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'T'" in err and "node-steps" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_work_bound_covers_the_fine_grid(self, tmp_path, capsys,
+                                             monkeypatch):
+        # at T = 3e9 one coarse sweep of 19 nodes takes 3.8e11 node-steps,
+        # under the bound: with an oracle eps the run reaches its sweep.  A
+        # self-reference eps adds a nested fine sweep (twice the nodes and
+        # twice the steps) that pushes the run over before any sweep
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(rx, "viscous_limit_check", no_sweep)
+        body = "[relax-adjoint]\nnx_list = 20\nT = 3e9\neps_list = "
+        conf = self._write(tmp_path, "c.conf", body + "1e-3\n")
+        with pytest.raises(AssertionError, match="swept"):
+            cli.main(["relax-adjoint", "--config", conf,
+                      "--out", str(tmp_path)])
+        conf = self._write(tmp_path, "c.conf", body + "1\n")
+        assert cli.main(["relax-adjoint", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "key 'T'" in err and "node-steps" in err
         assert os.listdir(tmp_path) == ["c.conf"]
@@ -497,12 +554,6 @@ class TestCli:
                              "--out", str(tmp_path)]) == 2
         assert len(counted) == len(texts) == 10
         assert max(counted) * 1000 <= experiments._MAX_NODE_STEPS, counted
-
-    def test_step_count_bound_covers_the_fine_grid(self):
-        # 2**62 steps index, but a nested fine grid's 2**63 do not
-        assert experiments._steps(2.0 ** 61, 1.0) == 2 ** 61
-        with pytest.raises(ConfigError, match="key 'T'"):
-            experiments._steps(2.0 ** 62, 1.0)
 
     @pytest.mark.parametrize("kind, body", [
         ("relax-forward", "flux = linear\nnx = 40\nscheme = AB2\n"),

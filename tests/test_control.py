@@ -255,6 +255,27 @@ class TestOptimize:
         assert res.iterations[-1]["k"] == 0
         assert res.iterations[0]["J"] == 0.0
 
+    def test_stops_on_a_vanishing_gradient(self):
+        # a guess 1e-12 off the truth has J > 0 but a gradient far below
+        # the 1e-8 stop: one log row, and the control comes back unchanged
+        grid = rx.LagrangianGrid(-3.0, 3.0, 41, boundary="periodic")
+        dt, n_steps = 0.05, 6
+        x = grid.nodes()
+        truth = np.where((x >= -1.5) & (x <= -0.5), 1.5 + x, 0.0)[None, :]
+        model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], grid.dx / dt,
+                                1e-2, u0=truth[0])
+        tab = la.tableau("BDF2")
+        _, us = rx.solve_forward(model, grid, tab, truth, n_steps, dt)
+        functional = ct.TrackingFunctional(us[-1], grid.dx)
+        guess = truth + 1e-12
+        res = ct.optimize(model, grid, tab, functional, guess, n_steps, dt,
+                          iterations=10, sigma0=0.1, bb_variant="bb2",
+                          filter_every=1)
+        [row] = res.iterations
+        assert row["k"] == 0 and 1e-24 < row["J"] < 1e-23
+        assert 1e-12 < row["grad_inf_norm"] < 2e-12
+        assert_bitwise(res.control, guess)
+
     def test_monotone_decrease_fixed_small_sigma(self):
         # fixed small step, no filter: J non-increasing for 20 iterations
         grid, model, tab, functional, guess, n_steps, dt = \
