@@ -11,8 +11,7 @@ semi-Lagrangian BDF solver for discrete-velocity relaxation systems
 
 from . import control, ode_control, problems, relaxation, tableaus
 from .tableaus import (ConfigError, ImplicitSolveError, MultistepTableau,
-                       SolverError, TimeGrid, bootstrap_history, step,
-                       tableau)
+                       SolverError, TimeGrid, step, tableau)
 from .ode_control import (AdjointTrajectory, OdeControlProblem, Trajectory,
                           cost_gradient_dto, discrete_cost,
                           optimality_residual, prescribed_trajectory,

@@ -10,6 +10,7 @@ parser, default and documentation; ``settings`` reads a config through it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -124,9 +125,18 @@ def _float_or(word, number):
     return lambda raw: raw if raw == word else number(raw)
 
 
+def _nx(raw):
+    """A grid size: at least 3, the grid's own minimum, and within the
+    float range, since the grid divides its length by it."""
+    value = _bounded(int, 3)(raw)
+    if value > sys.float_info.max:
+        raise ValueError(f"must be at most {sys.float_info.max:.3g}, the "
+                         f"float range, got a {len(str(value))}-digit size")
+    return value
+
+
 _positive = _bounded(_finite)
 _eps = _bounded(_finite, what="eps")
-_nx = _bounded(int, 3)  # the grid's own minimum
 _count = _bounded(int, 0)
 
 

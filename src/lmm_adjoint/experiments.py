@@ -187,7 +187,7 @@ def _full_system_table(tab, n_list, T):
     sols = {"y": []}
     for N in n_list:
         grid = TimeGrid(T, N)
-        traj = solve_forward(prob, tab, grid, init_mode="exact")
+        traj = solve_forward(prob, tab, grid)
         t = np.arange(N + 1) * grid.dt
         y = traj.states[tab.s - 1:, 0]
         errs["y"].append(float(np.max(np.abs(y - 1.0 / (1.0 - t)))))
@@ -229,12 +229,22 @@ def run_ode_convergence(cfg: Config, out_dir: str, route: str | None = None
         if n_list[0] < tab.s:  # the adjoint sweeps need N >= s
             raise ConfigError(f"key 'n_list': must be at least {tab.s} for "
                               f"{tab.name}, got {n_list[0]}")
+    # every scheme sweeps every N once per route, and the full system
+    # sweeps forward too; each built-in study has one state
+    sweeps = 3 if study == "full-system" else len(routes)
+    _admit(len(s["schemes"]) * sum(n_list) * sweeps, "n_list")
     results = {}
     for tab in s["schemes"]:
-        if study == "full-system":
-            header, rows = _full_system_table(tab, n_list, T)
-        else:
-            header, rows = _prescribed_table(study, tab, n_list, T, routes)
+        try:
+            if study == "full-system":
+                header, rows = _full_system_table(tab, n_list, T)
+            else:
+                header, rows = _prescribed_table(study, tab, n_list, T,
+                                                 routes)
+        except MemoryError:
+            raise ConfigError(f"key 'n_list': must be small enough for the "
+                              f"study's arrays to be allocated, got "
+                              f"N = {n_list[-1]}") from None
         path = os.path.join(out_dir, f"table_{study}_{tab.name}.csv")
         write_csv(path, header, rows)
         echo_table(f"{study} / {tab.name}", header, rows)
@@ -272,22 +282,22 @@ def _steps(T, dt):
     return round(n_steps) if n_steps < np.inf else n_steps
 
 
-# Most node-steps one relaxation run may ask for: grid nodes times steps,
-# summed over its sweeps and batch members.  A step costs 10 ns to 1 us per
-# node, so the bound is hours to days of work; every shipped config is at
-# least 1000x under it.  A run within it indexes and sizes its arrays
-# without overflow.
+# Most node-steps one run may ask for: grid nodes (one per ODE state) times
+# steps, summed over its sweeps and batch members.  A relaxation step costs
+# 10 ns to 1 us per node, so the bound is hours to days of work; every
+# shipped config is at least 1000x under it.  A run within it indexes and
+# sizes its arrays without overflow.
 _MAX_NODE_STEPS = 10 ** 12
 
 
-def _admit(node_steps):
+def _admit(node_steps, key="T"):
     """Refuse a run whose work, counted from its grid and settings before
     any array is sized or sweep runs, exceeds ``_MAX_NODE_STEPS`` (a config
-    error): the one upper bound on a relaxation run.  A count past the
+    error naming ``key``): the one upper bound on a run.  A count past the
     float range reads inf."""
     if node_steps > _MAX_NODE_STEPS:
         got = node_steps if node_steps <= sys.float_info.max else np.inf
-        raise ConfigError(f"key 'T': must keep the run within "
+        raise ConfigError(f"key {key!r}: must keep the run within "
                           f"{_MAX_NODE_STEPS:.3g} node-steps (grid nodes x "
                           f"steps over its sweeps), got {got:.3g}")
 

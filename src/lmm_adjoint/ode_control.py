@@ -29,8 +29,9 @@ class OdeControlProblem:
     scalar state the forward Newton sweep passes ``f`` and ``f_y`` a 0-d
     NumPy scalar in the iterate's dtype (the bootstrap and adjoint sweeps
     pass arrays) and rounds any size-1 result to float64: a scalar ``f``
-    must be elementwise.  Exact solution hooks (``y_exact`` broadcasts over
-    times) drive exact-history bootstrapping and the convergence studies.
+    must be elementwise.  The exact solution ``y_exact`` (broadcast over
+    times), where given, starts the forward sweep; ``y_exact`` and
+    ``p_exact`` drive the convergence studies.
     """
 
     f: Callable
@@ -109,20 +110,20 @@ def _controls_array(controls, grid: TimeGrid, s: int) -> np.ndarray:
 
 
 def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
-                  grid: TimeGrid, controls=0.0,
-                  init_mode: str = "exact") -> Trajectory:
+                  grid: TimeGrid, controls=0.0) -> Trajectory:
     """Integrate y' = f(y,u,t) over the grid with the given tableau.
 
     Controls may be a scalar or an (N+s,) array aligned to indices 1-s..N.
-    The starting states follow ``init_mode`` (``exact`` needs the problem's
-    exact-solution hook).  The sweep appends each step's state and
-    right-hand side to two lists, whose s newest entries ``step`` reads;
-    the states list becomes the trajectory.  ``f`` and ``f_y`` get one
-    state (n,) with scalar u and t.  A scalar state (n = 1) steps on Python
+    The start samples the problem's ``y_exact`` where it has one, else it
+    runs RK4 from ``y0`` (``bootstrap_history``) on the control at the
+    index nearest to each substep's t.  Each step's state and right-hand
+    side go onto two lists, whose s newest entries ``step`` reads; the
+    states list becomes the trajectory.  Every Newton call of a step is at
+    its new time and gets the step's control, read once per step, with
+    one state (n,) and scalar t.  A scalar state (n = 1) steps on Python
     floats: both lists, the Newton iteration and the finiteness check hold
     floats, ``f`` and ``f_y`` get each iterate as a 0-d NumPy scalar in its
-    dtype and the step's control, read once per step, and any size-1
-    result is read back as a float64.  Raises
+    dtype, and any size-1 result is read back as a float64.  Raises
     ``SolverError`` with the offending step index on NaN/overflow, and sets
     the step index of an ``ImplicitSolveError``.
     """
@@ -130,16 +131,15 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     u = _controls_array(controls, grid, s)
     dt, off = grid.dt, s - 1
     f, f_y = problem.f, problem.f_y
-    u_at = lambda t: u[int(round(t / dt)) + off]  # nearest index
 
-    def rhs_array(y, t):
-        return np.atleast_1d(np.asarray(f(y, u_at(t), t), dtype=float))
+    def rhs_array(y, t, u_t):
+        return np.atleast_1d(np.asarray(f(y, u_t, t), dtype=float))
 
-    states, fvals = bootstrap_history(tab, grid, rhs_array, problem.y0,
-                                      mode=init_mode, y_exact=problem.y_exact)
+    states, fvals = bootstrap_history(
+        tab, grid, lambda y, t: rhs_array(y, t, u[int(round(t / dt)) + off]),
+        problem.y0, problem.y_exact)
+    # the closures below read the step's control u_new, set once per step
     if problem.dim == 1:  # step on Python floats from here on
-        # every Newton call of a step is at t_new, so the loop reads its
-        # control u_new (the one at the nearest index) once per step
         def scalar(fn):
             def call(y, t):
                 r = fn(np.float64(y) if type(y) is float else y, u_new, t)
@@ -152,11 +152,8 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
         fvals = [fy.item() for fy in fvals]
         finite, as_state = math.isfinite, float
     else:
-        rhs = rhs_array
-
-        def jac(y, t):  # ``step`` makes the result a 2-D float array
-            return f_y(y, u_at(t), t)
-
+        rhs = lambda y, t: rhs_array(y, t, u_new)
+        jac = lambda y, t: f_y(y, u_new, t)  # ``step`` makes it 2-D float
         finite = lambda y: np.isfinite(y).all()
         as_state = lambda y: np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):

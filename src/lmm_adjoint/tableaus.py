@@ -301,33 +301,25 @@ def _rk4(rhs, y, t, dt):
 
 
 def bootstrap_history(tab: MultistepTableau, grid: TimeGrid, rhs: Callable,
-                      y0, mode: str = "exact",
-                      y_exact: Callable | None = None) -> tuple[list, list]:
+                      y0, y_exact: Callable | None = None) -> tuple[list, list]:
     """The starting states and right-hand sides at indices 1-s, ..., 0.
 
-    ``exact`` samples the supplied exact solution at t = (1-s+i)*dt;
-    ``rk-bootstrap`` integrates backward from y0 with substepped RK4
-    (fourth-order start, adequate through BDF4; see tests).  Returns the
-    lists (states, fvals) of float64 arrays in index order, oldest first,
-    as ``step`` reads them; on a long-double grid the RK4 start runs in
-    long double and is rounded at the end.
+    The start follows from what is given: with an exact solution
+    ``y_exact`` the states sample it at t = (1-s+i)*dt; without one they
+    integrate backward from y0 with substepped RK4 (fourth-order start,
+    adequate through BDF4; see tests).  Returns the lists (states, fvals)
+    of float64 arrays in index order, oldest first, as ``step`` reads
+    them; on a long-double grid the RK4 start runs in long double and is
+    rounded at the end.
     """
     s = tab.s
-    if mode == "exact":
-        if y_exact is None:
-            raise ValueError("exact bootstrap requires a y_exact hook")
+    if y_exact is not None:
         entries = [np.atleast_1d(np.asarray(y_exact(grid.t(n)), dtype=float))
                    for n in range(1 - s, 1)]
-    elif mode == "rk-bootstrap":
-        entries = [None] * s
-        y = np.atleast_1d(np.asarray(y0, dtype=float))
-        entries[s - 1] = y
+    else:  # from t_{-k} down to t_{-k-1}, newest first
+        entries = [np.atleast_1d(np.asarray(y0, dtype=float))]
         for k in range(s - 1):
-            n = -k  # integrate from t_{-k} down to t_{-k-1}
-            y = _rk4(rhs, y, grid.t(n), -grid.dt)
-            entries[s - 2 - k] = y
-    else:
-        raise ValueError(f"unknown bootstrap mode {mode!r}")
+            entries.insert(0, _rk4(rhs, entries[0], grid.t(-k), -grid.dt))
     fvals = [np.array(rhs(y, grid.t(1 - s + i)), dtype=float)
              for i, y in enumerate(entries)]
     return [np.array(y, dtype=float) for y in entries], fvals

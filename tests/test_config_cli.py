@@ -442,16 +442,21 @@ class TestCli:
         ("control-broadwell", "nx = 41\nT = 0.001\niterations = 2\n", "T"),
         ("relax-forward", "flux = linear\nnx = 40\nx_left = -1e308\n"
                           "x_right = 1e308\n", "x_right"),
+        # a size the grid spacing cannot divide by, as a float
+        ("relax-forward", "flux = linear\nnx = 1" + "0" * 400 + "\n", "nx"),
+        ("relax-adjoint", "nx_list = 20,1" + "0" * 400 + "\n", "nx_list"),
     ], ids=["dt", "a", "T", "eps", "nx", "study-T", "n_list", "nx_list",
             "eps_list", "iterations", "sigma0", "save_every", "c",
             "filter_every", "x_right-below", "x_right-equal",
             "adjoint-x_right", "n_list-below-s", "u0_width",
             "terminal_width", "T-below-one-step", "adjoint-T-below-one-step",
             "jinxin-T-below-one-step", "broadwell-T-below-one-step",
-            "x_right-overflow"])
+            "x_right-overflow", "nx-past-float-range",
+            "nx_list-past-float-range"])
     def test_out_of_range_value_config_error(self, tmp_path, capsys, kind,
                                              body, key):
-        # a zero, negative or too small size is rejected before any run
+        # a zero, negative, too small or too large size is rejected before
+        # any run
         conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
         assert cli.main([kind, "--config", conf, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -530,6 +535,45 @@ class TestCli:
                          "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "key 'T'" in err and "node-steps" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("study", ["const-fy", "full-system"])
+    @pytest.mark.parametrize("n_list", ["1000000000000000",
+                                        "100000000000000000000"],
+                             ids=["1e15", "1e20"])
+    def test_ode_study_work_bound_config_error(self, tmp_path, capsys,
+                                               monkeypatch, study, n_list):
+        # schemes x the sum of n_list, per sweep, counts against the same
+        # bound, before any array of the study is sized
+        def no_table(*args, **kwargs):
+            raise AssertionError("built a table past the work bound")
+
+        monkeypatch.setattr(experiments, "_prescribed_table", no_table)
+        monkeypatch.setattr(experiments, "_full_system_table", no_table)
+        conf = self._write(tmp_path, "c.conf", f"[ode-converge]\nstudy = "
+                           f"{study}\nschemes = BDF2\nn_list = {n_list}\n")
+        assert cli.main(["ode-converge", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'n_list'" in err and "node-steps" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("study, solver", [
+        ("const-fy", "backward_study_solution"),
+        ("full-system", "solve_forward")])
+    def test_unallocatable_ode_study_config_error(self, tmp_path, capsys,
+                                                  monkeypatch, study, solver):
+        # a study within the bound whose arrays memory cannot hold
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(experiments, solver, no_memory)
+        conf = self._write(tmp_path, "c.conf", f"[ode-converge]\nstudy = "
+                           f"{study}\nschemes = BDF2\nn_list = 20,40\n")
+        assert cli.main(["ode-converge", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'n_list'" in err and "N = 40" in err
         assert os.listdir(tmp_path) == ["c.conf"]
 
     def test_shipped_configs_far_under_the_work_bound(self, tmp_path,

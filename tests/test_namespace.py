@@ -1,8 +1,9 @@
 """The public namespace of ``lmm_adjoint``, pinned to a checked-in list.
 
-A change that adds or removes a public name, a module of the package, a
-command-line option or a documented config key must edit the lists below,
-so neither the namespace nor the option surface can grow unnoticed.
+A change that adds or removes a public name, a parameter of a public
+callable, a module of the package, a command-line option or a documented
+config key must edit the lists below, so neither the namespace nor the
+option surface can grow unnoticed.
 """
 
 import ast
@@ -20,7 +21,7 @@ PUBLIC_NAMES = (
     "ImplicitSolveError", "KineticField", "LagrangianGrid",
     "MultistepTableau", "OdeControlProblem", "OptimizeResult",
     "RelaxationModel", "SolverError", "TimeGrid", "TrackingFunctional",
-    "Trajectory", "adjoint_step", "bb_step", "bootstrap_history",
+    "Trajectory", "adjoint_step", "bb_step",
     "cost_gradient_dto", "discrete_cost", "forward_step",
     "gradient_from_adjoint", "make_broadwell", "make_jin_xin",
     "optimality_residual", "optimize",
@@ -28,6 +29,53 @@ PUBLIC_NAMES = (
     "solve_forward", "step", "tableau", "terminal_multipliers",
     "transport_oracle", "tv_filter", "viscous_limit_check",
 )
+
+# The parameters of every public callable (class constructors included),
+# in order, as ``inspect.signature`` gives them, so a keyword option cannot
+# be added unnoticed.  None marks a class that keeps its base's built-in
+# constructor, which has no signature.
+PUBLIC_SIGNATURES = {
+    "AdjointField": ("model", "grid", "dt", "tab", "lam_T"),
+    "AdjointTrajectory": ("grid", "s", "multipliers", "route"),
+    "ConfigError": None,
+    "ImplicitSolveError": ("message", "residual", "iterations"),
+    "KineticField": ("model", "grid", "dt", "tab", "f0"),
+    "LagrangianGrid": ("x_left", "x_right", "n_points", "boundary"),
+    "MultistepTableau": ("name", "s", "a_exact", "b_exact", "nominal_order"),
+    "OdeControlProblem": ("f", "f_y", "f_u", "terminal_cost",
+                          "terminal_cost_grad", "alpha", "y0", "y_exact",
+                          "p_exact"),
+    "OptimizeResult": ("control", "u_terminal", "iterations"),
+    "RelaxationModel": ("velocities", "q_matrix", "equilibrium",
+                        "equilibrium_jac", "dflux", "eps"),
+    "SolverError": ("message", "step_index"),
+    "TimeGrid": ("T", "N"),
+    "TrackingFunctional": ("target", "dx"),
+    "Trajectory": ("grid", "s", "states", "controls"),
+    "adjoint_step": ("model", "grid", "adj", "jac"),
+    "bb_step": ("du", "dg", "sigma", "variant"),
+    "cost_gradient_dto": ("problem", "traj", "adj", "tab"),
+    "discrete_cost": ("problem", "traj"),
+    "forward_step": ("model", "grid", "fld", "out"),
+    "gradient_from_adjoint": ("model", "lam0", "u0"),
+    "make_broadwell": ("c", "eps"),
+    "make_jin_xin": ("flux", "dflux", "a", "eps", "u0"),
+    "optimality_residual": ("problem", "traj", "adj", "tab"),
+    "optimize": ("model", "grid", "tab", "functional", "initial_guess",
+                 "n_steps", "dt", "iterations", "sigma0", "bb_variant",
+                 "filter_every", "callback"),
+    "prescribed_trajectory": ("grid", "s", "y_of_t"),
+    "solve_adjoint_dto": ("problem", "tab", "grid", "traj", "terminal"),
+    "solve_adjoint_otd": ("problem", "tab", "grid", "traj", "terminal"),
+    "solve_forward": ("problem", "tab", "grid", "controls"),
+    "step": ("tab", "states", "fvals", "dt", "rhs", "t_new", "jac"),
+    "tableau": ("name",),
+    "terminal_multipliers": ("model", "p_terminal"),
+    "transport_oracle": ("grid", "p_terminal", "speed", "T"),
+    "tv_filter": ("u", "grid"),
+    "viscous_limit_check": ("model", "grid", "tab", "p_terminal", "n_steps",
+                            "dt", "references"),
+}
 
 # Public names that no module of the package uses yet.  ROADMAP item 3
 # decides whether they stay.
@@ -58,6 +106,16 @@ def test_public_names_match_the_pinned_list():
     names = [n for n in dir(la)
              if not n.startswith("_") and not inspect.ismodule(getattr(la, n))]
     assert sorted(names) == sorted(PUBLIC_NAMES)
+
+
+def test_public_signatures_match_the_pinned_map():
+    found = {}
+    for name in PUBLIC_NAMES:
+        try:
+            found[name] = tuple(inspect.signature(getattr(la, name)).parameters)
+        except ValueError:  # a built-in constructor
+            found[name] = None
+    assert found == PUBLIC_SIGNATURES
 
 
 def test_public_names_are_used_by_the_package():

@@ -100,6 +100,27 @@ class TestForward:
                            controls=np.full(grid.N + tab.s, 0.1))
         assert np.array_equal(t1.states, t2.states)
 
+    def test_start_follows_the_problem(self):
+        # a problem without y_exact starts by RK4 from y0, one with it
+        # samples it; neither needs an option
+        prob = terminal_tracking_problem(0.5)
+        tab, grid = la.tableau("BDF3"), la.TimeGrid(0.5, 40)
+        rhs = lambda y, t: np.atleast_1d(prob.f(y, 0.0, t))
+        starts = []
+        for y_exact in (None, prob.y_exact):
+            traj = solve_forward(dataclasses.replace(prob, y_exact=y_exact),
+                                 tab, grid)
+            start, _ = bootstrap_history(tab, grid, rhs, prob.y0, y_exact)
+            assert np.array_equal(traj.states[:tab.s],
+                                  np.reshape(start, (tab.s, 1)))
+            err = linf_state_error(traj, tab, lambda t: 1.0 / (1.0 - t))
+            assert err < 1e-4
+            starts.append(np.reshape(start, -1))
+        rk4, exact = starts
+        assert exact.tolist() == [1.0 / (1.0 + 2 * grid.dt),
+                                  1.0 / (1.0 + grid.dt), 1.0]
+        assert rk4[-1] == 1.0 and 0 < np.max(np.abs(rk4 - exact)) < 1e-8
+
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_newton_iterates_are_numpy_scalars(self, dtype):
         # the exact bootstrap passes f a (1,) array; in the Newton loop f and
@@ -451,7 +472,7 @@ class TestDtoJacobianEvaluations:
         prob = terminal_tracking_problem(T=0.5)
         tab = la.tableau(name)
         grid = la.TimeGrid(0.5, 40)
-        traj = solve_forward(prob, tab, grid, init_mode="exact")
+        traj = solve_forward(prob, tab, grid)
         seen = []
 
         def f_y(y, u, t):
@@ -575,7 +596,7 @@ class TestBatchedJacobians:
         assert np.array_equal(np.signbit(J), np.signbit(ref))
 
 
-def reference_scalar_forward(problem, tab, grid, u, init_mode):
+def reference_scalar_forward(problem, tab, grid, u):
     """States of ``solve_forward``'s scalar path (n = 1) with the closures
     it shipped with: each call looks up the control at the nearest index
     of its t, boxes the iterate through ``np.asarray(y)[()]`` and reads the
@@ -590,7 +611,7 @@ def reference_scalar_forward(problem, tab, grid, u, init_mode):
         return np.atleast_1d(np.asarray(f(y, u_at(t), t), dtype=float))
 
     states, fvals = bootstrap_history(tab, grid, rhs_array, problem.y0,
-                                      mode=init_mode, y_exact=problem.y_exact)
+                                      y_exact=problem.y_exact)
 
     def rhs(y, t):
         return float(np.asarray(f(np.asarray(y)[()], u_at(t), t)).item())
@@ -670,15 +691,17 @@ class TestScalarSweepBits:
                                        seed):
         tab, grid = la.tableau(name), la.TimeGrid(dtype(T), N)
         prob = terminal_tracking_problem(T)
+        if init_mode == "rk-bootstrap":  # no exact solution: the RK4 start
+            prob = dataclasses.replace(prob, y_exact=None)
         u = np.random.default_rng(seed).uniform(-0.5, 0.5, N + tab.s)
         try:
-            ref = reference_scalar_forward(prob, tab, grid, u, init_mode)
+            ref = reference_scalar_forward(prob, tab, grid, u)
         except SolverError as exc:  # both fail alike
             with pytest.raises(type(exc)) as err:
-                solve_forward(prob, tab, grid, u, init_mode)
+                solve_forward(prob, tab, grid, u)
             assert str(err.value).startswith(str(exc))
             return
-        states = solve_forward(prob, tab, grid, u, init_mode).states
+        states = solve_forward(prob, tab, grid, u).states
         assert states.dtype == np.float64
         assert np.array_equal(value_bits(states), value_bits(ref))
 

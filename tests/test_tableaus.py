@@ -1,5 +1,6 @@
 """Tableau registry, recurrence step, and history bootstrap."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -252,7 +253,6 @@ class TestOrderVerification:
                 rhs = lambda y, tt: y
                 jac = lambda y, tt: np.array([[1.0]])
                 states, fvals = tb.bootstrap_history(tab, grid, rhs, 1.0,
-                                                     mode="exact",
                                                      y_exact=np.exp)
                 y = None
                 for n in range(N):
@@ -279,8 +279,8 @@ class TestBootstrap:
         tab = tb.tableau("ImplicitEuler")
         grid = tb.TimeGrid(1.0, 10)
         rhs = lambda y, tt: y
-        for mode, hook in (("exact", np.exp), ("rk-bootstrap", None)):
-            states, _ = tb.bootstrap_history(tab, grid, rhs, 1.0, mode=mode,
+        for hook in (np.exp, None):  # the exact start, then the RK4 one
+            states, _ = tb.bootstrap_history(tab, grid, rhs, 1.0,
                                              y_exact=hook)
             assert len(states) == 1 and states[0][0] == 1.0
 
@@ -289,17 +289,11 @@ class TestBootstrap:
         tab = tb.tableau("BDF3")
         grid = tb.TimeGrid(1.0, 100)
         rhs = lambda y, tt: y * y
-        states, _ = tb.bootstrap_history(tab, grid, rhs, 1.0, mode="exact",
+        states, _ = tb.bootstrap_history(tab, grid, rhs, 1.0,
                                          y_exact=lambda t: 1.0 / (1.0 - t))
         for i, y in enumerate(reversed(states)):  # newest first
             t = -i * grid.dt
             assert abs(y[0] - 1.0 / (1.0 - t)) <= 1e-14
-
-    def test_exact_mode_requires_hook(self):
-        tab = tb.tableau("BDF2")
-        grid = tb.TimeGrid(1.0, 10)
-        with pytest.raises(ValueError):
-            tb.bootstrap_history(tab, grid, lambda y, tt: y, 1.0, mode="exact")
 
     def test_rk_bootstrap_matches_exact_to_fourth_order(self):
         tab = tb.tableau("BDF3")
@@ -307,10 +301,9 @@ class TestBootstrap:
         devs = []
         for N in (100, 200):
             grid = tb.TimeGrid(1.0, N)
-            he, _ = tb.bootstrap_history(tab, grid, rhs, 1.0, mode="exact",
+            he, _ = tb.bootstrap_history(tab, grid, rhs, 1.0,
                                          y_exact=lambda t: 1.0 / (1.0 - t))
-            hr, _ = tb.bootstrap_history(tab, grid, rhs, 1.0,
-                                         mode="rk-bootstrap")
+            hr, _ = tb.bootstrap_history(tab, grid, rhs, 1.0)
             dev = max(abs(a[0] - b[0]) for a, b in zip(he, hr))
             devs.append(dev)
         order = np.log2(devs[0] / devs[1])
@@ -358,8 +351,7 @@ def reference_step(tab, states, fvals, dt, rhs, t_new, jac=None, tol=1e-12,
     raise tb.ImplicitSolveError("no convergence", rnorm, maxit)
 
 
-def reference_forward(problem, tab, grid, u, init_mode="rk-bootstrap",
-                      step=reference_step):
+def reference_forward(problem, tab, grid, u, step=reference_step):
     """solve_forward as first released, on the reference step: the control
     lookup through the grid's properties, and f re-evaluated at each new
     state before it is appended.  The history holds float64 arrays
@@ -376,7 +368,6 @@ def reference_forward(problem, tab, grid, u, init_mode="rk-bootstrap",
         return problem.f_y(y, u[i + s - 1], t)
 
     states, fvals = tb.bootstrap_history(tab, grid, rhs, problem.y0,
-                                         mode=init_mode,
                                          y_exact=problem.y_exact)
     for n in range(grid.N):
         t_new = grid.t(n + 1)
@@ -384,6 +375,14 @@ def reference_forward(problem, tab, grid, u, init_mode="rk-bootstrap",
         states.append(np.asarray(y, dtype=float))
         fvals.append(rhs(y, t_new))
     return np.array(states)
+
+
+def started(problem, init_mode):
+    """``problem`` with the start ``init_mode`` names: "exact" keeps its
+    exact solution, "rk-bootstrap" drops it, so the sweep starts by RK4."""
+    if init_mode == "exact":
+        return problem
+    return dataclasses.replace(problem, y_exact=None)
 
 
 SWEEP_SCHEMES = ["ImplicitEuler", "BDF2", "BDF3", "BDF4", "BDF5", "BDF6",
@@ -433,12 +432,13 @@ class TestStepEquivalence:
                                              N, T):
         # the scalar sweep on Python floats against the array reference
         tab = tb.tableau(name)
-        prob = smooth_scalar_problem(alpha, beta, gamma, omega, y0)
+        prob = started(smooth_scalar_problem(alpha, beta, gamma, omega, y0),
+                       init_mode)
         grid = tb.TimeGrid(T, N)
         u = u_amp * np.cos(np.linspace(-1.0, 2.0, N + tab.s))
-        traj = solve_forward(prob, tab, grid, controls=u, init_mode=init_mode)
-        assert np.array_equal(traj.states, reference_forward(
-            prob, tab, grid, u, init_mode=init_mode))
+        traj = solve_forward(prob, tab, grid, controls=u)
+        assert np.array_equal(traj.states,
+                              reference_forward(prob, tab, grid, u))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(init_mode=st.sampled_from(["exact", "rk-bootstrap"]),
@@ -447,13 +447,14 @@ class TestStepEquivalence:
                                                beta, gamma, omega, y0, u_amp,
                                                N, T):
         tab = tb.tableau(name)
-        prob = smooth_two_state_problem(alpha, beta, gamma, omega, y0)
+        prob = started(smooth_two_state_problem(alpha, beta, gamma, omega,
+                                                y0), init_mode)
         grid = tb.TimeGrid(T, N)
         u = u_amp * np.cos(np.linspace(-1.0, 2.0, N + tab.s))
-        traj = solve_forward(prob, tab, grid, controls=u, init_mode=init_mode)
+        traj = solve_forward(prob, tab, grid, controls=u)
         assert traj.states.shape == (N + tab.s, 2)
-        assert np.array_equal(traj.states, reference_forward(
-            prob, tab, grid, u, init_mode=init_mode))
+        assert np.array_equal(traj.states,
+                              reference_forward(prob, tab, grid, u))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(init_mode=st.sampled_from(["rk-bootstrap", "exact"]),
@@ -466,12 +467,13 @@ class TestStepEquivalence:
         # (the reference step's LAPACK solve takes no long double, so the
         # oracle steps an array history with ``step``)
         tab = tb.tableau(name)
-        prob = smooth_scalar_problem(alpha, beta, gamma, omega, y0)
+        prob = started(smooth_scalar_problem(alpha, beta, gamma, omega, y0),
+                       init_mode)
         grid = tb.TimeGrid(np.longdouble(T), N)
         u = u_amp * np.cos(np.linspace(-1.0, 2.0, N + tab.s))
-        traj = solve_forward(prob, tab, grid, controls=u, init_mode=init_mode)
+        traj = solve_forward(prob, tab, grid, controls=u)
         assert np.array_equal(traj.states, reference_forward(
-            prob, tab, grid, u, init_mode=init_mode,
+            prob, tab, grid, u,
             step=lambda *args, **kw: tb.step(*args, **kw)[0]))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -490,8 +492,7 @@ class TestStepEquivalence:
             return np.atleast_1d(prob.f(y, u_amp, t))
 
         jac = lambda y, t: prob.f_y(y, u_amp, t)
-        states, fvals = tb.bootstrap_history(tab, grid, rhs, y0,
-                                             mode="rk-bootstrap")
+        states, fvals = tb.bootstrap_history(tab, grid, rhs, y0)
         for n in range(N):
             seen.clear()
             t_new = grid.t(n + 1)
