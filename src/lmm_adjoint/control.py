@@ -68,12 +68,7 @@ def tv_filter(u: np.ndarray, grid: LagrangianGrid) -> np.ndarray:
     a convex average, so discrete total variation never increases.
     """
     u = np.asarray(u, dtype=float)
-    if grid.boundary == "periodic":
-        left = np.roll(u, 1, axis=-1)
-        right = np.roll(u, -1, axis=-1)
-    else:
-        left = np.concatenate([u[..., :1], u[..., :-1]], axis=-1)
-        right = np.concatenate([u[..., 1:], u[..., -1:]], axis=-1)
+    left, right = u[..., grid.upstream(1)], u[..., grid.upstream(-1)]
     return 0.25 * (left + 2.0 * u + right)
 
 

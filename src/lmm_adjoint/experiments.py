@@ -78,22 +78,25 @@ def write_csv(path, header, rows):
                           for row in zip(*map(_column, columns)))
 
 
+def _echo_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if v is None or (isinstance(v, float) and np.isnan(v)):
+        return ""
+    if isinstance(v, (int, np.integer)):
+        return f"{v:d}"
+    return f"{float(v):.6e}"
+
+
 def echo_table(title, header, rows):
-    width = max(14, max(len(h) for h in header) + 2)
+    """Print ``rows`` under ``header`` in right-aligned columns of one
+    width, at least 14 and wide enough for every cell plus a two-space
+    gap; None and NaN cells are blank."""
+    rows = [list(map(_echo_cell, row)) for row in rows]
+    width = 2 + max(12, *map(len, header), *(len(c) for r in rows for c in r))
     print(title)
-    print("  " + "".join(f"{h:>{width}}" for h in header))
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(f"{v:>{width}}")
-            elif v is None or (isinstance(v, float) and np.isnan(v)):
-                cells.append(" " * width)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(f"{v:>{width}d}")
-            else:
-                cells.append(f"{float(v):>{width}.6e}")
-        print("  " + "".join(cells))
+    for row in [header] + rows:
+        print("  " + "".join(f"{c:>{width}}" for c in row))
     print()
 
 
@@ -353,6 +356,13 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     xl, xr = _domain(s)
     pT_fn = _gaussian(s["terminal_center"], s["terminal_width"])
     tab = s["scheme"]
+    names = {}  # the p0 snapshot name of each distinct eps
+    for eps in eps_list:
+        other = names.setdefault(f"{eps:g}", eps)
+        if other != eps:
+            raise ConfigError(f"key 'eps_list': values {other!r} and {eps!r} "
+                              f"would share the snapshot "
+                              f"adjoint_eps{eps:g}_p0.csv")
     self_ref = [b for b, eps in enumerate(eps_list) if eps >= oracle_max]
     grids = [rx.LagrangianGrid(xl, xr, nx, boundary="periodic")
              for nx in s["nx_list"]]
@@ -363,9 +373,10 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
                for g, n in zip(grids, steps)))
 
     def model_of(eps):
-        # one relaxation parameter per batch member
+        # one relaxation parameter per batch member; F' = 1 on any data, so
+        # zeros check the subcharacteristic condition a >= 1
         return rx.make_jin_xin(*rx.JIN_XIN_FLUXES["linear"], a,
-                               np.reshape(eps, (-1, 1, 1)))
+                               np.reshape(eps, (-1, 1, 1)), u0=np.zeros(1))
 
     model = model_of(eps_list)
     fine_model = model_of([eps_list[b] for b in self_ref])

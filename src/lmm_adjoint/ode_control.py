@@ -109,6 +109,15 @@ def _controls_array(controls, grid: TimeGrid, s: int) -> np.ndarray:
     return arr.copy()
 
 
+def _require_linalg(dtype):
+    """Refuse, before any work, a sweep that solves with np.linalg in
+    ``dtype``: of the real dtypes np.linalg supports only float32 and
+    float64, and it fails on a long double in mid-sweep."""
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"the sweep solves with np.linalg, which does not "
+                         f"support {np.dtype(dtype)}")
+
+
 def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
                   grid: TimeGrid, controls=0.0) -> Trajectory:
     """Integrate y' = f(y,u,t) over the grid with the given tableau.
@@ -123,10 +132,15 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
     one state (n,) and scalar t.  A scalar state (n = 1) steps on Python
     floats: both lists, the Newton iteration and the finiteness check hold
     floats, ``f`` and ``f_y`` get each iterate as a 0-d NumPy scalar in its
-    dtype, and any size-1 result is read back as a float64.  Raises
+    dtype, and any size-1 result is read back as a float64.  A larger
+    state's Newton iteration solves with np.linalg in the step's dtype, so
+    an implicit tableau on a long-double grid is a ValueError, raised
+    before the start.  Raises
     ``SolverError`` with the offending step index on NaN/overflow, and sets
     the step index of an ``ImplicitSolveError``.
     """
+    if problem.dim > 1 and tab.is_implicit:
+        _require_linalg(np.result_type(grid.dt, float))
     s = tab.s
     u = _controls_array(controls, grid, s)
     dt, off = grid.dt, s - 1
@@ -243,13 +257,16 @@ def _last_b_term(tab):
     return max((k for k in range(tab.s) if tab.b_exact[k + 1]), default=-1)
 
 
-def _sweep_array(problem, grid, traj, s):
+def _sweep_array(problem, grid, traj, s, block=False):
     """Zero multipliers on indices 1-s..N+s-1 in the dtype of the grid's
-    step and the states."""
+    step and the states.  A sweep that solves with np.linalg, a system's
+    or one with a terminal ``block``, needs float32 or float64 there."""
     if grid.N < s:
         raise ValueError(f"adjoint solve needs N >= s (got N={grid.N}, s={s})")
-    return np.zeros((grid.N + 2 * s - 1, problem.dim),
-                    np.result_type(grid.dt, traj.states))
+    dtype = np.result_type(grid.dt, traj.states)
+    if problem.dim > 1 or block:
+        _require_linalg(dtype)
+    return np.zeros((grid.N + 2 * s - 1, problem.dim), dtype)
 
 
 def _sweep_matrices(tab, dt, Jt, rows, shifted):
@@ -373,7 +390,8 @@ def solve_adjoint_otd(problem: OdeControlProblem, tab: MultistepTableau,
     (``terminal='exact'``) or replicates j_y(y_N) (``'replicate'``).  Past T
     the Jacobian is taken at the exact solution when the problem has one,
     else clamped to index N.  The sweep runs in the dtype of ``grid.dt`` and
-    the states.  Raises
+    the states, which for a system (n > 1) must be float64 or float32 (a
+    ValueError).  Raises
     ``SolverError`` with the step index of the first non-finite
     multiplier.
     """
@@ -398,7 +416,8 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     instead seeds indices N..N+s-1 from ``p_exact`` and sweeps every lower
     index with the interior recurrence (prescribed-trajectory studies).
     The sweep runs in the dtype of ``grid.dt`` and the states, which with
-    ``terminal='cost'`` must be float64 or float32 (a ValueError).  Raises
+    ``terminal='cost'`` or for a system (n > 1) must be float64 or float32
+    (a ValueError).  Raises
     ``SolverError`` with the step index of the first non-finite
     multiplier.
 
@@ -416,12 +435,8 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
         raise ValueError(f"unknown terminal mode {terminal!r}")
     if problem.terminal_cost_grad is None:
         raise ValueError("DtO route requires terminal_cost_grad")
-    dtype = np.result_type(grid.dt, traj.states)
-    if dtype not in (np.float32, np.float64):  # the real dtypes of np.linalg
-        raise ValueError(f"terminal='cost' solves the terminal block with "
-                         f"np.linalg, which does not support {dtype}")
 
-    ext = _sweep_array(problem, grid, traj, s)
+    ext = _sweep_array(problem, grid, traj, s, block=True)
     jy = np.atleast_1d(problem.terminal_cost_grad(traj.terminal_state))
     # f_y is read on the step equations 1..N and on the initial-data rows
     # i <= 0 that one of their b-terms reaches (never for BDF)

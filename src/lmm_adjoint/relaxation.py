@@ -224,7 +224,8 @@ class LagrangianGrid:
     dx = (x_right - x_left)/(n_points - 1).  Periodic boundaries identify the
     last point with the first, leaving n_points - 1 unique nodes; clamped
     (zero-flux) boundaries keep all n_points nodes and clamp characteristic
-    feet at the walls.
+    feet at the walls.  Only the grid reads its boundary rule, which it
+    gives as indices (``upstream``), slices and positions (``fold``).
     """
 
     x_left: float
@@ -246,33 +247,53 @@ class LagrangianGrid:
     def n_nodes(self) -> int:
         return self.n_points - 1 if self.boundary == "periodic" else self.n_points
 
-    @property
-    def length(self) -> float:
-        return self.x_right - self.x_left
-
     def nodes(self) -> np.ndarray:
         return self.x_left + self.dx * np.arange(self.n_nodes)
+
+    def upstream(self, k) -> np.ndarray:
+        """The node each node reads k cells upstream, i - k, wrapped on a
+        periodic grid and clamped at the walls of a clamped one.  ``k`` is
+        an integer, giving (M,) indices, or an integer array, giving one
+        row of them per entry, ``k.shape + (M,)``."""
+        M = self.n_nodes
+        i = np.arange(M) - np.asarray(k)[..., None]
+        return i % M if self.boundary == "periodic" else np.clip(i, 0, M - 1)
+
+    def upstream_slices(self, k: int) -> tuple:
+        """``upstream(k)`` as ``(out, values)`` slice pairs of one row,
+        out[i] = values[upstream(k)[i]]; a clamped piece reads the wall
+        node, (..., 1), and broadcasts it."""
+        M, periodic = self.n_nodes, self.boundary == "periodic"
+        k = k % M if periodic else min(max(k, -M), M)
+        if k >= 0:
+            pairs = ((slice(k, M), slice(0, M - k)),
+                     (slice(0, k), slice(M - k, M) if periodic else slice(0, 1)))
+        else:
+            pairs = ((slice(0, M + k), slice(-k, M)),
+                     (slice(M + k, M), slice(M - 1, M)))
+        return tuple((dst, src) for dst, src in pairs if dst.start < dst.stop)
+
+    def fold(self, x: np.ndarray) -> np.ndarray:
+        """Positions ``x`` brought into the domain: wrapped into
+        [x_left, x_right) on a periodic grid, clamped to the walls of a
+        clamped one."""
+        if self.boundary == "periodic":
+            return self.x_left + np.mod(x - self.x_left,
+                                        self.x_right - self.x_left)
+        return np.clip(x, self.x_left, self.x_right)
 
     def sample_shifted(self, values: np.ndarray, shift_cells: float) -> np.ndarray:
         """Values of a nodal field at x_i - shift_cells*dx.
 
-        Integral shifts are exact (roll/clamped gather); fractional shifts use
-        linear interpolation, which limits the spatial accuracy to first
-        order.
+        Integral shifts are exact (an ``upstream`` gather); fractional
+        shifts use linear interpolation, which limits the spatial accuracy
+        to first order.
         """
-        M = values.shape[-1]
         lo, w = _foot(shift_cells)
-        if self.boundary == "periodic":
-            a = np.roll(values, lo, axis=-1)
-            if w == 0.0:
-                return a
-            b = np.roll(values, lo + 1, axis=-1)
-        else:
-            a = values[..., np.clip(np.arange(M) - lo, 0, M - 1)]
-            if w == 0.0:
-                return a
-            b = values[..., np.clip(np.arange(M) - lo - 1, 0, M - 1)]
-        return (1.0 - w) * a + w * b
+        a = values[..., self.upstream(lo)]
+        if w == 0.0:
+            return a
+        return (1.0 - w) * a + w * values[..., self.upstream(lo + 1)]
 
 
 def _foot(shift_cells: float) -> tuple[int, float]:
@@ -303,14 +324,12 @@ def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
     The cache is small: it holds the plans of one descent, not of a study.
     """
     Nv, M = len(speeds), grid.n_nodes
-    periodic = grid.boundary == "periodic"
     shape = batch + (Nv, M)
     flat = math.prod(shape) <= _TAKE_MAX_ELEMENTS
     if flat:
         # flat indices into the whole level: member, row, column
         members = np.arange(math.prod(batch)).reshape(batch + (1, 1))
         rows = M * (Nv * members + np.arange(Nv)[:, None])
-        cols = np.arange(M)
     levels = []
     for ell in range(depth):
         lo, w = np.array([_foot(vj * (ell + 1) * dt / grid.dx)
@@ -319,34 +338,18 @@ def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
         feet = lo, lo + (w > 0)
         weights = (1.0 - w, w) if w.any() else None
         if flat:
-            feet = [_view(rows + (c % M if periodic else np.clip(c, 0, M - 1)),
-                          False) for c in (cols - k[:, None] for k in feet)]
+            feet = [_view(rows + grid.upstream(k), False) for k in feet]
             # level-shaped, as a broadcast (Nv, 1) factor makes the ufunc
             # allocate a buffer of the level's size
             if weights:
                 weights = tuple(_view(np.broadcast_to(x[:, None], shape).copy(),
                                       False) for x in weights)
         else:
-            feet = [tuple(_row_pieces(kj, M, periodic) for kj in k.tolist())
-                    for k in feet]
+            feet = [tuple(map(grid.upstream_slices, k.tolist())) for k in feet]
             if weights:
                 weights = tuple(tuple(x.tolist()) for x in weights)
         levels.append((*feet, weights))
     return tuple(levels)
-
-
-def _row_pieces(k: int, M: int, periodic: bool) -> tuple:
-    """``(out, values)`` slice pairs that shift a row k nodes downstream,
-    out[i] = values[i - k] with the index wrapped or clamped; a clamped
-    piece reads the wall node, (..., 1), and broadcasts it."""
-    k = k % M if periodic else min(max(k, -M), M)
-    if k >= 0:
-        pairs = ((slice(k, M), slice(0, M - k)),
-                 (slice(0, k), slice(M - k, M) if periodic else slice(0, 1)))
-    else:
-        pairs = ((slice(0, M + k), slice(-k, M)),
-                 (slice(M + k, M), slice(M - 1, M)))
-    return tuple((dst, src) for dst, src in pairs if dst.start < dst.stop)
 
 
 def _view(arr: np.ndarray, writeable: bool) -> np.ndarray:
@@ -396,10 +399,10 @@ class FootPlan:
 
     The kernel follows the level's size, batch x Nv x M elements, on
     periodic and clamped grids alike.  Up to ``_TAKE_MAX_ELEMENTS`` the feet
-    are flat indices over member, row and column (wrapped with ``% M`` or
-    clipped at the walls) with level-shaped weights, and one ``take``
-    gathers the level.  Wider levels keep two slice pairs and one weight
-    per row, no array per node, and multiply the coefficient or weight
+    are flat indices over member, row and column (the grid's ``upstream``)
+    with level-shaped weights, and one ``take`` gathers the level.  Wider
+    levels keep the grid's ``upstream_slices`` and one weight per row, no
+    array per node, and multiply the coefficient or weight
     straight out of the level's slices.  Per level, take / slices, aligned
     feet then fractional (2-vCPU x86 VM, numpy 2.4):
 
@@ -734,15 +737,10 @@ def transport_oracle(grid: LagrangianGrid, p_terminal: Callable,
                      speed: float, T: float) -> np.ndarray:
     """Characteristics solution of -p_t - c p_x = 0: p(0, x) = p_T(x + c T).
 
-    ``p_terminal`` is evaluated analytically at the shifted positions with
-    periodic wrapping of the argument, so no grid interpolation enters.
+    ``p_terminal`` is evaluated analytically at the shifted positions,
+    folded into the domain by the grid, so no grid interpolation enters.
     """
-    x = grid.nodes() + speed * T
-    if grid.boundary == "periodic":
-        L = grid.length
-        x = grid.x_left + np.mod(x - grid.x_left, L)
-    else:
-        x = np.clip(x, grid.x_left, grid.x_right)
+    x = grid.fold(grid.nodes() + speed * T)
     return np.asarray(p_terminal(x), dtype=float)
 
 

@@ -343,6 +343,63 @@ class TestCli:
             assert "eps must be positive" in capsys.readouterr().err
             assert os.listdir(tmp_path) == ["c.conf"]
 
+    def test_relax_adjoint_checks_subcharacteristic_condition(self, tmp_path,
+                                                              capsys):
+        # the linear flux has F' = 1, so a = 0.5 violates a >= max|F'|, as
+        # it does in relax-forward: refused before any sweep or CSV
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-adjoint]\na = 0.5\nnx_list = 40,80\n"
+                           "eps_list = 1,1e-2\n")
+        assert cli.main(["relax-adjoint", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "subcharacteristic condition violated: a=0.5" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_relax_adjoint_refuses_colliding_snapshot_names(self, tmp_path,
+                                                           capsys):
+        # two eps that %g formats alike would overwrite one p0 snapshot
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-adjoint]\nnx_list = 20,40\n"
+                           "eps_list = 0.1,0.1000001\n")
+        assert cli.main(["relax-adjoint", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'eps_list'" in err and "adjoint_eps0.1_p0.csv" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_relax_adjoint_repeated_eps_writes_one_snapshot(self, tmp_path):
+        # a repeated value is no collision: both rows write the same bytes
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-adjoint]\nnx_list = 20,40\n"
+                           "eps_list = 0.1,0.1\n")
+        assert cli.main(["relax-adjoint", "--config", conf,
+                         "--out", str(tmp_path)]) == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "adjoint_eps0.1_p0.csv", "adjoint_eps_study.csv", "c.conf"]
+        rows = (tmp_path / "adjoint_eps_study.csv").read_text().splitlines()
+        assert len(rows) == 3 and rows[1] == rows[2]
+
+    def test_relax_adjoint_echo_rows_split_into_header_fields(self, tmp_path,
+                                                              capsys):
+        # both reference kinds, "transport-oracle" (16 characters) among
+        # them, stay apart from the number before them
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-adjoint]\nnx_list = 20,40\n"
+                           "eps_list = 1,1e-3\n")
+        assert cli.main(["relax-adjoint", "--config", conf,
+                         "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith("relax-adjoint eps study"))
+        header, *rows = lines[start + 1:start + 4]
+        assert header.split() == ["eps", "dt_min", "l2_err_p0", "mean_rate",
+                                  "reference"]
+        assert [r.split()[-1] for r in rows] == ["self-reference",
+                                                 "transport-oracle"]
+        for row in rows:
+            assert len(row.split()) == 5 and len(row) == len(header)
+
     def test_nan_eps_config_error(self, tmp_path, capsys):
         # NaN <= 0 is False: the config parser rejects it, naming the key
         for kind, key, body in (("relax-adjoint", "eps_list",
@@ -729,6 +786,33 @@ class TestCsvWriter:
         with pytest.raises(AssertionError, match="_column"):
             experiments.write_csv(tmp_path / "log.csv", ["k", "J"],
                                   [[0, 1.5]])
+
+
+class TestEchoTable:
+    def test_rows_split_into_header_fields(self, capsys):
+        # text as wide as the default column, negative numbers with
+        # three-digit exponents and wide ints keep a gap before them
+        header = ["k", "value", "reference"]
+        rows = [[1, -1.5e-300, "transport-oracle"],
+                [12345678901234567, 2.0, "x" * 14],
+                [np.int64(3), np.float64(-7.25e+123), "self-reference"]]
+        experiments.echo_table("t", header, rows)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t" and lines[-1] == ""
+        assert lines[1].split() == header
+        for line in lines[2:-1]:
+            assert len(line.split()) == len(header)
+            assert len(line) == len(lines[1])
+
+    def test_default_width_and_blank_cells(self, capsys):
+        # narrow tables keep 14-character columns; None and NaN print blank
+        experiments.echo_table("t", ["N", "rate"], [[40, None], [80, np.nan],
+                                                    [160, 2.0]])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  " + "N".rjust(14) + "rate".rjust(14)
+        assert lines[2] == "  " + "40".rjust(14) + " " * 14
+        assert lines[3] == lines[2].replace("40", "80")
+        assert lines[4] == "  " + "160".rjust(14) + "2.000000e+00".rjust(14)
 
 
 class TestRelaxAdjointSweeps:

@@ -107,6 +107,19 @@ class TestBarzilaiBorwein:
         assert res.iterations[0]["sigma"] == 0.37
 
 
+def reference_tv_filter(u, grid):
+    """``tv_filter`` as it was written with its own neighbours: np.roll on
+    periodic grids, repeated edge values on clamped ones."""
+    u = np.asarray(u, dtype=float)
+    if grid.boundary == "periodic":
+        left = np.roll(u, 1, axis=-1)
+        right = np.roll(u, -1, axis=-1)
+    else:
+        left = np.concatenate([u[..., :1], u[..., :-1]], axis=-1)
+        right = np.concatenate([u[..., 1:], u[..., -1:]], axis=-1)
+    return 0.25 * (left + 2.0 * u + right)
+
+
 class TestTvFilter:
     def test_constant_unchanged(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 21)
@@ -154,6 +167,22 @@ class TestTvFilter:
         tol = 1e-14 * u.size * max(np.abs(u).max(), 1.0)
         assert (total_variation(ct.tv_filter(u, grid), tv_kind)
                 <= total_variation(u, tv_kind) + tol)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(boundary=st.sampled_from(["periodic", "clamp"]),
+           nx=st.integers(3, 40), batch=st.sampled_from([(), (2,), (2, 3)]),
+           seed=st.integers(0, 3))
+    def test_matches_reference_bitwise(self, boundary, nx, batch, seed):
+        # batched data with stretches of +0.0 and -0.0: equal bits, signs
+        # of zero included
+        grid = rx.LagrangianGrid(0.0, 1.0, nx, boundary)
+        M = grid.n_nodes
+        u = np.random.default_rng(seed).standard_normal(batch + (M,))
+        u[..., :M // 3] = 0.0
+        u[..., M // 3:2 * M // 3] = -0.0
+        got, expect = ct.tv_filter(u, grid), reference_tv_filter(u, grid)
+        assert got.shape == expect.shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
     def test_mass_preserving_periodic(self):
         rng = np.random.default_rng(5)

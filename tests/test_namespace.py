@@ -162,3 +162,21 @@ def test_cli_options_match_the_pinned_list():
 def test_config_keys_match_the_pinned_lists():
     documented = {kind: tuple(keys) for kind, keys in CONFIG_REFERENCE.items()}
     assert documented == CONFIG_KEYS
+
+
+def test_only_the_grid_reads_its_boundary_rule():
+    # what periodic and clamped mean is written once, in LagrangianGrid;
+    # every other piece of the package asks the grid through upstream,
+    # upstream_slices or fold
+    readers = []
+    for path in sorted(pathlib.Path(la.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  and cls.name == "LagrangianGrid"
+                  and path.name == "relaxation.py"
+                  for node in ast.walk(cls)}
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "boundary" and id(node) not in inside]
+    assert readers == []

@@ -838,6 +838,34 @@ class TestTwoStateSystem:
             fd = (jp - jm) / (2 * h)
             assert abs(g[i] - fd) <= 1e-6 * max(abs(fd), 1e-3), (i, g[i], fd)
 
+    def test_long_double_grid_is_rejected_before_any_work(self):
+        # np.linalg solves no long double: each sweep that would solve with
+        # it names the dtype before it evaluates f or f_y
+        plain = rotation_problem()
+        calls = []
+        prob = dataclasses.replace(
+            plain, p_exact=lambda t: np.array([np.cos(t), np.sin(t)]),
+            f=lambda y, u, t: calls.append("f") or plain.f(y, u, t),
+            f_y=lambda y, u, t: calls.append("f_y") or plain.f_y(y, u, t))
+        tab, grid = la.tableau("BDF2"), la.TimeGrid(np.longdouble(1.0), 20)
+        traj = prescribed_trajectory(grid, tab.s, plain.y_exact)
+        assert traj.states.dtype == np.longdouble
+        sweeps = [lambda: solve_forward(prob, tab, grid),
+                  lambda: solve_adjoint_otd(prob, tab, grid, traj, "exact"),
+                  lambda: solve_adjoint_otd(prob, tab, grid, traj,
+                                            "replicate"),
+                  lambda: solve_adjoint_dto(prob, tab, grid, traj, "exact"),
+                  lambda: solve_adjoint_dto(prob, tab, grid, traj, "cost")]
+        for sweep in sweeps:
+            with pytest.raises(ValueError, match=(
+                    f"np.linalg, which does not support "
+                    f"{np.dtype(np.longdouble).name}")):
+                sweep()
+        assert calls == []
+        # an explicit tableau solves nothing and steps the system as before
+        ab2 = solve_forward(prob, la.tableau("AB2"), grid)
+        assert ab2.states.dtype == np.float64 and "f" in calls
+
     def test_bdf_routes_identical_same_terminal(self):
         # the pointwise n = 2 solves of both routes see the same matrices
         prob = rotation_problem()

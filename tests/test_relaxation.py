@@ -260,6 +260,99 @@ class TestGrid:
         assert abs(out[5] - 4.5) <= 1e-14
 
 
+def reference_sample_shifted(grid, values, shift_cells):
+    """``LagrangianGrid.sample_shifted`` as it was written before the grid
+    held one index rule: np.roll on periodic grids, clipped indices on
+    clamped ones.  The oracle of the foot-plan tests."""
+    M = values.shape[-1]
+    lo, w = rx._foot(shift_cells)
+    if grid.boundary == "periodic":
+        a = np.roll(values, lo, axis=-1)
+        if w == 0.0:
+            return a
+        b = np.roll(values, lo + 1, axis=-1)
+    else:
+        a = values[..., np.clip(np.arange(M) - lo, 0, M - 1)]
+        if w == 0.0:
+            return a
+        b = values[..., np.clip(np.arange(M) - lo - 1, 0, M - 1)]
+    return (1.0 - w) * a + w * b
+
+
+def reference_transport_oracle(grid, p_terminal, speed, T):
+    """``transport_oracle`` as it was written with its own wrap and clip
+    (``L`` was the grid's ``length``, x_right - x_left)."""
+    x = grid.nodes() + speed * T
+    if grid.boundary == "periodic":
+        L = grid.x_right - grid.x_left
+        x = grid.x_left + np.mod(x - grid.x_left, L)
+    else:
+        x = np.clip(x, grid.x_left, grid.x_right)
+    return np.asarray(p_terminal(x), dtype=float)
+
+
+# shifts in cells: whole cells or fractions, of both signs, up to several
+# periods or walls away on the smallest grids
+cell_shift = st.one_of(st.integers(-25, 25),
+                       st.floats(-25.0, 25.0, allow_nan=False))
+boundary_rule = st.sampled_from(["periodic", "clamp"])
+
+
+class TestBoundaryRule:
+    """The grid's index, slice and position forms of its boundary rule, and
+    ``sample_shifted`` and ``transport_oracle`` built on them, bit for bit
+    against the references above, signs of zero included."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(boundary=boundary_rule, nx=st.integers(3, 40), shift=cell_shift,
+           batch=st.sampled_from([(), (3,), (2, 3)]))
+    def test_sample_shifted_matches_reference(self, boundary, nx, shift,
+                                              batch):
+        grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary)
+        values = level_data(batch + (grid.n_nodes,), seed=nx)
+        assert_bitwise(grid.sample_shifted(values, shift),
+                       reference_sample_shifted(grid, values, shift))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(boundary=boundary_rule, nx=st.integers(3, 40),
+           ks=st.lists(st.integers(-60, 60), min_size=1, max_size=4))
+    def test_index_and_slice_forms_agree(self, boundary, nx, ks):
+        # an array k gives the rows of its entries; each row's slice pairs
+        # gather what its indices do
+        grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary)
+        M = grid.n_nodes
+        rows = grid.upstream(np.array(ks))
+        assert rows.shape == (len(ks), M)
+        values = level_data((2, M), seed=nx)
+        for k, row in zip(ks, rows):
+            assert np.array_equal(grid.upstream(k), row)
+            assert row.min() >= 0 and row.max() < M
+            out = np.full_like(values, np.nan)
+            for dst, src in grid.upstream_slices(k):
+                out[..., dst] = values[..., src]
+            assert_bitwise(out, values[..., row])
+
+    def test_upstream_wraps_or_clamps(self):
+        periodic = rx.LagrangianGrid(0.0, 1.0, 6)
+        clamped = rx.LagrangianGrid(0.0, 1.0, 5, "clamp")
+        assert periodic.upstream(1).tolist() == [4, 0, 1, 2, 3]
+        assert periodic.upstream(-7).tolist() == [2, 3, 4, 0, 1]
+        assert clamped.upstream(2).tolist() == [0, 0, 0, 1, 2]
+        assert clamped.upstream(-9).tolist() == [4, 4, 4, 4, 4]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(boundary=boundary_rule, nx=st.integers(3, 40),
+           speed=st.floats(-3.0, 3.0, allow_nan=False),
+           T=st.floats(0.0, 40.0, allow_nan=False))
+    def test_transport_oracle_matches_reference(self, boundary, nx, speed, T):
+        # the identity as terminal data compares the folded positions
+        # themselves; a Gaussian those positions feed
+        grid = rx.LagrangianGrid(-2.5, 3.5, nx, boundary)
+        for pT in (lambda x: x, lambda x: np.exp(-(x - 0.5) ** 2)):
+            assert_bitwise(rx.transport_oracle(grid, pT, speed, T),
+                           reference_transport_oracle(grid, pT, speed, T))
+
+
 class TestForward:
     def test_linear_exactness(self):
         # F(u) = u, a = c, grid-aligned: Eulerian solution equals shifted
@@ -631,14 +724,15 @@ class TestAdjoint:
 
 def reference_combination(grid, speeds, history, dt, tab):
     """The history combination C = -sum_l a_l H_l(foot_l) from
-    per-velocity ``sample_shifted`` calls, and h = dt b_-1, for the ramp
-    entry of the history's length."""
+    per-velocity ``reference_sample_shifted`` calls, and h = dt b_-1, for
+    the ramp entry of the history's length."""
     eff = tab if len(history) >= tab.s else la.tableau(f"bdf{len(history)}")
     C = np.zeros_like(history[0])
     for ell in range(eff.s):
         for j, vj in enumerate(speeds):
             shift = vj * (ell + 1) * dt / grid.dx
-            C[j] -= eff.a[ell] * grid.sample_shifted(history[ell][j], shift)
+            C[j] -= eff.a[ell] * reference_sample_shifted(
+                grid, history[ell][j], shift)
     return C, dt * eff.b_implicit
 
 
@@ -780,7 +874,7 @@ def zero_region_case(kind, nx):
 class TestFootPlanKernels:
     """``FootPlan.scaled`` picks a flat ``take`` or row slices by level
     size; each kernel, forced on the same data, gives coef x
-    ``sample_shifted`` bit for bit, sign of zero included."""
+    ``reference_sample_shifted`` bit for bit, sign of zero included."""
 
     @pytest.mark.parametrize("batch", [(), (2, 3)])
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 0.7, 2.3])
@@ -801,8 +895,8 @@ class TestFootPlanKernels:
         out = np.empty_like(values)
         for ell, coef in enumerate(tab.a):
             expect = np.stack([
-                coef * grid.sample_shifted(values[..., j, :],
-                                           vj * (ell + 1) * dt / grid.dx)
+                coef * reference_sample_shifted(
+                    grid, values[..., j, :], vj * (ell + 1) * dt / grid.dx)
                 for j, vj in enumerate(speeds)], axis=-2)
             assert plan.scaled(ell, coef, values, out) is out
             assert_bitwise(out, expect)
