@@ -82,7 +82,7 @@ def _echo_cell(v) -> str:
     if isinstance(v, str):
         return v
     if v is None or (isinstance(v, float) and np.isnan(v)):
-        return ""
+        return "-"
     if isinstance(v, (int, np.integer)):
         return f"{v:d}"
     return f"{float(v):.6e}"
@@ -91,7 +91,8 @@ def _echo_cell(v) -> str:
 def echo_table(title, header, rows):
     """Print ``rows`` under ``header`` in right-aligned columns of one
     width, at least 14 and wide enough for every cell plus a two-space
-    gap; None and NaN cells are blank."""
+    gap.  None and NaN cells print "-", so every row splits on blanks into
+    as many fields as the header (their CSV cells stay empty)."""
     rows = [list(map(_echo_cell, row)) for row in rows]
     width = 2 + max(12, *map(len, header), *(len(c) for r in rows for c in r))
     print(title)

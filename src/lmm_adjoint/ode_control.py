@@ -154,10 +154,10 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
         problem.y0, problem.y_exact)
     # the closures below read the step's control u_new, set once per step
     if problem.dim == 1:  # step on Python floats from here on
-        def scalar(fn):
+        def scalar(fn, box=np.float64, number=(float, np.generic)):
             def call(y, t):
-                r = fn(np.float64(y) if type(y) is float else y, u_new, t)
-                return float(r if isinstance(r, (float, np.generic))
+                r = fn(box(y) if type(y) is float else y, u_new, t)
+                return float(r if isinstance(r, number)
                              else np.asarray(r).item())
             return call
 
@@ -170,9 +170,10 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
         jac = lambda y, t: f_y(y, u_new, t)  # ``step`` makes it 2-D float
         finite = lambda y: np.isfinite(y).all()
         as_state = lambda y: np.asarray(y, dtype=float)
+    u_list = list(u)  # the controls as NumPy float64 scalars
     with np.errstate(over="ignore", invalid="ignore"):
         for nstep in range(grid.N):
-            t_new, u_new = (nstep + 1) * dt, u[nstep + s]
+            t_new, u_new = (nstep + 1) * dt, u_list[nstep + s]
             try:
                 y_new, f_new = step(tab, states, fvals, dt, rhs, t_new, jac)
             except ImplicitSolveError as exc:
@@ -348,12 +349,13 @@ def _seeded_sweep(problem, tab, grid, traj, terminal, shifted):
     """Multipliers below N from s terminal values seeded at N..N+s-1.
 
     ``shifted`` takes the b-terms' f_y^T at j+1+k (OtD), else at j (DtO).
+    The terminal mode and its hook are read before f_y is evaluated.
     """
     s, N = tab.s, grid.N
     ext = _sweep_array(problem, grid, traj, s)
+    ext[N + s - 1:] = _terminal_values(problem, traj, tab, terminal)
     hi = N + _last_b_term(tab) if shifted else N - 1
     Jt = _jacobians(problem, traj, 1 - s, hi, ext.dtype)
-    ext[N + s - 1:] = _terminal_values(problem, traj, tab, terminal)
     coef, diag = _sweep_matrices(tab, grid.dt, Jt, N + s - 1, shifted)
     _backward_sweep(ext, s, N - 1, coef[::-1], diag[::-1], floor=1 - s)
     return ext

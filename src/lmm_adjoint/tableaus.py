@@ -53,6 +53,8 @@ class MultistepTableau:
 
     - ``a``, ``b``: the coefficients as tuples of Python floats;
     - ``b_implicit``: the weight b_{-1} of the implicit evaluation;
+    - ``b_terms``: the pairs (k, b_k) of the nonzero weights b_k, k >= 0,
+      in order (none for BDF);
     - ``is_implicit``: b_{-1} != 0;
     - ``is_bdf``: b_{-1} != 0 and b_i = 0 for all i >= 0;
     - ``is_adams``: a = (-1, 0, ..., 0);
@@ -68,6 +70,7 @@ class MultistepTableau:
     a: tuple[float, ...] = field(init=False, repr=False, compare=False)
     b: tuple[float, ...] = field(init=False, repr=False, compare=False)
     b_implicit: float = field(init=False, repr=False, compare=False)
+    b_terms: tuple = field(init=False, repr=False, compare=False)
     is_implicit: bool = field(init=False, repr=False, compare=False)
     is_bdf: bool = field(init=False, repr=False, compare=False)
     is_adams: bool = field(init=False, repr=False, compare=False)
@@ -86,6 +89,8 @@ class MultistepTableau:
             "a": tuple(float(c) for c in self.a_exact),
             "b": tuple(float(c) for c in self.b_exact),
             "b_implicit": float(self.b_exact[0]),
+            "b_terms": tuple((k, float(c))
+                             for k, c in enumerate(self.b_exact[1:]) if c),
             "is_implicit": implicit,
             "is_bdf": bdf,
             "is_adams": adams,
@@ -175,89 +180,22 @@ class TimeGrid:
         return n * self.dt
 
 
-def _history_constant(tab, states, fvals, dt):
-    """Explicit part of the update, -sum_i a_i y_{n-i} + dt*sum_k b_k f_{n-k},
-    with y_n and f_n the last entries of ``states`` and ``fvals``.
-
-    The a-terms are summed in index order and negated, then the b-terms are
-    added; b-terms whose exact coefficient is zero are skipped.  The same
-    operations serve scalars and arrays.
-    """
-    a, b = tab.a, tab.b
-    c = a[0] * states[-1]
-    for i in range(1, tab.s):
-        c += a[i] * states[-1 - i]
-    c = -c
-    fsum = None
-    for k in range(tab.s):
-        if b[k + 1]:
-            term = b[k + 1] * fvals[-1 - k]
-            fsum = term if fsum is None else fsum + term
-    if fsum is not None:
-        c = c + dt * fsum
-    return c
-
-
 def _newton_update(h, jm, res, rnorm, it, t_new):
-    """The Newton update (I - h J)^{-1} res.
-
-    On the scalar path ``jm`` and ``res`` are scalars; otherwise ``jm`` is
-    read as an (n, n) float array.  A 1x1 system is a division, bitwise
-    equal to LAPACK's solve, which fails on the same exact-zero pivot.
-    """
-    if isinstance(res, np.ndarray):
-        jm = np.atleast_2d(np.asarray(jm, dtype=float))
-        if res.size > 1:
-            try:
-                return np.linalg.solve(np.eye(res.size) - h * jm, res)
-            except np.linalg.LinAlgError:
-                raise ImplicitSolveError(
-                    f"singular Newton matrix at t={t_new}", rnorm, it) from None
-        jm = jm[0, 0]
-    d = 1.0 - h * jm
+    """The Newton update (I - h J)^{-1} res of an array step, ``jm`` read as
+    an (n, n) float array.  A 1x1 system is a division, bitwise equal to
+    LAPACK's solve, which fails on the same exact-zero pivot."""
+    jm = np.atleast_2d(np.asarray(jm, dtype=float))
+    if res.size > 1:
+        try:
+            return np.linalg.solve(np.eye(res.size) - h * jm, res)
+        except np.linalg.LinAlgError:
+            raise ImplicitSolveError(
+                f"singular Newton matrix at t={t_new}", rnorm, it) from None
+    d = 1.0 - h * jm[0, 0]
     if d == 0.0:
         raise ImplicitSolveError(f"singular Newton matrix at t={t_new}",
                                  rnorm, it)
     return res / d
-
-
-def _newton_step(h, c, y, rhs, t_new, jac, tol=1e-12, maxit=50):
-    """Solve y = c + h*f(y, t_new) by damped Newton (jac analytic) from the
-    predictor y.
-
-    Returns (y, f(y, t_new)) once the residual norm is below tol, within
-    maxit iterations.  Every iterate's residual is the one computed when
-    the iterate was accepted, so f is evaluated once per iterate and once
-    per damped trial.  The iteration runs on whatever y, c and f are:
-    Python floats for a scalar state, arrays otherwise.  The residual norm
-    is a Python float either way: ``abs`` on floats, else the max-norm
-    rounded to float (as where a long-double dt makes the residual a long
-    double).
-    """
-    f = rhs(y, t_new)
-    res = y - c - h * f
-    norm = abs if type(res) is float else (lambda r: float(abs(r).max()))
-    rnorm = norm(res)
-    for it in range(maxit):
-        if rnorm < tol:
-            return y, f
-        dy = _newton_update(h, jac(y, t_new), res, rnorm, it, t_new)
-        # damped update: halve until the residual does not grow
-        lam = 1.0
-        for _ in range(12):
-            y_try = y - lam * dy
-            f_try = rhs(y_try, t_new)
-            r_try = y_try - c - h * f_try
-            r_try_norm = norm(r_try)
-            if r_try_norm <= rnorm or lam < 1e-3:
-                break
-            lam *= 0.5
-        y, f, res, rnorm = y_try, f_try, r_try, r_try_norm
-    if rnorm < tol:
-        return y, f
-    raise ImplicitSolveError(
-        f"implicit step at t={t_new} did not converge "
-        f"(residual {rnorm:.3e} after {maxit} iterations)", rnorm, maxit)
 
 
 def step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
@@ -266,26 +204,78 @@ def step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
 
     ``states`` and ``fvals`` are the states and right-hand sides in index
     order, oldest first; the step reads their s newest entries (ValueError
-    with fewer) and changes neither.  ``rhs(y, t)`` evaluates f; ``jac(y, t)``
-    its (n, n) state Jacobian, which the Newton solve of an implicit tableau
-    needs (ValueError without it).  Explicit tableaus need no ``jac``: they
-    evaluate one arithmetic expression and f once, at the new state.  The
-    step computes in the kind of the states: on arrays it returns new
-    arrays; on Python floats (a scalar state) ``rhs`` and ``jac`` take and
-    return floats, and so does the step.
+    with fewer) and changes neither.  It forms the explicit part
+    c = -sum_i a_i y_{n-i} + dt*sum_k b_k f_{n-k} (the a-terms in index
+    order, negated, then the nonzero b-terms ``tab.b_terms``).  An explicit
+    tableau returns (c, f(c)), calling ``rhs(y, t)`` once.  An implicit one
+    solves y = c + dt*b_{-1}*f(y, t_new) by damped Newton from a copy of
+    the newest state with the state Jacobian ``jac(y, t)`` (ValueError
+    without it).  f is evaluated once per iterate and once per damped
+    trial, and the step returns once the residual norm is below 1e-12; a
+    singular Newton matrix, or no convergence in 50 iterations, raises
+    ``ImplicitSolveError``.  The norm is ``abs`` of a Python float
+    residual, else the max-norm rounded to float (as where a long-double dt
+    makes the residual a long double).
+
+    The step computes in the kind of the newest state: on arrays it returns
+    new arrays and ``jac`` gives an (n, n) matrix (``_newton_update``); on
+    Python floats (a scalar state) ``rhs`` and ``jac`` take and return
+    floats, the Newton update is the division res/(1 - h J), and the step
+    returns floats.
     """
-    if min(len(states), len(fvals)) < tab.s:
-        raise ValueError(f"history must hold {tab.s} entries before stepping")
-    c = _history_constant(tab, states, fvals, dt)
+    a, s = tab.a, tab.s
+    if len(states) < s or len(fvals) < s:
+        raise ValueError(f"history must hold {s} entries before stepping")
+    c = a[0] * states[-1]
+    for i in range(1, s):
+        c += a[i] * states[-1 - i]
+    c = -c
+    fsum = None
+    for k, bk in tab.b_terms:
+        term = bk * fvals[-1 - k]
+        fsum = term if fsum is None else fsum + term
+    if fsum is not None:
+        c = c + dt * fsum
     if not tab.is_implicit:
         return c, rhs(c, t_new)
     if jac is None:
         raise ValueError(f"implicit tableau {tab.name} needs the Jacobian jac")
-    # predictor: a copy of the newest state
-    y = states[-1]
-    return _newton_step(dt * tab.b_implicit, c,
-                        y.copy() if isinstance(y, np.ndarray) else y,
-                        rhs, t_new, jac)
+    h, y = dt * tab.b_implicit, states[-1]
+    array = isinstance(y, np.ndarray)
+    if array:
+        y = y.copy()
+    f = rhs(y, t_new)
+    res = y - c - h * f
+    norm = abs if type(res) is float else (lambda r: float(abs(r).max()))
+    rnorm = norm(res)
+    for it in range(50):
+        if rnorm < 1e-12:
+            return y, f
+        if array:
+            dy = _newton_update(h, jac(y, t_new), res, rnorm, it, t_new)
+        else:
+            d = 1.0 - h * jac(y, t_new)
+            if d == 0.0:
+                raise ImplicitSolveError(
+                    f"singular Newton matrix at t={t_new}", rnorm, it)
+            dy = res / d
+        # damped update: halve until the residual does not grow, at most
+        # 11 trials (lam down to 2^-10)
+        lam = 1.0
+        while True:
+            y_try = y - lam * dy
+            f_try = rhs(y_try, t_new)
+            r_try = y_try - c - h * f_try
+            r_try_norm = norm(r_try)
+            if r_try_norm <= rnorm or lam < 1e-3:
+                break
+            lam *= 0.5
+        y, f, res, rnorm = y_try, f_try, r_try, r_try_norm
+    if rnorm < 1e-12:
+        return y, f
+    raise ImplicitSolveError(
+        f"implicit step at t={t_new} did not converge "
+        f"(residual {rnorm:.3e} after 50 iterations)", rnorm, 50)
 
 
 def _rk4(rhs, y, t, dt):

@@ -791,11 +791,13 @@ class TestCsvWriter:
 class TestEchoTable:
     def test_rows_split_into_header_fields(self, capsys):
         # text as wide as the default column, negative numbers with
-        # three-digit exponents and wide ints keep a gap before them
+        # three-digit exponents and wide ints keep a gap before them, and
+        # None and NaN cells hold a field of their own
         header = ["k", "value", "reference"]
         rows = [[1, -1.5e-300, "transport-oracle"],
                 [12345678901234567, 2.0, "x" * 14],
-                [np.int64(3), np.float64(-7.25e+123), "self-reference"]]
+                [np.int64(3), np.float64(-7.25e+123), "self-reference"],
+                [None, np.nan, "blank-cells"], [4, float("nan"), None]]
         experiments.echo_table("t", header, rows)
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "t" and lines[-1] == ""
@@ -805,12 +807,12 @@ class TestEchoTable:
             assert len(line) == len(lines[1])
 
     def test_default_width_and_blank_cells(self, capsys):
-        # narrow tables keep 14-character columns; None and NaN print blank
+        # narrow tables keep 14-character columns; None and NaN print "-"
         experiments.echo_table("t", ["N", "rate"], [[40, None], [80, np.nan],
                                                     [160, 2.0]])
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "  " + "N".rjust(14) + "rate".rjust(14)
-        assert lines[2] == "  " + "40".rjust(14) + " " * 14
+        assert lines[2] == "  " + "40".rjust(14) + "-".rjust(14)
         assert lines[3] == lines[2].replace("40", "80")
         assert lines[4] == "  " + "160".rjust(14) + "2.000000e+00".rjust(14)
 

@@ -103,6 +103,23 @@ class TestOdeControl:
         with pytest.raises(ValueError, match=message):
             solve_adjoint_otd(prob, tab, GRID, traj, terminal)
 
+    @pytest.mark.parametrize("terminal, missing", [
+        ("exact", "p_exact"), ("replicate", "terminal_cost_grad"),
+        ("bogus", None)])
+    def test_otd_terminal_refused_before_fy(self, terminal, missing):
+        # the terminal mode and its hook are read before f_y is evaluated
+        # on the 1001 points of the sweep
+        prob = constant_coefficient_study()
+        grid, tab = la.TimeGrid(1.0, 1000), la.tableau("BDF2")
+        traj = prescribed_trajectory(grid, tab.s, prob.y_exact)
+        calls, f_y = [], prob.f_y
+        prob.f_y = lambda y, u, t: calls.append(t) or f_y(y, u, t)
+        if missing:
+            setattr(prob, missing, None)
+        with pytest.raises(ValueError, match="terminal"):
+            solve_adjoint_otd(prob, tab, grid, traj, terminal)
+        assert calls == []
+
     def test_adjoint_needs_as_many_steps_as_stages(self):
         prob = constant_coefficient_study()
         grid, tab = la.TimeGrid(1.0, 2), la.tableau("BDF3")

@@ -1,5 +1,6 @@
 """Forward/adjoint solvers for controlled ODEs, both adjoint routes."""
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -441,6 +442,47 @@ class TestStudyTableBytes:
     def test_relaxation_tables_match_reference_digests(self, workload, conf,
                                                        tmp_path):
         assert_config_matches_reference(workload, conf, tmp_path)
+
+
+class TestCriterion4Counts:
+    def test_step_and_problem_calls_per_pass(self, monkeypatch, tmp_path,
+                                             capsys):
+        # the criterion-4 table (BDF3/4/6, N = 40..1280): one call of
+        # ``ode_control.step``, looked up on the module, per forward step;
+        # f and f_y as often as the layer counts of the benchmark record
+        counts, inside = collections.Counter(), []
+
+        def counting(name, fn):
+            def call(*args):
+                counts[name] += 1
+                counts[name + "@step"] += bool(inside)
+                return fn(*args)
+            return call
+
+        def counted_step(*args):
+            counts["step"] += 1
+            inside.append(True)
+            try:
+                return step(*args)
+            finally:
+                inside.pop()
+
+        def counted_problem(*args, **kwargs):
+            prob = terminal_tracking_problem(*args, **kwargs)
+            return dataclasses.replace(prob, f=counting("f", prob.f),
+                                       f_y=counting("f_y", prob.f_y))
+
+        monkeypatch.setattr(ode_control, "step", counted_step)
+        monkeypatch.setattr(experiments, "terminal_tracking_problem",
+                            counted_problem)
+        path = BENCH / "workloads" / "ode-tables" / "full-system.conf"
+        assert cli.main(["ode-converge", "--config", str(path),
+                         "--out", str(tmp_path)]) == 0
+        assert counts["step"] == 3 * (40 + 80 + 160 + 320 + 640 + 1280)
+        # the starts evaluate f 3 + 4 + 6 times per N, and each adjoint
+        # sweep evaluates f_y once, on its stack
+        assert (counts["f"], counts["f@step"]) == (23093, 23015)
+        assert (counts["f_y"], counts["f_y@step"]) == (15491, 15455)
 
 
 def overflowing_adjoint_problem():

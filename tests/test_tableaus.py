@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmm_adjoint import tableaus as tb
+from lmm_adjoint.tableaus import ImplicitSolveError, MultistepTableau
 from lmm_adjoint.ode_control import OdeControlProblem, solve_forward
 
 
@@ -223,20 +225,29 @@ class TestStep:
                        in zip(kept, states + fvals))
 
 
+# y_{n+1} = y_{n-1} + h f(y_{n+1}): one implicit step whose predictor, the
+# newest state, differs from its explicit part c = y_{n-1}
+SPLIT = tb.MultistepTableau("split", 2, (Fraction(0), Fraction(-1)),
+                            (Fraction(1), Fraction(0), Fraction(0)), 1)
+
+
 class TestNewtonDivision:
     def test_scalar_update_is_a_division(self):
         # y = c + h f(y) with f(y) = -4 y, h = 0.5 and c = -5: from y = 0
         # the residual is 5 and 1 - h J = 3, and one update lands on -5/3,
         # whose residual is below tol.  5/3 and 5 * (1/3) differ in the last
-        # bit; the update must be the division that LAPACK's solve gives.
+        # bit; the update must be the division that LAPACK's solve gives,
+        # on a one-element array and on a float alike.
         res, d = 5.0, 3.0
         assert res / d != res * (1.0 / d)
-        y, f = tb._newton_step(0.5, np.array([-5.0]), np.array([0.0]),
-                               lambda y, t: -4.0 * y, 0.0,
-                               lambda y, t: np.array([[-4.0]]), 1e-12, 50)
-        assert y[0] == 0.0 - np.linalg.solve([[d]], [res])[0]
-        assert y[0] != 0.0 - res * (1.0 / d)
-        assert f[0] == -4.0 * y[0]
+        for wrap, jac in ((np.atleast_1d, lambda y, t: np.array([[-4.0]])),
+                          (float, lambda y, t: -4.0)):
+            y, f = tb.step(SPLIT, [wrap(-5.0), wrap(0.0)], [wrap(0.0)] * 2,
+                           0.5, lambda y, t: -4.0 * y, 0.0, jac)
+            y, f = np.atleast_1d(y), np.atleast_1d(f)
+            assert y[0] == 0.0 - np.linalg.solve([[d]], [res])[0]
+            assert y[0] != 0.0 - res * (1.0 / d)
+            assert f[0] == -4.0 * y[0]
 
 
 class TestOrderVerification:
@@ -502,3 +513,250 @@ class TestStepEquivalence:
             assert np.array_equal(f, np.atleast_1d(prob.f(y, u_amp, t_new)))
             states.append(y)
             fvals.append(f)
+
+
+# ------------------------------------- layered step (history and Newton helpers)
+# ``step`` as it was written with its explicit part and Newton loop in
+# helpers of their own, copied verbatim (``step`` renamed ``layered_step``):
+# the oracle that the one-frame step reproduces bit for bit, call for call.
+
+def _history_constant(tab, states, fvals, dt):
+    """Explicit part of the update, -sum_i a_i y_{n-i} + dt*sum_k b_k f_{n-k},
+    with y_n and f_n the last entries of ``states`` and ``fvals``.
+
+    The a-terms are summed in index order and negated, then the b-terms are
+    added; b-terms whose exact coefficient is zero are skipped.  The same
+    operations serve scalars and arrays.
+    """
+    a, b = tab.a, tab.b
+    c = a[0] * states[-1]
+    for i in range(1, tab.s):
+        c += a[i] * states[-1 - i]
+    c = -c
+    fsum = None
+    for k in range(tab.s):
+        if b[k + 1]:
+            term = b[k + 1] * fvals[-1 - k]
+            fsum = term if fsum is None else fsum + term
+    if fsum is not None:
+        c = c + dt * fsum
+    return c
+
+
+def _newton_update(h, jm, res, rnorm, it, t_new):
+    """The Newton update (I - h J)^{-1} res.
+
+    On the scalar path ``jm`` and ``res`` are scalars; otherwise ``jm`` is
+    read as an (n, n) float array.  A 1x1 system is a division, bitwise
+    equal to LAPACK's solve, which fails on the same exact-zero pivot.
+    """
+    if isinstance(res, np.ndarray):
+        jm = np.atleast_2d(np.asarray(jm, dtype=float))
+        if res.size > 1:
+            try:
+                return np.linalg.solve(np.eye(res.size) - h * jm, res)
+            except np.linalg.LinAlgError:
+                raise ImplicitSolveError(
+                    f"singular Newton matrix at t={t_new}", rnorm, it) from None
+        jm = jm[0, 0]
+    d = 1.0 - h * jm
+    if d == 0.0:
+        raise ImplicitSolveError(f"singular Newton matrix at t={t_new}",
+                                 rnorm, it)
+    return res / d
+
+
+def _newton_step(h, c, y, rhs, t_new, jac, tol=1e-12, maxit=50):
+    """Solve y = c + h*f(y, t_new) by damped Newton (jac analytic) from the
+    predictor y.
+
+    Returns (y, f(y, t_new)) once the residual norm is below tol, within
+    maxit iterations.  Every iterate's residual is the one computed when
+    the iterate was accepted, so f is evaluated once per iterate and once
+    per damped trial.  The iteration runs on whatever y, c and f are:
+    Python floats for a scalar state, arrays otherwise.  The residual norm
+    is a Python float either way: ``abs`` on floats, else the max-norm
+    rounded to float (as where a long-double dt makes the residual a long
+    double).
+    """
+    f = rhs(y, t_new)
+    res = y - c - h * f
+    norm = abs if type(res) is float else (lambda r: float(abs(r).max()))
+    rnorm = norm(res)
+    for it in range(maxit):
+        if rnorm < tol:
+            return y, f
+        dy = _newton_update(h, jac(y, t_new), res, rnorm, it, t_new)
+        # damped update: halve until the residual does not grow
+        lam = 1.0
+        for _ in range(12):
+            y_try = y - lam * dy
+            f_try = rhs(y_try, t_new)
+            r_try = y_try - c - h * f_try
+            r_try_norm = norm(r_try)
+            if r_try_norm <= rnorm or lam < 1e-3:
+                break
+            lam *= 0.5
+        y, f, res, rnorm = y_try, f_try, r_try, r_try_norm
+    if rnorm < tol:
+        return y, f
+    raise ImplicitSolveError(
+        f"implicit step at t={t_new} did not converge "
+        f"(residual {rnorm:.3e} after {maxit} iterations)", rnorm, maxit)
+
+
+def layered_step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
+         t_new: float, jac: Callable | None = None):
+    """Advance one step: returns (y_{n+1}, f(y_{n+1})).
+
+    ``states`` and ``fvals`` are the states and right-hand sides in index
+    order, oldest first; the step reads their s newest entries (ValueError
+    with fewer) and changes neither.  ``rhs(y, t)`` evaluates f; ``jac(y, t)``
+    its (n, n) state Jacobian, which the Newton solve of an implicit tableau
+    needs (ValueError without it).  Explicit tableaus need no ``jac``: they
+    evaluate one arithmetic expression and f once, at the new state.  The
+    step computes in the kind of the states: on arrays it returns new
+    arrays; on Python floats (a scalar state) ``rhs`` and ``jac`` take and
+    return floats, and so does the step.
+    """
+    if min(len(states), len(fvals)) < tab.s:
+        raise ValueError(f"history must hold {tab.s} entries before stepping")
+    c = _history_constant(tab, states, fvals, dt)
+    if not tab.is_implicit:
+        return c, rhs(c, t_new)
+    if jac is None:
+        raise ValueError(f"implicit tableau {tab.name} needs the Jacobian jac")
+    # predictor: a copy of the newest state
+    y = states[-1]
+    return _newton_step(dt * tab.b_implicit, c,
+                        y.copy() if isinstance(y, np.ndarray) else y,
+                        rhs, t_new, jac)
+
+
+EQUIVALENCE_SCHEMES = ["ExplicitEuler", "AB2", "AB3", "ImplicitEuler", "BDF2",
+                       "BDF3", "BDF4", "BDF5", "BDF6", "AM4"]
+
+
+def bits(v):
+    """Type, dtype and bits of a value, signs of zero included; a long
+    double is compared through its round-trip repr, since the padding bytes
+    of its storage are undefined."""
+    a = np.asarray(v)
+    if a.dtype == np.longdouble:
+        return type(v), a.dtype, tuple(map(repr, a.reshape(-1)))
+    return type(v), a.dtype, a.tobytes()
+
+
+def recorded_calls(kind, alpha, beta, gamma, singular_h=None):
+    """(rhs, jac, calls) of f_i = alpha y_i + beta y_i y_j + gamma t in
+    ``kind`` ("float", "array1" or "array2"), j = i except on two states,
+    where j is the other one; every call appends its name, the bits of y
+    and t.  ``singular_h`` makes jac 1/h, so that 1 - h J can vanish."""
+    calls = []
+
+    def log(name, y, t):
+        calls.append((name, bits(y), repr(t)))
+
+    def rhs(y, t):
+        log("rhs", y, t)
+        partner = y[::-1] if kind == "array2" else y
+        return alpha * y + beta * y * partner + gamma * t
+
+    def jac(y, t):
+        log("jac", y, t)
+        if singular_h is not None:
+            one = 1.0 / singular_h
+            return one if kind == "float" else one * np.eye(y.size)
+        if kind == "float":
+            return alpha + 2.0 * beta * y
+        if kind == "array1":
+            return np.atleast_2d(alpha + 2.0 * beta * y)
+        return np.array([[alpha + beta * y[1], beta * y[0]],
+                         [beta * y[1], alpha + beta * y[0]]])
+    return rhs, jac, calls
+
+
+def step_outcome(stepper, tab, kind, values, dt, t_new, params, singular):
+    """The result or the error of one step on fresh history, and the calls
+    it made: an error's type, text, residual and iteration count."""
+    if kind == "float":
+        states = [float(v) for v in values]
+    elif kind == "array1":
+        states = [np.array([v]) for v in values]
+    else:
+        states = [np.array([v, 0.5 - v]) for v in values]
+    rhs, jac, calls = recorded_calls(
+        kind, *params, singular_h=dt * tab.b_implicit if singular else None)
+    fvals = [rhs(y, 0.0) for y in states]
+    calls.clear()
+    with np.errstate(all="ignore"):
+        try:
+            out = stepper(tab, states, fvals, dt, rhs, t_new, jac)
+        except (tb.ImplicitSolveError, TypeError) as err:
+            out = (type(err), str(err), repr(getattr(err, "residual", None)),
+                   getattr(err, "iterations", None))
+        else:
+            out = [bits(v) for v in out]
+    return out, calls
+
+
+def assert_same_step(tab, kind, values, dt, t_new, params, singular=False):
+    args = (tab, kind, values, dt, t_new, params, singular)
+    new, old = step_outcome(tb.step, *args), step_outcome(layered_step, *args)
+    assert new[0] == old[0]
+    assert new[1] == old[1]
+    return new
+
+
+class TestOneFrameStep:
+    """``step`` against ``layered_step``: the same bits, signs of zero
+    included, the same error, and the same sequence of rhs/jac calls."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(EQUIVALENCE_SCHEMES),
+           kind=st.sampled_from(["float", "array1", "array2"]),
+           long_dt=st.booleans(),
+           values=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+           dt=st.one_of(st.floats(1e-3, 0.2), st.floats(0.2, 20.0)),
+           alpha=st.floats(-5.0, 2.0), beta=st.floats(-2.0, 2.0),
+           gamma=st.floats(-1.0, 1.0), singular=st.booleans())
+    def test_matches_layered_step(self, name, kind, long_dt, values, dt,
+                                  alpha, beta, gamma, singular):
+        tab = tb.tableau(name)
+        dt = np.longdouble(dt) if long_dt else dt
+        assert_same_step(tab, kind, values[:tab.s], dt, 1.0,
+                         (alpha, beta, gamma), singular and tab.is_implicit)
+
+    # LAPACK takes no long double, so a long-double system fails alike in
+    # both steps (the property test covers that) and reaches neither case
+    KINDS = [("float", float), ("float", np.longdouble), ("array1", float),
+             ("array1", np.longdouble), ("array2", float)]
+
+    @pytest.mark.parametrize("kind, dtype", KINDS)
+    def test_damped_retry(self, kind, dtype):
+        # y' = y - y^2 + t from 1/2 with a long step: a full Newton update
+        # overshoots, and a halved one is tried before the next jac call
+        out, calls = assert_same_step(tb.tableau("BDF2"), kind, [0.5, 0.5],
+                                      dtype(2.0), 1.0, (1.0, -1.0, 1.0))
+        names = [c[0] for c in calls]
+        assert ("rhs", "rhs") in zip(names, names[1:])
+        assert isinstance(out, list)
+
+    @pytest.mark.parametrize("kind, dtype", KINDS)
+    def test_nonconvergence(self, kind, dtype):
+        # an absurd step on y' = y + y^2 + t from 2 leaves no converging
+        # iterate
+        out, _ = assert_same_step(tb.tableau("ImplicitEuler"), kind, [2.0],
+                                  dtype(5.0), 1.0, (1.0, 1.0, 1.0))
+        assert out[0] is tb.ImplicitSolveError and out[3] == 50
+
+    @pytest.mark.parametrize("kind", ["float", "array1", "array2"])
+    def test_vanishing_newton_matrix(self, kind):
+        # h = 0.5 and J = 2: 1 - h J is exactly 0 (LAPACK's singular pivot
+        # on a system)
+        out, calls = assert_same_step(tb.tableau("ImplicitEuler"), kind,
+                                      [1.0], 0.5, 0.5, (1.0, 0.0, 0.0),
+                                      singular=True)
+        assert out[0] is tb.ImplicitSolveError and out[3] == 0
+        assert "singular Newton matrix" in out[1]
+        assert [c[0] for c in calls] == ["rhs", "jac"]
