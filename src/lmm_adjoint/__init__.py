@@ -18,9 +18,10 @@ from .ode_control import (AdjointTrajectory, OdeControlProblem, Trajectory,
                           solve_adjoint_dto, solve_adjoint_otd, solve_forward)
 from .relaxation import (AdjointField, KineticField, LagrangianGrid,
                          RelaxationModel, adjoint_step, forward_step,
-                         make_broadwell, make_jin_xin, terminal_multipliers,
-                         transport_oracle, viscous_limit_check)
-from .control import (OptimizeResult, TrackingFunctional, bb_step,
-                      gradient_from_adjoint, optimize, tv_filter)
+                         gradient_from_adjoint, make_broadwell, make_jin_xin,
+                         terminal_multipliers, transport_oracle,
+                         viscous_limit_check)
+from .control import (OptimizeResult, TrackingFunctional, bb_step, optimize,
+                      tv_filter)
 
 __version__ = "0.1.0"

@@ -12,8 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .relaxation import (LagrangianGrid, RelaxationModel, solve_adjoint,
-                         solve_forward, terminal_multipliers)
+from .relaxation import (LagrangianGrid, RelaxationModel,
+                         gradient_from_adjoint, solve_adjoint, solve_forward,
+                         terminal_multipliers)
 from .tableaus import MultistepTableau, SolverError
 
 
@@ -42,23 +43,6 @@ class TrackingFunctional:
             raise ValueError(
                 f"state shape {u_terminal.shape} != target {self.target.shape}")
         return u_terminal - self.target
-
-
-def gradient_from_adjoint(model: RelaxationModel, lam0: np.ndarray,
-                          u0: np.ndarray | None = None) -> np.ndarray:
-    """Descent direction for the macroscopic initial data from lambda(0).
-
-    Single-moment models: p(0,.) = sum_j lambda^j(0,.).  Multi-moment models
-    contract with the equilibrium Jacobian at the current initial data
-    (chain rule through the equilibrium lifting f^j_0 = E_j(u_0)):
-    g_r = sum_j lambda^j(0,.) dE_j/du_r(u_0).
-    """
-    if model.n_conserved == 1:
-        return lam0.sum(axis=0, keepdims=True)
-    if u0 is None:
-        raise ValueError("multi-moment gradient needs the current initial data")
-    jac = model.equilibrium_jac(np.atleast_2d(u0))
-    return np.einsum("jm,jrm->rm", lam0, jac)
 
 
 def tv_filter(u: np.ndarray, grid: LagrangianGrid) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .tableaus import (ImplicitSolveError, MultistepTableau, SolverError,
-                       TimeGrid, bootstrap_history, step)
+                       TimeGrid, _require_linalg, bootstrap_history, step)
 
 
 @dataclass
@@ -107,15 +107,6 @@ def _controls_array(controls, grid: TimeGrid, s: int) -> np.ndarray:
         raise ValueError(
             f"controls must cover all {n_tot} indices 1-s..N, got {arr.size}")
     return arr.copy()
-
-
-def _require_linalg(dtype):
-    """Refuse, before any work, a sweep that solves with np.linalg in
-    ``dtype``: of the real dtypes np.linalg supports only float32 and
-    float64, and it fails on a long double in mid-sweep."""
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"the sweep solves with np.linalg, which does not "
-                         f"support {np.dtype(dtype)}")
 
 
 def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
@@ -258,14 +249,14 @@ def _last_b_term(tab):
     return max((k for k in range(tab.s) if tab.b_exact[k + 1]), default=-1)
 
 
-def _sweep_array(problem, grid, traj, s, block=False):
+def _sweep_array(problem, grid, traj, s):
     """Zero multipliers on indices 1-s..N+s-1 in the dtype of the grid's
-    step and the states.  A sweep that solves with np.linalg, a system's
-    or one with a terminal ``block``, needs float32 or float64 there."""
+    step and the states, which a system's sweep solves with np.linalg and
+    so needs float32 or float64."""
     if grid.N < s:
         raise ValueError(f"adjoint solve needs N >= s (got N={grid.N}, s={s})")
     dtype = np.result_type(grid.dt, traj.states)
-    if problem.dim > 1 or block:
+    if problem.dim > 1:
         _require_linalg(dtype)
     return np.zeros((grid.N + 2 * s - 1, problem.dim), dtype)
 
@@ -438,7 +429,8 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     if problem.terminal_cost_grad is None:
         raise ValueError("DtO route requires terminal_cost_grad")
 
-    ext = _sweep_array(problem, grid, traj, s, block=True)
+    ext = _sweep_array(problem, grid, traj, s)
+    _require_linalg(ext.dtype)  # the terminal block's np.linalg.solve
     jy = np.atleast_1d(problem.terminal_cost_grad(traj.terminal_state))
     # f_y is read on the step equations 1..N and on the initial-data rows
     # i <= 0 that one of their b-terms reaches (never for BDF)

@@ -676,18 +676,33 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
 
 
 def terminal_multipliers(model: RelaxationModel, p_terminal: np.ndarray) -> np.ndarray:
-    """Spread terminal adjoint data over the velocities.
+    """Spread terminal adjoint data d (..., n, M) over the velocities at T,
+    shape (..., Nv, M); ``gradient_from_adjoint`` is the transpose at t = 0.
 
-    For single-moment models the rescaled convention lambda^j(T) = p_T / Nv
-    is used (so p = sum_j lambda^j matches the macroscopic multiplier).  For
-    multi-moment models the data (one row per conserved component) is
-    contracted with the moment-map columns: lambda^j(T) = sum_r Q_rj d_r.
-    Data of shape (..., n, M) gives multipliers of shape (..., Nv, M).
+    For n > 1 the pair is the exact transpose of u = Q f at T and of the
+    lifting f_j(0) = E_j(u0): lambda^j(T) = sum_r Q_rj d_r here, and
+    g_r = sum_j lambda^j(0) dE_j/du_r(u0) there.  For n = 1 it is the
+    rescaled lambda^j(T) = d/Nv with g = sum_j lambda^j(0), a consistent
+    approximation that drops F'(u0)(lambda^+ - lambda^-)/a on Jin-Xin
+    (lambda^+- the multipliers of the speeds +-a).
     """
     p_terminal = np.atleast_2d(np.asarray(p_terminal, dtype=float))
     if model.n_conserved == 1:
         return np.repeat(p_terminal, model.n_velocities, axis=-2) / model.n_velocities
     return np.einsum("rj,...rm->...jm", model.q_matrix, p_terminal)
+
+
+def gradient_from_adjoint(model: RelaxationModel, lam0: np.ndarray,
+                          u0: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the macroscopic initial data from lambda(0) (..., Nv, M),
+    shape (..., n, M): the transpose of ``terminal_multipliers``, which
+    states the convention.  For n > 1 it needs the initial data ``u0``."""
+    if model.n_conserved == 1:
+        return lam0.sum(axis=-2, keepdims=True)
+    if u0 is None:
+        raise ValueError("multi-moment gradient needs the current initial data")
+    jac = model.equilibrium_jac(np.atleast_2d(u0))
+    return np.einsum("...jm,jrm->...rm", lam0, jac)
 
 
 # Largest Jacobian block of solve_adjoint, in grid nodes: one
@@ -751,9 +766,9 @@ def viscous_limit_check(model: RelaxationModel, grid: LagrangianGrid,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Kinetic adjoint p(0) of every eps member and its L2 transport deviation.
 
-    Runs one backward sweep of ``n_steps`` steps from lambda^j(T) = p_T/Nv,
-    batched over the members of ``model.eps`` (a float is one member), and
-    returns p = sum_j lambda^j at t = 0, shape (B, M), with each member's
+    Sweeps ``terminal_multipliers`` of p_T back ``n_steps`` steps, batched
+    over the members of ``model.eps`` (a float is one member), and returns
+    their p(0) by ``gradient_from_adjoint``, shape (B, M), with each member's
     deviation sqrt(dx sum (p - ref)^2), shape (B,).  The reference is the
     characteristics solution of the limiting equation -p_t - F'(0) p_x = 0
     at the actual horizon ``n_steps * dt``; ``references`` maps member
@@ -766,7 +781,8 @@ def viscous_limit_check(model: RelaxationModel, grid: LagrangianGrid,
     pT = np.broadcast_to(p_terminal(grid.nodes()),
                          (np.size(model.eps), 1, grid.n_nodes))
     lam_T = terminal_multipliers(model, pT)
-    p0 = solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt).sum(axis=-2)
+    lam0 = solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
+    p0 = gradient_from_adjoint(model, lam0)[..., 0, :]
     speed = float(model.dflux(np.zeros(1))[0])
     ref = np.empty_like(p0)
     ref[:] = transport_oracle(grid, p_terminal, speed, n_steps * dt)

@@ -180,6 +180,15 @@ class TimeGrid:
         return n * self.dt
 
 
+def _require_linalg(dtype):
+    """Refuse, before any work, a step or sweep that solves with np.linalg
+    in ``dtype``: of the real dtypes np.linalg supports only float32 and
+    float64, and it fails on a long double in mid-solve."""
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"cannot solve with np.linalg, which does not "
+                         f"support {np.dtype(dtype)}")
+
+
 def _newton_update(h, jm, res, rnorm, it, t_new):
     """The Newton update (I - h J)^{-1} res of an array step, ``jm`` read as
     an (n, n) float array.  A 1x1 system is a division, bitwise equal to
@@ -218,7 +227,9 @@ def step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
     makes the residual a long double).
 
     The step computes in the kind of the newest state: on arrays it returns
-    new arrays and ``jac`` gives an (n, n) matrix (``_newton_update``); on
+    new arrays and ``jac`` gives an (n, n) matrix (``_newton_update``),
+    whose np.linalg solve for n > 1 needs float32 or float64 (else a
+    ValueError naming the dtype, raised before ``rhs`` is called); on
     Python floats (a scalar state) ``rhs`` and ``jac`` take and return
     floats, the Newton update is the division res/(1 - h J), and the step
     returns floats.
@@ -243,6 +254,8 @@ def step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
     h, y = dt * tab.b_implicit, states[-1]
     array = isinstance(y, np.ndarray)
     if array:
+        if y.size > 1:
+            _require_linalg(np.result_type(h, c))
         y = y.copy()
     f = rhs(y, t_new)
     res = y - c - h * f

@@ -14,11 +14,11 @@ from lmm_adjoint.config import parse_config
 from lmm_adjoint.experiments import run_control
 
 
-def coarse_jinxin_setup(nx=40, n_steps=10, eps=1e-2):
+def coarse_jinxin_setup(nx=40, n_steps=10, eps=1e-2, flux="burgers"):
     grid = rx.LagrangianGrid(-3.0, 3.0, nx, boundary="periodic")
     a = 1.0
     dt = grid.dx / a
-    model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], a, eps)
+    model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES[flux], a, eps)
     tab = la.tableau("BDF2")
     x = grid.nodes()
     ramp = np.where((x >= -1.5) & (x <= -0.5), 1.5 + x, 0.0)[None, :]
@@ -269,6 +269,68 @@ class TestGradient:
         fd /= grid.dx
         rel = np.sqrt(np.sum((g - fd) ** 2) / np.sum(fd ** 2))
         assert rel <= 0.05
+
+
+def central_differences(grid, model, tab, functional, guess, n_steps, dt,
+                        h=1e-5):
+    """Central differences of J in each node of a scalar control, per dx."""
+    fd = np.zeros(grid.n_nodes)
+    for i in range(grid.n_nodes):
+        up, um = guess.copy(), guess.copy()
+        up[0, i] += h
+        um[0, i] -= h
+        _, usp = rx.solve_forward(model, grid, tab, up, n_steps, dt)
+        _, usm = rx.solve_forward(model, grid, tab, um, n_steps, dt)
+        fd[i] = (functional(usp[-1]) - functional(usm[-1])) / (2 * h)
+    return fd / grid.dx
+
+
+class TestJinXinGradientGap:
+    """The n = 1 convention (lambda(T) = d/Nv, g = sum_j lambda^j) against
+    the exact transpose (lambda(T) = Q^T d, g = sum_j lambda^j E'_j(u0)) on
+    the coarse Jin-Xin instance: the gap is F'(u0)(lambda^+ - lambda^-)/a."""
+
+    @staticmethod
+    def sweeps(flux, eps):
+        setup = coarse_jinxin_setup(eps=eps, flux=flux)
+        grid, model, tab, functional, guess, n_steps, dt = setup
+        _, us = rx.solve_forward(model, grid, tab, guess, n_steps, dt)
+        d = functional.terminal_mismatch(us[-1])
+        lam = rx.solve_adjoint(model, grid, tab, us,
+                               rx.terminal_multipliers(model, d), n_steps, dt)
+        lam_q = rx.solve_adjoint(model, grid, tab, us,
+                                 np.repeat(d, 2, axis=0), n_steps, dt)
+        exact = np.einsum("jm,jrm->rm", lam_q, model.equilibrium_jac(guess))
+        return setup, lam, lam_q, exact
+
+    @pytest.mark.parametrize("flux", ["burgers", "linear"])
+    @pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-4])
+    def test_gap_is_the_dropped_term(self, flux, eps):
+        setup, lam, lam_q, exact = self.sweeps(flux, eps)
+        grid, model, tab, functional, guess, n_steps, dt = setup
+        # the sweep is linear and Q^T d = 2 (d/2) is exact, so the two
+        # multiplier fields differ by a factor 2 bit for bit
+        assert np.array_equal(lam_q, 2.0 * lam)
+        a = model.velocities[0]
+        dropped = model.dflux(guess[0]) * (lam[0] - lam[1]) / a
+        gap = exact - ct.gradient_from_adjoint(model, lam, guess)
+        assert (np.max(np.abs(gap[0] - dropped))
+                <= 1e-14 * np.max(np.abs(exact)))
+
+    def test_exact_transpose_matches_linear_differences(self):
+        # a linear flux makes J quadratic, so central differences are exact
+        # up to rounding: the exact transpose meets them, while the n = 1
+        # gradient's gap falls with eps
+        gaps = []
+        for eps in (0.1, 1e-2, 1e-4):
+            setup, lam, _, exact = self.sweeps("linear", eps)
+            _, model, _, _, guess, _, _ = setup
+            fd = central_differences(*setup)
+            norm = np.sqrt(np.sum(fd ** 2))
+            g = ct.gradient_from_adjoint(model, lam, guess)[0]
+            assert np.sqrt(np.sum((exact[0] - fd) ** 2)) <= 1e-8 * norm
+            gaps.append(np.sqrt(np.sum((g - fd) ** 2)) / norm)
+        assert gaps[0] > gaps[1] > gaps[2], gaps
 
 
 class TestOptimize:

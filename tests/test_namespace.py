@@ -180,3 +180,18 @@ def test_only_the_grid_reads_its_boundary_rule():
                     if isinstance(node, ast.Attribute)
                     and node.attr == "boundary" and id(node) not in inside]
     assert readers == []
+
+
+def test_only_relaxation_reads_a_models_moment_map():
+    # the multiplier convention (terminal_multipliers and its transpose
+    # gradient_from_adjoint) is the one place that asks how many moments a
+    # model conserves and how it maps velocities to them
+    readers = []
+    for path in sorted(pathlib.Path(la.__file__).parent.glob("*.py")):
+        if path.name == "relaxation.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in ("n_conserved", "q_matrix")]
+    assert readers == []

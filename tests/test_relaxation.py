@@ -655,6 +655,46 @@ class TestAdjoint:
             assert np.array_equal(p_b, p0[b:b + 1])
             assert np.array_equal(dev_b, dev[b:b + 1])
 
+    @pytest.mark.parametrize("scheme", ["BDF2", "BDF3"])
+    def test_viscous_limit_p0_is_the_gradient_of_lambda0(self, scheme):
+        # the eps study contracts lambda(0) by the descent's own rule:
+        # its p(0) is gradient_from_adjoint of the same sweep, bit for bit,
+        # batched over eps and for each member alone
+        a, eps = 2.1, (1e-4, 1e-2, 1.0)
+        grid = rx.LagrangianGrid(0.0, 6.0, 80)
+        dt = grid.dx / a
+        n_steps = int(round(1.0 / dt))
+        tab = la.tableau(scheme)
+        pT = lambda xx: np.exp(-((xx - 3.0) ** 2))
+        batch = linear_jinxin(a, np.reshape(eps, (-1, 1, 1)))
+        members = [(batch, slice(None))] + [
+            (linear_jinxin(a, e), slice(b, b + 1)) for b, e in enumerate(eps)]
+        p_batch = rx.viscous_limit_check(batch, grid, tab, pT, n_steps, dt)[0]
+        for model, rows in members:
+            p0 = rx.viscous_limit_check(model, grid, tab, pT, n_steps, dt)[0]
+            d = np.broadcast_to(pT(grid.nodes()),
+                                (np.size(model.eps), 1, grid.n_nodes))
+            lam0 = rx.solve_adjoint(model, grid, tab, None,
+                                    rx.terminal_multipliers(model, d),
+                                    n_steps, dt)
+            g = rx.gradient_from_adjoint(model, lam0)
+            assert g.shape == (np.size(model.eps), 1, grid.n_nodes)
+            assert np.array_equal(p0, g[:, 0])
+            assert np.array_equal(p0, p_batch[rows])
+
+    def test_gradient_batch_equals_members(self):
+        # leading axes of lambda(0) batch the Jacobian contraction of a
+        # system: each member's gradient is its own, bit for bit
+        model = rx.make_broadwell(1.0, 1e-2)
+        rng = np.random.default_rng(4)
+        lam0 = rng.standard_normal((2, 3, 3, 17))
+        u0 = np.stack([1.0 + rng.random(17), rng.standard_normal(17)])
+        g = rx.gradient_from_adjoint(model, lam0, u0)
+        assert g.shape == (2, 3, 2, 17)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(
+                g[idx], rx.gradient_from_adjoint(model, lam0[idx], u0))
+
     def test_viscous_limit_references_replace_the_oracle(self):
         # a member with a reference of its own is measured against it
         a = 2.1

@@ -250,6 +250,37 @@ class TestNewtonDivision:
             assert f[0] == -4.0 * y[0]
 
 
+class TestLinalgDtype:
+    def test_long_double_system_step_is_refused_before_rhs(self):
+        # y' = A y on two states, BDF2 with a long-double dt: np.linalg
+        # solves no long double, so the step names the dtype before its
+        # first rhs call; a float64 dt and the explicit AB2 step it
+        calls = []
+        A = np.array([[-1.0, 2.0], [0.0, -3.0]])
+
+        def rhs(y, t):
+            calls.append("rhs")
+            return A @ y
+
+        def jac(y, t):
+            calls.append("jac")
+            return A
+
+        states = [np.array([1.0, 0.5]), np.array([0.9, 0.4])]
+        fvals = [A @ y for y in states]
+        with pytest.raises(ValueError, match=(
+                f"np.linalg, which does not support "
+                f"{np.dtype(np.longdouble).name}")):
+            tb.step(tb.tableau("BDF2"), states, fvals, np.longdouble(0.1),
+                    rhs, 0.1, jac)
+        assert calls == []
+        y, _ = tb.step(tb.tableau("BDF2"), states, fvals, 0.1, rhs, 0.1, jac)
+        assert y.dtype == np.float64 and calls[:2] == ["rhs", "jac"]
+        y, _ = tb.step(tb.tableau("AB2"), states, fvals, np.longdouble(0.1),
+                       rhs, 0.1)
+        assert y.dtype == np.longdouble
+
+
 class TestOrderVerification:
     def test_observed_orders(self):
         # integrate y' = y on [0, 1] with exact-history bootstrap; every
@@ -724,11 +755,19 @@ class TestOneFrameStep:
                                   alpha, beta, gamma, singular):
         tab = tb.tableau(name)
         dt = np.longdouble(dt) if long_dt else dt
-        assert_same_step(tab, kind, values[:tab.s], dt, 1.0,
-                         (alpha, beta, gamma), singular and tab.is_implicit)
+        args = (tab, kind, values[:tab.s], dt, 1.0, (alpha, beta, gamma),
+                singular and tab.is_implicit)
+        if kind == "array2" and long_dt and tab.is_implicit:
+            # LAPACK takes no long double: the layered step failed in the
+            # solve, the one-frame step refuses before it calls rhs
+            with pytest.raises(ValueError,
+                               match=np.dtype(np.longdouble).name):
+                step_outcome(tb.step, *args)
+            return
+        assert_same_step(*args)
 
-    # LAPACK takes no long double, so a long-double system fails alike in
-    # both steps (the property test covers that) and reaches neither case
+    # LAPACK takes no long double, so a long-double system is refused (the
+    # property test covers that) and reaches neither case
     KINDS = [("float", float), ("float", np.longdouble), ("array1", float),
              ("array1", np.longdouble), ("array2", float)]
 
