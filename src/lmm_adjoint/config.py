@@ -10,6 +10,7 @@ parser, default and documentation; ``settings`` reads a config through it.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -67,8 +68,6 @@ def load_config(path) -> Config:
         return parse_config(fh.read())
 
 
-
-
 # one declaration per key, grouped by experiment ---------------------------
 
 @dataclass(frozen=True)
@@ -118,6 +117,13 @@ def _bounded(item, low=None, what="value"):
             raise ValueError(f"{what} must be {bound}, got {raw!r}")
         return value
     return parse
+
+
+def _prefix(raw):
+    """A plain file-name prefix, so its files stay in the output directory."""
+    if os.path.basename(raw) != raw:
+        raise ValueError(f"{raw!r} is not a plain file-name prefix")
+    return raw
 
 
 def _float_or(word, number):
@@ -186,7 +192,7 @@ CONFIG_REFERENCE = {
         "output_times": Key(_list(_float_or("T", _finite)), "T",
                             "comma list of snapshot times; 'T' is the final "
                             "time"),
-        "run_name": Key(str, "forward", "snapshot filename prefix"),
+        "run_name": Key(_prefix, "forward", "snapshot filename prefix"),
     },
     "relax-adjoint": {
         "eps_list": Key(_list(_eps), "1,1e-1,1e-2,1e-3,1e-4",

@@ -324,7 +324,7 @@ def run_relax_forward(cfg: Config, out_dir: str) -> list:
     u0 = u0_fn(x)[None, :]
     model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES[flux], a, eps, u0=u0[0])
     out_times = [T if tt == "T" else tt for tt in s["output_times"]]
-    out_steps = sorted({min(n_steps, max(0, int(round(tt / dt))))
+    out_steps = sorted({round(min(max(tt / dt, 0), n_steps))
                         for tt in out_times})
     fld, u_store = rx.solve_forward(model, grid, tab, u0, n_steps, dt)
     for k in out_steps:

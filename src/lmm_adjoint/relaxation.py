@@ -309,27 +309,43 @@ def _foot(shift_cells: float) -> tuple[int, float]:
     return lo, shift_cells - lo
 
 
-# Largest level, in elements (batch x Nv x M), that a FootPlan gathers with
-# one flat take; wider levels are multiplied out of their row slices.
+# Largest level, in elements (batch x Nv x M), that the steps gather with
+# one flat take; wider levels are multiplied out of their row slices.  Per
+# level, take / slices, aligned feet then fractional (2-vCPU x86 VM,
+# numpy 2.4):
+# - batch (), 238 elements: 1.7 / 6.2 us, 6.7 / 18 us;
+# - batch (), 2556 elements: 7.2 / 11 us, 17 / 21 us;
+# - batch (), 81920 elements: 145 / 39 us, 438 / 169 us;
+# - batch 5, 12780 elements: 20 / 26 us, 54 / 54 us.
+# Take and slices cross near 6000 elements at batch () and above 12000 at
+# batch 3 and 5, whose strided row slices multiply slowly.
 _TAKE_MAX_ELEMENTS = 8192
 
 
 @functools.lru_cache(maxsize=8)
 def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
           depth: int, batch: tuple[int, ...]) -> tuple:
-    """The per-level ``(lo, hi, weights)`` of a ``FootPlan``, read-only.
+    """Characteristic feet of every (history level, velocity), found once.
 
-    Built once per key and shared by every plan with that key, so the
-    solves of a descent, which all run on one grid and step, reuse them.
-    The cache is small: it holds the plans of one descent, not of a study.
+    Level ``ell`` of velocity j is sampled ``speeds[j] * (ell+1) * dt / dx``
+    cells upstream, with the feet from the helper that
+    ``LagrangianGrid.sample_shifted`` uses: per level ``(lo, hi, weights)``
+    for ``_gather``, weights None if the level is aligned, while a
+    fractional level gives its aligned rows ``hi = lo`` and ``w = 0``.  The
+    batch members of levels ``batch + (Nv, M)`` share the feet.  Levels of
+    up to ``_TAKE_MAX_ELEMENTS`` get flat indices over member, row and
+    column (the grid's ``upstream``) and level-shaped weights; wider ones
+    the grid's ``upstream_slices`` and one weight per row, no array per
+    node.  Built once per key and shared by every field with that key, so
+    the solves of a descent reuse them; no code writes them.  The cache is
+    small: it holds the feet of one descent, not of a study.
     """
     Nv, M = len(speeds), grid.n_nodes
     shape = batch + (Nv, M)
     flat = math.prod(shape) <= _TAKE_MAX_ELEMENTS
     if flat:
-        # flat indices into the whole level: member, row, column
-        members = np.arange(math.prod(batch)).reshape(batch + (1, 1))
-        rows = M * (Nv * members + np.arange(Nv)[:, None])
+        # flat index of each (member, row)'s first node in the whole level
+        rows = M * np.arange(math.prod(shape[:-1])).reshape(shape[:-1] + (1,))
     levels = []
     for ell in range(depth):
         lo, w = np.array([_foot(vj * (ell + 1) * dt / grid.dx)
@@ -338,27 +354,18 @@ def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
         feet = lo, lo + (w > 0)
         weights = (1.0 - w, w) if w.any() else None
         if flat:
-            feet = [_view(rows + grid.upstream(k), False) for k in feet]
+            feet = [rows + grid.upstream(k) for k in feet]
             # level-shaped, as a broadcast (Nv, 1) factor makes the ufunc
             # allocate a buffer of the level's size
             if weights:
-                weights = tuple(_view(np.broadcast_to(x[:, None], shape).copy(),
-                                      False) for x in weights)
+                weights = tuple(np.broadcast_to(x[:, None], shape).copy()
+                                for x in weights)
         else:
             feet = [tuple(map(grid.upstream_slices, k.tolist())) for k in feet]
             if weights:
                 weights = tuple(tuple(x.tolist()) for x in weights)
         levels.append((*feet, weights))
     return tuple(levels)
-
-
-def _view(arr: np.ndarray, writeable: bool) -> np.ndarray:
-    """A view of ``arr`` with its own writeable flag.  The feet are read-only
-    views of writeable arrays, and a plan gathers through writeable views
-    of them, because ``np.take`` copies an index array that is read-only."""
-    view = arr.view()
-    view.flags.writeable = writeable
-    return view
 
 
 def _gather(values: np.ndarray, feet, scale, out: np.ndarray) -> np.ndarray:
@@ -382,61 +389,6 @@ def _gather(values: np.ndarray, feet, scale, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class FootPlan:
-    """Characteristic feet of every (history level, velocity), found once.
-
-    Level ``ell`` of velocity j is sampled ``speeds[j] * (ell+1) * dt / dx``
-    cells upstream, with the feet from the helper that
-    ``LagrangianGrid.sample_shifted`` uses.  ``scaled(ell, coef, level,
-    out)`` writes ``coef`` times the sampled level into ``out``, which
-    equals ``coef`` times stacking ``sample_shifted`` over the rows bit for
-    bit, signs of zero included: a fractional level keeps the
-    ``(1-w) a + w b`` form and gives its aligned rows ``hi = lo`` and
-    ``w = 0``.  ``levels`` holds the feet, per level ``(lo, hi, weights)``.
-    They are shared read-only between plans of equal grid, speeds, dt,
-    depth and batch; the ``_work`` buffer is the plan's own.  Levels have
-    shape ``batch + (Nv, M)``; the batch members share the feet.
-
-    The kernel follows the level's size, batch x Nv x M elements, on
-    periodic and clamped grids alike.  Up to ``_TAKE_MAX_ELEMENTS`` the feet
-    are flat indices over member, row and column (the grid's ``upstream``)
-    with level-shaped weights, and one ``take`` gathers the level.  Wider
-    levels keep the grid's ``upstream_slices`` and one weight per row, no
-    array per node, and multiply the coefficient or weight
-    straight out of the level's slices.  Per level, take / slices, aligned
-    feet then fractional (2-vCPU x86 VM, numpy 2.4):
-
-    - batch (), 238 elements: 1.7 / 6.2 us, 6.7 / 18 us;
-    - batch (), 2556 elements: 7.2 / 11 us, 17 / 21 us;
-    - batch (), 81920 elements: 145 / 39 us, 438 / 169 us;
-    - batch 5, 12780 elements: 20 / 26 us, 54 / 54 us.
-
-    Take and slices cross near 6000 elements at batch () and above 12000 at
-    batch 3 and 5, whose strided row slices multiply slowly.
-    """
-
-    def __init__(self, grid: LagrangianGrid, speeds: np.ndarray, dt: float,
-                 depth: int, batch: tuple[int, ...] = ()):
-        self._work = np.empty(batch + (speeds.size, grid.n_nodes))
-        self.levels = _feet(grid, tuple(speeds.tolist()), dt, depth,
-                            tuple(batch))
-        self._feet = [tuple(_view(f, True) if isinstance(f, np.ndarray)
-                            else f for f in feet)
-                      for feet in self.levels]
-
-    def scaled(self, ell: int, coef: float, values: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-        """``coef`` times the history level ``values`` (..., Nv, M) sampled
-        at the level-``ell`` feet, written into ``out``, which it returns."""
-        lo, hi, weights = self._feet[ell]
-        if weights is None:
-            return _gather(values, lo, coef, out)
-        _gather(values, lo, weights[0], out)
-        out += _gather(values, hi, weights[1], self._work)
-        out *= coef
-        return out
-
-
 def _combine(model: RelaxationModel, grid: LagrangianGrid,
              fld: _LevelRing) -> tuple:
     """Start of both steps: the history combination C into ``fld.comb``,
@@ -444,25 +396,31 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
         C^j = -sum_l a_l H_l^j(foot_l^j),
 
     with H_l the history level l (past f forward, future lambda backward)
-    at the level-l feet of the field's plan, and a the coefficients of the
-    ramp entry for the history's length.  The plan writes a_0 H_0(foot_0)
-    into ``comb`` and each later product into ``prod``; the sum starts as
-    0 - a_0 H_0, the IEEE operation of subtracting it from a zeroed sum,
-    so exact zeros keep their sign.  Returns the (keep, relax) weights of
-    that entry.
+    at the field's level-l feet, and a the coefficients of the ramp entry
+    for the history's length.  A product a_l H_l goes into ``comb`` (l = 0)
+    or ``prod``; a fractional level's w1 H_l(hi) passes through ``fld.E``,
+    which the step fills only later.  The sum starts as 0 - a_0 H_0, the
+    IEEE operation of subtracting it from a zeroed sum, so exact zeros keep
+    their sign.  Returns the (keep, relax) weights of that entry.
     """
-    # a field's feet hold only for the grid and speeds it was built with
-    if (grid is not fld.grid and grid != fld.grid) or (
-            model is not fld.model
-            and not np.array_equal(model.velocities, fld.model.velocities)):
-        raise ValueError("step called with a grid or velocities other than "
-                         "the field's")
-    comb, plan, history = fld.comb, fld.plan, fld.history
-    eff = fld.ramp[len(history) - 1]
-    plan.scaled(0, eff.a[0], history[0], comb)
-    np.subtract(0.0, comb, out=comb)         # 0 - x, as from a zeroed sum
-    for ell in range(1, eff.s):
-        comb -= plan.scaled(ell, eff.a[ell], history[ell], fld.prod)
+    # a field's feet and weights hold only for what it was built with
+    same = model is fld.model or (
+        np.array_equal(model.velocities, fld.model.velocities)
+        and np.array_equal(model.eps, fld.model.eps))
+    if not same or (grid is not fld.grid and grid != fld.grid):
+        raise ValueError("step called with a grid, velocities or eps other "
+                         "than the field's")
+    comb, history = fld.comb, fld.history
+    for ell, (values, (lo, hi, weights), coef) in enumerate(
+            zip(history, fld.feet, fld.ramp[len(history) - 1].a)):
+        out = fld.prod if ell else comb
+        if weights is None:
+            _gather(values, lo, coef, out)
+        else:
+            _gather(values, lo, weights[0], out)
+            out += _gather(values, hi, weights[1], fld.E)
+            out *= coef
+        np.subtract(comb if ell else 0.0, out, out=comb)
     return fld.weights[len(history) - 1]
 
 
@@ -496,10 +454,10 @@ class _LevelRing:
     a ``ConfigError``).  ``ramp`` lists BDF1, ..., BDF(s-1), ``tab``:
     a history of l levels steps ``ramp[l-1]``, so the order ramps up while
     the ring fills.  ``history[0]`` is the newest level, and ``_update``
-    writes each step's level into the ring.  ``plan`` holds the
-    characteristic feet of the field's step.  Levels have the shape of
-    ``first``, (..., Nv, M), and so have the work buffers ``comb`` (the
-    history combination C), ``prod`` (a product temporary) and ``E``.
+    writes each step's level into the ring.  ``feet`` holds the
+    characteristic feet of the field's step (``_feet``).  Levels have the
+    shape of ``first``, (..., Nv, M), and so have the work buffers ``comb``
+    (the history combination C), ``prod`` (a product temporary) and ``E``.
     ``weights[l-1]`` holds the update's (keep, relax) of ramp entry l:
     relax = h/(h + eps) and the field kind's ``_keep(h, eps)``, h = dt b_-1,
     as floats for a float eps, or as level-shaped arrays, which multiply a
@@ -523,7 +481,8 @@ class _LevelRing:
         self.ramp = [tableau(f"bdf{k}") for k in range(1, tab.s)] + [tab]
         self.n = 0
         self.history: list[np.ndarray] = [first.copy()]
-        self.plan = FootPlan(grid, speeds, dt, tab.s, first.shape[:-2])
+        self.feet = _feet(grid, tuple(speeds.tolist()), dt, tab.s,
+                          first.shape[:-2])
         self.comb = np.empty(first.shape)
         self.prod = np.empty(first.shape)
         self.E = np.empty(first.shape)
@@ -547,7 +506,7 @@ class KineticField(_LevelRing):
     """Per-velocity Eulerian arrays with an s-deep ring buffer of past
     levels, for the BDF scheme ``tab`` of s stages.
 
-    ``history[0]`` is the newest level (time index ``n``).  ``plan`` holds
+    ``history[0]`` is the newest level (time index ``n``).  ``feet`` holds
     the feet of the forward step, v_j (l+1) dt upstream of every node.
     ``f0`` is one level, (Nv, M), without batch axes.
     """
@@ -628,7 +587,7 @@ class AdjointField(_LevelRing):
     ``history[i]`` holds the level at t_{n+i}.  The buffer starts with the
     terminal data alone and ramps the BDF order up as levels accumulate,
     mirroring the forward start-up (a constant-extension seeding of all s
-    slots degrades the backward sweep to first order; see tests).  ``plan``
+    slots degrades the backward sweep to first order; see tests).  ``feet``
     holds the feet of the backward step, v_j (i+1) dt downstream of every
     node.  ``lam_T`` is (..., Nv, M): leading axes batch independent
     multiplier fields over one frozen forward state.  ``phi`` (..., n, M)

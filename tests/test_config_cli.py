@@ -266,6 +266,36 @@ class TestCli:
         mass = (tmp_path / "forward_mass.csv").read_text().splitlines()
         assert mass[0] == "step,t,mass"
 
+    def test_relax_forward_clamps_far_output_times(self, tmp_path):
+        # times past either end write the last and the first snapshot,
+        # also where t / dt overflows to infinity
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-forward]\nflux = linear\nnx = 40\n"
+                           "T = 0.1\noutput_times = 1e308, -1e308\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["relax-forward", "--config", conf,
+                         "--out", str(out)]) == 0
+        mass = (out / "forward_mass.csv").read_text().splitlines()
+        n_steps = len(mass) - 2             # a header, then steps 0..n
+        assert n_steps > 0
+        assert sorted(os.listdir(out)) == [
+            "forward_mass.csv", "forward_t0.csv", f"forward_t{n_steps}.csv"]
+
+    def test_run_name_with_a_path_is_a_config_error(self, tmp_path, capsys):
+        # a run_name that leaves --out would write next to it
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("../escaped", "sub/forward"):
+            conf = self._write(tmp_path, "c.conf",
+                               f"[relax-forward]\nflux = linear\nnx = 40\n"
+                               f"run_name = {name}\n")
+            assert cli.main(["relax-forward", "--config", conf,
+                             "--out", str(out)]) == 2
+            assert "key 'run_name'" in capsys.readouterr().err
+            assert sorted(os.listdir(tmp_path)) == ["c.conf", "out"]
+            assert os.listdir(out) == []
+
     def test_control_jinxin_artifacts(self, tmp_path):
         conf = self._write(tmp_path, "c.conf",
                            "[control-jinxin]\nnx = 40\niterations = 3\n"

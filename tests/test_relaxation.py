@@ -221,10 +221,8 @@ class TestGrid:
         assert abs(g.dx - 6.0 / 639) <= 1e-18
         assert g.n_nodes == 639
         # aligned feet carry no interpolation weights
-        assert rx.FootPlan(g, np.array([2.1, -2.1]), g.dx / 2.1,
-                           1).levels[0][2] is None
-        assert rx.FootPlan(g, np.array([1.0]), g.dx / 2.1,
-                           1).levels[0][2] is not None
+        assert rx._feet(g, (2.1, -2.1), g.dx / 2.1, 1, ())[0][2] is None
+        assert rx._feet(g, (1.0,), g.dx / 2.1, 1, ())[0][2] is not None
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(shift=st.one_of(
@@ -263,7 +261,7 @@ class TestGrid:
 def reference_sample_shifted(grid, values, shift_cells):
     """``LagrangianGrid.sample_shifted`` as it was written before the grid
     held one index rule: np.roll on periodic grids, clipped indices on
-    clamped ones.  The oracle of the foot-plan tests."""
+    clamped ones.  The oracle of the feet and gather tests."""
     M = values.shape[-1]
     lo, w = rx._foot(shift_cells)
     if grid.boundary == "periodic":
@@ -824,7 +822,7 @@ foot_ratio = st.one_of(st.integers(1, 3).map(float),
                        st.floats(0.05, 3.0, allow_nan=False))
 
 
-class TestFootPlan:
+class TestCombine:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(nx=st.integers(5, 90), ratio=foot_ratio, order=st.integers(1, 6))
     def test_periodic_jinxin_matches_sample_shifted(self, nx, ratio, order):
@@ -852,8 +850,9 @@ class TestFootPlan:
                                      ratio * grid.dx / c, tab, u0, order + 2)
 
     def test_step_rejects_foreign_grid(self):
-        # both steps refuse another grid and other velocities, and take a
-        # model that differs from the field's in eps alone
+        # both steps refuse another grid, other velocities and another eps,
+        # whose relaxation weights the field formed when it was built, and
+        # take an equal model built anew
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
         model = linear_jinxin(1.0, 1e-2)
         tab, zeros = la.tableau("BDF2"), np.zeros((2, grid.n_nodes))
@@ -865,17 +864,31 @@ class TestFootPlan:
         for field, step in fields_and_steps:
             for m, g in ((model, rx.LagrangianGrid(0.0, 1.0, 17, "clamp")),
                          (model, rx.LagrangianGrid(0.0, 2.0, 17)),
-                         (linear_jinxin(2.0, 1e-2), grid)):
-                with pytest.raises(ValueError, match="grid or velocities"):
+                         (linear_jinxin(2.0, 1e-2), grid),
+                         (linear_jinxin(1.0, 1.0), grid)):
+                with pytest.raises(ValueError,
+                                   match="grid, velocities or eps"):
                     step(m, g, field(model, grid, 0.05, tab, zeros))
-            out = step(linear_jinxin(1.0, 1.0), grid,
+            out = step(linear_jinxin(1.0, 1e-2), grid,
                        field(model, grid, 0.05, tab, zeros))
             assert out.shape[-1] == grid.n_nodes
+
+    def test_batched_step_rejects_other_eps_members(self):
+        grid = rx.LagrangianGrid(0.0, 1.0, 17)
+        eps = np.array([1e-2, 1.0]).reshape(2, 1, 1)
+        adj = rx.AdjointField(linear_jinxin(1.0, eps), grid, 0.05,
+                              la.tableau("BDF2"),
+                              np.zeros((2, 2, grid.n_nodes)))
+        jac = zero_state_jac(adj.model, grid)
+        for other in (eps[::-1], eps[:1], 1e-2):
+            with pytest.raises(ValueError, match="eps"):
+                rx.adjoint_step(linear_jinxin(1.0, other), grid, adj, jac)
+        rx.adjoint_step(linear_jinxin(1.0, eps.copy()), grid, adj, jac)
 
 
 @pytest.fixture(params=["take", "slices"])
 def kernel(request, monkeypatch):
-    """Force one ``FootPlan`` kernel on every level size: the feet are built
+    """Force one ``_gather`` kernel on every level size: the feet are built
     afresh under a patched threshold and dropped again afterwards."""
     rx._feet.cache_clear()
     monkeypatch.setattr(rx, "_TAKE_MAX_ELEMENTS",
@@ -911,35 +924,48 @@ def zero_region_case(kind, nx):
     return rx.make_broadwell(1.0, 1e-2), grid, 1.0, u0, np.stack([-m, m])
 
 
-class TestFootPlanKernels:
-    """``FootPlan.scaled`` picks a flat ``take`` or row slices by level
-    size; each kernel, forced on the same data, gives coef x
+def gathered(values, feet, coef, out, work):
+    """``coef`` times ``values`` at one level's ``(lo, hi, weights)``, by
+    the steps' recipe: ``_gather`` the aligned level scaled by ``coef``, or
+    the fractional one as (w0 values(lo) + w1 values(hi)) coef."""
+    lo, hi, weights = feet
+    if weights is None:
+        assert rx._gather(values, lo, coef, out) is out
+        return out
+    assert rx._gather(values, lo, weights[0], out) is out
+    out += rx._gather(values, hi, weights[1], work)
+    out *= coef
+    return out
+
+
+class TestGatherKernels:
+    """``_gather`` runs a flat ``take`` or row slices by the level size of
+    the feet; each kernel, forced on the same data, gives coef x
     ``reference_sample_shifted`` bit for bit, sign of zero included."""
 
     @pytest.mark.parametrize("batch", [(), (2, 3)])
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 0.7, 2.3])
     @pytest.mark.parametrize("boundary, nx", [
         ("periodic", 5), ("periodic", 41), ("clamp", 5), ("clamp", 41)])
-    def test_scaled_matches_sample_shifted(self, kernel, boundary, nx, ratio,
+    def test_gather_matches_sample_shifted(self, kernel, boundary, nx, ratio,
                                            batch):
         # on nx = 5 the deepest feet (up to 6.9 cells) pass a whole period
         # or wall; Broadwell's zero speed stays aligned in fractional levels
         grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary)
-        speeds = np.array([2.1, -2.1] if boundary == "periodic"
-                          else [1.0, -1.0, 0.0])
+        speeds = (2.1, -2.1) if boundary == "periodic" else (1.0, -1.0, 0.0)
         dt = ratio * grid.dx / speeds[0]
         tab = la.tableau("BDF3")
-        plan = rx.FootPlan(grid, speeds, dt, tab.s, batch)
-        assert isinstance(plan.levels[0][0], np.ndarray) == (kernel == "take")
-        values = level_data(batch + (speeds.size, grid.n_nodes))
-        out = np.empty_like(values)
+        feet = rx._feet(grid, speeds, dt, tab.s, batch)
+        assert isinstance(feet[0][0], np.ndarray) == (kernel == "take")
+        values = level_data(batch + (len(speeds), grid.n_nodes))
+        out, work = np.empty_like(values), np.empty_like(values)
         for ell, coef in enumerate(tab.a):
             expect = np.stack([
                 coef * reference_sample_shifted(
                     grid, values[..., j, :], vj * (ell + 1) * dt / grid.dx)
                 for j, vj in enumerate(speeds)], axis=-2)
-            assert plan.scaled(ell, coef, values, out) is out
-            assert_bitwise(out, expect)
+            assert_bitwise(gathered(values, feet[ell], coef, out, work),
+                           expect)
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
     @pytest.mark.parametrize("kind", ["jinxin", "broadwell"])
@@ -963,8 +989,8 @@ class TestFootPlanKernels:
         assert grid.n_nodes == M
         dt = ratio * grid.dx / speed
         tab = la.tableau(f"BDF{order}")
-        plan = rx.FootPlan(grid, model.velocities, dt, tab.s)
-        assert isinstance(plan.levels[0][0], np.ndarray) != above
+        fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
+        assert isinstance(fld.feet[0][0], np.ndarray) != above
         assert_steps_match_reference(model, grid, dt, tab, u0, order + 2, d)
 
 
@@ -1224,7 +1250,7 @@ class TestBlockedJacobians:
 
 
 class TestFeetCache:
-    """Plans of equal grid, speeds, dt, depth and batch share their feet."""
+    """Fields of equal grid, speeds, dt, depth and batch share their feet."""
 
     @staticmethod
     def field(grid=None, dt=0.07, tab="BDF3", speeds=1.0, batch=(),
@@ -1234,42 +1260,62 @@ class TestFeetCache:
         return kind(model, grid, dt, la.tableau(tab),
                     np.zeros(batch + (3, grid.n_nodes)))
 
-    def test_equal_keys_share_read_only_feet(self):
+    def test_equal_keys_share_feet(self):
         for boundary in ("clamp", "periodic"):
             # equal, not identical, grids
             a, b = (self.field(rx.LagrangianGrid(-2.5, 2.5, 33, boundary))
                     for _ in range(2))
-            assert a.plan.levels is b.plan.levels
-            assert not np.shares_memory(a.plan._work, b.plan._work)
-            for level, own in zip(a.plan.levels, a.plan._feet):
-                lo, hi, weights = level
+            assert a.feet is b.feet
+            for name in ("comb", "prod", "E"):
+                assert not np.shares_memory(getattr(a, name),
+                                            getattr(b, name))
+            for lo, hi, weights in a.feet:
                 assert weights is not None    # 0.07 / dx is fractional
-                # 3 x 32 nodes: flat indices on either boundary, which the
-                # plan gathers through writeable views of its own
-                for arr, view in zip((lo, hi), own):
-                    assert isinstance(arr, np.ndarray)
-                    assert view.flags.writeable and view.base is arr.base
-                for arr in (lo, hi, *weights):
-                    with pytest.raises(ValueError, match="read-only"):
-                        arr[(0,) * arr.ndim] = 1
+                # 3 x 32 nodes: flat indices on either boundary
+                assert isinstance(lo, np.ndarray)
+                assert isinstance(hi, np.ndarray)
+
+    @pytest.mark.parametrize("dt", [0.1, 0.07], ids=["aligned", "fractional"])
+    def test_sweeps_leave_the_feet_unchanged(self, kernel, dt):
+        # the cached feet are plain arrays that every field of the key
+        # gathers through: a forward and a batched adjoint sweep write none
+        grid = rx.LagrangianGrid(-2.5, 2.5, 51, boundary="clamp")
+        model, tab = rx.make_broadwell(grid.dx / 0.1, 1e-2), la.tableau("BDF3")
+        x = grid.nodes()
+        u0 = np.stack([1.0 + 0.3 * np.exp(-x ** 2), 0.1 * np.sin(x)])
+        fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
+        adj = rx.AdjointField(model, grid, dt, tab, rx.terminal_multipliers(
+            model, np.stack([u0, -u0])))
+        cached = [arr for ring in (fld, adj) for lo, hi, weights in ring.feet
+                  for arr in (lo, hi, *(weights or ()))
+                  if isinstance(arr, np.ndarray)]
+        assert bool(cached) == (kernel == "take")
+        before = [arr.copy() for arr in cached]
+        jac = model.equilibrium_jac(u0)
+        for _ in range(8):
+            step_forward(model, grid, fld)
+            rx.adjoint_step(model, grid, adj, jac)
+        for arr, copy in zip(cached, before):
+            assert arr.dtype == copy.dtype
+            assert arr.tobytes() == copy.tobytes()
 
     @pytest.mark.parametrize("dt", [1e-4, 4e-5], ids=["aligned", "fractional"])
-    def test_wide_periodic_plan_keeps_no_index_per_node(self, dt):
+    def test_wide_periodic_feet_keep_no_index_per_node(self, dt):
         # a relax-wide level (nx = 40961) keeps slice pairs per row: the
         # cached feet hold no array that grows with the grid
         grid = rx.LagrangianGrid(-3.0, 3.0, 40961, "periodic")
         a = grid.dx / 1e-4
         fld = rx.KineticField(burgers_jinxin(a, 1e-2), grid, dt,
                               la.tableau("BDF3"), np.zeros((2, grid.n_nodes)))
-        for lo, hi, weights in fld.plan.levels:
+        for lo, hi, weights in fld.feet:
             assert isinstance(lo, tuple) and isinstance(hi, tuple)
             assert all(isinstance(w, float)
                        for row in weights or () for w in row)
 
     def test_any_key_change_gives_other_feet(self):
-        feet = self.field().plan.levels
+        feet = self.field().feet
         grid = rx.LagrangianGrid(-2.5, 2.5, 33, boundary="clamp")
-        assert self.field(grid).plan.levels is feet
+        assert self.field(grid).feet is feet
         others = [
             self.field(dt=0.08),
             self.field(rx.LagrangianGrid(-2.5, 2.5, 33, "periodic")),
@@ -1279,8 +1325,8 @@ class TestFeetCache:
             self.field(tab="BDF2"),                     # depth
             self.field(speeds=1.5),
         ]
-        assert all(o.plan.levels is not feet for o in others)
-        assert len({id(o.plan.levels) for o in others}) == len(others)
+        assert all(o.feet is not feet for o in others)
+        assert len({id(o.feet) for o in others}) == len(others)
 
     def test_cache_is_small(self):
         assert rx._feet.cache_info().maxsize <= 16
@@ -1356,9 +1402,9 @@ class TestStepAllocations:
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
     def test_jinxin_burgers_below_take_threshold(self, ratio):
-        # nx = 121 and 321 gather each level with one take, through the
-        # plan's writeable views of the cached indices; a copied index
-        # would add Nv rows at the moment of the take
+        # nx = 121 and 321 gather each level with one take, straight
+        # through the cached indices; a copied index would add Nv rows at
+        # the moment of the take
         grid = rx.LagrangianGrid(0.0, 6.0, 121)
         assert 2 * grid.n_nodes <= rx._TAKE_MAX_ELEMENTS
         a = 2.1
