@@ -136,6 +136,13 @@ def _extrap_error(p_coarse, p_fine, exact_vals, err_coarse, err_fine):
     return float(np.max(np.abs(R - exact_vals)))
 
 
+def _rates(errs):
+    """Observed rates log2(e_{k-1}/e_k) of consecutive errors: NaN for the
+    first entry and wherever either error is 0."""
+    return [np.nan] + [np.log2(e0 / e1) if e0 and e1 else np.nan
+                       for e0, e1 in zip(errs, errs[1:])]
+
+
 def _table_rows(n_list, errs, sols):
     """Convergence table (header, rows) from per-N results on ``n_list``.
 
@@ -145,29 +152,19 @@ def _table_rows(n_list, errs, sols):
     ``errs`` column, then the Richardson-extrapolant error and its rate of
     each ``sols`` column; extrapolants need N to double the previous N.
     """
-    header = ["N"]
-    for col in errs:
+    header, columns = ["N"], [n_list]
+    for col, e in errs.items():
         header += [f"err_{col}", f"rate_{col}"]
-    for col in sols:
+        columns += [e, _rates(e)]
+    for col, pairs in sols.items():
+        e = errs[col]
+        xp = [np.nan] + [
+            _extrap_error(pc, pf, exact, e0, e1) if n1 == 2 * n0 else np.nan
+            for n0, n1, (pc, exact), (pf, _), e0, e1 in zip(
+                n_list, n_list[1:], pairs, pairs[1:], e, e[1:])]
         header += [f"err_{col}_extrap", f"rate_{col}_extrap"]
-    rows = []
-    xp_prev = dict.fromkeys(sols)
-    for idx, N in enumerate(n_list):
-        row = [N]
-        for e in errs.values():
-            row += [e[idx], np.log2(e[idx - 1] / e[idx]) if idx else np.nan]
-        for col, pairs in sols.items():
-            xp = xr = np.nan
-            if idx and N == 2 * n_list[idx - 1]:
-                (pc, exact), (pf, _) = pairs[idx - 1], pairs[idx]
-                xp = _extrap_error(pc, pf, exact, errs[col][idx - 1],
-                                   errs[col][idx])
-                if xp_prev[col] and xp:
-                    xr = np.log2(xp_prev[col] / xp)
-            row += [xp, xr]
-            xp_prev[col] = xp
-        rows.append(row)
-    return header, rows
+        columns += [xp, _rates(xp)]
+    return header, [list(row) for row in zip(*columns)]
 
 
 def _prescribed_table(study, tab, n_list, T, routes):
@@ -401,8 +398,7 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     dt_min = grid.dx / a
     for b, eps in enumerate(eps_list):
         # a rate needs two nonzero errors, else (or with one grid) it is blank
-        rates = [np.log2(e0 / e1) if e0 and e1 else np.nan
-                 for e0, e1 in zip(errs[b], errs[b][1:])]
+        rates = _rates(errs[b])[1:]
         mean_rate = float(np.mean(rates)) if rates else np.nan
         rows.append([eps, dt_min, errs[b][-1], mean_rate,
                      "transport-oracle" if eps < oracle_max else "self-reference"])

@@ -244,15 +244,19 @@ def _terminal_values(problem, traj, tab, terminal):
     raise ValueError(f"unknown terminal mode {terminal!r}")
 
 
-def _last_b_term(tab):
-    """Largest k >= 0 with b_k != 0, or -1 (BDF)."""
-    return max((k for k in range(tab.s) if tab.b_exact[k + 1]), default=-1)
-
-
-def _sweep_array(problem, grid, traj, s):
+def _sweep_array(problem, tab, grid, traj):
     """Zero multipliers on indices 1-s..N+s-1 in the dtype of the grid's
     step and the states, which a system's sweep solves with np.linalg and
-    so needs float32 or float64."""
+    so needs float32 or float64.  The trajectory must have been solved on
+    ``grid`` with an s-stage scheme (a ValueError naming the grid or the
+    scheme)."""
+    s = tab.s
+    if grid != traj.grid:
+        raise ValueError(f"adjoint grid {grid} is not the trajectory's "
+                         f"grid {traj.grid}")
+    if s != traj.s:
+        raise ValueError(f"scheme {tab.name} has s = {s}, but the "
+                         f"trajectory was solved with s = {traj.s}")
     if grid.N < s:
         raise ValueError(f"adjoint solve needs N >= s (got N={grid.N}, s={s})")
     dtype = np.result_type(grid.dt, traj.states)
@@ -343,9 +347,10 @@ def _seeded_sweep(problem, tab, grid, traj, terminal, shifted):
     The terminal mode and its hook are read before f_y is evaluated.
     """
     s, N = tab.s, grid.N
-    ext = _sweep_array(problem, grid, traj, s)
+    ext = _sweep_array(problem, tab, grid, traj)
     ext[N + s - 1:] = _terminal_values(problem, traj, tab, terminal)
-    hi = N + _last_b_term(tab) if shifted else N - 1
+    # shifted, the last b-term k reads f_y up to index N + k
+    hi = N + tab.b_terms[-1][0] if shifted and tab.b_terms else N - 1
     Jt = _jacobians(problem, traj, 1 - s, hi, ext.dtype)
     coef, diag = _sweep_matrices(tab, grid.dt, Jt, N + s - 1, shifted)
     _backward_sweep(ext, s, N - 1, coef[::-1], diag[::-1], floor=1 - s)
@@ -429,12 +434,13 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     if problem.terminal_cost_grad is None:
         raise ValueError("DtO route requires terminal_cost_grad")
 
-    ext = _sweep_array(problem, grid, traj, s)
+    ext = _sweep_array(problem, tab, grid, traj)
     _require_linalg(ext.dtype)  # the terminal block's np.linalg.solve
     jy = np.atleast_1d(problem.terminal_cost_grad(traj.terminal_state))
     # f_y is read on the step equations 1..N and on the initial-data rows
     # i <= 0 that one of their b-terms reaches (never for BDF)
-    Jt = _jacobians(problem, traj, -_last_b_term(tab), N, ext.dtype)
+    lo = -tab.b_terms[-1][0] if tab.b_terms else 1
+    Jt = _jacobians(problem, traj, lo, N, ext.dtype)
     coef, diag = _sweep_matrices(tab, grid.dt, Jt, N + s, shifted=False)
     # Terminal block: s coupled equations for p_{N-s+1..N} (coupled through
     # b^T p); row r and column c hold indices N-s+1+r and N-s+1+c, which

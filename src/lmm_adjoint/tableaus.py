@@ -189,24 +189,6 @@ def _require_linalg(dtype):
                          f"support {np.dtype(dtype)}")
 
 
-def _newton_update(h, jm, res, rnorm, it, t_new):
-    """The Newton update (I - h J)^{-1} res of an array step, ``jm`` read as
-    an (n, n) float array.  A 1x1 system is a division, bitwise equal to
-    LAPACK's solve, which fails on the same exact-zero pivot."""
-    jm = np.atleast_2d(np.asarray(jm, dtype=float))
-    if res.size > 1:
-        try:
-            return np.linalg.solve(np.eye(res.size) - h * jm, res)
-        except np.linalg.LinAlgError:
-            raise ImplicitSolveError(
-                f"singular Newton matrix at t={t_new}", rnorm, it) from None
-    d = 1.0 - h * jm[0, 0]
-    if d == 0.0:
-        raise ImplicitSolveError(f"singular Newton matrix at t={t_new}",
-                                 rnorm, it)
-    return res / d
-
-
 def step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
          t_new: float, jac: Callable | None = None):
     """Advance one step: returns (y_{n+1}, f(y_{n+1})).
@@ -226,13 +208,13 @@ def step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
     residual, else the max-norm rounded to float (as where a long-double dt
     makes the residual a long double).
 
-    The step computes in the kind of the newest state: on arrays it returns
-    new arrays and ``jac`` gives an (n, n) matrix (``_newton_update``),
-    whose np.linalg solve for n > 1 needs float32 or float64 (else a
-    ValueError naming the dtype, raised before ``rhs`` is called); on
-    Python floats (a scalar state) ``rhs`` and ``jac`` take and return
-    floats, the Newton update is the division res/(1 - h J), and the step
-    returns floats.
+    The step computes in the kind of the newest state: arrays in, new
+    arrays out; Python floats in (a scalar state, whose ``rhs`` and ``jac``
+    take and return floats), floats out.  A system (n > 1 entries) solves
+    I - h J with np.linalg, which needs float32 or float64 (else a
+    ValueError naming the dtype, raised before ``rhs`` is called); a float
+    or a one-element array (``jac`` any one-element value) divides
+    res/(1 - h J), bitwise LAPACK's 1x1 solve.
     """
     a, s = tab.a, tab.s
     if len(states) < s or len(fvals) < s:
@@ -253,9 +235,11 @@ def step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
         raise ValueError(f"implicit tableau {tab.name} needs the Jacobian jac")
     h, y = dt * tab.b_implicit, states[-1]
     array = isinstance(y, np.ndarray)
+    system = array and y.size > 1
+    if system:
+        _require_linalg(np.result_type(h, c))
+        eye = np.eye(y.size)
     if array:
-        if y.size > 1:
-            _require_linalg(np.result_type(h, c))
         y = y.copy()
     f = rhs(y, t_new)
     res = y - c - h * f
@@ -264,10 +248,18 @@ def step(tab: MultistepTableau, states, fvals, dt: float, rhs: Callable,
     for it in range(50):
         if rnorm < 1e-12:
             return y, f
-        if array:
-            dy = _newton_update(h, jac(y, t_new), res, rnorm, it, t_new)
+        jm = jac(y, t_new)
+        if system:
+            try:
+                dy = np.linalg.solve(eye - h * np.asarray(jm, dtype=float),
+                                     res)
+            except np.linalg.LinAlgError:
+                raise ImplicitSolveError(
+                    f"singular Newton matrix at t={t_new}", rnorm, it) from None
         else:
-            d = 1.0 - h * jac(y, t_new)
+            if array:
+                jm = np.asarray(jm, dtype=float).item()
+            d = 1.0 - h * jm
             if d == 0.0:
                 raise ImplicitSolveError(
                     f"singular Newton matrix at t={t_new}", rnorm, it)

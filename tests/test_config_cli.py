@@ -212,6 +212,24 @@ class TestCli:
         assert cli.main(["ode-converge", "--config", conf,
                          "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("study, scheme, n_list", [
+        ("const-fy", "BDF2", "2,4"), ("full-system", "ImplicitEuler", "1,2")])
+    def test_vanishing_ode_errors_leave_rates_blank(self, tmp_path, study,
+                                                    scheme, n_list):
+        # on T = 1e-300 every error is 0: no rate exists, so the rate
+        # cells are blank and the run succeeds
+        assert self._run_quietly(tmp_path, "ode-converge",
+                                 f"study = {study}\nschemes = {scheme}\n"
+                                 f"n_list = {n_list}\nT = 1e-300\n") == 0
+        rows = [row.split(",") for row in (
+            tmp_path / f"table_{study}_{scheme}.csv").read_text().splitlines()]
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert all(row[k] == "" for k, col in enumerate(rows[0])
+                       if col.startswith("rate_"))
+            assert all(row[k] == "0" for k, col in enumerate(rows[0])
+                       if col.startswith("err_") and "extrap" not in col)
+
     def test_cfl_violation_config_error(self, tmp_path):
         conf = self._write(tmp_path, "c.conf",
                            "[relax-forward]\nflux = linear\nnx = 40\n"

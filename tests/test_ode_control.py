@@ -19,7 +19,7 @@ import lmm_adjoint as la
 from lmm_adjoint import cli, experiments, ode_control
 from lmm_adjoint.config import load_config
 from lmm_adjoint.experiments import backward_study_solution
-from lmm_adjoint.ode_control import (Trajectory, _jacobians, _last_b_term,
+from lmm_adjoint.ode_control import (Trajectory, _jacobians,
                                      cost_gradient_dto, discrete_cost,
                                      optimality_residual, prescribed_trajectory,
                                      solve_adjoint_dto, solve_adjoint_otd,
@@ -545,6 +545,31 @@ class TestDtoJacobianEvaluations:
         adj = solve_adjoint_otd(prob, tab, grid, traj, terminal="replicate")
         assert calls and adj.multipliers.dtype == np.longdouble
 
+    @pytest.mark.parametrize("route", ["dto", "otd"])
+    @pytest.mark.parametrize("N, name, match", [
+        (20, "BDF2", r"adjoint grid TimeGrid\(T=0\.5, N=20\) is not"),
+        (40, "BDF3", "scheme BDF3 has s = 3, but the trajectory")],
+        ids=["grid", "scheme"])
+    def test_other_grid_or_scheme_than_the_trajectorys_is_rejected(
+            self, route, N, name, match):
+        # a BDF2 trajectory on N = 40, swept on another grid or with a
+        # scheme of another s: the error names which, before the terminal
+        # hook or f_y is called
+        plain = terminal_tracking_problem(T=0.5)
+        traj = solve_forward(plain, la.tableau("BDF2"), la.TimeGrid(0.5, 40))
+        calls = []
+        prob = dataclasses.replace(
+            plain,
+            f_y=lambda y, u, t: calls.append("f_y") or plain.f_y(y, u, t),
+            terminal_cost_grad=lambda y: (calls.append("grad") or
+                                          plain.terminal_cost_grad(y)))
+        solve, terminal = ((solve_adjoint_dto, "cost") if route == "dto"
+                           else (solve_adjoint_otd, "replicate"))
+        with pytest.raises(ValueError, match=match):
+            solve(prob, la.tableau(name), la.TimeGrid(0.5, N), traj,
+                  terminal=terminal)
+        assert calls == []
+
     def test_per_point_fy_is_rejected(self):
         # an f_y written for one state, (1,) -> (1, 1), returns (K, 1) on
         # the stack of K states
@@ -610,7 +635,8 @@ class TestBatchedJacobians:
                                                   exact, N, T, alpha, beta,
                                                   seed):
         tab = la.tableau(name)
-        s, last_b = tab.s, _last_b_term(tab)
+        # the last nonzero b_k, k >= 0 (-1 for BDF)
+        s, last_b = tab.s, tab.b_terms[-1][0] if tab.b_terms else -1
         grid = la.TimeGrid(dtype(T), N)
         rng = np.random.default_rng(seed)
         traj = Trajectory(grid, s, rng.uniform(-1, 1, (N + s, n)).astype(dtype),

@@ -186,6 +186,32 @@ class TestStep:
                         jac=lambda y, tt: np.atleast_2d(2 * y))
         assert err.value.iterations is not None
 
+    @pytest.mark.parametrize("wrap, jm", [
+        (float, -3.0), (np.atleast_1d, np.array([[-3.0]])),
+        (lambda v: np.array([v, v]), -3.0 * np.eye(2))])
+    def test_convergence_on_the_last_newton_update(self, wrap, jm):
+        # y = y_n - y with the wrong Jacobian -3: each update divides the
+        # residual by 1 + 3 where 1 + 1 is right, so the residual halves.
+        # From y_n = 800 the 50th update brings it below 1e-12; from 1600
+        # it stays just above
+        tab, calls = tb.tableau("ImplicitEuler"), []
+
+        def rhs(y, t):
+            calls.append("rhs")
+            return -y
+
+        def jac(y, t):
+            calls.append("jac")
+            return jm
+
+        y, f = tb.step(tab, [wrap(800.0)], [wrap(-800.0)], 1.0, rhs, 1.0, jac)
+        assert np.allclose(y, 400.0) and np.array_equal(f, -y)
+        assert calls.count("jac") == 50 and calls.count("rhs") == 51
+        with pytest.raises(tb.ImplicitSolveError, match=(
+                r"residual 1\.364e-12 after 50 iterations")) as err:
+            tb.step(tab, [wrap(1600.0)], [wrap(-1600.0)], 1.0, rhs, 1.0, jac)
+        assert err.value.iterations == 50
+
     @pytest.mark.parametrize("name", ["BDF3", "AB3", "AM4"])
     def test_step_keeps_the_kind_of_the_history(self, name):
         # arrays in, arrays out; floats in, floats out, bitwise alike
@@ -238,16 +264,23 @@ class TestNewtonDivision:
         # whose residual is below tol.  5/3 and 5 * (1/3) differ in the last
         # bit; the update must be the division that LAPACK's solve gives,
         # on a one-element array and on a float alike.
+        # A one-element array's Jacobian may come 0-d, (1,) or (1, 1).
         res, d = 5.0, 3.0
         assert res / d != res * (1.0 / d)
-        for wrap, jac in ((np.atleast_1d, lambda y, t: np.array([[-4.0]])),
-                          (float, lambda y, t: -4.0)):
+        cases = [(np.atleast_1d, np.array(-4.0)),
+                 (np.atleast_1d, np.array([-4.0])),
+                 (np.atleast_1d, np.array([[-4.0]])), (float, -4.0)]
+        outs = []
+        for wrap, jm in cases:
             y, f = tb.step(SPLIT, [wrap(-5.0), wrap(0.0)], [wrap(0.0)] * 2,
-                           0.5, lambda y, t: -4.0 * y, 0.0, jac)
+                           0.5, lambda y, t: -4.0 * y, 0.0,
+                           lambda y, t: jm)
             y, f = np.atleast_1d(y), np.atleast_1d(f)
             assert y[0] == 0.0 - np.linalg.solve([[d]], [res])[0]
             assert y[0] != 0.0 - res * (1.0 / d)
             assert f[0] == -4.0 * y[0]
+            outs.append((y.dtype, y.tobytes(), f.dtype, f.tobytes()))
+        assert len(set(outs)) == 1
 
 
 class TestLinalgDtype:
