@@ -1,14 +1,16 @@
 """Experiment command line: ``lmm-adjoint <experiment> --config <path>``.
 
 Exit codes: 0 success; 2 a ``ConfigError``, an invalid config file, key or
-value (or a config file that cannot be read); 3 a ``SolverError`` or an
-arithmetic failure, where the numerics failed on valid input.  Any other
-exception is a bug and propagates with its traceback.
+value (or a config file that cannot be read, or an ``--out`` that is not a
+directory); 3 a ``SolverError`` or an arithmetic failure, where the numerics
+failed on valid input.  Any other exception is a bug and propagates with its
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import (CONFIG_REFERENCE, Config, config_reference_text,
@@ -57,6 +59,14 @@ def main(argv=None) -> int:
         if args.route is not None and args.experiment != "ode-converge":
             raise ConfigError(f"--route applies to ode-converge, not "
                               f"{args.experiment!r}")
+        # an --out that is a file or lies below one, refused before the
+        # run and without creating a directory
+        out = os.path.abspath(args.out)
+        while not os.path.lexists(out):  # its nearest existing ancestor
+            out = os.path.dirname(out)
+        if not os.path.isdir(out):
+            raise ConfigError(f"--out {args.out!r}: {out!r} is not a "
+                              f"directory")
         if args.experiment == "ode-converge":
             run_ode_convergence(cfg, args.out, route=args.route)
         elif args.experiment == "relax-forward":

@@ -122,7 +122,7 @@ def backward_study_solution(tab: MultistepTableau, N: int, T, study,
         raise ValueError(f"unknown route {route!r}")
     grid = TimeGrid(np.longdouble(T), N)
     problem = study(grid.T)
-    traj = prescribed_trajectory(grid, tab.s, problem.y_exact)
+    traj = prescribed_trajectory(grid, tab, problem.y_exact)
     solve = solve_adjoint_dto if route == "dto" else solve_adjoint_otd
     return solve(problem, tab, grid, traj, terminal="exact").on_grid()[:, 0]
 

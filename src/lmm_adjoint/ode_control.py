@@ -56,21 +56,17 @@ class OdeControlProblem:
 
 @dataclass
 class Trajectory:
-    """States and controls on indices 1-s..N (array slot i+s-1 holds index i)."""
+    """States and controls on indices 1-s..N (array slot i+s-1 holds index i),
+    solved on ``grid`` with the scheme ``tab``."""
 
     grid: TimeGrid
-    s: int
+    tab: MultistepTableau
     states: np.ndarray    # (N+s, n)
     controls: np.ndarray  # (N+s,)
 
-    def slot(self, i: int) -> int:
-        return i + self.s - 1
-
-    def state(self, i: int) -> np.ndarray:
-        return self.states[self.slot(i)]
-
-    def control(self, i: int) -> float:
-        return self.controls[self.slot(i)]
+    @property
+    def s(self) -> int:
+        return self.tab.s
 
     @property
     def terminal_state(self) -> np.ndarray:
@@ -80,18 +76,16 @@ class Trajectory:
 @dataclass
 class AdjointTrajectory:
     """Multipliers on indices 1-s..N in the continuous sign convention,
-    computed by ``route`` "dto" or "otd"."""
+    computed by ``route`` "dto" or "otd" with the scheme ``tab``."""
 
     grid: TimeGrid
-    s: int
+    tab: MultistepTableau
     multipliers: np.ndarray  # (N+s, n)
     route: str
 
-    def slot(self, i: int) -> int:
-        return i + self.s - 1
-
-    def p(self, i: int) -> np.ndarray:
-        return self.multipliers[self.slot(i)]
+    @property
+    def s(self) -> int:
+        return self.tab.s
 
     def on_grid(self) -> np.ndarray:
         """Multipliers at indices 0..N (drops the pre-initial block)."""
@@ -177,13 +171,13 @@ def solve_forward(problem: OdeControlProblem, tab: MultistepTableau,
             # float64 states, also where a long-double dt makes y_new wider
             states.append(as_state(y_new))
             fvals.append(f_new)
-    return Trajectory(grid, s, np.reshape(states, (grid.N + s, -1)), u)
+    return Trajectory(grid, tab, np.reshape(states, (grid.N + s, -1)), u)
 
 
-def prescribed_trajectory(grid: TimeGrid, s: int,
+def prescribed_trajectory(grid: TimeGrid, tab: MultistepTableau,
                           y_of_t: Callable) -> Trajectory:
-    """Trajectory with zero controls and states sampled from an analytic
-    y(t) (study helper).
+    """Trajectory of the scheme ``tab`` with zero controls and states
+    sampled from an analytic y(t) (study helper).
 
     y(t) is evaluated once, on the array of the N+s grid times i*dt,
     i = 1-s..N, built in the dtype of the grid's step, so it must broadcast
@@ -193,10 +187,10 @@ def prescribed_trajectory(grid: TimeGrid, s: int,
     returns.
     """
     dt = grid.dt
-    times = np.arange(1 - s, grid.N + 1, dtype=np.asarray(dt).dtype) * dt
+    times = np.arange(1 - tab.s, grid.N + 1, dtype=np.asarray(dt).dtype) * dt
     states = np.ascontiguousarray(
         np.asarray(y_of_t(times)).reshape(-1, times.size).T)
-    return Trajectory(grid, s, states, np.zeros(times.size))
+    return Trajectory(grid, tab, states, np.zeros(times.size))
 
 
 def _broadcast(name, value, shape):
@@ -228,9 +222,9 @@ def _jacobians(problem, traj, lo, hi, dtype):
     return J.transpose(0, 2, 1)
 
 
-def _terminal_values(problem, traj, tab, terminal):
+def _terminal_values(problem, traj, terminal):
     """Values seeded at indices N..N+s-1 ('exact' or 'replicate' convention)."""
-    grid, s = traj.grid, tab.s
+    grid, s = traj.grid, traj.s
     if terminal == "exact":
         if problem.p_exact is None:
             raise ValueError("terminal='exact' requires the p_exact hook")
@@ -244,25 +238,29 @@ def _terminal_values(problem, traj, tab, terminal):
     raise ValueError(f"unknown terminal mode {terminal!r}")
 
 
+def _require_trajectorys(grid, tab, traj):
+    """Refuse an adjoint grid or scheme other than the trajectory's."""
+    if grid != traj.grid:
+        raise ValueError(f"adjoint grid {grid} is not the trajectory's "
+                         f"grid {traj.grid}")
+    if tab is not traj.tab and tab != traj.tab:
+        raise ValueError(f"adjoint scheme {tab.name} is not the "
+                         f"trajectory's scheme {traj.tab.name}")
+
+
 def _sweep_array(problem, tab, grid, traj):
     """Zero multipliers on indices 1-s..N+s-1 in the dtype of the grid's
     step and the states, which a system's sweep solves with np.linalg and
     so needs float32 or float64.  The trajectory must have been solved on
-    ``grid`` with an s-stage scheme (a ValueError naming the grid or the
-    scheme)."""
-    s = tab.s
-    if grid != traj.grid:
-        raise ValueError(f"adjoint grid {grid} is not the trajectory's "
-                         f"grid {traj.grid}")
-    if s != traj.s:
-        raise ValueError(f"scheme {tab.name} has s = {s}, but the "
-                         f"trajectory was solved with s = {traj.s}")
-    if grid.N < s:
-        raise ValueError(f"adjoint solve needs N >= s (got N={grid.N}, s={s})")
+    ``grid`` with ``tab`` (see ``_require_trajectorys``)."""
+    _require_trajectorys(grid, tab, traj)
+    if grid.N < traj.s:
+        raise ValueError(f"adjoint solve needs N >= s (got N={grid.N}, "
+                         f"s={traj.s})")
     dtype = np.result_type(grid.dt, traj.states)
     if problem.dim > 1:
         _require_linalg(dtype)
-    return np.zeros((grid.N + 2 * s - 1, problem.dim), dtype)
+    return np.zeros((grid.N + 2 * traj.s - 1, problem.dim), dtype)
 
 
 def _sweep_matrices(tab, dt, Jt, rows, shifted):
@@ -340,37 +338,38 @@ def _backward_sweep(ext, s, top, coef, diag, floor):
     ext[:] = p
 
 
-def _seeded_sweep(problem, tab, grid, traj, terminal, shifted):
-    """Multipliers below N from s terminal values seeded at N..N+s-1.
+def _seeded_sweep(problem, traj, ext, terminal, route):
+    """Adjoint of ``route`` from s terminal values seeded at N..N+s-1,
+    swept below N in the sweep array ``ext``.
 
-    ``shifted`` takes the b-terms' f_y^T at j+1+k (OtD), else at j (DtO).
-    The terminal mode and its hook are read before f_y is evaluated.
+    OtD takes the b-terms' f_y^T at j+1+k, DtO at j.  The terminal mode
+    and its hook are read before f_y is evaluated.
     """
-    s, N = tab.s, grid.N
-    ext = _sweep_array(problem, tab, grid, traj)
-    ext[N + s - 1:] = _terminal_values(problem, traj, tab, terminal)
+    tab, grid, s, N = traj.tab, traj.grid, traj.s, traj.grid.N
+    shifted = route == "otd"
+    ext[N + s - 1:] = _terminal_values(problem, traj, terminal)
     # shifted, the last b-term k reads f_y up to index N + k
     hi = N + tab.b_terms[-1][0] if shifted and tab.b_terms else N - 1
     Jt = _jacobians(problem, traj, 1 - s, hi, ext.dtype)
     coef, diag = _sweep_matrices(tab, grid.dt, Jt, N + s - 1, shifted)
     _backward_sweep(ext, s, N - 1, coef[::-1], diag[::-1], floor=1 - s)
-    return ext
+    return _adjoint_trajectory(traj, ext, route)
 
 
-def _adjoint_trajectory(grid, s, ext, route):
+def _adjoint_trajectory(traj, ext, route):
     """Multipliers on indices 1-s..N from the extended sweep array.
 
     Raises ``SolverError`` at the first non-finite multiplier in sweep
     order (the highest such index); one vectorised check per sweep.
     """
-    mult = ext[: grid.N + s]
+    mult = ext[: traj.grid.N + traj.s]
     bad = np.flatnonzero(~np.isfinite(mult).all(axis=1))
     if bad.size:
-        i = int(bad[-1]) - (s - 1)
+        i = int(bad[-1]) - (traj.s - 1)
         raise SolverError(
             f"non-finite {route} multiplier at step index {i}",
             step_index=i)
-    return AdjointTrajectory(grid, s, mult.copy(), route)
+    return AdjointTrajectory(traj.grid, traj.tab, mult.copy(), route)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -393,8 +392,8 @@ def solve_adjoint_otd(problem: OdeControlProblem, tab: MultistepTableau,
     ``SolverError`` with the step index of the first non-finite
     multiplier.
     """
-    ext = _seeded_sweep(problem, tab, grid, traj, terminal, shifted=True)
-    return _adjoint_trajectory(grid, tab.s, ext, "otd")
+    ext = _sweep_array(problem, tab, grid, traj)
+    return _seeded_sweep(problem, traj, ext, terminal, "otd")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -426,15 +425,13 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     multipliers through (B^T p); see ``optimality_residual``.
     """
     s, N, n = tab.s, grid.N, problem.dim
+    ext = _sweep_array(problem, tab, grid, traj)
     if terminal == "exact":
-        ext = _seeded_sweep(problem, tab, grid, traj, "exact", shifted=False)
-        return _adjoint_trajectory(grid, s, ext, "dto")
+        return _seeded_sweep(problem, traj, ext, "exact", "dto")
     if terminal != "cost":
         raise ValueError(f"unknown terminal mode {terminal!r}")
     if problem.terminal_cost_grad is None:
         raise ValueError("DtO route requires terminal_cost_grad")
-
-    ext = _sweep_array(problem, tab, grid, traj)
     _require_linalg(ext.dtype)  # the terminal block's np.linalg.solve
     jy = np.atleast_1d(problem.terminal_cost_grad(traj.terminal_state))
     # f_y is read on the step equations 1..N and on the initial-data rows
@@ -462,21 +459,23 @@ def solve_adjoint_dto(problem: OdeControlProblem, tab: MultistepTableau,
     # whose sums read the step equations j >= 1 only
     diag[:s] = np.eye(n)
     _backward_sweep(ext, s, N - s, coef[N - 1::-1], diag[N - 1::-1], floor=1)
-    return _adjoint_trajectory(grid, s, ext, "dto")
+    return _adjoint_trajectory(traj, ext, "dto")
 
 
 def optimality_residual(problem: OdeControlProblem, traj: Trajectory,
-                        adj: AdjointTrajectory, tab: MultistepTableau) -> np.ndarray:
+                        adj: AdjointTrajectory) -> np.ndarray:
     """Stationarity residual at every index 1-s..N, one f_u call on the stack.
 
     OtD route: r_i = f_u(y_i,u_i)^T p_i + alpha*u_i.  DtO route uses the
     b-weighted multiplier combination (B^T p)_i in place of p_i, with p_j = 0
     outside the step equations 1..N.  The alpha term applies on the
-    cost-quadrature indices 0..N only.
+    cost-quadrature indices 0..N only.  ``adj`` must be of the trajectory's
+    grid and scheme (a ValueError, raised before f_u is called).
     """
     if problem.f_u is None:
         raise ValueError("optimality residual requires f_u")
-    grid, s, (rows, n) = traj.grid, traj.s, traj.states.shape
+    _require_trajectorys(adj.grid, adj.tab, traj)
+    grid, tab, s, (rows, n) = traj.grid, traj.tab, traj.s, traj.states.shape
     fu = _broadcast("f_u", problem.f_u(traj.states, traj.controls,
                                        grid.t(np.arange(1 - s, grid.N + 1))),
                     (rows, n))
@@ -502,7 +501,7 @@ def discrete_cost(problem: OdeControlProblem, traj: Trajectory) -> float:
 
 
 def cost_gradient_dto(problem: OdeControlProblem, traj: Trajectory,
-                      adj: AdjointTrajectory, tab: MultistepTableau) -> np.ndarray:
+                      adj: AdjointTrajectory) -> np.ndarray:
     """Exact gradient of the discrete cost w.r.t. every control u_i.
 
     Equals dt times the DtO optimality residual; matches brute-force finite
@@ -510,4 +509,4 @@ def cost_gradient_dto(problem: OdeControlProblem, traj: Trajectory,
     """
     if adj.route != "dto":
         raise ValueError("exact discrete gradient requires the DtO adjoint")
-    return traj.grid.dt * optimality_residual(problem, traj, adj, tab)
+    return traj.grid.dt * optimality_residual(problem, traj, adj)

@@ -106,7 +106,7 @@ def test_criterion_3_table2(tmp_path):
     prob = la.problems.quadratic_coefficient_study()
     tab = la.tableau("BDF4")
     grid = la.TimeGrid(1.0, 640)
-    traj = prescribed_trajectory(grid, tab.s, lambda t: t ** 2)
+    traj = prescribed_trajectory(grid, tab, lambda t: t ** 2)
     a_d = solve_adjoint_dto(prob, tab, grid, traj, terminal="exact")
     a_o = solve_adjoint_otd(prob, tab, grid, traj, terminal="exact")
     scale = np.max(np.abs(a_d.multipliers))
@@ -164,7 +164,7 @@ def test_criterion_5_gradient_exactness():
     u = 0.3 * np.sin(np.linspace(-1.0, 2.5, N + tab.s)) + 0.2
     traj = solve_forward(prob, tab, grid, controls=u)
     adj = solve_adjoint_dto(prob, tab, grid, traj)
-    g = cost_gradient_dto(prob, traj, adj, tab)
+    g = cost_gradient_dto(prob, traj, adj)
     h = 1e-6
     worst = 0.0
     for i in range(len(u)):

@@ -314,6 +314,21 @@ class TestCli:
             assert sorted(os.listdir(tmp_path)) == ["c.conf", "out"]
             assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_that_is_or_lies_below_a_file_is_a_config_error(
+            self, tmp_path, capsys, out):
+        # refused before the run, which would write its CSVs there
+        conf = self._write(tmp_path, "c.conf",
+                           "[relax-forward]\nflux = linear\nnx = 40\n")
+        (tmp_path / "taken").write_text("kept\n")
+        assert cli.main(["relax-forward", "--config", conf,
+                         "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out ")
+        assert f"{str(tmp_path / 'taken')!r} is not a directory" in err
+        assert sorted(os.listdir(tmp_path)) == ["c.conf", "taken"]
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
     def test_control_jinxin_artifacts(self, tmp_path):
         conf = self._write(tmp_path, "c.conf",
                            "[control-jinxin]\nnx = 40\niterations = 3\n"

@@ -42,7 +42,7 @@ def study_case(**changes):
     for name, value in changes.items():
         setattr(prob, name, value)
     tab = la.tableau("BDF2")
-    return prob, tab, prescribed_trajectory(GRID, tab.s, prob.y_exact)
+    return prob, tab, prescribed_trajectory(GRID, tab, prob.y_exact)
 
 
 class TestTableaus:
@@ -111,7 +111,7 @@ class TestOdeControl:
         # on the 1001 points of the sweep
         prob = constant_coefficient_study()
         grid, tab = la.TimeGrid(1.0, 1000), la.tableau("BDF2")
-        traj = prescribed_trajectory(grid, tab.s, prob.y_exact)
+        traj = prescribed_trajectory(grid, tab, prob.y_exact)
         calls, f_y = [], prob.f_y
         prob.f_y = lambda y, u, t: calls.append(t) or f_y(y, u, t)
         if missing:
@@ -123,7 +123,7 @@ class TestOdeControl:
     def test_adjoint_needs_as_many_steps_as_stages(self):
         prob = constant_coefficient_study()
         grid, tab = la.TimeGrid(1.0, 2), la.tableau("BDF3")
-        traj = prescribed_trajectory(grid, tab.s, prob.y_exact)
+        traj = prescribed_trajectory(grid, tab, prob.y_exact)
         with pytest.raises(ValueError,
                            match=r"adjoint solve needs N >= s \(got N=2, "
                                  r"s=3\)"):
@@ -133,7 +133,7 @@ class TestOdeControl:
     def test_singular_pointwise_adjoint_matrix_names_its_step(self, route):
         prob = singular_at_step_3(2)
         tab = la.tableau("ImplicitEuler")
-        traj = prescribed_trajectory(GRID, tab.s, prob.y_exact)
+        traj = prescribed_trajectory(GRID, tab, prob.y_exact)
         solve = solve_adjoint_otd if route == "otd" else solve_adjoint_dto
         terminal = "replicate" if route == "otd" else "exact"
         prob.p_exact = lambda t: np.ones(2)
@@ -157,11 +157,11 @@ class TestOdeControl:
         with pytest.raises(ValueError,
                            match="exact discrete gradient requires the DtO "
                                  "adjoint"):
-            cost_gradient_dto(prob, traj, otd, tab)
+            cost_gradient_dto(prob, traj, otd)
         prob.f_u = prob.terminal_cost = None
         with pytest.raises(ValueError,
                            match="optimality residual requires f_u"):
-            optimality_residual(prob, traj, otd, tab)
+            optimality_residual(prob, traj, otd)
         with pytest.raises(ValueError,
                            match="discrete cost requires terminal_cost"):
             discrete_cost(prob, traj)

@@ -36,7 +36,7 @@ PUBLIC_NAMES = (
 # constructor, which has no signature.
 PUBLIC_SIGNATURES = {
     "AdjointField": ("model", "grid", "dt", "tab", "lam_T"),
-    "AdjointTrajectory": ("grid", "s", "multipliers", "route"),
+    "AdjointTrajectory": ("grid", "tab", "multipliers", "route"),
     "ConfigError": None,
     "ImplicitSolveError": ("message", "residual", "iterations"),
     "KineticField": ("model", "grid", "dt", "tab", "f0"),
@@ -51,20 +51,20 @@ PUBLIC_SIGNATURES = {
     "SolverError": ("message", "step_index"),
     "TimeGrid": ("T", "N"),
     "TrackingFunctional": ("target", "dx"),
-    "Trajectory": ("grid", "s", "states", "controls"),
+    "Trajectory": ("grid", "tab", "states", "controls"),
     "adjoint_step": ("model", "grid", "adj", "jac"),
     "bb_step": ("du", "dg", "sigma", "variant"),
-    "cost_gradient_dto": ("problem", "traj", "adj", "tab"),
+    "cost_gradient_dto": ("problem", "traj", "adj"),
     "discrete_cost": ("problem", "traj"),
     "forward_step": ("model", "grid", "fld", "out"),
     "gradient_from_adjoint": ("model", "lam0", "u0"),
     "make_broadwell": ("c", "eps"),
     "make_jin_xin": ("flux", "dflux", "a", "eps", "u0"),
-    "optimality_residual": ("problem", "traj", "adj", "tab"),
+    "optimality_residual": ("problem", "traj", "adj"),
     "optimize": ("model", "grid", "tab", "functional", "initial_guess",
                  "n_steps", "dt", "iterations", "sigma0", "bb_variant",
                  "filter_every", "callback"),
-    "prescribed_trajectory": ("grid", "s", "y_of_t"),
+    "prescribed_trajectory": ("grid", "tab", "y_of_t"),
     "solve_adjoint_dto": ("problem", "tab", "grid", "traj", "terminal"),
     "solve_adjoint_otd": ("problem", "tab", "grid", "traj", "terminal"),
     "solve_forward": ("problem", "tab", "grid", "controls"),

@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import pathlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -186,7 +187,7 @@ class TestPrescribedTrajectory:
             return y(t)
 
         grid = la.TimeGrid(dtype(0.7), 48)
-        traj = prescribed_trajectory(grid, 3, counted)
+        traj = prescribed_trajectory(grid, la.tableau("BDF3"), counted)
         per_index = np.array([np.atleast_1d(y(i * grid.dt))
                               for i in range(-2, 49)])
         assert len(calls) == 1
@@ -197,7 +198,7 @@ class TestPrescribedTrajectory:
         # y(t) = np.array([y1(t), y2(t)]) gives (2, N+s) on the times
         y = rotation_problem().y_exact
         grid = la.TimeGrid(0.7, 12)
-        traj = prescribed_trajectory(grid, 2, y)
+        traj = prescribed_trajectory(grid, la.tableau("BDF2"), y)
         per_index = np.array([np.atleast_1d(y(i * grid.dt))
                               for i in range(-1, 13)])
         assert traj.states.shape == (14, 2)
@@ -206,7 +207,8 @@ class TestPrescribedTrajectory:
 
     def test_y_must_broadcast_over_times(self):
         with pytest.raises(ValueError):
-            prescribed_trajectory(la.TimeGrid(1.0, 8), 2, lambda t: 2.5)
+            prescribed_trajectory(la.TimeGrid(1.0, 8), la.tableau("BDF2"),
+                                  lambda t: 2.5)
 
 
 class TestAdjointRoutes:
@@ -218,7 +220,7 @@ class TestAdjointRoutes:
         for name in ("ExplicitEuler", "BDF4", "AM4", "AB3"):
             tab = la.tableau(name)
             grid = la.TimeGrid(1.0, 32)
-            traj = prescribed_trajectory(grid, tab.s, lambda t: 0.0 * t)
+            traj = prescribed_trajectory(grid, tab, lambda t: 0.0 * t)
             adj = solve_adjoint_otd(prob, tab, grid, traj,
                                     terminal="replicate")
             assert np.max(np.abs(adj.multipliers - 1.3)) <= 1e-13
@@ -228,7 +230,7 @@ class TestAdjointRoutes:
         for name in ("ExplicitEuler", "AB3", "AM4"):
             tab = la.tableau(name)
             grid = la.TimeGrid(1.0, 80)
-            traj = prescribed_trajectory(grid, tab.s, lambda t: 0.0 * t)
+            traj = prescribed_trajectory(grid, tab, lambda t: 0.0 * t)
             a_d = solve_adjoint_dto(prob, tab, grid, traj, terminal="exact")
             a_o = solve_adjoint_otd(prob, tab, grid, traj, terminal="exact")
             assert np.array_equal(a_d.multipliers, a_o.multipliers)
@@ -240,7 +242,7 @@ class TestAdjointRoutes:
         errs = []
         for N in (40, 80):
             grid = la.TimeGrid(1.0, N)
-            traj = prescribed_trajectory(grid, tab.s, lambda t: 0.0 * t)
+            traj = prescribed_trajectory(grid, tab, lambda t: 0.0 * t)
             adj = solve_adjoint_otd(prob, tab, grid, traj, terminal="exact")
             t = np.array([grid.t(i) for i in range(N + 1)])
             errs.append(np.max(np.abs(adj.on_grid()[:, 0] - np.exp(1.0 - t))))
@@ -253,7 +255,7 @@ class TestAdjointRoutes:
         for name in ("ImplicitEuler", "BDF2", "BDF4", "BDF6"):
             tab = la.tableau(name)
             grid = la.TimeGrid(1.0, 64)
-            traj = prescribed_trajectory(grid, tab.s, lambda t: t ** 2)
+            traj = prescribed_trajectory(grid, tab, lambda t: t ** 2)
             a_d = solve_adjoint_dto(prob, tab, grid, traj, terminal="exact")
             a_o = solve_adjoint_otd(prob, tab, grid, traj, terminal="exact")
             assert np.array_equal(a_d.multipliers, a_o.multipliers)
@@ -285,7 +287,7 @@ class TestAdjointRoutes:
         traj = solve_forward(prob, tab, grid, controls=0.2)
         a_d = solve_adjoint_dto(prob, tab, grid, traj, terminal="cost")
         a_o = solve_adjoint_otd(prob, tab, grid, traj, terminal="replicate")
-        ratio = a_d.p(0)[0] / a_o.p(0)[0]
+        ratio = a_d.multipliers[tab.s - 1, 0] / a_o.multipliers[tab.s - 1, 0]
         assert abs(ratio - 1.0 / tab.b_implicit) <= 0.05
 
     def test_quadratic_fy_route_orders(self):
@@ -317,7 +319,7 @@ class TestAdjointRoutes:
         for name in ("AM4", "BDF4", "ExplicitEuler"):
             tab = la.tableau(name)
             grid = la.TimeGrid(T, 48)
-            traj = prescribed_trajectory(grid, tab.s, lambda t: t ** 2)
+            traj = prescribed_trajectory(grid, tab, lambda t: t ** 2)
             for route, solver in (("dto", solve_adjoint_dto),
                                   ("otd", solve_adjoint_otd)):
                 ref = solver(prob, tab, grid, traj, terminal="exact")
@@ -335,7 +337,7 @@ class TestAdjointRoutes:
             f=lambda y, u, t: y,
             f_y=lambda y, u, t: np.array([[1.0 / grid.dt]]),
             terminal_cost_grad=lambda yT: np.array([1.0]), y0=1.0)
-        traj = prescribed_trajectory(grid, tab.s, lambda t: 1.0 + 0 * t)
+        traj = prescribed_trajectory(grid, tab, lambda t: 1.0 + 0 * t)
         with pytest.raises(la.SolverError):
             solve_adjoint_dto(prob, tab, grid, traj, terminal="cost")
 
@@ -548,13 +550,14 @@ class TestDtoJacobianEvaluations:
     @pytest.mark.parametrize("route", ["dto", "otd"])
     @pytest.mark.parametrize("N, name, match", [
         (20, "BDF2", r"adjoint grid TimeGrid\(T=0\.5, N=20\) is not"),
-        (40, "BDF3", "scheme BDF3 has s = 3, but the trajectory")],
+        (40, "BDF3", "adjoint scheme BDF3 is not the trajectory's scheme "
+                     "BDF2")],
         ids=["grid", "scheme"])
     def test_other_grid_or_scheme_than_the_trajectorys_is_rejected(
             self, route, N, name, match):
-        # a BDF2 trajectory on N = 40, swept on another grid or with a
-        # scheme of another s: the error names which, before the terminal
-        # hook or f_y is called
+        # a BDF2 trajectory on N = 40, swept on another grid or with
+        # another scheme: the error names which, before the terminal hook
+        # or f_y is called
         plain = terminal_tracking_problem(T=0.5)
         traj = solve_forward(plain, la.tableau("BDF2"), la.TimeGrid(0.5, 40))
         calls = []
@@ -587,7 +590,7 @@ class TestDtoJacobianEvaluations:
         traj = solve_forward(prob, tab, grid)
         adj = solve_adjoint_dto(prob, tab, grid, traj)
         with pytest.raises(ValueError, match=r"f_u returned shape \(42,\)"):
-            optimality_residual(prob, traj, adj, tab)
+            optimality_residual(prob, traj, adj)
 
 
 def reference_jacobians(problem, traj, lo, hi, dtype):
@@ -639,7 +642,8 @@ class TestBatchedJacobians:
         s, last_b = tab.s, tab.b_terms[-1][0] if tab.b_terms else -1
         grid = la.TimeGrid(dtype(T), N)
         rng = np.random.default_rng(seed)
-        traj = Trajectory(grid, s, rng.uniform(-1, 1, (N + s, n)).astype(dtype),
+        traj = Trajectory(grid, tab,
+                          rng.uniform(-1, 1, (N + s, n)).astype(dtype),
                           rng.uniform(-1, 1, N + s))
         if n == 1:
             y_exact = lambda t: 1.0 + t * t
@@ -789,7 +793,7 @@ class TestScalarSweepBits:
         if route == "dto" and terminal == "replicate":
             terminal = "cost" if dtype is np.float64 else "exact"
         rng = np.random.default_rng(seed)
-        traj = Trajectory(grid, tab.s,
+        traj = Trajectory(grid, tab,
                           rng.uniform(-1, 1, (N + tab.s, 1)).astype(dtype),
                           rng.uniform(-1, 1, N + tab.s))
         prob = la.OdeControlProblem(
@@ -848,7 +852,8 @@ class TestAdjointBlowUp:
         tab = la.tableau("ImplicitEuler")
         grid = la.TimeGrid(31 / 64, 31)
         adj = solve_adjoint_dto(prob, tab, grid, solve_forward(prob, tab, grid))
-        assert adj.p(0)[0] == adj.p(1)[0] == -(2.0 ** 1023)
+        # ImplicitEuler: index i sits at slot i
+        assert adj.multipliers[0, 0] == adj.multipliers[1, 0] == -(2.0 ** 1023)
 
 
 def rotation_problem(omega=2.0, alpha=0.5):
@@ -895,7 +900,7 @@ class TestTwoStateSystem:
         u = 0.4 * np.sin(np.linspace(-1.0, 2.5, N + tab.s)) + 0.1
         traj = solve_forward(prob, tab, grid, controls=u)
         adj = solve_adjoint_dto(prob, tab, grid, traj)
-        g = cost_gradient_dto(prob, traj, adj, tab)
+        g = cost_gradient_dto(prob, traj, adj)
         h = 1e-6
         for i in range(len(u)):
             up, um = u.copy(), u.copy()
@@ -916,7 +921,7 @@ class TestTwoStateSystem:
             f=lambda y, u, t: calls.append("f") or plain.f(y, u, t),
             f_y=lambda y, u, t: calls.append("f_y") or plain.f_y(y, u, t))
         tab, grid = la.tableau("BDF2"), la.TimeGrid(np.longdouble(1.0), 20)
-        traj = prescribed_trajectory(grid, tab.s, plain.y_exact)
+        traj = prescribed_trajectory(grid, tab, plain.y_exact)
         assert traj.states.dtype == np.longdouble
         sweeps = [lambda: solve_forward(prob, tab, grid),
                   lambda: solve_adjoint_otd(prob, tab, grid, traj, "exact"),
@@ -955,9 +960,9 @@ class TestOptimalityAndGradient:
         tab = la.tableau("BDF2")
         grid = la.TimeGrid(0.5, 40)
         traj = solve_forward(prob, tab, grid, controls=0.0)
-        zero = la.AdjointTrajectory(grid, tab.s, np.zeros((grid.N + tab.s, 1)),
+        zero = la.AdjointTrajectory(grid, tab, np.zeros((grid.N + tab.s, 1)),
                                     "dto")
-        res = optimality_residual(prob, traj, zero, tab)
+        res = optimality_residual(prob, traj, zero)
         assert np.all(res == 0.0)
         # with the computed multiplier the residual is the discrete
         # optimality gap, which shrinks at the scheme order
@@ -966,8 +971,7 @@ class TestOptimalityAndGradient:
             grid = la.TimeGrid(0.5, N)
             traj = solve_forward(prob, tab, grid, controls=0.0)
             adj = solve_adjoint_dto(prob, tab, grid, traj)
-            gaps.append(np.max(np.abs(optimality_residual(prob, traj, adj,
-                                                          tab))))
+            gaps.append(np.max(np.abs(optimality_residual(prob, traj, adj))))
         assert np.log2(gaps[0] / gaps[1]) >= tab.nominal_order - 0.4
 
     def test_residual_direct_evaluation(self):
@@ -976,10 +980,10 @@ class TestOptimalityAndGradient:
         tab = la.tableau("BDF2")
         grid = la.TimeGrid(0.5, 10)
         traj = solve_forward(prob, tab, grid, controls=1.0)
-        adj = la.AdjointTrajectory(grid, tab.s,
+        adj = la.AdjointTrajectory(grid, tab,
                                    np.zeros((grid.N + tab.s, 1)),
                                    "otd")
-        res = optimality_residual(prob, traj, adj, tab)
+        res = optimality_residual(prob, traj, adj)
         on_grid = res[tab.s - 1:]
         assert np.allclose(on_grid, 1.0)
         assert np.allclose(res[: tab.s - 1], 0.0)  # pre-initial: no cost term
@@ -999,21 +1003,22 @@ class TestOptimalityAndGradient:
         traj = solve_forward(prob, tab, grid, controls=u)
         adj = (solve_adjoint_dto(prob, tab, grid, traj) if route == "dto"
                else solve_adjoint_otd(prob, tab, grid, traj, "replicate"))
-        res = optimality_residual(prob, traj, adj, tab)
+        res = optimality_residual(prob, traj, adj)
         assert len(calls) == 1
         ref = np.zeros(grid.N + tab.s)
+        off = tab.s - 1  # index i sits at slot i + off
         for i in range(1 - tab.s, grid.N + 1):
-            fu = prob.f_u(traj.state(i), np.float64(traj.control(i)),
-                          grid.t(i))
+            fu = prob.f_u(traj.states[i + off],
+                          np.float64(traj.controls[i + off]), grid.t(i))
             pw = np.zeros(2)
             if route == "otd":
-                pw = adj.p(i)
+                pw = adj.multipliers[i + off]
             else:
                 for k in range(-1, tab.s):
                     if 1 <= i + k + 1 <= grid.N:
-                        pw += tab.b[k + 1] * adj.p(i + k + 1)
-            ref[traj.slot(i)] = float(fu @ pw) + (
-                prob.alpha * traj.control(i) if i >= 0 else 0.0)
+                        pw += tab.b[k + 1] * adj.multipliers[i + k + 1 + off]
+            ref[i + off] = float(fu @ pw) + (
+                prob.alpha * traj.controls[i + off] if i >= 0 else 0.0)
         assert np.array_equal(res, ref)
 
     @pytest.mark.parametrize("scheme", ["ImplicitEuler", "BDF2", "BDF3",
@@ -1027,7 +1032,7 @@ class TestOptimalityAndGradient:
         u = 0.3 * np.sin(np.linspace(-1.0, 2.5, N + tab.s)) + 0.2
         traj = solve_forward(prob, tab, grid, controls=u)
         adj = solve_adjoint_dto(prob, tab, grid, traj)
-        g = cost_gradient_dto(prob, traj, adj, tab)
+        g = cost_gradient_dto(prob, traj, adj)
         h = 1e-6
         for i in range(len(u)):
             up, um = u.copy(), u.copy()
@@ -1048,5 +1053,115 @@ class TestOptimalityAndGradient:
         yN = traj.terminal_state
         fy = 2.0 * yN[0]
         jy = prob.terminal_cost_grad(yN)[0]
-        pN = adj.p(grid.N)[0]
+        pN = adj.multipliers[-1, 0]  # index N
         assert abs((1.0 - grid.dt * tab.b_implicit * fy) * pN - jy) <= 1e-10
+
+
+# the registered schemes that share a step count s
+SAME_STEP_COUNT = (("ImplicitEuler", "ExplicitEuler"), ("BDF2", "AB2"),
+                   ("BDF3", "AB3"), ("BDF4", "AM4", "AM4-270"))
+MISMATCHED_PAIRS = [pair for group in SAME_STEP_COUNT
+                    for pair in itertools.permutations(group, 2)]
+# each route with the terminal modes it accepts
+ROUTES = ((solve_adjoint_dto, ("cost", "exact")),
+          (solve_adjoint_otd, ("replicate", "exact")))
+
+
+def recorded_tracking_problem(calls):
+    """``terminal_tracking_problem(T=0.5)`` with p = 0 as its exact
+    multiplier; each hook that an adjoint sweep or the residual calls
+    appends its name to ``calls``."""
+    plain = dataclasses.replace(terminal_tracking_problem(T=0.5),
+                                p_exact=lambda t: np.array([0.0]))
+
+    def recorded(name):
+        hook = getattr(plain, name)
+        return lambda *args: calls.append(name) or hook(*args)
+
+    return dataclasses.replace(plain, **{
+        name: recorded(name)
+        for name in ("f_y", "f_u", "terminal_cost_grad", "p_exact")})
+
+
+class TestTheTrajectorysScheme:
+    """A trajectory records its tableau: both routes, the residual and the
+    gradient refuse another scheme of the same s, and another grid, before
+    any hook runs; an equal tableau built anew is the same scheme."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    # T <= 0.25: AM4-270, whose b sum to 8/3, blows up before t = 0.375
+    @given(N=st.integers(4, 40), T=st.floats(0.05, 0.25),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_routes_refuse_every_mismatched_pair(self, N, T, seed):
+        calls = []
+        prob = recorded_tracking_problem(calls)
+        grid, rng = la.TimeGrid(T, N), np.random.default_rng(seed)
+        for own, other in MISMATCHED_PAIRS:
+            own, other = la.tableau(own), la.tableau(other)
+            traj = solve_forward(prob, own, grid,
+                                 rng.uniform(-0.3, 0.3, N + own.s))
+            assert traj.tab is own and traj.s == own.s == other.s
+            calls.clear()  # the forward Newton steps call f_y
+            for solve, terminals in ROUTES:
+                for terminal in terminals:
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"adjoint scheme {other.name} is not the "
+                            f"trajectory's scheme {own.name}")):
+                        solve(prob, other, grid, traj, terminal)
+            assert calls == []
+
+    def test_residual_and_gradient_refuse_another_scheme_or_grid(self):
+        # prescribed exact states: AM4-270 solves no forward step to t = 0.5
+        calls = []
+        prob = recorded_tracking_problem(calls)
+        grid, elsewhere = la.TimeGrid(0.5, 40), la.TimeGrid(0.4, 40)
+        for own, other in MISMATCHED_PAIRS:
+            own, other = la.tableau(own), la.tableau(other)
+            traj = prescribed_trajectory(grid, own, prob.y_exact)
+            foreign = [(prescribed_trajectory(grid, other, prob.y_exact),
+                        other, grid, f"adjoint scheme {other.name} is not "
+                                     f"the trajectory's scheme {own.name}"),
+                       (prescribed_trajectory(elsewhere, own, prob.y_exact),
+                        own, elsewhere, f"adjoint grid {elsewhere} is not "
+                                        f"the trajectory's grid {grid}")]
+            adjoints = [(solve(prob, tab, at, theirs, terminals[0]), match)
+                        for theirs, tab, at, match in foreign
+                        for solve, terminals in ROUTES]
+            calls.clear()
+            for adj, match in adjoints:
+                with pytest.raises(ValueError, match=re.escape(match)):
+                    optimality_residual(prob, traj, adj)
+                if adj.route == "dto":
+                    with pytest.raises(ValueError, match=re.escape(match)):
+                        cost_gradient_dto(prob, traj, adj)
+            assert calls == []
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(N=st.integers(4, 40), T=st.floats(0.05, 0.25),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_an_equal_tableau_built_anew_is_accepted(self, N, T, seed):
+        prob = recorded_tracking_problem([])
+        grid, rng = la.TimeGrid(T, N), np.random.default_rng(seed)
+        for name in itertools.chain(*SAME_STEP_COUNT):
+            own = la.tableau(name)
+            anew = la.MultistepTableau(own.name, own.s, own.a_exact,
+                                       own.b_exact, own.nominal_order)
+            assert anew is not own and anew == own
+            traj = solve_forward(prob, own, grid,
+                                 rng.uniform(-0.3, 0.3, N + own.s))
+            for solve, terminals in ROUTES:
+                for terminal in terminals:
+                    adj = solve(prob, own, grid, traj, terminal)
+                    again = solve(prob, anew, grid, traj, terminal)
+                    assert again.tab is own
+                    assert np.array_equal(value_bits(again.multipliers),
+                                          value_bits(adj.multipliers))
+                    res = optimality_residual(prob, traj, adj)
+                    renamed = dataclasses.replace(adj, tab=anew)
+                    assert np.array_equal(
+                        value_bits(optimality_residual(prob, traj, renamed)),
+                        value_bits(res))
+                    if adj.route == "dto":
+                        assert np.array_equal(
+                            value_bits(cost_gradient_dto(prob, traj, renamed)),
+                            value_bits(grid.dt * res))
