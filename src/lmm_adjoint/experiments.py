@@ -171,10 +171,17 @@ def _prescribed_table(study, tab, n_list, T, routes):
     dtype = np.longdouble
     factory = _STUDY_PROBLEMS[study]
     pex = factory(dtype(T)).p_exact
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        exacts = [pex(np.arange(N + 1, dtype=dtype) * dtype(T) / dtype(N))
+                  for N in n_list]
+    # NaN fails too; a multiplier past the float range writes inf errors
+    if not all(np.abs(e).max() <= np.finfo(float).max for e in exacts):
+        raise ConfigError(f"key 'T': must be small enough for the exact "
+                          f"{study} multiplier to be finite in the table's "
+                          f"float range, got {T:g}")
     errs = {route: [] for route in routes}
     sols = {route: [] for route in routes}
-    for N in n_list:
-        exact = pex(np.arange(N + 1, dtype=dtype) * dtype(T) / dtype(N))
+    for N, exact in zip(n_list, exacts):
         for route in routes:
             p = backward_study_solution(tab, N, T, factory, route)
             errs[route].append(float(np.max(np.abs(p - exact))))

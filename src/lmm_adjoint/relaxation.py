@@ -46,16 +46,14 @@ from .tableaus import ConfigError, MultistepTableau, SolverError, tableau
 class RelaxationModel:
     """Discrete-velocity BGK model with conserved moments u = Q f.
 
-    ``equilibrium(u, out=None)`` maps conserved variables (n, M) to
-    (Nv, M); ``equilibrium_jac(u, out=None)`` returns the per-velocity
-    Jacobians (Nv, n, M).  Both follow the NumPy ``out`` convention: given
-    ``out`` they write the result into it and return it, otherwise they
-    return a new array.  The steps always pass their field's work buffers.
-    ``equilibrium_jac`` must also broadcast over a levels axis, elementwise
-    in the trailing axes: u of shape (n, K, M) gives (Nv, n, K, M), and
-    ``out`` may then be a strided view.  ``solve_adjoint`` evaluates a
-    block of stored levels in one such call, so a model whose
-    ``equilibrium_jac`` raises does so before the steps of its block.
+    ``equilibrium(u, out=None)`` maps conserved variables (..., n, M) to
+    (..., Nv, M); ``equilibrium_jac(u, out=None)`` returns the per-velocity
+    Jacobians (..., Nv, n, M).  Both act node by node and take any leading
+    axes, as the fields do; ``solve_adjoint`` evaluates a block of stored
+    levels (K, n, M) in one call, so a model whose ``equilibrium_jac``
+    raises does so before the steps of its block.  Both follow the NumPy
+    ``out`` convention: given ``out`` they write the result into it and
+    return it, otherwise they return a new array.
     ``dflux(u)`` is the flux derivative F'(u) of a scalar (Jin-Xin) model,
     which feeds the subcharacteristic check and the transport oracle;
     systems have none and pass None.
@@ -116,20 +114,23 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
         raise ConfigError("characteristic speed a must be positive")
 
     def equilibrium(u, out=None):
-        F = flux(u[0])
+        row = u[..., 0, :]
+        F = flux(row)
         if out is None:
-            out = np.empty((2,) + np.shape(u[0]))
-        np.multiply(a, u[0], out=out[0])         # (a u +- F) / 2a
-        np.subtract(out[0], F, out=out[1])
-        np.add(out[0], F, out=out[0])
+            out = np.empty(u.shape[:-2] + (2,) + u.shape[-1:])
+        e1, e2 = out[..., 0, :], out[..., 1, :]
+        np.multiply(a, row, out=e1)              # (a u +- F) / 2a
+        np.subtract(e1, F, out=e2)
+        np.add(e1, F, out=e1)
         np.divide(out, 2 * a, out=out)
         return out
 
     def equilibrium_jac(u, out=None):
-        dF = dflux(u[0])
+        dF = dflux(u[..., 0, :])
         if out is None:
-            out = np.empty((2, 1) + np.shape(u[0]))
-        for row, sign in zip(out[:, 0], (np.add, np.subtract)):
+            out = np.empty(u.shape[:-2] + (2, 1) + u.shape[-1:])
+        for j, sign in enumerate((np.add, np.subtract)):
+            row = out[..., j, 0, :]
             sign(a, dF, out=row)                 # (a +- F'(u)) / 2a
             np.divide(row, 2 * a, out=row)
         return out
@@ -162,18 +163,17 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
     if c <= 0:
         raise ConfigError("characteristic speed c must be positive")
 
-    def _flux(u):
-        rho, m = u[0], u[1]
+    def _flux(rho, m):
         if np.any(rho <= 0):
             raise SolverError("Broadwell flux undefined for rho <= 0")
         return m * m / (c * c * rho) + rho
 
     def equilibrium(u, out=None):
-        rho, m = u[0], u[1]
-        F = _flux(u)
+        rho, m = u[..., 0, :], u[..., 1, :]
+        F = _flux(rho, m)
         if out is None:
-            out = np.empty((3,) + np.shape(rho))
-        e1, e2, e3 = out
+            out = np.empty(u.shape[:-2] + (3,) + u.shape[-1:])
+        e1, e2, e3 = out[..., 0, :], out[..., 1, :], out[..., 2, :]
         np.multiply(0.5, F, out=e3)              # 0.5 F, then m / 2c in e2
         np.divide(m, 2 * c, out=e2)
         np.add(e3, e2, out=e1)
@@ -185,10 +185,11 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
     def equilibrium_jac(u, out=None):
         # rows (dE_j/drho, dE_j/dm) with dF/drho = 1 - m^2/(c^2 rho^2) and
         # dF/dm = 2 m/(c^2 rho), built in place in the rows of E_3
-        rho, m = u[0], u[1]
+        rho, m = u[..., 0, :], u[..., 1, :]
         if out is None:
-            out = np.empty((3, 2) + np.shape(rho))
-        (j1r, j1m), (j2r, j2m), (j3r, j3m) = out
+            out = np.empty(u.shape[:-2] + (3, 2) + u.shape[-1:])
+        (j1r, j1m), (j2r, j2m), (j3r, j3m) = (
+            (out[..., j, 0, :], out[..., j, 1, :]) for j in range(3))
         den = c * c * rho
         np.multiply(2.0, m, out=j3m)
         np.divide(j3m, den, out=j3m)             # dF/dm
@@ -678,11 +679,12 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
     with at least ``n_steps`` levels of shape (n, M); the step computing
     level k-1 takes the equilibrium Jacobian at u_store[k-1].  The Jacobians
     are evaluated a block of levels at a time, newest block first, in one
-    ``equilibrium_jac`` call of shape (n, K, M) per block, K levels of at
-    most ``_JAC_BLOCK_NODES`` nodes in all (one level on wider grids).
-    Pass None only when the Jacobian does not depend on u (linear flux): it
-    is then evaluated once, at u = 0, and every step reuses it.  ``lam_T``
-    (..., Nv, M) may carry batch axes, which the returned lambda(0) keeps.
+    ``equilibrium_jac`` call on the store's rows (K, n, M) per block, K
+    levels of at most ``_JAC_BLOCK_NODES`` nodes in all (one level on wider
+    grids).  Pass None only when the Jacobian does not depend on u (linear
+    flux): it is then evaluated once, at u = 0, and every step reuses it.
+    ``lam_T`` (..., Nv, M) may carry batch axes, which the returned
+    lambda(0) keeps.
     """
     adj = AdjointField(model, grid, dt, tab, lam_T)
     shape = (model.n_conserved, grid.n_nodes)
@@ -699,10 +701,8 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
     jacs = np.empty((min(K, n_steps), model.n_velocities) + shape)
     for k in range(n_steps, 0, -K):          # levels lo, ..., k-1
         lo = max(k - K, 0)
-        block = jacs[:k - lo]                # block[i]: level lo + i
-        model.equilibrium_jac(u_store[lo:k].transpose(1, 0, 2),
-                              out=block.transpose(1, 2, 0, 3))
-        for jac in block[::-1]:
+        block = model.equilibrium_jac(u_store[lo:k], out=jacs[:k - lo])
+        for jac in block[::-1]:              # block[i]: level lo + i
             adjoint_step(model, grid, adj, jac)
     return adj.current
 

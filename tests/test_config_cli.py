@@ -203,6 +203,28 @@ class TestCli:
             assert "needs T < 1" in capsys.readouterr().err
             assert os.listdir(tmp_path) == ["c.conf"]
 
+    @pytest.mark.parametrize("study, T", [
+        ("quadratic-fy", "40"), ("const-fy", "12000"), ("const-fy", "5000")])
+    def test_prescribed_horizon_past_the_float_range(self, tmp_path, capsys,
+                                                     study, T):
+        # p(0) = exp(T^3/3) and exp(T) overflow the long double at the
+        # first two horizons; exp(5000) fits it but not the float64 table
+        assert self._run_quietly(tmp_path, "ode-converge",
+                                 f"study = {study}\nschemes = BDF2\n"
+                                 f"n_list = 40,80\nT = {T}\n") == 2
+        assert "key 'T'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_prescribed_horizon_near_the_float_range(self, tmp_path):
+        # p(0) = exp(700), about 1e304, is a finite table entry
+        assert self._run_quietly(tmp_path, "ode-converge",
+                                 "study = const-fy\nschemes = BDF2\n"
+                                 "n_list = 40,80\nT = 700\n") == 0
+        rows = (tmp_path / "table_const-fy_BDF2.csv").read_text().splitlines()
+        for row in rows[1:]:
+            assert all(np.isfinite(float(cell))
+                       for cell in row.split(",") if cell)
+
     def test_solver_failure_exit_code(self, tmp_path):
         # 10 steps to T = 0.9 on the blow-up problem: the implicit equation
         # loses its real root and the Newton iteration cannot converge

@@ -11,6 +11,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import sys
 
 import lmm_adjoint as la
 from lmm_adjoint.cli import build_parser
@@ -195,3 +196,22 @@ def test_only_relaxation_reads_a_models_moment_map():
                     if isinstance(node, ast.Attribute)
                     and node.attr in ("n_conserved", "q_matrix")]
     assert readers == []
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # numpy is the one declared dependency; scipy or sympy imported by
+    # accident would pass where they are installed and break elsewhere
+    allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
+    found = []
+    for path in sorted(pathlib.Path(la.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert found == []

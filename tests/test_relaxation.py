@@ -215,6 +215,42 @@ class TestOutBuffers:
                               model.moments(f))
 
 
+class TestModelLayout:
+    """A model's maps act on the trailing (n, M) axes and take any leading
+    axes: on a stack of states they equal the per-slice calls bit for bit,
+    sign of zero included, with and without ``out``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["linear", "burgers", "broadwell"]),
+           lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+           M=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.floats(0.0, 0.5))
+    def test_stack_equals_slices(self, kind, lead, M, seed, zeros):
+        rng = np.random.default_rng(seed)
+        if kind == "broadwell":
+            model = rx.make_broadwell(1.3, 1e-2)
+            u = rng.standard_normal(lead + (2, M))
+            u[..., 0, :] = 0.2 + 3.0 * rng.random(lead + (M,))  # rho > 0
+            rows = u[..., 1, :]
+        else:
+            model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES[kind], 2.1, 1e-2)
+            u = 3.0 * rng.standard_normal(lead + (1, M))
+            rows = u[..., 0, :]
+        # exact zeros of either sign in the rows that may hold them
+        rows[rng.random(rows.shape) < zeros] = 0.0
+        rows *= np.where(rng.random(rows.shape) < 0.5, -1.0, 1.0)
+        Nv, n = model.n_velocities, model.n_conserved
+        for fn, shape in ((model.equilibrium, (Nv, M)),
+                          (model.equilibrium_jac, (Nv, n, M))):
+            out = np.empty(lead + shape)
+            assert fn(u, out=out) is out
+            stacked = fn(u)
+            for idx in np.ndindex(lead):
+                ref = fn(u[idx])
+                assert_bitwise(stacked[idx], ref)
+                assert_bitwise(out[idx], ref)
+
+
 class TestGrid:
     def test_spacing_and_alignment(self):
         g = rx.LagrangianGrid(0.0, 6.0, 640)
@@ -1205,7 +1241,7 @@ class TestBlockedJacobians:
                                    u_store, lam_T, n_steps, dt)
             assert np.array_equal(got, expect)
             assert np.array_equal(np.signbit(got), np.signbit(expect))
-            assert calls == [(model.n_conserved, K, M) for K in sizes]
+            assert calls == [(K, model.n_conserved, M) for K in sizes]
 
     def test_jacobian_buffer_bounded_by_the_block(self, monkeypatch):
         # peak traced memory of a 200-step Broadwell sweep, in rows of M
