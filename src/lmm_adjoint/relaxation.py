@@ -156,9 +156,11 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
     rho = f1 + f2 + 2 f3 and m = c (f1 - f2).
 
     Equilibria: E_1 = F/2 + m/2c, E_2 = F/2 - m/2c, E_3 = (rho - F)/2 with
-    F(rho, m) = m^2/(c^2 rho) + rho, the unique choice satisfying both
-    moment constraints.  Evaluation raises ``SolverError`` when
-    rho <= 0 (flux singular).
+    F(rho, m) = m^2/(c^2 rho) + rho.  E_1 + E_2 + 2 E_3 = rho and
+    c (E_1 - E_2) = m hold for every F, so the moment constraints do not
+    fix it; this F makes the resting equilibrium E_3 = -m^2/(2 c^2 rho)
+    negative wherever m != 0 (ROADMAP item 16).  Evaluation raises
+    ``SolverError`` when rho <= 0 (flux singular).
     """
     if c <= 0:
         raise ConfigError("characteristic speed c must be positive")
@@ -325,69 +327,54 @@ _TAKE_MAX_ELEMENTS = 8192
 
 @functools.lru_cache(maxsize=8)
 def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
-          depth: int, batch: tuple[int, ...]) -> tuple:
-    """Characteristic feet of every (history level, velocity), found once.
+          ramp: tuple, batch: tuple[int, ...]) -> tuple:
+    """Feet of every (history level, velocity) and the coefficients -a of
+    every ramp entry (``ramp`` holds their a; s = len(ramp)), found once.
 
     Level ``ell`` of velocity j is sampled ``speeds[j] * (ell+1) * dt / dx``
-    cells upstream, with the feet from the helper that
-    ``LagrangianGrid.sample_shifted`` uses: per level ``(lo, hi, weights)``
-    for ``_gather``, weights None if the level is aligned, while a
-    fractional level gives its aligned rows ``hi = lo`` and ``w = 0``.  The
-    batch members of levels ``batch + (Nv, M)`` share the feet.  Levels of
-    up to ``_TAKE_MAX_ELEMENTS`` get flat indices over member, row and
-    column (the grid's ``upstream``) and level-shaped weights; wider ones
-    the grid's ``upstream_slices`` and one weight per row, no array per
-    node.  Built once per key and shared by every field with that key, so
-    the solves of a descent reuse them; no code writes them.  The cache is
-    small: it holds the feet of one descent, not of a study.
+    cells upstream, at the feet of ``LagrangianGrid.sample_shifted``: node
+    lo or, if any foot is fractional, P = 2 feet (lo, hi) with weights
+    (1 - w, w), an aligned row reading lo twice with weights (1, 0).
+    Returns ``(index, weights, coefs)`` for levels ``batch + (Nv, M)``,
+    weights None if all feet are aligned.  Levels of up to
+    ``_TAKE_MAX_ELEMENTS`` get per ring head flat indices into the ring,
+    (P, s) + level shape, weights of that shape and, per ramp entry of L
+    levels, -a of shape (L,) + level shape; wider ones get per level each
+    foot's ``upstream_slices``, one weight per row and -a as floats, no
+    array per node.  Shared by every field of the key (the solves of a
+    descent, not of a study: the cache is small); no code writes them.
     """
-    Nv, M = len(speeds), grid.n_nodes
+    Nv, M, s = len(speeds), grid.n_nodes, len(ramp)
     shape = batch + (Nv, M)
-    flat = math.prod(shape) <= _TAKE_MAX_ELEMENTS
-    if flat:
-        # flat index of each (member, row)'s first node in the whole level
-        rows = M * np.arange(math.prod(shape[:-1])).reshape(shape[:-1] + (1,))
-    levels = []
-    for ell in range(depth):
-        lo, w = np.array([_foot(vj * (ell + 1) * dt / grid.dx)
-                          for vj in speeds]).T
-        lo = lo.astype(int)
-        feet = lo, lo + (w > 0)
-        weights = (1.0 - w, w) if w.any() else None
-        if flat:
-            feet = [rows + grid.upstream(k) for k in feet]
-            # level-shaped, as a broadcast (Nv, 1) factor makes the ufunc
-            # allocate a buffer of the level's size
-            if weights:
-                weights = tuple(np.broadcast_to(x[:, None], shape).copy()
-                                for x in weights)
-        else:
-            feet = [tuple(map(grid.upstream_slices, k.tolist())) for k in feet]
-            if weights:
-                weights = tuple(tuple(x.tolist()) for x in weights)
-        levels.append((*feet, weights))
-    return tuple(levels)
-
-
-def _gather(values: np.ndarray, feet, scale, out: np.ndarray) -> np.ndarray:
-    """``scale`` times ``values`` (..., Nv, M) at ``feet``, into ``out``.
-
-    Flat index feet gather the level with one ``take`` (``mode="clip"``,
-    which with in-range indices gathers the same values without the
-    buffering of ``mode="raise"``) and scale it in place; row-slice feet
-    multiply each row's pieces straight into ``out``.  ``scale`` is a
-    float, or the weights of the feet: level-shaped arrays with flat
-    indices, one float per row with slices.
-    """
-    if isinstance(feet, np.ndarray):
-        values.take(feet, out=out, mode="clip")
-        out *= scale
-        return out
-    scales = (scale,) * len(feet) if isinstance(scale, float) else scale
-    for j, (pieces, s) in enumerate(zip(feet, scales)):
-        for dst, src in pieces:
-            np.multiply(s, values[..., j, src], out=out[..., j, dst])
-    return out
+    lo, w = np.array([[_foot(vj * (ell + 1) * dt / grid.dx) for vj in speeds]
+                      for ell in range(s)]).transpose(2, 0, 1)
+    lo = lo.astype(int)
+    feet = (lo, lo + (w > 0)) if w.any() else (lo,)     # each (s, Nv)
+    weights = np.stack((1.0 - w, w)) if w.any() else None
+    if math.prod(shape) > _TAKE_MAX_ELEMENTS:
+        index = tuple(tuple(tuple(map(grid.upstream_slices, k[ell].tolist()))
+                            for k in feet) for ell in range(s))
+        if weights is not None:
+            weights = tuple(tuple(map(tuple, weights[:, ell].tolist()))
+                            for ell in range(s))
+        return index, weights, tuple(tuple(-c for c in a) for a in ramp)
+    # flat index of each (member, row)'s first node in a level, plus the
+    # ring slot (head + ell) % s of level ell in whole levels
+    lift = (1,) * len(batch)
+    rows = M * np.arange(math.prod(shape[:-1])).reshape(shape[:-1] + (1,))
+    base = np.stack([rows + grid.upstream(k).reshape((s,) + lift + (Nv, M))
+                     for k in feet])
+    ell = np.arange(s).reshape((s,) + lift + (1, 1))
+    index = tuple(base + math.prod(shape) * ((head + ell) % s)
+                  for head in range(s))
+    # level-shaped factors: a broadcast factor makes the ufunc allocate a
+    # buffer of the level's size
+    if weights is not None:
+        weights = np.broadcast_to(weights.reshape(2, s, *lift, Nv, 1),
+                                  base.shape).copy()
+    coefs = tuple(np.broadcast_to(np.negative(a).reshape(-1, *lift, 1, 1),
+                                  (len(a),) + shape).copy() for a in ramp)
+    return index, weights, coefs
 
 
 def _combine(model: RelaxationModel, grid: LagrangianGrid,
@@ -398,11 +385,14 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
 
     with H_l the history level l (past f forward, future lambda backward)
     at the field's level-l feet, and a the coefficients of the ramp entry
-    for the history's length.  A product a_l H_l goes into ``comb`` (l = 0)
-    or ``prod``; a fractional level's w1 H_l(hi) passes through ``fld.E``,
-    which the step fills only later.  The sum starts as 0 - a_0 H_0, the
-    IEEE operation of subtracting it from a zeroed sum, so exact zeros keep
-    their sign.  Returns the (keep, relax) weights of that entry.
+    for the L levels held.  Small levels go into ``fld.gather`` with one
+    ``take`` from the ring (``mode="clip"`` skips the buffering of
+    ``mode="raise"``; unfilled ramp slots are read, then left), times the
+    weights; each pair is summed, times -a, and the levels summed from 0.
+    Wide levels run these steps plane by plane out of row slices, aligned
+    feet times -a at once, adding into ``comb``: both run the IEEE
+    operations of 0 - a_0 H_0 - ..., so exact zeros keep their sign.
+    Returns the (keep, relax) weights of the ramp entry.
     """
     # a field's feet and weights hold only for what it was built with
     same = model is fld.model or (
@@ -411,39 +401,47 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
     if not same or (grid is not fld.grid and grid != fld.grid):
         raise ValueError("step called with a grid, velocities or eps other "
                          "than the field's")
-    comb, history = fld.comb, fld.history
-    for ell, (values, (lo, hi, weights), coef) in enumerate(
-            zip(history, fld.feet, fld.ramp[len(history) - 1].a)):
-        out = fld.prod if ell else comb
-        if weights is None:
-            _gather(values, lo, coef, out)
-        else:
-            _gather(values, lo, weights[0], out)
-            out += _gather(values, hi, weights[1], fld.E)
-            out *= coef
-        np.subtract(comb if ell else 0.0, out, out=comb)
-    return fld.weights[len(history) - 1]
+    ring, head, buf, s = fld.ring, fld.head, fld.gather, len(fld.ring)
+    L = min(fld.n + 1, s)
+    index, weights, coefs = fld.feet
+    if isinstance(index[0], np.ndarray):
+        ring.take(index[head], out=buf, mode="clip")
+        if weights is not None:
+            buf[:, :L] *= weights[:, :L]
+            np.add(buf[0, :L], buf[1, :L], out=buf[0, :L])
+        buf[0, :L] *= coefs[L - 1]
+        np.add.reduce(buf[0, :L], axis=0, out=fld.comb, initial=0.0)
+        return fld.weights[L - 1]
+    for ell, (feet, c) in enumerate(zip(index, coefs[L - 1])):
+        plane, out = ring[(head + ell) % s], buf[0, 0]
+        for p, rows in enumerate(feet):
+            scales = weights[ell][p] if weights else (c,) * len(rows)
+            for j, (pieces, x) in enumerate(zip(rows, scales)):
+                for dst, src in pieces:
+                    np.multiply(x, plane[..., j, src],
+                                out=buf[p, 0, ..., j, dst])
+        if weights:
+            out += buf[1, 0]
+            out *= c
+        np.add(fld.comb if ell else 0.0, out, out=fld.comb)
+    return fld.weights[L - 1]
 
 
 def _update(fld: _LevelRing, keep, relax, x: np.ndarray) -> np.ndarray:
-    """End of both steps: the new level keep C + relax x, with C in
-    ``fld.comb`` and ``x`` a work buffer, scaled in place.  Once the ring
-    is full the level overwrites the oldest one's array, so a warm field
-    allocates no level arrays; it then becomes the newest level, which this
-    returns.  A non-finite level raises ``SolverError`` naming the step
-    instead; the oldest level may then already be overwritten, and the
-    field must not be stepped again.
+    """End of both steps: the new level keep C + relax x (C in ``fld.comb``,
+    ``x`` a work buffer scaled in place) into ring slot head - 1, free in
+    the ramp and then the oldest level's, which becomes the head and is
+    returned.  A non-finite level raises ``SolverError`` naming the step
+    instead and leaves the head; the oldest level may then be overwritten,
+    and the field must not be stepped again.
     """
-    full = len(fld.history) == len(fld.ramp)
-    new = fld.history[-1] if full else np.empty_like(fld.comb)
-    np.multiply(keep, fld.comb, out=new)
+    slot = (fld.head - 1) % len(fld.ring)
+    new = np.multiply(keep, fld.comb, out=fld.ring[slot])
     np.multiply(relax, x, out=x)
     new += x
     if not np.isfinite(new).all():
         raise SolverError(fld.blowup.format(fld.n + 1), fld.n + 1)
-    if full:
-        fld.history.pop()
-    fld.history.insert(0, new)
+    fld.head = slot
     fld.n += 1
     return new
 
@@ -452,18 +450,19 @@ class _LevelRing:
     """History ring and step work buffers shared by both field kinds.
 
     A field steps the BDF scheme ``tab`` of s stages (any other tableau is
-    a ``ConfigError``).  ``ramp`` lists BDF1, ..., BDF(s-1), ``tab``:
-    a history of l levels steps ``ramp[l-1]``, so the order ramps up while
-    the ring fills.  ``history[0]`` is the newest level, and ``_update``
-    writes each step's level into the ring.  ``feet`` holds the
-    characteristic feet of the field's step (``_feet``).  Levels have the
-    shape of ``first``, (..., Nv, M), and so have the work buffers ``comb``
-    (the history combination C), ``prod`` (a product temporary) and ``E``.
-    ``weights[l-1]`` holds the update's (keep, relax) of ramp entry l:
-    relax = h/(h + eps) and the field kind's ``_keep(h, eps)``, h = dt b_-1,
-    as floats for a float eps, or as level-shaped arrays, which multiply a
-    level without the buffer NumPy allocates to broadcast a (B, 1, 1)
-    factor.  Each field kind words its blow-up message in ``blowup``.
+    a ``ConfigError``).  Its ramp is BDF1, ..., BDF(s-1), ``tab``: L levels
+    step ramp entry L, so the order ramps up while the ring fills.
+    ``ring`` (s, ..., Nv, M) holds levels of the shape of ``first``, the
+    newest in slot ``head`` and level l in slot (head + l) % s; ``feet``
+    holds the step's feet and -a (``_feet``).  The work buffers are
+    ``comb`` (the history combination C), ``E`` and ``gather``, the levels
+    at their P feet, (P, s) + level shape, (P, 1) for wide levels, which
+    ``_combine`` gathers one by one.  ``weights[L-1]`` holds the
+    update's (keep, relax) of ramp entry L: relax = h/(h + eps) and the
+    field kind's ``_keep(h, eps)``, h = dt b_-1, as floats for a float
+    eps, or as level-shaped arrays, which multiply a level without the
+    buffer NumPy allocates to broadcast a (B, 1, 1) factor.  Each field
+    kind words its blow-up message in ``blowup``.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
@@ -477,20 +476,22 @@ class _LevelRing:
         if not tab.is_bdf:
             raise ConfigError(f"relaxation solver requires a BDF "
                                    f"tableau, got {tab.name}")
-        self.model = model
-        self.grid = grid
-        self.ramp = [tableau(f"bdf{k}") for k in range(1, tab.s)] + [tab]
-        self.n = 0
-        self.history: list[np.ndarray] = [first.copy()]
-        self.feet = _feet(grid, tuple(speeds.tolist()), dt, tab.s,
-                          first.shape[:-2])
+        self.model, self.grid = model, grid
+        ramp = [tableau(f"bdf{k}") for k in range(1, tab.s)] + [tab]
+        self.n = self.head = 0
+        self.ring = np.empty((tab.s,) + first.shape)
+        self.ring[0] = first
+        self.feet = _feet(grid, tuple(speeds.tolist()), dt,
+                          tuple(eff.a for eff in ramp), first.shape[:-2])
         self.comb = np.empty(first.shape)
-        self.prod = np.empty(first.shape)
+        idx = self.feet[0][0]             # head 0's table, or level 0's feet
+        self.gather = np.empty((idx.shape[:2] if isinstance(idx, np.ndarray)
+                                else (len(idx), 1)) + first.shape)
         self.E = np.empty(first.shape)
         # formed after the buffers: formed before them, the weights of an
         # eps study raised its peak RSS by 0.2 MB (heap order)
         self.weights = []
-        for eff in self.ramp:
+        for eff in ramp:
             h = dt * eff.b_implicit
             pair = self._keep(h, model.eps), h / (h + model.eps)
             if isinstance(model.eps, np.ndarray):
@@ -500,16 +501,15 @@ class _LevelRing:
 
     @property
     def current(self) -> np.ndarray:
-        return self.history[0]
+        return self.ring[self.head]
 
 
 class KineticField(_LevelRing):
-    """Per-velocity Eulerian arrays with an s-deep ring buffer of past
-    levels, for the BDF scheme ``tab`` of s stages.
+    """Per-velocity Eulerian arrays with an s-deep ring of past levels
+    (level l at time index n - l), for the BDF scheme ``tab`` of s stages.
 
-    ``history[0]`` is the newest level (time index ``n``).  ``feet`` holds
-    the feet of the forward step, v_j (l+1) dt upstream of every node.
-    ``f0`` is one level, (Nv, M), without batch axes.
+    ``feet`` holds the feet of the forward step, v_j (l+1) dt upstream of
+    every node.  ``f0`` is one level, (Nv, M), without batch axes.
     """
 
     blowup = "non-finite kinetic field at step {}"
@@ -585,7 +585,7 @@ class AdjointField(_LevelRing):
     """Backward multipliers lambda^j with an s-deep future-time buffer, for
     the BDF scheme ``tab`` of s stages.
 
-    ``history[i]`` holds the level at t_{n+i}.  The buffer starts with the
+    Level i of the ring holds t_{n+i}.  The buffer starts with the
     terminal data alone and ramps the BDF order up as levels accumulate,
     mirroring the forward start-up (a constant-extension seeding of all s
     slots degrades the backward sweep to first order; see tests).  ``feet``

@@ -257,8 +257,9 @@ class TestGrid:
         assert abs(g.dx - 6.0 / 639) <= 1e-18
         assert g.n_nodes == 639
         # aligned feet carry no interpolation weights
-        assert rx._feet(g, (2.1, -2.1), g.dx / 2.1, 1, ())[0][2] is None
-        assert rx._feet(g, (1.0,), g.dx / 2.1, 1, ())[0][2] is not None
+        bdf1 = (la.tableau("BDF1").a,)
+        assert rx._feet(g, (2.1, -2.1), g.dx / 2.1, bdf1, ())[1] is None
+        assert rx._feet(g, (1.0,), g.dx / 2.1, bdf1, ())[1] is not None
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(shift=st.one_of(
@@ -827,30 +828,44 @@ def reference_adjoint_step(model, grid, history, u_prev, dt, tab):
                                               phi)), C
 
 
-def assert_steps_match_reference(model, grid, dt, tab, u0, n_steps, d=None):
-    """Planned forward and adjoint steps, and their history combinations
-    C, equal the references bit for bit, sign of zero included, through the
-    order ramp and beyond.  The adjoint
-    starts from the multipliers of ``d`` (default ``u0``), with the
-    Jacobian at ``u0``."""
+def assert_steps_match_reference(model, grid, dt, tab, u0, d=None):
+    """Forward and adjoint steps equal the references bit for bit (see
+    ``assert_ring_matches``).  The adjoint starts from the multipliers of
+    ``d`` (default ``u0``), with the Jacobian at ``u0``."""
     fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
-    hist = [fld.current.copy()]
-    for _ in range(n_steps):
-        expect, C = reference_forward_step(model, grid, hist, dt, tab)
-        step_forward(model, grid, fld)
-        assert_bitwise(fld.comb, C)
-        assert_bitwise(fld.current, expect)
-        hist = [expect] + hist[:tab.s - 1]
-
+    assert_ring_matches(fld, lambda: step_forward(model, grid, fld),
+                        lambda hist: reference_forward_step(model, grid, hist,
+                                                            dt, tab))
     lam_T = rx.terminal_multipliers(model, u0 if d is None else d)
     adj = rx.AdjointField(model, grid, dt, tab, lam_T)
-    hist = [adj.current.copy()]
     jac = model.equilibrium_jac(u0)
-    for _ in range(n_steps):
-        expect, C = reference_adjoint_step(model, grid, hist, u0, dt, tab)
-        assert_bitwise(rx.adjoint_step(model, grid, adj, jac), expect)
-        assert_bitwise(adj.comb, C)
-        hist = [expect] + hist[:tab.s - 1]
+    assert_ring_matches(adj, lambda: rx.adjoint_step(model, grid, adj, jac),
+                        lambda hist: reference_adjoint_step(model, grid, hist,
+                                                            u0, dt, tab))
+
+
+def assert_ring_matches(fld, step, reference):
+    """``step()`` the field 2 s + 1 times, through the order ramp and then
+    from every ring head: each step's history combination C and new level
+    equal ``reference(levels)``, newest first, bit for bit, sign of zero
+    included.  Where the reference's model refuses the state (Broadwell's
+    rho <= 0), the step must refuse it too, and the run ends there."""
+    s = len(fld.ring)
+    hist, heads = [fld.current.copy()], set()
+    for _ in range(2 * s + 1):
+        if len(hist) == s:
+            heads.add(fld.head)
+        try:
+            expect, C = reference(hist)
+        except la.SolverError:
+            with pytest.raises(la.SolverError):
+                step()
+            break
+        step()
+        assert_bitwise(fld.comb, C)
+        assert_bitwise(fld.current, expect)
+        hist = [expect] + hist[:s - 1]
+    assert heads == set(range(s)), heads
 
 
 # dt*a/dx: whole cells (aligned feet) or any fraction of up to three cells
@@ -869,7 +884,7 @@ class TestCombine:
         u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
         tab = la.tableau(f"BDF{order}")
         assert_steps_match_reference(burgers_jinxin(a, 1e-2), grid,
-                                     ratio * grid.dx / a, tab, u0, order + 2)
+                                     ratio * grid.dx / a, tab, u0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(nx=st.integers(5, 90), ratio=foot_ratio, order=st.integers(1, 6))
@@ -883,7 +898,7 @@ class TestCombine:
                        0.2 * np.exp(-((x - 0.5) ** 2))])
         tab = la.tableau(f"BDF{order}")
         assert_steps_match_reference(rx.make_broadwell(c, 1e-2), grid,
-                                     ratio * grid.dx / c, tab, u0, order + 2)
+                                     ratio * grid.dx / c, tab, u0)
 
     def test_step_rejects_foreign_grid(self):
         # both steps refuse another grid, other velocities and another eps,
@@ -924,8 +939,9 @@ class TestCombine:
 
 @pytest.fixture(params=["take", "slices"])
 def kernel(request, monkeypatch):
-    """Force one ``_gather`` kernel on every level size: the feet are built
-    afresh under a patched threshold and dropped again afterwards."""
+    """Force one gather kernel of ``_combine`` on every level size: the
+    feet are built afresh under a patched threshold and dropped again
+    afterwards."""
     rx._feet.cache_clear()
     monkeypatch.setattr(rx, "_TAKE_MAX_ELEMENTS",
                         math.inf if request.param == "take" else 0)
@@ -960,55 +976,52 @@ def zero_region_case(kind, nx):
     return rx.make_broadwell(1.0, 1e-2), grid, 1.0, u0, np.stack([-m, m])
 
 
-def gathered(values, feet, coef, out, work):
-    """``coef`` times ``values`` at one level's ``(lo, hi, weights)``, by
-    the steps' recipe: ``_gather`` the aligned level scaled by ``coef``, or
-    the fractional one as (w0 values(lo) + w1 values(hi)) coef."""
-    lo, hi, weights = feet
-    if weights is None:
-        assert rx._gather(values, lo, coef, out) is out
-        return out
-    assert rx._gather(values, lo, weights[0], out) is out
-    out += rx._gather(values, hi, weights[1], work)
-    out *= coef
-    return out
-
-
 class TestGatherKernels:
-    """``_gather`` runs a flat ``take`` or row slices by the level size of
-    the feet; each kernel, forced on the same data, gives coef x
-    ``reference_sample_shifted`` bit for bit, sign of zero included."""
+    """``_combine`` gathers the history with one flat ``take`` from the
+    ring or with row slices of its planes, by the level size; each kernel,
+    forced on the same data, gives ``reference_combination`` bit for bit,
+    sign of zero included."""
 
     @pytest.mark.parametrize("batch", [(), (2, 3)])
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 0.7, 2.3])
     @pytest.mark.parametrize("boundary, nx", [
         ("periodic", 5), ("periodic", 41), ("clamp", 5), ("clamp", 41)])
-    def test_gather_matches_sample_shifted(self, kernel, boundary, nx, ratio,
-                                           batch):
+    def test_combination_matches_sample_shifted(self, kernel, boundary, nx,
+                                                ratio, batch):
         # on nx = 5 the deepest feet (up to 6.9 cells) pass a whole period
         # or wall; Broadwell's zero speed stays aligned in fractional levels
         grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary)
-        speeds = (2.1, -2.1) if boundary == "periodic" else (1.0, -1.0, 0.0)
-        dt = ratio * grid.dx / speeds[0]
+        model, speed = ((linear_jinxin(2.1, 1e-2), 2.1)
+                        if boundary == "periodic"
+                        else (rx.make_broadwell(1.0, 1e-2), 1.0))
+        dt = ratio * grid.dx / speed
         tab = la.tableau("BDF3")
-        feet = rx._feet(grid, speeds, dt, tab.s, batch)
-        assert isinstance(feet[0][0], np.ndarray) == (kernel == "take")
-        values = level_data(batch + (len(speeds), grid.n_nodes))
-        out, work = np.empty_like(values), np.empty_like(values)
-        for ell, coef in enumerate(tab.a):
-            expect = np.stack([
-                coef * reference_sample_shifted(
-                    grid, values[..., j, :], vj * (ell + 1) * dt / grid.dx)
-                for j, vj in enumerate(speeds)], axis=-2)
-            assert_bitwise(gathered(values, feet[ell], coef, out, work),
-                           expect)
+        x = grid.nodes()
+        u = np.stack([1.0 + 0.3 * np.cos(x), 0.2 * np.sin(x)])
+        u = u[:model.n_conserved]
+        jac = model.equilibrium_jac(u)
+        adj = rx.AdjointField(model, grid, dt, tab, level_data(
+            batch + (model.n_velocities, grid.n_nodes)))
+        assert isinstance(adj.feet[0][0], np.ndarray) == (kernel == "take")
+
+        def reference(hist):
+            # each batch member's (new level, C), stacked
+            members = [reference_adjoint_step(model, grid,
+                                              [h[i] for h in hist], u, dt,
+                                              tab)
+                       for i in np.ndindex(batch)]
+            return tuple(np.reshape(part, hist[0].shape)
+                         for part in zip(*members))
+
+        assert_ring_matches(adj, lambda: rx.adjoint_step(model, grid, adj,
+                                                         jac), reference)
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
     @pytest.mark.parametrize("kind", ["jinxin", "broadwell"])
     def test_steps_match_reference_on_zero_regions(self, kernel, kind, ratio):
         model, grid, speed, u0, d = zero_region_case(kind, 33)
         assert_steps_match_reference(model, grid, ratio * grid.dx / speed,
-                                     la.tableau("BDF3"), u0, 5, d)
+                                     la.tableau("BDF3"), u0, d)
 
     @pytest.mark.parametrize("above", [False, True], ids=["take", "slices"])
     @pytest.mark.parametrize("kind", ["jinxin", "broadwell"])
@@ -1027,7 +1040,80 @@ class TestGatherKernels:
         tab = la.tableau(f"BDF{order}")
         fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
         assert isinstance(fld.feet[0][0], np.ndarray) != above
-        assert_steps_match_reference(model, grid, dt, tab, u0, order + 2, d)
+        assert_steps_match_reference(model, grid, dt, tab, u0, d)
+
+
+class TestFourierOracle:
+    """Linear periodic Jin-Xin, a = 2.1 and F(u) = c u with c = 1, on
+    aligned feet (dt = dx/a), swept mode by mode in Fourier space through
+    the order ramp and 200 steps, which cycle the ring head: an oracle
+    that shares no code with the steps.  A foot one cell up- or downstream
+    multiplies a mode by e^{-i phi} or e^{i phi}, phi = k dx."""
+
+    a, M, n_steps = 2.1, 64, 200
+
+    def case(self, eps):
+        grid = rx.LagrangianGrid(0.0, 2 * np.pi, self.M + 1)
+        x = grid.nodes()
+        u0 = np.exp(np.cos(x)) + 0.3 * np.sin(3 * x)
+        E = np.array([[(self.a + 1) / (2 * self.a)],
+                      [(self.a - 1) / (2 * self.a)]])
+        return linear_jinxin(self.a, eps), grid, grid.dx / self.a, x, u0, E
+
+    def sweep(self, level0, tab, dt, sign, update):
+        """The modes of every level of the sweep, from ``level0`` (2, M):
+        velocity j reads level l at D_j^(l+1), D = diag(e^{-i phi},
+        e^{i phi}) forward (``sign`` 1) and its mirror backward (-1), and
+        ``update(C, h)`` gives the new level from C = -sum_l a_l D^(l+1)
+        H_l and h = dt b_-1."""
+        phi = 2 * np.pi * np.arange(self.M) / self.M
+        D = np.exp(-1j * sign * np.array([[1.0], [-1.0]]) * phi)
+        hist = [np.fft.fft(level0)]
+        levels = list(hist)
+        for _ in range(self.n_steps):
+            eff = tab if len(hist) >= tab.s else la.tableau(
+                f"BDF{len(hist)}")
+            C = -sum(a_l * D ** (ell + 1) * H
+                     for ell, (a_l, H) in enumerate(zip(eff.a, hist)))
+            hist = [update(C, dt * eff.b_implicit)] + hist[:tab.s - 1]
+            levels.append(hist[0])
+        return levels
+
+    @pytest.mark.parametrize("eps, order", [
+        (1.0, k) for k in range(1, 7)] + [(1e-2, k) for k in range(1, 6)]
+        + [(1e-6, k) for k in range(1, 4)])
+    def test_forward(self, eps, order):
+        # f = (1 - w) C + w E (C_1 + C_2), w = h / (h + eps)
+        model, grid, dt, x, u0, E = self.case(eps)
+        tab = la.tableau(f"BDF{order}")
+
+        def update(C, h):
+            w = h / (h + eps)
+            return (1.0 - w) * C + w * E * (C[0] + C[1])
+
+        levels = self.sweep(E * u0, tab, dt, 1, update)
+        expect = np.fft.ifft([f[0] + f[1] for f in levels]).real
+        u_store = rx.solve_forward(model, grid, tab, u0, self.n_steps, dt)[1]
+        err = np.max(np.abs(u_store[:, 0] - expect)) / np.max(np.abs(expect))
+        assert err <= 1e-12, err
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-2])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_adjoint(self, eps, order):
+        # lam = keep C + relax (1, 1)^T (E . C)
+        model, grid, dt, x, u0, E = self.case(eps)
+        tab = la.tableau(f"BDF{order}")
+        lam_T = np.stack([u0, 0.5 * np.cos(2 * x)])
+
+        def update(C, h):
+            keep, relax = eps / (eps + h), h / (eps + h)
+            return keep * C + relax * (E * C).sum(axis=0)
+
+        expect = np.fft.ifft(self.sweep(lam_T, tab, dt, -1, update)[-1]).real
+        lam0 = rx.solve_adjoint(model, grid, tab, None, lam_T, self.n_steps,
+                                dt)
+        err = np.max(np.abs(lam0 - expect)) / np.max(np.abs(expect))
+        assert err <= 1e-12, err
 
 
 def terminal_batch(x, n, B):
@@ -1245,7 +1331,7 @@ class TestBlockedJacobians:
 
     def test_jacobian_buffer_bounded_by_the_block(self, monkeypatch):
         # peak traced memory of a 200-step Broadwell sweep, in rows of M
-        # doubles: the field's arrays (26 rows) and the step's temporaries
+        # doubles: the field's arrays (35 rows) and the step's temporaries
         # take under 48; a block of K levels adds its K * Nv * n Jacobian
         # rows and the model's temporaries, 2 rows per level
         grid = rx.LagrangianGrid(-2.5, 2.5, 1001, boundary="clamp")
@@ -1302,14 +1388,17 @@ class TestFeetCache:
             a, b = (self.field(rx.LagrangianGrid(-2.5, 2.5, 33, boundary))
                     for _ in range(2))
             assert a.feet is b.feet
-            for name in ("comb", "prod", "E"):
+            for name in ("ring", "comb", "gather", "E"):
                 assert not np.shares_memory(getattr(a, name),
                                             getattr(b, name))
-            for lo, hi, weights in a.feet:
-                assert weights is not None    # 0.07 / dx is fractional
-                # 3 x 32 nodes: flat indices on either boundary
-                assert isinstance(lo, np.ndarray)
-                assert isinstance(hi, np.ndarray)
+            index, weights, coefs = a.feet
+            assert weights is not None        # 0.07 / dx is fractional
+            # 3 x 33 or 32 nodes: flat indices on either boundary, a table
+            # of both feet of the 3 levels per ring head
+            level = (3, a.grid.n_nodes)
+            assert [idx.shape for idx in index] == [(2, 3) + level] * 3
+            assert [c.shape for c in coefs] == [(L,) + level
+                                                for L in (1, 2, 3)]
 
     @pytest.mark.parametrize("dt", [0.1, 0.07], ids=["aligned", "fractional"])
     def test_sweeps_leave_the_feet_unchanged(self, kernel, dt):
@@ -1322,8 +1411,8 @@ class TestFeetCache:
         fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
         adj = rx.AdjointField(model, grid, dt, tab, rx.terminal_multipliers(
             model, np.stack([u0, -u0])))
-        cached = [arr for ring in (fld, adj) for lo, hi, weights in ring.feet
-                  for arr in (lo, hi, *(weights or ()))
+        cached = [arr for ring in (fld, adj)
+                  for arr in (*ring.feet[0], ring.feet[1], *ring.feet[2])
                   if isinstance(arr, np.ndarray)]
         assert bool(cached) == (kernel == "take")
         before = [arr.copy() for arr in cached]
@@ -1343,10 +1432,12 @@ class TestFeetCache:
         a = grid.dx / 1e-4
         fld = rx.KineticField(burgers_jinxin(a, 1e-2), grid, dt,
                               la.tableau("BDF3"), np.zeros((2, grid.n_nodes)))
-        for lo, hi, weights in fld.feet:
-            assert isinstance(lo, tuple) and isinstance(hi, tuple)
-            assert all(isinstance(w, float)
-                       for row in weights or () for w in row)
+        index, weights, coefs = fld.feet
+        assert all(isinstance(rows, tuple) for level in index
+                   for rows in level)
+        assert all(isinstance(w, float) for level in weights or ()
+                   for pair in level for w in pair)
+        assert all(isinstance(c, float) for entry in coefs for c in entry)
 
     def test_any_key_change_gives_other_feet(self):
         feet = self.field().feet
@@ -1486,18 +1577,29 @@ class TestStepAllocations:
                                 M, STEP_OVERHEAD_BYTES)
         assert step <= check < 2, (step, check)
 
-    def test_ring_recycles_evicted_levels(self):
-        # once warm, a new level lands in the array of the level it evicts
-        grid = rx.LagrangianGrid(0.0, 6.0, 65)
-        model = burgers_jinxin(2.1, 1e-2)
+    def test_ring_holds_every_level(self, kernel):
+        # every step, ramp included, writes its level into a slot of the
+        # field's one ring array and allocates no level (2 rows)
+        grid = rx.LagrangianGrid(0.0, 6.0, 1025)
+        model, tab = linear_jinxin(2.1, 1e-2), la.tableau("BDF3")
         x = grid.nodes()
-        u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
-        tab = la.tableau("BDF2")
-        fld = rx.KineticField(model, grid, grid.dx / 2.1, tab,
-                              model.equilibrium(u0))
-        step_forward(model, grid, fld)
-        for _ in range(3):
-            oldest = fld.history[-1]
-            step_forward(model, grid, fld)
-            assert fld.current is oldest and len(fld.history) == tab.s
-        assert fld.n == 4
+        u0 = np.exp(-((x - 3.0) ** 2))[None, :]
+        dt = 0.7 * grid.dx / 2.1
+        fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
+        adj = rx.AdjointField(model, grid, dt, tab,
+                              rx.terminal_multipliers(model, u0))
+        rings = fld.ring, adj.ring
+        out, jac = np.empty_like(u0), zero_state_jac(model, grid)
+        M = grid.n_nodes
+        for n in range(2 * tab.s + 1):
+            rows = (traced_peak_rows(
+                        lambda: rx.forward_step(model, grid, fld, out), M,
+                        STEP_OVERHEAD_BYTES),
+                    traced_peak_rows(
+                        lambda: rx.adjoint_step(model, grid, adj, jac), M,
+                        STEP_OVERHEAD_BYTES))
+            assert max(rows) < 1, (n, rows)
+            for f, ring in zip((fld, adj), rings):
+                assert f.ring is ring and f.ring.shape == (3, 2, M)
+                assert np.shares_memory(f.current, ring)
+        assert fld.n == adj.n == 2 * tab.s + 1
