@@ -37,28 +37,25 @@ from .tableaus import MultistepTableau, TimeGrid
 _CSV_BLOCK = 4096  # rows formatted per write; bounds the text held at once
 
 
-def _column(cells) -> list[str]:
-    """CSV fields of one column: None and NaN cells empty, str cells as they
-    are, and every other cell ``%.17g``, all in one format operation."""
-    if isinstance(cells, np.ndarray):
-        cells = cells.tolist()
-    blank = [isinstance(c, str) or c is None or c != c for c in cells]
-    nums = [c for c, b in zip(cells, blank) if not b]
-    text = iter(("%.17g\n" * len(nums) % tuple(nums)).split("\n"))
-    return [(c if isinstance(c, str) else "") if b else next(text)
-            for c, b in zip(cells, blank)]
+def _cell(v, number="%.17g", blank="") -> str:
+    """One table cell as text: a str cell as it is, None and NaN
+    ``blank``, and any other cell ``number % v``."""
+    if isinstance(v, str):
+        return v
+    if v is None or v != v:
+        return blank
+    return number % v
 
 
 def write_csv(path, header, rows):
     """Write ``header`` and ``rows`` (a sequence of rows or a 2-D array).
 
-    Numbers get 17 significant digits, None and NaN cells are left empty and
-    str cells are written as they are; a row shorter than the longest of
-    its block is padded with empty cells.  ``_CSV_BLOCK`` rows go out per
-    write.  A block of a numeric array without NaN is formatted in one
-    ``%`` operation over all its cells; every other block (row lists,
-    blank cells) a column at a time by ``_column``.  Both run the same
-    ``%.17g`` conversion on the same Python numbers, so the bytes agree.
+    Every cell follows one rule, ``_cell``: str cells as they are, None and
+    NaN empty, numbers with 17 significant digits.  A row shorter than the
+    longest of its block is padded with empty cells; ``_CSV_BLOCK`` rows go
+    out per write.  A block of a numeric array without NaN is formatted in
+    one ``%`` operation over all its cells, the same ``%.17g`` conversion
+    of the same numbers, so the bytes agree.
     """
     numeric = (isinstance(rows, np.ndarray) and rows.ndim == 2
                and rows.shape[1] > 0 and rows.dtype.kind in "fiu")
@@ -75,17 +72,8 @@ def write_csv(path, header, rows):
             columns = (block.T if isinstance(block, np.ndarray)
                        else itertools.zip_longest(*block))
             fh.writelines(",".join(row) + "\n"
-                          for row in zip(*map(_column, columns)))
-
-
-def _echo_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if v is None or (isinstance(v, float) and np.isnan(v)):
-        return "-"
-    if isinstance(v, (int, np.integer)):
-        return f"{v:d}"
-    return f"{float(v):.6e}"
+                          for row in zip(*(map(_cell, col)
+                                           for col in columns)))
 
 
 def echo_table(title, header, rows):
@@ -93,7 +81,8 @@ def echo_table(title, header, rows):
     width, at least 14 and wide enough for every cell plus a two-space
     gap.  None and NaN cells print "-", so every row splits on blanks into
     as many fields as the header (their CSV cells stay empty)."""
-    rows = [list(map(_echo_cell, row)) for row in rows]
+    rows = [[_cell(v, "%d" if isinstance(v, (int, np.integer)) else "%.6e",
+                   "-") for v in row] for row in rows]
     width = 2 + max(12, *map(len, header), *(len(c) for r in rows for c in r))
     print(title)
     for row in [header] + rows:

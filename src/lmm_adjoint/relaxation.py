@@ -325,7 +325,7 @@ def _foot(shift_cells: float) -> tuple[int, float]:
 _TAKE_MAX_ELEMENTS = 8192
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
           ramp: tuple, batch: tuple[int, ...]) -> tuple:
     """Feet of every (history level, velocity) and the coefficients -a of
@@ -341,8 +341,11 @@ def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
     (P, s) + level shape, weights of that shape and, per ramp entry of L
     levels, -a of shape (L,) + level shape; wider ones get per level each
     foot's ``upstream_slices``, one weight per row and -a as floats, no
-    array per node.  Shared by every field of the key (the solves of a
-    descent, not of a study: the cache is small); no code writes them.
+    array per node.  Shared by every field of the key; no code writes them.
+    The cache keeps the two most recent keys: a descent of I iterations
+    reuses its forward and adjoint keys (2I hits, 2 misses), while the eps
+    study's keys serve one sweep each, so more entries would only keep its
+    index tables resident.
     """
     Nv, M, s = len(speeds), grid.n_nodes, len(ramp)
     shape = batch + (Nv, M)
@@ -461,8 +464,9 @@ class _LevelRing:
     update's (keep, relax) of ramp entry L: relax = h/(h + eps) and the
     field kind's ``_keep(h, eps)``, h = dt b_-1, as floats for a float
     eps, or as level-shaped arrays, which multiply a level without the
-    buffer NumPy allocates to broadcast a (B, 1, 1) factor.  Each field
-    kind words its blow-up message in ``blowup``.
+    buffer NumPy allocates to broadcast a (B, 1, 1) factor; an eps that
+    would grow the level is a ValueError.  Each field kind words its
+    blow-up message in ``blowup``.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
@@ -476,6 +480,12 @@ class _LevelRing:
         if not tab.is_bdf:
             raise ConfigError(f"relaxation solver requires a BDF "
                                    f"tableau, got {tab.name}")
+        eps = np.shape(model.eps)
+        if len(eps) > first.ndim or any(
+                e not in (1, n) for e, n in zip(eps[::-1], first.shape[::-1])):
+            raise ValueError(f"eps of shape {eps} must broadcast to the "
+                             f"{type(self).__name__} levels' shape "
+                             f"{first.shape} without growing it")
         self.model, self.grid = model, grid
         ramp = [tableau(f"bdf{k}") for k in range(1, tab.s)] + [tab]
         self.n = self.head = 0
@@ -551,7 +561,8 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
 def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
                   tab: MultistepTableau, u0: np.ndarray, n_steps: int,
                   dt: float, out: np.ndarray | None = None):
-    """Run the forward solver from equilibrium-lifted macroscopic data.
+    """Run the forward solver from equilibrium-lifted macroscopic data
+    ``u0``, (n, M) or, for n = 1, (M,); any other shape is a ValueError.
 
     Returns (field, u_store) where u_store has shape (n_steps+1, n, M); the
     full in-memory store backs the adjoint solver.  ``out`` follows the
@@ -566,6 +577,8 @@ def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
         raise ValueError(f"out must be a float64 store of shape {shape}, "
                          f"got {out.dtype} {out.shape}")
     u0 = np.atleast_2d(np.asarray(u0, dtype=float))
+    if u0.shape != shape[1:]:
+        raise ValueError(f"u0 must have shape {shape[1:]}, got {u0.shape}")
     f0 = model.equilibrium(u0)
     fld = KineticField(model, grid, dt, tab, f0)
     try:

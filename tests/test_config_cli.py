@@ -854,6 +854,19 @@ class TestCsvWriter:
         assert_writes_like_reference(
             tmp_path, np.array([[1.5, -0.0]], dtype=np.float32))
 
+    @hyp_settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.lists(st.one_of(
+        st.none(), st.just(float("nan")),
+        st.text(st.characters(exclude_characters=",",
+                              exclude_categories=("Cs",)), max_size=6),
+        st.booleans(), st.integers(-2 ** 80, 2 ** 80),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.integers(0, 255).map(np.uint8), st.floats(),
+        st.sampled_from(EXTREME_FLOATS)), max_size=5), min_size=1,
+        max_size=8))
+    def test_ragged_row_lists_match_reference(self, tmp_path_factory, rows):
+        assert_writes_like_reference(tmp_path_factory.mktemp("csv"), rows)
+
     def test_snapshot_arrays_skip_the_column_path(self, tmp_path,
                                                   monkeypatch):
         x = np.linspace(-3.0, 3.0, 9000)
@@ -861,14 +874,14 @@ class TestCsvWriter:
         expected = tmp_path / "ref.csv"
         reference_write_csv(expected, ["x", "rho", "m"], snapshot)
 
-        def refuse(cells):
-            raise AssertionError("numeric block went through _column")
+        def refuse(*cell):
+            raise AssertionError("numeric block went through _cell")
 
-        monkeypatch.setattr(experiments, "_column", refuse)
+        monkeypatch.setattr(experiments, "_cell", refuse)
         experiments.write_csv(tmp_path / "new.csv", ["x", "rho", "m"],
                               snapshot)
         assert (tmp_path / "new.csv").read_bytes() == expected.read_bytes()
-        with pytest.raises(AssertionError, match="_column"):
+        with pytest.raises(AssertionError, match="_cell"):
             experiments.write_csv(tmp_path / "log.csv", ["k", "J"],
                                   [[0, 1.5]])
 

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmm_adjoint as la
+from lmm_adjoint import control as ct
 from lmm_adjoint import relaxation as rx
+from lmm_adjoint.config import parse_config
+from lmm_adjoint.experiments import run_control, run_relax_adjoint
 
 
 def linear_jinxin(a, eps, u0=None):
@@ -443,6 +446,55 @@ class TestForward:
                 rx.KineticField(model, grid, 0.05, tab, f0)
         fld = rx.KineticField(model, grid, 0.05, tab, [[0] * M, [1] * M])
         assert fld.current.dtype == np.float64
+
+    def test_misshapen_initial_data_rejected_before_the_field(
+            self, monkeypatch):
+        grid = rx.LagrangianGrid(-2.5, 2.5, 17, boundary="clamp")
+        M, tab = grid.n_nodes, la.tableau("BDF2")
+        jinxin = linear_jinxin(1.0, 1e-2)
+        broadwell = rx.make_broadwell(1.0, 1e-2)
+
+        def unbuilt(*args):
+            raise AssertionError("field built from misshapen u0")
+
+        cases = [(jinxin, np.zeros((2, M)), r"\(1, 17\), got \(2, 17\)"),
+                 (broadwell, np.ones((3, M)), r"\(2, 17\), got \(3, 17\)"),
+                 (broadwell, np.ones(M), r"\(2, 17\), got \(1, 17\)")]
+        with monkeypatch.context() as patch:
+            patch.setattr(rx, "KineticField", unbuilt)
+            for model, u0, shapes in cases:
+                with pytest.raises(ValueError, match="u0 .*" + shapes):
+                    rx.solve_forward(model, grid, tab, u0, 3, 0.05)
+        # a descent's control reaches the same check
+        target = ct.TrackingFunctional(np.ones((2, M)), grid.dx)
+        with pytest.raises(ValueError, match="u0"):
+            ct.optimize(broadwell, grid, tab, target, np.ones(M), 3, 0.05,
+                        iterations=1, sigma0=0.1, bb_variant="bb2",
+                        filter_every=0)
+        # one (M,) row is still u0 for one conserved quantity
+        u = rx.solve_forward(jinxin, grid, tab, np.zeros(M), 3, 0.05)[1]
+        assert u.shape == (4, 1, M)
+
+    def test_eps_that_grows_the_level_rejected(self):
+        grid = rx.LagrangianGrid(0.0, 1.0, 4097)
+        M, tab = grid.n_nodes, la.tableau("BDF2")
+        pair = linear_jinxin(1.0, np.array([1e-2, 0.3]).reshape(2, 1, 1))
+        with pytest.raises(ValueError, match=r"eps .*\(2, 1, 1\).*"
+                                             r"\(2, 4096\)"):
+            rx.solve_forward(pair, grid, tab, np.zeros(M), 3, 0.05)
+        # refused before the ring is allocated: the peak stays under a row
+        lam = np.zeros((3, 2, M))
+
+        def refuse():
+            with pytest.raises(ValueError, match=r"eps .*\(2, 1, 1\).*"
+                                                 r"\(3, 2, 4096\)"):
+                rx.AdjointField(pair, grid, 0.05, tab, lam)
+
+        assert traced_peak_rows(refuse, M) < 1
+        for model, level in [(linear_jinxin(1.0, 1e-2), (2, M)),
+                             (linear_jinxin(1.0, np.array([1e-2])), (2, M)),
+                             (pair, (2, 2, M))]:
+            rx.AdjointField(model, grid, 0.05, tab, np.zeros(level))
 
     def test_non_bdf_rejected(self):
         grid = rx.LagrangianGrid(0.0, 1.0, 17)
@@ -1457,6 +1509,26 @@ class TestFeetCache:
 
     def test_cache_is_small(self):
         assert rx._feet.cache_info().maxsize <= 16
+
+    @pytest.mark.parametrize("iterations", [1, 4])
+    def test_descent_reuses_two_keys(self, tmp_path, iterations):
+        # the target's forward solve shares the descent's forward key: I + 2
+        # forward solves and I adjoint solves miss once per key
+        rx._feet.cache_clear()
+        cfg = parse_config(f"[control-jinxin]\nnx = 40\n"
+                           f"iterations = {iterations}\n")
+        rows = run_control(cfg, str(tmp_path), "control-jinxin")
+        assert len(rows) == iterations + 1
+        info = rx._feet.cache_info()
+        assert (info.hits, info.misses) == (2 * iterations, 2)
+
+    def test_eps_study_leaves_two_entries(self, tmp_path):
+        # each of the study's 10 keys (a coarse and a fine sweep per grid)
+        # serves one sweep: the cache keeps no more than a descent reuses
+        rx._feet.cache_clear()
+        run_relax_adjoint(parse_config("[relax-adjoint]\n"), str(tmp_path))
+        info = rx._feet.cache_info()
+        assert (info.hits, info.misses) == (0, 10) and info.currsize <= 2
 
 
 def traced_peak_rows(step, M, slack=0):
