@@ -166,7 +166,7 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
         raise ConfigError("characteristic speed c must be positive")
 
     def _flux(rho, m):
-        if np.any(rho <= 0):
+        if np.fmin.reduce(rho, axis=None, initial=np.inf) <= 0:  # NaN passes
             raise SolverError("Broadwell flux undefined for rho <= 0")
         return m * m / (c * c * rho) + rho
 
@@ -341,7 +341,7 @@ def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
     (P, s) + level shape, weights of that shape and, per ramp entry of L
     levels, -a of shape (L,) + level shape; wider ones get per level each
     foot's ``upstream_slices``, one weight per row and -a as floats, no
-    array per node.  Shared by every field of the key; no code writes them.
+    array per node, shared by every field of the key (weights, -a read-only).
     The cache keeps the two most recent keys: a descent of I iterations
     reuses its forward and adjoint keys (2I hits, 2 misses), while the eps
     study's keys serve one sweep each, so more entries would only keep its
@@ -377,6 +377,8 @@ def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
                                   base.shape).copy()
     coefs = tuple(np.broadcast_to(np.negative(a).reshape(-1, *lift, 1, 1),
                                   (len(a),) + shape).copy() for a in ramp)
+    for table in coefs + ((weights,) if weights is not None else ()):
+        table.setflags(write=False)      # take would copy a read-only index
     return index, weights, coefs
 
 
@@ -391,11 +393,11 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
     for the L levels held.  Small levels go into ``fld.gather`` with one
     ``take`` from the ring (``mode="clip"`` skips the buffering of
     ``mode="raise"``; unfilled ramp slots are read, then left), times the
-    weights; each pair is summed, times -a, and the levels summed from 0.
-    Wide levels run these steps plane by plane out of row slices, aligned
-    feet times -a at once, adding into ``comb``: both run the IEEE
-    operations of 0 - a_0 H_0 - ..., so exact zeros keep their sign.
-    Returns the (keep, relax) weights of the ramp entry.
+    weights; each pair is summed, times -a, and the levels summed from 0,
+    in the prebuilt views of ``fld.plans[L-1]``.  Wide levels run these
+    steps plane by plane out of row slices, aligned feet times -a at once,
+    adding into ``comb``: both run the IEEE operations of 0 - a_0 H_0 - ...,
+    so exact zeros keep their sign.  Returns the ramp entry's (keep, relax).
     """
     # a field's feet and weights hold only for what it was built with
     same = model is fld.model or (
@@ -407,13 +409,14 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
     ring, head, buf, s = fld.ring, fld.head, fld.gather, len(fld.ring)
     L = min(fld.n + 1, s)
     index, weights, coefs = fld.feet
-    if isinstance(index[0], np.ndarray):
+    if fld.plans:
+        at_feet, lo, hi, w, c = fld.plans[L - 1]
         ring.take(index[head], out=buf, mode="clip")
-        if weights is not None:
-            buf[:, :L] *= weights[:, :L]
-            np.add(buf[0, :L], buf[1, :L], out=buf[0, :L])
-        buf[0, :L] *= coefs[L - 1]
-        np.add.reduce(buf[0, :L], axis=0, out=fld.comb, initial=0.0)
+        if hi is not None:
+            np.multiply(at_feet, w, out=at_feet)
+            np.add(lo, hi, out=lo)
+        np.multiply(lo, c, out=lo)
+        np.add.reduce(lo, axis=0, out=fld.comb, initial=0.0)
         return fld.weights[L - 1]
     for ell, (feet, c) in enumerate(zip(index, coefs[L - 1])):
         plane, out = ring[(head + ell) % s], buf[0, 0]
@@ -434,15 +437,15 @@ def _update(fld: _LevelRing, keep, relax, x: np.ndarray) -> np.ndarray:
     """End of both steps: the new level keep C + relax x (C in ``fld.comb``,
     ``x`` a work buffer scaled in place) into ring slot head - 1, free in
     the ramp and then the oldest level's, which becomes the head and is
-    returned.  A non-finite level raises ``SolverError`` naming the step
-    instead and leaves the head; the oldest level may then be overwritten,
-    and the field must not be stepped again.
+    returned.  A non-finite level (one reduction over its isfinite mask
+    ``fld.finite``) raises ``SolverError`` naming the step, leaving the
+    head; the oldest level may be overwritten: do not step the field again.
     """
-    slot = (fld.head - 1) % len(fld.ring)
-    new = np.multiply(keep, fld.comb, out=fld.ring[slot])
+    slot = (fld.head - 1) % len(fld.slots)
+    new = np.multiply(keep, fld.comb, out=fld.slots[slot])
     np.multiply(relax, x, out=x)
     new += x
-    if not np.isfinite(new).all():
+    if not np.logical_and.reduce(np.isfinite(new, out=fld.finite), axis=None):
         raise SolverError(fld.blowup.format(fld.n + 1), fld.n + 1)
     fld.head = slot
     fld.n += 1
@@ -456,11 +459,14 @@ class _LevelRing:
     a ``ConfigError``).  Its ramp is BDF1, ..., BDF(s-1), ``tab``: L levels
     step ramp entry L, so the order ramps up while the ring fills.
     ``ring`` (s, ..., Nv, M) holds levels of the shape of ``first``, the
-    newest in slot ``head`` and level l in slot (head + l) % s; ``feet``
-    holds the step's feet and -a (``_feet``).  The work buffers are
-    ``comb`` (the history combination C), ``E`` and ``gather``, the levels
-    at their P feet, (P, s) + level shape, (P, 1) for wide levels, which
-    ``_combine`` gathers one by one.  ``weights[L-1]`` holds the
+    newest in slot ``head`` and level l in slot (head + l) % s; ``slots``
+    views each slot and ``feet`` holds the step's feet and -a (``_feet``).
+    The work buffers are ``comb`` (the history combination C), ``E``, the
+    guard's mask ``finite`` and ``gather``, the levels at their P feet,
+    (P, s) + level shape, (P, 1) for wide levels, which ``_combine``
+    gathers one by one.  ``plans[L-1]`` holds ramp entry L's views
+    gather[:, :L], gather[0, :L], gather[1, :L] and weights[:, :L] (None
+    when P = 1) and its -a, wide levels None.  ``weights[L-1]`` holds the
     update's (keep, relax) of ramp entry L: relax = h/(h + eps) and the
     field kind's ``_keep(h, eps)``, h = dt b_-1, as floats for a float
     eps, or as level-shaped arrays, which multiply a level without the
@@ -493,11 +499,17 @@ class _LevelRing:
         self.ring[0] = first
         self.feet = _feet(grid, tuple(speeds.tolist()), dt,
                           tuple(eff.a for eff in ramp), first.shape[:-2])
+        self.slots = tuple(self.ring)
         self.comb = np.empty(first.shape)
-        idx = self.feet[0][0]             # head 0's table, or level 0's feet
-        self.gather = np.empty((idx.shape[:2] if isinstance(idx, np.ndarray)
-                                else (len(idx), 1)) + first.shape)
+        self.finite = np.empty(first.shape, dtype=bool)
+        index, weights, coefs = self.feet  # per-head tables or level feet
+        flat, pairs = isinstance(index[0], np.ndarray), weights is not None
+        g = self.gather = np.empty((len(index[0]), tab.s if flat else 1)
+                                   + first.shape)
         self.E = np.empty(first.shape)
+        self.plans = [(g[:, :L], g[0, :L], g[1, :L] if pairs else None,
+                       weights[:, :L] if pairs else None, coefs[L - 1])
+                      for L in range(1, tab.s + 1)] if flat else None
         # formed after the buffers: formed before them, the weights of an
         # eps study raised its peak RSS by 0.2 MB (heap order)
         self.weights = []
@@ -579,7 +591,10 @@ def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
     u0 = np.atleast_2d(np.asarray(u0, dtype=float))
     if u0.shape != shape[1:]:
         raise ValueError(f"u0 must have shape {shape[1:]}, got {u0.shape}")
-    f0 = model.equilibrium(u0)
+    try:                                     # the lift is step 0
+        f0 = model.equilibrium(u0)
+    except SolverError as exc:
+        raise SolverError(f"{exc} at step 0", 0) from None
     fld = KineticField(model, grid, dt, tab, f0)
     try:
         u_store = np.empty(shape) if out is None else out

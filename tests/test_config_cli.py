@@ -549,6 +549,18 @@ class TestCli:
         # the forward step names itself, the descent loop its iteration
         assert "at step 1 in descent iteration 1" in err
 
+    def test_broadwell_negative_density_control_solver_failure(self, tmp_path,
+                                                              capsys):
+        # a huge first step leaves the control itself with rho < 0: the
+        # lift f0 = E(u0) fails as step 0 of the next forward solve
+        conf = self._write(tmp_path, "c.conf",
+                           "[control-broadwell]\nnx = 81\niterations = 2\n"
+                           "sigma0 = 1000\n")
+        assert cli.main(["control-broadwell", "--config", conf,
+                         "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("rho <= 0 at step 0 in descent iteration 1\n")
+
     @pytest.mark.parametrize("kind, body, key", [
         ("relax-forward", "flux = linear\nnx = 40\ndt = 0\n", "dt"),
         ("relax-forward", "flux = linear\nnx = 40\na = 0\n", "a"),

@@ -421,6 +421,16 @@ class TestOptimize:
             run_control(cfg, str(tmp_path), "control-broadwell")
         assert err.value.step_index == 1
 
+    def test_control_with_negative_density_fails_at_the_lift(self, tmp_path):
+        # a huge first step drives the control's own rho below 0, so the
+        # next forward solve fails in its lift, step 0
+        cfg = parse_config("[control-broadwell]\nnx = 81\niterations = 2\n"
+                           "sigma0 = 1000\n")
+        with pytest.raises(la.SolverError,
+                           match=r"at step 0 in descent iteration 1$") as err:
+            run_control(cfg, str(tmp_path), "control-broadwell")
+        assert err.value.step_index == 0
+
 
 def coarse_broadwell_setup(nx=40, n_steps=8):
     grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary="clamp")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,41 @@ class TestModels:
         with pytest.raises(la.SolverError, match=r"rho <= 0 at step 1$") as err:
             rx.forward_step(m, grid, fld, out=np.empty((2, grid.n_nodes)))
         assert err.value.step_index == 1
+
+    def test_broadwell_lift_names_step_0(self):
+        # initial data with rho < 0 fails in the lift f0 = E(u0), before
+        # any step: the lift is step 0
+        grid = rx.LagrangianGrid(0.0, 1.0, 17)
+        u0 = np.stack([np.ones(grid.n_nodes), np.zeros(grid.n_nodes)])
+        u0[0, 5] = -0.25
+        with pytest.raises(la.SolverError, match=r"rho <= 0 at step 0$") as err:
+            rx.solve_forward(rx.make_broadwell(1.0, 1e-2), grid,
+                             la.tableau("BDF2"), u0, 4, grid.dx)
+        assert err.value.step_index == 0
+
+    @pytest.mark.parametrize("rho", [
+        [], [np.nan], [np.nan, -1.0], [np.nan, 2.0], [-0.0, 1.0], [1.0, 2.0],
+        [[1.0, np.nan], [0.5, 0.0]], [[1.0, np.nan], [0.5, 3.0]],
+        np.empty((0, 4)),
+    ], ids=["empty", "nan", "nan-negative", "nan-positive", "negative-zero",
+            "positive", "block-zero", "block-nan", "empty-stack"])
+    def test_broadwell_guard_decides_as_any(self, rho):
+        # the guard refuses exactly the rho that np.any(rho <= 0) refuses:
+        # NaN passes, -0.0 does not; on a level (2, M) and on a stack of
+        # levels (K, 2, M), and silently
+        m = rx.make_broadwell(1.0, 1e-2)
+        rho = np.atleast_2d(np.array(rho, dtype=float))
+        refuses = bool(np.any(rho <= 0))
+        stack = np.stack([rho, np.full_like(rho, 0.5)], axis=1)  # (K, 2, M)
+        for u in (stack.transpose(1, 0, 2).reshape(2, -1), stack):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if refuses:
+                    with pytest.raises(la.SolverError, match="rho <= 0"):
+                        m.equilibrium(u)
+                else:
+                    E = m.equilibrium(u)
+                    assert E.shape == u.shape[:-2] + (3, u.shape[-1])
 
     def test_moment_consistency_sampled(self):
         rng = np.random.default_rng(42)
@@ -1440,7 +1476,7 @@ class TestFeetCache:
             a, b = (self.field(rx.LagrangianGrid(-2.5, 2.5, 33, boundary))
                     for _ in range(2))
             assert a.feet is b.feet
-            for name in ("ring", "comb", "gather", "E"):
+            for name in ("ring", "comb", "gather", "E", "finite"):
                 assert not np.shares_memory(getattr(a, name),
                                             getattr(b, name))
             index, weights, coefs = a.feet
@@ -1475,6 +1511,41 @@ class TestFeetCache:
         for arr, copy in zip(cached, before):
             assert arr.dtype == copy.dtype
             assert arr.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("dt", [0.1, 0.07], ids=["aligned", "fractional"])
+    def test_cached_factors_are_read_only(self, dt):
+        # every field of the key multiplies by the same weights and -a: an
+        # in-place write into them, directly or through a field's step
+        # plan, is refused instead of corrupting every later field
+        fld = self.field(dt=dt)
+        index, weights, coefs = fld.feet
+        factors = [*coefs] + ([weights] if weights is not None else [])
+        factors += [f for plan in fld.plans for f in plan[3:] if f is not None]
+        for f in factors:
+            with pytest.raises(ValueError, match="read-only"):
+                f *= 2.0
+        # the index tables stay writeable: take copies a read-only index
+        assert all(idx.flags.writeable for idx in index)
+
+    @pytest.mark.parametrize("dt", [0.1, 0.07], ids=["aligned", "fractional"])
+    def test_plans_view_the_field_buffers(self, dt):
+        # plans[L-1] views the field's gather buffer and the key's weights
+        # and -a for ramp entry L; both feet are views only when P = 2
+        fld = self.field(dt=dt)
+        index, weights, coefs = fld.feet
+        assert len(fld.plans) == 3 and len(fld.slots) == 3
+        for L, (at_feet, lo, hi, w, c) in enumerate(fld.plans, 1):
+            assert at_feet.base is fld.gather and lo.base is fld.gather
+            assert at_feet.shape[:2] == (len(index[0]), L)
+            assert c is coefs[L - 1]
+            assert (hi is None) == (w is None) == (weights is None)
+            if w is not None:
+                assert hi.base is fld.gather and w.base is weights
+        for i, slot in enumerate(fld.slots):
+            assert slot.base is fld.ring
+            assert np.shares_memory(slot, fld.ring[i])
+        wide = self.field(rx.LagrangianGrid(-2.5, 2.5, 4097, "clamp"))
+        assert wide.plans is None
 
     @pytest.mark.parametrize("dt", [1e-4, 4e-5], ids=["aligned", "fractional"])
     def test_wide_periodic_feet_keep_no_index_per_node(self, dt):
@@ -1574,10 +1645,12 @@ STEP_OVERHEAD_BYTES = 1024
 
 
 class TestStepAllocations:
-    """Warm steps run in their field's buffers: NumPy reports its buffers to
-    tracemalloc, and what a step still allocates is the isfinite mask and,
-    forward, the model's own temporaries (Burgers' 0.5*u*u takes one row);
-    the adjoint step takes its Jacobian evaluated."""
+    """Warm steps run in their field's buffers, its isfinite mask included:
+    NumPy reports its buffers to tracemalloc, and what a step still
+    allocates is, forward, the model's own temporaries (Burgers' 0.5*u*u
+    takes one row, Broadwell's flux three) and per-call overhead; the
+    adjoint step takes its Jacobian evaluated.  Each bound is the measured
+    peak rounded up to the next tenth of a row (numpy 2.4, CPython 3.11)."""
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
     def test_jinxin_burgers(self, ratio):
@@ -1587,7 +1660,7 @@ class TestStepAllocations:
         u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
         fwd, bwd = warm_step_rows(burgers_jinxin(a, 1e-2), grid,
                                   ratio * grid.dx / a, u0)
-        assert fwd <= 2 and bwd <= 1, (fwd, bwd)
+        assert fwd <= 1.1 and bwd <= 0.1, (fwd, bwd)  # 1.02, 0.05
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
     def test_clamped_broadwell(self, ratio):
@@ -1597,7 +1670,7 @@ class TestStepAllocations:
                        0.2 * np.exp(-((x - 0.5) ** 2))])
         fwd, bwd = warm_step_rows(rx.make_broadwell(1.0, 1e-2), grid,
                                   ratio * grid.dx, u0)
-        assert fwd <= 8 and bwd <= 1, (fwd, bwd)
+        assert fwd <= 3.1 and bwd <= 0.1, (fwd, bwd)  # 3.02, 0.07
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
     def test_jinxin_burgers_below_take_threshold(self, ratio):
@@ -1612,7 +1685,7 @@ class TestStepAllocations:
         fwd, bwd = warm_step_rows(burgers_jinxin(a, 1e-2), grid,
                                   ratio * grid.dx / a, u0,
                                   STEP_OVERHEAD_BYTES)
-        assert fwd <= 2 and bwd <= 1, (fwd, bwd)
+        assert fwd <= 0.6 and bwd <= 0.7, (fwd, bwd)  # 0.57, 0.63
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
     def test_clamped_broadwell_below_take_threshold(self, ratio):
@@ -1623,13 +1696,13 @@ class TestStepAllocations:
                        0.2 * np.exp(-((x - 0.5) ** 2))])
         fwd, bwd = warm_step_rows(rx.make_broadwell(1.0, 1e-2), grid,
                                   ratio * grid.dx, u0, STEP_OVERHEAD_BYTES)
-        assert fwd <= 8 and bwd <= 1, (fwd, bwd)
+        assert fwd <= 2.9 and bwd <= 0.3, (fwd, bwd)  # 2.83, 0.23
 
     def test_batched_adjoint_with_array_eps(self):
         # an eps of shape (B, 1, 1) multiplies through the field's
-        # level-shaped weights, so a warm batched step allocates no
-        # level-sized broadcast buffer: only what its isfinite check
-        # allocates (the mask and the reduction over it) plus overhead
+        # level-shaped weights and the guard writes the field's own mask,
+        # so a warm batched step allocates no level-sized buffer, less
+        # than the isfinite check of one level does on its own
         B = 5
         grid = rx.LagrangianGrid(0.0, 6.0, 642)
         a = 2.0
@@ -1647,11 +1720,11 @@ class TestStepAllocations:
         check = traced_peak_rows(lambda: np.isfinite(lam_T).all(), M)
         step = traced_peak_rows(lambda: rx.adjoint_step(model, grid, adj, jac),
                                 M, STEP_OVERHEAD_BYTES)
-        assert step <= check < 2, (step, check)
+        assert step <= 0.2 < check < 2, (step, check)  # 0.13, 1.46
 
     def test_ring_holds_every_level(self, kernel):
         # every step, ramp included, writes its level into a slot of the
-        # field's one ring array and allocates no level (2 rows)
+        # field's one ring array and allocates no level (2 rows) or mask
         grid = rx.LagrangianGrid(0.0, 6.0, 1025)
         model, tab = linear_jinxin(2.1, 1e-2), la.tableau("BDF3")
         x = grid.nodes()
@@ -1670,7 +1743,7 @@ class TestStepAllocations:
                     traced_peak_rows(
                         lambda: rx.adjoint_step(model, grid, adj, jac), M,
                         STEP_OVERHEAD_BYTES))
-            assert max(rows) < 1, (n, rows)
+            assert max(rows) <= 0.1, (n, rows)  # 0.06, 0.08
             for f, ring in zip((fld, adj), rings):
                 assert f.ring is ring and f.ring.shape == (3, 2, M)
                 assert np.shares_memory(f.current, ring)
