@@ -699,32 +699,25 @@ _JAC_BLOCK_NODES = 65536
 
 
 def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
-                  tab: MultistepTableau, u_store: np.ndarray | None,
+                  tab: MultistepTableau, u_store: np.ndarray,
                   lam_T: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
     """March the adjoint from t = T back to t = 0 and return lambda(0).
 
     ``u_store`` is the forward conserved-variable store (level k = time t_k),
-    with at least ``n_steps`` levels of shape (n, M); the step computing
-    level k-1 takes the equilibrium Jacobian at u_store[k-1].  The Jacobians
-    are evaluated a block of levels at a time, newest block first, in one
+    with at least ``n_steps`` levels of shape (n, M); anything else, None
+    included, is a ValueError.  The step computing level k-1 takes the
+    equilibrium Jacobian at u_store[k-1].  The Jacobians are evaluated a
+    block of levels at a time, newest block first, in one
     ``equilibrium_jac`` call on the store's rows (K, n, M) per block, K
     levels of at most ``_JAC_BLOCK_NODES`` nodes in all (one level on wider
-    grids).  Pass None only when the Jacobian does not depend on u (linear
-    flux): it is then evaluated once, at u = 0, and every step reuses it.
-    ``lam_T`` (..., Nv, M) may carry batch axes, which the returned
-    lambda(0) keeps.
+    grids).  ``lam_T`` (..., Nv, M) may carry batch axes, which the
+    returned lambda(0) keeps.
     """
     adj = AdjointField(model, grid, dt, tab, lam_T)
-    shape = (model.n_conserved, grid.n_nodes)
-    if u_store is None:
-        jac = np.empty((model.n_velocities,) + shape)
-        model.equilibrium_jac(np.zeros(shape), out=jac)
-        for _ in range(n_steps):
-            adjoint_step(model, grid, adj, jac)
-        return adj.current
-    if u_store.shape[1:] != shape or u_store.shape[0] < n_steps:
+    shape, got = (model.n_conserved, grid.n_nodes), np.shape(u_store)
+    if got[1:] != shape or got[0] < n_steps:
         raise ValueError(f"u_store must hold at least {n_steps} levels of "
-                         f"shape {shape}, got {u_store.shape}")
+                         f"shape {shape}, got shape {got}")
     K = max(1, _JAC_BLOCK_NODES // grid.n_nodes)
     jacs = np.empty((min(K, n_steps), model.n_velocities) + shape)
     for k in range(n_steps, 0, -K):          # levels lo, ..., k-1
@@ -748,31 +741,30 @@ def transport_oracle(grid: LagrangianGrid, p_terminal: Callable,
 
 def viscous_limit_check(model: RelaxationModel, grid: LagrangianGrid,
                         tab: MultistepTableau, p_terminal: Callable,
-                        n_steps: int, dt: float,
-                        references: dict | None = None
+                        n_steps: int, dt: float
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Kinetic adjoint p(0) of every eps member and its L2 transport deviation.
 
     Sweeps ``terminal_multipliers`` of p_T back ``n_steps`` steps, batched
     over the members of ``model.eps`` (a float is one member), and returns
     their p(0) by ``gradient_from_adjoint``, shape (B, M), with each member's
-    deviation sqrt(dx sum (p - ref)^2), shape (B,).  The reference is the
-    characteristics solution of the limiting equation -p_t - F'(0) p_x = 0
-    at the actual horizon ``n_steps * dt``; ``references`` maps member
-    indices to an (M,) reference that replaces it for those members.  The
-    relaxation Jacobian is taken at u = 0, which is exact for a linear flux.
+    deviation sqrt(dx sum (p - ref)^2), shape (B,), from the characteristics
+    solution of the limiting equation -p_t - F'(0) p_x = 0 at the actual
+    horizon ``n_steps * dt``.  The sweep is the adjoint linearized at
+    u = 0: every step reuses the one ``equilibrium_jac`` evaluated there,
+    which is exact for the linear flux the eps study runs.
     Expected magnitude O(eps) + O(dt^order).
     """
     if model.n_conserved != 1:
         raise ConfigError("viscous-limit check defined for scalar models")
     pT = np.broadcast_to(p_terminal(grid.nodes()),
                          (np.size(model.eps), 1, grid.n_nodes))
-    lam_T = terminal_multipliers(model, pT)
-    lam0 = solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
-    p0 = gradient_from_adjoint(model, lam0)[..., 0, :]
+    adj = AdjointField(model, grid, dt, tab, terminal_multipliers(model, pT))
+    jac = model.equilibrium_jac(np.zeros((1, grid.n_nodes)))
+    for _ in range(n_steps):
+        adjoint_step(model, grid, adj, jac)
+    p0 = gradient_from_adjoint(model, adj.current)[..., 0, :]
+    del adj  # the field's buffers, before the deviation's temporaries
     speed = float(model.dflux(np.zeros(1))[0])
-    ref = np.empty_like(p0)
-    ref[:] = transport_oracle(grid, p_terminal, speed, n_steps * dt)
-    for b, r in (references or {}).items():
-        ref[b] = r
+    ref = transport_oracle(grid, p_terminal, speed, n_steps * dt)
     return p0, np.sqrt(grid.dx * np.sum((p0 - ref) ** 2, axis=-1))

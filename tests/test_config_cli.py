@@ -266,6 +266,47 @@ class TestCli:
         assert cli.main(["relax-forward", "--config", conf,
                          "--out", str(tmp_path)]) == 2
 
+    def test_cfl_bound_is_relative(self, tmp_path, capsys):
+        # on a domain 1e-10 long dx/a = 7.44e-14: dt = 5e-13 and 1e-12 are
+        # 6.7 and 13 times over the bound, however small in absolute terms;
+        # the aligned dt and a wide grid's fractional dt stay within it
+        short = ("[relax-forward]\nflux = linear\nnx = 641\nx_right = 1e-10\n"
+                 "u0_center = 5e-11\nu0_width = 1e-11\nT = 1e-11\n")
+        for dt in ("5e-13", "1e-12"):
+            out = tmp_path / dt
+            out.mkdir()
+            conf = self._write(out, "c.conf", f"{short}dt = {dt}\n")
+            assert cli.main(["relax-forward", "--config", conf,
+                             "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "key 'dt'" in err and "CFL" in err
+            assert os.listdir(out) == ["c.conf"]
+        for name, body in (("aligned", f"{short}dt = aligned\n"),
+                           ("wide", "[relax-forward]\nflux = burgers\n"
+                                    "nx = 40961\ndt = 4e-5\nT = 2e-4\n")):
+            out = tmp_path / name
+            out.mkdir()
+            conf = self._write(out, "c.conf", body)
+            assert cli.main(["relax-forward", "--config", conf,
+                             "--out", str(out)]) == 0
+
+    def test_control_jinxin_subcharacteristic_names_dt(self, tmp_path,
+                                                       capsys):
+        # control-jinxin sets a = dx/dt, so a >= max|F'(u0)| bounds dt by
+        # dx / max|F'(u0)| = 0.0519 at nx = 120: dt = 0.06 is refused by
+        # its key before any sweep or CSV, the default 0.05 runs
+        conf = self._write(tmp_path, "c.conf",
+                           "[control-jinxin]\nnx = 120\ndt = 0.06\n")
+        assert cli.main(["control-jinxin", "--config", conf,
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'dt'" in err and "0.0519" in err
+        assert os.listdir(tmp_path) == ["c.conf"]
+        conf = self._write(tmp_path, "c.conf",
+                           "[control-jinxin]\nnx = 120\niterations = 1\n")
+        assert cli.main(["control-jinxin", "--config", conf,
+                         "--out", str(tmp_path)]) == 0
+
     def test_am270_variant_runs_but_inconsistent(self, tmp_path, capsys):
         # the printed-table coefficient variant is exposed for fidelity runs;
         # it is not a consistent integrator and the errors stay O(1)
@@ -933,13 +974,13 @@ class TestRelaxAdjointSweeps:
 
     def sweeps(self, monkeypatch, tmp_path, text):
         solved = []
-        solve = rx.solve_adjoint
+        check = rx.viscous_limit_check
 
-        def counting(model, grid, tab, u_store, lam_T, n_steps, dt):
+        def counting(model, grid, tab, p_terminal, n_steps, dt):
             solved.append((grid.n_points, tuple(np.ravel(model.eps))))
-            return solve(model, grid, tab, u_store, lam_T, n_steps, dt)
+            return check(model, grid, tab, p_terminal, n_steps, dt)
 
-        monkeypatch.setattr(rx, "solve_adjoint", counting)
+        monkeypatch.setattr(rx, "viscous_limit_check", counting)
         run_relax_adjoint(parse_config(text), str(tmp_path))
         members = [(nx, eps) for nx, batch in solved for eps in batch]
         assert len(members) == len(set(members))  # nothing solved twice
@@ -958,3 +999,30 @@ class TestRelaxAdjointSweeps:
                              "[relax-adjoint]\noracle_eps_max = 2.0\n")
         assert len(solved) == 5
         assert {nx for nx, _ in solved} == {40, 80, 160, 320, 640}
+
+    def test_self_reference_rows_deviate_from_the_fine_sweep(
+            self, monkeypatch, tmp_path, capsys):
+        # a self-reference row's l2_err_p0 is its coarse p(0)'s deviation
+        # from the nested fine sweep's p(0) on the coarse nodes; an oracle
+        # row keeps the deviation from the transport oracle
+        swept = {}
+        check = rx.viscous_limit_check
+
+        def recording(model, grid, tab, p_terminal, n_steps, dt):
+            p0, dev = check(model, grid, tab, p_terminal, n_steps, dt)
+            swept[grid.n_points] = grid, p0, dev.copy()
+            return p0, dev
+
+        monkeypatch.setattr(rx, "viscous_limit_check", recording)
+        rows = run_relax_adjoint(parse_config(
+            "[relax-adjoint]\nnx_list = 40\neps_list = 1e-4,1,0.1\n"),
+            str(tmp_path))
+        grid, p0, oracle_dev = swept[40]
+        p_fine = swept[79][1]
+        assert [row[4] for row in rows] == ["transport-oracle",
+                                            "self-reference", "self-reference"]
+        assert rows[0][2] == oracle_dev[0]
+        for b in (1, 2):
+            expect = np.sqrt(grid.dx
+                             * np.sum((p0[b] - p_fine[b - 1, ::2]) ** 2))
+            assert rows[b][2] == expect != oracle_dev[b]

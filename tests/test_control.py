@@ -198,7 +198,9 @@ class TestGradient:
         # target reached exactly: terminal data vanish, so does the gradient
         mismatch = np.zeros((1, grid.n_nodes))
         lam_T = rx.terminal_multipliers(model, mismatch)
-        lam0 = rx.solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
+        lam0 = rx.solve_adjoint(model, grid, tab,
+                                np.zeros((n_steps, 1, grid.n_nodes)), lam_T,
+                                n_steps, dt)
         g = ct.gradient_from_adjoint(model, lam0, guess)
         assert np.all(g == 0.0)
 
@@ -213,7 +215,9 @@ class TestGradient:
         x = grid.nodes()
         mismatch = np.exp(-((x - 3.0) ** 2))[None, :]
         lam_T = rx.terminal_multipliers(model, mismatch)
-        lam0 = rx.solve_adjoint(model, grid, tab, None, lam_T, n_steps, dt)
+        lam0 = rx.solve_adjoint(model, grid, tab,
+                                np.zeros((n_steps, 1, grid.n_nodes)), lam_T,
+                                n_steps, dt)
         g = ct.gradient_from_adjoint(model, lam0)[0]
         oracle = np.roll(mismatch[0], -n_steps)  # shift by a*T = n_steps dx
         assert np.sqrt(np.mean((g - oracle) ** 2)) <= 2e-3

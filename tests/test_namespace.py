@@ -75,7 +75,7 @@ PUBLIC_SIGNATURES = {
     "transport_oracle": ("grid", "p_terminal", "speed", "T"),
     "tv_filter": ("u", "grid"),
     "viscous_limit_check": ("model", "grid", "tab", "p_terminal", "n_steps",
-                            "dt", "references"),
+                            "dt"),
 }
 
 # Public names that no module of the package uses yet.  ROADMAP item 3
@@ -215,3 +215,25 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in allowed]
     assert found == []
+
+
+def test_every_parameter_is_read():
+    # no unused parameters: each parameter of each def in the package is
+    # read in its body, nested functions included; self, cls and names
+    # with a leading underscore (a signature fixed by a caller) are exempt
+    unread = []
+    for path in sorted(pathlib.Path(la.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{fn.lineno} {fn.name}({p})"
+                       for p in params if p not in read
+                       and p not in ("self", "cls") and not p.startswith("_")]
+    assert unread == []
