@@ -88,9 +88,12 @@ class RelaxationModel:
         return np.einsum("rj,jm->rm", self.q_matrix, f, out=out)
 
 
+_HALF = np.array(0.5)     # a 0-d float64 operand: ufuncs skip converting it
+
+
 def _burgers_flux(u):
-    """0.5*u*u, multiplied in that order into one new level row."""
-    t = 0.5 * u
+    """0.5*u*u, multiplied in that order into one new level row (float64)."""
+    t = np.multiply(_HALF, u)
     t *= u
     return t
 
@@ -108,10 +111,13 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
     E_1 = (a u + F(u)) / 2a, E_2 = (a u - F(u)) / 2a.
 
     When initial data is supplied the subcharacteristic condition
-    a >= max |F'(u0)| is enforced as a configuration error.
+    a >= max |F'(u0)| is enforced as a configuration error.  The maps hold
+    a and 2a as 0-d float64 arrays, which no call converts; not being NEP 50
+    weak scalars, they make the maps compute in float64.
     """
     if a <= 0:
         raise ConfigError("characteristic speed a must be positive")
+    a64, two_a = np.array(a, dtype=float), np.array(2 * a, dtype=float)
 
     def equilibrium(u, out=None):
         row = u[..., 0, :]
@@ -119,10 +125,10 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
         if out is None:
             out = np.empty(u.shape[:-2] + (2,) + u.shape[-1:])
         e1, e2 = out[..., 0, :], out[..., 1, :]
-        np.multiply(a, row, out=e1)              # (a u +- F) / 2a
-        np.subtract(e1, F, out=e2)
-        np.add(e1, F, out=e1)
-        np.divide(out, 2 * a, out=out)
+        np.multiply(a64, row, e1)                # (a u +- F) / 2a
+        np.subtract(e1, F, e2)
+        np.add(e1, F, e1)
+        np.divide(out, two_a, out)
         return out
 
     def equilibrium_jac(u, out=None):
@@ -131,8 +137,8 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float, eps: float,
             out = np.empty(u.shape[:-2] + (2, 1) + u.shape[-1:])
         for j, sign in enumerate((np.add, np.subtract)):
             row = out[..., j, 0, :]
-            sign(a, dF, out=row)                 # (a +- F'(u)) / 2a
-            np.divide(row, 2 * a, out=row)
+            sign(a64, dF, row)                   # (a +- F'(u)) / 2a
+            np.divide(row, two_a, row)
         return out
 
     model = RelaxationModel(
@@ -160,15 +166,19 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
     c (E_1 - E_2) = m hold for every F, so the moment constraints do not
     fix it; this F makes the resting equilibrium E_3 = -m^2/(2 c^2 rho)
     negative wherever m != 0 (ROADMAP item 16).  Evaluation raises
-    ``SolverError`` when rho <= 0 (flux singular).
+    ``SolverError`` when rho <= 0 (flux singular).  The maps compute in
+    float64: they hold 0.5, c^2 and 2c as 0-d float64 arrays.
     """
     if c <= 0:
         raise ConfigError("characteristic speed c must be positive")
+    c2, two_c = np.array(c * c, dtype=float), np.array(2 * c, dtype=float)
 
     def _flux(rho, m):
         if np.fmin.reduce(rho, axis=None, initial=np.inf) <= 0:  # NaN passes
             raise SolverError("Broadwell flux undefined for rho <= 0")
-        return m * m / (c * c * rho) + rho
+        F = np.multiply(m, m)
+        np.divide(F, np.multiply(c2, rho), F)
+        return np.add(F, rho, F)
 
     def equilibrium(u, out=None):
         rho, m = u[..., 0, :], u[..., 1, :]
@@ -176,12 +186,12 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
         if out is None:
             out = np.empty(u.shape[:-2] + (3,) + u.shape[-1:])
         e1, e2, e3 = out[..., 0, :], out[..., 1, :], out[..., 2, :]
-        np.multiply(0.5, F, out=e3)              # 0.5 F, then m / 2c in e2
-        np.divide(m, 2 * c, out=e2)
-        np.add(e3, e2, out=e1)
-        np.subtract(e3, e2, out=e2)
-        np.subtract(rho, F, out=e3)
-        np.multiply(0.5, e3, out=e3)
+        np.multiply(_HALF, F, e3)                # 0.5 F, then m / 2c in e2
+        np.divide(m, two_c, e2)
+        np.add(e3, e2, e1)
+        np.subtract(e3, e2, e2)
+        np.subtract(rho, F, e3)
+        np.multiply(_HALF, e3, e3)
         return out
 
     def equilibrium_jac(u, out=None):
@@ -192,7 +202,7 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
             out = np.empty(u.shape[:-2] + (3, 2) + u.shape[-1:])
         (j1r, j1m), (j2r, j2m), (j3r, j3m) = (
             (out[..., j, 0, :], out[..., j, 1, :]) for j in range(3))
-        den = c * c * rho
+        den = np.multiply(c2, rho)
         np.multiply(2.0, m, out=j3m)
         np.divide(j3m, den, out=j3m)             # dF/dm
         np.multiply(den, rho, out=den)
@@ -437,15 +447,19 @@ def _update(fld: _LevelRing, keep, relax, x: np.ndarray) -> np.ndarray:
     """End of both steps: the new level keep C + relax x (C in ``fld.comb``,
     ``x`` a work buffer scaled in place) into ring slot head - 1, free in
     the ramp and then the oldest level's, which becomes the head and is
-    returned.  A non-finite level (one reduction over its isfinite mask
-    ``fld.finite``) raises ``SolverError`` naming the step, leaving the
-    head; the oldest level may be overwritten: do not step the field again.
+    returned.  A non-finite level raises ``SolverError`` naming the step,
+    leaving head and n; the oldest level may be overwritten: do not step the
+    field again.  The guard is one BLAS dot of the slot's flat view with
+    itself: squares are >= 0, so a NaN or inf makes it non-finite, and only
+    then (or if squares overflow, |x| > 1e154) the exact isfinite check runs.
+    It is ``np.vdot``, which unlike ``np.dot`` warns of no overflow.
     """
     slot = (fld.head - 1) % len(fld.slots)
-    new = np.multiply(keep, fld.comb, out=fld.slots[slot])
-    np.multiply(relax, x, out=x)
+    new = np.multiply(keep, fld.comb, fld.slots[slot])
+    np.multiply(relax, x, x)
     new += x
-    if not np.logical_and.reduce(np.isfinite(new, out=fld.finite), axis=None):
+    flat = fld.flats[slot]
+    if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(new).all():
         raise SolverError(fld.blowup.format(fld.n + 1), fld.n + 1)
     fld.head = slot
     fld.n += 1
@@ -460,19 +474,19 @@ class _LevelRing:
     step ramp entry L, so the order ramps up while the ring fills.
     ``ring`` (s, ..., Nv, M) holds levels of the shape of ``first``, the
     newest in slot ``head`` and level l in slot (head + l) % s; ``slots``
-    views each slot and ``feet`` holds the step's feet and -a (``_feet``).
-    The work buffers are ``comb`` (the history combination C), ``E``, the
-    guard's mask ``finite`` and ``gather``, the levels at their P feet,
-    (P, s) + level shape, (P, 1) for wide levels, which ``_combine``
+    and ``flats`` view each slot, flat for ``_update``'s guard, and ``feet``
+    holds the step's feet and -a (``_feet``).  The work buffers are ``comb``
+    (the history combination C), ``E`` and ``gather``, the levels at their
+    P feet, (P, s) + level shape, (P, 1) for wide levels, which ``_combine``
     gathers one by one.  ``plans[L-1]`` holds ramp entry L's views
     gather[:, :L], gather[0, :L], gather[1, :L] and weights[:, :L] (None
     when P = 1) and its -a, wide levels None.  ``weights[L-1]`` holds the
     update's (keep, relax) of ramp entry L: relax = h/(h + eps) and the
-    field kind's ``_keep(h, eps)``, h = dt b_-1, as floats for a float
-    eps, or as level-shaped arrays, which multiply a level without the
-    buffer NumPy allocates to broadcast a (B, 1, 1) factor; an eps that
-    would grow the level is a ValueError.  Each field kind words its
-    blow-up message in ``blowup``.
+    field kind's ``_keep(h, eps)``, h = dt b_-1, as 0-d float64 arrays,
+    which no step converts, for a float eps, or as level-shaped arrays,
+    which multiply a level without the buffer NumPy allocates to broadcast
+    a (B, 1, 1) factor; an eps that would grow the level is a ValueError.
+    Each field kind words its blow-up message in ``blowup``.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
@@ -500,8 +514,8 @@ class _LevelRing:
         self.feet = _feet(grid, tuple(speeds.tolist()), dt,
                           tuple(eff.a for eff in ramp), first.shape[:-2])
         self.slots = tuple(self.ring)
+        self.flats = tuple(self.ring.reshape(tab.s, -1))
         self.comb = np.empty(first.shape)
-        self.finite = np.empty(first.shape, dtype=bool)
         index, weights, coefs = self.feet  # per-head tables or level feet
         flat, pairs = isinstance(index[0], np.ndarray), weights is not None
         g = self.gather = np.empty((len(index[0]), tab.s if flat else 1)
@@ -516,10 +530,10 @@ class _LevelRing:
         for eff in ramp:
             h = dt * eff.b_implicit
             pair = self._keep(h, model.eps), h / (h + model.eps)
-            if isinstance(model.eps, np.ndarray):
-                pair = tuple(np.broadcast_to(c, first.shape).copy()
-                             for c in pair)
-            self.weights.append(pair)
+            self.weights.append(tuple(
+                np.broadcast_to(c, first.shape).copy()
+                if isinstance(model.eps, np.ndarray) else np.array(c)
+                for c in pair))
 
     @property
     def current(self) -> np.ndarray:
@@ -619,8 +633,9 @@ class AdjointField(_LevelRing):
     slots degrades the backward sweep to first order; see tests).  ``feet``
     holds the feet of the backward step, v_j (i+1) dt downstream of every
     node.  ``lam_T`` is (..., Nv, M): leading axes batch independent
-    multiplier fields over one frozen forward state.  ``phi`` (..., n, M)
-    holds the step's J^T C.
+    multiplier fields over one frozen forward state.  ``jac_shape`` is the
+    (Nv, n, M) of the Jacobian a step takes, and ``phi`` (..., n, M) holds
+    the step's J^T C.
     """
 
     blowup = "non-finite adjoint field at backward step {}"
@@ -629,8 +644,8 @@ class AdjointField(_LevelRing):
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
                  dt: float, tab: MultistepTableau, lam_T: np.ndarray):
         super().__init__(model, grid, dt, tab, lam_T, -model.velocities)
-        self.phi = np.empty(self.current.shape[:-2]
-                            + (model.n_conserved, grid.n_nodes))
+        self.jac_shape = (model.n_velocities, model.n_conserved, grid.n_nodes)
+        self.phi = np.empty(self.current.shape[:-2] + self.jac_shape[1:])
 
 
 def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
@@ -648,16 +663,17 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     u(t_{n-1}).  C holds future-time values only, so no implicit solve is
     needed.  Every batch member of the field (leading axes of its levels)
     uses the same ``jac``; ``model.eps`` may broadcast against the batch.
+    A grid or model not the field's, then a ``jac`` not of ``adj.jac_shape``,
+    is a ValueError that leaves the ring, head and n as they were.
 
     The arithmetic runs in the field's work buffers.  The returned array is
     the field's newest level, a ring slot: it stays valid until the field
     has been stepped s more times, then holds a newer level.
     """
-    shape = (model.n_velocities, model.n_conserved, grid.n_nodes)
-    if jac.shape != shape:
-        raise ValueError(f"equilibrium Jacobian must have shape {shape}, "
-                         f"got {jac.shape}")
     keep, relax = _combine(model, grid, adj)
+    if jac.shape != adj.jac_shape:
+        raise ValueError(f"equilibrium Jacobian must have shape "
+                         f"{adj.jac_shape}, got {jac.shape}")
     phi = np.einsum("jrm,...jm->...rm", jac, adj.comb, out=adj.phi)
     qphi = np.einsum("rj,...rm->...jm", model.q_matrix, phi, out=adj.E)
     return _update(adj, keep, relax, qphi)

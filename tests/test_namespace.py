@@ -237,3 +237,42 @@ def test_every_parameter_is_read():
                        for p in params if p not in read
                        and p not in ("self", "cls") and not p.startswith("_")]
     assert unread == []
+
+
+def test_step_maps_pass_no_python_float_to_numpy():
+    # the per-step maps hand NumPy 0-d float64 arrays, which a ufunc takes
+    # as they are, where a Python float is converted on every call: no
+    # float literal and no parameter annotated float (of the function or
+    # of its factory), nor arithmetic on one such as 2 * a, is an operand
+    # of an np.* call in them
+    tree = ast.parse((pathlib.Path(la.__file__).parent / "relaxation.py")
+                     .read_text(encoding="utf-8"))
+    pinned = {"_update", "_burgers_flux", "_flux", "equilibrium"}
+    found, checked = [], []
+    for outer in tree.body:
+        if not isinstance(outer, ast.FunctionDef):
+            continue
+        floats = {a.arg for a in outer.args.args if a.annotation
+                  and ast.unparse(a.annotation) == "float"}
+        for fn in ast.walk(outer):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in pinned):
+                continue
+            checked.append(f"{outer.name}.{fn.name}")
+            for call in ast.walk(fn):
+                root = call.func if isinstance(call, ast.Call) else None
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id == "np"):
+                    continue
+                for arg in call.args + [k.value for k in call.keywords]:
+                    if any(isinstance(node, ast.Constant)
+                           and isinstance(node.value, float)
+                           or isinstance(node, ast.Name) and node.id in floats
+                           for node in ast.walk(arg)):
+                        found.append(f"{fn.name}:{call.lineno} "
+                                     f"{ast.unparse(arg)}")
+    assert sorted(checked) == [
+        "_burgers_flux._burgers_flux", "_update._update",
+        "make_broadwell._flux", "make_broadwell.equilibrium",
+        "make_jin_xin.equilibrium"]
+    assert found == []
