@@ -206,10 +206,6 @@ CONFIG_REFERENCE = {
         "T": Key(_positive, "1.0", "backward horizon"),
         "terminal_center": Key(_finite, "3", "Gaussian terminal data centre"),
         "terminal_width": Key(_positive, "1", "Gaussian terminal data width"),
-        "oracle_eps_max": Key(_finite, "5e-3",
-                              "use the transport oracle for eps < this; "
-                              "larger eps rows use a nested fine-grid "
-                              "self-reference"),
     },
     "control-jinxin": {
         "nx": Key(_nx, "120", "grid points"),

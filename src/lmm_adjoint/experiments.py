@@ -16,6 +16,7 @@ roundoff on the finest grids.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import sys
@@ -299,6 +300,20 @@ def _admit(node_steps, key="T"):
                           f"steps over its sweeps), got {got:.3g}")
 
 
+def _jin_xin(flux, a, eps, u0, dt=None):
+    """The Jin-Xin model of the named flux if a >= max|F'(u0)| (to 1e-12
+    relative, as the CFL bound), else a config error naming ``a``, or where
+    a = dx/dt, ``dt`` and its bound dx / max|F'(u0)|."""
+    F, dF = rx.JIN_XIN_FLUXES[flux]
+    mx = float(np.max(np.abs(dF(u0))))
+    if a < mx * (1 - 1e-12):
+        raise ConfigError(
+            f"key 'a': must be at least max|F'(u0)| = {mx:.6g}, got {a:g}"
+            if dt is None else f"key 'dt': must be at most dx / max|F'(u0)| "
+            f"= {a * dt / mx:.6g}, got {dt:g}")
+    return rx.make_jin_xin(F, dF, a, eps)
+
+
 def run_relax_forward(cfg: Config, out_dir: str) -> list:
     """Forward relaxation run: snapshot CSVs plus a conservation log, whose
     rows (step, t, mass) it returns."""
@@ -315,7 +330,7 @@ def run_relax_forward(cfg: Config, out_dir: str) -> list:
     tab = s["scheme"]
     x = grid.nodes()
     u0 = u0_fn(x)[None, :]
-    model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES[flux], a, eps, u0=u0[0])
+    model = _jin_xin(flux, a, eps, u0[0])
     out_times = [T if tt == "T" else tt for tt in s["output_times"]]
     out_steps = sorted({round(min(max(tt / dt, 0), n_steps))
                         for tt in out_times})
@@ -334,11 +349,14 @@ def run_relax_forward(cfg: Config, out_dir: str) -> list:
     return rows
 
 
+_ORACLE_EPS_MAX = 5e-3  # eps study rows from here on are self-referenced
+
+
 def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     """Backward-adjoint eps study (linear flux): error table + p(0) snapshots.
 
-    Rows with eps below ``oracle_eps_max`` are measured against the
-    characteristics oracle of the limiting transport equation; larger eps
+    Rows with eps below ``_ORACLE_EPS_MAX`` are measured against the
+    characteristics oracle of the limiting transport equation; the other
     rows are measured here against a nested fine-grid self-reference (no
     closed form exists).  The reference kind is recorded per row.  Each
     grid runs one adjoint sweep batched over all eps values, plus one nested
@@ -347,7 +365,6 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     """
     s = settings(cfg, "relax-adjoint")
     a, T, eps_list = s["a"], s["T"], s["eps_list"]
-    oracle_max = s["oracle_eps_max"]
     xl, xr = _domain(s)
     pT_fn = _gaussian(s["terminal_center"], s["terminal_width"])
     tab = s["scheme"]
@@ -358,7 +375,7 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
             raise ConfigError(f"key 'eps_list': values {other!r} and {eps!r} "
                               f"would share the snapshot "
                               f"adjoint_eps{eps:g}_p0.csv")
-    self_ref = [b for b, eps in enumerate(eps_list) if eps >= oracle_max]
+    self_ref = [b for b, eps in enumerate(eps_list) if eps >= _ORACLE_EPS_MAX]
     grids = [rx.LagrangianGrid(xl, xr, nx, boundary="periodic")
              for nx in s["nx_list"]]
     steps = [_steps(T, grid.dx / a) for grid in grids]
@@ -367,14 +384,11 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
     _admit(sum(n * g.n_nodes * (len(eps_list) + 4 * len(self_ref))
                for g, n in zip(grids, steps)))
 
-    def model_of(eps):
-        # one relaxation parameter per batch member; F' = 1 on any data, so
-        # zeros check the subcharacteristic condition a >= 1
-        return rx.make_jin_xin(*rx.JIN_XIN_FLUXES["linear"], a,
-                               np.reshape(eps, (-1, 1, 1)), u0=np.zeros(1))
-
-    model = model_of(eps_list)
-    fine_model = model_of([eps_list[b] for b in self_ref])
+    # one relaxation parameter per batch member; F' = 1 on any data, so
+    # zeros check the subcharacteristic condition a >= 1
+    model = _jin_xin("linear", a, np.reshape(eps_list, (-1, 1, 1)),
+                     np.zeros(1))
+    fine_model = dataclasses.replace(model, eps=model.eps[self_ref])
     devs = []
     for grid, n_steps in zip(grids, steps):
         if self_ref:
@@ -399,7 +413,7 @@ def run_relax_adjoint(cfg: Config, out_dir: str) -> list:
         rates = _rates(errs[b])[1:]
         mean_rate = float(np.mean(rates)) if rates else np.nan
         rows.append([eps, dt_min, errs[b][-1], mean_rate,
-                     "transport-oracle" if eps < oracle_max else "self-reference"])
+                     "self-reference" if b in self_ref else "transport-oracle"])
         write_csv(os.path.join(out_dir, f"adjoint_eps{eps:g}_p0.csv"),
                   ["x", "p"], np.column_stack([grid.nodes(), p0[b]]))
     header = ["eps", "dt_min", "l2_err_p0", "mean_rate", "reference"]
@@ -433,12 +447,7 @@ def run_control(cfg: Config, out_dir: str, kind: str) -> list:
         a = grid.dx / dt  # keeps characteristic feet nodal
         true_init = np.where((x >= -1.5) & (x <= -0.5), 1.5 + x, 0.0)[None, :]
         guess = _box(x, -1.5, -0.5, 0.5)[None, :]
-        flux, dflux = rx.JIN_XIN_FLUXES["burgers"]
-        mx = float(np.max(np.abs(dflux(true_init[0]))))
-        if a < mx - 1e-12:  # the subcharacteristic condition a >= max|F'|
-            raise ConfigError(f"key 'dt': must be at most dx / max|F'(u0)| "
-                              f"= {grid.dx / mx:.6g}, got {dt:g}")
-        model = rx.make_jin_xin(flux, dflux, a, eps)
+        model = _jin_xin("burgers", a, eps, true_init[0], dt)
         names = ("u",)
     else:
         m0 = np.where(np.abs(x) <= 1.0, np.sin(np.pi * x), 0.0)

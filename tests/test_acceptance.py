@@ -200,8 +200,7 @@ def test_criterion_6_linear_exactness_and_mass():
     a2 = 2.1
     grid2 = rx.LagrangianGrid(0.0, 6.0, 640)
     dt2 = grid2.dx / a2
-    model2 = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], a2, 1e-2,
-                             u0=u0[0])
+    model2 = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], a2, 1e-2)
     _, us2 = rx.solve_forward(model2, grid2, la.tableau("BDF3"), u0,
                               int(round(1.0 / dt2)), dt2)
     mass_b = us2[:, 0].sum(axis=-1) * grid2.dx

@@ -259,12 +259,38 @@ class TestCli:
         assert cli.main(["relax-forward", "--config", conf,
                          "--out", str(tmp_path)]) == 2
 
-    def test_subcharacteristic_config_error(self, tmp_path):
+    def test_subcharacteristic_config_error(self, tmp_path, capsys):
+        # T spans steps of dt = dx/a = 0.31, so the speed is what is refused
         conf = self._write(tmp_path, "c.conf",
                            "[relax-forward]\nflux = burgers\nnx = 40\n"
-                           "a = 0.5\nT = 0.1\n")
+                           "a = 0.5\nT = 1.0\n")
         assert cli.main(["relax-forward", "--config", conf,
                          "--out", str(tmp_path)]) == 2
+        assert "key 'a'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("a, code", [("1", 0), ("0.9999999999999", 0),
+                                         ("0.9999", 2)])
+    def test_subcharacteristic_condition_admits_equality(self, tmp_path,
+                                                         capsys, a, code):
+        # at nx = 41 a node sits on the Gaussian's peak, so Burgers has
+        # max|F'(u0)| = 1 exactly: a = 1 meets a >= max|F'(u0)|, so does a
+        # within the relative slack 1e-12, and 1e-4 below it is refused by
+        # its key before any CSV
+        assert self._run_quietly(tmp_path, "relax-forward",
+                                 f"flux = burgers\nnx = 41\nT = 0.3\n"
+                                 f"a = {a}\n") == code
+        if code:
+            err = capsys.readouterr().err
+            assert "key 'a'" in err and "max|F'(u0)| = 1," in err
+            assert os.listdir(tmp_path) == ["c.conf"]
+
+    def test_domain_left_of_the_origin_runs(self, tmp_path):
+        # the length x_right - x_left is what must be positive, not the sum
+        assert self._run_quietly(tmp_path, "relax-forward",
+                                 "flux = linear\nnx = 40\nx_left = -6\n"
+                                 "x_right = 0\nu0_center = -3\n"
+                                 "T = 0.1\n") == 0
 
     def test_cfl_bound_is_relative(self, tmp_path, capsys):
         # on a domain 1e-10 long dx/a = 7.44e-14: dt = 5e-13 and 1e-12 are
@@ -479,7 +505,7 @@ class TestCli:
         assert cli.main(["relax-adjoint", "--config", conf,
                          "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "subcharacteristic condition violated: a=0.5" in err
+        assert "key 'a'" in err and "max|F'(u0)| = 1," in err
         assert os.listdir(tmp_path) == ["c.conf"]
 
     def test_relax_adjoint_refuses_colliding_snapshot_names(self, tmp_path,
@@ -996,9 +1022,22 @@ class TestRelaxAdjointSweeps:
 
     def test_oracle_only_study(self, monkeypatch, tmp_path, capsys):
         solved = self.sweeps(monkeypatch, tmp_path,
-                             "[relax-adjoint]\noracle_eps_max = 2.0\n")
+                             "[relax-adjoint]\neps_list = 1e-3,1e-4\n")
         assert len(solved) == 5
         assert {nx for nx, _ in solved} == {40, 80, 160, 320, 640}
+
+    def test_threshold_eps_is_a_self_reference_row(self, monkeypatch,
+                                                   tmp_path, capsys):
+        # rows with eps below the threshold read the oracle; an eps equal to
+        # it is swept on the nested fine grid and labelled so
+        limit = experiments._ORACLE_EPS_MAX
+        solved = self.sweeps(monkeypatch, tmp_path,
+                             f"[relax-adjoint]\nnx_list = 20\n"
+                             f"eps_list = 1e-3,{limit!r}\n")
+        assert sorted(solved) == [(20, (1e-3, limit)), (39, (limit,))]
+        rows = (tmp_path / "adjoint_eps_study.csv").read_text().splitlines()
+        assert [row.split(",")[-1] for row in rows[1:]] == [
+            "transport-oracle", "self-reference"]
 
     def test_self_reference_rows_deviate_from_the_fine_sweep(
             self, monkeypatch, tmp_path, capsys):

@@ -358,7 +358,7 @@ class TestOptimize:
         x = grid.nodes()
         truth = np.where((x >= -1.5) & (x <= -0.5), 1.5 + x, 0.0)[None, :]
         model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], grid.dx / dt,
-                                1e-2, u0=truth[0])
+                                1e-2)
         tab = la.tableau("BDF2")
         _, us = rx.solve_forward(model, grid, tab, truth, n_steps, dt)
         functional = ct.TrackingFunctional(us[-1], grid.dx)

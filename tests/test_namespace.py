@@ -60,7 +60,7 @@ PUBLIC_SIGNATURES = {
     "forward_step": ("model", "grid", "fld", "out"),
     "gradient_from_adjoint": ("model", "lam0", "u0"),
     "make_broadwell": ("c", "eps"),
-    "make_jin_xin": ("flux", "dflux", "a", "eps", "u0"),
+    "make_jin_xin": ("flux", "dflux", "a", "eps"),
     "optimality_residual": ("problem", "traj", "adj"),
     "optimize": ("model", "grid", "tab", "functional", "initial_guess",
                  "n_steps", "dt", "iterations", "sigma0", "bb_variant",
@@ -93,8 +93,7 @@ CONFIG_KEYS = {
                       "T", "scheme", "boundary", "u0_center", "u0_width",
                       "output_times", "run_name"),
     "relax-adjoint": ("eps_list", "nx_list", "a", "x_left", "x_right",
-                      "scheme", "T", "terminal_center", "terminal_width",
-                      "oracle_eps_max"),
+                      "scheme", "T", "terminal_center", "terminal_width"),
     "control-jinxin": ("nx", "dt", "T", "iterations", "eps", "scheme",
                        "sigma0", "bb_variant", "filter_every", "save_every"),
     "control-broadwell": ("nx", "dt", "T", "c", "iterations", "eps",

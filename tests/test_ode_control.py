@@ -974,6 +974,25 @@ class TestOptimalityAndGradient:
             gaps.append(np.max(np.abs(optimality_residual(prob, traj, adj))))
         assert np.log2(gaps[0] / gaps[1]) >= tab.nominal_order - 0.4
 
+    def test_residual_reads_a_time_dependent_f_u_at_each_index(self):
+        # f_u = 1 + t is read at t_i for every index i = 1-s..N, negative
+        # before the start: r_i = (1 + t_i) p_i, plus alpha u_i for i >= 0
+        prob = la.OdeControlProblem(
+            f=lambda y, u, t: -y + (1.0 + t) * u,
+            f_y=lambda y, u, t: -np.ones(np.shape(y) + (1,)),
+            f_u=lambda y, u, t: (1.0 + t)[..., None], alpha=0.5, y0=1.0)
+        tab, grid = la.tableau("BDF3"), la.TimeGrid(0.5, 12)
+        rng = np.random.default_rng(7)
+        controls = rng.standard_normal(grid.N + tab.s)
+        traj = solve_forward(prob, tab, grid, controls=controls)
+        p = rng.standard_normal((grid.N + tab.s, 1))
+        adj = la.AdjointTrajectory(grid, tab, p, "otd")
+        expect = [(1.0 + i * grid.dt) * p[i + tab.s - 1, 0]
+                  + (0.5 * controls[i + tab.s - 1] if i >= 0 else 0.0)
+                  for i in range(1 - tab.s, grid.N + 1)]
+        np.testing.assert_allclose(optimality_residual(prob, traj, adj),
+                                   expect, rtol=1e-14, atol=0)
+
     def test_residual_direct_evaluation(self):
         # alpha = 1, p = 0, u = 1 -> residual = 1 on the quadrature range
         prob = terminal_tracking_problem(T=0.5, alpha=1.0)

@@ -2,13 +2,17 @@
 
 import dataclasses
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lmm_adjoint as la
@@ -18,12 +22,12 @@ from lmm_adjoint.config import parse_config
 from lmm_adjoint.experiments import run_control, run_relax_adjoint
 
 
-def linear_jinxin(a, eps, u0=None):
-    return rx.make_jin_xin(*rx.JIN_XIN_FLUXES["linear"], a, eps, u0=u0)
+def linear_jinxin(a, eps):
+    return rx.make_jin_xin(*rx.JIN_XIN_FLUXES["linear"], a, eps)
 
 
-def burgers_jinxin(a, eps, u0=None):
-    return rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], a, eps, u0=u0)
+def burgers_jinxin(a, eps):
+    return rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], a, eps)
 
 
 def zero_state_jac(model, grid):
@@ -84,12 +88,6 @@ class TestModels:
         for eps in (np.nan, np.array([1e-2, np.nan])):
             with pytest.raises(la.ConfigError, match="eps must be positive"):
                 linear_jinxin(1.0, eps)
-
-    def test_subcharacteristic_check(self):
-        u0 = np.linspace(-1.5, 1.5, 11)
-        with pytest.raises(la.ConfigError):
-            burgers_jinxin(1.0, 1e-2, u0=u0)  # max|F'| = 1.5 > a
-        burgers_jinxin(1.5, 1e-2, u0=u0)      # equality allowed
 
     @pytest.mark.parametrize("name", list(rx.JIN_XIN_FLUXES))
     def test_flux_derivative_is_complex_step_derivative(self, name):
@@ -450,7 +448,7 @@ class TestForward:
         dt = grid.dx / a
         x = grid.nodes()
         u0 = np.exp(-((x - 3.0) ** 2))[None, :]
-        model = burgers_jinxin(a, 1e-2, u0=u0[0])
+        model = burgers_jinxin(a, 1e-2)
         _, us = rx.solve_forward(model, grid, la.tableau("BDF3"), u0,
                                  int(round(1.0 / dt)), dt)
         mass = us[:, 0].sum(axis=-1) * grid.dx
@@ -584,7 +582,7 @@ class TestForward:
         dt = grid.dx / a
         x = grid.nodes()
         u0 = np.exp(-((x - 3.0) ** 2))[None, :]
-        model = linear_jinxin(a, 1e-2, u0=u0[0])
+        model = linear_jinxin(a, 1e-2)
         n_steps = int(round(1.0 / dt))
         _, us = rx.solve_forward(model, grid, la.tableau("BDF3"), u0,
                                  n_steps, dt)
@@ -601,7 +599,7 @@ class TestForward:
         dt = grid.dx / a
         x = grid.nodes()
         u0 = np.exp(-((x - 3.0) ** 2))[None, :]
-        model = burgers_jinxin(a, 1e-2, u0=u0[0])
+        model = burgers_jinxin(a, 1e-2)
         n_steps = int(round(1.0 / dt))
         _, us = rx.solve_forward(model, grid, la.tableau("BDF3"), u0,
                                  n_steps, dt)
@@ -617,7 +615,7 @@ class TestForward:
         dt = 0.8 * grid.dx / a
         x = grid.nodes()
         u0 = np.exp(-((x - 3.0) ** 2))[None, :]
-        model = burgers_jinxin(a, 1e-2, u0=u0[0])
+        model = burgers_jinxin(a, 1e-2)
         _, us = rx.solve_forward(model, grid, la.tableau("BDF2"), u0, 50, dt)
         mass = us[:, 0].sum(axis=-1) * grid.dx
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * abs(mass[0])
@@ -1036,8 +1034,11 @@ ring_entry = st.one_of(
 
 
 class TestGuard:
-    """``_update``'s guard, one dot of the new level with itself, refuses
-    a level exactly when it holds a non-finite entry."""
+    """``_update``'s guard, one reduction of the new level (a dot with
+    itself under a take plan, a plain sum on wider levels), refuses a level
+    exactly when it holds a non-finite entry.  The property and the
+    overflow test force both kernels, so both reductions guard the same
+    small fields."""
 
     @staticmethod
     def linear_field(kind, order, boundary, nx, ratio):
@@ -1059,7 +1060,9 @@ class TestGuard:
         jac = zero_state_jac(model, grid)
         return adj, lambda: rx.adjoint_step(model, grid, adj, jac)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    # the kernel fixture patches the module once for all examples
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(kind=st.sampled_from(["forward", "adjoint", "batched"]),
            order=st.integers(1, 3),
            boundary=st.sampled_from(["periodic", "clamp"]),
@@ -1067,12 +1070,13 @@ class TestGuard:
            entries=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10**6),
                                       ring_entry), min_size=1, max_size=4))
     def test_raises_iff_the_new_level_is_not_finite(
-            self, kind, order, boundary, nx, ratio, warm, entries):
+            self, kernel, kind, order, boundary, nx, ratio, warm, entries):
         # entries land in any slot, held levels or ramp slots not yet
         # filled, which the step reads and leaves; the new level is
         # written into its slot before the guard, so the slot tells.  The
         # step's own arithmetic may meet inf - inf, hence the errstate
         fld, step = self.linear_field(kind, order, boundary, nx, ratio)
+        assert (fld.plans is not None) == (kernel == "take")
         for _ in range(warm):
             step()
         s = len(fld.ring)
@@ -1093,19 +1097,61 @@ class TestGuard:
         assert np.isfinite(fld.current).all()
 
     @pytest.mark.parametrize("kind", ["forward", "adjoint", "batched"])
-    def test_huge_finite_level_steps_on(self, kind):
-        # squares of 1e200 overflow the dot; the exact check passes the
-        # level, and no step warns (warnings are errors here)
+    def test_huge_finite_level_steps_on(self, kernel, kind):
+        # levels near 1e307 overflow both the dot (squares) and the sum (66
+        # or more entries); the exact check passes the level, and no step
+        # warns (warnings are errors here)
         fld, step = self.linear_field(kind, 3, "periodic", 33, 0.7)
-        fld.ring[fld.head] *= 1e200
+        fld.ring[fld.head] = 1e307
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in range(1, 8):
                 level = step()
                 flat = fld.current.reshape(-1)
                 assert fld.n == n and np.isfinite(level).all()
-                assert np.abs(level).max() > 1e154
                 assert not math.isfinite(np.vdot(flat, flat))
+                assert not math.isfinite(np.einsum("i->", flat))
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="one CPU runs no second BLAS thread")
+    @pytest.mark.parametrize("nodes, steps, plan", [
+        ("40960", 200, "is None"),
+        ("rx._TAKE_MAX_ELEMENTS // 2", 4000, "is not None")],
+        ids=["wide", "take_limit"])
+    def test_guard_starts_no_blas_thread(self, nodes, steps, plan):
+        # with the BLAS thread count left to its default, a threaded dot
+        # leaves workers spinning for a while after each call (and after
+        # start-up, hence the sleep), which bills CPU time beyond the wall
+        # time.  A wide level is summed on the stepping thread; the widest
+        # take-plan level is dotted, which OpenBLAS keeps on one thread up
+        # to 10000 elements, so a larger take limit fails here
+        script = (
+            "import time\n"
+            "import numpy as np\n"
+            "import lmm_adjoint as la\n"
+            "from lmm_adjoint import relaxation as rx\n"
+            f"grid = rx.LagrangianGrid(0.0, 6.0, {nodes} + 1, 'periodic')\n"
+            "model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES['linear'], 2.1, 1e-2)\n"
+            "u0 = np.exp(-((grid.nodes() - 3.0) ** 2))[None, :]\n"
+            "fld = rx.KineticField(model, grid, grid.dx / 2.1,\n"
+            "                      la.tableau('BDF3'), model.equilibrium(u0))\n"
+            "out = np.empty((1, grid.n_nodes))\n"
+            f"assert fld.plans {plan}\n"
+            "for _ in range(10):\n"
+            "    rx.forward_step(model, grid, fld, out)\n"
+            "time.sleep(0.5)\n"
+            "cpu, wall = time.process_time(), time.perf_counter()\n"
+            f"for _ in range({steps}):\n"
+            "    rx.forward_step(model, grid, fld, out)\n"
+            "print(time.process_time() - cpu, time.perf_counter() - wall)\n")
+        env = {key: value for key, value in os.environ.items()
+               if not key.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(pathlib.Path(la.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        cpu, wall = map(float, run.stdout.split())
+        assert cpu <= 1.25 * wall, (cpu, wall)
 
 
 @pytest.fixture(params=["take", "slices"])
