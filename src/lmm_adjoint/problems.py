@@ -51,12 +51,14 @@ def terminal_tracking_problem(T: float = 0.9, alpha: float = 1.0) -> OdeControlP
     subject to y' = y^2 + u, y(0) = 1.
 
     For u = 0 the exact state is y(t) = 1/(1-t) and the exact multiplier
-    vanishes identically.
+    vanishes identically.  ``f_y`` returns the scalar 2y on the scalar
+    Newton sweep's 0-d iterate and (..., 1, 1) on a stack of states.
     """
     target = 1.0 / (1.0 - T)
     return OdeControlProblem(
         f=lambda y, u, t: y ** 2 + u,
-        f_y=lambda y, u, t: (2.0 * y)[..., None],
+        f_y=lambda y, u, t: ((2.0 * y)[..., None]
+                             if isinstance(y, np.ndarray) else 2.0 * y),
         f_u=lambda y, u, t: np.array([1.0]),
         terminal_cost=lambda yT: 0.5 * float((yT[0] - target) ** 2),
         terminal_cost_grad=lambda yT: np.atleast_1d(yT - target),

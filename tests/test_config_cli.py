@@ -225,14 +225,21 @@ class TestCli:
             assert all(np.isfinite(float(cell))
                        for cell in row.split(",") if cell)
 
-    def test_solver_failure_exit_code(self, tmp_path):
-        # 10 steps to T = 0.9 on the blow-up problem: the implicit equation
-        # loses its real root and the Newton iteration cannot converge
+    @pytest.mark.parametrize("n_list, t, k", [
+        ("10,20", "0.8099999999999999", 9), ("2,4", "0.45", 1)],
+        ids=["N=10", "N=2"])
+    def test_solver_failure_exit_code(self, tmp_path, capsys, n_list, t, k):
+        # N steps to T = 0.9 on the blow-up problem: the implicit equation
+        # loses its real root and the Newton iteration cannot converge, at
+        # N = 2 on the first step; the message names the step
         conf = self._write(tmp_path, "c.conf",
                            "[ode-converge]\nstudy = full-system\n"
-                           "schemes = BDF2\nn_list = 10,20\n")
+                           f"schemes = BDF2\nn_list = {n_list}\n")
         assert cli.main(["ode-converge", "--config", conf,
                          "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"implicit step at t={t} did not converge" in err
+        assert err.endswith(f"after 50 iterations) at step {k}\n")
 
     @pytest.mark.parametrize("study, scheme, n_list", [
         ("const-fy", "BDF2", "2,4"), ("full-system", "ImplicitEuler", "1,2")])

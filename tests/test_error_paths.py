@@ -76,6 +76,7 @@ class TestTableaus:
             solve_forward(singular_at_step_3(n), la.tableau("ImplicitEuler"),
                           GRID)
         assert err.value.step_index == 3
+        assert str(err.value).endswith(" at step 3")
         assert err.value.iterations == 0 and err.value.residual > 0
 
 

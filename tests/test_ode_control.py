@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmm_adjoint as la
-from lmm_adjoint import cli, experiments, ode_control
+from lmm_adjoint import cli, experiments, ode_control, tableaus
 from lmm_adjoint.config import load_config
 from lmm_adjoint.experiments import backward_study_solution
 from lmm_adjoint.ode_control import (Trajectory, _jacobians,
@@ -87,6 +87,7 @@ class TestForward:
             solve_forward(terminal_tracking_problem(), la.tableau("BDF1"),
                           la.TimeGrid(dtype(0.9), 40))
         assert "t=0.8775" in str(err.value)
+        assert str(err.value).endswith(" at step 39")
         assert err.value.step_index == 39  # t = 39 * 0.9/40
         assert type(err.value.residual) is float
         assert err.value.residual == residual
@@ -173,6 +174,26 @@ class TestForward:
         assert np.array_equal(
             solve_forward(boxed, tab, grid, controls).states,
             solve_forward(prob, tab, grid, controls).states)
+
+
+class TestTrackingJacobian:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(-1e300, 1e300, allow_nan=False),
+                           min_size=1, max_size=8),
+           dtype=st.sampled_from([np.float64, np.longdouble]),
+           u=st.floats(-1, 1), t=st.floats(0, 1))
+    def test_scalar_iterate_matches_the_stack(self, values, dtype, u, t):
+        # the Newton sweep's 0-d iterate gets a scalar, a stack of K states
+        # its (K, 1, 1) Jacobians, and both hold the same floats
+        f_y = terminal_tracking_problem().f_y
+        stack = np.array(values, dtype=dtype)[:, None]
+        K = stack.shape[0]
+        jac = f_y(stack, np.full(K, u), np.full(K, t))
+        assert jac.shape == (K, 1, 1) and jac.dtype == dtype
+        scalars = [f_y(y, u, t) for y in stack[:, 0]]
+        assert all(type(j) is np.dtype(dtype).type for j in scalars)
+        assert np.array_equal(value_bits(np.array(scalars, dtype)),
+                              value_bits(jac[:, 0, 0]))
 
 
 class TestPrescribedTrajectory:
@@ -777,21 +798,12 @@ class TestScalarSweepBits:
         assert states.dtype == np.float64
         assert np.array_equal(value_bits(states), value_bits(ref))
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(["ExplicitEuler", "AB2", "AB3", "AM4", "BDF2",
-                                 "BDF3", "BDF4", "BDF5", "BDF6"]),
-           dtype=st.sampled_from([np.float64, np.longdouble]),
-           route=st.sampled_from(["dto", "otd"]),
-           terminal=st.sampled_from(["exact", "replicate"]),
-           N=st.integers(6, 40), T=st.floats(0.25, 2.0),
-           alpha=st.floats(-2.0, 2.0), beta=st.floats(-2.0, 2.0),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_adjoint_matches_reference(self, name, dtype, route, terminal, N,
-                                       T, alpha, beta, seed):
-        # the DtO route's own terminal is its transposed block ("cost")
+    @staticmethod
+    def assert_adjoint_matches_reference(name, dtype, route, terminal, N, T,
+                                         alpha, beta, seed):
+        """The route's multipliers, or its failure, on random states and
+        controls are those of ``reference_backward_sweep``."""
         tab, grid = la.tableau(name), la.TimeGrid(dtype(T), N)
-        if route == "dto" and terminal == "replicate":
-            terminal = "cost" if dtype is np.float64 else "exact"
         rng = np.random.default_rng(seed)
         traj = Trajectory(grid, tab,
                           rng.uniform(-1, 1, (N + tab.s, 1)).astype(dtype),
@@ -817,6 +829,41 @@ class TestScalarSweepBits:
         else:
             assert got.dtype == ref.dtype
             assert np.array_equal(value_bits(got), value_bits(ref))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["ExplicitEuler", "AB2", "AB3", "AM4", "BDF2",
+                                 "BDF3", "BDF4", "BDF5", "BDF6"]),
+           dtype=st.sampled_from([np.float64, np.longdouble]),
+           route=st.sampled_from(["dto", "otd"]),
+           terminal=st.sampled_from(["exact", "replicate"]),
+           data=st.data(), T=st.floats(0.25, 2.0),
+           alpha=st.floats(-2.0, 2.0), beta=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_adjoint_matches_reference(self, name, dtype, route, terminal,
+                                       data, T, alpha, beta, seed):
+        # N from s, where the DtO sweep has one interior row; the DtO
+        # route's own terminal is its transposed block ("cost")
+        N = data.draw(st.integers(la.tableau(name).s, 40), label="N")
+        if route == "dto" and terminal == "replicate":
+            terminal = "cost" if dtype is np.float64 else "exact"
+        self.assert_adjoint_matches_reference(name, dtype, route, terminal,
+                                              N, T, alpha, beta, seed)
+
+    @pytest.mark.parametrize("name", sorted(
+        {tab.name for tab in tableaus._REGISTRY.values()}))
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["N=s", "N=s+1"])
+    def test_shortest_sweeps_match_reference(self, name, dtype, extra):
+        # the DtO sweep below its terminal block: one or two interior rows,
+        # then its s - 1 floor rows; every route with every terminal mode
+        # it accepts in the dtype
+        N = la.tableau(name).s + extra
+        cases = [("dto", "exact"), ("otd", "exact"), ("otd", "replicate")]
+        if dtype is np.float64:
+            cases.append(("dto", "cost"))
+        for route, terminal in cases:
+            self.assert_adjoint_matches_reference(
+                name, dtype, route, terminal, N, 0.7, 0.8, -0.6, seed=N)
 
 
 class TestAdjointBlowUp:
