@@ -7,6 +7,7 @@ TV-reducing smoothing filter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,7 +65,8 @@ def bb_step(du: np.ndarray, dg: np.ndarray, sigma: float,
     bb2: <du, dg>/<dg, dg> (the more conservative step);
     bb1: <du, du>/<du, dg>.  Steps are safeguarded to [1e-6, 1e2];
     degenerate curvature (zero or negative denominators) keeps ``sigma``,
-    the previous step size.
+    the previous step size.  The step is a Python float throughout, so the
+    safeguard is ``math.isfinite`` and ``min``/``max``, not NumPy calls.
     """
     du, dg = du.ravel(), dg.ravel()
     if variant == "bb2":
@@ -76,9 +78,9 @@ def bb_step(du: np.ndarray, dg: np.ndarray, sigma: float,
     if den == 0.0:
         return sigma
     step = num / den
-    if not np.isfinite(step) or step <= 0.0:
+    if not math.isfinite(step) or step <= 0.0:
         return sigma
-    return float(np.clip(step, 1e-6, 1e2))
+    return min(max(step, 1e-6), 1e2)
 
 
 @dataclass

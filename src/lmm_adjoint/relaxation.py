@@ -57,6 +57,19 @@ class RelaxationModel:
     ``dflux(u)`` is the flux derivative F'(u) of a scalar (Jin-Xin) model,
     which feeds the transport oracle; systems have none and pass None.
 
+    The model also supplies the two Q-contractions of the steps, so the
+    step code has one path for every model:
+
+    - ``moments(f, out=None)``, u = Q f of a level (Nv, M), which
+      ``forward_step`` takes of the history combination;
+    - ``adjoint_source(jac, C, phi, out)``, Q^T (J^T C) of multipliers C
+      (..., Nv, M) and a Jacobian ``jac`` (Nv, n, M) shared by the batch,
+      which ``adjoint_step`` takes: J^T C goes into ``phi`` (..., n, M) and
+      Q^T of it into ``out`` (..., Nv, M), which it returns.
+
+    Each is summed as ``np.einsum`` sums it, from 0 in index order, so the
+    maps of ``make_jin_xin`` and ``make_broadwell`` give einsum's bits.
+
     ``eps`` is a float, or for a batched adjoint sweep an array that
     broadcasts against the (..., Nv, M) multipliers, such as shape (B, 1, 1)
     for one relaxation parameter per member; the forward step needs a
@@ -67,6 +80,8 @@ class RelaxationModel:
     q_matrix: np.ndarray            # (n, Nv)
     equilibrium: Callable
     equilibrium_jac: Callable
+    moments: Callable
+    adjoint_source: Callable
     dflux: Callable | None
     eps: float | np.ndarray
 
@@ -82,12 +97,9 @@ class RelaxationModel:
     def n_conserved(self) -> int:
         return self.q_matrix.shape[0]
 
-    def moments(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Conserved variables u = Q f for a stacked field (Nv, M)."""
-        return np.einsum("rj,jm->rm", self.q_matrix, f, out=out)
 
-
-_HALF = np.array(0.5)     # a 0-d float64 operand: ufuncs skip converting it
+# 0-d float64 operands: ufuncs skip converting them
+_HALF, _ZERO = np.array(0.5), np.array(0.0)
 
 
 def _burgers_flux(u):
@@ -113,6 +125,15 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float,
     a >= max |F'(u)| on the data a run steps is the caller's to check.  The
     maps hold a and 2a as 0-d float64 arrays, which no call converts; not
     being NEP 50 weak scalars, they make the maps compute in float64.
+
+    Q = [1, 1] makes both contractions plain.  ``moments`` is one
+    ``np.add.reduce`` over the velocities started from 0, under an
+    ``np.errstate`` that keeps it as quiet as einsum on inf - inf and
+    overflow.  ``adjoint_source`` sums phi = J^T C with one einsum, from 0,
+    and copies phi onto both velocities: Q^T phi = 0 + 1 phi is phi bit for
+    bit, since a round-to-nearest sum started from +0 is never -0.  phi
+    stays one einsum: a ufunc product and sum, buffer-free and quiet, ran
+    the eps study and control-jinxin slower.
     """
     if a <= 0:
         raise ConfigError("characteristic speed a must be positive")
@@ -140,11 +161,22 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float,
             np.divide(row, two_a, row)
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def moments(f, out=None):                    # 0 + f_1 + f_2
+        return np.add.reduce(f, -2, None, out, True, _ZERO)
+
+    def adjoint_source(jac, C, phi, out):
+        np.einsum("jrm,...jm->...rm", jac, C, out=phi)
+        np.copyto(out, phi)                      # Q^T phi
+        return out
+
     return RelaxationModel(
         velocities=np.array([a, -a]),
         q_matrix=np.array([[1.0, 1.0]]),
         equilibrium=equilibrium,
         equilibrium_jac=equilibrium_jac,
+        moments=moments,
+        adjoint_source=adjoint_source,
         dflux=dflux,
         eps=eps,
     )
@@ -160,11 +192,13 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
     fix it; this F makes the resting equilibrium E_3 = -m^2/(2 c^2 rho)
     negative wherever m != 0 (ROADMAP item 16).  Evaluation raises
     ``SolverError`` when rho <= 0 (flux singular).  The maps compute in
-    float64: they hold 0.5, c^2 and 2c as 0-d float64 arrays.
+    float64: they hold 0.5, c^2 and 2c as 0-d float64 arrays.  Both
+    contractions are ``np.einsum`` calls with Q.
     """
     if c <= 0:
         raise ConfigError("characteristic speed c must be positive")
     c2, two_c = np.array(c * c, dtype=float), np.array(2 * c, dtype=float)
+    q = np.array([[1.0, 1.0, 2.0], [c, -c, 0.0]])
 
     def _flux(rho, m):
         if np.fmin.reduce(rho, axis=None, initial=np.inf) <= 0:  # NaN passes
@@ -213,11 +247,20 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
         np.multiply(-0.5, j3m, out=j3m)
         return out
 
+    def moments(f, out=None):
+        return np.einsum("rj,jm->rm", q, f, out=out)
+
+    def adjoint_source(jac, C, phi, out):
+        np.einsum("jrm,...jm->...rm", jac, C, out=phi)
+        return np.einsum("rj,...rm->...jm", q, phi, out=out)
+
     return RelaxationModel(
         velocities=np.array([c, -c, 0.0]),
-        q_matrix=np.array([[1.0, 1.0, 2.0], [c, -c, 0.0]]),
+        q_matrix=q,
         equilibrium=equilibrium,
         equilibrium_jac=equilibrium_jac,
+        moments=moments,
+        adjoint_source=adjoint_source,
         dflux=None,
         eps=eps,
     )
@@ -437,23 +480,30 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
     return fld.weights[L - 1]
 
 
-def _update(fld: _LevelRing, keep, relax, x: np.ndarray) -> np.ndarray:
-    """End of both steps: the new level keep C + relax x (C in ``fld.comb``,
-    ``x`` a work buffer scaled in place) into ring slot head - 1, free in
-    the ramp and then the oldest level's, which becomes the head and is
-    returned.  A non-finite level raises ``SolverError`` naming the step,
-    leaving head and n; the oldest level may be overwritten: do not step the
-    field again.  The guard is one reduction, which a NaN or inf makes
-    non-finite; only then (or on overflow) the exact isfinite check runs:
+def _guard_total(new: np.ndarray, take: bool):
+    """The new level's guard reduction, non-finite if the level is:
     ``np.vdot`` of a take-plan level with itself (BLAS, 0.57 us at 238
     elements against einsum's 1.8), else an ``einsum`` sum, which starts no
-    BLAS thread.  Neither warns of overflow.
+    BLAS thread (12 us at 81922 elements against ``np.add.reduce``'s 22).
+    Neither warns of overflow."""
+    return np.vdot(new, new) if take else np.einsum("i->", new.ravel())
+
+
+def _update(fld: _LevelRing, keep, relax, x: np.ndarray) -> np.ndarray:
+    """End of both steps: the new level keep C + relax x (C in ``fld.comb``,
+    ``x`` the model's map of C in the field's ``E`` buffer, scaled in place)
+    into ring slot head - 1, free in the ramp and then the oldest level's,
+    which becomes the head and is returned.  A non-finite level raises
+    ``SolverError`` naming the step, leaving head and n; the oldest level
+    may be overwritten: do not step the field again.  The guard is one
+    reduction (``_guard_total``), which a NaN or inf makes non-finite; only
+    then (or on overflow) the exact isfinite check runs.
     """
     slot = (fld.head - 1) % len(fld.slots)
     new = np.multiply(keep, fld.comb, fld.slots[slot])
     np.multiply(relax, x, x)
     new += x
-    total = np.vdot(new, new) if fld.plans else np.einsum("i->", new.ravel())
+    total = _guard_total(new, fld.plans is not None)
     if not math.isfinite(total) and not np.isfinite(new).all():
         raise SolverError(fld.blowup.format(fld.n + 1), fld.n + 1)
     fld.head = slot
@@ -562,8 +612,8 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
 
     with C the history combination of ``_combine``.  Phase 1 computes
     u = Q C, the moment sum of the implicit update (the equilibrium term
-    cancels via Q E(u) = u), into ``out`` (n, M); phase 2 is the per-point
-    relaxation update ``_update``.  The arithmetic runs in the field's work
+    cancels via Q E(u) = u), into ``out`` (n, M) with the model's
+    ``moments``; phase 2 is the per-point relaxation update ``_update``.  The arithmetic runs in the field's work
     buffers and the new level overwrites the evicted one, so a warm field
     allocates only the model's own temporaries.  A ``SolverError`` of the
     equilibrium (Broadwell's rho <= 0) gains the step's number.
@@ -657,10 +707,14 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     u(t_{n-1}).  C holds future-time values only, so no implicit solve is
     needed.  Every batch member of the field (leading axes of its levels)
     uses the same ``jac``; ``model.eps`` may broadcast against the batch.
-    A grid or model not the field's, then a ``jac`` not of ``adj.jac_shape``,
-    is a ValueError that leaves the ring, head and n as they were.
+    ``jac`` may be any strided view, such as a level of ``solve_adjoint``'s
+    planar block.  A grid or model not the field's, then a ``jac`` not of
+    ``adj.jac_shape``, is a ValueError that leaves the ring, head and n as
+    they were.
 
-    The arithmetic runs in the field's work buffers.  The returned array is
+    Q^T (J^T C) is the model's ``adjoint_source``, with J^T C in the
+    field's ``phi`` and the result in its ``E`` buffer, which ``_update``
+    scales in place.  The arithmetic runs in the field's work buffers.  The returned array is
     the field's newest level, a ring slot: it stays valid until the field
     has been stepped s more times, then holds a newer level.
     """
@@ -668,9 +722,8 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     if jac.shape != adj.jac_shape:
         raise ValueError(f"equilibrium Jacobian must have shape "
                          f"{adj.jac_shape}, got {jac.shape}")
-    phi = np.einsum("jrm,...jm->...rm", jac, adj.comb, out=adj.phi)
-    qphi = np.einsum("rj,...rm->...jm", model.q_matrix, phi, out=adj.E)
-    return _update(adj, keep, relax, qphi)
+    x = model.adjoint_source(jac, adj.comb, adj.phi, adj.E)
+    return _update(adj, keep, relax, x)
 
 
 def terminal_multipliers(model: RelaxationModel, p_terminal: np.ndarray) -> np.ndarray:
@@ -705,6 +758,12 @@ def gradient_from_adjoint(model: RelaxationModel, lam0: np.ndarray,
 
 # Largest Jacobian block of solve_adjoint, in grid nodes: one
 # equilibrium_jac call covers max(1, _JAC_BLOCK_NODES // M) stored levels.
+# With planar blocks, relax-paper's descents take one block per sweep
+# (Jin-Xin 60 x 119 nodes, Broadwell 15 x 320).  In process, against this
+# value (2-vCPU VM, median over alternating runs): 4096 nodes, two blocks
+# per sweep, control-jinxin 48.4 against 47.0 ms and control-broadwell
+# 68.5 against 65.3 ms (slower in 8 of 10 pairs); one level per block
+# 59.0 against 48.2 ms and 91.2 against 68.1 ms (5 of 6).
 _JAC_BLOCK_NODES = 65536
 
 
@@ -720,8 +779,11 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
     block of levels at a time, newest block first, in one
     ``equilibrium_jac`` call on the store's rows (K, n, M) per block, K
     levels of at most ``_JAC_BLOCK_NODES`` nodes in all (one level on wider
-    grids).  ``lam_T`` (..., Nv, M) may carry batch axes, which the
-    returned lambda(0) keeps.
+    grids).  A block is planar: a (Nv, n, K, M) buffer viewed as
+    (K, Nv, n, M), so the model's in-place ufuncs write each dE_j/du_r as
+    one contiguous (K, M) plane, and each step reads its level as an
+    (Nv, n, M) view.  ``lam_T`` (..., Nv, M) may carry batch axes, which
+    the returned lambda(0) keeps.
     """
     adj = AdjointField(model, grid, dt, tab, lam_T)
     shape, got = (model.n_conserved, grid.n_nodes), np.shape(u_store)
@@ -729,7 +791,9 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
         raise ValueError(f"u_store must hold at least {n_steps} levels of "
                          f"shape {shape}, got shape {got}")
     K = max(1, _JAC_BLOCK_NODES // grid.n_nodes)
-    jacs = np.empty((min(K, n_steps), model.n_velocities) + shape)
+    planes = np.empty((model.n_velocities, model.n_conserved, min(K, n_steps),
+                       grid.n_nodes))
+    jacs = planes.transpose(2, 0, 1, 3)      # (K, Nv, n, M), planar
     for k in range(n_steps, 0, -K):          # levels lo, ..., k-1
         lo = max(k - K, 0)
         block = model.equilibrium_jac(u_store[lo:k], out=jacs[:k - lo])

@@ -61,6 +61,22 @@ class TestFunctional:
             assert f(rng.standard_normal((1, 50))) >= 0.0
 
 
+def reference_bb_step(du, dg, sigma, variant):
+    """The BB step with NumPy's safeguard, ``np.isfinite`` and ``np.clip``
+    on the float step."""
+    du, dg = du.ravel(), dg.ravel()
+    if variant == "bb2":
+        num, den = float(du @ dg), float(dg @ dg)
+    else:
+        num, den = float(du @ du), float(du @ dg)
+    if den == 0.0:
+        return sigma
+    step = num / den
+    if not np.isfinite(step) or step <= 0.0:
+        return sigma
+    return float(np.clip(step, 1e-6, 1e2))
+
+
 class TestBarzilaiBorwein:
     @staticmethod
     def _step(u_prev, g_prev, u, g, sigma=0.7, variant="bb2"):
@@ -95,6 +111,42 @@ class TestBarzilaiBorwein:
         # negative curvature -> previous sigma
         assert self._step(u_prev, np.array([0.0]), u, np.array([-1.0]),
                           sigma=0.2) == 0.2
+
+    @pytest.mark.parametrize("dg", [
+        [0.0, 0.0],                           # zero curvature
+        [-1.0, -2.0],                         # negative curvature
+        [np.inf, 1.0],
+        [np.nan, 1.0],
+        [1e-300, 0.0],                        # huge raw step: clipped
+        [1e200, 1e200],                       # tiny raw step: clipped
+    ])
+    def test_degenerate_curvature_matches_numpy_formula(self, dg):
+        du = np.array([1.0, 0.5])
+        for v in ("bb1", "bb2"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = ct.bb_step(du, np.array(dg), 0.3, v)
+                want = reference_bb_step(du, np.array(dg), 0.3, v)
+            assert type(got) is float and got.hex() == want.hex(), (v, got)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_step_matches_numpy_formula(self, data):
+        # sigma bit for bit as the np.isfinite / np.clip formula gave it, on
+        # increments with zeros, signed zeros, subnormals, infinities, NaN
+        # and huge entries, whose dots may overflow (errstate: both compute
+        # the same dots, and the property is about the value)
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf,
+                                   -np.inf, np.nan, 1e200, -1e200, 1e-160])
+        entry = st.one_of(special, st.floats(-1e3, 1e3))
+        n = data.draw(st.integers(1, 4))
+        du = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        dg = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        sigma = data.draw(st.floats(1e-6, 1e2))
+        variant = data.draw(st.sampled_from(["bb1", "bb2"]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ct.bb_step(du, dg, sigma, variant)
+            want = reference_bb_step(du, dg, sigma, variant)
+        assert type(got) is float and got.hex() == float(want).hex()
 
     def test_first_iteration_uses_sigma0(self):
         # no increment exists at k = 0: the loop steps and logs sigma0

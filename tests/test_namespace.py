@@ -48,7 +48,8 @@ PUBLIC_SIGNATURES = {
                           "p_exact"),
     "OptimizeResult": ("control", "u_terminal", "iterations"),
     "RelaxationModel": ("velocities", "q_matrix", "equilibrium",
-                        "equilibrium_jac", "dflux", "eps"),
+                        "equilibrium_jac", "moments", "adjoint_source",
+                        "dflux", "eps"),
     "SolverError": ("message", "step_index"),
     "TimeGrid": ("T", "N"),
     "TrackingFunctional": ("target", "dx"),
@@ -246,7 +247,8 @@ def test_step_maps_pass_no_python_float_to_numpy():
     # of an np.* call in them
     tree = ast.parse((pathlib.Path(la.__file__).parent / "relaxation.py")
                      .read_text(encoding="utf-8"))
-    pinned = {"_update", "_burgers_flux", "_flux", "equilibrium"}
+    pinned = {"_update", "_burgers_flux", "_flux", "equilibrium", "moments",
+              "adjoint_source"}
     found, checked = [], []
     for outer in tree.body:
         if not isinstance(outer, ast.FunctionDef):
@@ -272,6 +274,27 @@ def test_step_maps_pass_no_python_float_to_numpy():
                                      f"{ast.unparse(arg)}")
     assert sorted(checked) == [
         "_burgers_flux._burgers_flux", "_update._update",
-        "make_broadwell._flux", "make_broadwell.equilibrium",
-        "make_jin_xin.equilibrium"]
+        "make_broadwell._flux", "make_broadwell.adjoint_source",
+        "make_broadwell.equilibrium", "make_broadwell.moments",
+        "make_jin_xin.adjoint_source", "make_jin_xin.equilibrium",
+        "make_jin_xin.moments"]
+    assert found == []
+
+
+def test_the_steps_leave_every_contraction_to_the_model():
+    # u = Q f and Q^T (J^T C) are the model's maps (moments and
+    # adjoint_source), so a model chooses how to sum them and the step code
+    # has one path: no np.einsum call in the steps or their shared pieces
+    tree = ast.parse((pathlib.Path(la.__file__).parent / "relaxation.py")
+                     .read_text(encoding="utf-8"))
+    steps = {"forward_step", "adjoint_step", "_combine", "_update"}
+    found, checked = [], []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in steps):
+            continue
+        checked.append(fn.name)
+        found += [f"{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in ("np.einsum", "numpy.einsum")]
+    assert sorted(checked) == sorted(steps)
     assert found == []
