@@ -19,8 +19,7 @@ from .ode_control import (AdjointTrajectory, OdeControlProblem, Trajectory,
 from .relaxation import (AdjointField, KineticField, LagrangianGrid,
                          RelaxationModel, adjoint_step, forward_step,
                          gradient_from_adjoint, make_broadwell, make_jin_xin,
-                         terminal_multipliers, transport_oracle,
-                         viscous_limit_check)
+                         terminal_multipliers, transport_oracle)
 from .control import (OptimizeResult, TrackingFunctional, bb_step, optimize,
                       tv_filter)
 

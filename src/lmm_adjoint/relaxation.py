@@ -53,9 +53,8 @@ class RelaxationModel:
     levels (K, n, M) in one call, so a model whose ``equilibrium_jac``
     raises does so before the steps of its block.  Both follow the NumPy
     ``out`` convention: given ``out`` they write the result into it and
-    return it, otherwise they return a new array.
-    ``dflux(u)`` is the flux derivative F'(u) of a scalar (Jin-Xin) model,
-    which feeds the transport oracle; systems have none and pass None.
+    return it, otherwise they return a new array.  Every field is read by
+    the solver; what one study needs, such as F', stays in its driver.
 
     The model also supplies the two Q-contractions of the steps, so the
     step code has one path for every model:
@@ -82,7 +81,6 @@ class RelaxationModel:
     equilibrium_jac: Callable
     moments: Callable
     adjoint_source: Callable
-    dflux: Callable | None
     eps: float | np.ndarray
 
     def __post_init__(self):
@@ -177,7 +175,6 @@ def make_jin_xin(flux: Callable, dflux: Callable, a: float,
         equilibrium_jac=equilibrium_jac,
         moments=moments,
         adjoint_source=adjoint_source,
-        dflux=dflux,
         eps=eps,
     )
 
@@ -261,7 +258,6 @@ def make_broadwell(c: float, eps: float) -> RelaxationModel:
         equilibrium_jac=equilibrium_jac,
         moments=moments,
         adjoint_source=adjoint_source,
-        dflux=None,
         eps=eps,
     )
 
@@ -640,7 +636,8 @@ def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
     written into it and returned, so a caller that solves repeatedly can
     reuse one store; any other ``out`` is a ValueError raised before the
     first step.  A store that cannot be allocated is a ``ConfigError``
-    naming dt.
+    naming dt.  The steps raise no overflow warning: the guard refuses a
+    non-finite level as ``SolverError``.
     """
     shape = (n_steps + 1, model.n_conserved, grid.n_nodes)
     if out is not None and (out.shape != shape or out.dtype != np.float64):
@@ -662,8 +659,9 @@ def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
             f"{n_steps} steps ({8 * math.prod(shape):.3g} bytes) to be "
             f"allocated, got {dt:g}") from None
     model.moments(f0, out=u_store[0])
-    for k in range(n_steps):
-        forward_step(model, grid, fld, out=u_store[k + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            forward_step(model, grid, fld, out=u_store[k + 1])
     return fld, u_store
 
 
@@ -812,33 +810,3 @@ def transport_oracle(grid: LagrangianGrid, p_terminal: Callable,
     x = grid.fold(grid.nodes() + speed * T)
     return np.asarray(p_terminal(x), dtype=float)
 
-
-def viscous_limit_check(model: RelaxationModel, grid: LagrangianGrid,
-                        tab: MultistepTableau, p_terminal: Callable,
-                        n_steps: int, dt: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Kinetic adjoint p(0) of every eps member and its L2 transport deviation.
-
-    Sweeps ``terminal_multipliers`` of p_T back ``n_steps`` steps, batched
-    over the members of ``model.eps`` (a float is one member), and returns
-    their p(0) by ``gradient_from_adjoint``, shape (B, M), with each member's
-    deviation sqrt(dx sum (p - ref)^2), shape (B,), from the characteristics
-    solution of the limiting equation -p_t - F'(0) p_x = 0 at the actual
-    horizon ``n_steps * dt``.  The sweep is the adjoint linearized at
-    u = 0: every step reuses the one ``equilibrium_jac`` evaluated there,
-    which is exact for the linear flux the eps study runs.
-    Expected magnitude O(eps) + O(dt^order).
-    """
-    if model.n_conserved != 1:
-        raise ConfigError("viscous-limit check defined for scalar models")
-    pT = np.broadcast_to(p_terminal(grid.nodes()),
-                         (np.size(model.eps), 1, grid.n_nodes))
-    adj = AdjointField(model, grid, dt, tab, terminal_multipliers(model, pT))
-    jac = model.equilibrium_jac(np.zeros((1, grid.n_nodes)))
-    for _ in range(n_steps):
-        adjoint_step(model, grid, adj, jac)
-    p0 = gradient_from_adjoint(model, adj.current)[..., 0, :]
-    del adj  # the field's buffers, before the deviation's temporaries
-    speed = float(model.dflux(np.zeros(1))[0])
-    ref = transport_oracle(grid, p_terminal, speed, n_steps * dt)
-    return p0, np.sqrt(grid.dx * np.sum((p0 - ref) ** 2, axis=-1))

@@ -736,7 +736,7 @@ class TestCli:
 
         monkeypatch.setattr(rx.LagrangianGrid, "nodes", no_sweep)
         monkeypatch.setattr(rx, "solve_forward", no_sweep)
-        monkeypatch.setattr(rx, "viscous_limit_check", no_sweep)
+        monkeypatch.setattr(experiments, "_eps_sweep", no_sweep)
         conf = self._write(tmp_path, "c.conf", f"[{kind}]\n{body}")
         assert cli.main([kind, "--config", conf, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -752,7 +752,7 @@ class TestCli:
         def no_sweep(*args, **kwargs):
             raise AssertionError("swept")
 
-        monkeypatch.setattr(rx, "viscous_limit_check", no_sweep)
+        monkeypatch.setattr(experiments, "_eps_sweep", no_sweep)
         body = "[relax-adjoint]\nnx_list = 20\nT = 3e9\neps_list = "
         conf = self._write(tmp_path, "c.conf", body + "1e-3\n")
         with pytest.raises(AssertionError, match="swept"):
@@ -1007,17 +1007,33 @@ class TestRelaxAdjointSweeps:
 
     def sweeps(self, monkeypatch, tmp_path, text):
         solved = []
-        check = rx.viscous_limit_check
+        sweep = experiments._eps_sweep
 
         def counting(model, grid, tab, p_terminal, n_steps, dt):
             solved.append((grid.n_points, tuple(np.ravel(model.eps))))
-            return check(model, grid, tab, p_terminal, n_steps, dt)
+            return sweep(model, grid, tab, p_terminal, n_steps, dt)
 
-        monkeypatch.setattr(rx, "viscous_limit_check", counting)
+        monkeypatch.setattr(experiments, "_eps_sweep", counting)
         run_relax_adjoint(parse_config(text), str(tmp_path))
         members = [(nx, eps) for nx, batch in solved for eps in batch]
         assert len(members) == len(set(members))  # nothing solved twice
         return solved
+
+    def test_oracle_once_per_coarse_grid(self, monkeypatch, tmp_path,
+                                         capsys):
+        # the rows' references are decided in one place per grid: the
+        # default study evaluates the transport oracle once on each coarse
+        # grid and never on a nested fine one
+        grids = []
+        oracle = rx.transport_oracle
+
+        def counting(grid, p_terminal, speed, T):
+            grids.append(grid.n_points)
+            return oracle(grid, p_terminal, speed, T)
+
+        monkeypatch.setattr(rx, "transport_oracle", counting)
+        run_relax_adjoint(parse_config("[relax-adjoint]\n"), str(tmp_path))
+        assert grids == [40, 80, 160, 320, 640]
 
     def test_default_study(self, monkeypatch, tmp_path, capsys):
         solved = self.sweeps(monkeypatch, tmp_path, "[relax-adjoint]\n")
@@ -1052,18 +1068,20 @@ class TestRelaxAdjointSweeps:
         # from the nested fine sweep's p(0) on the coarse nodes; an oracle
         # row keeps the deviation from the transport oracle
         swept = {}
-        check = rx.viscous_limit_check
+        sweep = experiments._eps_sweep
 
         def recording(model, grid, tab, p_terminal, n_steps, dt):
-            p0, dev = check(model, grid, tab, p_terminal, n_steps, dt)
-            swept[grid.n_points] = grid, p0, dev.copy()
-            return p0, dev
+            p0 = sweep(model, grid, tab, p_terminal, n_steps, dt)
+            swept[grid.n_points] = grid, p0, rx.transport_oracle(
+                grid, p_terminal, 1.0, n_steps * dt)
+            return p0
 
-        monkeypatch.setattr(rx, "viscous_limit_check", recording)
+        monkeypatch.setattr(experiments, "_eps_sweep", recording)
         rows = run_relax_adjoint(parse_config(
             "[relax-adjoint]\nnx_list = 40\neps_list = 1e-4,1,0.1\n"),
             str(tmp_path))
-        grid, p0, oracle_dev = swept[40]
+        grid, p0, oracle = swept[40]
+        oracle_dev = np.sqrt(grid.dx * np.sum((p0 - oracle) ** 2, axis=-1))
         p_fine = swept[79][1]
         assert [row[4] for row in rows] == ["transport-oracle",
                                             "self-reference", "self-reference"]

@@ -368,7 +368,8 @@ class TestJinXinGradientGap:
         # multiplier fields differ by a factor 2 bit for bit
         assert np.array_equal(lam_q, 2.0 * lam)
         a = model.velocities[0]
-        dropped = model.dflux(guess[0]) * (lam[0] - lam[1]) / a
+        dF = rx.JIN_XIN_FLUXES[flux][1]
+        dropped = dF(guess[0]) * (lam[0] - lam[1]) / a
         gap = exact - ct.gradient_from_adjoint(model, lam, guess)
         assert (np.max(np.abs(gap[0] - dropped))
                 <= 1e-14 * np.max(np.abs(exact)))

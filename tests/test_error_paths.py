@@ -178,6 +178,20 @@ class TestRelaxationAndControl:
                            match="unknown boundary rule 'reflect'"):
             rx.LagrangianGrid(0.0, 1.0, 5, "reflect")
 
+    def test_diverging_burgers_sweep_names_its_step(self):
+        # max u0 = 1.5 > a = 1 breaks the subcharacteristic condition: the
+        # Burgers flux overflows, and the forward sweep refuses the first
+        # non-finite level as a SolverError, not as NumPy's overflow
+        # warning (an error under the test settings)
+        grid = rx.LagrangianGrid(-3.0, 3.0, 121)
+        model = rx.make_jin_xin(*rx.JIN_XIN_FLUXES["burgers"], 1.0, 1e-2)
+        u0 = 0.5 + np.exp(-grid.nodes() ** 2)
+        with pytest.raises(la.SolverError,
+                           match="^non-finite kinetic field at step 35$"
+                           ) as err:
+            rx.solve_forward(model, grid, la.tableau("BDF2"), u0, 60, 0.05)
+        assert err.value.step_index == 35
+
     def test_multi_moment_gradient_needs_the_initial_data(self):
         model = rx.make_broadwell(1.0, 1e-2)
         with pytest.raises(ValueError,

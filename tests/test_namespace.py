@@ -28,7 +28,7 @@ PUBLIC_NAMES = (
     "optimality_residual", "optimize",
     "prescribed_trajectory", "solve_adjoint_dto", "solve_adjoint_otd",
     "solve_forward", "step", "tableau", "terminal_multipliers",
-    "transport_oracle", "tv_filter", "viscous_limit_check",
+    "transport_oracle", "tv_filter",
 )
 
 # The parameters of every public callable (class constructors included),
@@ -49,7 +49,7 @@ PUBLIC_SIGNATURES = {
     "OptimizeResult": ("control", "u_terminal", "iterations"),
     "RelaxationModel": ("velocities", "q_matrix", "equilibrium",
                         "equilibrium_jac", "moments", "adjoint_source",
-                        "dflux", "eps"),
+                        "eps"),
     "SolverError": ("message", "step_index"),
     "TimeGrid": ("T", "N"),
     "TrackingFunctional": ("target", "dx"),
@@ -75,8 +75,6 @@ PUBLIC_SIGNATURES = {
     "terminal_multipliers": ("model", "p_terminal"),
     "transport_oracle": ("grid", "p_terminal", "speed", "T"),
     "tv_filter": ("u", "grid"),
-    "viscous_limit_check": ("model", "grid", "tab", "p_terminal", "n_steps",
-                            "dt"),
 }
 
 # Public names that no module of the package uses yet.  ROADMAP item 3
@@ -196,6 +194,30 @@ def test_only_relaxation_reads_a_models_moment_map():
                     if isinstance(node, ast.Attribute)
                     and node.attr in ("n_conserved", "q_matrix")]
     assert readers == []
+
+
+def test_every_model_field_is_read_by_the_solver():
+    # a RelaxationModel carries what the solver needs and nothing a single
+    # study needs: each field is read in the steps, the sweeps, the field
+    # classes or the multiplier pair of relaxation.py
+    tree = ast.parse((pathlib.Path(la.__file__).parent / "relaxation.py")
+                     .read_text(encoding="utf-8"))
+    solver = {"forward_step", "adjoint_step", "_combine", "_update",
+              "solve_forward", "solve_adjoint", "_LevelRing", "KineticField",
+              "AdjointField", "terminal_multipliers", "gradient_from_adjoint"}
+    (model,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "RelaxationModel"]
+    fields = {stmt.target.id for stmt in model.body
+              if isinstance(stmt, ast.AnnAssign)}
+    found = [node for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name in solver]
+    read = {node.attr for top in found for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert sorted(top.name for top in found) == sorted(solver)
+    assert fields == set(la.RelaxationModel.__dataclass_fields__)
+    assert sorted(fields - read) == []
 
 
 def test_the_package_imports_only_numpy_and_the_standard_library():

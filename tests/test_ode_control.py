@@ -440,9 +440,38 @@ def reference_digests(workload):
     return json.loads((BENCH / "reference" / f"{workload}.json").read_text())
 
 
+def _cell_value(cell):
+    """A CSV cell as float64: empty and text cells are NaN."""
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
+
+
+def reference_ulps(workload, conf, fname, path):
+    """Largest distance in units in the last place between the finite
+    numeric cells of the CSV at ``path`` and those recorded for it in
+    ``bench/reference/<workload>.npz`` (every stride-th row, as recorded);
+    None if the sampled shapes differ."""
+    stride = reference_digests(workload)[conf]["files"][fname]["stride"]
+    with np.load(BENCH / "reference" / f"{workload}.npz") as npz:
+        ref = npz[f"{conf}/{fname}"]
+    lines = path.read_text(encoding="utf-8").splitlines()[1::stride]
+    cur = np.array([[_cell_value(c) for c in line.split(",")]
+                    for line in lines], dtype=np.float64)
+    if cur.shape != ref.shape:
+        return None
+    both = np.isfinite(cur) & np.isfinite(ref)
+    # sign-magnitude bit patterns onto one monotone integer line
+    ints = [np.where(i < 0, np.iinfo(np.int64).min - i, i).tolist()
+            for i in (cur[both].view(np.int64), ref[both].view(np.int64))]
+    return max((abs(x - y) for x, y in zip(*ints)), default=0)
+
+
 def assert_config_matches_reference(workload, conf, out):
     """Every CSV of one benchmark config equals its seed-0 reference, byte
-    for byte."""
+    for byte; a file that differs is reported with its largest ulp
+    distance from the recorded numeric cells."""
     path = BENCH / "workloads" / workload / conf
     assert cli.main([load_config(path).kind, "--config", str(path),
                      "--out", str(out)]) == 0
@@ -451,7 +480,32 @@ def assert_config_matches_reference(workload, conf, out):
     assert written == sorted(files), conf
     for fname, meta in files.items():
         digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
-        assert digest == meta["sha256"], (conf, fname)
+        if digest != meta["sha256"]:
+            ulps = reference_ulps(workload, conf, fname, out / fname)
+            pytest.fail(f"{conf}/{fname}: bytes differ from the reference; "
+                        + ("the sampled shapes differ" if ulps is None else
+                           f"numeric cells at most {ulps} ulp away"))
+
+
+class TestReferenceUlps:
+    def test_counts_units_in_the_last_place(self, tmp_path):
+        # a run's own CSV is 0 ulp from the reference; nudging one cell
+        # by two ulp, or dropping a row, is reported as such
+        conf, fname = "relax-forward.conf", "forward_mass.csv"
+        path = BENCH / "workloads" / "relax-paper" / conf
+        assert cli.main([load_config(path).kind, "--config", str(path),
+                         "--out", str(tmp_path)]) == 0
+        csv = tmp_path / fname
+        assert reference_ulps("relax-paper", conf, fname, csv) == 0
+        lines = csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[5].rstrip("\n").split(",")
+        mass = float(cells[2])
+        cells[2] = "%.17g" % np.nextafter(np.nextafter(mass, np.inf), np.inf)
+        csv.write_text("".join(lines[:5] + [",".join(cells) + "\n"]
+                               + lines[6:]), encoding="utf-8")
+        assert reference_ulps("relax-paper", conf, fname, csv) == 2
+        csv.write_text("".join(lines[:-1]), encoding="utf-8")
+        assert reference_ulps("relax-paper", conf, fname, csv) is None
 
 
 class TestStudyTableBytes:

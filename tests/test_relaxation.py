@@ -19,7 +19,7 @@ import lmm_adjoint as la
 from lmm_adjoint import control as ct
 from lmm_adjoint import relaxation as rx
 from lmm_adjoint.config import parse_config
-from lmm_adjoint.experiments import run_control, run_relax_adjoint
+from lmm_adjoint.experiments import _eps_sweep, run_control, run_relax_adjoint
 
 
 def linear_jinxin(a, eps):
@@ -33,6 +33,14 @@ def burgers_jinxin(a, eps):
 def zero_state_jac(model, grid):
     """Equilibrium Jacobian (Nv, n, M) at the state u = 0."""
     return model.equilibrium_jac(np.zeros((model.n_conserved, grid.n_nodes)))
+
+
+def transport_deviation(grid, p0, pT, T):
+    """Each member's L2 deviation sqrt(dx sum (p - ref)^2) of the eps
+    study's p(0) (B, M) from the transport oracle at speed F'(0) = 1 (the
+    linear flux) and horizon T, shape (B,)."""
+    ref = rx.transport_oracle(grid, pT, 1.0, T)
+    return np.sqrt(grid.dx * np.sum((p0 - ref) ** 2, axis=-1))
 
 
 def moment_deviation(model, u):
@@ -820,8 +828,8 @@ class TestAdjoint:
             grid = rx.LagrangianGrid(0.0, 6.0, nx)
             dt = grid.dx / a
             n_steps = int(round(1.0 / dt))
-            errs.append(rx.viscous_limit_check(model, grid, la.tableau("BDF2"),
-                                               pT, n_steps, dt)[1][0])
+            p0 = _eps_sweep(model, grid, la.tableau("BDF2"), pT, n_steps, dt)
+            errs.append(transport_deviation(grid, p0, pT, n_steps * dt)[0])
         rates = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
         assert errs[-1] <= 3e-4
         assert min(rates) >= 1.8
@@ -834,8 +842,9 @@ class TestAdjoint:
         dt = grid.dx / a
         model = linear_jinxin(a, 1.0)
         pT = lambda xx: np.exp(-((xx - 3.0) ** 2))
-        dev = rx.viscous_limit_check(model, grid, la.tableau("BDF2"), pT,
-                                     int(round(1.0 / dt)), dt)[1][0]
+        n_steps = int(round(1.0 / dt))
+        p0 = _eps_sweep(model, grid, la.tableau("BDF2"), pT, n_steps, dt)
+        dev = transport_deviation(grid, p0, pT, n_steps * dt)[0]
         assert dev >= 0.05
 
     @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "BDF3"])
@@ -849,11 +858,12 @@ class TestAdjoint:
         tab = la.tableau(scheme)
         pT = lambda xx: np.exp(-((xx - 3.0) ** 2))
         batch = linear_jinxin(a, np.reshape(eps, (-1, 1, 1)))
-        p0, dev = rx.viscous_limit_check(batch, grid, tab, pT, n_steps, dt)
+        p0 = _eps_sweep(batch, grid, tab, pT, n_steps, dt)
+        dev = transport_deviation(grid, p0, pT, n_steps * dt)
         assert p0.shape == (len(eps), grid.n_nodes) and dev.shape == (len(eps),)
         for b, e in enumerate(eps):
-            p_b, dev_b = rx.viscous_limit_check(linear_jinxin(a, e), grid, tab,
-                                                pT, n_steps, dt)
+            p_b = _eps_sweep(linear_jinxin(a, e), grid, tab, pT, n_steps, dt)
+            dev_b = transport_deviation(grid, p_b, pT, n_steps * dt)
             assert np.array_equal(p_b, p0[b:b + 1])
             assert np.array_equal(dev_b, dev[b:b + 1])
 
@@ -871,9 +881,9 @@ class TestAdjoint:
         batch = linear_jinxin(a, np.reshape(eps, (-1, 1, 1)))
         members = [(batch, slice(None))] + [
             (linear_jinxin(a, e), slice(b, b + 1)) for b, e in enumerate(eps)]
-        p_batch = rx.viscous_limit_check(batch, grid, tab, pT, n_steps, dt)[0]
+        p_batch = _eps_sweep(batch, grid, tab, pT, n_steps, dt)
         for model, rows in members:
-            p0 = rx.viscous_limit_check(model, grid, tab, pT, n_steps, dt)[0]
+            p0 = _eps_sweep(model, grid, tab, pT, n_steps, dt)
             d = np.broadcast_to(pT(grid.nodes()),
                                 (np.size(model.eps), 1, grid.n_nodes))
             lam0 = rx.solve_adjoint(model, grid, tab,
@@ -905,19 +915,6 @@ class TestAdjoint:
             with pytest.raises(la.ConfigError):
                 rx.AdjointField(model, grid, 0.05, la.tableau(name),
                                 np.zeros((2, grid.n_nodes)))
-
-    def test_viscous_limit_rejects_systems_before_sweeping(self, monkeypatch):
-        # a Broadwell model must fail the scalar-model check before any step
-        # runs (a sweep at the u = 0 dummy state would divide by rho = 0)
-        calls = []
-        monkeypatch.setattr(rx, "adjoint_step", lambda *args: calls.append(args))
-        grid = rx.LagrangianGrid(-2.5, 2.5, 41, boundary="clamp")
-        with pytest.raises(la.ConfigError, match="scalar"):
-            rx.viscous_limit_check(rx.make_broadwell(1.0, 1e-2), grid,
-                                   la.tableau("BDF2"),
-                                   lambda x: np.exp(-x ** 2),
-                                   int(round(0.5 / grid.dx)), grid.dx)
-        assert calls == []
 
     def test_missing_forward_field_shape(self):
         # a Jacobian not of shape (Nv, n, M) is refused by name and leaves
@@ -1574,8 +1571,8 @@ def counting_jacobian(model, calls):
 
 class TestFrozenJacobian:
     """The eps study sweeps the adjoint linearized at u = 0: each
-    ``viscous_limit_check`` sweep evaluates the Jacobian once and every
-    step reuses it."""
+    ``experiments._eps_sweep`` evaluates the Jacobian once and every step
+    reuses it."""
 
     def test_one_evaluation_per_sweep(self):
         grid = rx.LagrangianGrid(0.0, 6.0, 41)
@@ -1590,7 +1587,7 @@ class TestFrozenJacobian:
             model = dataclasses.replace(
                 base, eps=np.full(batch + (1, 1), 1e-2) if batch else 1e-2)
             calls.clear()
-            p0 = rx.viscous_limit_check(model, grid, tab, pT, 12, dt)[0]
+            p0 = _eps_sweep(model, grid, tab, pT, 12, dt)
             assert calls == [(1, grid.n_nodes)]
 
             # the Jacobian evaluated at u = 0 anew for every step
