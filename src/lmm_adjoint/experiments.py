@@ -316,7 +316,9 @@ def _jin_xin(flux, a, eps, u0, dt=None):
 
 def run_relax_forward(cfg: Config, out_dir: str) -> list:
     """Forward relaxation run: snapshot CSVs plus a conservation log, whose
-    rows (step, t, mass) it returns."""
+    rows (step, t, mass) it returns.  It prints the mass drift and the
+    growth max|u(T)|/max|u0|, which a diverging run shows and its mass
+    drift may not."""
     s = settings(cfg, "relax-forward")
     a, eps, T, flux = s["a"], s["eps"], s["T"], s["flux"]
     grid = rx.LagrangianGrid(*_domain(s), s["nx"], boundary=s["boundary"])
@@ -343,9 +345,12 @@ def run_relax_forward(cfg: Config, out_dir: str) -> list:
     write_csv(os.path.join(out_dir, f"{s['run_name']}_mass.csv"),
               ["step", "t", "mass"], rows)
     drift = float(np.max(np.abs(mass - mass[0])) / max(abs(mass[0]), 1e-300))
+    growth = float(np.max(np.abs(u_store[-1]))
+                   / max(np.max(np.abs(u0)), 1e-300))
     print(f"relax-forward: {flux} flux, {tab.name}, nx={grid.n_points}, "
           f"dt={dt:.6g}, steps={n_steps}")
     print(f"  mass drift (relative): {drift:.3e}")
+    print(f"  growth max|u(T)|/max|u0|: {growth:.3e}")
     return rows
 
 

@@ -28,6 +28,21 @@ stays (Nv, n, M), and ``RelaxationModel.eps`` may then be an array that
 broadcasts against the batch, for example one eps per member with shape
 (B, 1, 1).  A batched sweep equals stacking the members' own sweeps bit
 for bit.
+
+Wide levels (more than ``_TAKE_MAX_ELEMENTS`` elements) are computed on a
+window of nodes where the model allows it.  The scheme inherits the finite
+propagation speed of the system: a step reads each history level only at
+its feet, a few cells away, so a level that is exactly +0.0 off a window
+gives a new level that is +0.0 off the window grown by the feet's reach.
+A wide field whose model maps a zero level to +0.0 (``moments`` and
+``equilibrium`` probed once on zeros: both Jin-Xin fluxes do, Broadwell
+refuses rho = 0) keeps one node window per ring slot, starting from the
+span of its first level's entries that are not +0.0 (-0.0, NaN and inf
+count as data), and runs every step, the model maps and the guard on the
+window that ``LagrangianGrid.window`` finds; every buffer stays exactly
++0.0 outside it, so the results are those of the full grid bit for bit.
+The adjoint step maps C = 0 to 0 when the Jacobian is finite at every
+finite state, as both Jin-Xin Jacobians are.
 """
 
 from __future__ import annotations
@@ -270,7 +285,8 @@ class LagrangianGrid:
     last point with the first, leaving n_points - 1 unique nodes; clamped
     (zero-flux) boundaries keep all n_points nodes and clamp characteristic
     feet at the walls.  Only the grid reads its boundary rule, which it
-    gives as indices (``upstream``), slices and positions (``fold``).
+    gives as indices (``upstream``), slices, the windows they reach
+    (``window``) and positions (``fold``).
     """
 
     x_left: float
@@ -304,19 +320,65 @@ class LagrangianGrid:
         i = np.arange(M) - np.asarray(k)[..., None]
         return i % M if self.boundary == "periodic" else np.clip(i, 0, M - 1)
 
-    def upstream_slices(self, k: int) -> tuple:
+    def upstream_slices(self, k: int, lo: int = 0,
+                        hi: int | None = None) -> tuple:
         """``upstream(k)`` as ``(out, values)`` slice pairs of one row,
-        out[i] = values[upstream(k)[i]]; a clamped piece reads the wall
-        node, (..., 1), and broadcasts it."""
+        out[i] = values[upstream(k)[i]], that write out[lo:hi] (the whole
+        row by default); a clamped piece reads the wall node, (..., 1), and
+        broadcasts it."""
         M, periodic = self.n_nodes, self.boundary == "periodic"
+        hi = M if hi is None else hi
+        if 0 <= lo - k and hi - k <= M:      # reads neither seam nor wall
+            return ((slice(lo, hi), slice(lo - k, hi - k)),) if lo < hi else ()
         k = k % M if periodic else min(max(k, -M), M)
+        # runs (start, stop) of out read at i + shift, or at one wall node
         if k >= 0:
-            pairs = ((slice(k, M), slice(0, M - k)),
-                     (slice(0, k), slice(M - k, M) if periodic else slice(0, 1)))
+            runs = ((k, M, -k, None),
+                    (0, k, M - k, None) if periodic else (0, k, 0, slice(0, 1)))
         else:
-            pairs = ((slice(0, M + k), slice(-k, M)),
-                     (slice(M + k, M), slice(M - 1, M)))
-        return tuple((dst, src) for dst, src in pairs if dst.start < dst.stop)
+            runs = ((0, M + k, -k, None), (M + k, M, 0, slice(M - 1, M)))
+        pairs = []
+        for start, stop, shift, wall in runs:
+            a, b = max(start, lo), min(stop, hi)
+            if a < b:
+                pairs.append((slice(a, b), wall or slice(a + shift, b + shift)))
+        return tuple(pairs)
+
+    def window(self, held, shifts) -> tuple:
+        """The nodes [lo, hi) that read a held window, with their slices.
+
+        ``held[l]`` is the window (lo, hi) of level l, outside which the
+        level is exactly +0.0 (empty if lo >= hi), and ``shifts[l]`` the
+        level's feet, each a tuple of cells upstream k, one per row.  The
+        window is the hull of the held windows and of every node whose foot
+        reads one: on a clamped grid, clipped at the walls, a foot past a
+        wall reads the wall node; on a periodic grid, a window that would
+        cross the seam is the whole grid.  So windows only grow.  Returns
+        ``(lo, hi, pieces)``, pieces[l][p][j] the ``upstream_slices`` of
+        shifts[l][p][j] that write out[lo:hi], for every level of
+        ``shifts``; (0, 0, ...) if no held window holds a node.
+        """
+        M, periodic = self.n_nodes, self.boundary == "periodic"
+        lo, hi = M, 0
+        for (a, b), feet in zip(held, shifts):
+            if a >= b:
+                continue
+            lo, hi = min(lo, a), max(hi, b)
+            for k in (k for foot in feet for k in foot):
+                if periodic:                 # nodes a + k, ..., b + k - 1
+                    c, d = a + k, b + k
+                    if c < 0 or d > M:
+                        c, d = 0, M
+                else:                        # and those reading a wall node
+                    c = 0 if a == 0 else max(a + k, 0)
+                    d = M if b == M else min(b + k, M)
+                if c < d:
+                    lo, hi = min(lo, c), max(hi, d)
+        if lo >= hi:
+            lo = hi = 0
+        cut = self.upstream_slices
+        return lo, hi, tuple([tuple([tuple([cut(k, lo, hi) for k in foot])
+                                     for foot in feet]) for feet in shifts])
 
     def fold(self, x: np.ndarray) -> np.ndarray:
         """Positions ``x`` brought into the domain: wrapped into
@@ -368,6 +430,26 @@ def _foot(shift_cells: float) -> tuple[int, float]:
 _TAKE_MAX_ELEMENTS = 8192
 
 
+def _keeps_zero(model: RelaxationModel) -> bool:
+    """Whether the model maps a zero level to +0.0: its ``moments`` and its
+    ``equilibrium`` of them, probed on one node of zeros.  Both Jin-Xin
+    fluxes do; Broadwell refuses rho = 0."""
+    try:
+        u = model.moments(np.zeros((model.n_velocities, 1)))
+        E = model.equilibrium(u)
+    except SolverError:
+        return False
+    return not (u.view(np.int64).any() or E.view(np.int64).any())
+
+
+def _support(level: np.ndarray) -> tuple[int, int]:
+    """The nodes [lo, hi) spanning every entry of a level that is not +0.0
+    (-0.0, NaN and inf count), (0, 0) for a level of +0.0 only."""
+    bits = level.reshape(-1, level.shape[-1]).view(np.int64)
+    nodes = np.flatnonzero(bits.any(axis=0))
+    return (int(nodes[0]), int(nodes[-1]) + 1) if nodes.size else (0, 0)
+
+
 @functools.lru_cache(maxsize=2)
 def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
           ramp: tuple, batch: tuple[int, ...]) -> tuple:
@@ -383,8 +465,9 @@ def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
     ``_TAKE_MAX_ELEMENTS`` get per ring head flat indices into the ring,
     (P, s) + level shape, weights of that shape and, per ramp entry of L
     levels, -a of shape (L,) + level shape; wider ones get per level each
-    foot's ``upstream_slices``, one weight per row and -a as floats, no
-    array per node, shared by every field of the key (weights, -a read-only).
+    foot's shift k per row (``LagrangianGrid.window`` turns them into
+    slices), one weight per row and -a as floats, no array per node,
+    shared by every field of the key (weights, -a read-only).
     The cache keeps the two most recent keys: a descent of I iterations
     reuses its forward and adjoint keys (2I hits, 2 misses), while the eps
     study's keys serve one sweep each, so more entries would only keep its
@@ -398,8 +481,8 @@ def _feet(grid: LagrangianGrid, speeds: tuple[float, ...], dt: float,
     feet = (lo, lo + (w > 0)) if w.any() else (lo,)     # each (s, Nv)
     weights = np.stack((1.0 - w, w)) if w.any() else None
     if math.prod(shape) > _TAKE_MAX_ELEMENTS:
-        index = tuple(tuple(tuple(map(grid.upstream_slices, k[ell].tolist()))
-                            for k in feet) for ell in range(s))
+        index = tuple(tuple(tuple(k[ell].tolist()) for k in feet)
+                      for ell in range(s))
         if weights is not None:
             weights = tuple(tuple(map(tuple, weights[:, ell].tolist()))
                             for ell in range(s))
@@ -438,9 +521,10 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
     ``mode="raise"``; unfilled ramp slots are read, then left), times the
     weights; each pair is summed, times -a, and the levels summed from 0,
     in the prebuilt views of ``fld.plans[L-1]``.  Wide levels run these
-    steps plane by plane out of row slices, aligned feet times -a at once,
-    adding into ``comb``: both run the IEEE operations of 0 - a_0 H_0 - ...,
-    so exact zeros keep their sign.  Returns the ramp entry's (keep, relax).
+    steps plane by plane out of the row slices of ``fld.span``, on its
+    window only, aligned feet times -a at once, adding into ``comb``: both
+    run the IEEE operations of 0 - a_0 H_0 - ..., so exact zeros keep
+    their sign.  Returns the ramp entry's (keep, relax).
     """
     # a field's feet and weights hold only for what it was built with
     same = model is fld.model or (
@@ -461,8 +545,10 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
         np.multiply(lo, c, out=lo)
         np.add.reduce(lo, axis=0, out=fld.comb, initial=0.0)
         return fld.weights[L - 1]
-    for ell, (feet, c) in enumerate(zip(index, coefs[L - 1])):
-        plane, out = ring[(head + ell) % s], buf[0, 0]
+    lo, hi, levels = fld.span
+    comb = fld.comb[..., lo:hi]
+    for ell, (feet, c) in enumerate(zip(levels, coefs[L - 1])):
+        plane, out = ring[(head + ell) % s], buf[0, 0, ..., lo:hi]
         for p, rows in enumerate(feet):
             scales = weights[ell][p] if weights else (c,) * len(rows)
             for j, (pieces, x) in enumerate(zip(rows, scales)):
@@ -470,33 +556,45 @@ def _combine(model: RelaxationModel, grid: LagrangianGrid,
                     np.multiply(x, plane[..., j, src],
                                 out=buf[p, 0, ..., j, dst])
         if weights:
-            out += buf[1, 0]
+            out += buf[1, 0, ..., lo:hi]
             out *= c
-        np.add(fld.comb if ell else 0.0, out, out=fld.comb)
+        np.add(comb if ell else 0.0, out, out=comb)
     return fld.weights[L - 1]
 
 
 def _guard_total(new: np.ndarray, take: bool):
     """The new level's guard reduction, non-finite if the level is:
     ``np.vdot`` of a take-plan level with itself (BLAS, 0.57 us at 238
-    elements against einsum's 1.8), else an ``einsum`` sum, which starts no
-    BLAS thread (12 us at 81922 elements against ``np.add.reduce``'s 22).
-    Neither warns of overflow."""
-    return np.vdot(new, new) if take else np.einsum("i->", new.ravel())
+    elements against einsum's 1.8), else an ``einsum`` sum over every axis
+    of the wide level's window, which starts no BLAS thread and copies no
+    strided window (12 us at 81922 elements against ``np.add.reduce``'s
+    22).  Neither warns of overflow."""
+    if take:
+        return np.vdot(new, new)
+    return np.einsum(new, range(new.ndim), ())
 
 
 def _update(fld: _LevelRing, keep, relax, x: np.ndarray) -> np.ndarray:
     """End of both steps: the new level keep C + relax x (C in ``fld.comb``,
     ``x`` the model's map of C in the field's ``E`` buffer, scaled in place)
     into ring slot head - 1, free in the ramp and then the oldest level's,
-    which becomes the head and is returned.  A non-finite level raises
+    which becomes the head and is returned.  A wide level is computed on
+    the window of ``fld.span`` only (``x`` is that window), and a windowed
+    field then finds the next step's span.  A non-finite level raises
     ``SolverError`` naming the step, leaving head and n; the oldest level
     may be overwritten: do not step the field again.  The guard is one
     reduction (``_guard_total``), which a NaN or inf makes non-finite; only
     then (or on overflow) the exact isfinite check runs.
     """
     slot = (fld.head - 1) % len(fld.slots)
-    new = np.multiply(keep, fld.comb, fld.slots[slot])
+    new = level = fld.slots[slot]
+    comb, windows = fld.comb, fld.windows
+    if windows is not None:
+        lo, hi = fld.span[:2]
+        new, comb = level[..., lo:hi], comb[..., lo:hi]
+        if keep.ndim:                        # level-shaped weights
+            keep, relax = keep[..., lo:hi], relax[..., lo:hi]
+    np.multiply(keep, comb, new)
     np.multiply(relax, x, x)
     new += x
     total = _guard_total(new, fld.plans is not None)
@@ -504,7 +602,10 @@ def _update(fld: _LevelRing, keep, relax, x: np.ndarray) -> np.ndarray:
         raise SolverError(fld.blowup.format(fld.n + 1), fld.n + 1)
     fld.head = slot
     fld.n += 1
-    return new
+    if windows is not None:
+        windows[slot] = lo, hi
+        fld.reach()
+    return level
 
 
 class _LevelRing:
@@ -528,6 +629,18 @@ class _LevelRing:
     allocates to broadcast a (B, 1, 1) factor; an eps that would grow the
     level is a ValueError.  Each field kind words its blow-up message in
     ``blowup``.
+
+    A wide field steps on ``span``, (lo, hi, slices): the next step's node
+    window and each foot's row slices into it (``reach``).  ``windows``
+    holds per slot a window (lo, hi) outside which its level is exactly
+    +0.0, for a model that maps a zero level to +0.0 (``_keeps_zero``):
+    the first level's span of entries other than +0.0, (0, 0) for the
+    unfilled slots, then each step's window.  Windows only grow, so a
+    reused slot's old window lies within the new one, and the ring and
+    ``comb`` of a wide field start zeroed: both stay +0.0 outside the
+    window.  Once a window covers the grid, ``windows`` is None and the
+    field runs full width, as other wide fields do from the start; take
+    plans have no span.
     """
 
     def __init__(self, model: RelaxationModel, grid: LagrangianGrid,
@@ -555,15 +668,24 @@ class _LevelRing:
         self.feet = _feet(grid, tuple(speeds.tolist()), dt,
                           tuple(eff.a for eff in ramp), first.shape[:-2])
         self.slots = tuple(self.ring)
-        self.comb = np.empty(first.shape)
         index, weights, coefs = self.feet  # per-head tables or level feet
         flat, pairs = isinstance(index[0], np.ndarray), weights is not None
+        self.comb = (np.empty if flat else np.zeros)(first.shape)
         g = self.gather = np.empty((len(index[0]), tab.s if flat else 1)
                                    + first.shape)
         self.E = np.empty(first.shape)
         self.plans = [(g[:, :L], g[0, :L], g[1, :L] if pairs else None,
                        weights[:, :L] if pairs else None, coefs[L - 1])
                       for L in range(1, tab.s + 1)] if flat else None
+        # a wide field computes each step on a window of nodes: the whole
+        # grid, or where a model that keeps zero levels zero can read data
+        self.windows = self.span = None
+        if not flat:
+            self.ring[1:] = 0.0
+            if _keeps_zero(model):
+                self.windows = [(0, 0)] * tab.s
+                self.windows[0] = _support(self.ring[0])
+            self.reach()
         # formed after the buffers: formed before them, the weights of an
         # eps study raised its peak RSS by 0.2 MB (heap order)
         self.weights = []
@@ -574,6 +696,17 @@ class _LevelRing:
                 np.broadcast_to(c, first.shape).copy()
                 if isinstance(model.eps, np.ndarray) else np.array(c)
                 for c in pair))
+
+    def reach(self):
+        """The next step's window and slices into ``span``, from the
+        windows of the held levels (``LagrangianGrid.window``); a window
+        that covers the grid ends the field's windowing."""
+        s, M = len(self.slots), self.grid.n_nodes
+        held = ([(0, M)] if self.windows is None else
+                [self.windows[(self.head + ell) % s] for ell in range(s)])
+        self.span = self.grid.window(held, self.feet[0])
+        if self.span[:2] == (0, M):
+            self.windows = None
 
     @property
     def current(self) -> np.ndarray:
@@ -609,19 +742,26 @@ def forward_step(model: RelaxationModel, grid: LagrangianGrid,
     with C the history combination of ``_combine``.  Phase 1 computes
     u = Q C, the moment sum of the implicit update (the equilibrium term
     cancels via Q E(u) = u), into ``out`` (n, M) with the model's
-    ``moments``; phase 2 is the per-point relaxation update ``_update``.  The arithmetic runs in the field's work
-    buffers and the new level overwrites the evicted one, so a warm field
-    allocates only the model's own temporaries.  A ``SolverError`` of the
-    equilibrium (Broadwell's rho <= 0) gains the step's number.
+    ``moments``; phase 2 is the per-point relaxation update ``_update``.
+    A windowed field runs both phases on the step's window and writes +0.0
+    into the row of ``out`` beyond it.  The arithmetic runs in the field's
+    work buffers and the new level overwrites the evicted one, so a warm
+    field allocates only the model's own temporaries.  A ``SolverError`` of
+    the equilibrium (Broadwell's rho <= 0) gains the step's number.
     """
     keep, relax = _combine(model, grid, fld)
-    u_new = model.moments(fld.comb, out=out)  # phase 1: macroscopic closure
+    comb, E, u_new = fld.comb, fld.E, out
+    if fld.windows is not None:              # the step's window
+        lo, hi = fld.span[:2]
+        out[..., :lo] = out[..., hi:] = 0.0
+        comb, E, u_new = comb[..., lo:hi], E[..., lo:hi], out[..., lo:hi]
+    model.moments(comb, out=u_new)           # phase 1: macroscopic closure
     try:                                     # phase 2: relaxation update
-        E = model.equilibrium(u_new, out=fld.E)
+        E = model.equilibrium(u_new, out=E)
     except SolverError as exc:
         raise SolverError(f"{exc} at step {fld.n + 1}", fld.n + 1) from None
     _update(fld, keep, relax, E)
-    return u_new
+    return out
 
 
 def solve_forward(model: RelaxationModel, grid: LagrangianGrid,
@@ -720,7 +860,12 @@ def adjoint_step(model: RelaxationModel, grid: LagrangianGrid,
     if jac.shape != adj.jac_shape:
         raise ValueError(f"equilibrium Jacobian must have shape "
                          f"{adj.jac_shape}, got {jac.shape}")
-    x = model.adjoint_source(jac, adj.comb, adj.phi, adj.E)
+    comb, phi, E = adj.comb, adj.phi, adj.E
+    if adj.windows is not None:              # the step's window
+        lo, hi = adj.span[:2]
+        jac, comb, phi, E = (jac[..., lo:hi], comb[..., lo:hi],
+                             phi[..., lo:hi], E[..., lo:hi])
+    x = model.adjoint_source(jac, comb, phi, E)
     return _update(adj, keep, relax, x)
 
 
@@ -780,7 +925,11 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
     grids).  A block is planar: a (Nv, n, K, M) buffer viewed as
     (K, Nv, n, M), so the model's in-place ufuncs write each dE_j/du_r as
     one contiguous (K, M) plane, and each step reads its level as an
-    (Nv, n, M) view.  ``lam_T`` (..., Nv, M) may carry batch axes, which
+    (Nv, n, M) view.  A windowed field (see the module notes) takes one
+    level per block, evaluated on its step's window only; the step reads
+    no Jacobian entry outside it, and maps C = +0.0 there to +0.0 given a
+    Jacobian that is finite at every finite state, as both Jin-Xin
+    Jacobians are.  ``lam_T`` (..., Nv, M) may carry batch axes, which
     the returned lambda(0) keeps.
     """
     adj = AdjointField(model, grid, dt, tab, lam_T)
@@ -788,14 +937,18 @@ def solve_adjoint(model: RelaxationModel, grid: LagrangianGrid,
     if got[1:] != shape or got[0] < n_steps:
         raise ValueError(f"u_store must hold at least {n_steps} levels of "
                          f"shape {shape}, got shape {got}")
-    K = max(1, _JAC_BLOCK_NODES // grid.n_nodes)
+    # a windowed field takes each level's Jacobian on its step's window
+    K = (1 if adj.windows is not None
+         else max(1, _JAC_BLOCK_NODES // grid.n_nodes))
     planes = np.empty((model.n_velocities, model.n_conserved, min(K, n_steps),
                        grid.n_nodes))
     jacs = planes.transpose(2, 0, 1, 3)      # (K, Nv, n, M), planar
     for k in range(n_steps, 0, -K):          # levels lo, ..., k-1
         lo = max(k - K, 0)
-        block = model.equilibrium_jac(u_store[lo:k], out=jacs[:k - lo])
-        for jac in block[::-1]:              # block[i]: level lo + i
+        cols = slice(*adj.span[:2]) if adj.span is not None else slice(None)
+        model.equilibrium_jac(u_store[lo:k, :, cols],
+                              out=jacs[:k - lo, ..., cols])
+        for jac in jacs[:k - lo][::-1]:      # jacs[i]: level lo + i
             adjoint_step(model, grid, adj, jac)
     return adj.current
 

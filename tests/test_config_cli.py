@@ -292,6 +292,21 @@ class TestCli:
             assert "key 'a'" in err and "max|F'(u0)| = 1," in err
             assert os.listdir(tmp_path) == ["c.conf"]
 
+    @pytest.mark.parametrize("scheme, eps, drift, growth", [
+        ("BDF3", "1e-6", "6.903e-14", "1.967e+00"),
+        ("BDF4", "1e-4", "2.458e+03", "2.352e+20")])
+    def test_relax_forward_prints_its_growth(self, tmp_path, capsys, scheme,
+                                             eps, drift, growth):
+        # two runs that diverge at the default grid (671 steps): BDF3 keeps
+        # its mass to roundoff while max|u| doubles, so only the growth
+        # line under the mass drift shows it; both still exit 0
+        assert self._run_quietly(tmp_path, "relax-forward",
+                                 f"flux = linear\nscheme = {scheme}\n"
+                                 f"eps = {eps}\nT = 3\n") == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"  mass drift (relative): {drift}",
+            f"  growth max|u(T)|/max|u0|: {growth}"]
+
     def test_domain_left_of_the_origin_runs(self, tmp_path):
         # the length x_right - x_left is what must be positive, not the sum
         assert self._run_quietly(tmp_path, "relax-forward",

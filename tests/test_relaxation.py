@@ -1,5 +1,6 @@
 """Semi-Lagrangian relaxation solver: models, forward, adjoint, oracles."""
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -492,6 +493,59 @@ class TestBoundaryRule:
                 out[..., dst] = values[..., src]
             assert_bitwise(out, values[..., row])
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(boundary=boundary_rule, nx=st.integers(3, 40),
+           k=st.integers(-60, 60),
+           cut=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+    def test_slices_of_a_window_read_as_the_row(self, boundary, nx, k, cut):
+        # upstream_slices(k, lo, hi) write out[lo:hi] as the whole row's
+        # read does, and nothing else
+        grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary)
+        M = grid.n_nodes
+        lo, hi = sorted(min(c, M) for c in cut)
+        values = level_data((2, M), seed=nx)
+        out, expect = np.full_like(values, np.nan), np.full_like(values,
+                                                                 np.nan)
+        for dst, src in grid.upstream_slices(k, lo, hi):
+            assert lo <= dst.start < dst.stop <= hi
+            out[..., dst] = values[..., src]
+        expect[..., lo:hi] = values[..., grid.upstream(k)[lo:hi]]
+        assert_bitwise(out, expect)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(boundary=boundary_rule, nx=st.integers(3, 40), data=st.data())
+    def test_window_is_the_hull_of_what_reads_the_held_windows(
+            self, boundary, nx, data):
+        # per level a window and feet of 1-3 rows: the window is the hull
+        # of the held windows and of every node whose foot reads one,
+        # except that a periodic window crossing the seam is the whole grid
+        grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary)
+        M = grid.n_nodes
+        n_rows = data.draw(st.integers(1, 3))
+        levels = data.draw(st.lists(st.tuples(
+            st.tuples(st.integers(0, M), st.integers(0, M)).map(sorted),
+            st.lists(st.tuples(*[st.integers(-12, 12)] * n_rows),
+                     min_size=1, max_size=2).map(tuple)),
+            min_size=1, max_size=4))
+        held, shifts = [tuple(w) for w, _ in levels], [f for _, f in levels]
+        nodes, crossing = set(), False
+        for (a, b), feet in zip(held, shifts):
+            if a < b:
+                nodes.update(range(a, b))
+            for k in (k for foot in feet for k in foot if a < b):
+                row = grid.upstream(k)
+                nodes.update(np.flatnonzero((row >= a) & (row < b)).tolist())
+                crossing |= a + k < 0 or b + k > M
+        if boundary == "periodic" and crossing:
+            expect = (0, M)
+        else:
+            expect = (min(nodes), max(nodes) + 1) if nodes else (0, 0)
+        lo, hi, pieces = grid.window(held, tuple(shifts))
+        assert (lo, hi) == expect
+        assert pieces == tuple(tuple(tuple(grid.upstream_slices(k, lo, hi)
+                                           for k in foot) for foot in feet)
+                               for feet in shifts)
+
     def test_upstream_wraps_or_clamps(self):
         periodic = rx.LagrangianGrid(0.0, 1.0, 6)
         clamped = rx.LagrangianGrid(0.0, 1.0, 5, "clamp")
@@ -734,13 +788,19 @@ class TestForwardStore:
     """``solve_forward(..., out=store)`` writes the conserved store into a
     caller's array, which a descent reuses across its forward solves."""
 
-    @pytest.mark.parametrize("kind", ["jinxin", "broadwell"])
+    @pytest.mark.parametrize("kind", ["jinxin", "broadwell", "wide-box"])
     def test_out_equals_a_fresh_store(self, kind):
+        # a wide box steps on windows: the store row beyond each window is
+        # zero-filled, so no NaN of the stale store is left
         if kind == "jinxin":
             grid = rx.LagrangianGrid(0.0, 6.0, 41)
             model, dt = burgers_jinxin(2.1, 1e-2), 0.7 * grid.dx / 2.1
             x = grid.nodes()
             u0 = (0.5 + np.exp(-((x - 3.0) ** 2)))[None, :]
+        elif kind == "wide-box":
+            model, grid, _, u0, _ = zero_region_case("jinxin", 4201)
+            dt = 0.7 * grid.dx / 2.1
+            assert 2 * grid.n_nodes > rx._TAKE_MAX_ELEMENTS
         else:
             grid = rx.LagrangianGrid(-2.5, 2.5, 41, boundary="clamp")
             model, dt = rx.make_broadwell(1.0, 1e-2), 0.7 * grid.dx
@@ -753,6 +813,9 @@ class TestForwardStore:
         fld, store = rx.solve_forward(model, grid, tab, u0, 9, dt, out=buf)
         assert store is buf and fld.n == 9
         assert_bitwise(buf, fresh)
+        if kind == "wide-box":              # still a window of the grid
+            lo, hi = fld.span[:2]
+            assert fld.windows is not None and hi - lo < grid.n_nodes // 2
 
     @pytest.mark.parametrize("bad", ["levels", "dtype", "components"])
     def test_bad_out_rejected_before_any_step(self, monkeypatch, bad):
@@ -1230,16 +1293,27 @@ class TestGuard:
         assert cpu <= 1.25 * wall, (cpu, wall)
 
 
-@pytest.fixture(params=["take", "slices"])
-def kernel(request, monkeypatch):
-    """Force one gather kernel of ``_combine`` on every level size: the
-    feet are built afresh under a patched threshold and dropped again
+@contextlib.contextmanager
+def forced_kernel(name):
+    """Build fields under one gather kernel of ``_combine`` on every level
+    size, "take" or "slices" (windowed where the model and data allow):
+    the feet are built afresh under a patched threshold and dropped again
     afterwards."""
     rx._feet.cache_clear()
-    monkeypatch.setattr(rx, "_TAKE_MAX_ELEMENTS",
-                        math.inf if request.param == "take" else 0)
-    yield request.param
-    rx._feet.cache_clear()
+    saved = rx._TAKE_MAX_ELEMENTS
+    rx._TAKE_MAX_ELEMENTS = math.inf if name == "take" else 0
+    try:
+        yield name
+    finally:
+        rx._TAKE_MAX_ELEMENTS = saved
+        rx._feet.cache_clear()
+
+
+@pytest.fixture(params=["take", "slices"])
+def kernel(request):
+    """Force one gather kernel (``forced_kernel``) for the whole test."""
+    with forced_kernel(request.param):
+        yield request.param
 
 
 def level_data(shape, seed=0):
@@ -1252,14 +1326,20 @@ def level_data(shape, seed=0):
 
 
 def zero_region_case(kind, nx):
-    """(model, grid, speed, u0, d): Jin-Xin Burgers (periodic) or Broadwell
-    (clamped) data that is exactly zero off a box, u0 for the forward run
-    and the Jacobian, d for the terminal multipliers (negative zeros)."""
-    if kind == "jinxin":
-        grid = rx.LagrangianGrid(0.0, 6.0, nx)
+    """(model, grid, speed, u0, d): data that is exactly zero off a box, u0
+    for the forward run and the Jacobian, d for the terminal multipliers
+    (negative zeros).  Jin-Xin Burgers on a periodic grid, the box in the
+    middle ("jinxin") or across the seam ("jinxin-seam"), or on a clamped
+    grid against its left wall ("jinxin-wall"); or Broadwell (clamped)."""
+    if kind.startswith("jinxin"):
+        grid = rx.LagrangianGrid(0.0, 6.0, nx,
+                                 "clamp" if kind == "jinxin-wall"
+                                 else "periodic")
         x = grid.nodes()
-        box = np.abs(x - 3.0) <= 1.0
-        u0 = np.where(box, 1.0 + np.exp(-(x - 3.0) ** 2), 0.0)[None, :]
+        # distance from the box centre: 3, the seam at 0 = 6, or the wall
+        r = {"jinxin": np.abs(x - 3.0), "jinxin-seam": np.minimum(x, 6.0 - x),
+             "jinxin-wall": x}[kind]
+        u0 = np.where(r <= 1.0, 1.0 + np.exp(-r ** 2), 0.0)[None, :]
         return burgers_jinxin(2.1, 1e-2), grid, 2.1, u0, -u0
     grid = rx.LagrangianGrid(-2.5, 2.5, nx, boundary="clamp")
     x = grid.nodes()
@@ -1310,8 +1390,11 @@ class TestGatherKernels:
                                                          jac), reference)
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
-    @pytest.mark.parametrize("kind", ["jinxin", "broadwell"])
+    @pytest.mark.parametrize("kind", ["jinxin", "jinxin-seam", "jinxin-wall",
+                                      "broadwell"])
     def test_steps_match_reference_on_zero_regions(self, kernel, kind, ratio):
+        # the seam and wall boxes pin the gathers' reads across the seam
+        # and of the wall node, which are the slice kernel's window rules
         model, grid, speed, u0, d = zero_region_case(kind, 33)
         assert_steps_match_reference(model, grid, ratio * grid.dx / speed,
                                      la.tableau("BDF3"), u0, d)
@@ -1334,6 +1417,179 @@ class TestGatherKernels:
         fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
         assert isinstance(fld.feet[0][0], np.ndarray) != above
         assert_steps_match_reference(model, grid, dt, tab, u0, d)
+
+
+def box_row(M, periodic):
+    """(M,) data of +0.0 off a box that starts anywhere, a wall node
+    included, and wraps across the seam of a periodic grid or stops at the
+    wall of a clamped one; its entries include +-0.0 and subnormals."""
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+    return st.tuples(st.one_of(st.sampled_from([0, M - 1]),
+                               st.integers(0, M - 1)),
+                     st.lists(entry, max_size=M)).map(
+        lambda box: place_box(M, periodic, *box))
+
+
+def place_box(M, periodic, start, values):
+    row, at = np.zeros(M), start + np.arange(len(values))
+    if periodic:
+        row[at % M] = values
+    else:
+        row[at[at < M]] = np.asarray(values)[at < M]
+    return row
+
+
+@st.composite
+def windowed_case(draw):
+    """(grid, flux, eps, tab, dt, u0, d): Jin-Xin box data on a small grid
+    of either boundary, aligned or fractional feet, BDF1-6 at an eps/dt
+    inside its stable range (at least 1 for BDF3-6, ROADMAP item 10), u0
+    (1, M) and the terminal data d (2, 1, M) of two batch members."""
+    boundary = draw(boundary_rule)
+    grid = rx.LagrangianGrid(0.0, 6.0, draw(st.integers(5, 48)), boundary)
+    order = draw(st.integers(1, 6))
+    dt = draw(foot_ratio) * grid.dx / 2.1
+    eps = dt * draw(st.floats(1.0, 10.0) if order >= 3
+                    else st.floats(0.01, 10.0))
+    flux = draw(st.sampled_from(sorted(rx.JIN_XIN_FLUXES)))
+    row = box_row(grid.n_nodes, boundary == "periodic")
+    u0 = draw(row)[None, :]
+    d = np.stack([draw(row), draw(row)])[:, None, :]
+    return grid, flux, eps, la.tableau(f"BDF{order}"), dt, u0, d
+
+
+def traced_sweep(fld, step, n_steps):
+    """``step()`` the field ``n_steps`` times; after each step its head,
+    held levels (newest first) and comb, copied."""
+    s, trace = len(fld.ring), []
+    for _ in range(n_steps):
+        step()
+        trace.append([fld.head] + [fld.ring[(fld.head + ell) % s].copy()
+                                   for ell in range(min(fld.n + 1, s))]
+                     + [fld.comb.copy()])
+    return trace
+
+
+def assert_traces_equal(trace, expect):
+    assert len(trace) == len(expect)
+    for got, want in zip(trace, expect):
+        assert got[0] == want[0] and len(got) == len(want)
+        for a, b in zip(got[1:], want[1:]):
+            assert_bitwise(a, b)
+
+
+class TestWindows:
+    """A wide field whose model keeps a zero level +0.0 computes each step
+    on a window of nodes, the reach of its held levels' windows, and keeps
+    every buffer +0.0 outside it.  Forced on the same data, the windowed
+    slice kernel and the full-width take kernel agree bit for bit in the
+    ring, in comb, in the forward store and in lambda(0)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=windowed_case(),
+           kind=st.sampled_from(["forward", "adjoint", "batched"]))
+    def test_windowed_sweeps_equal_the_take_kernel(self, case, kind):
+        grid, flux, eps, tab, dt, u0, d = case
+        make = lambda e: rx.make_jin_xin(*rx.JIN_XIN_FLUXES[flux], 2.1, e)
+        model, n_steps, M = make(eps), 2 * tab.s + 1, grid.n_nodes
+        traces, stores = {}, {}
+        for kernel in ("take", "slices"):
+            with forced_kernel(kernel):
+                fld = rx.KineticField(model, grid, dt, tab,
+                                      model.equilibrium(u0))
+                stale = np.full((n_steps + 1, 1, M), np.nan)
+                stores[kernel] = rx.solve_forward(model, grid, tab, u0,
+                                                  n_steps, dt, out=stale)[1]
+            out = np.empty((1, M))
+            traces[kernel] = traced_sweep(
+                fld, lambda: rx.forward_step(model, grid, fld, out), n_steps)
+        assert_bitwise(stores["slices"], stores["take"])
+        assert_traces_equal(traces["slices"], traces["take"])
+        if kind == "forward":
+            return
+        # the adjoint against the forward store, one eps per member batched
+        u_store = stores["take"]
+        adj_model = make(eps if kind == "adjoint"
+                         else np.reshape([eps, 3 * eps], (2, 1, 1)))
+        lam_T = rx.terminal_multipliers(adj_model,
+                                        d[0] if kind == "adjoint" else d)
+        jacs = [model.equilibrium_jac(u_store[k - 1])
+                for k in range(n_steps, 0, -1)]
+        lam0 = {}
+        for kernel in ("take", "slices"):
+            with forced_kernel(kernel):
+                adj = rx.AdjointField(adj_model, grid, dt, tab, lam_T)
+                lam0[kernel] = rx.solve_adjoint(adj_model, grid, tab, u_store,
+                                                lam_T, n_steps, dt)
+            levels = iter(jacs)
+
+            def step():
+                # a windowed step reads its Jacobian on its window only
+                jac = next(levels).copy()
+                if adj.windows is not None:
+                    lo, hi = adj.span[:2]
+                    jac[..., :lo] = jac[..., hi:] = np.nan
+                rx.adjoint_step(adj_model, grid, adj, jac)
+            traces[kernel] = traced_sweep(adj, step, n_steps)
+        assert_bitwise(lam0["slices"], lam0["take"])
+        assert_traces_equal(traces["slices"], traces["take"])
+
+    def test_the_zero_probe(self):
+        assert all(rx._keeps_zero(rx.make_jin_xin(F, dF, 2.1, 1e-2))
+                   for F, dF in rx.JIN_XIN_FLUXES.values())
+        assert not rx._keeps_zero(rx.make_broadwell(1.0, 1e-2))
+
+    @pytest.mark.parametrize("case", [
+        "broadwell", "gaussian", "negative-zeros", "seam", "take-plan"])
+    def test_fields_that_run_full_width(self, case):
+        # Broadwell refuses the zero probe even on multipliers that are
+        # zero off a box; data without exact zeros, -0.0 off the box and a
+        # periodic box across the seam span the grid from the start; a
+        # take-plan level is gathered whole
+        kind = {"broadwell": "broadwell", "seam": "jinxin-seam"}.get(case,
+                                                                     "jinxin")
+        model, grid, speed, u0, d = zero_region_case(kind, 33)
+        if case == "broadwell":
+            first = rx.terminal_multipliers(model, np.stack([d[1], d[1]]))
+        else:
+            first = model.equilibrium(u0 + (case == "gaussian"))
+        if case == "negative-zeros":
+            first[first == 0.0] = -0.0
+        assert (first == 0.0).any() == (case != "gaussian")
+        with forced_kernel("take" if case == "take-plan" else "slices"):
+            for field in (rx.KineticField, rx.AdjointField):
+                fld = field(model, grid, grid.dx / speed, la.tableau("BDF2"),
+                            first)
+                assert fld.windows is None
+                assert fld.span is None if case == "take-plan" else (
+                    fld.span[:2] == (0, grid.n_nodes))
+
+    @pytest.mark.parametrize("kind, edge", [("jinxin", "seam"),
+                                            ("jinxin-wall", "wall")])
+    def test_windows_grow_to_the_seam_or_along_the_wall(self, kind, edge):
+        # aligned BDF2 feet reach 1 and 2 cells: each step's window is the
+        # last one grown by a cell each way, from the first level's grown
+        # by one.  A periodic window that would cross the seam is the whole
+        # grid, so the field runs full width from then on; one against a
+        # clamped wall keeps its edge there and grows to the other wall
+        model, grid, speed, u0, _ = zero_region_case(kind, 65)
+        M = grid.n_nodes
+        with forced_kernel("slices"):
+            fld = rx.KineticField(model, grid, grid.dx / speed,
+                                  la.tableau("BDF2"), model.equilibrium(u0))
+        lo, hi = fld.windows[0]
+        assert (lo == 0) == (edge == "wall") and 0 < hi < M - 8
+        for n in range(1, M):
+            step_forward(model, grid, fld)
+            if fld.windows is None:
+                break
+            assert fld.span[:2] == (max(lo - n - 1, 0), min(hi + n + 1, M))
+        assert fld.span[:2] == (0, M)
+        if edge == "seam":                    # the next step would cross
+            assert lo - n - 1 < 0 or hi + n + 1 > M
+            assert lo - n >= 0 and hi + n <= M
+        else:
+            assert hi + n + 1 >= M > hi + n
 
 
 class TestFourierOracle:
@@ -1890,10 +2146,11 @@ def traced_peak_rows(step, M, slack=0):
     return (peak - base - slack) / (8 * M)
 
 
-def warm_step_rows(model, grid, dt, u0, slack=0):
+def warm_step_rows(model, grid, dt, u0, slack=0, fields=None):
     """Peak rows of one warm BDF3 forward step and one warm adjoint step
     (with ``out`` and the Jacobian, as the sweeps call them: a level of a
-    planar (Nv, n, K, M) block), less ``slack`` bytes."""
+    planar (Nv, n, K, M) block), less ``slack`` bytes.  The two fields are
+    appended to ``fields`` if given."""
     tab = la.tableau("BDF3")
     fld = rx.KineticField(model, grid, dt, tab, model.equilibrium(u0))
     adj = rx.AdjointField(model, grid, dt, tab,
@@ -1904,6 +2161,8 @@ def warm_step_rows(model, grid, dt, u0, slack=0):
     for _ in range(tab.s + 1):  # fill both rings
         rx.forward_step(model, grid, fld, out=u_out)
         rx.adjoint_step(model, grid, adj, jac)
+    if fields is not None:
+        fields += [fld, adj]
     M = grid.n_nodes
     return (traced_peak_rows(
                 lambda: rx.forward_step(model, grid, fld, out=u_out), M,
@@ -1937,6 +2196,25 @@ class TestStepAllocations:
         fwd, bwd = warm_step_rows(burgers_jinxin(a, 1e-2), grid,
                                   ratio * grid.dx / a, u0)
         assert fwd <= 1.1 and bwd <= 0.1, (fwd, bwd)  # 1.02, 0.05
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.7])
+    def test_windowed_jinxin_burgers(self, ratio):
+        # box data on a tenth of a 40960-node grid: a warm step computes on
+        # its window, so what it allocates is bounded in window rows
+        # (Burgers' 0.5*u*u forward, the window's slices and per-call
+        # overhead), not in grid rows
+        grid = rx.LagrangianGrid(0.0, 6.0, 40961)
+        a, x = 2.1, grid.nodes()
+        u0 = np.where(np.abs(x - 3.0) <= 0.3, 0.5 + np.exp(-((x - 3.0) ** 2)),
+                      0.0)[None, :]
+        fields = []
+        fwd, bwd = warm_step_rows(burgers_jinxin(a, 1e-2), grid,
+                                  ratio * grid.dx / a, u0, fields=fields)
+        (lo, hi), M = fields[0].span[:2], grid.n_nodes
+        assert all(f.windows is not None for f in fields)
+        assert fields[1].span[:2] == (lo, hi) and hi - lo < M // 8
+        fwd, bwd = fwd * M / (hi - lo), bwd * M / (hi - lo)
+        assert fwd <= 1.1 and bwd <= 0.2, (fwd, bwd)  # 1.07, 0.13
 
     @pytest.mark.parametrize("ratio", [1.0, 0.7])
     def test_clamped_broadwell(self, ratio):
